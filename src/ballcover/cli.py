@@ -24,8 +24,6 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import __version__
 from .counterexample import (
     SurroundedBallConfig,
@@ -43,13 +41,7 @@ from .formats import (
     read_balls,
     read_step_function,
 )
-from .geometry import (
-    Ball,
-    BallCollection,
-    PerimeterEstimate,
-    union_perimeter,
-    union_volume_mc,
-)
+from .geometry import union_perimeter, union_volume_mc
 from .harness import (
     check_example14_rate,
     check_isoperimetric,
@@ -314,25 +306,9 @@ def _config_header(cfg: RunConfig) -> list[str]:
     return [f"ballcover {__version__}", "config " + " ".join(pairs)]
 
 
-def _fixed_count_random(dimension: int, count: int, seed: int) -> BallCollection:
-    """Random collection with a caller-chosen ball count (the corpus
-    generator draws its own count)."""
-    if count < 1:
-        raise ValidationError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(-3.0, 3.0, size=(count, dimension))
-    radii = np.exp(rng.uniform(np.log(0.05), np.log(1.0), size=count))
-    return BallCollection(
-        dimension, [Ball(tuple(c), float(r)) for c, r in zip(centers, radii)]
-    )
-
-
 def _cmd_generate(cfg: RunConfig) -> int:
     if cfg.kind == "random":
-        if cfg.count is None:
-            balls = random_collection(cfg.dimension, cfg.seed)
-        else:
-            balls = _fixed_count_random(cfg.dimension, cfg.count, cfg.seed)
+        balls = random_collection(cfg.dimension, cfg.seed, cfg.count)
     elif cfg.kind == "fig1":
         balls = build_fig1(cfg.count, cfg.tiny_radius)
     elif cfg.kind == "surrounded":

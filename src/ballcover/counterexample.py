@@ -31,7 +31,9 @@ from .geometry import (
     TWO_PI,
     Ball,
     BallCollection,
-    _cap_volume,
+    _split_arcs,
+    _uncovered_arcs,
+    center_distance_for_overlap,
 )
 
 __all__ = [
@@ -102,8 +104,9 @@ class SurroundedBallConfig:
 
     eps: exact overlap fraction of each small disk with the unit disk
         (lens volume = eps times the small disk's volume).
-    delta: cap on the small radii; the first disks placed have radius
-        exactly delta and radii never increase afterwards.
+    delta: cap on the small radii, at most the unit radius; the first
+        disks placed have radius exactly delta and radii never increase
+        afterwards.
     n_max: cap on the number of small disks.
     seed: seed of the angle sampler.
     dimension: ambient dimension; only the plane is implemented.
@@ -118,8 +121,8 @@ class SurroundedBallConfig:
     def __post_init__(self):
         if not (0.0 < self.eps < 0.5):
             raise ValueError("eps must lie in (0, 1/2)")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError("delta must be positive and finite")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError("delta must lie in (0, 1]")
         if int(self.n_max) < 1 or self.n_max != int(self.n_max):
             raise ValueError("n_max must be an integer >= 1")
         if self.dimension != 2:
@@ -135,100 +138,6 @@ class PlacementRecord:
     angle: float
     distance: float
     uncovered_fraction: float
-
-
-def _split_arcs(centers: np.ndarray, halfwidths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs of given centers and halfwidths as segments of [0, 2*pi)."""
-    lo = (centers - halfwidths) % TWO_PI
-    hi = lo + 2.0 * halfwidths
-    over = hi > TWO_PI
-    starts = np.concatenate([lo, np.zeros(int(over.sum()))])
-    ends = np.concatenate([np.minimum(hi, TWO_PI), hi[over] - TWO_PI])
-    return starts, ends
-
-
-def _free_gaps(
-    starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Complement of a union of segments of [0, 2*pi), with its measure."""
-    if starts.size == 0:
-        return np.array([0.0]), np.array([TWO_PI]), TWO_PI
-    order = np.argsort(starts)
-    s = starts[order]
-    e = np.maximum.accumulate(ends[order])
-    gap_starts = np.concatenate(([0.0], e))
-    gap_ends = np.concatenate((s, [TWO_PI]))
-    keep = gap_ends > gap_starts
-    gap_starts = gap_starts[keep]
-    gap_ends = gap_ends[keep]
-    return gap_starts, gap_ends, float((gap_ends - gap_starts).sum())
-
-
-def _lens_area_scalar(r: float, rho: float) -> float:
-    """Area of the lens of a circle of radius r and the unit circle at
-    center distance rho, for abs(1 - r) < rho < 1 + r."""
-    a1 = ((rho - 1.0) * (rho + 1.0) + r * r) / (2.0 * rho)
-    return _cap_volume(r, a1, 2) + _cap_volume(1.0, rho - a1, 2)
-
-
-def _cut_half_angle(eps: float) -> float:
-    """Half-angle x with x - sin(x) cos(x) = eps * pi: the cut angle of
-    a disk losing the area fraction eps to a half-plane."""
-    target = eps * math.pi
-    x = (1.5 * target) ** (1.0 / 3.0)
-    for _ in range(60):
-        step = (x - math.sin(x) * math.cos(x) - target) / (2.0 * math.sin(x) ** 2)
-        x -= step
-        if abs(step) <= 1e-15 * x:
-            break
-    return x
-
-
-def _center_distance_2d(r: float, eps: float, start: float | None = None) -> float:
-    """Center distance at which a disk of radius r overlaps the unit
-    disk in a lens of area exactly eps times the disk's own area.
-
-    Safeguarded Newton on the distance: the lens area decreases in the
-    distance with derivative equal to minus the radical chord length,
-    so each step is a couple of scalar evaluations.
-    """
-    target = eps * math.pi * r * r
-    lo = 1.0 - r  # lens area -> pi r^2 (above target since eps < 1/2)
-    hi = 1.0 + r  # lens area -> 0
-    if start is not None and lo < start < hi:
-        rho = start
-    else:
-        # flat-boundary guess: cut the disk at offset r cos(x*)
-        rho = min(1.0 + r * math.cos(_cut_half_angle(eps)), 0.5 * (1.0 + hi))
-    for _ in range(80):
-        g = _lens_area_scalar(r, rho) - target
-        if g > 0.0:
-            lo = rho
-        else:
-            hi = rho
-        a1 = ((rho - 1.0) * (rho + 1.0) + r * r) / (2.0 * rho)
-        chord = 2.0 * math.sqrt(max(0.0, (r - a1) * (r + a1)))
-        step_ok = chord > 0.0
-        if step_ok:
-            nxt = rho + g / chord  # g' = -chord
-            step_ok = lo < nxt < hi
-        rho_next = nxt if step_ok else 0.5 * (lo + hi)
-        if abs(rho_next - rho) <= 5e-16 * rho or hi - lo <= 5e-16 * rho:
-            return rho_next
-        rho = rho_next
-    return rho
-
-
-def _covered_measure(starts: np.ndarray, ends: np.ndarray) -> float:
-    """Measure of a union of segments (already clipped to a line)."""
-    if starts.size == 0:
-        return 0.0
-    order = np.argsort(starts)
-    s = starts[order]
-    e = ends[order]
-    running = np.maximum.accumulate(e)
-    floor = np.concatenate(([s[0]], running[:-1]))
-    return float(np.maximum(0.0, e - np.maximum(s, floor)).sum())
 
 
 class _PackingState:
@@ -281,10 +190,10 @@ class _PackingState:
             self._cov_ends.extend(e.tolist())
 
     def uncovered_fraction(self) -> float:
-        covered = _covered_measure(
-            np.array(self._cov_starts), np.array(self._cov_ends)
+        lo, hi = _uncovered_arcs(
+            np.array(self._cov_starts), np.array(self._cov_ends), 0.0
         )
-        return max(0.0, 1.0 - covered / TWO_PI)
+        return float((hi - lo).sum()) / TWO_PI
 
 
 def build_surrounded_ball_detailed(
@@ -310,15 +219,13 @@ def build_surrounded_ball_detailed(
     balls = [Ball((0.0, 0.0), 1.0)]
     prev_r = cfg.delta
 
-    cos_cut = math.cos(_cut_half_angle(cfg.eps))
-
     def free_at(r: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-        rho = _center_distance_2d(r, cfg.eps, start=1.0 + r * cos_cut)
+        rho = center_distance_for_overlap(r, 1.0, cfg.eps, 2)
         arcs = state.blocked_arcs(rho, r)
         if arcs is None:
             return np.empty(0), np.empty(0), 0.0, rho
-        gap_starts, gap_ends, total = _free_gaps(*arcs)
-        return gap_starts, gap_ends, total, rho
+        gap_starts, gap_ends = _uncovered_arcs(*arcs, 0.0)
+        return gap_starts, gap_ends, float((gap_ends - gap_starts).sum()), rho
 
     for index in range(1, int(cfg.n_max) + 1):
         hi = min(cfg.delta, prev_r)

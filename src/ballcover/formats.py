@@ -86,13 +86,6 @@ def balls_to_intervals(balls: BallCollection) -> list[Interval]:
     return [Interval(b.center[0] - b.radius, b.center[0] + b.radius) for b in balls]
 
 
-def intervals_to_balls(intervals) -> BallCollection:
-    return BallCollection(
-        1,
-        [Ball((0.5 * (i.lo + i.hi),), 0.5 * (i.hi - i.lo)) for i in intervals],
-    )
-
-
 def dump_step_function(f: StepFunction, header_comments=None) -> str:
     lines = [f"# {c}" for c in (header_comments or [])]
     lines.append(" ".join(_fmt(x) for x in f.breakpoints))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 # Touching closures count as overlap only above this distance slack.
 DISJOINT_TOL = 1e-12
@@ -24,6 +24,9 @@ ARC_TOL = 1e-12
 COINCIDENCE_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
+# Elements a Monte Carlo chunk may hold in its (points, balls, dimension)
+# containment temporary (32 MiB of float64).
+MC_CHUNK_ELEMENTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -175,19 +178,25 @@ def _require_dim_match(ball: Ball, dim: int) -> None:
         raise ValueError("dimension must be at least 1")
 
 
+def _seg_series(x):
+    """Taylor series of x - sin(x) cos(x), accurate for x < 0.1; takes
+    floats and arrays alike."""
+    x2 = x * x
+    return (
+        x
+        * x2
+        * (
+            2.0 / 3.0
+            + x2 * (-2.0 / 15.0 + x2 * (4.0 / 315.0 - x2 * (2.0 / 2835.0)))
+        )
+    )
+
+
 def _seg_angle(x: float) -> float:
     """x - sin(x) cos(x), switching to a series so tiny segments keep
     full relative accuracy."""
     if x < 0.1:
-        x2 = x * x
-        return (
-            x
-            * x2
-            * (
-                2.0 / 3.0
-                + x2 * (-2.0 / 15.0 + x2 * (4.0 / 315.0 - x2 * (2.0 / 2835.0)))
-            )
-        )
+        return _seg_series(x)
     return x - math.sin(x) * math.cos(x)
 
 
@@ -217,63 +226,58 @@ def _cap_volume(radius: float, offset: float, dim: int) -> float:
     return unit_ball_volume(dim) * r**dim * frac
 
 
+def _cap_volumes(r: np.ndarray, a: np.ndarray, dim: int) -> np.ndarray:
+    """``_cap_volume`` over arrays of radii and signed offsets."""
+    a = np.clip(a, -r, r)
+    if dim == 1:
+        return r - a
+    if dim == 2:
+        x = np.arctan2(np.sqrt(np.maximum((r - a) * (r + a), 0.0)), a)
+        return r * r * np.where(x < 0.1, _seg_series(x), x - np.sin(x) * np.cos(x))
+    full = unit_ball_volume(dim) * r**dim
+    b = np.abs(a)
+    cap = full * (0.5 * special.betainc((dim + 1) / 2.0, 0.5, (r - b) * (r + b) / (r * r)))
+    return np.where(a < 0.0, full - cap, cap)
+
+
+def _lens(r1: float, r2: float, rho: float, dim: int) -> float:
+    """Volume shared by balls of radii r1, r2 at center distance rho,
+    split along the radical hyperplane into two caps."""
+    if rho >= r1 + r2:
+        return 0.0
+    if rho <= abs(r1 - r2):
+        return unit_ball_volume(dim) * min(r1, r2) ** dim
+    # signed offset of the radical hyperplane from the first center
+    a1 = ((rho - r2) * (rho + r2) + r1 * r1) / (2.0 * rho)
+    return _cap_volume(r1, a1, dim) + _cap_volume(r2, rho - a1, dim)
+
+
+def _lens_volumes(r1, r2, rho, dim: int) -> np.ndarray:
+    """``_lens`` over broadcast arrays of radii and center distances."""
+    r1, r2, rho = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (r1, r2, rho))
+    )
+    out = np.zeros(rho.shape)
+    inside = rho <= np.abs(r1 - r2)
+    out[inside] = unit_ball_volume(dim) * np.minimum(r1, r2)[inside] ** dim
+    meet = ~inside & (rho < r1 + r2)
+    a, b, p = r1[meet], r2[meet], rho[meet]
+    a1 = ((p - b) * (p + b) + a * a) / (2.0 * p)
+    out[meet] = _cap_volumes(a, a1, dim) + _cap_volumes(b, p - a1, dim)
+    return out
+
+
 def lens_volume(b1: Ball, b2: Ball, dim: int | None = None) -> float:
     """Volume of the intersection of two balls.
 
-    Exact overlap length in d = 1, the circular-segment closed form in
-    d = 2, and a split into two incomplete-beta spherical caps for
-    d >= 3 (full relative accuracy at every overlap width).
+    Two caps cut off by the radical hyperplane: an overlap length in
+    d = 1, circular segments in d = 2 and incomplete-beta spherical
+    caps for d >= 3 (full relative accuracy at every overlap width).
     """
     d = b1.dimension if dim is None else int(dim)
     _require_dim_match(b1, d)
     _require_dim_match(b2, d)
-    r1, r2 = b1.radius, b2.radius
-    rho = math.dist(b1.center, b2.center)
-    if rho >= r1 + r2:
-        return 0.0
-    if rho <= abs(r1 - r2):
-        return unit_ball_volume(d) * min(r1, r2) ** d
-    if d == 1:
-        lo = max(b1.center[0] - r1, b2.center[0] - r2)
-        hi = min(b1.center[0] + r1, b2.center[0] + r2)
-        return max(0.0, hi - lo)
-    # Split along the radical hyperplane at signed offsets a1, a2.
-    a1 = ((rho - r2) * (rho + r2) + r1 * r1) / (2.0 * rho)
-    a2 = rho - a1
-    return _cap_volume(r1, a1, d) + _cap_volume(r2, a2, d)
-
-
-def _lens_area_2d(r1, r2, rho):
-    """Vectorized two-disk intersection area (2d only)."""
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    small = np.minimum(r1, r2)
-    out = np.zeros(np.broadcast(r1, r2, rho).shape)
-    contained = rho <= np.abs(r1 - r2)
-    out = np.where(contained, math.pi * small * small, out)
-    proper = (~contained) & (rho < r1 + r2)
-    if np.any(proper):
-        rr1, rr2, d = r1 + 0 * out, r2 + 0 * out, rho + 0 * out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a1 = ((d - rr2) * (d + rr2) + rr1 * rr1) / (2.0 * d)
-        a2 = d - a1
-
-        def seg(r, a):
-            a = np.clip(a, -r, r)
-            half_chord = np.sqrt(np.maximum((r - a) * (r + a), 0.0))
-            x = np.arctan2(half_chord, a)
-            x2 = x * x
-            series = x * x2 * (
-                2.0 / 3.0
-                + x2 * (-2.0 / 15.0 + x2 * (4.0 / 315.0 - x2 * (2.0 / 2835.0)))
-            )
-            return r * r * np.where(
-                x < 0.1, series, x - np.sin(x) * np.cos(x)
-            )
-
-        out = np.where(proper, seg(rr1, a1) + seg(rr2, a2), out)
-    return out
+    return _lens(b1.radius, b2.radius, math.dist(b1.center, b2.center), d)
 
 
 def parabolic_cap_volume(t: float, dim: int) -> float:
@@ -320,10 +324,12 @@ def center_distance_for_overlap(
 ) -> float:
     """Center distance at which the lens equals eps times the small volume.
 
-    The lens volume decreases monotonically from the full small ball at
-    internal tangency to zero at external tangency, so the root is
-    bracketed in (r_big - r_small, r_big + r_small) and refined to
-    machine precision.
+    The lens volume falls monotonically from the full small ball at
+    internal tangency to zero at external tangency, with slope
+    -omega_{d-1} h^(d-1) in the distance, h the half-chord of the radical
+    hyperplane.  Newton steps on that slope, safeguarded by bisection of
+    the bracket (r_big - r_small, r_big + r_small) and started at its
+    midpoint, converge to machine precision.
     """
     r_small, r_big, eps = float(r_small), float(r_big), float(eps)
     if not 0.0 < eps < 0.5:
@@ -333,51 +339,50 @@ def center_distance_for_overlap(
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     target = eps * unit_ball_volume(dim) * r_small**dim
+    omega = unit_ball_volume(dim - 1)
+    lo, hi = r_big - r_small, r_big + r_small
+    rho = 0.5 * (lo + hi)
+    for _ in range(100):
+        g = float(_lens(r_big, r_small, rho, dim)) - target
+        if g > 0.0:
+            lo = rho
+        else:
+            hi = rho
+        a = ((rho - r_small) * (rho + r_small) + r_big * r_big) / (2.0 * rho)
+        slope = omega * max(0.0, (r_big - a) * (r_big + a)) ** ((dim - 1) / 2.0)
+        nxt = rho + g / slope if slope > 0.0 else math.nan
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - rho) <= 5e-16 * rho:
+            return nxt
+        rho = nxt
+    return rho
 
-    if dim == 1:
 
-        def overlap(rho):
-            return max(0.0, min(rho + r_small, r_big) - (rho - r_small))
+def union_components(starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of a union of segments, sorted by position.
 
-    elif dim == 2:
-
-        def overlap(rho):
-            return float(_lens_area_2d(r_small, r_big, rho))
-
-    else:
-        origin = (0.0,) * dim
-
-        def overlap(rho):
-            other = (rho,) + (0.0,) * (dim - 1)
-            return lens_volume(Ball(origin, r_big), Ball(other, r_small))
-
-    lo = r_big - r_small
-    hi = r_big + r_small
-    if lo == 0.0:
-        lo = np.nextafter(0.0, 1.0)
-    return float(
-        optimize.brentq(
-            lambda rho: overlap(rho) - target,
-            lo,
-            hi,
-            xtol=1e-15,
-            rtol=4.0 * np.finfo(float).eps,
-            maxiter=200,
-        )
-    )
+    Sorts by start and keeps a running maximum of the ends; a segment
+    opens a new component only when it starts beyond that maximum, so
+    segments whose closures touch merge.
+    """
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    order = np.argsort(starts)
+    s = starts[order]
+    e = np.maximum.accumulate(ends[order])
+    # gap[i]: a component boundary lies between sorted segments i - 1
+    # and i, with one before the first segment and one after the last
+    gap = np.ones(s.size + 1, dtype=bool)
+    np.greater(s[1:], e[:-1], out=gap[1:-1])
+    return s[gap[:-1]], e[gap[1:]]
 
 
 def merged_components(intervals) -> list[Interval]:
     """Merge intervals whose closures touch; returns disjoint components."""
-    items = sorted(intervals, key=lambda i: (i.lo, i.hi))
-    out: list[Interval] = []
-    for it in items:
-        if out and it.lo <= out[-1].hi:
-            if it.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, it.hi)
-        else:
-            out.append(Interval(it.lo, it.hi))
-    return out
+    items = list(intervals)
+    lo, hi = union_components([i.lo for i in items], [i.hi for i in items])
+    return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def union_measure_1d(intervals) -> float:
@@ -398,47 +403,28 @@ def union_boundary_1d(intervals) -> int:
 # exact 2d boundary of a union of disks
 
 
-def _merge_angle_intervals(raw) -> list[tuple[float, float]]:
-    """Union of angular intervals given as (center, halfwidth) pairs."""
-    pieces = []
-    for theta, w in raw:
-        if w <= 0.0:
-            continue
-        if w >= math.pi:
-            return [(0.0, TWO_PI)]
-        lo = (theta - w) % TWO_PI
-        hi = lo + 2.0 * w
-        if hi <= TWO_PI:
-            pieces.append((lo, hi))
-        else:
-            pieces.append((lo, TWO_PI))
-            pieces.append((0.0, hi - TWO_PI))
-    if not pieces:
-        return []
-    pieces.sort()
-    merged = [pieces[0]]
-    for lo, hi in pieces[1:]:
-        if lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
+def _split_arcs(
+    centers: np.ndarray, halfwidths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs of given centers and halfwidths as segments of [0, 2*pi)."""
+    lo = (centers - halfwidths) % TWO_PI
+    hi = lo + 2.0 * halfwidths
+    over = hi > TWO_PI
+    starts = np.concatenate([lo, np.zeros(int(over.sum()))])
+    ends = np.concatenate([np.minimum(hi, TWO_PI), hi[over] - TWO_PI])
+    return starts, ends
 
 
-def _complement_arcs(covered: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Complement of sorted disjoint pieces within [0, 2pi], tiny arcs dropped."""
-    if not covered:
-        return [(0.0, TWO_PI)]
-    free = []
-    cursor = 0.0
-    for lo, hi in covered:
-        if lo - cursor > ARC_TOL:
-            free.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if TWO_PI - cursor > ARC_TOL:
-        free.append((cursor, TWO_PI))
-    return [(lo, hi) for lo, hi in free if hi - lo > ARC_TOL]
+def _uncovered_arcs(
+    starts: np.ndarray, ends: np.ndarray, min_width: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps of [0, 2*pi] outside a union of segments, keeping those wider
+    than min_width."""
+    lo, hi = union_components(starts, ends)
+    gap_lo = np.concatenate(([0.0], hi))
+    gap_hi = np.concatenate((lo, [TWO_PI]))
+    keep = gap_hi - gap_lo > min_width
+    return gap_lo[keep], gap_hi[keep]
 
 
 def _coincidence_groups(balls: BallCollection) -> np.ndarray:
@@ -475,7 +461,7 @@ def free_arcs_2d(balls: BallCollection) -> list[list[tuple[float, float]]]:
         if rep[i] != i:
             arcs.append([])
             continue
-        covered = []
+        thetas, phis = [], []
         full = False
         for j in neighbor_lists[i]:
             if rep[j] != j or j == i:
@@ -497,17 +483,15 @@ def free_arcs_2d(balls: BallCollection) -> list[list[tuple[float, float]]]:
                 break
             if cosphi >= 1.0:
                 continue
-            phi = math.acos(cosphi)
-            theta = math.atan2(dx[1], dx[0])
-            covered.append((theta, phi))
+            thetas.append(math.atan2(dx[1], dx[0]))
+            phis.append(math.acos(cosphi))
         if full:
             arcs.append([])
             continue
-        merged = _merge_angle_intervals(covered)
-        if merged and merged[0] == (0.0, TWO_PI):
-            arcs.append([])
-        else:
-            arcs.append(_complement_arcs(merged))
+        lo, hi = _uncovered_arcs(
+            *_split_arcs(np.array(thetas), np.array(phis)), ARC_TOL
+        )
+        arcs.append(list(zip(lo.tolist(), hi.tolist())))
     return arcs
 
 
@@ -563,16 +547,15 @@ def _clip_arcs_to_window(
     """Total length of arc pieces inside one angular window (mod 2pi)."""
     if window is None:
         return 0.0
-    wlo, whi = window
-    spans = [(wlo % TWO_PI, min(whi - wlo, TWO_PI))]
+    start = window[0] % TWO_PI
+    end = start + min(window[1] - window[0], TWO_PI)
+    segs = [(start, end)]
+    if end > TWO_PI:
+        segs = [(start, TWO_PI), (0.0, end - TWO_PI)]
     total = 0.0
-    for start, width in spans:
-        segs = [(start, start + width)]
-        if start + width > TWO_PI:
-            segs = [(start, TWO_PI), (0.0, start + width - TWO_PI)]
-        for slo, shi in segs:
-            for lo, hi in pieces:
-                total += max(0.0, min(hi, shi) - max(lo, slo))
+    for slo, shi in segs:
+        for lo, hi in pieces:
+            total += max(0.0, min(hi, shi) - max(lo, slo))
     return total
 
 
@@ -672,12 +655,12 @@ def union_perimeter_mc(
     value = 0.0
     variance = 0.0
     total_samples = 0
-    chunk = 200_000
     for i in keep:
         rng = np.random.default_rng([seed, int(i)])
         others = np.array(
             [j for j in neighbor_lists[i] if rep[j] == j and j != i], dtype=int
         )
+        chunk = max(1, MC_CHUNK_ELEMENTS // (d * max(1, others.size)))
         outside = 0
         done = 0
         while done < samples_per_ball:
@@ -721,7 +704,7 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     rng = np.random.default_rng([seed])
     hits = 0
     done = 0
-    chunk = 200_000
+    chunk = max(1, MC_CHUNK_ELEMENTS // (d * len(balls)))
     while done < samples:
         m = min(chunk, samples - done)
         pts = rng.uniform(lo, hi, size=(m, d))

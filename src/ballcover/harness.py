@@ -143,11 +143,17 @@ def fit_loglog(xs, ys) -> RateFit:
 # --------------------------------------------------------------------------
 
 
-def random_collection(dimension: int, seed) -> BallCollection:
-    """One random instance: 2 to 40 balls, centers uniform in the cube
-    [-3, 3]^d, radii log-uniform in [0.05, 1]."""
+def random_collection(dimension: int, seed, count: int | None = None) -> BallCollection:
+    """One random instance: ``count`` balls (by default 2 to 40, drawn
+    first from the same stream), centers uniform in the cube [-3, 3]^d,
+    radii log-uniform in [0.05, 1]."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 41))
+    if count is None:
+        n = int(rng.integers(2, 41))
+    elif count < 1:
+        raise ValueError("count must be at least 1")
+    else:
+        n = int(count)
     centers = rng.uniform(-3.0, 3.0, size=(n, dimension))
     radii = np.exp(rng.uniform(math.log(0.05), math.log(1.0), size=n))
     return BallCollection(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Interval, merged_components
+from .geometry import Interval, union_components
 
 # Equality slack for maximality and degeneracy decisions.
 _ATOL = 1e-12
@@ -238,22 +238,13 @@ def _superlevel_spans(table: _PieceTable, level: float):
     return los, his
 
 
-def _count_components(los: np.ndarray, his: np.ndarray) -> int:
-    if los.size == 0:
-        return 0
-    order = np.argsort(los, kind="stable")
-    l, h = los[order], his[order]
-    running = np.maximum.accumulate(h)
-    return int(1 + np.count_nonzero(l[1:] > running[:-1]))
-
-
 def maximal_superlevel(f: StepFunction, level: float) -> list[Interval]:
     """Connected components of {Mf >= level} for a positive level, exact."""
     level = float(level)
     if level <= 0.0:
         raise ValueError("level must be positive")
-    los, his = _superlevel_spans(_PieceTable(f), level)
-    return merged_components([Interval(a, b) for a, b in zip(los, his)])
+    lo, hi = union_components(*_superlevel_spans(_PieceTable(f), level))
+    return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def _critical_levels(f: StepFunction) -> np.ndarray:
@@ -269,34 +260,17 @@ def _critical_levels(f: StepFunction) -> np.ndarray:
     return np.unique(np.asarray(vals, dtype=float))
 
 
-def _function_superlevel_components(f: StepFunction, level: float) -> list[Interval]:
-    """Merged components of {|f| >= level}."""
-    xs = f.breakpoints
-    ivals = [
-        Interval(xs[i], xs[i + 1])
-        for i, v in enumerate(f.values)
-        if abs(v) >= level
-    ]
-    return merged_components(ivals)
+def _function_superlevel_count(f: StepFunction, level: float) -> int:
+    """Number of components of {|f| >= level}."""
+    xs = np.asarray(f.breakpoints)
+    above = np.abs(np.asarray(f.values)) >= level
+    return len(union_components(xs[:-1][above], xs[1:][above])[0])
 
 
 def variation(f: StepFunction) -> float:
     """Total variation: sum of absolute jumps of f, boundary jumps included."""
     vs = (0.0,) + f.values + (0.0,)
     return float(sum(abs(b - a) for a, b in zip(vs, vs[1:])))
-
-
-@dataclass(frozen=True)
-class _Piece:
-    lo: float
-    hi: float
-    slope: float
-    ordinate: float  # F(x) = ordinate + slope * x on [lo, hi]
-
-
-def _merged_pieces(f: StepFunction, level: float) -> list[_Piece]:
-    table = _PieceTable(f)
-    return [_Piece(*t) for t in zip(*table.full_arrays(level))]
 
 
 def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
@@ -314,10 +288,10 @@ def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
         raise ValueError("level must be positive")
     if level > max(abs(v) for v in f.values):
         return []
-    pieces = _merged_pieces(f, level)
-    bps = np.unique(
-        np.asarray([p.lo for p in pieces] + [pieces[-1].hi], dtype=float)
-    )
+    fl, fh, fs, fc = _PieceTable(f).full_arrays(level)
+    # (lo, hi, slope, ordinate), with F(x) = ordinate + slope * x on [lo, hi]
+    pieces = list(zip(fl, fh, fs, fc))
+    bps = np.unique(np.append(fl, fh[-1]))
     fvals = _antiderivative(f, bps)
     atol = _ATOL * max(1.0, level)
 
@@ -350,10 +324,10 @@ def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
         """Ranges of a where the superset (a, w) averages >= level - atol;
         per piece the condition is linear in a."""
         zones = []
-        for p in pieces:
-            c0 = fw - p.ordinate - (level - atol) * w
-            c1 = (level - atol) - p.slope
-            lo, hi = p.lo, min(p.hi, w)
+        for p_lo, p_hi, p_slope, p_ord in pieces:
+            c0 = fw - p_ord - (level - atol) * w
+            c1 = (level - atol) - p_slope
+            lo, hi = p_lo, min(p_hi, w)
             if hi <= lo:
                 continue
             if abs(c1) < 1e-300:
@@ -372,10 +346,10 @@ def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
         """Parameter ranges of a where the superset (u, beta a + delta)
         averages >= level - atol."""
         zones = []
-        for q in pieces:
-            c0 = q.ordinate - fu + (level - atol) * u
-            c1 = q.slope - (level - atol)
-            blo, bhi = max(q.lo, u), q.hi
+        for q_lo, q_hi, q_slope, q_ord in pieces:
+            c0 = q_ord - fu + (level - atol) * u
+            c1 = q_slope - (level - atol)
+            blo, bhi = max(q_lo, u), q_hi
             if bhi <= blo:
                 continue
             if abs(c1) < 1e-300:
@@ -430,29 +404,29 @@ def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
                 if b - a > atol:
                     out.append(Interval(a, b))
 
-    for pi, p in enumerate(pieces):
-        for q in pieces[pi:]:
-            sp = p.slope - level
-            sq = q.slope - level
-            if p is q:
-                if abs(sp) <= atol and p.hi > p.lo:
-                    out.append(Interval(p.lo, p.hi))
+    for i, (p_lo, p_hi, p_slope, p_ord) in enumerate(pieces):
+        for j, (q_lo, q_hi, q_slope, q_ord) in enumerate(pieces[i:], start=i):
+            sp = p_slope - level
+            sq = q_slope - level
+            if j == i:
+                if abs(sp) <= atol and p_hi > p_lo:
+                    out.append(Interval(p_lo, p_hi))
                 continue
-            const = q.ordinate - p.ordinate
-            scale = max(1.0, abs(p.ordinate), abs(q.ordinate))
+            const = q_ord - p_ord
+            scale = max(1.0, abs(p_ord), abs(q_ord))
             if abs(sp) <= atol and abs(sq) <= atol:
-                if abs(const) <= atol * scale and q.hi > p.lo:
-                    out.append(Interval(p.lo, q.hi))
+                if abs(const) <= atol * scale and q_hi > p_lo:
+                    out.append(Interval(p_lo, q_hi))
                 continue
             if abs(sq) <= atol:
                 a = const / sp
-                if p.lo - atol <= a <= p.hi + atol and q.hi > a:
-                    out.append(Interval(min(max(a, p.lo), p.hi), q.hi))
+                if p_lo - atol <= a <= p_hi + atol and q_hi > a:
+                    out.append(Interval(min(max(a, p_lo), p_hi), q_hi))
                 continue
             if abs(sp) <= atol:
                 b = -const / sq
-                if q.lo - atol <= b <= q.hi + atol and b > p.lo:
-                    out.append(Interval(p.lo, min(max(b, q.lo), q.hi)))
+                if q_lo - atol <= b <= q_hi + atol and b > p_lo:
+                    out.append(Interval(p_lo, min(max(b, q_lo), q_hi)))
                 continue
             if sp > 0 or sq > 0:
                 # A slope above the level at an end means extending that
@@ -462,10 +436,10 @@ def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
                 continue
             beta = sp / sq
             delta = -const / sq
-            blo_a = (q.lo - delta) / beta
-            bhi_a = (q.hi - delta) / beta
-            a0 = max(p.lo, min(blo_a, bhi_a))
-            a1 = min(p.hi, max(blo_a, bhi_a))
+            blo_a = (q_lo - delta) / beta
+            bhi_a = (q_hi - delta) / beta
+            a0 = max(p_lo, min(blo_a, bhi_a))
+            a1 = min(p_hi, max(blo_a, bhi_a))
             emit_family(a0, a1, beta, delta)
 
     out = [iv for iv in out if not has_better_superset(iv.lo, iv.hi)]
@@ -505,7 +479,7 @@ def level_report(f: StepFunction, level: float) -> LevelSetReport:
     """Level-set diagnostics: maximal intervals plus boundary counts of
     {|f| >= level} and {Mf >= level}."""
     ivals = maximal_intervals(f, level)
-    count_f = 2 * len(_function_superlevel_components(f, level))
+    count_f = 2 * _function_superlevel_count(f, level)
     count_m = 2 * len(maximal_superlevel(f, level))
     return LevelSetReport(float(level), tuple(ivals), count_f, count_m)
 
@@ -536,7 +510,7 @@ def maximal_variation_check(
     table = _PieceTable(g)
 
     def components_at(level: float) -> int:
-        return _count_components(*_superlevel_spans(table, level))
+        return len(union_components(*_superlevel_spans(table, level))[0])
 
     grid = [
         max_mf * j / (level_grid_size + 1) for j in range(1, level_grid_size + 1)
@@ -549,7 +523,7 @@ def maximal_variation_check(
     for lam in grid:
         skipped = bool(np.any(np.abs(critical - lam) <= skip_tol))
         comp_m = components_at(lam)
-        comp_f = len(_function_superlevel_components(g, lam))
+        comp_f = _function_superlevel_count(g, lam)
         passed = True if skipped else comp_m <= comp_f
         all_pass &= passed
         records.append(LevelRecord(lam, 2 * comp_m, 2 * comp_f, skipped, passed))

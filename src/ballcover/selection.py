@@ -9,7 +9,6 @@ partition of the chosen balls into pairwise disjoint families.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .geometry import (
     Ball,
     BallCollection,
     Interval,
-    _lens_area_2d,
+    _lens_volumes,
     ball_surface,
     lens_volume,
     unit_ball_volume,
@@ -180,20 +179,10 @@ def overlap_eps_max(dim: int) -> float:
 
 
 def _lens_against(balls: BallCollection, idx: int) -> np.ndarray:
-    """Lens volumes of every ball against ball idx (vectorized in 2d)."""
-    d = balls.dimension
+    """Lens volumes of every ball against ball idx."""
     centers, radii = balls.centers, balls.radii
     rho = np.linalg.norm(centers - centers[idx], axis=1)
-    if d == 2:
-        return _lens_area_2d(radii, radii[idx], rho)
-    if d == 1:
-        lo = np.maximum(centers[:, 0] - radii, centers[idx, 0] - radii[idx])
-        hi = np.minimum(centers[:, 0] + radii, centers[idx, 0] + radii[idx])
-        return np.maximum(0.0, hi - lo)
-    out = np.empty(len(balls))
-    for j in range(len(balls)):
-        out[j] = lens_volume(balls[j], balls[idx])
-    return out
+    return _lens_volumes(radii, radii[idx], rho, balls.dimension)
 
 
 def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResult:

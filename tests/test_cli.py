@@ -195,6 +195,16 @@ class TestExitStatuses:
         assert code == 1
         assert "eps" in capsys.readouterr().err
 
+    def test_surrounding_disks_larger_than_unit_disk_is_1(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = main(
+            ["generate", "--kind", "surrounded", "--eps", "0.1", "--delta", "1.5",
+             "--output", str(out)]
+        )
+        assert code == 1
+        assert "delta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_input_is_1(self, tmp_path, capsys):
         code = main(
             [

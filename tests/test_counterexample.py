@@ -136,6 +136,7 @@ class TestSurroundedBallConfig:
             dict(eps=-0.1, delta=0.3, n_max=10),
             dict(eps=0.1, delta=0.0, n_max=10),
             dict(eps=0.1, delta=float("inf"), n_max=10),
+            dict(eps=0.1, delta=1.5, n_max=10),
             dict(eps=0.1, delta=0.3, n_max=0),
             dict(eps=0.1, delta=0.3, n_max=2.5),
             dict(eps=0.1, delta=0.3, n_max=10, dimension=3),

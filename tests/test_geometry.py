@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ballcover import geometry
 from ballcover.geometry import (
     ARC_TOL,
     COINCIDENCE_TOL,
@@ -177,6 +178,30 @@ def test_center_distance_for_overlap_roundtrip(r_small, ratio, eps, dim):
     assert lens_volume(b_small, b_big) == pytest.approx(target, rel=1e-9)
 
 
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("eps", [1e-6, 0.01, 0.45])
+def test_center_distance_for_overlap_high_dimensions(dim, eps):
+    rho = center_distance_for_overlap(0.3, 1.0, eps, dim)
+    assert isinstance(rho, float)
+    lens = lens_volume(Ball((0.0,) * dim, 1.0), Ball((rho,) + (0.0,) * (dim - 1), 0.3))
+    assert lens == pytest.approx(eps * unit_ball_volume(dim) * 0.3**dim, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_array_lens_kernel_matches_scalar(dim):
+    rng = np.random.default_rng(dim)
+    r1 = rng.uniform(0.05, 1.0, 400)
+    r2 = rng.uniform(0.05, 1.0, 400)
+    rho = rng.uniform(0.0, 2.0, 400)
+    got = geometry._lens_volumes(r1, r2, rho, dim)
+    origin = (0.0,) * dim
+    want = [
+        lens_volume(Ball(origin, a), Ball((c,) + (0.0,) * (dim - 1), b))
+        for a, b, c in zip(r1, r2, rho)
+    ]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_center_distance_for_overlap_validation():
     with pytest.raises(ValueError):
         center_distance_for_overlap(1.0, 2.0, 0.5, 2)
@@ -325,6 +350,16 @@ def test_union_volume_mc_1d_exact():
     est = union_volume_mc(balls, samples=1000, seed=0)
     assert est.method == "exact1d"
     assert est.value == pytest.approx(3.5, abs=1e-14)
+
+
+def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
+    balls = _collection([(0, 0, 1.0), (1.2, 0.3, 0.7), (-0.5, 0.8, 0.4), (5, 5, 0.3)])
+    perimeter = union_perimeter_mc(balls, samples_per_ball=3_000, seed=11)
+    volume = union_volume_mc(balls, samples=5_000, seed=3)
+    # a few points per chunk, with a shorter last chunk
+    monkeypatch.setattr(geometry, "MC_CHUNK_ELEMENTS", 37)
+    assert union_perimeter_mc(balls, samples_per_ball=3_000, seed=11) == perimeter
+    assert union_volume_mc(balls, samples=5_000, seed=3) == volume
 
 
 def test_mc_validation():

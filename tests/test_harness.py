@@ -140,6 +140,14 @@ class TestRandomCollection:
         assert random_collection(3, seed=0).dimension == 3
         assert len(random_collection(1, seed=0)[0].center) == 1
 
+    def test_fixed_count(self):
+        balls = random_collection(2, seed=5, count=7)
+        assert len(balls) == 7
+        # the same centre and radius law as the drawn-count instances
+        assert all(0.05 - 1e-12 <= b.radius <= 1.0 + 1e-12 for b in balls)
+        with pytest.raises(ValueError):
+            random_collection(2, seed=5, count=0)
+
     def test_composite_seed(self):
         # Sequence seeds (master, index) are accepted and deterministic.
         a = random_collection(2, seed=[7, 3])

@@ -1,0 +1,48 @@
+"""Every top-level function and class of the package is used somewhere.
+
+A definition counts as used when its name is read, imported or taken as
+an attribute anywhere in ``src/``, ``scripts/`` or ``tests/`` outside
+its own body.  Names are matched without their module, so the guard
+errs toward keeping code alive.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ballcover"
+SEARCHED = ("src", "scripts", "tests")
+
+
+def _names(node) -> Counter:
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.rpartition(".")[2]] += 1
+    return found
+
+
+def _unused_definitions() -> list[str]:
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for top in SEARCHED
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    uses = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if uses[node.name] - _names(node)[node.name] <= 0:
+                unused.append(f"{path.stem}.{node.name}")
+    return unused
+
+
+def test_every_top_level_definition_is_referenced():
+    assert _unused_definitions() == []
