@@ -352,12 +352,10 @@ def _cmd_measure(cfg: RunConfig) -> int:
     perimeter = union_perimeter(
         balls, samples_per_ball=cfg.samples, seed=cfg.seed
     )
-    if balls.dimension <= 1:
-        volume = union_volume_mc(balls, samples=max(1000, cfg.samples), seed=cfg.seed)
-    else:
-        volume = union_volume_mc(
-            balls, samples=max(1000, cfg.samples * len(balls)), seed=cfg.seed
-        )
+    # exact in d = 1, where the sample count only has to be valid
+    volume = union_volume_mc(
+        balls, samples=max(1000, cfg.samples * len(balls)), seed=cfg.seed
+    )
     text = "".join(
         [
             "".join(f"# {line}\n" for line in _config_header(cfg)),
@@ -481,10 +479,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         validate(cfg)
         return _COMMANDS[cfg.command](cfg)
-    except ValidationError as exc:
-        print(f"ballcover: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ValidationError included
         print(f"ballcover: error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ quadrature used where no closed form is available.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,8 +25,8 @@ ARC_TOL = 1e-12
 COINCIDENCE_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
-# Elements a Monte Carlo chunk may hold in its (points, balls, dimension)
-# containment temporary (32 MiB of float64).
+# Elements of a Monte Carlo chunk of (points, dimension) samples (32 MiB
+# of float64).
 MC_CHUNK_ELEMENTS = 2**22
 
 
@@ -400,6 +401,74 @@ def union_boundary_1d(intervals) -> int:
 
 
 # ---------------------------------------------------------------------------
+# which balls meet
+
+
+def meeting_pairs(
+    centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair i < j of closed balls that meet, with its center distance.
+
+    Returns ``first < second`` in lexicographic order and the distances
+    sqrt(sum((c_i - c_j)^2)).  One kd-tree query of radius 2 r_i per
+    ball keeps its partners no larger than it (equal radii go to the
+    lower index).  A relative slack of 1e-9 absorbs the tree's rounding
+    and the callers' own distance formulas, which decide exactly.
+    """
+    from scipy.spatial import cKDTree
+
+    n = len(radii)
+    pad = 1.0 + 1e-9
+    hits = cKDTree(centers).query_ball_point(
+        centers, 2.0 * pad * radii, return_sorted=False
+    )
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=n)
+    first = np.repeat(np.arange(n), counts)
+    second = np.fromiter(itertools.chain.from_iterable(hits), np.intp, counts.sum())
+    r1, r2 = radii[first], radii[second]
+    own = (r2 < r1) | ((r2 == r1) & (second > first))
+    first, second = np.minimum(first, second)[own], np.maximum(first, second)[own]
+    diff = centers[first] - centers[second]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    keep = dist <= pad * (radii[first] + radii[second])
+    order = np.lexsort((second[keep], first[keep]))
+    return first[keep][order], second[keep][order], dist[keep][order]
+
+
+def neighbor_lists(
+    centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per ball, the balls whose open interiors meet it.
+
+    Returns (start, partner, distance): the partners of ball i are
+    ``partner[start[i]:start[i + 1]]`` in ascending order, at the
+    ``meeting_pairs`` distances, each below the sum of the radii.
+    """
+    first, second, dist = meeting_pairs(centers, radii)
+    meet = dist < radii[first] + radii[second]
+    owner = np.concatenate([first[meet], second[meet]])
+    partner = np.concatenate([second[meet], first[meet]])
+    order = np.lexsort((partner, owner))
+    start = np.searchsorted(owner[order], np.arange(len(radii) + 1))
+    return start, partner[order], np.tile(dist[meet], 2)[order]
+
+
+def _coincidence_groups(
+    radii: np.ndarray, start: np.ndarray, partner: np.ndarray, dist: np.ndarray
+) -> np.ndarray:
+    """Representative index per ball, from its ``neighbor_lists``;
+    coincident balls share the lowest one."""
+    rep = np.arange(len(radii))
+    owner = np.repeat(rep, np.diff(start))
+    same = (owner < partner) & (dist <= COINCIDENCE_TOL)
+    same &= np.abs(radii[partner] - radii[owner]) <= COINCIDENCE_TOL
+    for i, j in zip(owner[same].tolist(), partner[same].tolist()):
+        if rep[i] == i and rep[j] == j:
+            rep[j] = i
+    return rep
+
+
+# ---------------------------------------------------------------------------
 # exact 2d boundary of a union of disks
 
 
@@ -427,23 +496,6 @@ def _uncovered_arcs(
     return gap_lo[keep], gap_hi[keep]
 
 
-def _coincidence_groups(balls: BallCollection) -> np.ndarray:
-    """Representative index per ball; coincident balls share the lowest one."""
-    n = len(balls)
-    rep = np.arange(n)
-    centers, radii = balls.centers, balls.radii
-    for i in range(n):
-        if rep[i] != i:
-            continue
-        d = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
-        same = (d <= COINCIDENCE_TOL) & (
-            np.abs(radii[i + 1 :] - radii[i]) <= COINCIDENCE_TOL
-        )
-        idx = np.nonzero(same)[0] + i + 1
-        rep[idx[rep[idx] == idx]] = i
-    return rep
-
-
 def free_arcs_2d(balls: BallCollection) -> list[list[tuple[float, float]]]:
     """Uncovered angular arcs of every circle against all other open disks.
 
@@ -454,17 +506,17 @@ def free_arcs_2d(balls: BallCollection) -> list[list[tuple[float, float]]]:
         raise ValueError("free_arcs_2d needs dimension 2")
     n = len(balls)
     centers, radii = balls.centers, balls.radii
-    rep = _coincidence_groups(balls)
+    start, partner, rho = neighbor_lists(centers, radii)
+    rep = _coincidence_groups(radii, start, partner, rho)
     arcs: list[list[tuple[float, float]]] = []
-    neighbor_lists = _neighbor_lists(centers, radii)
     for i in range(n):
         if rep[i] != i:
             arcs.append([])
             continue
         thetas, phis = [], []
         full = False
-        for j in neighbor_lists[i]:
-            if rep[j] != j or j == i:
+        for j in partner[start[i] : start[i + 1]].tolist():
+            if rep[j] != j:
                 continue
             dx = centers[j] - centers[i]
             dist = math.hypot(dx[0], dx[1])
@@ -495,32 +547,6 @@ def free_arcs_2d(balls: BallCollection) -> list[list[tuple[float, float]]]:
     return arcs
 
 
-def _neighbor_lists(centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
-    """Per ball, indices whose open disks could touch its circle."""
-    n = len(radii)
-    if n <= 64:
-        d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-        out = []
-        for i in range(n):
-            mask = d[i] < radii[i] + radii
-            mask[i] = False
-            out.append(np.nonzero(mask)[0])
-        return out
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(centers)
-    rmax = float(radii.max())
-    out = []
-    for i in range(n):
-        cand = tree.query_ball_point(centers[i], radii[i] + rmax)
-        cand = np.array([j for j in cand if j != i], dtype=int)
-        if cand.size:
-            d = np.linalg.norm(centers[cand] - centers[i], axis=1)
-            cand = cand[d < radii[i] + radii[cand]]
-        out.append(cand)
-    return out
-
-
 def union_perimeter_2d(balls: BallCollection) -> PerimeterEstimate:
     """Exact boundary length of a union of disks by angular arc clipping.
 
@@ -542,11 +568,9 @@ def free_arc_lengths_2d(balls: BallCollection) -> list[float]:
 
 
 def _clip_arcs_to_window(
-    pieces: list[tuple[float, float]], window: tuple[float, float] | None
+    pieces: list[tuple[float, float]], window: tuple[float, float]
 ) -> float:
     """Total length of arc pieces inside one angular window (mod 2pi)."""
-    if window is None:
-        return 0.0
     start = window[0] % TWO_PI
     end = start + min(window[1] - window[0], TWO_PI)
     segs = [(start, end)]
@@ -573,23 +597,9 @@ def free_arc_length_halfplane(
     for b, pieces in zip(balls, arcs):
         if not pieces:
             continue
-        u = (threshold - b.center[0]) / b.radius
-        if side == "le":
-            if u >= 1.0:
-                window = (0.0, TWO_PI)
-            elif u <= -1.0:
-                window = None
-            else:
-                t = math.acos(u)
-                window = (t, TWO_PI - t)
-        else:
-            if u <= -1.0:
-                window = (0.0, TWO_PI)
-            elif u >= 1.0:
-                window = None
-            else:
-                t = math.acos(u)
-                window = (-t, t)
+        # the circle crosses the line x_1 = threshold at angles +-t
+        t = math.acos(min(1.0, max(-1.0, (threshold - b.center[0]) / b.radius)))
+        window = (t, TWO_PI - t) if side == "le" else (-t, t)
         total += b.radius * _clip_arcs_to_window(pieces, window)
     return total
 
@@ -606,30 +616,32 @@ def free_arc_length_in_disk(
             continue
         dx, dy = cx - b.center[0], cy - b.center[1]
         dist = math.hypot(dx, dy)
-        if dist >= b.radius + radius:
-            continue
         if dist + b.radius <= radius:
             window = (0.0, TWO_PI)
-        elif dist <= COINCIDENCE_TOL:
-            window = (0.0, TWO_PI) if b.radius < radius else None
+        elif dist >= b.radius + radius or dist <= COINCIDENCE_TOL:
+            continue
         else:
             c = (dist * dist + b.radius**2 - radius * radius) / (
                 2.0 * dist * b.radius
             )
-            if c <= -1.0:
-                window = (0.0, TWO_PI)
-            elif c >= 1.0:
-                window = None
-            else:
-                phi = math.acos(c)
-                theta = math.atan2(dy, dx)
-                window = (theta - phi, theta + phi)
+            phi = math.acos(min(1.0, max(-1.0, c)))
+            theta = math.atan2(dy, dx)
+            window = (theta - phi, theta + phi)
         total += b.radius * _clip_arcs_to_window(pieces, window)
     return total
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimates
+
+
+def _row_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row, coordinates added in order as numpy's
+    row sum does below eight columns, but without its slow reduction."""
+    out = x[:, 0] * x[:, 0]
+    for k in range(1, x.shape[1]):
+        out += x[:, k] * x[:, k]
+    return out
 
 
 def union_perimeter_mc(
@@ -639,8 +651,10 @@ def union_perimeter_mc(
 
     Each sphere is sampled uniformly via normalized Gaussian directions
     from a substream seeded by (seed, ball index), so results do not
-    depend on evaluation order.  Coincident balls are merged first.
-    The standard error combines per-ball binomial variances.
+    depend on evaluation order.  Coincident balls are merged first; a
+    sphere no other ball meets is fully exposed and draws no samples,
+    though ``sample_count`` still charges it.  The standard error
+    combines per-ball binomial variances.
     """
     samples_per_ball = int(samples_per_ball)
     if samples_per_ball < 100:
@@ -649,39 +663,38 @@ def union_perimeter_mc(
         raise ValueError("collection must be nonempty")
     d = balls.dimension
     centers, radii = balls.centers, balls.radii
-    rep = _coincidence_groups(balls)
+    start, partner, rho = neighbor_lists(centers, radii)
+    rep = _coincidence_groups(radii, start, partner, rho)
     keep = np.nonzero(rep == np.arange(len(balls)))[0]
-    neighbor_lists = _neighbor_lists(centers, radii)
+    chunk = max(1, MC_CHUNK_ELEMENTS // d)
     value = 0.0
     variance = 0.0
-    total_samples = 0
     for i in keep:
+        others = partner[start[i] : start[i + 1]]
+        others = others[rep[others] == others]
+        surf = ball_surface(balls[int(i)])
+        if not others.size:
+            # Nothing covers an isolated sphere: p = 1, zero variance.
+            value += surf
+            continue
         rng = np.random.default_rng([seed, int(i)])
-        others = np.array(
-            [j for j in neighbor_lists[i] if rep[j] == j and j != i], dtype=int
-        )
-        chunk = max(1, MC_CHUNK_ELEMENTS // (d * max(1, others.size)))
         outside = 0
-        done = 0
-        while done < samples_per_ball:
+        for done in range(0, samples_per_ball, chunk):
             m = min(chunk, samples_per_ball - done)
-            g = rng.standard_normal((m, d))
-            norms = np.linalg.norm(g, axis=1)
+            pts = rng.standard_normal((m, d))
+            norms = np.sqrt(_row_squares(pts))
             # Degenerate draws are astronomically unlikely; guard anyway.
             norms[norms == 0.0] = 1.0
-            pts = centers[i] + radii[i] * (g / norms[:, None])
-            if others.size:
-                diff = pts[:, None, :] - centers[others][None, :, :]
-                inside = (diff * diff).sum(axis=2) < (radii[others] ** 2)[None, :]
-                outside += int((~inside.any(axis=1)).sum())
-            else:
-                outside += m
-            done += m
-        surf = ball_surface(balls[int(i)])
+            pts /= norms[:, None]
+            pts *= radii[i]
+            pts += centers[i]
+            for j in others:
+                pts = pts[_row_squares(pts - centers[j]) >= radii[j] ** 2]
+            outside += len(pts)
         p = outside / samples_per_ball
         value += surf * p
         variance += surf * surf * p * (1.0 - p) / samples_per_ball
-        total_samples += samples_per_ball
+    total_samples = samples_per_ball * len(keep)
     return PerimeterEstimate(value, math.sqrt(variance), "montecarlo", total_samples)
 
 
@@ -703,15 +716,13 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     box = float(np.prod(hi - lo))
     rng = np.random.default_rng([seed])
     hits = 0
-    done = 0
-    chunk = max(1, MC_CHUNK_ELEMENTS // (d * len(balls)))
-    while done < samples:
+    chunk = max(1, MC_CHUNK_ELEMENTS // d)
+    for done in range(0, samples, chunk):
         m = min(chunk, samples - done)
         pts = rng.uniform(lo, hi, size=(m, d))
-        diff = pts[:, None, :] - centers[None, :, :]
-        inside = (diff * diff).sum(axis=2) <= (radii**2)[None, :]
-        hits += int(inside.any(axis=1).sum())
-        done += m
+        for c, r in zip(centers, radii):
+            pts = pts[_row_squares(pts - c) > r * r]
+        hits += m - len(pts)
     p = hits / samples
     value = box * p
     se = box * math.sqrt(p * (1.0 - p) / samples)

@@ -32,6 +32,7 @@ from .geometry import (
     free_arc_lengths_2d,
     halfspace_cut_data,
     lens_volume,
+    meeting_pairs,
     unit_ball_volume,
     union_measure_1d,
     union_perimeter,
@@ -229,12 +230,11 @@ def check_thm13(
     result = perimeter_vitali_select(balls, eps)
     chosen = balls.subset(result.selected)
     overlap_worst = 0.0
-    sel = result.selected
-    for a_pos, i in enumerate(sel):
-        for j in sel[a_pos + 1 :]:
-            lens = lens_volume(balls[i], balls[j])
-            bound = eps * min(ball_volume(balls[i]), ball_volume(balls[j]))
-            overlap_worst = max(overlap_worst, lens / bound)
+    first, second, _ = meeting_pairs(chosen.centers, chosen.radii)
+    for a, b in zip(first.tolist(), second.tolist()):
+        lens = lens_volume(chosen[a], chosen[b])
+        bound = eps * min(ball_volume(chosen[a]), ball_volume(chosen[b]))
+        overlap_worst = max(overlap_worst, lens / bound)
     containment_worst = 0.0
     for s, members in result.groups.items():
         cs = np.asarray(balls[s].center)
@@ -261,7 +261,7 @@ def check_thm13(
         "d": d,
         "n": len(balls),
         "eps": eps,
-        "selected": len(sel),
+        "selected": len(chosen),
         "overlap_rel_tol": 1e-9,
         "containment_abs_tol": 1e-12,
         "volume_ratio": vol_ratio,

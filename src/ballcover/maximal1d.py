@@ -189,11 +189,11 @@ class _PieceTable:
         return fl, fh, fs, fc
 
 
-def _superlevel_spans(table: _PieceTable, level: float):
-    """Endpoint spans [min a, max b] over all ordered piece pairs that
-    admit an interval of average >= level; the union of the spans is
-    exactly {Mf >= level}.
+def _superlevel_components(table: _PieceTable, level: float):
+    """Connected components (lo, hi) of {Mf >= level}, sorted.
 
+    {Mf >= level} is the union of the endpoint spans [min a, max b] over
+    all ordered piece pairs that admit an interval of average >= level.
     Over a pair of linear pieces of F the constraint
     F(b) - F(a) >= level (b - a) cuts the endpoint rectangle along a
     line, leaving a convex polygon whose extreme endpoint values follow
@@ -226,16 +226,19 @@ def _superlevel_spans(table: _PieceTable, level: float):
             np.where(g_at_qlo < 0, np.nan, np.where(g_at_qhi >= 0, q_hi, root_b)),
             np.where(g_at_qhi < 0, np.nan, q_hi),
         )
-    # Adjacent pieces share an endpoint where the degenerate interval
-    # a = b has slack exactly zero; roundoff can turn it into a
-    # zero-width sliver.  True components have positive width away from
-    # critical levels, so reject below-roundoff spans.
-    width_tol = 1e-12 * max(1.0, table.span)
-    valid = ~np.isnan(min_a) & ~np.isnan(max_b) & (max_b - min_a > width_tol)
+    valid = ~np.isnan(min_a) & ~np.isnan(max_b)
     flat = fs >= level  # whole pieces at or above the level
-    los = np.concatenate([min_a[valid], fl[flat]])
-    his = np.concatenate([max_b[valid], fh[flat]])
-    return los, his
+    lo, hi = union_components(
+        np.concatenate([min_a[valid], fl[flat]]),
+        np.concatenate([max_b[valid], fh[flat]]),
+    )
+    # An interval of average >= level meets a piece with |f| >= level,
+    # and Mf >= level on all of that piece, so every true component
+    # holds a whole such piece.  The others are roundoff slivers, from
+    # adjacent pieces' shared endpoints or roots near a piece value.
+    whole = np.zeros(lo.size, dtype=bool)
+    whole[np.searchsorted(lo, fl[flat], side="right") - 1] = True
+    return lo[whole], hi[whole]
 
 
 def maximal_superlevel(f: StepFunction, level: float) -> list[Interval]:
@@ -243,7 +246,7 @@ def maximal_superlevel(f: StepFunction, level: float) -> list[Interval]:
     level = float(level)
     if level <= 0.0:
         raise ValueError("level must be positive")
-    lo, hi = union_components(*_superlevel_spans(_PieceTable(f), level))
+    lo, hi = _superlevel_components(_PieceTable(f), level)
     return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
@@ -252,12 +255,9 @@ def _critical_levels(f: StepFunction) -> np.ndarray:
     superlevel component of Mf can vanish lies in this set."""
     xs = np.asarray(f.breakpoints)
     prefix = _prefix_mass(f)
-    vals = list(np.abs(np.asarray(f.values)))
-    k = len(xs)
-    for i in range(k):
-        for j in range(i + 1, k):
-            vals.append((prefix[j] - prefix[i]) / (xs[j] - xs[i]))
-    return np.unique(np.asarray(vals, dtype=float))
+    i, j = np.triu_indices(len(xs), k=1)
+    averages = (prefix[j] - prefix[i]) / (xs[j] - xs[i])
+    return np.unique(np.concatenate([np.abs(np.asarray(f.values)), averages]))
 
 
 def _function_superlevel_count(f: StepFunction, level: float) -> int:
@@ -510,7 +510,7 @@ def maximal_variation_check(
     table = _PieceTable(g)
 
     def components_at(level: float) -> int:
-        return len(union_components(*_superlevel_spans(table, level))[0])
+        return len(_superlevel_components(table, level)[0])
 
     grid = [
         max_mf * j / (level_grid_size + 1) for j in range(1, level_grid_size + 1)

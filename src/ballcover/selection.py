@@ -21,6 +21,7 @@ from .geometry import (
     _lens_volumes,
     ball_surface,
     lens_volume,
+    neighbor_lists,
     unit_ball_volume,
 )
 
@@ -45,11 +46,6 @@ class SelectionResult:
             raise ValueError("selected indices must be pairwise distinct")
 
 
-def _pairwise_dists(centers: np.ndarray) -> np.ndarray:
-    diff = centers[:, None, :] - centers[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
 def vitali_select(balls: BallCollection) -> SelectionResult:
     """Greedy disjoint subfamily: every input meets a chosen ball at
     least as large, so the five-times enlargements of the chosen balls
@@ -58,17 +54,18 @@ def vitali_select(balls: BallCollection) -> SelectionResult:
     if n == 0:
         return SelectionResult([], {}, None, {"enlargement": 5.0})
     radii = balls.radii
-    dists = _pairwise_dists(balls.centers)
+    start, partner, dist = neighbor_lists(balls.centers, radii)
     alive = np.ones(n, dtype=bool)
     selected: list[int] = []
     groups: dict[int, list[int]] = {}
-    while alive.any():
-        masked = np.where(alive, radii, -np.inf)
-        s = int(np.argmax(masked))
-        meets = alive & (dists[s] < radii[s] + radii - DISJOINT_TOL)
-        meets[s] = True
-        members = np.nonzero(meets)[0]
-        groups[s] = [int(j) for j in members]
+    for s in np.argsort(-radii, kind="stable").tolist():
+        if not alive[s]:
+            continue
+        near = partner[start[s] : start[s + 1]]
+        rho = dist[start[s] : start[s + 1]]
+        meets = near[alive[near] & (rho < radii[s] + radii[near] - DISJOINT_TOL)]
+        members = np.sort(np.append(meets, s))
+        groups[s] = members.tolist()
         selected.append(s)
         alive[members] = False
     return SelectionResult(
@@ -98,23 +95,22 @@ def besicovitch_select(balls: BallCollection) -> SelectionResult:
     if n == 0:
         return SelectionResult([], {}, [], params)
     radii = balls.radii
-    dists = _pairwise_dists(balls.centers)
+    start, partner, dist = neighbor_lists(balls.centers, radii)
     uncovered = np.ones(n, dtype=bool)
     covered_by = np.full(n, -1, dtype=int)
     selected: list[int] = []
-    while uncovered.any():
-        masked = np.where(uncovered, radii, -np.inf)
-        s = int(np.argmax(masked))
-        selected.append(s)
-        newly = uncovered & (dists[s] <= radii[s])
-        covered_by[newly] = s
-        uncovered &= ~newly
     colors: dict[int, int] = {}
-    for pos, s in enumerate(selected):
-        used = set()
-        for t in selected[:pos]:
-            if dists[s, t] < radii[s] + radii[t] - DISJOINT_TOL:
-                used.add(colors[t])
+    for s in np.argsort(-radii, kind="stable").tolist():
+        if not uncovered[s]:
+            continue
+        selected.append(s)
+        near = partner[start[s] : start[s + 1]]
+        rho = dist[start[s] : start[s + 1]]
+        newly = np.append(near[uncovered[near] & (rho <= radii[s])], s)
+        covered_by[newly] = s
+        uncovered[newly] = False
+        meets = near[rho < radii[s] + radii[near] - DISJOINT_TOL]
+        used = {colors[t] for t in meets.tolist() if t in colors}
         c = 1
         while c in used:
             c += 1
@@ -178,13 +174,6 @@ def overlap_eps_max(dim: int) -> float:
     return _EPS_MAX_CACHE[dim]
 
 
-def _lens_against(balls: BallCollection, idx: int) -> np.ndarray:
-    """Lens volumes of every ball against ball idx."""
-    centers, radii = balls.centers, balls.radii
-    rho = np.linalg.norm(centers - centers[idx], axis=1)
-    return _lens_volumes(radii, radii[idx], rho, balls.dimension)
-
-
 def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResult:
     """Selection with pairwise overlap below eps times the smaller volume.
 
@@ -220,18 +209,22 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
         return SelectionResult([], {}, None, params)
     radii = balls.radii
     volumes = unit_ball_volume(d) * radii**d
+    start, partner, dist = neighbor_lists(balls.centers, radii)
     candidate = np.ones(n, dtype=bool)
     selected: list[int] = []
     groups: dict[int, list[int]] = {}
-    while candidate.any():
-        masked = np.where(candidate, radii, -np.inf)
-        s = int(np.argmax(masked))
+    for s in np.argsort(-radii, kind="stable").tolist():
+        if not candidate[s]:
+            continue
         selected.append(s)
-        lens = _lens_against(balls, s)
-        hit = lens >= threshold_factor * volumes
-        members = np.nonzero(hit & (radii <= (8.0 / 7.0) * radii[s]))[0]
-        groups[s] = [int(j) for j in members]
-        candidate &= ~hit
+        # lenses against s of its neighbours and of s itself
+        near = np.append(partner[start[s] : start[s + 1]], s)
+        rho = np.append(dist[start[s] : start[s + 1]], 0.0)
+        lens = _lens_volumes(radii[near], radii[s], rho, d)
+        hit = np.sort(near[lens >= threshold_factor * volumes[near]])
+        members = hit[radii[hit] <= (8.0 / 7.0) * radii[s]]
+        groups[s] = members.tolist()
+        candidate[hit] = False
     return SelectionResult(selected, groups, None, params)
 
 
@@ -253,9 +246,9 @@ def interval_select_1d(intervals) -> SelectionResult:
     alive = np.ones(n, dtype=bool)
     selected: list[int] = []
     groups: dict[int, list[int]] = {}
-    while alive.any():
-        masked = np.where(alive, lengths, -np.inf)
-        s = int(np.argmax(masked))
+    for s in np.argsort(-lengths, kind="stable").tolist():
+        if not alive[s]:
+            continue
         meets = alive & (his >= los[s]) & (los <= his[s])
         meets[s] = True
         members = np.nonzero(meets)[0]

@@ -25,7 +25,9 @@ from ballcover.geometry import (
     free_arcs_2d,
     halfspace_cut_data,
     lens_volume,
+    meeting_pairs,
     merged_components,
+    neighbor_lists,
     parabolic_cap_volume,
     union_boundary_1d,
     union_measure_1d,
@@ -243,6 +245,103 @@ def test_merged_components_touching_closures_join():
 
 
 # --------------------------------------------------------------------------
+# Which balls meet
+
+
+def _pair_layer_input(n, dim, seed):
+    """Centers and radii over six decades, with exact duplicates and pairs
+    placed at tangency and one ulp either side of it."""
+    rng = np.random.default_rng([seed, n, dim])
+    radii = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    centers = rng.uniform(0.0, 0.6 * max(n, 1) ** (1.0 / dim), (n, dim))
+    for k in range(0, n - 1, 9):
+        # ball k + 1 becomes an exact copy of ball k
+        centers[k + 1], radii[k + 1] = centers[k], radii[k]
+    for k in range(2, n - 1, 7):
+        if k % 2:
+            radii[k + 1] = radii[k]
+        reach = radii[k] + radii[k + 1]
+        # one ulp inside, exactly at, or one ulp beyond tangency
+        reach = (math.nextafter(reach, 0.0), reach, math.nextafter(reach, math.inf))[k % 3]
+        direction = rng.normal(size=dim)
+        centers[k + 1] = centers[k] + reach * direction / np.linalg.norm(direction)
+    return centers, radii
+
+
+def _brute_dists(centers):
+    diff = centers[:, None, :] - centers[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 65, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_meeting_pairs_against_brute_force(n, dim):
+    centers, radii = _pair_layer_input(n, dim, 1)
+    first, second, dist = meeting_pairs(centers, radii)
+    dists = _brute_dists(centers)
+    reach = radii[:, None] + radii[None, :]
+    i, j = np.triu_indices(n, k=1)
+    found = set(zip(first.tolist(), second.tolist()))
+    assert sorted(found) == list(zip(first.tolist(), second.tolist()))
+    # every pair that meets by any of the callers' distance formulas
+    for a, b in zip(i.tolist(), j.tolist()):
+        if dists[a, b] <= reach[a, b] or math.dist(centers[a], centers[b]) <= reach[a, b]:
+            assert (a, b) in found
+    # and no pair beyond the documented slack, with the selectors' distance
+    assert np.array_equal(dist, dists[first, second])
+    assert np.all(dist <= (1.0 + 1e-9) * reach[first, second])
+    # open-interior partners per ball, in both directions
+    start, partner, near = neighbor_lists(centers, radii)
+    assert start.size == n + 1
+    for a in range(n):
+        want = np.nonzero(dists[a] < reach[a])[0]
+        want = want[want != a]
+        assert np.array_equal(partner[start[a] : start[a + 1]], want)
+        assert np.array_equal(near[start[a] : start[a + 1]], dists[a, want])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_meeting_pairs_keep_equal_balls_at_tangency(dim):
+    # The kd-tree rounds its own squared distances: unpadded queries of
+    # radius 2 r miss about one such pair in a thousand.
+    rng = np.random.default_rng(dim)
+    count = 5000
+    radii = np.repeat(10.0 ** rng.uniform(-6.0, 0.0, count), 2)
+    centers = np.repeat(rng.uniform(-100.0, 100.0, (count, dim)), 2, axis=0)
+    direction = rng.normal(size=(count, dim))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    centers[1::2] += 2.0 * radii[1::2, None] * direction
+    first, second, dist = meeting_pairs(centers, radii)
+    found = set(zip(first.tolist(), second.tolist()))
+    diff = centers[0::2] - centers[1::2]
+    meets = np.sqrt((diff * diff).sum(axis=1)) <= 2.0 * radii[0::2]
+    assert 0 < meets.sum() < count
+    assert all((2 * k, 2 * k + 1) in found for k in np.nonzero(meets)[0].tolist())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coincidence_groups_keep_lowest_index(dim):
+    centers, radii = _pair_layer_input(200, dim, 2)
+    # a triple of copies and a near copy of the copy only
+    centers[50:53], radii[50:53] = centers[40], radii[40]
+    centers[53] = centers[52] + 0.8 * COINCIDENCE_TOL
+    radii[53] = radii[52]
+    dists = _brute_dists(centers)
+    want = np.arange(len(radii))
+    for a in range(len(radii)):
+        if want[a] != a:
+            continue
+        same = (dists[a, a + 1 :] <= COINCIDENCE_TOL) & (
+            np.abs(radii[a + 1 :] - radii[a]) <= COINCIDENCE_TOL
+        )
+        idx = np.nonzero(same)[0] + a + 1
+        want[idx[want[idx] == idx]] = a
+    got = geometry._coincidence_groups(radii, *neighbor_lists(centers, radii))
+    assert np.array_equal(got, want)
+    assert got[50] == got[51] == got[52] == 40
+
+
+# --------------------------------------------------------------------------
 # 2D exact perimeters
 
 
@@ -360,6 +459,34 @@ def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(geometry, "MC_CHUNK_ELEMENTS", 37)
     assert union_perimeter_mc(balls, samples_per_ball=3_000, seed=11) == perimeter
     assert union_volume_mc(balls, samples=5_000, seed=3) == volume
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_row_squares_match_numpy_row_sum(dim):
+    x = np.random.default_rng(dim).standard_normal((5000, dim)) * 10.0 ** np.arange(dim)
+    assert np.array_equal(geometry._row_squares(x), (x * x).sum(axis=1))
+
+
+def test_mc_isolated_balls_draw_no_samples(monkeypatch):
+    balls = _collection(
+        [(0, 0, 1.0), (1.2, 0.3, 0.7), (5, 5, 0.3), (5, 5, 0.3), (-4, 0, 0.5), (-3, 0, 0.5)]
+    )
+    drawn = []
+    real = np.random.default_rng
+
+    def spy(seed):
+        drawn.append(seed[1])
+        return real(seed)
+
+    monkeypatch.setattr(geometry.np.random, "default_rng", spy)
+    est = union_perimeter_mc(balls, samples_per_ball=2_000, seed=5)
+    # balls 4 and 5 are tangent, so their open disks do not meet
+    assert drawn == [0, 1]
+    assert est.sample_count == 5 * 2_000
+    pair = union_perimeter_mc(balls.subset([0, 1]), samples_per_ball=2_000, seed=5)
+    lone = 2.0 * math.pi * (0.3 + 0.5 + 0.5)
+    assert est.value == pytest.approx(pair.value + lone, rel=1e-15)
+    assert est.std_error == pair.std_error
 
 
 def test_mc_validation():

@@ -60,6 +60,15 @@ RUNS = [
     ("rate.csv", ["rate", "--eps-list", "0.05,0.02", "--delta", "0.9", "--seed", "7"]),
     ("maxfn-grid.txt", ["maxfn", "--input", "step.txt", "--levels", "40"]),
     ("maxfn-level.txt", ["maxfn", "--input", "step.txt", "--level", "1.1"]),
+    # Collections above 64 balls, so that every pair lookup goes through
+    # the kd-tree rather than a small-input shortcut.
+    ("random2d-300.txt", ["generate", "--kind", "random", "--dim", "2", "--count", "300", "--seed", "6"]),
+    *(
+        (f"select2d-300-{alg}.txt", ["select", "--algorithm", alg, "--input", "random2d-300.txt", *extra])
+        for alg, extra in _SELECT.items()
+    ),
+    ("random3d-100.txt", ["generate", "--kind", "random", "--dim", "3", "--count", "100", "--seed", "8"]),
+    ("measure3d-100.txt", ["measure", "--input", "random3d-100.txt", "--samples", "500", "--seed", "4"]),
 ]
 
 

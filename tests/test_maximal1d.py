@@ -269,6 +269,40 @@ class TestMaximalIntervals:
         assert spans[0].lo <= 1.0 and spans[0].hi >= 2.0
 
 
+# A level 4.9e-6 above the first piece value, where the span of the
+# pair (left zero tail, first piece) used to end 2.6e-11 past the
+# piece's left end and count as a second component.
+SLIVER = StepFunction(
+    (1.9154774178137899, 2.7422401681813993, 3.7704821654176355, 3.99574720969287),
+    (1.6653959921176158, 0.0, 2.016543660499813),
+)
+
+
+class TestSuperlevelSlivers:
+    def test_level_just_above_piece_value(self):
+        comps = maximal_superlevel(SLIVER, 1.665404217129199)
+        assert [(c.lo, c.hi) for c in comps] == [(3.722986523552375, 4.04324285155813)]
+        assert maximal_variation_check(SLIVER, 200).passed
+
+    def test_counts_just_above_piece_values_match_brute_force(self):
+        for seed in range(40):
+            f = random_step_function(np.random.default_rng([seed, 99]))
+            g = f.abs_function()
+            xs = np.asarray(g.breakpoints)
+            values = sorted({v for v in g.values if v > 0.0})
+            if not values:
+                continue
+            # Mf < level beyond mass / level of the support
+            reach = g.total_mass() / values[0] + 1.0
+            grid = np.linspace(xs[0] - reach, xs[-1] + reach, 200_001)
+            mf = maximal_function_oracle_grid(f, grid)
+            for v in values:
+                lam = v * (1.0 + 1e-9)
+                above = mf >= lam
+                brute = int(above[0]) + int(np.count_nonzero(above[1:] & ~above[:-1]))
+                assert len(maximal_superlevel(f, lam)) == brute, (seed, v)
+
+
 # ---------------------------------------------------------------------------
 # level_report
 # ---------------------------------------------------------------------------

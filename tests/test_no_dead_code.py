@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package is used somewhere.
+"""Every top-level function and class of the package is used somewhere,
+and the ball-pair lookup stays in one module.
 
 A definition counts as used when its name is read, imported or taken as
 an attribute anywhere in ``src/``, ``scripts/`` or ``tests/`` outside
@@ -7,6 +8,9 @@ errs toward keeping code alive.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -46,3 +50,35 @@ def _unused_definitions() -> list[str]:
 
 def test_every_top_level_definition_is_referenced():
     assert _unused_definitions() == []
+
+
+def _imported_modules(tree) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_only_geometry_looks_up_ball_pairs():
+    # Which balls meet is decided by geometry.meeting_pairs alone.
+    users = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "scipy.spatial" in _imported_modules(ast.parse(path.read_text()))
+    ]
+    assert users == ["geometry"]
+
+
+def test_import_leaves_kdtree_unloaded():
+    # scipy.spatial costs more to import than the whole package; only
+    # the first pair lookup should pay for it.
+    code = "import sys, ballcover, ballcover.cli; print('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
