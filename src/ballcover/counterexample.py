@@ -29,7 +29,6 @@ import numpy as np
 
 from .geometry import (
     TWO_PI,
-    Ball,
     BallCollection,
     _split_arcs,
     _uncovered_arcs,
@@ -84,13 +83,11 @@ def build_fig1(k: int, tiny_radius: float) -> BallCollection:
             "tiny_radius / (1 + tiny_radius / 2) so the small disks are "
             "pairwise disjoint"
         )
-    balls = [Ball((0.0, 0.0), 1.0)]
+    centers = [(0.0, 0.0)]
     for j in range(k):
         angle = TWO_PI * j / k
-        balls.append(
-            Ball((ring_radius * math.cos(angle), ring_radius * math.sin(angle)), t)
-        )
-    return BallCollection(2, balls)
+        centers.append((ring_radius * math.cos(angle), ring_radius * math.sin(angle)))
+    return BallCollection.from_arrays(centers, [1.0] + [t] * k)
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +213,7 @@ def build_surrounded_ball_detailed(
     state = _PackingState()
     floor = cfg.delta * 1e-3
     records: list[PlacementRecord] = []
-    balls = [Ball((0.0, 0.0), 1.0)]
+    centers, radii = [(0.0, 0.0)], [1.0]
     prev_r = cfg.delta
 
     def free_at(r: float) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -256,12 +253,13 @@ def build_surrounded_ball_detailed(
         slot = min(max(slot, 0), widths.size - 1)
         angle = float(gap_starts[slot] + (u - offsets[slot])) % TWO_PI
         state.add(rho, angle, r)
-        balls.append(Ball((rho * math.cos(angle), rho * math.sin(angle)), r))
+        centers.append((rho * math.cos(angle), rho * math.sin(angle)))
+        radii.append(r)
         records.append(
             PlacementRecord(index, r, angle, rho, state.uncovered_fraction())
         )
         prev_r = r
-    return BallCollection(2, balls), records
+    return BallCollection.from_arrays(centers, radii), records
 
 
 def build_surrounded_ball(cfg: SurroundedBallConfig) -> BallCollection:
@@ -276,8 +274,7 @@ def restrict_to_halfspace(balls: BallCollection) -> BallCollection:
     surrounded-ball packing keeps the central disk together with the
     small disks in the right half-plane.
     """
-    kept = [b for b in balls if b.center[0] >= 0.0]
-    return BallCollection(balls.dimension, kept)
+    return balls.subset(np.flatnonzero(balls.centers[:, 0] >= 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -312,20 +309,15 @@ def build_reverse_example(eps: float, box_half_width: float = 4.0) -> BallCollec
         raise ValueError("eps must lie in (0, 0.25)")
     if w < 2.0:
         raise ValueError("box_half_width must be at least 2")
-    balls: list[Ball] = []
+    centers: list[tuple[float, float]] = []
     for j in range(_RING_COUNT):
         angle = TWO_PI * j / _RING_COUNT
-        balls.append(
-            Ball(((1.0 + eps) * math.cos(angle), (1.0 + eps) * math.sin(angle)), 1.0)
-        )
+        centers.append(((1.0 + eps) * math.cos(angle), (1.0 + eps) * math.sin(angle)))
     bridge_count = 12
     for j in range(bridge_count):
         angle = TWO_PI * (j + 0.5) / bridge_count
-        balls.append(
-            Ball(
-                (_BRIDGE_RADIUS * math.cos(angle), _BRIDGE_RADIUS * math.sin(angle)),
-                1.0,
-            )
+        centers.append(
+            (_BRIDGE_RADIUS * math.cos(angle), _BRIDGE_RADIUS * math.sin(angle))
         )
     # hexagonal grid over the box, keeping centers away from the petals
     row_step = _HEX_PITCH * math.sqrt(3.0) / 2.0
@@ -343,5 +335,5 @@ def build_reverse_example(eps: float, box_half_width: float = 4.0) -> BallCollec
                 continue
             if math.hypot(x, y) < exclusion:
                 continue
-            balls.append(Ball((x, y), 1.0))
-    return BallCollection(2, balls)
+            centers.append((x, y))
+    return BallCollection.from_arrays(centers, np.ones(len(centers)))

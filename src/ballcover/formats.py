@@ -9,10 +9,13 @@ comments and are ignored on read.  All write helpers are atomic
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 
-from .geometry import Ball, BallCollection, Interval, PerimeterEstimate
+import numpy as np
+
+from .geometry import BallCollection, Interval, PerimeterEstimate
 from .maximal1d import StepFunction
 from .selection import SelectionResult
 
@@ -47,12 +50,16 @@ def _data_lines(text: str) -> list[str]:
 def dump_balls(balls: BallCollection, header_comments: list[str] | None = None) -> str:
     lines = [f"# {c}" for c in (header_comments or [])]
     lines.append(f"{balls.dimension} {len(balls)}")
-    for b in balls:
-        lines.append(" ".join(_fmt(c) for c in b.center) + " " + _fmt(b.radius))
+    rows = np.column_stack((balls.centers, balls.radii)).tolist()
+    lines.extend(" ".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def load_balls(text: str) -> BallCollection:
+    """Parse a header ``d n`` and n lines of ``x_1 ... x_d r`` with
+    ``float()``.  A malformed header, a dimension below 1, a wrong count
+    of lines or numbers, and a ball that ``Ball`` rejects raise
+    ``ValueError``."""
     lines = _data_lines(text)
     if not lines:
         raise ValueError("empty ball collection file")
@@ -60,15 +67,18 @@ def load_balls(text: str) -> BallCollection:
     if len(head) != 2:
         raise ValueError("header must be 'd n'")
     d, n = int(head[0]), int(head[1])
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} ball lines, found {len(lines) - 1}")
-    balls = []
-    for line in lines[1:]:
-        parts = [float(p) for p in line.split()]
-        if len(parts) != d + 1:
+    rows = [line.split() for line in lines[1:]]
+    for line, row in zip(lines[1:], rows):
+        if len(row) != d + 1:
             raise ValueError(f"ball line needs {d + 1} numbers: {line!r}")
-        balls.append(Ball(tuple(parts[:d]), parts[d]))
-    return BallCollection(d, balls)
+    values = np.fromiter(
+        map(float, itertools.chain.from_iterable(rows)), float, n * (d + 1)
+    ).reshape(n, d + 1)
+    return BallCollection.from_arrays(values[:, :d], values[:, d])
 
 
 def save_balls(path: str, balls: BallCollection, header_comments=None) -> None:
@@ -83,7 +93,8 @@ def read_balls(path: str) -> BallCollection:
 def balls_to_intervals(balls: BallCollection) -> list[Interval]:
     if balls.dimension != 1:
         raise ValueError("interval view requires dimension 1")
-    return [Interval(b.center[0] - b.radius, b.center[0] + b.radius) for b in balls]
+    x, r = balls.centers[:, 0], balls.radii
+    return [Interval(lo, hi) for lo, hi in zip((x - r).tolist(), (x + r).tolist())]
 
 
 def dump_step_function(f: StepFunction, header_comments=None) -> str:

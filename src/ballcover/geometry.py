@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -76,7 +75,10 @@ class Interval:
 
 
 class BallCollection:
-    """Finite family of balls sharing one ambient dimension."""
+    """Finite family of balls sharing one ambient dimension, held as a
+    read-only (n, d) array ``centers`` and n ``radii``, checked as ``Ball``
+    checks one ball.  Producers use ``from_arrays``; iteration and
+    indexing build ``Ball`` values on demand."""
 
     def __init__(self, dimension: int, balls):
         dimension = int(dimension)
@@ -88,39 +90,48 @@ class BallCollection:
                 raise TypeError("collection entries must be Ball instances")
             if b.dimension != dimension:
                 raise ValueError("ball dimension does not match collection")
-        self.dimension = dimension
-        self.balls = balls
+        self._set(
+            np.array([b.center for b in balls], dtype=float).reshape(-1, dimension),
+            [b.radius for b in balls],
+        )
+
+    @classmethod
+    def from_arrays(cls, centers, radii) -> "BallCollection":
+        """Collection of n balls from an (n, d) array of centers and n
+        radii, copied; the dimension is the number of columns."""
+        balls = cls.__new__(cls)
+        balls._set(np.array(centers, dtype=float), radii)
+        return balls
+
+    def _set(self, centers: np.ndarray, radii) -> None:
+        radii = np.array(radii, dtype=float)
+        if centers.ndim != 2 or radii.shape != centers.shape[:1]:
+            raise ValueError("need an (n, d) array of centers and n radii")
+        if centers.shape[1] < 1:
+            raise ValueError("dimension must be at least 1")
+        if not np.isfinite(centers).all():
+            raise ValueError("ball center must be finite")
+        if not (np.isfinite(radii) & (radii > 0.0)).all():
+            raise ValueError("ball radius must be finite and positive")
+        centers.flags.writeable = False
+        radii.flags.writeable = False
+        self.dimension = centers.shape[1]
+        self.centers = centers
+        self.radii = radii
 
     def __len__(self) -> int:
-        return len(self.balls)
+        return len(self.radii)
 
     def __iter__(self):
-        return iter(self.balls)
+        for center, radius in zip(self.centers.tolist(), self.radii.tolist()):
+            yield Ball(tuple(center), radius)
 
     def __getitem__(self, idx: int) -> Ball:
-        return self.balls[idx]
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        if not self.balls:
-            return np.zeros((0, self.dimension))
-        return np.array([b.center for b in self.balls], dtype=float)
-
-    @cached_property
-    def radii(self) -> np.ndarray:
-        return np.array([b.radius for b in self.balls], dtype=float)
+        return Ball(tuple(self.centers[idx].tolist()), float(self.radii[idx]))
 
     def subset(self, indices) -> "BallCollection":
-        return BallCollection(self.dimension, [self.balls[i] for i in indices])
-
-    def scaled(self, factor: float) -> "BallCollection":
-        factor = float(factor)
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return BallCollection(
-            self.dimension,
-            [Ball(tuple(factor * c for c in b.center), factor * b.radius) for b in self.balls],
-        )
+        idx = np.asarray(indices, dtype=np.intp)
+        return BallCollection.from_arrays(self.centers[idx], self.radii[idx])
 
 
 _EXACT_METHODS = ("exact1d", "exact2d")
@@ -167,9 +178,14 @@ def ball_surface(ball: Ball, dim: int | None = None) -> float:
     """Perimeter (surface measure) of a ball; counts both endpoints for d = 1."""
     d = ball.dimension if dim is None else int(dim)
     _require_dim_match(ball, d)
-    if d == 1:
+    return _surface(ball.radius, d)
+
+
+def _surface(radius: float, dim: int) -> float:
+    """``ball_surface`` of a radius."""
+    if dim == 1:
         return 2.0
-    return d * unit_ball_volume(d) * ball.radius ** (d - 1)
+    return dim * unit_ball_volume(dim) * radius ** (dim - 1)
 
 
 def _require_dim_match(ball: Ball, dim: int) -> None:
@@ -562,8 +578,8 @@ def free_arc_lengths_2d(balls: BallCollection) -> list[float]:
     Entries sum to the exact union perimeter of ``union_perimeter_2d``.
     """
     return [
-        b.radius * sum(hi - lo for lo, hi in pieces)
-        for b, pieces in zip(balls, free_arcs_2d(balls))
+        r * sum(hi - lo for lo, hi in pieces)
+        for r, pieces in zip(balls.radii.tolist(), free_arcs_2d(balls))
     ]
 
 
@@ -594,13 +610,13 @@ def free_arc_length_halfplane(
         raise ValueError("side must be 'le' or 'ge'")
     arcs = free_arcs_2d(balls)
     total = 0.0
-    for b, pieces in zip(balls, arcs):
+    for x, r, pieces in zip(balls.centers[:, 0].tolist(), balls.radii.tolist(), arcs):
         if not pieces:
             continue
         # the circle crosses the line x_1 = threshold at angles +-t
-        t = math.acos(min(1.0, max(-1.0, (threshold - b.center[0]) / b.radius)))
+        t = math.acos(min(1.0, max(-1.0, (threshold - x) / r)))
         window = (t, TWO_PI - t) if side == "le" else (-t, t)
-        total += b.radius * _clip_arcs_to_window(pieces, window)
+        total += r * _clip_arcs_to_window(pieces, window)
     return total
 
 
@@ -611,23 +627,21 @@ def free_arc_length_in_disk(
     arcs = free_arcs_2d(balls)
     cx, cy = float(center[0]), float(center[1])
     total = 0.0
-    for b, pieces in zip(balls, arcs):
+    for (x, y), r, pieces in zip(balls.centers.tolist(), balls.radii.tolist(), arcs):
         if not pieces:
             continue
-        dx, dy = cx - b.center[0], cy - b.center[1]
+        dx, dy = cx - x, cy - y
         dist = math.hypot(dx, dy)
-        if dist + b.radius <= radius:
+        if dist + r <= radius:
             window = (0.0, TWO_PI)
-        elif dist >= b.radius + radius or dist <= COINCIDENCE_TOL:
+        elif dist >= r + radius or dist <= COINCIDENCE_TOL:
             continue
         else:
-            c = (dist * dist + b.radius**2 - radius * radius) / (
-                2.0 * dist * b.radius
-            )
+            c = (dist * dist + r**2 - radius * radius) / (2.0 * dist * r)
             phi = math.acos(min(1.0, max(-1.0, c)))
             theta = math.atan2(dy, dx)
             window = (theta - phi, theta + phi)
-        total += b.radius * _clip_arcs_to_window(pieces, window)
+        total += r * _clip_arcs_to_window(pieces, window)
     return total
 
 
@@ -667,12 +681,13 @@ def union_perimeter_mc(
     rep = _coincidence_groups(radii, start, partner, rho)
     keep = np.nonzero(rep == np.arange(len(balls)))[0]
     chunk = max(1, MC_CHUNK_ELEMENTS // d)
+    radius_list = radii.tolist()
     value = 0.0
     variance = 0.0
     for i in keep:
         others = partner[start[i] : start[i + 1]]
         others = others[rep[others] == others]
-        surf = ball_surface(balls[int(i)])
+        surf = _surface(radius_list[i], d)
         if not others.size:
             # Nothing covers an isolated sphere: p = 1, zero variance.
             value += surf
@@ -707,10 +722,10 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     if len(balls) == 0:
         raise ValueError("collection must be nonempty")
     d = balls.dimension
-    if d == 1:
-        ivals = [Interval(b.center[0] - b.radius, b.center[0] + b.radius) for b in balls]
-        return PerimeterEstimate(union_measure_1d(ivals), 0.0, "exact1d", 0)
     centers, radii = balls.centers, balls.radii
+    if d == 1:
+        lo, hi = union_components(centers[:, 0] - radii, centers[:, 0] + radii)
+        return PerimeterEstimate(sum((hi - lo).tolist()), 0.0, "exact1d", 0)
     lo = (centers - radii[:, None]).min(axis=0)
     hi = (centers + radii[:, None]).max(axis=0)
     box = float(np.prod(hi - lo))
@@ -736,8 +751,9 @@ def union_perimeter(
     if len(balls) == 0:
         raise ValueError("collection must be nonempty")
     if balls.dimension == 1:
-        ivals = [Interval(b.center[0] - b.radius, b.center[0] + b.radius) for b in balls]
-        return PerimeterEstimate(float(union_boundary_1d(ivals)), 0.0, "exact1d", 0)
+        x, r = balls.centers[:, 0], balls.radii
+        lo, _ = union_components(x - r, x + r)
+        return PerimeterEstimate(2.0 * lo.size, 0.0, "exact1d", 0)
     if balls.dimension == 2:
         return union_perimeter_2d(balls)
     return union_perimeter_mc(balls, samples_per_ball, seed)

@@ -26,7 +26,6 @@ from .counterexample import SurroundedBallConfig, build_surrounded_ball
 from .geometry import (
     Ball,
     BallCollection,
-    Interval,
     ball_volume,
     free_arc_length_halfplane,
     free_arc_lengths_2d,
@@ -34,7 +33,7 @@ from .geometry import (
     lens_volume,
     meeting_pairs,
     unit_ball_volume,
-    union_measure_1d,
+    union_components,
     union_perimeter,
     union_volume_mc,
 )
@@ -157,10 +156,7 @@ def random_collection(dimension: int, seed, count: int | None = None) -> BallCol
         n = int(count)
     centers = rng.uniform(-3.0, 3.0, size=(n, dimension))
     radii = np.exp(rng.uniform(math.log(0.05), math.log(1.0), size=n))
-    return BallCollection(
-        dimension,
-        [Ball(tuple(float(c) for c in row), float(r)) for row, r in zip(centers, radii)],
-    )
+    return BallCollection.from_arrays(centers, radii)
 
 
 # --------------------------------------------------------------------------
@@ -236,13 +232,12 @@ def check_thm13(
         bound = eps * min(ball_volume(chosen[a]), ball_volume(chosen[b]))
         overlap_worst = max(overlap_worst, lens / bound)
     containment_worst = 0.0
+    centers, radii = balls.centers, balls.radii.tolist()
     for s, members in result.groups.items():
-        cs = np.asarray(balls[s].center)
-        rs = balls[s].radius
         for m in members:
-            reach = float(np.linalg.norm(np.asarray(balls[m].center) - cs)) + balls[m].radius
+            reach = float(np.linalg.norm(centers[m] - centers[s])) + radii[m]
             containment_worst = max(
-                containment_worst, reach / ((23.0 / 7.0) * rs + 1e-12)
+                containment_worst, reach / ((23.0 / 7.0) * radii[s] + 1e-12)
             )
     lhs = max(overlap_worst / (1.0 + 1e-9), containment_worst)
     perim_all = union_perimeter(balls, seed=seed)
@@ -366,8 +361,8 @@ def check_isoperimetric(
             # linspace straddles zero, so include the offset 0 always.
             span = np.linspace(-r * (1.0 - 1e-6), r * (1.0 - 1e-6), grid)
             offsets = np.unique(np.concatenate([span, [0.0]]))
+            ball = Ball((0.0,) * d, float(r))
             for t in offsets:
-                ball = Ball((0.0,) * d, float(r))
                 vol_in, vol_out, slice_area = halfspace_cut_data(ball, float(t))
                 ratio = min(vol_in, vol_out) ** (d - 1) / slice_area**d
                 best = max(best, ratio)
@@ -400,22 +395,15 @@ def check_prop16_ratio(
         raise ValueError("lambda must lie in (0, 1)")
     if balls.dimension != 2:
         raise ValueError("exact boundary lengths need dimension 2")
-    kept = [
-        i
-        for i, b in enumerate(balls)
-        if halfspace_volume_fraction(b) > lam
-    ]
+    kept = [i for i, b in enumerate(balls) if halfspace_volume_fraction(b) > lam]
     sub = balls.subset(kept)
     lhs = free_arc_length_halfplane(sub, 0.0, side="le")
-    chords = [
-        Interval(
-            b.center[1] - math.sqrt((b.radius - b.center[0]) * (b.radius + b.center[0])),
-            b.center[1] + math.sqrt((b.radius - b.center[0]) * (b.radius + b.center[0])),
-        )
-        for b in sub
-        if abs(b.center[0]) < b.radius
-    ]
-    trace = union_measure_1d(chords) if chords else 0.0
+    # chords cut from the line x_1 = 0 by the kept balls that cross it
+    x, y, r = sub.centers[:, 0], sub.centers[:, 1], sub.radii
+    cut = np.abs(x) < r
+    half = np.sqrt((r - x)[cut] * (r + x)[cut])
+    lo, hi = union_components(y[cut] - half, y[cut] + half)
+    trace = sum((hi - lo).tolist(), 0.0)
     norm = lam ** (-0.5)
     ratio = 0.0 if lhs == 0.0 else (lhs / trace) / norm if trace > 0.0 else math.inf
     rhs = PROP16_EMPIRICAL_CAP * norm * trace

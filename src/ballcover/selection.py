@@ -15,12 +15,11 @@ import numpy as np
 
 from .geometry import (
     DISJOINT_TOL,
-    Ball,
     BallCollection,
     Interval,
+    _lens,
     _lens_volumes,
-    ball_surface,
-    lens_volume,
+    _surface,
     neighbor_lists,
     unit_ball_volume,
 )
@@ -129,9 +128,8 @@ def perimeter_besicovitch_select(balls: BallCollection) -> SelectionResult:
     base = besicovitch_select(balls)
     if not base.selected:
         return base
-    surfaces = [
-        sum(ball_surface(balls[i]) for i in fam) for fam in base.families
-    ]
+    d, radii = balls.dimension, balls.radii.tolist()
+    surfaces = [sum(_surface(radii[i], d) for i in fam) for fam in base.families]
     winner = int(np.argmax(surfaces))
     params = dict(base.params)
     params.update(
@@ -145,8 +143,6 @@ def perimeter_besicovitch_select(balls: BallCollection) -> SelectionResult:
         list(base.families[winner]), base.groups, base.families, params
     )
 
-
-_EPS_MAX_CACHE: dict[int, float] = {}
 
 # Center distance, in units of the common radius, at which two equal
 # balls are forced apart far enough that their 6/7 shrinkings are
@@ -166,12 +162,7 @@ def overlap_eps_max(dim: int) -> float:
     dim = int(dim)
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    if dim not in _EPS_MAX_CACHE:
-        origin = (0.0,) * dim
-        shifted = (_SEPARATION_FACTOR,) + (0.0,) * (dim - 1)
-        lens = lens_volume(Ball(origin, 1.0), Ball(shifted, 1.0))
-        _EPS_MAX_CACHE[dim] = lens / unit_ball_volume(dim)
-    return _EPS_MAX_CACHE[dim]
+    return _lens(1.0, 1.0, _SEPARATION_FACTOR, dim) / unit_ball_volume(dim)
 
 
 def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResult:

@@ -566,7 +566,46 @@ def test_collection_validation():
         BallCollection(2, ["ball"])
     empty = BallCollection(2, [])
     assert len(empty) == 0
+    assert empty.centers.shape == (0, 2)
     assert union_perimeter_2d(empty).value == 0.0
+
+
+@pytest.mark.parametrize(
+    "centers, radii, message",
+    [
+        ([[0.0, math.nan]], [1.0], "center must be finite"),
+        ([[0.0, -math.inf]], [1.0], "center must be finite"),
+        ([[0.0, 0.0]], [0.0], "radius must be finite and positive"),
+        ([[0.0, 0.0]], [-1.0], "radius must be finite and positive"),
+        ([[0.0, 0.0]], [math.inf], "radius must be finite and positive"),
+        ([[0.0, 0.0]], [math.nan], "radius must be finite and positive"),
+        (np.zeros((2, 0)), [1.0, 1.0], "dimension must be at least 1"),
+        ([0.0, 0.0], [1.0, 1.0], r"\(n, d\)"),
+        ([[0.0, 0.0]], [1.0, 1.0], r"\(n, d\)"),
+    ],
+)
+def test_collection_from_arrays_rejects_what_ball_rejects(centers, radii, message):
+    with pytest.raises(ValueError, match=message):
+        BallCollection.from_arrays(centers, radii)
+
+
+def test_collection_arrays_are_its_only_state():
+    centers = np.array([[0.5, -0.0], [2.0, 1e300]])
+    radii = np.array([1.0, 5e-324])
+    balls = BallCollection.from_arrays(centers, radii)
+    assert vars(balls).keys() == {"dimension", "centers", "radii"}
+    centers[0, 0] = radii[0] = 7.0  # the collection holds copies
+    assert balls.centers.tolist() == [[0.5, -0.0], [2.0, 1e300]]
+    with pytest.raises(ValueError):
+        balls.radii[0] = 2.0  # and they are read-only
+    assert list(balls) == [Ball((0.5, -0.0), 1.0), Ball((2.0, 1e300), 5e-324)]
+    assert balls[-1] == Ball((2.0, 1e300), 5e-324)
+    same = BallCollection(2, list(balls))
+    assert same.centers.tolist() == balls.centers.tolist()
+    assert same.radii.tolist() == balls.radii.tolist()
+    sub = balls.subset([1])
+    assert (sub.dimension, list(sub)) == (2, [Ball((2.0, 1e300), 5e-324)])
+    assert balls.subset([]).centers.shape == (0, 2)
 
 
 def test_perimeter_estimate_fields():

@@ -1,5 +1,6 @@
 """Every top-level function and class of the package is used somewhere,
-and the ball-pair lookup stays in one module.
+the ball-pair lookup stays in one module, and only that module builds a
+collection from ``Ball`` values.
 
 A definition counts as used when its name is read, imported or taken as
 an attribute anywhere in ``src/``, ``scripts/`` or ``tests/`` outside
@@ -71,6 +72,25 @@ def test_only_geometry_looks_up_ball_pairs():
         if "scipy.spatial" in _imported_modules(ast.parse(path.read_text()))
     ]
     assert users == ["geometry"]
+
+
+def _calls(tree, name: str) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_geometry_builds_collections_from_balls():
+    # Producers hand arrays to BallCollection.from_arrays; the constructor
+    # that takes Ball values is for callers outside the package.
+    users = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _calls(ast.parse(path.read_text()), "BallCollection")
+    ]
+    assert set(users) <= {"geometry"}
 
 
 def test_import_leaves_kdtree_unloaded():
