@@ -12,10 +12,10 @@ into six subcommands::
 
 Configuration comes from flags and/or a flat ``key=value`` file
 (``--config``); flags override file values and unknown keys are
-rejected.  Outputs are written atomically, embed the resolved
-configuration and the package version, and are byte-identical across
-reruns with the same configuration and seed, including under ``--jobs``
-variation.  Exit codes: 0 success, 1 validation error, 2 check failure.
+rejected.  Outputs are written atomically, embed the package version
+and the configuration fields the command read, and are byte-identical
+across reruns with the same configuration and seed, including under
+``--jobs`` variation.  Exit codes: 0 success, 1 validation error, 2 check failure.
 """
 
 from __future__ import annotations
@@ -246,63 +246,64 @@ def resolve_config(argv) -> RunConfig:
     return RunConfig(command=command, **values)
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            flag = {"input_path": "input", "output_path": "output", "lam": "lambda"}.get(
-                name, name.replace("_", "-")
-            )
-            raise ValidationError(f"{cfg.command} requires --{flag}")
+# The RunConfig fields each command reads, and for generate, select,
+# check and maxfn those its choice of work reads; "!" marks a field the
+# command requires.  Only these fields reach the provenance header.
+_READS = {
+    "generate": "kind! output_path!",
+    "generate random": "dimension seed count",
+    "generate fig1": "count! tiny_radius!",
+    "generate surrounded": "eps! delta! n_max seed",
+    "generate reverse": "eps! box_half_width",
+    "select": "input_path! output_path! algorithm!",
+    "select perimeter-vitali": "eps!",
+    "measure": "input_path! output_path! samples seed",
+    "check": "check! output_path!",
+    "check thm12": "count dimension seed",
+    "check thm13": "count dimension seed eps_list",
+    "check prop16": "count dimension seed lam",
+    "check isoperimetric": "d_list grid",
+    "rate": "eps_list! delta! output_path! n_max seed",
+    "maxfn": "input_path! output_path!",
+    "maxfn level": "level",
+    "maxfn levels": "levels",
+}
+
+
+def _reads(cfg: RunConfig) -> list[str]:
+    """The ``_READS`` entries of cfg's command and of its choice of work."""
+    choice = {
+        "generate": cfg.kind,
+        "select": cfg.algorithm,
+        "check": cfg.check,
+        "maxfn": "levels" if cfg.level is None else "level",
+    }.get(cfg.command)
+    return f"{_READS[cfg.command]} {_READS.get(f'{cfg.command} {choice}', '')}".split()
 
 
 def validate(cfg: RunConfig) -> None:
     """Per-command required-field checks before any work happens."""
     if cfg.command not in COMMANDS:
         raise ValidationError(f"unknown command {cfg.command!r}")
-    if cfg.command == "generate":
-        _require(cfg, "kind", "output_path")
-        if cfg.kind == "fig1":
-            _require(cfg, "count", "tiny_radius")
-        elif cfg.kind == "surrounded":
-            _require(cfg, "eps", "delta")
-        elif cfg.kind == "reverse":
-            _require(cfg, "eps")
-    elif cfg.command == "select":
-        _require(cfg, "input_path", "output_path", "algorithm")
-        if cfg.algorithm == "perimeter-vitali":
-            _require(cfg, "eps")
-    elif cfg.command == "measure":
-        _require(cfg, "input_path", "output_path")
-    elif cfg.command == "check":
-        _require(cfg, "check", "output_path")
-    elif cfg.command == "rate":
-        _require(cfg, "eps_list", "delta", "output_path")
-    elif cfg.command == "maxfn":
-        _require(cfg, "input_path", "output_path")
+    for name in _reads(cfg):
+        if name.endswith("!") and getattr(cfg, name[:-1]) is None:
+            flag = name[:-1].removesuffix("_path").replace("_", "-")
+            raise ValidationError(f"{cfg.command} requires --{flag}")
 
 
 def _config_header(cfg: RunConfig) -> list[str]:
-    """Provenance lines for output files.
-
-    Every resolved field except ``jobs`` is embedded; worker count must
+    """Provenance lines for output files: the command and each field it
+    reads that is set.  ``jobs`` is never among them; worker count must
     not influence output bytes.
     """
+    read = {"command", *(name.rstrip("!") for name in _reads(cfg))}
     pairs = []
     for f in fields(RunConfig):
-        if f.name == "jobs":
-            continue
         value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            text = ",".join(
-                _fmt(v) if isinstance(v, float) else str(v) for v in value
-            )
-        elif isinstance(value, float):
-            text = _fmt(value)
-        else:
-            text = str(value)
-        pairs.append(f"{f.name}={text}")
+        if f.name in read and value is not None:
+            # str of a float is its shortest round-trip repr
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            pairs.append(f"{f.name}={text}")
     return [f"ballcover {__version__}", "config " + " ".join(pairs)]
 
 

@@ -518,6 +518,57 @@ class TestMaxfn:
 
 
 # ---------------------------------------------------------------------------
+# provenance
+# ---------------------------------------------------------------------------
+
+
+def _config_fields(path) -> dict[str, str]:
+    line = next(l for l in path.read_text().splitlines() if l.startswith("# config "))
+    return dict(pair.split("=", 1) for pair in line.split()[2:])
+
+
+class TestProvenance:
+    def test_measure_of_3d_file_names_no_dimension(self, tmp_path):
+        balls = tmp_path / "b3.txt"
+        save_balls(str(balls), random_collection(3, seed=4, count=5))
+        out = tmp_path / "m.txt"
+        argv = ["measure", "--input", str(balls), "--output", str(out),
+                "--samples", "500", "--seed", "2"]
+        assert main(argv) == 0
+        assert _config_fields(out) == {
+            "command": "measure", "input_path": str(balls),
+            "output_path": str(out), "seed": "2", "samples": "500",
+        }
+
+    @pytest.mark.parametrize("level", [[], ["--level", "1.1"]])
+    def test_maxfn_names_only_what_it_reads(self, tmp_path, step_file, level):
+        out = tmp_path / "g.txt"
+        assert main(["maxfn", "--input", step_file, "--output", str(out), *level]) in (0, 2)
+        names = _config_fields(out).keys()
+        for unread in ("samples", "n_max", "grid", "dimension", "seed"):
+            assert unread not in names
+        assert ("level" in names, "levels" in names) == (bool(level), not level)
+
+    def test_generate_names_the_fields_of_its_kind(self, tmp_path):
+        out = tmp_path / "r.txt"
+        argv = ["generate", "--kind", "random", "--count", "4", "--output", str(out),
+                "--eps", "0.1", "--dim", "3"]
+        assert main(argv) == 0
+        assert _config_fields(out) == {
+            "command": "generate", "output_path": str(out), "seed": "0",
+            "dimension": "3", "kind": "random", "count": "4",
+        }
+
+    def test_select_names_eps_only_where_read(self, tmp_path, balls_file):
+        out = tmp_path / "s.txt"
+        base = ["select", "--input", balls_file, "--output", str(out), "--eps", "0.01"]
+        assert main([*base, "--algorithm", "vitali"]) == 0
+        assert "eps" not in _config_fields(out)
+        assert main([*base, "--algorithm", "perimeter-vitali"]) == 0
+        assert _config_fields(out)["eps"] == "0.01"
+
+
+# ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
 
