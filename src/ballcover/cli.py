@@ -15,7 +15,8 @@ Configuration comes from flags and/or a flat ``key=value`` file
 rejected.  Outputs are written atomically, embed the package version
 and the configuration fields the command read, and are byte-identical
 across reruns with the same configuration and seed, including under
-``--jobs`` variation.  Exit codes: 0 success, 1 validation error, 2 check failure.
+``--jobs`` variation.  Exit codes: 0 success, 1 validation error, 2
+check failure.
 """
 
 from __future__ import annotations

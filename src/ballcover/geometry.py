@@ -90,21 +90,17 @@ class BallCollection:
                 raise TypeError("collection entries must be Ball instances")
             if b.dimension != dimension:
                 raise ValueError("ball dimension does not match collection")
-        self._set(
-            np.array([b.center for b in balls], dtype=float).reshape(-1, dimension),
+        made = BallCollection.from_arrays(
+            np.reshape([b.center for b in balls], (-1, dimension)),
             [b.radius for b in balls],
         )
+        vars(self).update(vars(made))
 
     @classmethod
     def from_arrays(cls, centers, radii) -> "BallCollection":
         """Collection of n balls from an (n, d) array of centers and n
         radii, copied; the dimension is the number of columns."""
-        balls = cls.__new__(cls)
-        balls._set(np.array(centers, dtype=float), radii)
-        return balls
-
-    def _set(self, centers: np.ndarray, radii) -> None:
-        radii = np.array(radii, dtype=float)
+        centers, radii = np.array(centers, dtype=float), np.array(radii, dtype=float)
         if centers.ndim != 2 or radii.shape != centers.shape[:1]:
             raise ValueError("need an (n, d) array of centers and n radii")
         if centers.shape[1] < 1:
@@ -115,9 +111,9 @@ class BallCollection:
             raise ValueError("ball radius must be finite and positive")
         centers.flags.writeable = False
         radii.flags.writeable = False
-        self.dimension = centers.shape[1]
-        self.centers = centers
-        self.radii = radii
+        balls = cls.__new__(cls)
+        balls.dimension, balls.centers, balls.radii = centers.shape[1], centers, radii
+        return balls
 
     def __len__(self) -> int:
         return len(self.radii)
