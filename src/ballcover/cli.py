@@ -35,7 +35,6 @@ from .counterexample import (
 from .formats import (
     _fmt,
     atomic_write_text,
-    balls_to_intervals,
     dump_balls,
     dump_estimate,
     dump_selection,
@@ -340,7 +339,7 @@ def _cmd_select(cfg: RunConfig) -> int:
     elif cfg.algorithm == "perimeter-vitali":
         result = perimeter_vitali_select(balls, cfg.eps)
     else:
-        result = interval_select_1d(balls_to_intervals(balls))
+        result = interval_select_1d(balls)
     atomic_write_text(cfg.output_path, dump_selection(result, _config_header(cfg)))
     print(
         f"select: algorithm={cfg.algorithm} kept {len(result.selected)}/"

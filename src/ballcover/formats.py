@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .geometry import BallCollection, Interval, PerimeterEstimate
+from .geometry import BallCollection, PerimeterEstimate
 from .maximal1d import StepFunction
 from .selection import SelectionResult
 
@@ -88,13 +88,6 @@ def save_balls(path: str, balls: BallCollection, header_comments=None) -> None:
 def read_balls(path: str) -> BallCollection:
     with open(path) as fh:
         return load_balls(fh.read())
-
-
-def balls_to_intervals(balls: BallCollection) -> list[Interval]:
-    if balls.dimension != 1:
-        raise ValueError("interval view requires dimension 1")
-    x, r = balls.centers[:, 0], balls.radii
-    return [Interval(lo, hi) for lo, hi in zip((x - r).tolist(), (x + r).tolist())]
 
 
 def dump_step_function(f: StepFunction, header_comments=None) -> str:

@@ -391,27 +391,6 @@ def union_components(starts, ends) -> tuple[np.ndarray, np.ndarray]:
     return s[gap[:-1]], e[gap[1:]]
 
 
-def merged_components(intervals) -> list[Interval]:
-    """Merge intervals whose closures touch; returns disjoint components."""
-    items = list(intervals)
-    lo, hi = union_components([i.lo for i in items], [i.hi for i in items])
-    return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-
-
-def union_measure_1d(intervals) -> float:
-    """Length of a union of intervals by sort and sweep."""
-    return sum(c.length for c in merged_components(intervals))
-
-
-def union_boundary_1d(intervals) -> int:
-    """Number of essential boundary points of a union of intervals.
-
-    Two per merged component; intervals whose closures touch belong to
-    one component since the shared endpoint has full density.
-    """
-    return 2 * len(merged_components(intervals))
-
-
 # ---------------------------------------------------------------------------
 # which balls meet
 

@@ -26,11 +26,11 @@ from .counterexample import SurroundedBallConfig, build_surrounded_ball
 from .geometry import (
     Ball,
     BallCollection,
-    ball_volume,
+    _cap_volumes,
+    _lens_volumes,
     free_arc_length_halfplane,
     free_arc_lengths_2d,
     halfspace_cut_data,
-    lens_volume,
     meeting_pairs,
     unit_ball_volume,
     union_components,
@@ -211,26 +211,29 @@ def check_thm13(
 ) -> CheckReport:
     """Exact guarantees of the eps-overlap selection.
 
-    lhs is the worst normalized exact quantity over a) pairwise lens
-    volumes against eps times the smaller ball volume (1e-9 relative
-    slack) and b) group containment distances against (23/7) times the
-    chosen radius (1e-12 absolute slack); rhs is 1.  The volume ratio
-    and the perimeter ratio normalized by eps^(-(d-1)/(d+1)) ride along
-    in the report.
+    lhs is the worst normalized exact quantity over a) the lens volumes
+    of the chosen balls' meeting pairs against eps times the smaller
+    ball volume (1e-9 relative slack) and b) group containment
+    distances against (23/7) times the chosen radius (1e-12 absolute
+    slack); rhs is 1.  The volume ratio and the perimeter ratio
+    normalized by eps^(-(d-1)/(d+1)) ride along in the report.  An
+    empty collection raises ``ValueError``.
     """
+    if len(balls) == 0:
+        raise ValueError("empty input")
     eps = float(eps)
-    cap = overlap_eps_max(balls.dimension) if len(balls) else 0.5
+    d = balls.dimension
+    cap = overlap_eps_max(d)
     if not 0.0 < eps <= cap:
         raise ValueError(f"eps must lie in (0, {cap:.6g}]")
-    d = balls.dimension
     result = perimeter_vitali_select(balls, eps)
     chosen = balls.subset(result.selected)
-    overlap_worst = 0.0
-    first, second, _ = meeting_pairs(chosen.centers, chosen.radii)
-    for a, b in zip(first.tolist(), second.tolist()):
-        lens = lens_volume(chosen[a], chosen[b])
-        bound = eps * min(ball_volume(chosen[a]), ball_volume(chosen[b]))
-        overlap_worst = max(overlap_worst, lens / bound)
+    r = chosen.radii
+    first, second, rho = meeting_pairs(chosen.centers, r)
+    lens = _lens_volumes(r[first], r[second], rho, d)
+    volumes = unit_ball_volume(d) * r**d
+    bound = eps * np.minimum(volumes[first], volumes[second])
+    overlap_worst = max((lens / bound).tolist(), default=0.0)
     containment_worst = 0.0
     centers, radii = balls.centers, balls.radii.tolist()
     for s, members in result.groups.items():
@@ -246,12 +249,9 @@ def check_thm13(
     perim_ratio = (
         perim_all.value / perim_sel.value if perim_sel.value > 0.0 else math.inf
     )
-    if len(balls):
-        vol_all = union_volume_mc(balls, volume_samples, seed=seed)
-        vol_sel = union_volume_mc(chosen, volume_samples, seed=seed)
-        vol_ratio = vol_all.value / vol_sel.value if vol_sel.value > 0.0 else math.inf
-    else:
-        vol_ratio = 0.0
+    vol_all = union_volume_mc(balls, volume_samples, seed=seed)
+    vol_sel = union_volume_mc(chosen, volume_samples, seed=seed)
+    vol_ratio = vol_all.value / vol_sel.value if vol_sel.value > 0.0 else math.inf
     params = {
         "d": d,
         "n": len(balls),
@@ -320,15 +320,15 @@ def check_example14_rate(
     return replace(fit, uncovered=tuple(uncovered), raw_ratios=tuple(raw_ratios))
 
 
-def halfspace_volume_fraction(ball: Ball, threshold: float = 0.0) -> float:
-    """Fraction of the ball's volume on the side x_1 > threshold."""
-    c1 = ball.center[0] - threshold
-    if c1 >= ball.radius:
-        return 1.0
-    if c1 <= -ball.radius:
-        return 0.0
-    vol_in, vol_out, _ = halfspace_cut_data(ball, -c1)
-    return vol_in / (vol_in + vol_out)
+def halfspace_volume_fraction(
+    balls: BallCollection, threshold: float = 0.0
+) -> np.ndarray:
+    """Fraction of each ball's volume on the side x_1 > threshold:
+    exactly 1 and 0 for balls at or beyond tangency to the plane."""
+    d, r = balls.dimension, balls.radii
+    c1 = balls.centers[:, 0] - threshold
+    frac = _cap_volumes(r, -c1, d) / (unit_ball_volume(d) * r**d)
+    return np.select([c1 >= r, c1 <= -r], [1.0, 0.0], frac)
 
 
 def _iso_cap(d: int) -> float:
@@ -395,7 +395,7 @@ def check_prop16_ratio(
         raise ValueError("lambda must lie in (0, 1)")
     if balls.dimension != 2:
         raise ValueError("exact boundary lengths need dimension 2")
-    kept = [i for i, b in enumerate(balls) if halfspace_volume_fraction(b) > lam]
+    kept = np.nonzero(halfspace_volume_fraction(balls) > lam)[0]
     sub = balls.subset(kept)
     lhs = free_arc_length_halfplane(sub, 0.0, side="le")
     # chords cut from the line x_1 = 0 by the kept balls that cross it

@@ -1,4 +1,4 @@
-"""Greedy covering selections for finite families of balls and intervals.
+"""Greedy covering selections for finite families of balls.
 
 Every selector scans the input by nonincreasing size (exact maximum,
 ties broken by input order), so later choices never exceed earlier
@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import (
     DISJOINT_TOL,
     BallCollection,
-    Interval,
     _lens,
     _lens_volumes,
     _surface,
@@ -219,31 +218,31 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
     return SelectionResult(selected, groups, None, params)
 
 
-def interval_select_1d(intervals) -> SelectionResult:
-    """Greedy longest-first selection of intervals with disjoint closures.
+def interval_select_1d(balls: BallCollection) -> SelectionResult:
+    """Greedy largest-first selection of 1D balls with disjoint closures.
 
-    The group of a chosen interval S collects the candidates surviving
-    at its selection step whose closures meet the closure of S; each
-    group union is an interval (up to null sets) inside 5 S.
+    Ball i is the interval [c_i - r_i, c_i + r_i].  The group of a chosen
+    ball S collects the candidates surviving at its selection step whose
+    closures meet the closure of S; each group union is an interval (up
+    to null sets) inside 5 S.
     """
-    items = [iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals]
-    n = len(items)
+    if balls.dimension != 1:
+        raise ValueError("interval view requires dimension 1")
     params = {"enlargement": 5.0, "closure_rule": "touching closures meet"}
-    if n == 0:
+    if len(balls) == 0:
         return SelectionResult([], {}, None, params)
-    lengths = np.array([iv.length for iv in items])
-    los = np.array([iv.lo for iv in items])
-    his = np.array([iv.hi for iv in items])
-    alive = np.ones(n, dtype=bool)
+    radii = balls.radii
+    lo, hi = balls.centers[:, 0] - radii, balls.centers[:, 0] + radii
+    alive = np.ones(len(balls), dtype=bool)
     selected: list[int] = []
     groups: dict[int, list[int]] = {}
-    for s in np.argsort(-lengths, kind="stable").tolist():
+    for s in np.argsort(-radii, kind="stable").tolist():
         if not alive[s]:
             continue
-        meets = alive & (his >= los[s]) & (los <= his[s])
+        meets = alive & (hi >= lo[s]) & (lo <= hi[s])
         meets[s] = True
         members = np.nonzero(meets)[0]
-        groups[s] = [int(j) for j in members]
+        groups[s] = members.tolist()
         selected.append(s)
         alive[members] = False
     return SelectionResult(selected, groups, None, params)

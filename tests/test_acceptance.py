@@ -13,6 +13,7 @@ import numpy as np
 
 from ballcover import (
     Ball,
+    BallCollection,
     StepFunction,
     ball_volume,
     besicovitch_select,
@@ -22,13 +23,12 @@ from ballcover import (
     lens_volume,
     maximal_variation_check,
     perimeter_vitali_select,
-    union_boundary_1d,
-    union_measure_1d,
+    union_perimeter,
     union_perimeter_2d,
     union_perimeter_mc,
+    union_volume_mc,
 )
 from ballcover.formats import save_step_function
-from ballcover.geometry import Interval
 from ballcover.harness import (
     check_example14_rate,
     check_isoperimetric,
@@ -39,34 +39,41 @@ from ballcover.harness import (
 from oracles import lens_volume_quadrature, random_step_function
 
 
-def _random_intervals(seed) -> list[Interval]:
+def _random_intervals(seed) -> BallCollection:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 51))
     los = rng.uniform(-10.0, 10.0, n)
     lengths = np.exp(rng.uniform(np.log(0.01), np.log(4.0), n))
-    return [Interval(float(a), float(a + w)) for a, w in zip(los, lengths)]
+    return BallCollection.from_arrays((los + lengths / 2)[:, None], lengths / 2)
+
+
+def _length(balls) -> float:
+    return union_volume_mc(balls, samples=1000, seed=0).value
+
+
+def _boundary(balls) -> float:
+    return union_perimeter(balls).value
 
 
 def test_criterion_1_interval_selection_exact_five_cover():
     start = time.monotonic()
     for i in range(1000):
         intervals = _random_intervals([201, i])
+        lo = intervals.centers[:, 0] - intervals.radii
+        hi = intervals.centers[:, 0] + intervals.radii
         result = interval_select_1d(intervals)
-        chosen = sorted(
-            (intervals[s] for s in result.selected), key=lambda iv: iv.lo
-        )
-        for prev, nxt in zip(chosen, chosen[1:]):
-            assert prev.hi < nxt.lo
-        assert union_measure_1d(intervals) <= 5.0 * union_measure_1d(chosen)
-        assert union_boundary_1d(intervals) <= union_boundary_1d(chosen)
+        order = sorted(result.selected, key=lo.__getitem__)
+        for prev, nxt in zip(order, order[1:]):
+            assert hi[prev] < lo[nxt]
+        chosen = intervals.subset(result.selected)
+        assert _length(intervals) <= 5.0 * _length(chosen)
+        assert _boundary(intervals) <= _boundary(chosen)
         for s, members in result.groups.items():
-            rep = intervals[s]
-            mid = 0.5 * (rep.lo + rep.hi)
-            half = 2.5 * (rep.hi - rep.lo)
-            group = [intervals[m] for m in members]
-            for iv in group:
-                assert mid - half <= iv.lo and iv.hi <= mid + half
-            assert union_boundary_1d(group) <= 2
+            mid = 0.5 * (lo[s] + hi[s])
+            half = 2.5 * (hi[s] - lo[s])
+            assert (mid - half <= lo[members]).all()
+            assert (hi[members] <= mid + half).all()
+            assert _boundary(intervals.subset(members)) <= 2
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"runtime {elapsed:.1f} s exceeded the 10 s budget"
 

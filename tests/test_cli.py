@@ -316,6 +316,19 @@ class TestSelect:
         result = load_selection(out.read_text())
         assert result.selected
 
+    def test_interval_1d_accepts_ball_below_one_ulp(self, tmp_path):
+        # The ball at 1e20 has c - r == c + r; it is valid, and
+        # measure reads the same file.
+        src = tmp_path / "b1.txt"
+        src.write_text("1 2\n1e20 1\n0 1\n")
+        out = tmp_path / "sel.txt"
+        argv = [
+            "select", "--input", str(src), "--output", str(out),
+            "--algorithm", "interval-1d",
+        ]
+        assert main(argv) == 0
+        assert sorted(load_selection(out.read_text()).selected) == [0, 1]
+
     def test_perimeter_vitali_needs_eps(self, tmp_path, balls_file):
         out = tmp_path / "pv.txt"
         argv = [

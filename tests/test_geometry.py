@@ -26,11 +26,8 @@ from ballcover.geometry import (
     halfspace_cut_data,
     lens_volume,
     meeting_pairs,
-    merged_components,
     neighbor_lists,
     parabolic_cap_volume,
-    union_boundary_1d,
-    union_measure_1d,
     union_perimeter,
     union_perimeter_2d,
     union_perimeter_mc,
@@ -217,31 +214,59 @@ def test_center_distance_for_overlap_validation():
 
 _intervals = st.lists(
     st.tuples(st.floats(-10, 10), st.floats(0.01, 5.0)).map(
-        lambda p: Interval(p[0], p[0] + p[1])
+        lambda p: (p[0], p[0] + p[1])
     ),
     min_size=0,
     max_size=30,
 )
 
 
+def _interval_balls(pairs) -> BallCollection:
+    """1D balls with the given (lo, hi) closures."""
+    lo, hi = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return BallCollection.from_arrays(((lo + hi) / 2)[:, None], (hi - lo) / 2)
+
+
+def _closures(balls: BallCollection) -> list[tuple[float, float]]:
+    x, r = balls.centers[:, 0], balls.radii
+    return list(zip((x - r).tolist(), (x + r).tolist()))
+
+
 @given(_intervals)
-def test_union_measure_1d_matches_oracle(ivals):
-    assert union_measure_1d(ivals) == pytest.approx(
-        oracles.union_length_oracle(ivals), rel=1e-12, abs=1e-12
+def test_union_volume_1d_matches_oracle(ivals):
+    balls = _interval_balls(ivals)
+    if not ivals:
+        with pytest.raises(ValueError, match="nonempty"):
+            union_volume_mc(balls, samples=1000, seed=0)
+        return
+    est = union_volume_mc(balls, samples=1000, seed=0)
+    assert est.method == "exact1d"
+    assert est.value == pytest.approx(
+        oracles.union_length_oracle(_closures(balls)), rel=1e-12, abs=1e-12
     )
 
 
 @given(_intervals)
-def test_union_boundary_1d_matches_oracle(ivals):
-    assert union_boundary_1d(ivals) == 2 * oracles.union_component_count_oracle(
-        ivals, closure=True
+def test_union_perimeter_1d_matches_oracle(ivals):
+    balls = _interval_balls(ivals)
+    if not ivals:
+        with pytest.raises(ValueError, match="nonempty"):
+            union_perimeter(balls)
+        return
+    est = union_perimeter(balls)
+    assert est.method == "exact1d"
+    assert est.value == 2 * oracles.union_component_count_oracle(
+        _closures(balls), closure=True
     )
 
 
-def test_merged_components_touching_closures_join():
-    comps = merged_components([Interval(0, 1), Interval(1, 2), Interval(3, 4)])
-    assert [(c.lo, c.hi) for c in comps] == [(0.0, 2.0), (3.0, 4.0)]
-    assert union_boundary_1d([Interval(0, 1), Interval(1, 2)]) == 2
+def test_union_1d_touching_closures_join():
+    balls = _interval_balls([(0, 1), (1, 2), (3, 4)])
+    lo, hi = geometry.union_components(*zip(*_closures(balls)))
+    assert list(zip(lo.tolist(), hi.tolist())) == [(0.0, 2.0), (3.0, 4.0)]
+    assert union_volume_mc(balls, samples=1000, seed=0).value == 3.0
+    assert union_perimeter(balls).value == 4.0
+    assert union_perimeter(balls.subset([0, 1])).value == 2.0
 
 
 # --------------------------------------------------------------------------

@@ -209,6 +209,10 @@ class TestCheckThm13:
         with pytest.raises(ValueError):
             check_thm13(balls, cap * 1.01)
 
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="empty input"):
+            check_thm13(BallCollection(2, []), 0.01)
+
     def test_normalized_ratio_recorded(self):
         balls = random_collection(2, seed=5)
         rep = check_thm13(balls, 0.02, volume_samples=2000)
@@ -283,18 +287,26 @@ class TestCheckExample14Rate:
 # ---------------------------------------------------------------------------
 
 
+def _fraction(ball: Ball, threshold: float = 0.0) -> float:
+    """halfspace_volume_fraction of a one-ball collection."""
+    (frac,) = halfspace_volume_fraction(
+        BallCollection(ball.dimension, [ball]), threshold=threshold
+    ).tolist()
+    return frac
+
+
 class TestHalfspaceVolumeFraction:
     def test_central_cut(self):
-        assert halfspace_volume_fraction(Ball((0.0, 0.0), 1.0)) == pytest.approx(0.5)
+        assert _fraction(Ball((0.0, 0.0), 1.0)) == pytest.approx(0.5)
 
     def test_far_cases(self):
-        assert halfspace_volume_fraction(Ball((3.0, 0.0), 1.0)) == 1.0
-        assert halfspace_volume_fraction(Ball((-3.0, 0.0), 1.0)) == 0.0
-        assert halfspace_volume_fraction(Ball((1.0, 0.0), 1.0)) == 1.0
+        assert _fraction(Ball((3.0, 0.0), 1.0)) == 1.0
+        assert _fraction(Ball((-3.0, 0.0), 1.0)) == 0.0
+        assert _fraction(Ball((1.0, 0.0), 1.0)) == 1.0
 
     def test_threshold_shift(self):
         ball = Ball((0.7, 0.0), 1.0)
-        assert halfspace_volume_fraction(ball, threshold=0.7) == pytest.approx(0.5)
+        assert _fraction(ball, threshold=0.7) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_against_cap_quadrature(self, dim):
@@ -304,14 +316,14 @@ class TestHalfspaceVolumeFraction:
         expected = cap_volume_quadrature(r, -c1, dim) / (
             unit_ball_volume_gamma(dim) * r**dim
         )
-        got = halfspace_volume_fraction(ball)
+        got = _fraction(ball)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_fractions_sum_to_one(self):
         ball = Ball((0.3, 0.1, -0.2), 0.9)
-        left = halfspace_volume_fraction(ball)
+        left = _fraction(ball)
         mirrored = Ball((-0.3, 0.1, -0.2), 0.9)
-        right = halfspace_volume_fraction(mirrored)
+        right = _fraction(mirrored)
         assert left + right == pytest.approx(1.0, rel=1e-12)
 
 

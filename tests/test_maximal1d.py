@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballcover.formats import dump_step_function, load_step_function
-from ballcover.geometry import Interval, merged_components
+from ballcover.geometry import Interval, union_components
 from ballcover.maximal1d import (
     LevelRecord,
     LevelSetReport,
@@ -236,11 +236,13 @@ class TestMaximalIntervals:
                 lam = top * frac
                 ivs = maximal_intervals(f, lam)
                 spans = maximal_superlevel(f, lam)
-                merged = merged_components(ivs)
-                assert len(merged) == len(spans)
-                for a, b in zip(merged, spans):
-                    assert a.lo == pytest.approx(b.lo, rel=1e-9, abs=1e-9)
-                    assert a.hi == pytest.approx(b.hi, rel=1e-9, abs=1e-9)
+                lo, hi = union_components(
+                    [iv.lo for iv in ivs], [iv.hi for iv in ivs]
+                )
+                assert len(lo) == len(spans)
+                for a, b, span in zip(lo, hi, spans):
+                    assert a == pytest.approx(span.lo, rel=1e-9, abs=1e-9)
+                    assert b == pytest.approx(span.hi, rel=1e-9, abs=1e-9)
 
     def test_function_superlevel_inside_maximal(self):
         # {|f| >= lam} sits inside {Mf >= lam}.

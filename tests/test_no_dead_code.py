@@ -1,6 +1,8 @@
 """Every top-level function and class of the package is used somewhere,
-the ball-pair lookup stays in one module, and only that module builds a
-collection from ``Ball`` values.
+the ball-pair lookup stays in one module, only that module builds a
+collection from ``Ball`` values, only ``maximal1d`` builds ``Interval``
+values, and the selectors, checks and union measures read a collection
+through its arrays, never one ``Ball`` at a time.
 
 A definition counts as used when its name is read, imported or taken as
 an attribute anywhere in ``src/``, ``scripts/`` or ``tests/`` outside
@@ -14,6 +16,25 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ballcover.geometry import BallCollection, union_perimeter, union_volume_mc
+from ballcover.harness import (
+    check_prop16_ratio,
+    check_thm12,
+    check_thm13,
+    random_collection,
+)
+from ballcover.selection import (
+    besicovitch_select,
+    interval_select_1d,
+    overlap_eps_max,
+    perimeter_besicovitch_select,
+    perimeter_vitali_select,
+    vitali_select,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ballcover"
@@ -91,6 +112,63 @@ def test_only_geometry_builds_collections_from_balls():
         if _calls(ast.parse(path.read_text()), "BallCollection")
     ]
     assert set(users) <= {"geometry"}
+
+
+def test_only_maximal1d_builds_intervals():
+    # Everything else reads 1D balls as the arrays c - r and c + r;
+    # Interval is the value type of maximal1d's results.
+    users = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _calls(ast.parse(path.read_text()), "Interval")
+    ]
+    assert users == ["maximal1d"]
+
+
+def _half_eps_max(balls):
+    return 0.5 * overlap_eps_max(balls.dimension)
+
+
+_ARRAY_PATHS = {
+    "vitali_select": vitali_select,
+    "besicovitch_select": besicovitch_select,
+    "perimeter_besicovitch_select": perimeter_besicovitch_select,
+    "perimeter_vitali_select": lambda b: perimeter_vitali_select(b, _half_eps_max(b)),
+    "interval_select_1d": interval_select_1d,
+    "check_thm12": lambda b: check_thm12(b, samples_per_ball=200),
+    "check_thm13": lambda b: check_thm13(b, _half_eps_max(b), volume_samples=1000),
+    "check_prop16_ratio": lambda b: check_prop16_ratio(b, 0.2),
+    "union_perimeter": lambda b: union_perimeter(b, samples_per_ball=200),
+    "union_volume_mc": lambda b: union_volume_mc(b, samples=1000, seed=0),
+}
+_ONLY_IN = {"interval_select_1d": 1, "check_prop16_ratio": 2}
+
+
+@pytest.mark.parametrize(
+    "name, d",
+    [
+        (name, d)
+        for name in _ARRAY_PATHS
+        for d in (1, 2, 3)
+        if _ONLY_IN.get(name, d) == d
+    ],
+)
+def test_collection_read_through_arrays(monkeypatch, name, d):
+    # Random balls plus a far pair of unit balls whose lens is small
+    # enough that both are chosen, so the chosen balls meet too.
+    base = random_collection(d, [31, d], count=20)
+    pair = np.zeros((2, d))
+    pair[:, 0] = (20.0, 21.9)
+    balls = BallCollection.from_arrays(
+        np.vstack([base.centers, pair]), np.append(base.radii, [1.0, 1.0])
+    )
+
+    def refuse(*args):
+        raise AssertionError("a collection was read as Ball values")
+
+    monkeypatch.setattr(BallCollection, "__iter__", refuse)
+    monkeypatch.setattr(BallCollection, "__getitem__", refuse)
+    _ARRAY_PATHS[name](balls)
 
 
 def test_import_leaves_kdtree_unloaded():

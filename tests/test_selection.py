@@ -17,7 +17,6 @@ from ballcover.geometry import (
     DISJOINT_TOL,
     Ball,
     BallCollection,
-    Interval,
     ball_surface,
     lens_volume,
     unit_ball_volume,
@@ -406,70 +405,85 @@ class TestPerimeterVitaliSelect:
 # ---------------------------------------------------------------------------
 
 
-def _random_intervals(seed: int, n_max: int = 40):
+def _intervals(pairs) -> BallCollection:
+    """1D balls with the given (lo, hi) closures."""
+    lo, hi = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return BallCollection.from_arrays(((lo + hi) / 2)[:, None], (hi - lo) / 2)
+
+
+def _random_intervals(seed: int, n_max: int = 40) -> BallCollection:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, n_max + 1))
     los = rng.uniform(-10.0, 10.0, size=n)
     lengths = np.exp(rng.uniform(math.log(0.01), math.log(3.0), size=n))
-    return [Interval(float(lo), float(lo + ln)) for lo, ln in zip(los, lengths)]
+    return BallCollection.from_arrays((los + lengths / 2)[:, None], lengths / 2)
 
 
 class TestIntervalSelect1d:
     def test_empty_input(self):
-        result = interval_select_1d([])
+        result = interval_select_1d(BallCollection(1, []))
         assert result.selected == []
         assert result.params["enlargement"] == 5.0
 
-    def test_accepts_tuples(self):
-        result = interval_select_1d([(0.0, 1.0), (0.5, 2.0)])
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(ValueError, match="requires dimension 1"):
+            interval_select_1d(random_collection(2, seed=0))
+
+    def test_larger_ball_absorbs_overlapping(self):
+        result = interval_select_1d(_intervals([(0.0, 1.0), (0.5, 2.0)]))
         assert result.selected == [1]
         assert result.groups == {1: [0, 1]}
 
     def test_touching_closures_grouped(self):
         # [0,1] and [1,2] share only the point 1; the closure rule still
         # merges them into one group.
-        result = interval_select_1d([(0.0, 1.0), (1.0, 2.0)])
+        result = interval_select_1d(_intervals([(0.0, 1.0), (1.0, 2.0)]))
         assert len(result.selected) == 1
         assert result.groups[result.selected[0]] == [0, 1]
 
-    def _check_invariants(self, intervals):
-        items = [
-            iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals
-        ]
-        result = interval_select_1d(items)
+    def test_radius_ties_scan_in_input_order(self):
+        # Equal radii 0.1 whose float lengths differ: (1.1) - (0.9) is
+        # one ulp above 0.2, so a scan by length would take ball 1 first.
+        balls = BallCollection.from_arrays([[0.0], [1.0]], [0.1, 0.1])
+        x, r = balls.centers[:, 0], balls.radii
+        length = (x + r) - (x - r)
+        assert length[1] > length[0]
+        assert interval_select_1d(balls).selected == [0, 1]
+
+    def _check_invariants(self, balls):
+        radii = balls.radii
+        lo, hi = balls.centers[:, 0] - radii, balls.centers[:, 0] + radii
+        result = interval_select_1d(balls)
         sel = result.selected
-        chosen = [items[i] for i in sel]
         # Chosen closures are pairwise disjoint (strict gaps).
-        for a in range(len(chosen)):
-            for b in range(a + 1, len(chosen)):
-                p, q = chosen[a], chosen[b]
-                assert p.hi < q.lo or q.hi < p.lo
-        # Selection order is by nonincreasing length.
+        for a in range(len(sel)):
+            for b in range(a + 1, len(sel)):
+                p, q = sel[a], sel[b]
+                assert hi[p] < lo[q] or hi[q] < lo[p]
+        # Selection order is by nonincreasing radius.
         for a in range(1, len(sel)):
-            assert items[sel[a]].length <= items[sel[a - 1]].length + 1e-15
+            assert radii[sel[a]] <= radii[sel[a - 1]]
         # Groups partition the input.
         seen = sorted(j for members in result.groups.values() for j in members)
-        assert seen == list(range(len(items)))
-        total = union_length_oracle([(iv.lo, iv.hi) for iv in items])
-        kept = union_length_oracle([(iv.lo, iv.hi) for iv in chosen])
+        assert seen == list(range(len(balls)))
+        total = union_length_oracle(list(zip(lo, hi)))
+        kept = union_length_oracle(list(zip(lo[sel], hi[sel])))
         # Five-times covering bound on total length, exactly.
         assert total <= 5.0 * kept
         # The whole union has no more boundary points than the chosen
         # disjoint subfamily: every component holds a chosen interval.
-        comp_all = union_component_count_oracle(
-            [(iv.lo, iv.hi) for iv in items], closure=True
-        )
-        assert comp_all <= len(chosen)
+        comp_all = union_component_count_oracle(list(zip(lo, hi)), closure=True)
+        assert comp_all <= len(sel)
         for s, members in result.groups.items():
-            anchor = items[s]
-            group_ivs = [(items[j].lo, items[j].hi) for j in members]
+            length = hi[s] - lo[s]
+            group_ivs = list(zip(lo[members], hi[members]))
             # Each group union is a single interval (closures chain
             # through the chosen one) inside the 3x enlargement.
             assert union_component_count_oracle(group_ivs, closure=True) == 1
             for j in members:
-                assert items[j].length <= anchor.length + 1e-15
-                assert items[j].lo >= anchor.lo - anchor.length - 1e-12
-                assert items[j].hi <= anchor.hi + anchor.length + 1e-12
+                assert radii[j] <= radii[s]
+                assert lo[j] >= lo[s] - length - 1e-12
+                assert hi[j] <= hi[s] + length + 1e-12
         return result
 
     def test_invariants_random(self):
@@ -481,7 +495,7 @@ class TestIntervalSelect1d:
         # greedy pick keeps only the long one, and the union length
         # approaches but never exceeds five times its length.
         items = [(0.0, 1.0), (-0.999, 0.001), (0.999, 1.999)]
-        result = interval_select_1d(items)
+        result = interval_select_1d(_intervals(items))
         assert result.selected == [0]
         total = union_length_oracle(items)
         assert total <= 5.0 * 1.0
