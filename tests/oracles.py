@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy import integrate
 
+from ballcover.geometry import BallCollection
 from ballcover.maximal1d import StepFunction, _antiderivative
 
 
@@ -68,6 +69,12 @@ def _endpoints(intervals):
             lo, hi = item
             out.append((float(lo), float(hi)))
     return sorted(out)
+
+
+def interval_balls(pairs) -> BallCollection:
+    """1D balls with the given (lo, hi) closures."""
+    lo, hi = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return BallCollection.from_arrays(((lo + hi) / 2)[:, None], (hi - lo) / 2)
 
 
 def union_length_oracle(intervals) -> float:

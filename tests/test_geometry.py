@@ -221,12 +221,6 @@ _intervals = st.lists(
 )
 
 
-def _interval_balls(pairs) -> BallCollection:
-    """1D balls with the given (lo, hi) closures."""
-    lo, hi = np.array(pairs, dtype=float).reshape(-1, 2).T
-    return BallCollection.from_arrays(((lo + hi) / 2)[:, None], (hi - lo) / 2)
-
-
 def _closures(balls: BallCollection) -> list[tuple[float, float]]:
     x, r = balls.centers[:, 0], balls.radii
     return list(zip((x - r).tolist(), (x + r).tolist()))
@@ -234,7 +228,7 @@ def _closures(balls: BallCollection) -> list[tuple[float, float]]:
 
 @given(_intervals)
 def test_union_volume_1d_matches_oracle(ivals):
-    balls = _interval_balls(ivals)
+    balls = oracles.interval_balls(ivals)
     if not ivals:
         with pytest.raises(ValueError, match="nonempty"):
             union_volume_mc(balls, samples=1000, seed=0)
@@ -248,7 +242,7 @@ def test_union_volume_1d_matches_oracle(ivals):
 
 @given(_intervals)
 def test_union_perimeter_1d_matches_oracle(ivals):
-    balls = _interval_balls(ivals)
+    balls = oracles.interval_balls(ivals)
     if not ivals:
         with pytest.raises(ValueError, match="nonempty"):
             union_perimeter(balls)
@@ -261,7 +255,7 @@ def test_union_perimeter_1d_matches_oracle(ivals):
 
 
 def test_union_1d_touching_closures_join():
-    balls = _interval_balls([(0, 1), (1, 2), (3, 4)])
+    balls = oracles.interval_balls([(0, 1), (1, 2), (3, 4)])
     lo, hi = geometry.union_components(*zip(*_closures(balls)))
     assert list(zip(lo.tolist(), hi.tolist())) == [(0.0, 2.0), (3.0, 4.0)]
     assert union_volume_mc(balls, samples=1000, seed=0).value == 3.0

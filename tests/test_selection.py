@@ -33,6 +33,7 @@ from ballcover.selection import (
 )
 
 from oracles import (
+    interval_balls,
     lens_volume_quadrature,
     union_component_count_oracle,
     union_length_oracle,
@@ -405,12 +406,6 @@ class TestPerimeterVitaliSelect:
 # ---------------------------------------------------------------------------
 
 
-def _intervals(pairs) -> BallCollection:
-    """1D balls with the given (lo, hi) closures."""
-    lo, hi = np.array(pairs, dtype=float).reshape(-1, 2).T
-    return BallCollection.from_arrays(((lo + hi) / 2)[:, None], (hi - lo) / 2)
-
-
 def _random_intervals(seed: int, n_max: int = 40) -> BallCollection:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, n_max + 1))
@@ -430,14 +425,14 @@ class TestIntervalSelect1d:
             interval_select_1d(random_collection(2, seed=0))
 
     def test_larger_ball_absorbs_overlapping(self):
-        result = interval_select_1d(_intervals([(0.0, 1.0), (0.5, 2.0)]))
+        result = interval_select_1d(interval_balls([(0.0, 1.0), (0.5, 2.0)]))
         assert result.selected == [1]
         assert result.groups == {1: [0, 1]}
 
     def test_touching_closures_grouped(self):
         # [0,1] and [1,2] share only the point 1; the closure rule still
         # merges them into one group.
-        result = interval_select_1d(_intervals([(0.0, 1.0), (1.0, 2.0)]))
+        result = interval_select_1d(interval_balls([(0.0, 1.0), (1.0, 2.0)]))
         assert len(result.selected) == 1
         assert result.groups[result.selected[0]] == [0, 1]
 
@@ -495,7 +490,7 @@ class TestIntervalSelect1d:
         # greedy pick keeps only the long one, and the union length
         # approaches but never exceeds five times its length.
         items = [(0.0, 1.0), (-0.999, 0.001), (0.999, 1.999)]
-        result = interval_select_1d(_intervals(items))
+        result = interval_select_1d(interval_balls(items))
         assert result.selected == [0]
         total = union_length_oracle(items)
         assert total <= 5.0 * 1.0
