@@ -30,9 +30,11 @@ import numpy as np
 from .geometry import (
     TWO_PI,
     BallCollection,
+    _leaves_gap,
     _split_arcs,
     _uncovered_arcs,
     center_distance_for_overlap,
+    union_components,
 )
 
 __all__ = [
@@ -138,59 +140,70 @@ class PlacementRecord:
 
 
 class _PackingState:
-    """Mutable state of the greedy packing: placed disks in polar form."""
+    """Mutable state of the greedy packing: the placed small disks in
+    polar form, kept sorted by angle, and the union of the arcs of the
+    unit circle they cover.
 
-    _GROW = 256
+    In angle order the blocked arcs of a probe come out nearly sorted by
+    start, which the stable sort of ``union_components`` passes through
+    in about linear time; the union itself does not depend on the order.
+    """
 
     def __init__(self):
-        self.count = 0
-        self._dist = np.empty(self._GROW)
-        self._angle = np.empty(self._GROW)
-        self._radius = np.empty(self._GROW)
-        # split coverage arcs of the unit circle, for the generation log
-        self._cov_starts: list[float] = []
-        self._cov_ends: list[float] = []
+        # one column per placed disk: angle, center distance, its square
+        # and radius
+        self._disks = np.empty((4, 0))
+        # union components of the coverage arcs, for the generation log
+        self._cov_lo = np.empty(0)
+        self._cov_hi = np.empty(0)
 
     def blocked_arcs(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray] | None:
         """Angles where a new disk of radius r at distance rho would meet
         a placed disk; None when every angle is blocked."""
-        n = self.count
-        if n == 0:
+        if self._disks.size == 0:
             return np.empty(0), np.empty(0)
-        d = self._dist[:n]
+        angle, dist, dist2, radius = self._disks
         # overlap with disk j iff the center distance is below r + r_j,
         # i.e. cos(angle difference) > q_j
-        q = (rho * rho + d * d - (r + self._radius[:n]) ** 2) / (2.0 * rho * d)
-        if np.any(q <= -1.0):
+        q = (rho * rho + dist2 - (r + radius) ** 2) / (2.0 * rho * dist)
+        if q.min() <= -1.0:
             return None
         hot = q < 1.0
-        halfwidths = np.arccos(np.clip(q[hot], -1.0, 1.0))
-        return _split_arcs(self._angle[:n][hot], halfwidths)
+        # q[hot] lies in (-1, 1), so arccos needs no clip
+        return _split_arcs(angle[hot], np.arccos(q[hot]))
+
+    def fits(self, rho: float, r: float) -> bool:
+        """Whether a new disk of radius r at distance rho fits at some
+        angle: the blocked arcs leave a gap of [0, 2*pi] uncovered."""
+        arcs = self.blocked_arcs(rho, r)
+        return arcs is not None and _leaves_gap(*arcs)
+
+    def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """The free arcs for a new disk of radius r at distance rho; empty
+        exactly when ``fits`` is false."""
+        arcs = self.blocked_arcs(rho, r)
+        if arcs is None:
+            return np.empty(0), np.empty(0)
+        return _uncovered_arcs(*arcs, 0.0)
 
     def add(self, rho: float, angle: float, r: float) -> None:
-        if self.count == self._dist.size:
-            for name in ("_dist", "_angle", "_radius"):
-                old = getattr(self, name)
-                grown = np.empty(old.size * 2)
-                grown[: old.size] = old
-                setattr(self, name, grown)
-        self._dist[self.count] = rho
-        self._angle[self.count] = angle
-        self._radius[self.count] = r
-        self.count += 1
+        k = int(np.searchsorted(self._disks[0], angle))
+        self._disks = np.insert(self._disks, k, (angle, rho, rho * rho, r), axis=1)
         # arc of the unit circle covered by the new disk
         cos_psi = (1.0 + rho * rho - r * r) / (2.0 * rho)
         if cos_psi < 1.0:
             psi = math.acos(max(-1.0, cos_psi))
             s, e = _split_arcs(np.array([angle]), np.array([psi]))
-            self._cov_starts.extend(s.tolist())
-            self._cov_ends.extend(e.tolist())
+            self._cov_lo, self._cov_hi = union_components(
+                np.concatenate((self._cov_lo, s)), np.concatenate((self._cov_hi, e))
+            )
 
     def uncovered_fraction(self) -> float:
-        lo, hi = _uncovered_arcs(
-            np.array(self._cov_starts), np.array(self._cov_ends), 0.0
+        # the gaps between the sorted, disjoint coverage components
+        widths = np.concatenate((self._cov_lo, [TWO_PI])) - np.concatenate(
+            ([0.0], self._cov_hi)
         )
-        return float((hi - lo).sum()) / TWO_PI
+        return float(widths[widths > 0.0].sum()) / TWO_PI
 
 
 def build_surrounded_ball_detailed(
@@ -211,42 +224,36 @@ def build_surrounded_ball_detailed(
         raise TypeError("cfg must be a SurroundedBallConfig")
     rng = np.random.default_rng(cfg.seed % 2**63)
     state = _PackingState()
-    floor = cfg.delta * 1e-3
     records: list[PlacementRecord] = []
     centers, radii = [(0.0, 0.0)], [1.0]
-    prev_r = cfg.delta
 
-    def free_at(r: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-        rho = center_distance_for_overlap(r, 1.0, cfg.eps, 2)
-        arcs = state.blocked_arcs(rho, r)
-        if arcs is None:
-            return np.empty(0), np.empty(0), 0.0, rho
-        gap_starts, gap_ends = _uncovered_arcs(*arcs, 0.0)
-        return gap_starts, gap_ends, float((gap_ends - gap_starts).sum()), rho
+    def distance(r: float) -> float:
+        return center_distance_for_overlap(r, 1.0, cfg.eps, 2)
 
+    floor = cfg.delta * 1e-3
+    floor_rho = distance(floor)
+    # the radius never grows, so each placement first tries the last one
+    r, rho = cfg.delta, distance(cfg.delta)
     for index in range(1, int(cfg.n_max) + 1):
-        hi = min(cfg.delta, prev_r)
-        gap_starts, gap_ends, total, rho = free_at(hi)
-        if total <= 0.0:
-            _, _, lo_total, _ = free_at(floor)
-            if lo_total <= 0.0:
+        gap_starts, gap_ends = state.gaps(rho, r)
+        if gap_ends.size == 0:
+            if not state.fits(floor_rho, floor):
                 break
-            lo = floor
+            lo, lo_rho, hi = floor, floor_rho, r
             # largest feasible radius on the probed path, to ~1e-13 delta
             for _ in range(42):
                 mid = 0.5 * (lo + hi)
-                _, _, t, _ = free_at(mid)
-                if t > 0.0:
-                    lo = mid
+                mid_rho = distance(mid)
+                if state.fits(mid_rho, mid):
+                    lo, lo_rho = mid, mid_rho
                 else:
                     hi = mid
-            gap_starts, gap_ends, total, rho = free_at(lo)
-            if total <= 0.0:  # pragma: no cover - lo was feasible above
+            r, rho = lo, lo_rho
+            gap_starts, gap_ends = state.gaps(rho, r)
+            if gap_ends.size == 0:  # pragma: no cover - lo was feasible above
                 break
-            r = lo
-        else:
-            r = hi
         widths = gap_ends - gap_starts
+        total = float(widths.sum())
         offsets = np.concatenate(([0.0], np.cumsum(widths)))
         u = min(rng.uniform(0.0, total), np.nextafter(total, 0.0))
         slot = int(np.searchsorted(offsets, u, side="right")) - 1
@@ -258,7 +265,6 @@ def build_surrounded_ball_detailed(
         records.append(
             PlacementRecord(index, r, angle, rho, state.uncovered_fraction())
         )
-        prev_r = r
     return BallCollection.from_arrays(centers, radii), records
 
 

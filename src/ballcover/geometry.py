@@ -205,14 +205,6 @@ def _seg_series(x):
     )
 
 
-def _seg_angle(x: float) -> float:
-    """x - sin(x) cos(x), switching to a series so tiny segments keep
-    full relative accuracy."""
-    if x < 0.1:
-        return _seg_series(x)
-    return x - math.sin(x) * math.cos(x)
-
-
 def _cap_volume(radius: float, offset: float, dim: int) -> float:
     """Volume of {x in B : x_1 >= offset} for a ball of given radius at 0.
 
@@ -228,8 +220,10 @@ def _cap_volume(radius: float, offset: float, dim: int) -> float:
     if dim == 1:
         return r - a
     if dim == 2:
-        half_chord = math.sqrt(max(0.0, (r - a) * (r + a)))
-        return r * r * _seg_angle(math.atan2(half_chord, a))
+        # x - sin(x) cos(x) of the half angle x, through the series for
+        # x < 0.1 so tiny segments keep full relative accuracy
+        x = math.atan2(math.sqrt(max(0.0, (r - a) * (r + a))), a)
+        return r * r * (_seg_series(x) if x < 0.1 else x - math.sin(x) * math.cos(x))
     # Regularized incomplete beta closed form; full relative accuracy
     # even for sliver caps where direct quadrature loses digits.
     if a < 0.0:
@@ -351,18 +345,30 @@ def center_distance_for_overlap(
         raise ValueError("need 0 < r_small <= r_big")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    target = eps * unit_ball_volume(dim) * r_small**dim
+    unit = unit_ball_volume(dim)
+    target = eps * unit * r_small**dim
+    full = unit * r_small**dim
     omega = unit_ball_volume(dim - 1)
-    lo, hi = r_big - r_small, r_big + r_small
+    power = (dim - 1) / 2.0
+    inner, outer = r_big - r_small, r_big + r_small
+    lo, hi = inner, outer
     rho = 0.5 * (lo + hi)
     for _ in range(100):
-        g = float(_lens(r_big, r_small, rho, dim)) - target
+        # _lens(r_big, r_small, rho, dim), sharing the offset a of the
+        # radical hyperplane from the big center with the slope
+        a = ((rho - r_small) * (rho + r_small) + r_big * r_big) / (2.0 * rho)
+        if rho >= outer:
+            lens = 0.0
+        elif rho <= inner:
+            lens = full
+        else:
+            lens = _cap_volume(r_big, a, dim) + _cap_volume(r_small, rho - a, dim)
+        g = lens - target
         if g > 0.0:
             lo = rho
         else:
             hi = rho
-        a = ((rho - r_small) * (rho + r_small) + r_big * r_big) / (2.0 * rho)
-        slope = omega * max(0.0, (r_big - a) * (r_big + a)) ** ((dim - 1) / 2.0)
+        slope = omega * max(0.0, (r_big - a) * (r_big + a)) ** power
         nxt = rho + g / slope if slope > 0.0 else math.nan
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
@@ -381,7 +387,8 @@ def union_components(starts, ends) -> tuple[np.ndarray, np.ndarray]:
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
-    order = np.argsort(starts)
+    # a stable sort runs in about linear time on nearly sorted starts
+    order = np.argsort(starts, kind="stable")
     s = starts[order]
     e = np.maximum.accumulate(ends[order])
     # gap[i]: a component boundary lies between sorted segments i - 1
@@ -466,12 +473,19 @@ def _coincidence_groups(
 def _split_arcs(
     centers: np.ndarray, halfwidths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs of given centers and halfwidths as segments of [0, 2*pi)."""
-    lo = (centers - halfwidths) % TWO_PI
+    """Arcs of given centers and halfwidths as segments of [0, 2*pi].
+
+    Every arc must start in (-2*pi, 2*pi).  On that range the wrap below
+    equals ``% TWO_PI`` bit for bit (-0.0 included) at a third of its
+    cost.
+    """
+    lo = centers - halfwidths
+    lo = np.where(lo < 0.0, lo + TWO_PI, lo) + 0.0
     hi = lo + 2.0 * halfwidths
     over = hi > TWO_PI
-    starts = np.concatenate([lo, np.zeros(int(over.sum()))])
-    ends = np.concatenate([np.minimum(hi, TWO_PI), hi[over] - TWO_PI])
+    wrapped = hi[over] - TWO_PI
+    starts = np.concatenate([lo, np.zeros(wrapped.size)])
+    ends = np.concatenate([np.minimum(hi, TWO_PI), wrapped])
     return starts, ends
 
 
@@ -485,6 +499,14 @@ def _uncovered_arcs(
     gap_hi = np.concatenate((lo, [TWO_PI]))
     keep = gap_hi - gap_lo > min_width
     return gap_lo[keep], gap_hi[keep]
+
+
+def _leaves_gap(starts: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether segments of [0, 2*pi] leave part of it uncovered, i.e.
+    ``_uncovered_arcs(starts, ends, 0.0)`` is nonempty, without building
+    the gaps: components after the first are separated by one."""
+    lo, hi = union_components(starts, ends)
+    return bool(lo.size != 1 or lo[0] > 0.0 or hi[0] < TWO_PI)
 
 
 def free_arcs_2d(balls: BallCollection) -> list[list[tuple[float, float]]]:

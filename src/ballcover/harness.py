@@ -99,8 +99,9 @@ class RateFit:
     ``ys`` are the fitted ratios.  For a surrounded-ball sweep they are
     the full-coverage perimeter ratios G of ``check_example14_rate``;
     that check also fills ``uncovered`` with the uncovered fraction U of
-    the unit circle per x and ``raw_ratios`` with the raw perimeter
-    ratios P / (2 pi) = U + (1 - U) * G.  Both are empty for a bare fit.
+    the unit circle per x, ``raw_ratios`` with the raw perimeter ratios
+    P / (2 pi) = U + (1 - U) * G and ``disks`` with the number of small
+    disks in each packing.  All three are empty for a bare fit.
     """
 
     xs: tuple
@@ -110,6 +111,7 @@ class RateFit:
     r_squared: float
     uncovered: tuple = ()
     raw_ratios: tuple = ()
+    disks: tuple = ()
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -119,7 +121,7 @@ class RateFit:
             raise ValueError("xs must be strictly decreasing and positive")
         if len(self.ys) != xs.size:
             raise ValueError("xs and ys must have equal length")
-        for extra in (self.uncovered, self.raw_ratios):
+        for extra in (self.uncovered, self.raw_ratios, self.disks):
             if extra and len(extra) != xs.size:
                 raise ValueError("per-point columns must match xs in length")
 
@@ -292,8 +294,8 @@ def check_example14_rate(
     continues toward zero radius (U -> 0) and hardly depends on where
     the packing stops, whereas the raw ratio is diluted by U, which
     grows as eps shrinks.  The fit rates G against eps (the plane's
-    expected exponent is -1/3) and carries U and P / (2 pi) per eps in
-    ``uncovered`` and ``raw_ratios``.
+    expected exponent is -1/3) and carries U, P / (2 pi) and the small
+    disk count per eps in ``uncovered``, ``raw_ratios`` and ``disks``.
     """
     eps_list = [float(e) for e in eps_list]
     if any(not 0.0 < e <= 0.05 for e in eps_list):
@@ -301,7 +303,7 @@ def check_example14_rate(
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or len(eps_list) < 2:
         raise ValueError("eps_list must be strictly decreasing")
     circle = 2.0 * math.pi
-    ratios, uncovered, raw_ratios = [], [], []
+    ratios, uncovered, raw_ratios, disks = [], [], [], []
     for eps in eps_list:
         cfg = SurroundedBallConfig(eps=eps, delta=delta, n_max=n_max, seed=seed)
         packing = build_surrounded_ball(cfg)
@@ -316,8 +318,14 @@ def check_example14_rate(
         ratios.append((perimeter - bare) / (circle - bare))
         uncovered.append(bare / circle)
         raw_ratios.append(perimeter / circle)
+        disks.append(len(packing) - 1)
     fit = fit_loglog(eps_list, ratios)
-    return replace(fit, uncovered=tuple(uncovered), raw_ratios=tuple(raw_ratios))
+    return replace(
+        fit,
+        uncovered=tuple(uncovered),
+        raw_ratios=tuple(raw_ratios),
+        disks=tuple(disks),
+    )
 
 
 def halfspace_volume_fraction(

@@ -15,9 +15,11 @@ from ballcover import (
     Ball,
     BallCollection,
     StepFunction,
+    SurroundedBallConfig,
     ball_volume,
     besicovitch_select,
     build_fig1,
+    build_surrounded_ball,
     cli,
     interval_select_1d,
     lens_volume,
@@ -29,6 +31,7 @@ from ballcover import (
     union_volume_mc,
 )
 from ballcover.formats import save_step_function
+from ballcover.geometry import free_arc_lengths_2d
 from ballcover.harness import (
     check_example14_rate,
     check_isoperimetric,
@@ -104,18 +107,35 @@ def test_criterion_2_low_overlap_selection_exact_guarantees():
     assert elapsed < 60.0, f"runtime {elapsed:.1f} s exceeded the 60 s budget"
 
 
+def _full_coverage_ratio(eps: float, n_max: int) -> float:
+    """The ratio G of ``check_example14_rate`` for one eps of criterion 3."""
+    packing = build_surrounded_ball(
+        SurroundedBallConfig(eps=eps, delta=0.3, n_max=n_max, seed=7)
+    )
+    lengths = free_arc_lengths_2d(packing)
+    bare = lengths[0]
+    return (sum(lengths) - bare) / (2.0 * math.pi - bare)
+
+
 def test_criterion_3_perimeter_growth_rate():
     start = time.monotonic()
     eps_sweep = (10.0**-1.5, 1e-2, 10.0**-2.5, 1e-3)
-    fit = check_example14_rate(eps_sweep, delta=0.3, n_max=8000, seed=7)
-    doubled = check_example14_rate(eps_sweep, delta=0.3, n_max=16000, seed=7)
+    n_max = 8000
+    fit = check_example14_rate(eps_sweep, delta=0.3, n_max=n_max, seed=7)
+    # The generator's first n_max placements do not depend on n_max, so a
+    # packing that stopped at its radius floor below n_max is exactly the
+    # one a doubled budget builds; only a packing that reached n_max is
+    # built again with the doubled budget.
+    for eps, disks, base in zip(fit.xs, fit.disks, fit.ys):
+        if disks < n_max:
+            continue
+        redo = _full_coverage_ratio(eps, 2 * n_max)
+        assert abs(redo - base) <= 0.05 * base, (
+            f"ratio at eps={eps!r} moved from {base:.4f} to {redo:.4f} (>5%) "
+            "when the ball budget doubled"
+        )
     elapsed = time.monotonic() - start
     assert elapsed < 300.0, f"runtime {elapsed:.1f} s exceeded the 300 s budget"
-    for base, redo in zip(fit.ys, doubled.ys):
-        assert abs(redo - base) <= 0.05 * base, (
-            f"ratio moved from {base:.4f} to {redo:.4f} (>5%) when the "
-            "ball budget doubled"
-        )
     assert fit.r_squared >= 0.95, f"log-log fit r^2 {fit.r_squared:.4f} < 0.95"
     assert -0.433 <= fit.slope <= -0.233, (
         f"measured log-log slope {fit.slope:.4f} "

@@ -6,6 +6,7 @@ contracts plus an area-budget argument, and the reverse example against
 a direct measurement of its tiny inner boundary.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -251,6 +252,18 @@ class TestBuildSurroundedBall:
         assert [(b.center, b.radius) for b in balls] == [
             (b.center, b.radius) for b in doubled
         ]
+
+    def test_benchmark_size_packing_is_byte_identical(self):
+        # The goldens stop at 275 disks; this pins the packing of the
+        # benchmark's first eps, recorded before the probe was sped up.
+        balls = build_surrounded_ball(
+            SurroundedBallConfig(eps=10.0**-1.5, delta=0.3, n_max=8000, seed=7)
+        )
+        assert len(balls) == 719
+        data = balls.centers.astype("<f8").tobytes() + balls.radii.astype("<f8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "4f29b4de57613e540b84913516a6d1361c3fd0b81b93f7715566b4c5952a474e"
+        )
 
     def test_n_max_truncates(self):
         cfg = SurroundedBallConfig(eps=0.2, delta=0.3, n_max=5, seed=3)

@@ -361,6 +361,119 @@ def test_coincidence_groups_keep_lowest_index(dim):
 
 
 # --------------------------------------------------------------------------
+# Arcs of the circle
+
+
+def _split_arcs_modulo(centers, halfwidths):
+    """``geometry._split_arcs`` with its wrap written as ``% TWO_PI``."""
+    lo = (centers - halfwidths) % TWO_PI
+    hi = lo + 2.0 * halfwidths
+    over = hi > TWO_PI
+    starts = np.concatenate([lo, np.zeros(int(over.sum()))])
+    ends = np.concatenate([np.minimum(hi, TWO_PI), hi[over] - TWO_PI])
+    return starts, ends
+
+
+def _bits(values) -> list[int]:
+    """The bit patterns of floats, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# tiny negatives whose sum with 2*pi rounds to 2*pi, the signed zeros and
+# the ends of (-2*pi, 2*pi)
+_WRAP_EDGES = [
+    -0.0,
+    0.0,
+    -5e-324,
+    -1e-300,
+    -1e-17,
+    -4e-16,
+    math.nextafter(-TWO_PI, 0.0),
+    math.nextafter(TWO_PI, 0.0),
+]
+
+
+@given(
+    st.lists(
+        st.floats(-TWO_PI, TWO_PI, exclude_min=True, exclude_max=True)
+        | st.sampled_from(_WRAP_EDGES),
+        max_size=20,
+    )
+)
+def test_split_arcs_wrap_is_modulo_bit_for_bit(xs):
+    x = np.array(xs + _WRAP_EDGES)
+    starts, _ = geometry._split_arcs(x, np.zeros_like(x))
+    assert _bits(starts) == _bits(x % TWO_PI)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-math.pi, TWO_PI, exclude_max=True) | st.sampled_from([0.0, -0.0]),
+            st.floats(0.0, 3.0) | st.just(0.0),
+        ),
+        max_size=20,
+    )
+)
+def test_split_arcs_matches_modulo_form(arcs):
+    centers = np.array([c for c, _ in arcs], dtype=float)
+    halfwidths = np.array([h for _, h in arcs], dtype=float)
+    got = geometry._split_arcs(centers, halfwidths)
+    want = _split_arcs_modulo(centers, halfwidths)
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+def _gap_total_rule(starts, ends) -> bool:
+    """The feasibility rule ``_leaves_gap`` replaces: the gaps of
+    ``_uncovered_arcs`` have positive total width."""
+    lo, hi = geometry._uncovered_arcs(starts, ends, 0.0)
+    return float((hi - lo).sum()) > 0.0
+
+
+# a few shared ends make segments touch and nest
+_ARC_ENDS = st.sampled_from([0.0, 1.0, math.pi, 4.0, TWO_PI]) | st.floats(0.0, TWO_PI)
+
+
+@given(
+    st.lists(st.tuples(_ARC_ENDS, _ARC_ENDS), max_size=8),
+    st.lists(
+        st.tuples(st.floats(0.0, TWO_PI, exclude_max=True), st.floats(0.0, 3.2)),
+        max_size=6,
+    ),
+)
+def test_leaves_gap_matches_gap_total_rule(segments, arcs):
+    # the arcs go through _split_arcs, so those past 2*pi wrap to 0
+    wrap_starts, wrap_ends = geometry._split_arcs(
+        np.array([c for c, _ in arcs], dtype=float),
+        np.array([h for _, h in arcs], dtype=float),
+    )
+    starts = np.concatenate([[min(a, b) for a, b in segments], wrap_starts])
+    ends = np.concatenate([[max(a, b) for a, b in segments], wrap_ends])
+    assert geometry._leaves_gap(starts, ends) == _gap_total_rule(starts, ends)
+
+
+@pytest.mark.parametrize(
+    "segments, gap",
+    [
+        ([], True),
+        ([(0.0, TWO_PI)], False),
+        ([(0.0, math.pi), (math.pi, TWO_PI)], False),
+        ([(0.0, TWO_PI), (1.0, 2.0)], False),
+        ([(0.0, 3.0), (3.5, TWO_PI)], True),
+        ([(0.0, 1.0), (0.5, 2.0), (2.0, TWO_PI)], False),
+        ([(1e-300, TWO_PI)], True),
+        ([(0.0, math.nextafter(TWO_PI, 0.0))], True),
+        ([(TWO_PI, TWO_PI), (0.0, 6.0)], True),
+    ],
+)
+def test_leaves_gap_cases(segments, gap):
+    starts = np.array([a for a, _ in segments], dtype=float)
+    ends = np.array([b for _, b in segments], dtype=float)
+    assert geometry._leaves_gap(starts, ends) is gap
+    assert _gap_total_rule(starts, ends) == gap
+
+
+# --------------------------------------------------------------------------
 # 2D exact perimeters
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from ballcover import counterexample
 from ballcover.counterexample import (
     SurroundedBallConfig,
     build_surrounded_ball_detailed,
@@ -101,6 +102,8 @@ class TestFitLoglog:
             RateFit((0.1, 0.01), (1.0,), 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="per-point"):
             RateFit((0.1, 0.01), (1.0, 2.0), 0.0, 0.0, 1.0, uncovered=(0.5,))
+        with pytest.raises(ValueError, match="per-point"):
+            RateFit((0.1, 0.01), (1.0, 2.0), 0.0, 0.0, 1.0, disks=(5, 6, 7))
 
     def test_constant_ys_full_r_squared(self):
         fit = fit_loglog([0.1, 0.01], [2.0, 2.0])
@@ -272,6 +275,25 @@ class TestCheckExample14Rate:
             assert fit.raw_ratios[i] == pytest.approx(
                 u + (1.0 - u) * fit.ys[i], rel=1e-12
             )
+
+    def test_disk_counts(self):
+        fit = check_example14_rate([0.05, 0.04], 0.3, 40, seed=1)
+        assert fit.disks == (40, 40)
+
+    def test_builds_through_the_detailed_generator_attribute(self, monkeypatch):
+        # The packing benchmark collects the packings by rebinding
+        # counterexample.build_surrounded_ball_detailed; a rate run that
+        # bypassed that name would leave it none to check.
+        build = counterexample.build_surrounded_ball_detailed
+        seen = []
+
+        def spy(cfg):
+            seen.append(cfg.eps)
+            return build(cfg)
+
+        monkeypatch.setattr(counterexample, "build_surrounded_ball_detailed", spy)
+        check_example14_rate([0.05, 0.04], 0.3, 40, seed=1)
+        assert seen == [0.05, 0.04]
 
     def test_uncovered_circle_rejected(self, monkeypatch):
         bare_disk = BallCollection(2, [Ball((0.0, 0.0), 1.0)])
