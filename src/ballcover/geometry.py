@@ -502,9 +502,10 @@ def _uncovered_arcs(
 
 
 def _leaves_gap(starts: np.ndarray, ends: np.ndarray) -> bool:
-    """Whether segments of [0, 2*pi] leave part of it uncovered, i.e.
-    ``_uncovered_arcs(starts, ends, 0.0)`` is nonempty, without building
-    the gaps: components after the first are separated by one."""
+    """Whether segments of [0, 2*pi] leave part of it uncovered: the
+    answer of a nonempty ``_uncovered_arcs(starts, ends, 0.0)`` without
+    building the gaps.  The segments cover the circle only as a single
+    component from 0 to 2*pi."""
     lo, hi = union_components(starts, ends)
     return bool(lo.size != 1 or lo[0] > 0.0 or hi[0] < TWO_PI)
 

@@ -260,8 +260,9 @@ class TestBuildSurroundedBall:
             SurroundedBallConfig(eps=10.0**-1.5, delta=0.3, n_max=8000, seed=7)
         )
         assert len(balls) == 719
-        data = balls.centers.astype("<f8").tobytes() + balls.radii.astype("<f8").tobytes()
-        assert hashlib.sha256(data).hexdigest() == (
+        digest = hashlib.sha256(balls.centers.astype("<f8").tobytes())
+        digest.update(balls.radii.astype("<f8").tobytes())
+        assert digest.hexdigest() == (
             "4f29b4de57613e540b84913516a6d1361c3fd0b81b93f7715566b4c5952a474e"
         )
 

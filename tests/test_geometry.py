@@ -409,7 +409,8 @@ def test_split_arcs_wrap_is_modulo_bit_for_bit(xs):
 @given(
     st.lists(
         st.tuples(
-            st.floats(-math.pi, TWO_PI, exclude_max=True) | st.sampled_from([0.0, -0.0]),
+            st.floats(-math.pi, TWO_PI, exclude_max=True)
+            | st.sampled_from([0.0, -0.0]),
             st.floats(0.0, 3.0) | st.just(0.0),
         ),
         max_size=20,
