@@ -117,8 +117,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-# Config-file key -> (RunConfig field, parser).  Keys are the long flag
-# names with dashes replaced by underscores.
+# Config-file key -> (RunConfig field, parser).  Each key is also a flag:
+# "--" plus the key with underscores written as dashes.
 _KEY_SPECS: dict[str, tuple[str, object]] = {
     "input": ("input_path", str),
     "output": ("output_path", str),
@@ -191,27 +191,14 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     add = common.add_argument
     add("--config", metavar="FILE", help="flat key=value config file")
-    add("--input", dest="input_path", metavar="FILE")
-    add("--output", dest="output_path", metavar="FILE")
-    add("--seed", type=int)
-    add("--dim", dest="dimension", type=int)
-    add("--eps", type=float)
-    add("--eps-list", dest="eps_list", type=_parse_float_list, metavar="X,Y,...")
-    add("--delta", type=float)
-    add("--lambda", dest="lam", type=float)
-    add("--level", type=float)
-    add("--levels", type=int)
-    add("--samples", type=int)
-    add("--algorithm", choices=ALGORITHMS)
-    add("--jobs", type=int)
-    add("--kind", choices=GENERATOR_KINDS)
-    add("--count", type=int)
-    add("--tiny-radius", dest="tiny_radius", type=float)
-    add("--n-max", dest="n_max", type=int)
-    add("--box-half-width", dest="box_half_width", type=float)
-    add("--check", choices=CHECKS)
-    add("--grid", type=int)
-    add("--d-list", dest="d_list", type=_parse_int_list, metavar="D,D,...")
+    for key, (field_name, parse) in _KEY_SPECS.items():
+        add(
+            "--" + key.replace("_", "-"),
+            dest=field_name,
+            type=parse,
+            choices=_CHOICE_KEYS.get(key),
+            metavar="FILE" if field_name.endswith("_path") else None,
+        )
     for action in common._actions:
         action.default = argparse.SUPPRESS
 

@@ -3,18 +3,22 @@
 All averages are of |f|, taken over intervals whose closure contains
 the point.  For a step function the antiderivative F of |f| is
 piecewise linear, so averages (F(b) - F(a)) / (b - a) over candidate
-endpoint pairs decide everything: point values of the maximal function,
-its superlevel sets, and the maximal intervals at a level.  The
+endpoint pairs decide point values of the maximal function.  The
 variation comparison integrates superlevel boundary counts in the
 level variable and certifies a lower bound for var(Mf).
 
-A subtlety worth recording: at many levels the family of
-inclusion-maximal intervals with average exactly equal to the level is
-infinite (both endpoints can slide in lockstep through regions of
-constant |f|, e.g. the zero tails).  maximal_intervals therefore
-returns a finite subfamily of genuinely maximal intervals whose
-closures still cover the union of the full family, which equals
-{Mf >= level}.
+Level sets follow F. Riesz's rising-sun picture.  With
+G(x) = F(x) - level x, the average over (a, b) is at least the level
+exactly when G(b) >= G(a), so one pass over G at the breakpoints, with
+its prefix minimum and suffix maximum, gives {Mf >= level}.  For a
+value c let a(c) be the first x with G(x) <= c and b(c) the last with
+G(x) >= c.  The inclusion-maximal intervals of average exactly the
+level are the [a(c), b(c)] with a(c) < b(c): G > c left of a(c) and
+G < c right of b(c), so every proper superinterval averages below the
+level.  The family is infinite in general (c runs through intervals,
+both ends sliding through pieces of constant |f|, e.g. the zero
+tails), and maximal_intervals returns its minimal chain: the fewest
+members whose closures chain across each component of {Mf >= level}.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import numpy as np
 
 from .geometry import Interval, union_components
 
-# Equality slack for maximality and degeneracy decisions.
-_ATOL = 1e-12
 # Levels this close (relative) to a critical average are degenerate.
 _SKIP_TOL = 1e-9
 
@@ -146,107 +148,72 @@ def maximal_function_at(f: StepFunction, x: float) -> float:
     return max(best, 0.0)
 
 
-class _PieceTable:
-    """Merged linear pieces of F (equal-slope runs joined) plus pair
-    index templates; the level-dependent zero tails are appended on
-    demand."""
-
-    def __init__(self, f: StepFunction):
-        xs = list(f.breakpoints)
-        vs = [abs(v) for v in f.values]
-        prefix = _prefix_mass(f)
-        lo, hi, slope, ordinate = [], [], [], []
-        start = 0
-        for i in range(1, len(vs) + 1):
-            if i == len(vs) or vs[i] != vs[start]:
-                lo.append(xs[start])
-                hi.append(xs[i])
-                slope.append(vs[start])
-                ordinate.append(prefix[start] - vs[start] * xs[start])
-                start = i
-        self.x_first = xs[0]
-        self.x_last = xs[-1]
-        self.mass = float(prefix[-1])
-        self.span = xs[-1] - xs[0]
-        self.core_lo = np.asarray(lo)
-        self.core_hi = np.asarray(hi)
-        self.core_slope = np.asarray(slope)
-        self.core_ordinate = np.asarray(ordinate)
-        m = len(lo) + 2
-        self.ii, self.jj = np.triu_indices(m, k=1)
-
-    def reach(self, level: float) -> float:
-        """Longest interval that can still average to the level, padded."""
-        base = self.mass / level if level > 0 else self.span
-        return max(base, self.span) * 1.01 + 1.0
-
-    def full_arrays(self, level: float):
-        r = self.reach(level)
-        fl = np.concatenate([[self.x_first - r], self.core_lo, [self.x_last]])
-        fh = np.concatenate([[self.x_first], self.core_hi, [self.x_last + r]])
-        fs = np.concatenate([[0.0], self.core_slope, [0.0]])
-        fc = np.concatenate([[0.0], self.core_ordinate, [self.mass]])
-        return fl, fh, fs, fc
+def _positive(level) -> float:
+    level = float(level)
+    if level <= 0.0:
+        raise ValueError("level must be positive")
+    return level
 
 
-def _superlevel_components(table: _PieceTable, level: float):
+def _rising_sun(f: StepFunction, level: float):
+    """G = F - level x at the breakpoints x, the slope of its linear
+    interpolant on each piece, and the prefix minimum and suffix maximum
+    of the samples.
+
+    The slopes are |f| - level up to rounding, taken from the samples
+    so that G falls on a piece exactly when its samples fall.
+    """
+    xs = np.asarray(f.breakpoints)
+    g = _prefix_mass(f) - level * xs
+    return (
+        xs,
+        g,
+        np.diff(g) / np.diff(xs),
+        np.minimum.accumulate(g),
+        np.maximum.accumulate(g[::-1])[::-1],
+    )
+
+
+def _superlevel_components(f: StepFunction, level: float):
     """Connected components (lo, hi) of {Mf >= level}, sorted.
 
-    {Mf >= level} is the union of the endpoint spans [min a, max b] over
-    all ordered piece pairs that admit an interval of average >= level.
-    Over a pair of linear pieces of F the constraint
-    F(b) - F(a) >= level (b - a) cuts the endpoint rectangle along a
-    line, leaving a convex polygon whose extreme endpoint values follow
-    from the corner signs.
+    A piece where G does not fall (|f| >= level) lies in the set whole.
+    On piece i where G falls, a point t is in the set when G(t) > pm_i
+    (an interval from some earlier a averages above the level) or
+    G(t) < sm_(i+1) (one to some later b does); each holds from one end
+    of the piece up to a root.  The zero tails fall at slope -level, with nothing before the
+    left one and nothing after the right one.
     """
-    fl, fh, fs, fc = table.full_arrays(level)
-    ii, jj = table.ii, table.jj
-    sp = fs[ii] - level
-    sq = fs[jj] - level
-    const = fc[jj] - fc[ii]
-    p_lo, p_hi = fl[ii], fh[ii]
-    q_lo, q_hi = fl[jj], fh[jj]
-
+    xs, g, slope, pm, sm = _rising_sun(f, level)
+    left, right = xs[:-1], xs[1:]
+    falls = slope < 0
+    early = falls & (pm[:-1] < g[:-1])
+    late = falls & (sm[1:] > g[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        b_star = np.where(sq >= 0, q_hi, q_lo)
-        h_at_plo = sq * b_star - sp * p_lo + const
-        h_at_phi = sq * b_star - sp * p_hi + const
-        root_a = (sq * b_star + const) / sp
-        min_a = np.where(
-            sp < 0,
-            np.where(h_at_phi < 0, np.nan, np.where(h_at_plo >= 0, p_lo, root_a)),
-            np.where(h_at_plo < 0, np.nan, p_lo),
-        )
-        a_star = np.where(sp >= 0, p_lo, p_hi)
-        g_at_qhi = sq * q_hi - sp * a_star + const
-        g_at_qlo = sq * q_lo - sp * a_star + const
-        root_b = (sp * a_star - const) / sq
-        max_b = np.where(
-            sq < 0,
-            np.where(g_at_qlo < 0, np.nan, np.where(g_at_qhi >= 0, q_hi, root_b)),
-            np.where(g_at_qhi < 0, np.nan, q_hi),
-        )
-    valid = ~np.isnan(min_a) & ~np.isnan(max_b)
-    flat = fs >= level  # whole pieces at or above the level
-    lo, hi = union_components(
-        np.concatenate([min_a[valid], fl[flat]]),
-        np.concatenate([max_b[valid], fh[flat]]),
-    )
+        early_hi = np.minimum(left + (pm[:-1] - g[:-1]) / slope, right)
+        late_lo = np.maximum(right + (sm[1:] - g[1:]) / slope, left)
+    lo = [left[~falls], left[early], late_lo[late]]
+    hi = [right[~falls], early_hi[early], right[late]]
+    if sm[0] > g[0]:
+        lo.append([xs[0] - (sm[0] - g[0]) / level])
+        hi.append([xs[0]])
+    if g[-1] > pm[-1]:
+        lo.append([xs[-1]])
+        hi.append([xs[-1] + (g[-1] - pm[-1]) / level])
+    lo, hi = union_components(np.concatenate(lo), np.concatenate(hi))
     # An interval of average >= level meets a piece with |f| >= level,
     # and Mf >= level on all of that piece, so every true component
     # holds a whole such piece.  The others are roundoff slivers, from
-    # adjacent pieces' shared endpoints or roots near a piece value.
+    # roots a rounding step past the end of a piece.
     whole = np.zeros(lo.size, dtype=bool)
-    whole[np.searchsorted(lo, fl[flat], side="right") - 1] = True
+    whole[np.searchsorted(lo, left[~falls], side="right") - 1] = True
     return lo[whole], hi[whole]
 
 
 def maximal_superlevel(f: StepFunction, level: float) -> list[Interval]:
     """Connected components of {Mf >= level} for a positive level, exact."""
-    level = float(level)
-    if level <= 0.0:
-        raise ValueError("level must be positive")
-    lo, hi = _superlevel_components(_PieceTable(f), level)
+    level = _positive(level)
+    lo, hi = _superlevel_components(f, level)
     return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
@@ -274,205 +241,37 @@ def variation(f: StepFunction) -> float:
 
 
 def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
-    """A finite family of inclusion-maximal intervals with average exactly level.
+    """The fewest inclusion-maximal intervals with average exactly level
+    whose closures chain across each component of {Mf >= level}.
 
-    Every returned interval has average equal to the level (to within
-    roundoff) and admits no proper superinterval with average at or
-    above the level.  Where a one-parameter family of maximal intervals
-    exists (both endpoints sliding through pieces of constant |f|),
-    finitely many members are returned whose closures cover the union
-    of the family; the union of all returned closures is {Mf >= level}.
+    Members are [a(c), b(c)] for values c of G; each component's chain
+    starts at the largest G at or right of its left end and steps to
+    the least G up to the previous member's right end, stopping when G
+    goes no lower.  Member ends carry only the rounding of one root.
     """
-    level = float(level)
-    if level <= 0.0:
-        raise ValueError("level must be positive")
-    if level > max(abs(v) for v in f.values):
-        return []
-    fl, fh, fs, fc = _PieceTable(f).full_arrays(level)
-    # (lo, hi, slope, ordinate), with F(x) = ordinate + slope * x on [lo, hi]
-    pieces = list(zip(fl, fh, fs, fc))
-    bps = np.unique(np.append(fl, fh[-1]))
-    fvals = _antiderivative(f, bps)
-    atol = _ATOL * max(1.0, level)
-
-    def has_better_superset(a: float, b: float) -> bool:
-        """Any proper superinterval with average >= level - atol?
-
-        The best superset average over {a' <= a, b' >= b} is attained
-        with each endpoint at a breakpoint or at the interval's own,
-        so scanning those pairs is exact.
-        """
-        fa = float(_antiderivative(f, a))
-        fb = float(_antiderivative(f, b))
-        lefts = [(a, fa)] + [(x, v) for x, v in zip(bps, fvals) if x < a]
-        rights = [(b, fb)] + [(x, v) for x, v in zip(bps, fvals) if x > b]
-        # An endpoint of a family's extreme member can land on a
-        # breakpoint up to roundoff, so identify the interval with
-        # itself by tolerance, not exact equality.
-        tol_x = _ATOL * max(1.0, abs(a), abs(b))
-        for u, fu in lefts:
-            for w, fw in rights:
-                if abs(u - a) <= tol_x and abs(w - b) <= tol_x:
-                    continue
-                if fw - fu >= (level - atol) * (w - u):
-                    return True
-        return False
-
+    level = _positive(level)
+    xs, g, slope, pm, sm = _rising_sun(f, level)
     out: list[Interval] = []
-
-    def kill_zones_moving_left(w: float, fw: float) -> list[tuple[float, float]]:
-        """Ranges of a where the superset (a, w) averages >= level - atol;
-        per piece the condition is linear in a."""
-        zones = []
-        for p_lo, p_hi, p_slope, p_ord in pieces:
-            c0 = fw - p_ord - (level - atol) * w
-            c1 = (level - atol) - p_slope
-            lo, hi = p_lo, min(p_hi, w)
-            if hi <= lo:
-                continue
-            if abs(c1) < 1e-300:
-                if c0 >= 0:
-                    zones.append((lo, hi))
-                continue
-            root = -c0 / c1
-            zlo, zhi = (max(lo, root), hi) if c1 > 0 else (lo, min(hi, root))
-            if zhi >= zlo:
-                zones.append((zlo, zhi))
-        return zones
-
-    def kill_zones_moving_right(
-        u: float, fu: float, beta: float, delta: float
-    ) -> list[tuple[float, float]]:
-        """Parameter ranges of a where the superset (u, beta a + delta)
-        averages >= level - atol."""
-        zones = []
-        for q_lo, q_hi, q_slope, q_ord in pieces:
-            c0 = q_ord - fu + (level - atol) * u
-            c1 = q_slope - (level - atol)
-            blo, bhi = max(q_lo, u), q_hi
-            if bhi <= blo:
-                continue
-            if abs(c1) < 1e-300:
-                brange = (blo, bhi) if c0 >= 0 else None
+    for start in _superlevel_components(f, level)[0]:
+        c = sm[np.searchsorted(xs, start)]
+        while True:
+            # first breakpoint with G <= c, and last with G >= c
+            ja = int(np.searchsorted(-pm, -c))
+            jb = int(np.searchsorted(-sm, -c, side="right")) - 1
+            if ja == 0:
+                a = xs[0] - (c - g[0]) / level
             else:
-                root = -c0 / c1
-                brange = (max(blo, root), bhi) if c1 > 0 else (blo, min(bhi, root))
-                if brange[1] < brange[0]:
-                    brange = None
-            if brange is not None:
-                zones.append(((brange[0] - delta) / beta, (brange[1] - delta) / beta))
-        return zones
-
-    def emit_family(a0: float, a1: float, beta: float, delta: float) -> None:
-        """Members (a, beta a + delta) for a in [a0, a1], minus the
-        parameter zones where some proper superset reaches the level;
-        survivors are sampled densely enough that consecutive closures
-        overlap."""
-        if a1 < a0:
-            return
-        kills: list[tuple[float, float]] = []
-
-        def kill(lo: float, hi: float) -> None:
-            lo, hi = max(lo, a0), min(hi, a1)
-            if hi >= lo:
-                kills.append((lo, hi))
-
-        for u, fu in zip(bps, fvals):
-            for w, fw in zip(bps, fvals):
-                if w <= u:
-                    continue
-                if fw - fu >= (level - atol) * (w - u):
-                    kill(u, (w - delta) / beta)
-        for w, fw in zip(bps, fvals):
-            limit = (w - delta) / beta
-            for zlo, zhi in kill_zones_moving_left(w, fw):
-                kill(zlo, min(zhi, limit))
-        for u, fu in zip(bps, fvals):
-            for zlo, zhi in kill_zones_moving_right(u, fu, beta, delta):
-                kill(max(zlo, u), zhi)
-
-        for lo, hi in _subtract(a0, a1, kills):
-            length_lo = (beta * lo + delta) - lo
-            length_hi = (beta * hi + delta) - hi
-            step = 0.45 * max(min(length_lo, length_hi), 0.0)
-            samples = [lo, hi] if hi > lo else [lo]
-            if step > 0 and hi - lo > step:
-                inner = np.arange(lo + step, hi, step)
-                samples = sorted({lo, hi} | {float(x) for x in inner})
-            for a in samples:
-                b = beta * a + delta
-                if b - a > atol:
-                    out.append(Interval(a, b))
-
-    for i, (p_lo, p_hi, p_slope, p_ord) in enumerate(pieces):
-        for j, (q_lo, q_hi, q_slope, q_ord) in enumerate(pieces[i:], start=i):
-            sp = p_slope - level
-            sq = q_slope - level
-            if j == i:
-                if abs(sp) <= atol and p_hi > p_lo:
-                    out.append(Interval(p_lo, p_hi))
-                continue
-            const = q_ord - p_ord
-            scale = max(1.0, abs(p_ord), abs(q_ord))
-            if abs(sp) <= atol and abs(sq) <= atol:
-                if abs(const) <= atol * scale and q_hi > p_lo:
-                    out.append(Interval(p_lo, q_hi))
-                continue
-            if abs(sq) <= atol:
-                a = const / sp
-                if p_lo - atol <= a <= p_hi + atol and q_hi > a:
-                    out.append(Interval(min(max(a, p_lo), p_hi), q_hi))
-                continue
-            if abs(sp) <= atol:
-                b = -const / sq
-                if q_lo - atol <= b <= q_hi + atol and b > p_lo:
-                    out.append(Interval(p_lo, min(max(b, q_lo), q_hi)))
-                continue
-            if sp > 0 or sq > 0:
-                # A slope above the level at an end means extending that
-                # end raises the average: interior members of such
-                # families are never maximal, and their boundary members
-                # reappear in a neighbouring pair's family.
-                continue
-            beta = sp / sq
-            delta = -const / sq
-            blo_a = (q_lo - delta) / beta
-            bhi_a = (q_hi - delta) / beta
-            a0 = max(p_lo, min(blo_a, bhi_a))
-            a1 = min(p_hi, max(blo_a, bhi_a))
-            emit_family(a0, a1, beta, delta)
-
-    out = [iv for iv in out if not has_better_superset(iv.lo, iv.hi)]
-    out.sort(key=lambda iv: (iv.lo, iv.hi))
-    deduped: list[Interval] = []
-    for iv in out:
-        if deduped and abs(iv.lo - deduped[-1].lo) <= atol and abs(
-            iv.hi - deduped[-1].hi
-        ) <= atol:
-            continue
-        deduped.append(iv)
-    return deduped
-
-
-def _subtract(lo: float, hi: float, kills: list[tuple[float, float]]):
-    """[lo, hi] minus a union of closed intervals, as a list of segments."""
-    if hi < lo:
-        return []
-    segments = [(lo, hi)]
-    for klo, khi in sorted(kills):
-        nxt = []
-        for slo, shi in segments:
-            if khi < slo or klo > shi:
-                nxt.append((slo, shi))
-                continue
-            if klo > slo:
-                nxt.append((slo, klo))
-            if khi < shi:
-                nxt.append((khi, shi))
-        segments = nxt
-        if not segments:
-            break
-    return segments
+                a = xs[ja] + (c - g[ja]) / slope[ja - 1]
+            if jb == len(g) - 1:
+                b = xs[-1] + (g[-1] - c) / level
+            else:
+                b = xs[jb] + (c - g[jb]) / slope[jb]
+            if a < b:
+                out.append(Interval(a, b))
+            if pm[jb] >= c:
+                break
+            c = pm[jb]
+    return out
 
 
 def level_report(f: StepFunction, level: float) -> LevelSetReport:
@@ -507,10 +306,9 @@ def maximal_variation_check(
     var_f = variation(g)
     if max_mf == 0.0:
         return VariationReport((), 0.0, 0.0, True)
-    table = _PieceTable(g)
 
     def components_at(level: float) -> int:
-        return len(_superlevel_components(table, level)[0])
+        return len(_superlevel_components(g, level)[0])
 
     grid = [
         max_mf * j / (level_grid_size + 1) for j in range(1, level_grid_size + 1)

@@ -9,6 +9,7 @@ agreement is meaningful evidence and not a tautology.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -155,6 +156,49 @@ def maximal_function_oracle_grid(f: StepFunction, xs: np.ndarray) -> np.ndarray:
             mask = (xs > bps[p]) & (xs < bps[q])
             np.maximum(best, np.where(mask, avg, -np.inf), out=best)
     return best
+
+
+def exact_antiderivative(f: StepFunction):
+    """F(t) of |f| with F(x_0) = 0, as a function of t returning a
+    Fraction; floats convert exactly, so dyadic data gives exact values."""
+    xs = [Fraction(x) for x in f.breakpoints]
+    vs = [abs(Fraction(v)) for v in f.values]
+
+    def F(t) -> Fraction:
+        t = Fraction(t)
+        return sum(
+            (v * (min(t, hi) - lo) for lo, hi, v in zip(xs, xs[1:], vs) if t > lo),
+            Fraction(0),
+        )
+
+    return F
+
+
+def exact_average(f: StepFunction, a, b) -> Fraction:
+    """Average of |f| over (a, b) in rational arithmetic."""
+    a, b = Fraction(a), Fraction(b)
+    F = exact_antiderivative(f)
+    return (F(b) - F(a)) / (b - a)
+
+
+def exact_maximal_function_at(f: StepFunction, x) -> Fraction:
+    """Mf(x) in rational arithmetic: the largest average over intervals
+    whose ends are breakpoints or x itself, with x in the closure.
+
+    For fixed b the average over (a, b) is monotone in a across a piece
+    of F, so an optimal end sits at a breakpoint or at x; an end running
+    off into a zero tail drives the average to 0.
+    """
+    F = exact_antiderivative(f)
+    x = Fraction(x)
+    bps = [Fraction(p) for p in f.breakpoints]
+    lefts = [p for p in bps if p < x] + [x]
+    rights = [x] + [p for p in bps if p > x]
+    values = {t: F(t) for t in lefts + rights}
+    return max(
+        [Fraction(0)]
+        + [(values[b] - values[a]) / (b - a) for a in lefts for b in rights if a < b]
+    )
 
 
 def variation_oracle(f: StepFunction) -> float:

@@ -139,6 +139,48 @@ class TestResolveConfig:
         assert cfg.lam == 0.25
 
 
+# Config key -> (value text, RunConfig field, parsed value); each flag is
+# "--" plus the key with "_" written "-".
+KEY_SAMPLES = {
+    "input": ("in.txt", "input_path", "in.txt"),
+    "output": ("out.txt", "output_path", "out.txt"),
+    "seed": ("17", "seed", 17),
+    "dim": ("3", "dimension", 3),
+    "eps": ("0.125", "eps", 0.125),
+    "eps_list": ("0.05,0.02", "eps_list", (0.05, 0.02)),
+    "delta": ("0.3", "delta", 0.3),
+    "lambda": ("0.25", "lam", 0.25),
+    "level": ("1.1", "level", 1.1),
+    "levels": ("40", "levels", 40),
+    "samples": ("500", "samples", 500),
+    "algorithm": ("perimeter-vitali", "algorithm", "perimeter-vitali"),
+    "jobs": ("2", "jobs", 2),
+    "kind": ("surrounded", "kind", "surrounded"),
+    "count": ("12", "count", 12),
+    "tiny_radius": ("0.05", "tiny_radius", 0.05),
+    "n_max": ("123", "n_max", 123),
+    "box_half_width": ("2.5", "box_half_width", 2.5),
+    "check": ("prop16", "check", "prop16"),
+    "grid": ("50", "grid", 50),
+    "d_list": ("2,5", "d_list", (2, 5)),
+}
+
+
+def test_every_config_key_has_a_sample():
+    assert sorted(KEY_SAMPLES) == sorted(cli._KEY_SPECS)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_SAMPLES))
+def test_flag_and_config_line_give_the_same_config(tmp_path, key):
+    text, field, value = KEY_SAMPLES[key]
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key}={text}\n")
+    from_file = resolve_config(["generate", "--config", str(conf)])
+    from_flag = resolve_config(["generate", "--" + key.replace("_", "-"), text])
+    assert from_flag == from_file
+    assert getattr(from_flag, field) == value
+
+
 # ---------------------------------------------------------------------------
 # exit statuses
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ variation comparison against a summed-jumps oracle, on hand-built and
 randomly generated step functions.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,8 @@ from ballcover.maximal1d import (
 )
 
 from oracles import (
+    exact_average,
+    exact_maximal_function_at,
     maximal_function_oracle_at,
     maximal_function_oracle_grid,
     random_step_function,
@@ -306,6 +309,64 @@ class TestSuperlevelSlivers:
 
 
 # ---------------------------------------------------------------------------
+# components and maximal intervals against the exact oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def dyadic_levels(draw):
+    """A step function with breakpoints in 1/16 steps and values in 1/8
+    steps, and a level j / 1024 of its largest value, so that floats
+    hold the data and the exact oracle sees it without rounding."""
+    k = draw(st.integers(1, 7))
+    start = draw(st.integers(-48, 48))
+    gaps = draw(st.lists(st.integers(1, 40), min_size=k, max_size=k))
+    steps = draw(st.lists(st.integers(0, 24), min_size=k, max_size=k))
+    if max(steps) == 0:
+        steps[draw(st.integers(0, k - 1))] = draw(st.integers(1, 24))
+    xs = np.cumsum([start] + gaps) / 16.0
+    f = StepFunction(tuple(xs.tolist()), tuple(v / 8.0 for v in steps))
+    level = max(f.values) * draw(st.integers(1, 1024)) / 1024.0
+    return f, level
+
+
+def _offset(f):
+    return 1e-9 * max(1.0, max(abs(x) for x in f.breakpoints))
+
+
+class TestAgainstExactOracle:
+    @given(dyadic_levels())
+    @settings(max_examples=80)
+    def test_component_ends(self, case):
+        # Mf >= level just inside each end, Mf < level just outside,
+        # unless the outside point falls in a neighbouring component.
+        f, level = case
+        h = _offset(f)
+        comps = [(c.lo, c.hi) for c in maximal_superlevel(f, level)]
+        assert comps
+        for lo, hi in comps:
+            assert hi - lo > 2 * h
+            assert exact_maximal_function_at(f, lo + h) >= level
+            assert exact_maximal_function_at(f, hi - h) >= level
+            for t in (lo - h, hi + h):
+                if not any(a - h <= t <= b + h for a, b in comps if (a, b) != (lo, hi)):
+                    assert exact_maximal_function_at(f, t) < level
+
+    @given(dyadic_levels())
+    @settings(max_examples=80)
+    def test_members_average_the_level_and_are_maximal(self, case):
+        f, level = case
+        h = _offset(f)
+        members = maximal_intervals(f, level)
+        assert members
+        for iv in members:
+            avg = exact_average(f, iv.lo, iv.hi)
+            assert abs(avg - level) <= 1e-12 * level
+            assert exact_average(f, iv.lo - h, iv.hi) < level
+            assert exact_average(f, iv.lo, iv.hi + h) < level
+
+
+# ---------------------------------------------------------------------------
 # level_report
 # ---------------------------------------------------------------------------
 
@@ -409,3 +470,16 @@ class TestMaximalVariationCheck:
         rep = maximal_variation_check(f, level_grid_size=25)
         assert rep.passed
         assert rep.var_mf_lower_bound <= rep.var_f + 1e-9
+
+    def test_reports_match_recorded_digest(self):
+        # sha256 of the reports' reprs, recorded before the superlevel
+        # components were computed from F - level x: the rewrite had to
+        # leave every count, skip flag and certified bound unchanged.
+        rng = np.random.default_rng([204, 5])
+        functions = [random_step_function(rng) for _ in range(60)] + [SLIVER]
+        digest = hashlib.sha256()
+        for f in functions:
+            digest.update(repr(maximal_variation_check(f, 200)).encode())
+        assert digest.hexdigest() == (
+            "5529051c322f50db5380c8f308aff20f58831826f6cf27027ceed105df1bcd91"
+        )
