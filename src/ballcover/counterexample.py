@@ -184,7 +184,7 @@ class _PackingState:
         arcs = self.blocked_arcs(rho, r)
         if arcs is None:
             return np.empty(0), np.empty(0)
-        return _uncovered_arcs(*arcs, 0.0)
+        return _uncovered_arcs(*arcs)
 
     def add(self, rho: float, angle: float, r: float) -> None:
         k = int(np.searchsorted(self._disks[0], angle))

@@ -20,8 +20,17 @@ from .maximal1d import StepFunction
 from .selection import SelectionResult
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(value) -> str:
+    """Shortest round-trip text of a float (numpy scalars included), and
+    of dicts, lists and tuples of them; anything else as ``str``."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, dict):
+        inner = ",".join(f"{k}:{_fmt(v)}" for k, v in sorted(value.items()))
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "(" + ",".join(_fmt(v) for v in value) + ")"
+    return str(value)
 
 
 def atomic_write_text(path: str, text: str) -> None:

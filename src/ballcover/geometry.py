@@ -160,21 +160,20 @@ def unit_ball_volume(dim: int) -> float:
     """Volume of the unit ball, pi^(d/2) / Gamma(d/2 + 1)."""
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
+    if dim == 1:
+        # the formula rounds to 1.9999999999999998
+        return 2.0
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
-def ball_volume(ball: Ball, dim: int | None = None) -> float:
+def ball_volume(ball: Ball) -> float:
     """Lebesgue volume of a ball."""
-    d = ball.dimension if dim is None else int(dim)
-    _require_dim_match(ball, d)
-    return unit_ball_volume(d) * ball.radius**d
+    return unit_ball_volume(ball.dimension) * ball.radius**ball.dimension
 
 
-def ball_surface(ball: Ball, dim: int | None = None) -> float:
+def ball_surface(ball: Ball) -> float:
     """Perimeter (surface measure) of a ball; counts both endpoints for d = 1."""
-    d = ball.dimension if dim is None else int(dim)
-    _require_dim_match(ball, d)
-    return _surface(ball.radius, d)
+    return _surface(ball.radius, ball.dimension)
 
 
 def _surface(radius: float, dim: int) -> float:
@@ -182,13 +181,6 @@ def _surface(radius: float, dim: int) -> float:
     if dim == 1:
         return 2.0
     return dim * unit_ball_volume(dim) * radius ** (dim - 1)
-
-
-def _require_dim_match(ball: Ball, dim: int) -> None:
-    if dim != ball.dimension:
-        raise ValueError("dimension argument does not match ball dimension")
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
 
 
 def _seg_series(x):
@@ -274,17 +266,14 @@ def _lens_volumes(r1, r2, rho, dim: int) -> np.ndarray:
     return out
 
 
-def lens_volume(b1: Ball, b2: Ball, dim: int | None = None) -> float:
+def lens_volume(b1: Ball, b2: Ball) -> float:
     """Volume of the intersection of two balls.
 
     Two caps cut off by the radical hyperplane: an overlap length in
     d = 1, circular segments in d = 2 and incomplete-beta spherical
     caps for d >= 3 (full relative accuracy at every overlap width).
     """
-    d = b1.dimension if dim is None else int(dim)
-    _require_dim_match(b1, d)
-    _require_dim_match(b2, d)
-    return _lens(b1.radius, b2.radius, math.dist(b1.center, b2.center), d)
+    return _lens(b1.radius, b2.radius, math.dist(b1.center, b2.center), b1.dimension)
 
 
 def parabolic_cap_volume(t: float, dim: int) -> float:
@@ -410,8 +399,9 @@ def meeting_pairs(
     Returns ``first < second`` in lexicographic order and the distances
     sqrt(sum((c_i - c_j)^2)).  One kd-tree query of radius 2 r_i per
     ball keeps its partners no larger than it (equal radii go to the
-    lower index).  A relative slack of 1e-9 absorbs the tree's rounding
-    and the callers' own distance formulas, which decide exactly.
+    lower index).  A relative slack of 1e-9 absorbs the tree's rounding;
+    the distances returned here then decide exactly, for this function
+    and for every caller (the arc layer takes them as they are).
     """
     from scipy.spatial import cKDTree
 
@@ -490,31 +480,33 @@ def _split_arcs(
 
 
 def _uncovered_arcs(
-    starts: np.ndarray, ends: np.ndarray, min_width: float
+    starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps of [0, 2*pi] outside a union of segments, keeping those wider
-    than min_width."""
+    """Gaps of positive width in [0, 2*pi] outside a union of segments."""
     lo, hi = union_components(starts, ends)
     gap_lo = np.concatenate(([0.0], hi))
     gap_hi = np.concatenate((lo, [TWO_PI]))
-    keep = gap_hi - gap_lo > min_width
+    keep = gap_hi - gap_lo > 0.0
     return gap_lo[keep], gap_hi[keep]
 
 
 def _leaves_gap(starts: np.ndarray, ends: np.ndarray) -> bool:
     """Whether segments of [0, 2*pi] leave part of it uncovered: the
-    answer of a nonempty ``_uncovered_arcs(starts, ends, 0.0)`` without
+    answer of a nonempty ``_uncovered_arcs(starts, ends)`` without
     building the gaps.  The segments cover the circle only as a single
     component from 0 to 2*pi."""
     lo, hi = union_components(starts, ends)
     return bool(lo.size != 1 or lo[0] > 0.0 or hi[0] < TWO_PI)
 
 
-def free_arcs_2d(balls: BallCollection) -> list[list[tuple[float, float]]]:
+def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uncovered angular arcs of every circle against all other open disks.
 
-    Entry i lists disjoint (lo, hi) pieces of [0, 2pi]; coincident
-    duplicates and fully covered circles get an empty list.
+    Returns flat arrays (circle, lo, hi), sorted by circle and then by
+    angle: circle i's free arcs are the disjoint pieces (lo, hi) of
+    [0, 2pi] at the entries equal to i.  Coincident duplicates and fully
+    covered circles have none, and arcs below ARC_TOL are dropped.  The
+    partners and center distances come from ``neighbor_lists``.
     """
     if balls.dimension != 2:
         raise ValueError("free_arcs_2d needs dimension 2")
@@ -522,43 +514,39 @@ def free_arcs_2d(balls: BallCollection) -> list[list[tuple[float, float]]]:
     centers, radii = balls.centers, balls.radii
     start, partner, rho = neighbor_lists(centers, radii)
     rep = _coincidence_groups(radii, start, partner, rho)
-    arcs: list[list[tuple[float, float]]] = []
-    for i in range(n):
-        if rep[i] != i:
-            arcs.append([])
-            continue
-        thetas, phis = [], []
-        full = False
-        for j in partner[start[i] : start[i + 1]].tolist():
-            if rep[j] != j:
-                continue
-            dx = centers[j] - centers[i]
-            dist = math.hypot(dx[0], dx[1])
-            if dist >= radii[i] + radii[j]:
-                continue
-            if dist <= COINCIDENCE_TOL:
-                if radii[j] > radii[i]:
-                    full = True
-                    break
-                continue
-            cosphi = (dist * dist + radii[i] ** 2 - radii[j] ** 2) / (
-                2.0 * dist * radii[i]
-            )
-            if cosphi <= -1.0:
-                full = True
-                break
-            if cosphi >= 1.0:
-                continue
-            thetas.append(math.atan2(dx[1], dx[0]))
-            phis.append(math.acos(cosphi))
-        if full:
-            arcs.append([])
-            continue
-        lo, hi = _uncovered_arcs(
-            *_split_arcs(np.array(thetas), np.array(phis)), ARC_TOL
-        )
-        arcs.append(list(zip(lo.tolist(), hi.tolist())))
-    return arcs
+    free = rep == np.arange(n)
+    owner = np.repeat(np.arange(n), np.diff(start))
+    pair = free[owner] & free[partner]
+    owner, partner, rho = owner[pair], partner[pair], rho[pair]
+    r, s = radii[owner], radii[partner]
+    # the partner covers the angles within phi of its direction theta; at
+    # a coincident center it covers all of a smaller circle or none
+    same = rho <= COINCIDENCE_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosphi = (rho * rho + r * r - s * s) / (2.0 * rho * r)
+    free[owner[np.where(same, s > r, cosphi <= -1.0)]] = False
+    arc = ~same & (cosphi < 1.0) & free[owner]
+    circle, phi = owner[arc], np.arccos(cosphi[arc])
+    toward = centers[partner[arc]] - centers[circle]
+    lo, hi = _split_arcs(np.arctan2(toward[:, 1], toward[:, 0]), phi)
+    # the pieces past 2pi that _split_arcs appends, wrapped to 0
+    circle = np.concatenate([circle, circle[lo[: circle.size] + 2.0 * phi > TWO_PI]])
+    # Sweep every circle at once: 0 and 2pi bracket its arcs, which step
+    # the cover count up at their starts and down at their ends, starts
+    # first at a tie.  Each circle's steps sum to zero, so one running sum
+    # serves all, and a circle is free between an event where the count
+    # is 0 and its next event.
+    ring = np.flatnonzero(free)
+    counts = [ring.size, lo.size, hi.size, ring.size]
+    at = np.concatenate([np.zeros(ring.size), lo, hi, np.full(ring.size, TWO_PI)])
+    who = np.concatenate([ring, circle, circle, ring])
+    kind = np.repeat(np.arange(4), counts)
+    order = np.lexsort((kind, at, who))
+    at, who = at[order], who[order]
+    depth = np.cumsum(np.repeat([0, 1, -1, 0], counts)[order])
+    gap = np.flatnonzero((depth[:-1] == 0) & (who[:-1] == who[1:]))
+    gap = gap[at[gap + 1] - at[gap] > ARC_TOL]
+    return who[gap], at[gap], at[gap + 1]
 
 
 def union_perimeter_2d(balls: BallCollection) -> PerimeterEstimate:
@@ -575,26 +563,22 @@ def free_arc_lengths_2d(balls: BallCollection) -> list[float]:
 
     Entries sum to the exact union perimeter of ``union_perimeter_2d``.
     """
-    return [
-        r * sum(hi - lo for lo, hi in pieces)
-        for r, pieces in zip(balls.radii.tolist(), free_arcs_2d(balls))
-    ]
+    circle, lo, hi = free_arcs_2d(balls)
+    return (balls.radii * np.bincount(circle, hi - lo, len(balls))).tolist()
 
 
-def _clip_arcs_to_window(
-    pieces: list[tuple[float, float]], window: tuple[float, float]
-) -> float:
-    """Total length of arc pieces inside one angular window (mod 2pi)."""
-    start = window[0] % TWO_PI
-    end = start + min(window[1] - window[0], TWO_PI)
-    segs = [(start, end)]
-    if end > TWO_PI:
-        segs = [(start, TWO_PI), (0.0, end - TWO_PI)]
-    total = 0.0
-    for slo, shi in segs:
-        for lo, hi in pieces:
-            total += max(0.0, min(hi, shi) - max(lo, slo))
-    return total
+def _free_length_in_windows(balls: BallCollection, start, end) -> float:
+    """Length of the union boundary inside one angular window (start, end)
+    (mod 2pi) per circle."""
+    circle, lo, hi = free_arcs_2d(balls)
+    width = np.minimum(end[circle] - start[circle], TWO_PI)
+    start = start[circle] % TWO_PI
+    end = start + width
+    # a window past 2pi wraps to a second piece from 0
+    head = np.maximum(0.0, np.minimum(hi, end) - np.maximum(lo, start))
+    tail = np.maximum(0.0, np.minimum(hi, end - TWO_PI) - lo)
+    inside = np.bincount(np.tile(circle, 2), np.concatenate([head, tail]), len(balls))
+    return sum((balls.radii * inside).tolist(), 0.0)
 
 
 def free_arc_length_halfplane(
@@ -606,41 +590,32 @@ def free_arc_length_halfplane(
     """
     if side not in ("le", "ge"):
         raise ValueError("side must be 'le' or 'ge'")
-    arcs = free_arcs_2d(balls)
-    total = 0.0
-    for x, r, pieces in zip(balls.centers[:, 0].tolist(), balls.radii.tolist(), arcs):
-        if not pieces:
-            continue
-        # the circle crosses the line x_1 = threshold at angles +-t
-        t = math.acos(min(1.0, max(-1.0, (threshold - x) / r)))
-        window = (t, TWO_PI - t) if side == "le" else (-t, t)
-        total += r * _clip_arcs_to_window(pieces, window)
-    return total
+    # each circle crosses the line x_1 = threshold at angles +-t
+    x, r = balls.centers[:, 0], balls.radii
+    t = np.arccos(np.clip((float(threshold) - x) / r, -1.0, 1.0))
+    if side == "le":
+        return _free_length_in_windows(balls, t, TWO_PI - t)
+    return _free_length_in_windows(balls, -t, t)
 
 
 def free_arc_length_in_disk(
     balls: BallCollection, center: tuple[float, float], radius: float
 ) -> float:
     """Length of the union boundary inside one probe disk."""
-    arcs = free_arcs_2d(balls)
-    cx, cy = float(center[0]), float(center[1])
-    total = 0.0
-    for (x, y), r, pieces in zip(balls.centers.tolist(), balls.radii.tolist(), arcs):
-        if not pieces:
-            continue
-        dx, dy = cx - x, cy - y
-        dist = math.hypot(dx, dy)
-        if dist + r <= radius:
-            window = (0.0, TWO_PI)
-        elif dist >= r + radius or dist <= COINCIDENCE_TOL:
-            continue
-        else:
-            c = (dist * dist + r**2 - radius * radius) / (2.0 * dist * r)
-            phi = math.acos(min(1.0, max(-1.0, c)))
-            theta = math.atan2(dy, dx)
-            window = (theta - phi, theta + phi)
-        total += r * _clip_arcs_to_window(pieces, window)
-    return total
+    toward = np.array(center, dtype=float) - balls.centers
+    r, radius = balls.radii, float(radius)
+    dist = np.hypot(toward[:, 0], toward[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (dist * dist + r * r - radius * radius) / (2.0 * dist * r)
+    phi = np.arccos(np.clip(c, -1.0, 1.0))
+    theta = np.arctan2(toward[:, 1], toward[:, 0])
+    # a circle inside the probe counts whole; one outside it or at its
+    # center gets an empty window
+    whole = dist + r <= radius
+    none = ~whole & ((dist >= r + radius) | (dist <= COINCIDENCE_TOL))
+    start = np.where(whole | none, 0.0, theta - phi)
+    end = np.where(whole, TWO_PI, np.where(none, 0.0, theta + phi))
+    return _free_length_in_windows(balls, start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -757,11 +732,10 @@ def union_perimeter(
     return union_perimeter_mc(balls, samples_per_ball, seed)
 
 
-def halfspace_cut_data(ball: Ball, offset: float, dim: int | None = None):
+def halfspace_cut_data(ball: Ball, offset: float):
     """Volumes on both sides of the plane {x_1 = offset from center} and
     the (d-1)-volume of the slice; requires |offset| < radius."""
-    d = ball.dimension if dim is None else int(dim)
-    _require_dim_match(ball, d)
+    d = ball.dimension
     offset = float(offset)
     r = ball.radius
     if not abs(offset) < r:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .counterexample import SurroundedBallConfig, build_surrounded_ball
+from .formats import _fmt
 from .geometry import (
     Ball,
     BallCollection,
@@ -500,17 +501,6 @@ def _corpus_worker(packed) -> CheckReport:
 # --------------------------------------------------------------------------
 # report emission
 # --------------------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, dict):
-        inner = ",".join(f"{k}:{_fmt(v)}" for k, v in sorted(value.items()))
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "(" + ",".join(_fmt(v) for v in value) + ")"
-    return str(value)
 
 
 def format_report(report: CheckReport) -> str:

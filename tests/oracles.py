@@ -9,6 +9,7 @@ agreement is meaningful evidence and not a tautology.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,70 @@ def ring_family_perimeter_oracle(k: int, tiny_radius: float) -> float:
     big_arc = 2.0 * math.acos(min(1.0, max(-1.0, cos_big)))
     tiny_arc = 2.0 * math.acos(min(1.0, max(-1.0, cos_tiny)))
     return (2.0 * math.pi - k * big_arc) + k * t * (2.0 * math.pi - tiny_arc)
+
+
+def _covered_angle(arcs) -> float:
+    """Length of the union of angular arcs (direction, half-width) of a
+    circle, by sorting their pieces on [0, 2pi) and merging in a loop."""
+    pieces = []
+    for theta, w in arcs:
+        if w >= math.pi:
+            return 2.0 * math.pi
+        lo = (theta - w) % (2.0 * math.pi)
+        pieces.append((lo, min(lo + 2.0 * w, 2.0 * math.pi)))
+        if lo + 2.0 * w > 2.0 * math.pi:
+            pieces.append((0.0, lo + 2.0 * w - 2.0 * math.pi))
+    total, run = 0.0, None
+    for lo, hi in sorted(pieces):
+        if run is not None and lo <= run[1]:
+            run[1] = max(run[1], hi)
+            continue
+        if run is not None:
+            total += run[1] - run[0]
+        run = [lo, hi]
+    return total if run is None else total + run[1] - run[0]
+
+
+def free_arc_lengths_oracle(balls: BallCollection) -> list[float]:
+    """Length of each circle's part on the boundary of the union of the
+    disks, brute force over all pairs.
+
+    Each center distance is taken in 50-digit decimal arithmetic from
+    the exact values of the float inputs, and each covered arc's
+    half-width as atan2(h, offset), with h the half-chord from Heron's
+    formula and offset the signed distance of the chord from the center:
+    stable at every overlap width, unlike an arccos of a cosine near 1.
+    Equal disks count once, at their lowest index; a circle is free
+    wherever no other open disk covers it.
+    """
+    centers, radii = balls.centers.tolist(), balls.radii.tolist()
+    out, seen = [], set()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for i, ((xi, yi), ri) in enumerate(zip(centers, radii)):
+            if (xi, yi, ri) in seen:
+                out.append(0.0)
+                continue
+            seen.add((xi, yi, ri))
+            a, arcs = Decimal(ri), []
+            for j, ((xj, yj), rj) in enumerate(zip(centers, radii)):
+                if j == i or math.hypot(xj - xi, yj - yi) > 2.0 * (ri + rj):
+                    continue
+                b = Decimal(rj)
+                dx, dy = Decimal(xj) - Decimal(xi), Decimal(yj) - Decimal(yi)
+                d = (dx * dx + dy * dy).sqrt()
+                if d >= a + b or d + b <= a:
+                    continue  # j misses the circle or lies inside it
+                if d + a <= b:
+                    arcs = [(0.0, math.pi)]  # j covers the whole circle
+                    break
+                heron = (a + b + d) * (a + b - d) * (d + a - b) * (d - a + b)
+                h = heron.sqrt() / (2 * d)
+                offset = (d * d + a * a - b * b) / (2 * d)
+                theta = math.atan2(float(dy), float(dx))
+                arcs.append((theta, math.atan2(float(h), float(offset))))
+            out.append(ri * (2.0 * math.pi - _covered_angle(arcs)))
+    return out
 
 
 def random_step_function(rng: np.random.Generator, max_pieces: int = 12) -> StepFunction:

@@ -5,10 +5,11 @@
 exactly the text it read for values at the edges of the float range.
 """
 
+import numpy as np
 import pytest
 
 from ballcover.cli import main
-from ballcover.formats import dump_balls, load_balls
+from ballcover.formats import _fmt, dump_balls, load_balls
 
 REJECTED = {
     "empty": "",
@@ -64,3 +65,12 @@ def test_dump_writes_back_what_load_read(text):
 def test_comments_and_blank_lines_skipped():
     balls = load_balls("# made by hand\n\n1 2\n  0.5 1  \n# between\n2 0.25\n")
     assert dump_balls(balls) == "1 2\n0.5 1.0\n2.0 0.25\n"
+
+
+def test_fmt_writes_numpy_floats_as_plain_floats():
+    # numpy 2 reprs its scalars as np.float64(...); the text must not
+    # depend on numpy's version
+    assert _fmt(np.float64(0.1)) == "0.1"
+    assert _fmt(0.1) == "0.1"
+    assert _fmt({3: np.float64(0.25), 2: 1.5}) == "{2:1.5,3:0.25}"
+    assert _fmt((1, np.float64(2.0))) == "(1,2.0)"

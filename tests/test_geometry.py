@@ -22,6 +22,7 @@ from ballcover.geometry import (
     center_distance_for_overlap,
     free_arc_length_halfplane,
     free_arc_length_in_disk,
+    free_arc_lengths_2d,
     free_arcs_2d,
     halfspace_cut_data,
     lens_volume,
@@ -35,6 +36,8 @@ from ballcover.geometry import (
     unit_ball_volume,
 )
 
+from ballcover.harness import random_collection
+
 import oracles
 
 
@@ -43,7 +46,7 @@ import oracles
 
 
 def test_unit_ball_volume_frozen_values():
-    assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-15)
+    assert unit_ball_volume(1) == 2.0
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
@@ -54,6 +57,12 @@ def test_unit_ball_volume_gamma_formula(dim):
     assert unit_ball_volume(dim) == pytest.approx(
         oracles.unit_ball_volume_gamma(dim), rel=1e-14
     )
+
+
+@pytest.mark.parametrize("r", [0.1, 0.3, 1.0, 7.0])
+def test_full_interval_cap_is_the_whole_ball(r):
+    full = geometry._cap_volumes(np.array([r]), np.array([-r]), 1)
+    assert full[0] / (unit_ball_volume(1) * r) == 1.0
 
 
 def test_unit_ball_volume_zero_dim_is_one():
@@ -427,7 +436,7 @@ def test_split_arcs_matches_modulo_form(arcs):
 def _gap_total_rule(starts, ends) -> bool:
     """The feasibility rule ``_leaves_gap`` replaces: the gaps of
     ``_uncovered_arcs`` have positive total width."""
-    lo, hi = geometry._uncovered_arcs(starts, ends, 0.0)
+    lo, hi = geometry._uncovered_arcs(starts, ends)
     return float((hi - lo).sum()) > 0.0
 
 
@@ -525,18 +534,94 @@ def test_free_arcs_cover_angles_exactly():
     centers = rng.uniform(-1.5, 1.5, size=(12, 2))
     radii = np.exp(rng.uniform(np.log(0.2), np.log(1.0), 12))
     balls = BallCollection(2, [Ball(tuple(c), float(r)) for c, r in zip(centers, radii)])
-    arcs = free_arcs_2d(balls)
-    # Probe each reported free arc midpoint: it must lie outside all
-    # other open disks; probe covered midpoints: inside some other disk.
-    for i, pieces in enumerate(arcs):
-        for lo, hi in pieces:
-            mid = 0.5 * (lo + hi)
-            pt = np.array(balls[i].center) + balls[i].radius * np.array(
-                [math.cos(mid), math.sin(mid)]
-            )
-            dists = np.linalg.norm(balls.centers - pt, axis=1) - balls.radii
-            dists[i] = 0.0
-            assert dists.min() > -1e-9
+    circle, lo, hi = free_arcs_2d(balls)
+    assert np.array_equal(np.lexsort((lo, circle)), np.arange(circle.size))
+    assert np.all(hi - lo > ARC_TOL)
+    # Probe the midpoint of each reported free arc: it must lie outside
+    # all other open disks; probe the midpoint of each covered arc
+    # between them: it must lie inside some other disk.
+    probed = {True: 0, False: 0}
+    for i in range(len(balls)):
+        free = np.column_stack([lo[circle == i], hi[circle == i]])
+        covered = np.concatenate([[0.0], free.ravel(), [TWO_PI]]).reshape(-1, 2)
+        assert np.all(np.diff(covered.ravel()) >= 0.0)
+        for is_free, arcs in ((True, free), (False, covered)):
+            for a, b in arcs.tolist():
+                if b - a <= ARC_TOL:
+                    continue
+                mid = 0.5 * (a + b)
+                toward = np.array([math.cos(mid), math.sin(mid)])
+                pt = balls.centers[i] + balls.radii[i] * toward
+                dists = np.linalg.norm(balls.centers - pt, axis=1) - balls.radii
+                dists[i] = np.inf
+                assert dists.min() > -1e-9 if is_free else dists.min() < 1e-9
+                probed[is_free] += 1
+    assert probed[True] == circle.size and probed[False] > 0
+
+
+def _lengths_against_oracle(balls, closed_forms=()):
+    got = free_arc_lengths_2d(balls)
+    want = oracles.free_arc_lengths_oracle(balls)
+    assert len(got) == len(want) == len(balls)
+    for g, w, r in zip(got, want, balls.radii.tolist()):
+        assert abs(g - w) <= 1e-12 * r
+    for i, length in closed_forms:
+        assert got[i] == pytest.approx(length, rel=1e-14, abs=1e-14)
+
+
+def test_free_arc_lengths_match_decimal_oracle_on_corpus():
+    for i in range(60):
+        _lengths_against_oracle(random_collection(2, [209, i]))
+
+
+def test_packing_perimeter_matches_decimal_oracle():
+    from ballcover.counterexample import SurroundedBallConfig, build_surrounded_ball
+
+    cfg = SurroundedBallConfig(eps=0.05, delta=0.3, n_max=150, seed=7)
+    packing = build_surrounded_ball(cfg)
+    want = math.fsum(oracles.free_arc_lengths_oracle(packing))
+    assert union_perimeter_2d(packing).value == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "disks, closed_forms",
+    [
+        pytest.param(
+            [(0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+            [(0, 0.0)],
+            id="covered-together-not-alone",
+        ),
+        pytest.param(
+            [(0, 0, 1), (0.5, 0, 1.5)],
+            [(0, 0.0), (1, 3 * math.pi)],
+            id="internal-tangency",
+        ),
+        pytest.param(
+            [(0, 0, 1), (2, 0, 1)], [(0, TWO_PI), (1, TWO_PI)], id="external-tangency"
+        ),
+        pytest.param(
+            [(0, 0, 1), (1, 0, 1)],
+            [(0, 4 * math.pi / 3), (1, 4 * math.pi / 3)],
+            id="covered-arc-wraps",
+        ),
+        pytest.param(
+            [(0, 0, 1), (1, -0.25, 0.75)], [], id="covered-arc-wraps-off-axis"
+        ),
+        pytest.param(
+            [(0, 0, 1), (-1, 0, 1)], [(0, 4 * math.pi / 3)], id="free-arc-wraps"
+        ),
+        pytest.param(
+            [(0, 0, 1), (0, 0, 2), (0, 0, 1), (2.5, 0, 1)],
+            [(0, 0.0), (2, 0.0)],
+            id="duplicate-beside-larger-coincident",
+        ),
+        pytest.param(
+            [(0, 0, 1), (5, 5, 0.5), (0.5, 0, 1)], [(1, math.pi)], id="no-partner"
+        ),
+    ],
+)
+def test_free_arc_lengths_edge_cases(disks, closed_forms):
+    _lengths_against_oracle(_collection(disks), closed_forms)
 
 
 def test_union_perimeter_dispatcher_dimensions():

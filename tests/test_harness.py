@@ -256,9 +256,10 @@ class TestCheckExample14Rate:
         for i, eps in enumerate(eps_list):
             cfg = SurroundedBallConfig(eps=eps, delta=0.3, n_max=40, seed=1)
             packing, records = build_surrounded_ball_detailed(cfg)
+            circle, lo, hi = free_arcs_2d(packing)
             lengths = [
-                b.radius * sum(hi - lo for lo, hi in pieces)
-                for b, pieces in zip(packing, free_arcs_2d(packing))
+                r * sum((hi - lo)[circle == i].tolist())
+                for i, r in enumerate(packing.radii.tolist())
             ]
             perimeter = math.fsum(lengths)
             bare = lengths[0]
