@@ -529,19 +529,18 @@ def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndar
     circle, phi = owner[arc], np.arccos(cosphi[arc])
     toward = centers[partner[arc]] - centers[circle]
     lo, hi = _split_arcs(np.arctan2(toward[:, 1], toward[:, 0]), phi)
-    # the pieces past 2pi that _split_arcs appends, wrapped to 0
+    # owners of the parts past 2pi that _split_arcs appends, by its own test
     circle = np.concatenate([circle, circle[lo[: circle.size] + 2.0 * phi > TWO_PI]])
     # Sweep every circle at once: 0 and 2pi bracket its arcs, which step
-    # the cover count up at their starts and down at their ends, starts
-    # first at a tie.  Each circle's steps sum to zero, so one running sum
-    # serves all, and a circle is free between an event where the count
-    # is 0 and its next event.
+    # the cover count up at their starts and down at their ends; the
+    # stable sort keeps starts before ends at a tie.  Each circle's steps
+    # sum to zero, so one running sum serves all, and a circle is free
+    # between an event where the count is 0 and its next event.
     ring = np.flatnonzero(free)
     counts = [ring.size, lo.size, hi.size, ring.size]
     at = np.concatenate([np.zeros(ring.size), lo, hi, np.full(ring.size, TWO_PI)])
     who = np.concatenate([ring, circle, circle, ring])
-    kind = np.repeat(np.arange(4), counts)
-    order = np.lexsort((kind, at, who))
+    order = np.lexsort((at, who))
     at, who = at[order], who[order]
     depth = np.cumsum(np.repeat([0, 1, -1, 0], counts)[order])
     gap = np.flatnonzero((depth[:-1] == 0) & (who[:-1] == who[1:]))
