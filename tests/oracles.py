@@ -202,6 +202,39 @@ def exact_maximal_function_at(f: StepFunction, x) -> Fraction:
     )
 
 
+def exact_maximal_variation(f: StepFunction) -> Fraction:
+    """var(Mf) in rational arithmetic: the summed jumps of Mf between
+    points that split the line into stretches where Mf is monotone.
+
+    Off the support hull Mf falls to 0 away from it, which the values
+    at the two hull ends count.  On a piece of value v, an average
+    over (a, x) or (x, b) with a, b breakpoints moves monotonically
+    toward v as x moves, and an average over a pair of breakpoints
+    around x is constant; so Mf falls and then rises, and its lowest
+    stretch holds the point t where a falling average over (x_j, t)
+    meets a rising one over (t, x_k).  There both equal the average
+    over (x_j, x_k).  The points are the breakpoints, the piece
+    midpoints and every such t.
+    """
+    F = exact_antiderivative(f)
+    xs = [Fraction(x) for x in f.breakpoints]
+    vs = [abs(Fraction(v)) for v in f.values]
+    points = set(xs) | {(a + b) / 2 for a, b in zip(xs, xs[1:])}
+    for j in range(len(xs)):
+        for k in range(j + 1, len(xs)):
+            avg = (F(xs[k]) - F(xs[j])) / (xs[k] - xs[j])
+            for m in range(j, k):
+                # F(t) - F(x_j) = avg (t - x_j) on piece m, where F is linear
+                if vs[m] != avg:
+                    t = xs[m] + (F(xs[j]) - F(xs[m]) + avg * (xs[m] - xs[j])) / (
+                        vs[m] - avg
+                    )
+                    if xs[m] < t < xs[m + 1]:
+                        points.add(t)
+    mf = [exact_maximal_function_at(f, t) for t in sorted(points)]
+    return mf[0] + mf[-1] + sum(abs(b - a) for a, b in zip(mf, mf[1:]))
+
+
 def variation_oracle(f: StepFunction) -> float:
     """Total variation of |f| extended by zero: sum of all jump sizes."""
     vals = [0.0] + [abs(v) for v in f.values] + [0.0]

@@ -8,12 +8,14 @@ randomly generated step functions.
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballcover import maximal1d
 from ballcover.formats import dump_step_function, load_step_function
 from ballcover.geometry import Interval, union_components
 from ballcover.maximal1d import (
@@ -21,6 +23,8 @@ from ballcover.maximal1d import (
     LevelSetReport,
     StepFunction,
     VariationReport,
+    _critical_levels,
+    _superlevel_components,
     average,
     level_report,
     maximal_function_at,
@@ -33,6 +37,7 @@ from ballcover.maximal1d import (
 from oracles import (
     exact_average,
     exact_maximal_function_at,
+    exact_maximal_variation,
     maximal_function_oracle_at,
     maximal_function_oracle_grid,
     random_step_function,
@@ -314,18 +319,24 @@ class TestSuperlevelSlivers:
 
 
 @st.composite
-def dyadic_levels(draw):
-    """A step function with breakpoints in 1/16 steps and values in 1/8
-    steps, and a level j / 1024 of its largest value, so that floats
-    hold the data and the exact oracle sees it without rounding."""
-    k = draw(st.integers(1, 7))
+def dyadic_step_functions(draw, max_pieces=7):
+    """A nonzero step function with breakpoints in 1/16 steps and values
+    in 1/8 steps, so that floats hold the data and the exact oracle
+    sees it without rounding."""
+    k = draw(st.integers(1, max_pieces))
     start = draw(st.integers(-48, 48))
     gaps = draw(st.lists(st.integers(1, 40), min_size=k, max_size=k))
     steps = draw(st.lists(st.integers(0, 24), min_size=k, max_size=k))
     if max(steps) == 0:
         steps[draw(st.integers(0, k - 1))] = draw(st.integers(1, 24))
     xs = np.cumsum([start] + gaps) / 16.0
-    f = StepFunction(tuple(xs.tolist()), tuple(v / 8.0 for v in steps))
+    return StepFunction(tuple(xs.tolist()), tuple(v / 8.0 for v in steps))
+
+
+@st.composite
+def dyadic_levels(draw):
+    """A dyadic step function and a level j / 1024 of its largest value."""
+    f = draw(dyadic_step_functions())
     level = max(f.values) * draw(st.integers(1, 1024)) / 1024.0
     return f, level
 
@@ -399,8 +410,6 @@ class TestLevelReport:
 
 
 def _near_critical(g, lam, tol=1e-6):
-    from ballcover.maximal1d import _critical_levels
-
     crit = _critical_levels(g)
     return bool(np.any(np.abs(crit - lam) <= tol * max(1.0, lam)))
 
@@ -439,7 +448,7 @@ class TestMaximalVariationCheck:
             assert rep.passed
             assert rep.var_mf_lower_bound <= rep.var_f + 1e-9
             # The maximal function of a nonzero step function really
-            # does vary: the certified bound is strictly positive.
+            # does vary: var(Mf) is strictly positive.
             if max(f.abs_function().values) > 0:
                 assert rep.var_mf_lower_bound > 0.0
 
@@ -472,14 +481,156 @@ class TestMaximalVariationCheck:
         assert rep.var_mf_lower_bound <= rep.var_f + 1e-9
 
     def test_reports_match_recorded_digest(self):
-        # sha256 of the reports' reprs, recorded before the superlevel
-        # components were computed from F - level x: the rewrite had to
-        # leave every count, skip flag and certified bound unchanged.
+        # sha256 of the reprs of the reports' level records and var(|f|),
+        # recorded before var(Mf) was computed exactly: the change had to
+        # leave every count and skip flag unchanged.  var(Mf) itself is
+        # pinned by TestExactVariation.
         rng = np.random.default_rng([204, 5])
         functions = [random_step_function(rng) for _ in range(60)] + [SLIVER]
         digest = hashlib.sha256()
         for f in functions:
-            digest.update(repr(maximal_variation_check(f, 200)).encode())
+            rep = maximal_variation_check(f, 200)
+            digest.update(repr((rep.levels, rep.var_f)).encode())
         assert digest.hexdigest() == (
-            "5529051c322f50db5380c8f308aff20f58831826f6cf27027ceed105df1bcd91"
+            "acaad736839c23591aa78c9db958b3d74e90c5bf47df38c764a0e43460338a4e"
         )
+
+
+# The input of tests/golden/maxfn-*.txt.
+GOLDEN_STEP = StepFunction(
+    (0.0, 0.7, 1.5, 2.25, 3.0, 4.1, 5.0),
+    (1.2, 0.3, 2.6, 0.0, 1.7, 0.9),
+)
+
+
+def _var_mf(f):
+    return maximal_variation_check(f, 200).var_mf_lower_bound
+
+
+def _cuts(g):
+    """0 and the critical levels of g = |f|: the ends of every gap."""
+    return np.union1d(0.0, _critical_levels(g))
+
+
+class TestExactVariation:
+    @pytest.mark.parametrize("v", [0.25, 1.0, 3.7])
+    def test_single_piece(self, v):
+        # Mf = v on the piece and falls to 0 on both sides.
+        assert _var_mf(StepFunction((-1.0, 2.5), (v,))) == pytest.approx(
+            2.0 * v, rel=1e-12
+        )
+
+    def test_tent(self):
+        # Mf rises from 0 to 2 and falls back.
+        assert _var_mf(TENT) == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [0.25, 1.0, 2.0, 5.5])
+    def test_two_bumps(self, gap):
+        # Two unit bumps of width 1: Mf dips to 2 / (2 + gap) midway,
+        # the average over both bumps or over one and half the gap.
+        f = StepFunction((0.0, 1.0, 1.0 + gap, 2.0 + gap), (1.0, 0.0, 1.0))
+        assert _var_mf(f) == pytest.approx(4.0 - 4.0 / (2.0 + gap), rel=1e-12)
+        if gap == 2.0:
+            assert _var_mf(f) == 3.0
+
+    def test_unimodal_equality_passes_at_any_scale(self):
+        # For unimodal |f|, Mf rises to max|f| and falls back, so
+        # var(Mf) = var(|f|); at 1e9 the rounding of var(Mf) alone is
+        # about 1e-6, far above an absolute tolerance.
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            k = int(rng.integers(2, 8))
+            up = np.sort(rng.uniform(0.0, 3.0, k))
+            peak = int(rng.integers(0, k))
+            values = np.concatenate([up[:peak], up[peak:][::-1]])
+            xs = np.cumsum(np.concatenate([[0.0], rng.uniform(0.1, 2.0, k)]))
+            for scale in (1.0, 1e9):
+                f = StepFunction(tuple(xs.tolist()), tuple((scale * values).tolist()))
+                rep = maximal_variation_check(f, 50)
+                assert rep.var_mf_lower_bound == pytest.approx(rep.var_f, rel=1e-12)
+                assert rep.passed
+
+    def test_golden_step(self):
+        want = exact_maximal_variation(GOLDEN_STEP)
+        assert float(want) == 5.661538461538462
+        assert _var_mf(GOLDEN_STEP) == pytest.approx(float(want), rel=1e-12)
+
+    @given(dyadic_step_functions(max_pieces=8))
+    @settings(max_examples=60)
+    def test_matches_exact_oracle(self, f):
+        want = exact_maximal_variation(f)
+        rep = maximal_variation_check(f, 200)
+        assert abs(Fraction(rep.var_mf_lower_bound) - want) <= 1e-12 * want
+        # the paper's statement, in rational arithmetic
+        assert want <= sum(
+            abs(Fraction(b) - Fraction(a))
+            for a, b in zip((0.0,) + f.values, f.values + (0.0,))
+        )
+        assert rep.passed
+
+    def test_matches_exact_oracle_on_criterion_4_law(self):
+        rng = np.random.default_rng(204)
+        for _ in range(12):
+            f = random_step_function(rng)
+            want = exact_maximal_variation(f)
+            assert abs(Fraction(_var_mf(f)) - want) <= 1e-12 * want
+
+    def test_sampled_variation_is_a_close_lower_bound(self):
+        # Mf is monotone on each zero tail, so its values at the hull
+        # ends stand for the tails, and a grid on the hull can only
+        # miss variation between its points.  The float oracle's few
+        # ulp of rounding per value add up over the steps where Mf is
+        # flat (about 1e-11 here), so the upper bound allows for that.
+        rng = np.random.default_rng(204)
+        for _ in range(30):
+            f = random_step_function(rng)
+            var_mf = _var_mf(f)
+            grid = np.linspace(f.breakpoints[0], f.breakpoints[-1], 20_000)
+            mf = maximal_function_oracle_grid(f, grid)
+            sampled = mf[0] + mf[-1] + np.abs(np.diff(mf)).sum()
+            noise = 4 * grid.size * np.finfo(float).eps * mf.max()
+            assert sampled <= var_mf * (1.0 + 1e-12) + noise
+            assert sampled >= var_mf * (1.0 - 1e-3)
+
+    @given(
+        st.one_of(
+            dyadic_step_functions(max_pieces=8),
+            st.integers(0, 10_000).map(
+                lambda seed: random_step_function(np.random.default_rng(seed))
+            ),
+        )
+    )
+    @settings(max_examples=40)
+    def test_component_count_constant_between_critical_levels(self, f):
+        # Probes of a gap a few ulp wide can round onto its ends, which
+        # lie outside the open gap; those are left out, and a gap one
+        # ulp wide holds no float at all.
+        g = f.abs_function()
+        for u, w in zip(_cuts(g), _cuts(g)[1:]):
+            probes = [u + s * (w - u) for s in (1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6)]
+            counts = {
+                len(_superlevel_components(g, level)[0])
+                for level in probes
+                if u < level < w
+            }
+            assert len(counts) <= 1, (u, w, counts)
+
+    @pytest.mark.parametrize("size", [10, 37, 200])
+    def test_one_component_pass_per_grid_level_and_critical_gap(
+        self, monkeypatch, size
+    ):
+        calls = []
+        inner = maximal1d._superlevel_components
+
+        def spy(g, level):
+            calls.append(level)
+            return inner(g, level)
+
+        monkeypatch.setattr(maximal1d, "_superlevel_components", spy)
+        for f in (TENT, SPIKY, SIGNED, GOLDEN_STEP):
+            calls.clear()
+            maximal_variation_check(f, size)
+            top = max(f.abs_function().values)
+            crit = _critical_levels(f.abs_function())
+            gaps = np.unique(crit[(crit > 0) & (crit <= top)]).size
+            assert len(calls) == size + gaps
