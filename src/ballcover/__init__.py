@@ -7,9 +7,6 @@ from .geometry import (
     BallCollection,
     Interval,
     PerimeterEstimate,
-    ball_surface,
-    ball_volume,
-    cap_radius_for_overlap,
     center_distance_for_overlap,
     halfspace_cut_data,
     lens_volume,
@@ -32,14 +29,11 @@ from .counterexample import (
     build_fig1,
     build_reverse_example,
     build_surrounded_ball,
-    restrict_to_halfspace,
 )
 from .maximal1d import (
     LevelSetReport,
     StepFunction,
-    average,
     level_report,
-    maximal_function_at,
     maximal_intervals,
     maximal_superlevel,
     maximal_variation_check,
@@ -55,27 +49,21 @@ __all__ = [
     "StepFunction",
     "LevelSetReport",
     "SurroundedBallConfig",
-    "average",
-    "ball_surface",
-    "ball_volume",
     "besicovitch_select",
     "build_fig1",
     "build_reverse_example",
     "build_surrounded_ball",
-    "cap_radius_for_overlap",
     "center_distance_for_overlap",
     "halfspace_cut_data",
     "interval_select_1d",
     "lens_volume",
     "level_report",
-    "maximal_function_at",
     "maximal_intervals",
     "maximal_superlevel",
     "maximal_variation_check",
     "overlap_eps_max",
     "perimeter_besicovitch_select",
     "perimeter_vitali_select",
-    "restrict_to_halfspace",
     "union_perimeter",
     "union_perimeter_2d",
     "union_perimeter_mc",

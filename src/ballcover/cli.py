@@ -444,7 +444,7 @@ def _cmd_maxfn(cfg: RunConfig) -> int:
     lines.append(f"passed {report.passed}\n")
     atomic_write_text(cfg.output_path, "".join(lines))
     print(
-        f"maxfn: var_bound={_fmt(report.var_mf_lower_bound)} "
+        f"maxfn: var_mf={_fmt(report.var_mf_lower_bound)} "
         f"var_f={_fmt(report.var_f)} levels={len(report.levels)} "
         f"passed={report.passed} to {cfg.output_path}"
     )

@@ -44,7 +44,6 @@ __all__ = [
     "build_reverse_example",
     "build_surrounded_ball",
     "build_surrounded_ball_detailed",
-    "restrict_to_halfspace",
 ]
 
 
@@ -271,16 +270,6 @@ def build_surrounded_ball_detailed(
 def build_surrounded_ball(cfg: SurroundedBallConfig) -> BallCollection:
     """The packing of ``build_surrounded_ball_detailed`` without its log."""
     return build_surrounded_ball_detailed(cfg)[0]
-
-
-def restrict_to_halfspace(balls: BallCollection) -> BallCollection:
-    """Keep the balls whose center has first coordinate >= 0.
-
-    A ball centered at the origin always survives, so restricting the
-    surrounded-ball packing keeps the central disk together with the
-    small disks in the right half-plane.
-    """
-    return balls.subset(np.flatnonzero(balls.centers[:, 0] >= 0.0))
 
 
 # --------------------------------------------------------------------------

@@ -147,28 +147,3 @@ def dump_selection(result: SelectionResult, header_comments=None) -> str:
         lines.append(f"param {key}={result.params[key]}")
     return "\n".join(lines) + "\n"
 
-
-def load_selection(text: str) -> SelectionResult:
-    selected: list[int] = []
-    groups: dict[int, list[int]] = {}
-    families: list[list[int]] = []
-    params: dict[str, str] = {}
-    for line in _data_lines(text):
-        parts = line.split()
-        if parts[0] == "selected":
-            selected = [int(p) for p in parts[1:]]
-        elif parts[0] == "group":
-            groups[int(parts[1])] = [int(p) for p in parts[2:]]
-        elif parts[0] == "family":
-            families.append([int(p) for p in parts[2:]])
-        elif parts[0] == "param":
-            key, _, val = line.split(None, 1)[1].partition("=")
-            params[key] = val
-        else:
-            raise ValueError(f"unknown selection record {parts[0]!r}")
-    return SelectionResult(
-        selected=selected,
-        groups=groups,
-        families=families or None,
-        params=params,
-    )

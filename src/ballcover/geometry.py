@@ -69,10 +69,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
 
 class BallCollection:
     """Finite family of balls sharing one ambient dimension, held as a
@@ -166,18 +162,9 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
-def ball_volume(ball: Ball) -> float:
-    """Lebesgue volume of a ball."""
-    return unit_ball_volume(ball.dimension) * ball.radius**ball.dimension
-
-
-def ball_surface(ball: Ball) -> float:
-    """Perimeter (surface measure) of a ball; counts both endpoints for d = 1."""
-    return _surface(ball.radius, ball.dimension)
-
-
 def _surface(radius: float, dim: int) -> float:
-    """``ball_surface`` of a radius."""
+    """Perimeter (surface measure) of a ball of the given radius; counts
+    both endpoints for d = 1."""
     if dim == 1:
         return 2.0
     return dim * unit_ball_volume(dim) * radius ** (dim - 1)
@@ -239,20 +226,12 @@ def _cap_volumes(r: np.ndarray, a: np.ndarray, dim: int) -> np.ndarray:
     return np.where(a < 0.0, full - cap, cap)
 
 
-def _lens(r1: float, r2: float, rho: float, dim: int) -> float:
-    """Volume shared by balls of radii r1, r2 at center distance rho,
-    split along the radical hyperplane into two caps."""
-    if rho >= r1 + r2:
-        return 0.0
-    if rho <= abs(r1 - r2):
-        return unit_ball_volume(dim) * min(r1, r2) ** dim
-    # signed offset of the radical hyperplane from the first center
-    a1 = ((rho - r2) * (rho + r2) + r1 * r1) / (2.0 * rho)
-    return _cap_volume(r1, a1, dim) + _cap_volume(r2, rho - a1, dim)
-
-
 def _lens_volumes(r1, r2, rho, dim: int) -> np.ndarray:
-    """``_lens`` over broadcast arrays of radii and center distances."""
+    """Volume shared by balls of radii r1, r2 at center distance rho,
+    over broadcast arrays: two caps cut off by the radical hyperplane,
+    an overlap length in d = 1, circular segments in d = 2 and
+    incomplete-beta spherical caps for d >= 3 (full relative accuracy
+    at every overlap width)."""
     r1, r2, rho = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (r1, r2, rho))
     )
@@ -261,58 +240,16 @@ def _lens_volumes(r1, r2, rho, dim: int) -> np.ndarray:
     out[inside] = unit_ball_volume(dim) * np.minimum(r1, r2)[inside] ** dim
     meet = ~inside & (rho < r1 + r2)
     a, b, p = r1[meet], r2[meet], rho[meet]
+    # signed offset of the radical hyperplane from the first center
     a1 = ((p - b) * (p + b) + a * a) / (2.0 * p)
     out[meet] = _cap_volumes(a, a1, dim) + _cap_volumes(b, p - a1, dim)
     return out
 
 
 def lens_volume(b1: Ball, b2: Ball) -> float:
-    """Volume of the intersection of two balls.
-
-    Two caps cut off by the radical hyperplane: an overlap length in
-    d = 1, circular segments in d = 2 and incomplete-beta spherical
-    caps for d >= 3 (full relative accuracy at every overlap width).
-    """
-    return _lens(b1.radius, b2.radius, math.dist(b1.center, b2.center), b1.dimension)
-
-
-def parabolic_cap_volume(t: float, dim: int) -> float:
-    """Volume below the unit-curvature parabolic cap of radius t.
-
-    The cap is the region between the graph z = (t^2 - |y|^2)/2 over the
-    (d-1)-ball |y| <= t and the plane z = 0; its volume is
-    omega_{d-1} t^(d+1) / (d+1).
-    """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    t = float(t)
-    if t < 0:
-        raise ValueError("cap radius must be nonnegative")
-    return unit_ball_volume(dim - 1) * t ** (dim + 1) / (dim + 1)
-
-
-def cap_radius_for_overlap(eps_prime: float, dim: int) -> float:
-    """Radius t with parabolic_cap_volume(t, d) = eps' * unit ball volume.
-
-    Solved by monotone bisection to absolute width 1e-12; scales like
-    eps'^(1/(d+1)).
-    """
-    eps_prime = float(eps_prime)
-    if not 0.0 < eps_prime < 0.5:
-        raise ValueError("eps_prime must lie in (0, 1/2)")
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    target = eps_prime * unit_ball_volume(dim)
-    lo, hi = 0.0, 1.0
-    while parabolic_cap_volume(hi, dim) < target:
-        hi *= 2.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if parabolic_cap_volume(mid, dim) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Volume of the intersection of two balls."""
+    rho = math.dist(b1.center, b2.center)
+    return float(_lens_volumes(b1.radius, b2.radius, rho, b1.dimension))
 
 
 def center_distance_for_overlap(
@@ -343,7 +280,7 @@ def center_distance_for_overlap(
     lo, hi = inner, outer
     rho = 0.5 * (lo + hi)
     for _ in range(100):
-        # _lens(r_big, r_small, rho, dim), sharing the offset a of the
+        # the lens of the two balls, sharing the offset a of the
         # radical hyperplane from the big center with the slope
         a = ((rho - r_small) * (rho + r_small) + r_big * r_big) / (2.0 * rho)
         if rho >= outer:

@@ -2,11 +2,10 @@
 
 All averages are of |f|, taken over intervals whose closure contains
 the point.  For a step function the antiderivative F of |f| is
-piecewise linear, so averages (F(b) - F(a)) / (b - a) over candidate
-endpoint pairs decide point values of the maximal function.  The
-variation comparison integrates superlevel boundary counts in the
-level variable, one count per gap between critical levels, which gives
-var(Mf) exactly.
+piecewise linear, and the average over (a, b) is
+(F(b) - F(a)) / (b - a).  The variation comparison integrates
+superlevel boundary counts in the level variable, one count per gap
+between critical levels, which gives var(Mf) exactly.
 
 Level sets follow F. Riesz's rising-sun picture.  With
 G(x) = F(x) - level x, the average over (a, b) is at least the level
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +64,18 @@ class StepFunction:
     def abs_function(self) -> "StepFunction":
         return StepFunction(self.breakpoints, tuple(abs(v) for v in self.values))
 
-    def total_mass(self) -> float:
-        xs, vs = self.breakpoints, self.values
-        return float(sum(abs(v) * (b - a) for v, a, b in zip(vs, xs, xs[1:])))
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Breakpoints x, their differences, |values| and the mass of |f|
+        left of each breakpoint, read-only: built once, since no level
+        changes them."""
+        xs = np.asarray(self.breakpoints)
+        dx = np.diff(xs)
+        vs = np.abs(np.asarray(self.values))
+        arrays = xs, dx, vs, np.concatenate([[0.0], np.cumsum(vs * dx)])
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -105,54 +114,6 @@ class VariationReport:
     passed: bool
 
 
-def _prefix_mass(f: StepFunction) -> np.ndarray:
-    xs = np.asarray(f.breakpoints)
-    vs = np.abs(np.asarray(f.values))
-    return np.concatenate([[0.0], np.cumsum(vs * np.diff(xs))])
-
-
-def _antiderivative(f: StepFunction, x) -> np.ndarray:
-    """F(x) for the antiderivative F of |f| with F(x_0) = 0."""
-    xs = np.asarray(f.breakpoints)
-    vs = np.abs(np.asarray(f.values))
-    prefix = _prefix_mass(f)
-    x = np.asarray(x, dtype=float)
-    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(vs) - 1)
-    inside = np.clip(x, xs[0], xs[-1])
-    return prefix[idx] + vs[idx] * (inside - xs[idx])
-
-
-def average(f: StepFunction, a: float, b: float) -> float:
-    """Average of |f| over (a, b), exact via the piecewise-linear antiderivative."""
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError("average needs a < b")
-    fa, fb = _antiderivative(f, [a, b])
-    return float((fb - fa) / (b - a))
-
-
-def maximal_function_at(f: StepFunction, x: float) -> float:
-    """Mf(x): the supremum of averages of |f| over intervals around x.
-
-    The supremum is attained with both endpoints among the breakpoints
-    and x itself (an interior optimal endpoint can always slide to the
-    end of its piece without changing the average), so a scan over
-    those O(k^2) pairs is exact.  A zero function gives 0.
-    """
-    x = float(x)
-    cands = np.unique(np.append(np.asarray(f.breakpoints), x))
-    left = cands[cands <= x]
-    right = cands[cands >= x]
-    fl = _antiderivative(f, left)
-    fr = _antiderivative(f, right)
-    num = fr[None, :] - fl[:, None]
-    den = right[None, :] - left[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0, num / np.where(den > 0, den, 1.0), -np.inf)
-    best = float(ratios.max()) if ratios.size else 0.0
-    return max(best, 0.0)
-
-
 def _positive(level) -> float:
     level = float(level)
     if level <= 0.0:
@@ -168,12 +129,12 @@ def _rising_sun(f: StepFunction, level: float):
     The slopes are |f| - level up to rounding, taken from the samples
     so that G falls on a piece exactly when its samples fall.
     """
-    xs = np.asarray(f.breakpoints)
-    g = _prefix_mass(f) - level * xs
+    xs, dx, _, prefix = f._arrays
+    g = prefix - level * xs
     return (
         xs,
         g,
-        np.diff(g) / np.diff(xs),
+        np.diff(g) / dx,
         np.minimum.accumulate(g),
         np.maximum.accumulate(g[::-1])[::-1],
     )
@@ -233,17 +194,16 @@ def _critical_levels(f: StepFunction) -> np.ndarray:
     G = suffix max.  Both extrema sit at breakpoints x_j < x_k, so that
     happens exactly when G(x_j) = G(x_k): at the average over (x_j, x_k).
     """
-    xs = np.asarray(f.breakpoints)
-    prefix = _prefix_mass(f)
+    xs, _, vs, prefix = f._arrays
     i, j = np.triu_indices(len(xs), k=1)
     averages = (prefix[j] - prefix[i]) / (xs[j] - xs[i])
-    return np.unique(np.concatenate([np.abs(np.asarray(f.values)), averages]))
+    return np.unique(np.concatenate([vs, averages]))
 
 
 def _function_superlevel_count(f: StepFunction, level: float) -> int:
     """Number of components of {|f| >= level}."""
-    xs = np.asarray(f.breakpoints)
-    above = np.abs(np.asarray(f.values)) >= level
+    xs, _, vs, _ = f._arrays
+    above = vs >= level
     return len(union_components(xs[:-1][above], xs[1:][above])[0])
 
 

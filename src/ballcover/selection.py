@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import (
     DISJOINT_TOL,
     BallCollection,
-    _lens,
     _lens_volumes,
     _surface,
     neighbor_lists,
@@ -161,7 +160,8 @@ def overlap_eps_max(dim: int) -> float:
     dim = int(dim)
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    return _lens(1.0, 1.0, _SEPARATION_FACTOR, dim) / unit_ball_volume(dim)
+    lens = float(_lens_volumes(1.0, 1.0, _SEPARATION_FACTOR, dim))
+    return lens / unit_ball_volume(dim)
 
 
 def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResult:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from ballcover.geometry import BallCollection
-from ballcover.maximal1d import StepFunction, _antiderivative
+from ballcover.maximal1d import StepFunction
 
 
 def unit_ball_volume_gamma(dim: int) -> float:
@@ -113,6 +113,24 @@ def union_component_count_oracle(intervals, closure: bool = True) -> int:
     return count
 
 
+def antiderivative(f: StepFunction, x) -> np.ndarray:
+    """F(x) of |f| with F(x_0) = 0 in floats: the masses summed piece by
+    piece up to each breakpoint, interpolated linearly in between and
+    held constant outside the support hull."""
+    masses = [0.0]
+    for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
+        masses.append(masses[-1] + abs(v) * (b - a))
+    return np.interp(np.asarray(x, dtype=float), f.breakpoints, masses)
+
+
+def average(f: StepFunction, a: float, b: float) -> float:
+    """Average of |f| over (a, b) in floats."""
+    if not a < b:
+        raise ValueError("average needs a < b")
+    fa, fb = antiderivative(f, [a, b])
+    return float((fb - fa) / (b - a))
+
+
 def maximal_function_oracle_at(f: StepFunction, x: float) -> float:
     """Brute-force centered-free maximal function of |f| at one point.
 
@@ -123,8 +141,8 @@ def maximal_function_oracle_at(f: StepFunction, x: float) -> float:
     """
     g = f.abs_function()
     bps = np.asarray(g.breakpoints, dtype=float)
-    fb = _antiderivative(g, bps)
-    fx = float(_antiderivative(g, np.array([x]))[0])
+    fb = antiderivative(g, bps)
+    fx = float(antiderivative(g, x))
     best = -math.inf
     for b, fb_val in zip(bps, fb):
         if b > x:
@@ -143,8 +161,8 @@ def maximal_function_oracle_grid(f: StepFunction, xs: np.ndarray) -> np.ndarray:
     """Vectorized brute-force maximal function of |f| on many points."""
     g = f.abs_function()
     bps = np.asarray(g.breakpoints, dtype=float)
-    fb = _antiderivative(g, bps)
-    fx = _antiderivative(g, xs)
+    fb = antiderivative(g, bps)
+    fx = antiderivative(g, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         den = bps[None, :] - xs[:, None]
         right = np.where(den > 0, (fb[None, :] - fx[:, None]) / den, -np.inf).max(1)

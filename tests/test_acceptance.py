@@ -16,7 +16,6 @@ from ballcover import (
     BallCollection,
     StepFunction,
     SurroundedBallConfig,
-    ball_volume,
     besicovitch_select,
     build_fig1,
     build_surrounded_ball,
@@ -90,7 +89,7 @@ def test_criterion_2_low_overlap_selection_exact_guarantees():
         eps = float(eps_values[i % 20])
         result = perimeter_vitali_select(balls, eps)
         chosen = [balls[s] for s in result.selected]
-        vols = [ball_volume(b) for b in chosen]
+        vols = [math.pi * b.radius**2 for b in chosen]
         for a in range(len(chosen)):
             for b in range(a + 1, len(chosen)):
                 cap = eps * min(vols[a], vols[b])

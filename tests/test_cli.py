@@ -12,14 +12,34 @@ import pytest
 
 from ballcover import cli
 from ballcover.cli import RunConfig, ValidationError, main, resolve_config
-from ballcover.formats import (
-    load_selection,
-    read_balls,
-    save_balls,
-    save_step_function,
-)
+from ballcover.formats import read_balls, save_balls, save_step_function
 from ballcover.harness import random_collection
 from ballcover.maximal1d import StepFunction, VariationReport
+from ballcover.selection import SelectionResult
+
+
+def load_selection(text: str) -> SelectionResult:
+    """Parse a ``select`` output file; an unknown record kind fails."""
+    selected: list[int] = []
+    groups: dict[int, list[int]] = {}
+    families: list[list[int]] = []
+    params: dict[str, str] = {}
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] == "selected":
+            selected = [int(p) for p in parts[1:]]
+        elif parts[0] == "group":
+            groups[int(parts[1])] = [int(p) for p in parts[2:]]
+        elif parts[0] == "family":
+            families.append([int(p) for p in parts[2:]])
+        elif parts[0] == "param":
+            key, _, val = line.split(None, 1)[1].partition("=")
+            params[key] = val
+        else:
+            raise ValueError(f"unknown selection record {parts[0]!r}")
+    return SelectionResult(selected, groups, families or None, params)
 
 
 def run(argv, capsys=None):
@@ -538,7 +558,10 @@ class TestMaxfn:
         assert "var_maximal_lower_bound " in text
         assert text.rstrip().endswith("passed True")
         assert text.count("level ") == 25
-        assert "passed=True" in capsys.readouterr().out
+        var_mf = text.split("var_maximal_lower_bound ")[1].split()[0]
+        summary = capsys.readouterr().out
+        assert summary.startswith(f"maxfn: var_mf={var_mf} var_f=")
+        assert "passed=True" in summary
 
     def test_single_level_mode(self, tmp_path, step_file):
         out = tmp_path / "l.txt"

@@ -19,7 +19,6 @@ from ballcover.counterexample import (
     build_reverse_example,
     build_surrounded_ball,
     build_surrounded_ball_detailed,
-    restrict_to_halfspace,
 )
 from ballcover.geometry import (
     Ball,
@@ -286,39 +285,6 @@ class TestBuildSurroundedBall:
         assert [ball.center for ball in _small(a)] != [
             ball.center for ball in _small(b)
         ]
-
-
-# ---------------------------------------------------------------------------
-# restrict_to_halfspace
-# ---------------------------------------------------------------------------
-
-
-class TestRestrictToHalfspace:
-    def test_keeps_nonnegative_first_coordinates(self):
-        balls = build_surrounded_ball(
-            SurroundedBallConfig(eps=0.2, delta=0.3, n_max=200, seed=5)
-        )
-        kept = restrict_to_halfspace(balls)
-        assert kept.dimension == 2
-        assert all(b.center[0] >= 0.0 for b in kept)
-        assert kept[0].center == (0.0, 0.0)
-        expected = sum(1 for b in balls if b.center[0] >= 0.0)
-        assert len(kept) == expected
-        assert 0 < len(kept) < len(balls)
-
-    def test_empty_collection(self):
-        kept = restrict_to_halfspace(BallCollection(2, []))
-        assert len(kept) == 0
-
-    def test_restriction_keeps_substantial_perimeter(self):
-        # Dropping the left half of the packing still leaves the right
-        # half of the rough boundary: at least a third of the original.
-        balls = build_surrounded_ball(
-            SurroundedBallConfig(eps=0.2, delta=0.3, n_max=500, seed=5)
-        )
-        full = union_perimeter(balls).value
-        half = union_perimeter(restrict_to_halfspace(balls)).value
-        assert half >= full / 3.0
 
 
 # ---------------------------------------------------------------------------

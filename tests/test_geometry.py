@@ -16,9 +16,6 @@ from ballcover.geometry import (
     BallCollection,
     Interval,
     PerimeterEstimate,
-    ball_surface,
-    ball_volume,
-    cap_radius_for_overlap,
     center_distance_for_overlap,
     free_arc_length_halfplane,
     free_arc_length_in_disk,
@@ -28,7 +25,6 @@ from ballcover.geometry import (
     lens_volume,
     meeting_pairs,
     neighbor_lists,
-    parabolic_cap_volume,
     union_perimeter,
     union_perimeter_2d,
     union_perimeter_mc,
@@ -73,9 +69,9 @@ def test_unit_ball_volume_zero_dim_is_one():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_surface_is_volume_derivative(dim):
-    b = Ball((0.0,) * dim, 1.7)
-    assert ball_surface(b) == pytest.approx(
-        dim * ball_volume(b) / b.radius, rel=1e-13
+    r = 1.7
+    assert geometry._surface(r, dim) == pytest.approx(
+        dim * unit_ball_volume(dim) * r**dim / r, rel=1e-13
     )
 
 
@@ -116,7 +112,7 @@ def test_lens_volume_limit_cases(dim):
     assert lens_volume(b1, far) == 0.0
     inner = Ball((0.1,) + (0.0,) * (dim - 1), 0.2)
     assert lens_volume(b1, inner) == pytest.approx(
-        ball_volume(inner), rel=1e-13
+        unit_ball_volume(dim) * inner.radius**dim, rel=1e-13
     )
 
 
@@ -153,23 +149,6 @@ def test_lens_volume_symmetric_and_tiny_overlap_stable():
         assert lens_volume(b2, b1) == pytest.approx(got, rel=sym_tol)
 
 
-def test_parabolic_cap_volume_formula():
-    for dim in (1, 2, 3):
-        t = 0.37
-        assert parabolic_cap_volume(t, dim) == pytest.approx(
-            unit_ball_volume(dim - 1) * t ** (dim + 1) / (dim + 1), rel=1e-14
-        )
-
-
-def test_cap_radius_for_overlap_roundtrip():
-    for dim in (1, 2, 3):
-        for eps in (0.01, 0.1, 0.4):
-            t = cap_radius_for_overlap(eps, dim)
-            assert parabolic_cap_volume(t, dim) == pytest.approx(
-                eps * unit_ball_volume(dim), abs=1e-10
-            )
-
-
 @given(
     r_small=st.floats(0.05, 1.0),
     ratio=st.floats(1.0, 5.0),
@@ -182,7 +161,7 @@ def test_center_distance_for_overlap_roundtrip(r_small, ratio, eps, dim):
     assert r_big - r_small < rho < r_big + r_small
     b_small = Ball((rho,) + (0.0,) * (dim - 1), r_small)
     b_big = Ball((0.0,) * dim, r_big)
-    target = eps * ball_volume(b_small)
+    target = eps * unit_ball_volume(dim) * r_small**dim
     assert lens_volume(b_small, b_big) == pytest.approx(target, rel=1e-9)
 
 
@@ -197,16 +176,21 @@ def test_center_distance_for_overlap_high_dimensions(dim, eps):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_array_lens_kernel_matches_scalar(dim):
+    # The array lens against two caps of the scalar cap kernel, cut at
+    # the radical hyperplane; nested and disjoint pairs included.
     rng = np.random.default_rng(dim)
     r1 = rng.uniform(0.05, 1.0, 400)
     r2 = rng.uniform(0.05, 1.0, 400)
     rho = rng.uniform(0.0, 2.0, 400)
     got = geometry._lens_volumes(r1, r2, rho, dim)
-    origin = (0.0,) * dim
-    want = [
-        lens_volume(Ball(origin, a), Ball((c,) + (0.0,) * (dim - 1), b))
-        for a, b, c in zip(r1, r2, rho)
-    ]
+    want = []
+    for a, b, c in zip(r1, r2, rho):
+        if c <= abs(a - b):
+            want.append(unit_ball_volume(dim) * min(a, b) ** dim)
+        else:
+            a1 = ((c - b) * (c + b) + a * a) / (2.0 * c)
+            caps = geometry._cap_volume(a, a1, dim), geometry._cap_volume(b, c - a1, dim)
+            want.append(caps[0] + caps[1])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 

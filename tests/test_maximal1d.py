@@ -25,9 +25,7 @@ from ballcover.maximal1d import (
     VariationReport,
     _critical_levels,
     _superlevel_components,
-    average,
     level_report,
-    maximal_function_at,
     maximal_intervals,
     maximal_superlevel,
     maximal_variation_check,
@@ -35,6 +33,9 @@ from ballcover.maximal1d import (
 )
 
 from oracles import (
+    antiderivative,
+    average,
+    exact_antiderivative,
     exact_average,
     exact_maximal_function_at,
     exact_maximal_variation,
@@ -75,10 +76,6 @@ class TestStepFunction:
         assert g.breakpoints == SIGNED.breakpoints
         assert g.values == (2.0, 1.0, 0.5)
 
-    def test_total_mass(self):
-        assert SIGNED.total_mass() == pytest.approx(2.0 + 2.0 + 0.5)
-        assert TENT.total_mass() == pytest.approx(1.0 + 2.0 + 0.5)
-
     def test_piece_count(self):
         assert TENT.piece_count == 3
 
@@ -96,6 +93,8 @@ class TestStepFunction:
 
 
 class TestAverageAndVariation:
+    # average is the float oracle of tests/oracles.py, which the
+    # maximal-interval tests below use.
     def test_average_exact(self):
         # |TENT| on (0,3): masses 1, 2, 0.5 on unit/unit/unit pieces.
         assert average(TENT, 0.0, 3.0) == pytest.approx(3.5 / 3.0)
@@ -112,6 +111,18 @@ class TestAverageAndVariation:
         with pytest.raises(ValueError):
             average(TENT, 1.0, 1.0)
 
+    def test_antiderivative_oracle_matches_exact(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            f = random_step_function(rng)
+            xs = np.asarray(f.breakpoints)
+            mids = 0.5 * (xs[1:] + xs[:-1])
+            ts = np.concatenate([xs, mids, [xs[0] - 1.0, xs[-1] + 1.0]])
+            F = exact_antiderivative(f)
+            want = [float(F(t)) for t in ts]
+            got = antiderivative(f, ts)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
     def test_variation_against_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -126,8 +137,24 @@ class TestAverageAndVariation:
 
 
 # ---------------------------------------------------------------------------
-# maximal_function_at
+# Mf at points, read off the superlevel sets
 # ---------------------------------------------------------------------------
+
+
+def _in_superlevel(f, level, x) -> bool:
+    """Whether x lies in a component of {Mf >= level}."""
+    return any(c.lo <= x <= c.hi for c in maximal_superlevel(f, level))
+
+
+def _assert_mf(f, x, mf, rel=1e-9):
+    """Mf(x) equals mf to within rel: x is in {Mf >= mf (1 - rel)} and
+    not in {Mf >= mf (1 + rel)}."""
+    assert _in_superlevel(f, mf * (1.0 - rel), x)
+    assert not _in_superlevel(f, mf * (1.0 + rel), x)
+
+
+def _components(f, level):
+    return np.array([(c.lo, c.hi) for c in maximal_superlevel(f, level)])
 
 
 class TestMaximalFunctionAt:
@@ -135,21 +162,20 @@ class TestMaximalFunctionAt:
         rng = np.random.default_rng(1)
         for _ in range(20):
             f = random_step_function(rng)
+            if max(f.values) == 0.0:
+                continue
             lo, hi = f.breakpoints[0], f.breakpoints[-1]
             span = hi - lo
             xs = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=12)
             for x in xs:
-                got = maximal_function_at(f, float(x))
-                want = maximal_function_oracle_at(f, float(x))
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                _assert_mf(f, float(x), maximal_function_oracle_at(f, float(x)))
 
     def test_matches_oracle_on_grid(self):
         rng = np.random.default_rng(2)
         f = random_step_function(rng)
         xs = np.linspace(f.breakpoints[0] - 1.0, f.breakpoints[-1] + 1.0, 200)
-        got = np.array([maximal_function_at(f, float(x)) for x in xs])
-        want = maximal_function_oracle_grid(f, xs)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for x, mf in zip(xs.tolist(), maximal_function_oracle_grid(f, xs).tolist()):
+            _assert_mf(f, x, mf)
 
     def test_dominates_function(self):
         rng = np.random.default_rng(3)
@@ -157,38 +183,40 @@ class TestMaximalFunctionAt:
             f = random_step_function(rng)
             xs, vs = f.breakpoints, f.values
             for i, v in enumerate(vs):
-                mid = 0.5 * (xs[i] + xs[i + 1])
-                assert maximal_function_at(f, mid) >= abs(v) - 1e-12
+                if v != 0.0:
+                    mid = 0.5 * (xs[i] + xs[i + 1])
+                    assert _in_superlevel(f, abs(v) * (1.0 - 1e-12), mid)
 
     def test_value_scaling(self):
         scaled = StepFunction(TENT.breakpoints, tuple(3.0 * v for v in TENT.values))
-        for x in (-0.5, 0.3, 1.2, 2.7, 3.4):
-            assert maximal_function_at(scaled, x) == pytest.approx(
-                3.0 * maximal_function_at(TENT, x), rel=1e-12
+        for level in (0.2, 0.7, 1.0, 1.4, 1.9):
+            np.testing.assert_allclose(
+                _components(scaled, 3.0 * level), _components(TENT, level), rtol=1e-12
             )
 
     def test_translation_covariance(self):
         shifted = StepFunction(
             tuple(x + 5.0 for x in SPIKY.breakpoints), SPIKY.values
         )
-        for x in (0.2, 1.5, 3.0, 6.0):
-            assert maximal_function_at(shifted, x + 5.0) == pytest.approx(
-                maximal_function_at(SPIKY, x), rel=1e-12
+        for level in (0.3, 0.9, 1.5, 2.2, 2.9):
+            np.testing.assert_allclose(
+                _components(shifted, level), _components(SPIKY, level) + 5.0, rtol=1e-12
             )
 
     def test_single_piece_closed_form(self):
         # Indicator of (0, 1): outside the support the best interval
         # anchors at x and swallows the whole support, so Mf(x) is
-        # 1 / (1 + dist(x, (0, 1))).
+        # 1 / (1 + dist(x, (0, 1))) and {Mf >= level} is
+        # [1 - 1 / level, 1 / level].
         f = StepFunction((0.0, 1.0), (1.0,))
-        assert maximal_function_at(f, 0.5) == 1.0
-        assert maximal_function_at(f, 2.0) == pytest.approx(0.5, rel=1e-15)
-        assert maximal_function_at(f, -1.0) == pytest.approx(0.5, rel=1e-15)
-        assert maximal_function_at(f, -2.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        for level in (1.0, 0.5, 1.0 / 3.0):
+            (lo, hi), = _components(f, level)
+            assert lo == pytest.approx(1.0 - 1.0 / level, rel=1e-15)
+            assert hi == pytest.approx(1.0 / level, rel=1e-15)
 
     def test_zero_function(self):
         f = StepFunction((0.0, 1.0), (0.0,))
-        assert maximal_function_at(f, 0.5) == 0.0
+        assert maximal_superlevel(f, 1e-300) == []
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +331,7 @@ class TestSuperlevelSlivers:
             if not values:
                 continue
             # Mf < level beyond mass / level of the support
-            reach = g.total_mass() / values[0] + 1.0
+            reach = float(antiderivative(g, xs[-1])) / values[0] + 1.0
             grid = np.linspace(xs[0] - reach, xs[-1] + reach, 200_001)
             mf = maximal_function_oracle_grid(f, grid)
             for v in values:

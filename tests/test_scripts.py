@@ -1,0 +1,29 @@
+"""Smoke tests of the experiment scripts under ``scripts/``."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from ballcover.harness import THM12_EMPIRICAL_CAP
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ring_ratio_sweep_prints_one_row_per_ring(capsys):
+    assert _load("ring_ratio_sweep").main(["--k-list", "10,20"]) == 0
+    header, *rows, summary = capsys.readouterr().out.splitlines()
+    assert header.split() == ["k", "tiny", "radius", "perimeter", "ratio"]
+    table = [[float(v) for v in row.split()] for row in rows]
+    assert [row[:2] for row in table] == [[10.0, 0.2], [20.0, 0.1]]
+    ratios = [row[2] for row in table]
+    assert all(0.0 < r <= THM12_EMPIRICAL_CAP for r in ratios)
+    spread = float(summary.split()[2])
+    assert spread == pytest.approx(max(ratios) / min(ratios), rel=1e-4)

@@ -17,7 +17,6 @@ from ballcover.geometry import (
     DISJOINT_TOL,
     Ball,
     BallCollection,
-    ball_surface,
     lens_volume,
     unit_ball_volume,
 )
@@ -234,9 +233,9 @@ class TestPerimeterBesicovitchSelect:
             balls = _random_balls(2, 2000 + seed)
             base = besicovitch_select(balls)
             result = perimeter_besicovitch_select(balls)
-            surfaces = [
-                sum(ball_surface(balls[i]) for i in fam) for fam in base.families
-            ]
+            # circumferences 2 pi r
+            surface = (2.0 * unit_ball_volume(2) * balls.radii).tolist()
+            surfaces = [sum(surface[i] for i in fam) for fam in base.families]
             winner = result.params["winner_family"]
             assert result.selected == base.families[winner]
             assert surfaces[winner] == pytest.approx(max(surfaces))
@@ -244,7 +243,7 @@ class TestPerimeterBesicovitchSelect:
             assert result.params["family_count"] == len(base.families)
             # Pigeonhole: the winning family carries at least its share
             # of the total chosen surface.
-            total = sum(ball_surface(balls[i]) for i in base.selected)
+            total = sum(surface[i] for i in base.selected)
             assert surfaces[winner] >= total / len(base.families) - 1e-12
 
     def test_selected_pairwise_disjoint(self):
