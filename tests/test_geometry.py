@@ -189,8 +189,9 @@ def test_array_lens_kernel_matches_scalar(dim):
             want.append(unit_ball_volume(dim) * min(a, b) ** dim)
         else:
             a1 = ((c - b) * (c + b) + a * a) / (2.0 * c)
-            caps = geometry._cap_volume(a, a1, dim), geometry._cap_volume(b, c - a1, dim)
-            want.append(caps[0] + caps[1])
+            want.append(
+                geometry._cap_volume(a, a1, dim) + geometry._cap_volume(b, c - a1, dim)
+            )
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
