@@ -363,11 +363,6 @@ def _cmd_check(cfg: RunConfig) -> int:
     if cfg.check == "isoperimetric":
         reports = [check_isoperimetric(cfg.d_list, cfg.grid)]
     else:
-        options: dict[str, object] = {}
-        if cfg.check == "thm13" and cfg.eps_list is not None:
-            options["eps_values"] = cfg.eps_list
-        if cfg.check == "prop16" and cfg.lam is not None:
-            options["lam"] = cfg.lam
         count = 50 if cfg.count is None else cfg.count
         reports = run_corpus(
             cfg.check,
@@ -375,7 +370,8 @@ def _cmd_check(cfg: RunConfig) -> int:
             cfg.dimension,
             master_seed=cfg.seed,
             jobs=cfg.jobs,
-            **options,
+            eps_values=cfg.eps_list,
+            lam=0.2 if cfg.lam is None else cfg.lam,
         )
     header = "".join(f"# {line}\n" for line in _config_header(cfg))
     body = [format_report(r) for r in reports]

@@ -34,7 +34,6 @@ from .geometry import (
     _split_arcs,
     _uncovered_arcs,
     center_distance_for_overlap,
-    union_components,
 )
 
 __all__ = [
@@ -135,13 +134,11 @@ class PlacementRecord:
     radius: float
     angle: float
     distance: float
-    uncovered_fraction: float
 
 
 class _PackingState:
     """Mutable state of the greedy packing: the placed small disks in
-    polar form, kept sorted by angle, and the union of the arcs of the
-    unit circle they cover.
+    polar form, kept sorted by angle.
 
     In angle order the blocked arcs of a probe come out nearly sorted by
     start, which the stable sort of ``union_components`` passes through
@@ -152,9 +149,6 @@ class _PackingState:
         # one column per placed disk: angle, center distance, its square
         # and radius
         self._disks = np.empty((4, 0))
-        # union components of the coverage arcs, for the generation log
-        self._cov_lo = np.empty(0)
-        self._cov_hi = np.empty(0)
 
     def blocked_arcs(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray] | None:
         """Angles where a new disk of radius r at distance rho would meet
@@ -167,9 +161,9 @@ class _PackingState:
         q = (rho * rho + dist2 - (r + radius) ** 2) / (2.0 * rho * dist)
         if q.min() <= -1.0:
             return None
-        hot = q < 1.0
-        # q[hot] lies in (-1, 1), so arccos needs no clip
-        return _split_arcs(angle[hot], np.arccos(q[hot]))
+        # Every small disk straddles the unit circle, so
+        # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip.
+        return _split_arcs(angle, np.arccos(q))
 
     def fits(self, rho: float, r: float) -> bool:
         """Whether a new disk of radius r at distance rho fits at some
@@ -188,21 +182,6 @@ class _PackingState:
     def add(self, rho: float, angle: float, r: float) -> None:
         k = int(np.searchsorted(self._disks[0], angle))
         self._disks = np.insert(self._disks, k, (angle, rho, rho * rho, r), axis=1)
-        # arc of the unit circle covered by the new disk
-        cos_psi = (1.0 + rho * rho - r * r) / (2.0 * rho)
-        if cos_psi < 1.0:
-            psi = math.acos(max(-1.0, cos_psi))
-            s, e = _split_arcs(np.array([angle]), np.array([psi]))
-            self._cov_lo, self._cov_hi = union_components(
-                np.concatenate((self._cov_lo, s)), np.concatenate((self._cov_hi, e))
-            )
-
-    def uncovered_fraction(self) -> float:
-        # the gaps between the sorted, disjoint coverage components
-        widths = np.concatenate((self._cov_lo, [TWO_PI])) - np.concatenate(
-            ([0.0], self._cov_hi)
-        )
-        return float(widths[widths > 0.0].sum()) / TWO_PI
 
 
 def build_surrounded_ball_detailed(
@@ -261,9 +240,7 @@ def build_surrounded_ball_detailed(
         state.add(rho, angle, r)
         centers.append((rho * math.cos(angle), rho * math.sin(angle)))
         radii.append(r)
-        records.append(
-            PlacementRecord(index, r, angle, rho, state.uncovered_fraction())
-        )
+        records.append(PlacementRecord(index, r, angle, rho))
     return BallCollection.from_arrays(centers, radii), records
 
 

@@ -24,8 +24,8 @@ ARC_TOL = 1e-12
 COINCIDENCE_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
-# Elements of a Monte Carlo chunk of (points, dimension) samples (32 MiB
-# of float64).
+# Elements of a Monte Carlo chunk: samples times the dimension, or times
+# the neighbour count where that is larger (32 MiB of float64).
 MC_CHUNK_ELEMENTS = 2**22
 
 
@@ -574,10 +574,14 @@ def union_perimeter_mc(
 
     Each sphere is sampled uniformly via normalized Gaussian directions
     from a substream seeded by (seed, ball index), so results do not
-    depend on evaluation order.  Coincident balls are merged first; a
-    sphere no other ball meets is fully exposed and draws no samples,
-    though ``sample_count`` still charges it.  The standard error
-    combines per-ball binomial variances.
+    depend on evaluation order.  The point c_i + r_i g/|g| of a raw
+    draw g lies outside ball j (boundary included) exactly when
+    g.w <= k|g|, with w = c_j - c_i, rho = |w| and
+    k = (rho^2 + r_i^2 - r_j^2) / (2 r_i), so one product per chunk
+    tests every neighbour.  Coincident balls are merged first; a sphere
+    no other ball meets is fully exposed and draws no samples, though
+    ``sample_count`` still charges it.  The standard error combines
+    per-ball binomial variances.
     """
     samples_per_ball = int(samples_per_ball)
     if samples_per_ball < 100:
@@ -589,32 +593,28 @@ def union_perimeter_mc(
     start, partner, rho = neighbor_lists(centers, radii)
     rep = _coincidence_groups(radii, start, partner, rho)
     keep = np.nonzero(rep == np.arange(len(balls)))[0]
-    chunk = max(1, MC_CHUNK_ELEMENTS // d)
     radius_list = radii.tolist()
     value = 0.0
     variance = 0.0
     for i in keep:
-        others = partner[start[i] : start[i + 1]]
-        others = others[rep[others] == others]
-        surf = _surface(radius_list[i], d)
+        near = slice(start[i], start[i + 1])
+        live = rep[partner[near]] == partner[near]
+        others, dist = partner[near][live], rho[near][live]
+        r = radius_list[i]
+        surf = _surface(r, d)
         if not others.size:
             # Nothing covers an isolated sphere: p = 1, zero variance.
             value += surf
             continue
+        w = (centers[others] - centers[i]).T
+        k = (dist * dist + r * r - radii[others] ** 2) / (2.0 * r)
         rng = np.random.default_rng([seed, int(i)])
+        chunk = max(1, MC_CHUNK_ELEMENTS // max(d, others.size))
         outside = 0
         for done in range(0, samples_per_ball, chunk):
-            m = min(chunk, samples_per_ball - done)
-            pts = rng.standard_normal((m, d))
-            norms = np.sqrt(_row_squares(pts))
-            # Degenerate draws are astronomically unlikely; guard anyway.
-            norms[norms == 0.0] = 1.0
-            pts /= norms[:, None]
-            pts *= radii[i]
-            pts += centers[i]
-            for j in others:
-                pts = pts[_row_squares(pts - centers[j]) >= radii[j] ** 2]
-            outside += len(pts)
+            g = rng.standard_normal((min(chunk, samples_per_ball - done), d))
+            norms = np.sqrt(_row_squares(g))
+            outside += int(np.count_nonzero((g @ w <= norms[:, None] * k).all(axis=1)))
         p = outside / samples_per_ball
         value += surf * p
         variance += surf * surf * p * (1.0 - p) / samples_per_ball

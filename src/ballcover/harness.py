@@ -434,34 +434,25 @@ def check_prop16_ratio(
 
 
 def _corpus_instance(
-    check_id: str, dimension: int, master_seed: int, index: int, options: dict
+    check_id: str,
+    dimension: int,
+    master_seed: int,
+    index: int,
+    eps_values,
+    lam: float,
 ) -> CheckReport:
     seed = [int(master_seed), int(index)]
     instance_id = f"{check_id}-{dimension}d-{index:05d}"
     balls = random_collection(dimension, seed)
     if check_id == "thm12":
-        return check_thm12(
-            balls,
-            instance_id=instance_id,
-            samples_per_ball=options.get("samples_per_ball", 20000),
-            seed=index,
-        )
+        return check_thm12(balls, instance_id=instance_id, seed=index)
     if check_id == "thm13":
-        eps_values = options.get("eps_values")
         if not eps_values:
             eps_values = [0.5 * overlap_eps_max(dimension)]
         eps = float(eps_values[index % len(eps_values)])
-        return check_thm13(
-            balls,
-            eps,
-            instance_id=instance_id,
-            volume_samples=options.get("volume_samples", 20000),
-            seed=index,
-        )
+        return check_thm13(balls, eps, instance_id=instance_id, seed=index)
     if check_id == "prop16":
-        return check_prop16_ratio(
-            balls, float(options.get("lam", 0.2)), instance_id=instance_id
-        )
+        return check_prop16_ratio(balls, float(lam), instance_id=instance_id)
     raise ValueError(f"unknown corpus check: {check_id}")
 
 
@@ -471,10 +462,13 @@ def run_corpus(
     dimension: int,
     master_seed: int = 0,
     jobs: int = 1,
-    **options,
+    eps_values=None,
+    lam: float = 0.2,
 ) -> list[CheckReport]:
     """Run one check over seeded random instances.
 
+    ``eps_values`` (thm13, cycled over the instances; default half of
+    ``overlap_eps_max``) and ``lam`` (prop16) reach only their check.
     Per-instance seeds derive only from the master seed and the index,
     and results are sorted by instance id, so the output is identical
     for any ``jobs`` value.
@@ -483,7 +477,7 @@ def run_corpus(
     if count < 1:
         raise ValueError("count must be at least 1")
     args = [
-        (check_id, int(dimension), int(master_seed), index, options)
+        (check_id, int(dimension), int(master_seed), index, eps_values, lam)
         for index in range(count)
     ]
     if int(jobs) > 1:

@@ -141,7 +141,8 @@ def _rising_sun(f: StepFunction, level: float):
 
 
 def _superlevel_components(f: StepFunction, level: float):
-    """Connected components (lo, hi) of {Mf >= level}, sorted.
+    """Connected components (lo, hi) of {Mf >= level}, sorted, and the
+    ``_rising_sun`` arrays they come from.
 
     A piece where G does not fall (|f| >= level) lies in the set whole.
     On piece i where G falls, a point t is in the set when G(t) > pm_i
@@ -150,7 +151,7 @@ def _superlevel_components(f: StepFunction, level: float):
     of the piece up to a root.  The zero tails fall at slope -level, with nothing before the
     left one and nothing after the right one.
     """
-    xs, g, slope, pm, sm = _rising_sun(f, level)
+    sun = xs, g, slope, pm, sm = _rising_sun(f, level)
     left, right = xs[:-1], xs[1:]
     falls = slope < 0
     early = falls & (pm[:-1] < g[:-1])
@@ -173,13 +174,13 @@ def _superlevel_components(f: StepFunction, level: float):
     # roots a rounding step past the end of a piece.
     whole = np.zeros(lo.size, dtype=bool)
     whole[np.searchsorted(lo, left[~falls], side="right") - 1] = True
-    return lo[whole], hi[whole]
+    return lo[whole], hi[whole], sun
 
 
 def maximal_superlevel(f: StepFunction, level: float) -> list[Interval]:
     """Connected components of {Mf >= level} for a positive level, exact."""
     level = _positive(level)
-    lo, hi = _superlevel_components(f, level)
+    lo, hi, _ = _superlevel_components(f, level)
     return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
@@ -222,10 +223,15 @@ def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
     the least G up to the previous member's right end, stopping when G
     goes no lower.  Member ends carry only the rounding of one root.
     """
-    level = _positive(level)
-    xs, g, slope, pm, sm = _rising_sun(f, level)
+    return _maximal_chain(f, _positive(level))[0]
+
+
+def _maximal_chain(f: StepFunction, level: float) -> tuple[list[Interval], int]:
+    """maximal_intervals at a positive level, and the number of
+    components of {Mf >= level}, from one rising-sun pass."""
+    starts, _, (xs, g, slope, pm, sm) = _superlevel_components(f, level)
     out: list[Interval] = []
-    for start in _superlevel_components(f, level)[0]:
+    for start in starts:
         c = sm[np.searchsorted(xs, start)]
         while True:
             # first breakpoint with G <= c, and last with G >= c
@@ -244,16 +250,16 @@ def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
             if pm[jb] >= c:
                 break
             c = pm[jb]
-    return out
+    return out, starts.size
 
 
 def level_report(f: StepFunction, level: float) -> LevelSetReport:
     """Level-set diagnostics: maximal intervals plus boundary counts of
     {|f| >= level} and {Mf >= level}."""
-    ivals = maximal_intervals(f, level)
+    level = _positive(level)
+    ivals, components = _maximal_chain(f, level)
     count_f = 2 * _function_superlevel_count(f, level)
-    count_m = 2 * len(maximal_superlevel(f, level))
-    return LevelSetReport(float(level), tuple(ivals), count_f, count_m)
+    return LevelSetReport(level, tuple(ivals), count_f, 2 * components)
 
 
 def maximal_variation_check(
@@ -264,10 +270,13 @@ def maximal_variation_check(
     At every non-degenerate grid level the boundary count of
     {Mf >= level} must not exceed that of {|f| >= level}.  var(Mf) is
     the integral of the maximal boundary count over levels (coarea).
-    The count is constant on each open gap between consecutive critical
-    levels (see _critical_levels), so one count at each gap's midpoint
-    gives var(Mf) exactly, up to rounding.  It must not exceed var(|f|)
-    by more than 1e-9 * max(1, var(|f|)).
+    Both counts are constant on each open gap between consecutive
+    critical levels (see _critical_levels), so one count of each at
+    each gap's midpoint gives var(Mf) exactly, up to rounding, and
+    serves every grid level inside the gap; a degenerate grid level,
+    within rounding of a critical level, is counted where it lies.
+    var(Mf) must not exceed var(|f|) by more than
+    1e-9 * max(1, var(|f|)).
     """
     level_grid_size = int(level_grid_size)
     if level_grid_size < 10:
@@ -278,32 +287,36 @@ def maximal_variation_check(
     if max_mf == 0.0:
         return VariationReport((), 0.0, 0.0, True)
 
-    def components_at(level: float) -> int:
-        return len(_superlevel_components(g, level)[0])
+    def counts_at(level: float) -> tuple[int, int]:
+        comp_m = len(_superlevel_components(g, level)[0])
+        return comp_m, _function_superlevel_count(g, level)
+
+    critical = _critical_levels(g)
+    # max_mf is a piece value, so the cuts run from 0 up to it.
+    cuts = np.union1d(0.0, critical[critical <= max_mf])
+    gap_counts = [counts_at(0.5 * (u + w)) for u, w in zip(cuts, cuts[1:])]
+    var_mf = sum(
+        2 * comp_m * (w - u) for (comp_m, _), u, w in zip(gap_counts, cuts, cuts[1:])
+    )
 
     grid = [
         max_mf * j / (level_grid_size + 1) for j in range(1, level_grid_size + 1)
     ]
-    critical = _critical_levels(g)
     skip_tol = _SKIP_TOL * max(1.0, max_mf)
-
     records = []
     all_pass = True
     for lam in grid:
         skipped = bool(np.any(np.abs(critical - lam) <= skip_tol))
-        comp_m = components_at(lam)
-        comp_f = _function_superlevel_count(g, lam)
-        passed = True if skipped else comp_m <= comp_f
+        if skipped:
+            comp_m, comp_f = counts_at(lam)
+        else:
+            comp_m, comp_f = gap_counts[int(np.searchsorted(cuts, lam)) - 1]
+        passed = skipped or comp_m <= comp_f
         all_pass &= passed
         records.append(LevelRecord(lam, 2 * comp_m, 2 * comp_f, skipped, passed))
     if all(r.skipped for r in records):
         raise ValueError("degenerate level grid: every level is critical")
 
-    # max_mf is a piece value, so the cuts run from 0 up to it.
-    cuts = np.union1d(0.0, critical[critical <= max_mf])
-    var_mf = sum(
-        2 * components_at(0.5 * (u + w)) * (w - u) for u, w in zip(cuts, cuts[1:])
-    )
     # relative above 1: var(Mf) = var(|f|) for unimodal |f|, and at a
     # large scale rounding alone exceeds an absolute 1e-9
     bound_ok = var_mf <= var_f + 1e-9 * max(1.0, var_f)

@@ -15,7 +15,12 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from ballcover.geometry import BallCollection
+from ballcover.geometry import (
+    BallCollection,
+    _coincidence_groups,
+    _surface,
+    neighbor_lists,
+)
 from ballcover.maximal1d import StepFunction
 
 
@@ -339,6 +344,38 @@ def free_arc_lengths_oracle(balls: BallCollection) -> list[float]:
                 arcs.append((theta, math.atan2(float(h), float(offset))))
             out.append(ri * (2.0 * math.pi - _covered_angle(arcs)))
     return out
+
+
+def union_perimeter_mc_points(
+    balls: BallCollection, samples_per_ball: int, seed: int
+) -> tuple[float, float]:
+    """Value and standard error of ``union_perimeter_mc``, counted the
+    long way: every draw g of ball i's substream becomes the point
+    c_i + r_i g/|g|, kept while |p - c_j| >= r_j for each neighbour j in
+    turn.  Same neighbours, coincident merge and substreams as the
+    package, drawn in one piece."""
+    d = balls.dimension
+    centers, radii = balls.centers, balls.radii
+    start, partner, rho = neighbor_lists(centers, radii)
+    rep = _coincidence_groups(radii, start, partner, rho)
+    value = variance = 0.0
+    for i, r in enumerate(radii.tolist()):
+        if rep[i] != i:
+            continue
+        others = [j for j in partner[start[i] : start[i + 1]].tolist() if rep[j] == j]
+        surf = _surface(r, d)
+        if not others:
+            value += surf
+            continue
+        g = np.random.default_rng([seed, i]).standard_normal((samples_per_ball, d))
+        pts = centers[i] + r * (g / np.sqrt((g * g).sum(axis=1))[:, None])
+        for j in others:
+            diff = pts - centers[j]
+            pts = pts[(diff * diff).sum(axis=1) >= radii[j] ** 2]
+        p = len(pts) / samples_per_ball
+        value += surf * p
+        variance += surf * surf * p * (1.0 - p) / samples_per_ball
+    return value, math.sqrt(variance)
 
 
 def random_step_function(rng: np.random.Generator, max_pieces: int = 12) -> StepFunction:

@@ -225,9 +225,6 @@ class TestBuildSurroundedBall:
             assert isinstance(rec, PlacementRecord)
             assert rec.radius == b.radius
             assert rec.distance == pytest.approx(math.hypot(*b.center), abs=1e-12)
-            assert 0.0 <= rec.uncovered_fraction <= 1.0
-        fracs = [rec.uncovered_fraction for rec in records]
-        assert all(a >= b - 1e-15 for a, b in zip(fracs, fracs[1:]))
 
     def test_deterministic(self, packing):
         balls, records = packing

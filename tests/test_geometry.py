@@ -654,6 +654,40 @@ def test_union_volume_mc_1d_exact():
     assert est.value == pytest.approx(3.5, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "dim, balls",
+    [
+        pytest.param(
+            2,
+            # nested concentric, internally and externally tangent,
+            # overlapping, a coincident pair and an isolated disk
+            [(0, 0, 1.0), (0, 0, 0.5), (0.5, 0, 0.5), (1.5, 0, 0.5),
+             (1.2, 0.3, 0.7), (1.2, 0.3, 0.7), (-0.5, 0.8, 0.4), (5, 5, 0.3)],
+            id="2d-degenerate",
+        ),
+        pytest.param(
+            3,
+            [(0, 0, 0, 1.0), (0, 0, 0, 0.4), (0, 0.6, 0, 0.4), (0, 0, 1.3, 0.3),
+             (0.9, 0.2, -0.1, 0.6), (0.9, 0.2, -0.1, 0.6), (-0.7, -0.5, 0.3, 0.5)],
+            id="3d-degenerate",
+        ),
+        pytest.param(2, 11, id="2d-corpus"),
+        pytest.param(3, 12, id="3d-corpus"),
+    ],
+)
+def test_mc_halfspace_test_matches_point_count(dim, balls):
+    if isinstance(balls, int):
+        balls = random_collection(dim, [balls, 3])
+    else:
+        balls = BallCollection.from_arrays(
+            [b[:dim] for b in balls], [b[dim] for b in balls]
+        )
+    est = union_perimeter_mc(balls, samples_per_ball=20_000, seed=7)
+    assert (est.value, est.std_error) == oracles.union_perimeter_mc_points(
+        balls, 20_000, 7
+    )
+
+
 def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
     balls = _collection([(0, 0, 1.0), (1.2, 0.3, 0.7), (-0.5, 0.8, 0.4), (5, 5, 0.3)])
     perimeter = union_perimeter_mc(balls, samples_per_ball=3_000, seed=11)

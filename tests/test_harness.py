@@ -37,7 +37,11 @@ from ballcover.harness import (
 from ballcover.harness import _iso_cap
 from ballcover.selection import overlap_eps_max
 
-from oracles import cap_volume_quadrature, unit_ball_volume_gamma
+from oracles import (
+    cap_volume_quadrature,
+    free_arc_lengths_oracle,
+    unit_ball_volume_gamma,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +259,7 @@ class TestCheckExample14Rate:
         fit = check_example14_rate(eps_list, 0.3, 40, seed=1)
         for i, eps in enumerate(eps_list):
             cfg = SurroundedBallConfig(eps=eps, delta=0.3, n_max=40, seed=1)
-            packing, records = build_surrounded_ball_detailed(cfg)
+            packing, _ = build_surrounded_ball_detailed(cfg)
             circle, lo, hi = free_arcs_2d(packing)
             lengths = [
                 r * sum((hi - lo)[circle == i].tolist())
@@ -271,8 +275,10 @@ class TestCheckExample14Rate:
             assert fit.raw_ratios[i] == pytest.approx(perimeter / circle, rel=1e-12)
             u = fit.uncovered[i]
             assert u == pytest.approx(bare / circle, rel=1e-12)
-            # the generator's own coverage log agrees with the arc clipping
-            assert u == pytest.approx(records[-1].uncovered_fraction, abs=1e-11)
+            # the brute-force arc oracle agrees with the arc clipping
+            assert u == pytest.approx(
+                free_arc_lengths_oracle(packing)[0] / circle, abs=1e-11
+            )
             assert fit.raw_ratios[i] == pytest.approx(
                 u + (1.0 - u) * fit.ys[i], rel=1e-12
             )
@@ -454,15 +460,13 @@ class TestRunCorpus:
         assert reports == again
 
     def test_jobs_do_not_change_results(self):
-        serial = run_corpus("thm13", 6, 2, master_seed=4, volume_samples=2000)
-        parallel = run_corpus(
-            "thm13", 6, 2, master_seed=4, jobs=2, volume_samples=2000
-        )
+        serial = run_corpus("thm13", 6, 2, master_seed=4)
+        parallel = run_corpus("thm13", 6, 2, master_seed=4, jobs=2)
         assert serial == parallel
 
     def test_eps_values_cycle(self):
         reports = run_corpus(
-            "thm13", 4, 2, master_seed=1, eps_values=[0.02, 0.005], volume_samples=1000
+            "thm13", 4, 2, master_seed=1, eps_values=[0.02, 0.005]
         )
         assert [r.params["eps"] for r in reports] == [0.02, 0.005, 0.02, 0.005]
 

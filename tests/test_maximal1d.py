@@ -42,6 +42,7 @@ from oracles import (
     maximal_function_oracle_at,
     maximal_function_oracle_grid,
     random_step_function,
+    union_component_count_oracle,
     variation_oracle,
 )
 
@@ -49,6 +50,8 @@ from oracles import (
 TENT = StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 0.5))
 SPIKY = StepFunction((0.0, 1.0, 2.0, 4.0, 7.0), (2.0, 0.5, 3.0, 1.0))
 SIGNED = StepFunction((-1.0, 0.0, 2.0, 3.0), (-2.0, 1.0, -0.5))
+# Integer-valued: grid levels j/3 land exactly on its critical levels.
+INTEGER_STEP = StepFunction((0.0, 1.0, 2.0, 3.0), (4.0, 2.0, 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +439,20 @@ class TestLevelReport:
                     rep.maximal_boundary_count <= rep.superlevel_boundary_count
                 ) or _near_critical(g, lam)
 
+    def test_one_rising_sun_and_one_component_pass(self, monkeypatch):
+        calls = []
+        for name in ("_rising_sun", "_superlevel_components"):
+            inner = getattr(maximal1d, name)
+
+            def spy(f, level, name=name, inner=inner):
+                calls.append(name)
+                return inner(f, level)
+
+            monkeypatch.setattr(maximal1d, name, spy)
+        rep = level_report(GOLDEN_STEP, 1.1)
+        assert sorted(calls) == ["_rising_sun", "_superlevel_components"]
+        assert len(rep.maximal_intervals) == 2
+
 
 def _near_critical(g, lam, tol=1e-6):
     crit = _critical_levels(g)
@@ -643,8 +660,8 @@ class TestExactVariation:
             }
             assert len(counts) <= 1, (u, w, counts)
 
-    @pytest.mark.parametrize("size", [10, 37, 200])
-    def test_one_component_pass_per_grid_level_and_critical_gap(
+    @pytest.mark.parametrize("size", [10, 11, 37, 200])
+    def test_one_component_pass_per_gap_and_skipped_level(
         self, monkeypatch, size
     ):
         calls = []
@@ -655,10 +672,33 @@ class TestExactVariation:
             return inner(g, level)
 
         monkeypatch.setattr(maximal1d, "_superlevel_components", spy)
-        for f in (TENT, SPIKY, SIGNED, GOLDEN_STEP):
+        for f in (TENT, SPIKY, SIGNED, GOLDEN_STEP, INTEGER_STEP):
             calls.clear()
-            maximal_variation_check(f, size)
+            rep = maximal_variation_check(f, size)
             top = max(f.abs_function().values)
             crit = _critical_levels(f.abs_function())
             gaps = np.unique(crit[(crit > 0) & (crit <= top)]).size
-            assert len(calls) == size + gaps
+            skipped = sum(rec.skipped for rec in rep.levels)
+            assert len(calls) == gaps + skipped
+            if f is INTEGER_STEP and size == 11:
+                assert skipped == 3
+
+    def test_skipped_levels_keep_their_direct_counts(self):
+        # Grid levels j/3 of INTEGER_STEP land on its critical levels 2,
+        # 3 and 10/3 (the average over the whole support).  At 10/3 the
+        # rounded component pass sees two components, while on the gap
+        # below it, (3, 10/3), {Mf >= level} is one interval: a skipped
+        # level must keep its own count, not its gap's.
+        rep = maximal_variation_check(INTEGER_STEP, 11)
+        skipped = [rec for rec in rep.levels if rec.skipped]
+        assert [rec.level for rec in skipped] == [2.0, 3.0, 40.0 / 12.0]
+        g = INTEGER_STEP.abs_function()
+        for rec in skipped:
+            assert rec.count_maximal == 2 * len(maximal_superlevel(g, rec.level))
+            assert rec.count_function == 2 * union_component_count_oracle(
+                [(a, b) for a, b, v in zip(g.breakpoints, g.breakpoints[1:], g.values)
+                 if v >= rec.level]
+            )
+            assert rec.passed
+        assert skipped[-1].count_maximal == 4
+        assert len(maximal_superlevel(g, 3.2)) == 1
