@@ -685,10 +685,10 @@ class TestExactVariation:
 
     def test_skipped_levels_keep_their_direct_counts(self):
         # Grid levels j/3 of INTEGER_STEP land on its critical levels 2,
-        # 3 and 10/3 (the average over the whole support).  At 10/3 the
-        # rounded component pass sees two components, while on the gap
-        # below it, (3, 10/3), {Mf >= level} is one interval: a skipped
-        # level must keep its own count, not its gap's.
+        # 3 and 10/3 (the average over the whole support).  The float
+        # 40/12 lies just above 10/3, where {Mf >= level} has two
+        # components; on the gap below, (3, 10/3), it is one interval.
+        # A skipped level must keep its own count, not its gap's.
         rep = maximal_variation_check(INTEGER_STEP, 11)
         skipped = [rec for rec in rep.levels if rec.skipped]
         assert [rec.level for rec in skipped] == [2.0, 3.0, 40.0 / 12.0]
