@@ -30,7 +30,6 @@ import numpy as np
 from .geometry import (
     TWO_PI,
     BallCollection,
-    _leaves_gap,
     _split_arcs,
     _uncovered_arcs,
     center_distance_for_overlap,
@@ -136,6 +135,35 @@ class PlacementRecord:
     distance: float
 
 
+def _halfwidths(disks: np.ndarray, rho: float, r: float) -> np.ndarray | None:
+    """Half-widths of the angles where a new disk of radius r at distance
+    rho would meet the placed disks in the columns of ``disks`` (as in
+    ``_PackingState``); None when one of them blocks every angle."""
+    _, dist, dist2, radius = disks
+    # overlap with disk j iff the center distance is below r + r_j,
+    # i.e. cos(angle difference) > q_j
+    q = (rho * rho + dist2 - (r + radius) ** 2) / (2.0 * rho * dist)
+    if q.size and q.min() <= -1.0:
+        return None
+    # Every small disk straddles the unit circle, so
+    # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip.
+    return np.arccos(q)
+
+
+def _arc_bounds(disks: np.ndarray, rho: float, r: float):
+    """Where the blocked arcs of the disks in ``disks`` start and end on
+    the circle, in the floats of ``_PackingState.gaps``: ``_split_arcs``
+    starts an arc at lo and ends it at lo + 2w, less 2*pi past 2*pi.
+    None when one of them blocks every angle."""
+    halfwidths = _halfwidths(disks, rho, r)
+    if halfwidths is None:
+        return None
+    lo = disks[0] - halfwidths
+    lo = np.where(lo < 0.0, lo + TWO_PI, lo) + 0.0
+    hi = lo + 2.0 * halfwidths
+    return lo, np.where(hi > TWO_PI, hi - TWO_PI, hi)
+
+
 class _PackingState:
     """Mutable state of the greedy packing: the placed small disks in
     polar form, kept sorted by angle.
@@ -150,38 +178,108 @@ class _PackingState:
         # and radius
         self._disks = np.empty((4, 0))
 
-    def blocked_arcs(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """Angles where a new disk of radius r at distance rho would meet
-        a placed disk; None when every angle is blocked."""
-        if self._disks.size == 0:
-            return np.empty(0), np.empty(0)
-        angle, dist, dist2, radius = self._disks
-        # overlap with disk j iff the center distance is below r + r_j,
-        # i.e. cos(angle difference) > q_j
-        q = (rho * rho + dist2 - (r + radius) ** 2) / (2.0 * rho * dist)
-        if q.min() <= -1.0:
-            return None
-        # Every small disk straddles the unit circle, so
-        # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip.
-        return _split_arcs(angle, np.arccos(q))
-
-    def fits(self, rho: float, r: float) -> bool:
-        """Whether a new disk of radius r at distance rho fits at some
-        angle: the blocked arcs leave a gap of [0, 2*pi] uncovered."""
-        arcs = self.blocked_arcs(rho, r)
-        return arcs is not None and _leaves_gap(*arcs)
-
     def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """The free arcs for a new disk of radius r at distance rho; empty
-        exactly when ``fits`` is false."""
-        arcs = self.blocked_arcs(rho, r)
-        if arcs is None:
+        """The free arcs for a new disk of radius r at distance rho, empty
+        when it fits nowhere: the full probe that accepts every
+        placement."""
+        halfwidths = _halfwidths(self._disks, rho, r)
+        if halfwidths is None:
             return np.empty(0), np.empty(0)
-        return _uncovered_arcs(*arcs)
+        return _uncovered_arcs(*_split_arcs(self._disks[0], halfwidths))
+
+    def pockets(self, rho: float, r: float, gap_starts, gap_ends) -> _Pockets:
+        """The pockets of the free arcs that ``gaps(rho, r)`` returned.
+
+        A gap opens where the arc of its left disk ends and closes where
+        the arc of its right disk starts.  Both are looked up cyclically,
+        the last end at or before the gap's start and the first start at
+        or after its end, so the two pieces of a gap across 0 = 2*pi name
+        the same pair."""
+        lo, end = _arc_bounds(self._disks, rho, r)
+        by_end, by_lo = np.argsort(end), np.argsort(lo)
+        left = by_end[np.searchsorted(end[by_end], gap_starts, side="right") - 1]
+        right = by_lo[np.searchsorted(lo[by_lo], gap_ends) % lo.size]
+        width = lo[right] - end[left]
+        return _Pockets(
+            self._disks[:, np.concatenate([left, right])],
+            np.where(width > 0.0, width, width + TWO_PI),
+        )
 
     def add(self, rho: float, angle: float, r: float) -> None:
         k = int(np.searchsorted(self._disks[0], angle))
         self._disks = np.insert(self._disks, k, (angle, rho, rho * rho, r), axis=1)
+
+
+@dataclass(frozen=True)
+class _Pockets:
+    """Pockets of one probe: ``disks`` holds the columns of the left
+    bounding disks, then those of the right ones; ``width`` is each
+    pocket's width at that probe."""
+
+    disks: np.ndarray
+    width: np.ndarray
+
+    def opening(self, rho: float, r: float) -> float:
+        """Width of the widest pocket for a new disk of radius r at
+        distance rho, at most 0 when all are shut: the start of each
+        right arc less the end of its left arc, in the floats of the
+        probe.  Taken modulo 2*pi into (w - 3*pi/2, w + pi/2] around the
+        pocket's width w at the probe, as the bounds jump by 2*pi where
+        a growing arc crosses 0 = 2*pi."""
+        bounds = _arc_bounds(self.disks, rho, r)
+        if bounds is None:
+            return -math.pi
+        k = self.width.size
+        d = bounds[0][k:] - bounds[1][:k]
+        d -= TWO_PI * np.ceil((d - self.width - 0.5 * math.pi) / TWO_PI)
+        return float(d.max())
+
+
+def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
+    """The largest radius in [lo, hi) that the full probe accepts, to tol,
+    with its center distance and free arcs: the probe accepts lo, with
+    free arcs ``lo_gaps``, and rejects hi.
+
+    The widest pocket of the last accepted probe shuts at a root of
+    ``_Pockets.opening`` in the radius, found by a bracketed secant with
+    the Illinois halving, one overlap solve per trial radius.  The probe
+    must accept the root's lower end, or it becomes the new top.  When
+    the pockets stay open at the top, an arc they do not know grew into
+    them, and the probe halves the bracket instead: at worst this is a
+    bisection on the probe.
+    """
+    while hi - lo > tol:
+        pockets = state.pockets(lo_rho, lo, *lo_gaps)
+        a, a_rho, fa = lo, lo_rho, pockets.opening(lo_rho, lo)
+        b, b_rho, fb = hi, hi_rho, pockets.opening(hi_rho, hi)
+        if fa > 0.0 >= fb:
+            side = 0
+            while b - a > tol:
+                c = b - fb * (b - a) / (fb - fa)
+                # at least half the tolerance inside, so the bracket shrinks
+                c = min(max(c, a + 0.5 * tol), b - 0.5 * tol)
+                c_rho = distance(c)
+                fc = pockets.opening(c_rho, c)
+                if fc > 0.0:
+                    a, a_rho, fa = c, c_rho, fc
+                    if side > 0:
+                        fb *= 0.5
+                    side = 1
+                else:
+                    b, b_rho, fb = c, c_rho, fc
+                    if side < 0:
+                        fa *= 0.5
+                    side = -1
+        else:
+            a = 0.5 * (lo + hi)
+            a_rho = distance(a)
+        found = state.gaps(a_rho, a)
+        if found[1].size:
+            lo, lo_rho, lo_gaps = a, a_rho, found
+            hi, hi_rho = b, b_rho
+        else:
+            hi, hi_rho = a, a_rho
+    return lo, lo_rho, lo_gaps
 
 
 def build_surrounded_ball_detailed(
@@ -194,7 +292,10 @@ def build_surrounded_ball_detailed(
     never above the previous radius): its center distance is tuned so
     the lens with the unit disk is exactly ``eps`` times its own area,
     and its angle is drawn uniformly from the set of angles where it
-    stays disjoint from all previously placed small disks.  Generation
+    stays disjoint from all previously placed small disks.  When the
+    previous radius no longer fits, the radius is the largest one the
+    full probe accepts, to within ``1e-14 * delta``: a disk that much
+    larger is blocked at every angle (see ``_largest_fit``).  Generation
     stops after ``n_max`` small disks or when even radius
     ``delta * 1e-3`` no longer fits anywhere.
     """
@@ -215,21 +316,12 @@ def build_surrounded_ball_detailed(
     for index in range(1, int(cfg.n_max) + 1):
         gap_starts, gap_ends = state.gaps(rho, r)
         if gap_ends.size == 0:
-            if not state.fits(floor_rho, floor):
+            floor_gaps = state.gaps(floor_rho, floor)
+            if floor_gaps[1].size == 0:
                 break
-            lo, lo_rho, hi = floor, floor_rho, r
-            # largest feasible radius on the probed path, to ~1e-13 delta
-            for _ in range(42):
-                mid = 0.5 * (lo + hi)
-                mid_rho = distance(mid)
-                if state.fits(mid_rho, mid):
-                    lo, lo_rho = mid, mid_rho
-                else:
-                    hi = mid
-            r, rho = lo, lo_rho
-            gap_starts, gap_ends = state.gaps(rho, r)
-            if gap_ends.size == 0:  # pragma: no cover - lo was feasible above
-                break
+            r, rho, (gap_starts, gap_ends) = _largest_fit(
+                state, distance, floor, floor_rho, floor_gaps, r, rho, 1e-14 * cfg.delta
+            )
         widths = gap_ends - gap_starts
         total = float(widths.sum())
         offsets = np.concatenate(([0.0], np.cumsum(widths)))

@@ -427,15 +427,6 @@ def _uncovered_arcs(
     return gap_lo[keep], gap_hi[keep]
 
 
-def _leaves_gap(starts: np.ndarray, ends: np.ndarray) -> bool:
-    """Whether segments of [0, 2*pi] leave part of it uncovered: the
-    answer of a nonempty ``_uncovered_arcs(starts, ends)`` without
-    building the gaps.  The segments cover the circle only as a single
-    component from 0 to 2*pi."""
-    lo, hi = union_components(starts, ends)
-    return bool(lo.size != 1 or lo[0] > 0.0 or hi[0] < TWO_PI)
-
-
 def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uncovered angular arcs of every circle against all other open disks.
 

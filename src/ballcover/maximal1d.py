@@ -303,14 +303,22 @@ def maximal_variation_check(
         max_mf * j / (level_grid_size + 1) for j in range(1, level_grid_size + 1)
     ]
     skip_tol = _SKIP_TOL * max(1.0, max_mf)
+    # critical comes sorted from np.unique, so a level lies within
+    # skip_tol of some critical level exactly when it does of one of its
+    # two neighbours there
+    levels = np.array(grid)
+    at = np.searchsorted(critical, levels)
+    below = levels - critical[np.maximum(at - 1, 0)]
+    above = critical[np.minimum(at, critical.size - 1)] - levels
+    near = ((at > 0) & (below <= skip_tol)) | ((at < critical.size) & (above <= skip_tol))
+    gap = np.searchsorted(cuts, levels) - 1
     records = []
     all_pass = True
-    for lam in grid:
-        skipped = bool(np.any(np.abs(critical - lam) <= skip_tol))
+    for lam, skipped, k in zip(grid, near.tolist(), gap.tolist()):
         if skipped:
             comp_m, comp_f = counts_at(lam)
         else:
-            comp_m, comp_f = gap_counts[int(np.searchsorted(cuts, lam)) - 1]
+            comp_m, comp_f = gap_counts[k]
         passed = skipped or comp_m <= comp_f
         all_pass &= passed
         records.append(LevelRecord(lam, 2 * comp_m, 2 * comp_f, skipped, passed))

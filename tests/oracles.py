@@ -13,7 +13,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from ballcover.geometry import (
     BallCollection,
@@ -302,6 +302,44 @@ def _covered_angle(arcs) -> float:
             total += run[1] - run[0]
         run = [lo, hi]
     return total if run is None else total + run[1] - run[0]
+
+
+def overlap_distance_oracle(r: float, eps: float) -> float:
+    """Center distance at which a disk of radius r meets the unit disk in
+    a lens of eps times its own area: Brent's method on the quadrature
+    lens."""
+    target = eps * math.pi * r * r
+    return optimize.brentq(
+        lambda rho: lens_volume_quadrature(1.0, r, rho, 2) - target,
+        1.0 - r,
+        1.0 + r,
+        xtol=1e-17,
+        rtol=1e-15,
+    )
+
+
+def surrounded_disk_fits(centers, radii, r: float, eps: float) -> bool:
+    """Whether a disk of radius r at its eps-overlap distance from the
+    unit disk misses every given disk at some angle.
+
+    The angles where it meets disk j form an open arc around disk j's
+    direction; its half-width is the triangle angle at the origin for
+    sides rho, |c_j| and r + r_j, taken as atan2 of Heron's product so
+    it keeps full accuracy for narrow arcs.  The disk fits when the arcs
+    leave part of the circle uncovered.
+    """
+    rho = overlap_distance_oracle(r, eps)
+    arcs = []
+    for (x, y), s in zip(centers, radii):
+        d, reach = math.hypot(x, y), r + s
+        if rho + d <= reach:
+            return False  # disk j meets every direction
+        if abs(rho - d) >= reach:
+            continue
+        heron = (rho + d + reach) * (d + reach - rho) * (rho + reach - d) * (rho + d - reach)
+        half = math.atan2(math.sqrt(heron), (rho - reach) * (rho + reach) + d * d)
+        arcs.append((math.atan2(y, x), half))
+    return _covered_angle(arcs) < 2.0 * math.pi
 
 
 def free_arc_lengths_oracle(balls: BallCollection) -> list[float]:

@@ -15,6 +15,8 @@ import pytest
 from ballcover.counterexample import (
     PlacementRecord,
     SurroundedBallConfig,
+    _PackingState,
+    _largest_fit,
     build_fig1,
     build_reverse_example,
     build_surrounded_ball,
@@ -31,7 +33,7 @@ from ballcover.geometry import (
 )
 from ballcover.selection import vitali_select
 
-from oracles import ring_family_perimeter_oracle
+from oracles import ring_family_perimeter_oracle, surrounded_disk_fits
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,31 @@ def packing():
     return build_surrounded_ball_detailed(_PACK_CFG)
 
 
+_SHRINK_CFG = SurroundedBallConfig(eps=0.05, delta=0.3, n_max=8000, seed=7)
+
+
+@pytest.fixture(scope="module")
+def shrinking_packing():
+    """The packing of _SHRINK_CFG, its log and the number of full probes
+    (``_PackingState.gaps`` calls) that built it."""
+    calls = []
+    probe = _PackingState.gaps
+
+    def spy(self, rho, r):
+        calls.append(r)
+        return probe(self, rho, r)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_PackingState, "gaps", spy)
+        balls, records = build_surrounded_ball_detailed(_SHRINK_CFG)
+    return balls, records, len(calls)
+
+
+def _shrinking(records) -> list[int]:
+    """Indices of the placements whose radius is below the previous one."""
+    return [k for k in range(1, len(records)) if records[k].radius < records[k - 1].radius]
+
+
 class TestBuildSurroundedBall:
     CFG = _PACK_CFG
 
@@ -259,8 +286,79 @@ class TestBuildSurroundedBall:
         digest = hashlib.sha256(balls.centers.astype("<f8").tobytes())
         digest.update(balls.radii.astype("<f8").tobytes())
         assert digest.hexdigest() == (
-            "4f29b4de57613e540b84913516a6d1361c3fd0b81b93f7715566b4c5952a474e"
+            "cd910846070b6e8e6907e40cacf846e3072f4913cfb1c6a5f0f3cef01f53a6ab"
         )
+
+    def test_each_placed_radius_is_the_largest_that_fits(self, shrinking_packing):
+        # Wherever the radius shrinks, the generator has searched for the
+        # largest radius that still fits; a disk one part in 1e9 larger,
+        # at its own eps-overlap distance, must be blocked at every angle
+        # by the disks placed before it, and one part in 1e9 smaller must
+        # fit (the oracle's distance is not exact enough to decide the
+        # placed radius itself).
+        balls, records, _ = shrinking_packing
+        eps = _SHRINK_CFG.eps
+        centers, radii = balls.centers[1:].tolist(), balls.radii[1:].tolist()
+        shrinking = _shrinking(records)
+        assert len(shrinking) > 300
+        for k in shrinking:
+            r = records[k].radius
+            assert surrounded_disk_fits(centers[:k], radii[:k], r * (1.0 - 1e-9), eps), k
+            assert not surrounded_disk_fits(centers[:k], radii[:k], r * (1.0 + 1e-9), eps), k
+
+    def test_few_full_probes_per_shrinking_placement(self, shrinking_packing):
+        # The radius comes from the pockets of one probe at the floor, so
+        # a shrinking placement costs the rejected probe at the last
+        # radius, the one at the floor and the one accepting the root.
+        # A bisection on the probe would make over forty.
+        _, records, probes = shrinking_packing
+        assert probes / len(_shrinking(records)) <= 5.0
+
+    def test_largest_fit_matches_a_bisection_on_the_probe(self):
+        # Random straddling disks, with the center distance of a new disk
+        # growing with its radius; their arcs grow at unlike rates, so
+        # now and then one the pockets do not name closes a pocket
+        # first and the search must retry from a probe.
+        def distance(r):
+            return 1.0 + 0.3 * r
+
+        def fits(state, r):
+            return state.gaps(distance(r), r)[1].size > 0
+
+        calls = []
+        probe = _PackingState.gaps
+
+        def spy(state, rho, r):
+            calls.append(r)
+            return probe(state, rho, r)
+
+        rng = np.random.default_rng(5)
+        lo, hi, searched, retried = 1e-3, 0.3, 0, 0
+        for _ in range(600):
+            state = _PackingState()
+            for _ in range(int(rng.integers(10, 40))):
+                r = rng.uniform(0.005, 0.3)
+                state.add(1.0 + rng.uniform(-0.5, 0.5) * r, rng.uniform(0.0, 2.0 * math.pi), r)
+            if fits(state, hi) or not fits(state, lo):
+                continue
+            calls.clear()
+            floor_gaps = state.gaps(distance(lo), lo)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_PackingState, "gaps", spy)
+                r, rho, gaps = _largest_fit(
+                    state, distance, lo, distance(lo), floor_gaps, hi, distance(hi), 1e-14
+                )
+            assert rho == distance(r)
+            assert [a.tolist() for a in gaps] == [a.tolist() for a in state.gaps(rho, r)]
+            assert gaps[1].size > 0
+            a, b = lo, hi
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if fits(state, mid) else (a, mid)
+            assert abs(r - a) <= 1e-13
+            searched += 1
+            retried += len(calls) > 1
+        assert searched > 100 and retried > 0, (searched, retried)
 
     def test_n_max_truncates(self):
         cfg = SurroundedBallConfig(eps=0.2, delta=0.3, n_max=5, seed=3)

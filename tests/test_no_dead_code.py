@@ -5,11 +5,13 @@ collection from ``Ball`` values, only ``maximal1d`` builds ``Interval``
 values, and the selectors, checks and union measures read a collection
 through its arrays, never one ``Ball`` at a time.
 
-A definition counts as used when its name is read, imported or taken as
-an attribute in ``src/`` outside ``__init__.py``, in ``scripts/`` or in
-``perfbench/``, outside its own body.  Re-exports and tests are not
-uses.  Names are matched without their module, so the guard errs toward
-keeping code alive.
+A top-level function or class counts as used when its name is read
+bare, imported or taken as ``<its module>.<name>`` in ``src/`` outside
+``__init__.py``, in ``scripts/`` or in ``perfbench/``, outside its own
+body; an attribute of some other object of the same name is not a use.
+A method counts as used when its name is read or taken as an attribute
+of anything, since the type of the object is not known.  Re-exports and
+tests are not uses.
 """
 
 import ast
@@ -48,51 +50,101 @@ ALLOWED_UNUSED = {
 }
 
 
-def _names(node) -> Counter:
-    found = Counter()
+def _names(node) -> tuple[Counter, Counter]:
+    """Names read bare or imported under ``node``, and attributes keyed
+    by (owner, name), the owner being the last name of the object they
+    are taken from (None when that has no name)."""
+    bare, attrs = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            found[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            found[sub.attr] += 1
+            bare[sub.id] += 1
         elif isinstance(sub, ast.alias):
-            found[sub.name.rpartition(".")[2]] += 1
-    return found
+            bare[sub.name.rpartition(".")[2]] += 1
+        elif isinstance(sub, ast.Attribute):
+            owner = getattr(sub.value, "id", None) or getattr(sub.value, "attr", None)
+            attrs[owner, sub.attr] += 1
+    return bare, attrs
+
+
+def _uses(names: tuple[Counter, Counter], name: str, module: str | None) -> int:
+    """Uses of the top-level definition ``name`` of ``module``, or of a
+    method ``name`` when ``module`` is None, among ``_names`` counts."""
+    bare, attrs = names
+    if module is None:
+        return bare[name] + sum(n for (_, attr), n in attrs.items() if attr == name)
+    return bare[name] + attrs[module, name]
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and the non-dunder methods of
-    those classes."""
+    """Top-level functions and classes with None, and the non-dunder
+    methods of those classes with their class name."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, kinds):
-            yield node
+            yield node, None
         if isinstance(node, ast.ClassDef):
             for method in node.body:
                 if isinstance(method, kinds[:2]) and not method.name.startswith("__"):
-                    yield method
+                    yield method, node.name
 
 
-def _unused_definitions() -> list[str]:
-    trees = {
+def _unused_definitions(trees: dict[Path, ast.Module], package: list[Path]) -> list[str]:
+    """Definitions of the ``package`` modules that no tree in ``trees``
+    uses outside their own body."""
+    program = [_names(tree) for tree in trees.values()]
+    unused = []
+    for path in package:
+        for node, owner in _definitions(trees[path]):
+            module = path.stem if owner is None else None
+            total = sum(_uses(names, node.name, module) for names in program)
+            if total - _uses(_names(node), node.name, module) <= 0:
+                unused.append(node.name)
+    return unused
+
+
+def _program_trees() -> dict[Path, ast.Module]:
+    return {
         path: ast.parse(path.read_text(), filename=str(path))
         for top in PROGRAM
         for path in sorted((ROOT / top).rglob("*.py"))
         if path.name != "__init__.py"
     }
-    uses = sum((_names(tree) for tree in trees.values()), Counter())
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in _definitions(trees[path]):
-            if uses[node.name] - _names(node)[node.name] <= 0:
-                unused.append(node.name)
-    return unused
 
 
 def test_every_top_level_definition_is_referenced():
-    assert sorted(_unused_definitions()) == sorted(ALLOWED_UNUSED)
+    package = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert sorted(_unused_definitions(_program_trees(), package)) == sorted(ALLOWED_UNUSED)
+
+
+@pytest.mark.parametrize(
+    "use, flagged",
+    [
+        ("mean = ref.average(xs)", True),  # some other object's attribute
+        ("mean = stats.average(xs)", False),
+        ("mean = pkg.stats.average(xs)", False),
+        ("mean = average(xs)", False),
+        ("from pkg.stats import average", False),
+    ],
+)
+def test_module_function_needs_its_module_or_a_bare_name(use, flagged):
+    # A module function that shares its name with a method elsewhere
+    # (maximal1d.average against StepRef.average) is not kept alive by
+    # the method's calls.
+    stats, report = Path("pkg/stats.py"), Path("pkg/report.py")
+    trees = {
+        stats: ast.parse("def average(xs):\n    return sum(xs) / len(xs)\n"),
+        report: ast.parse(use),
+    }
+    assert ("average" in _unused_definitions(trees, [stats])) is flagged
+
+
+def test_method_counts_any_attribute_of_its_name():
+    stats, report = Path("pkg/stats.py"), Path("pkg/report.py")
+    trees = {
+        stats: ast.parse("class Ref:\n    def average(self):\n        return 0.0\n"),
+        report: ast.parse("def show(ref):\n    return ref.average()\n"),
+    }
+    assert _unused_definitions(trees, [stats]) == ["Ref"]
 
 
 def _imported_modules(tree) -> set[str]:
