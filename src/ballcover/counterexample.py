@@ -236,11 +236,12 @@ class _Pockets:
 
 
 def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
-    """The largest radius in [lo, hi) that the full probe accepts, to tol,
-    with its center distance and free arcs: the probe accepts lo, with
-    free arcs ``lo_gaps``, and rejects hi.
+    """A radius in [lo, hi) that the full probe accepts, less than tol
+    below the radius at which its pockets all shut, with its center
+    distance and free arcs.  The probe accepts lo, with free arcs
+    ``lo_gaps``, and rejects hi.
 
-    The widest pocket of the last accepted probe shuts at a root of
+    The pockets of the last accepted probe all shut at the root of
     ``_Pockets.opening`` in the radius, found by a bracketed secant with
     the Illinois halving, one overlap solve per trial radius.  The probe
     must accept the root's lower end, or it becomes the new top.  When
@@ -293,11 +294,15 @@ def build_surrounded_ball_detailed(
     the lens with the unit disk is exactly ``eps`` times its own area,
     and its angle is drawn uniformly from the set of angles where it
     stays disjoint from all previously placed small disks.  When the
-    previous radius no longer fits, the radius is the largest one the
-    full probe accepts, to within ``1e-14 * delta``: a disk that much
-    larger is blocked at every angle (see ``_largest_fit``).  Generation
-    stops after ``n_max`` small disks or when even radius
-    ``delta * 1e-3`` no longer fits anywhere.
+    previous radius no longer fits, the radius is the largest one that
+    fits, up to rounding: ``_largest_fit`` brackets the radius at which
+    the last free pocket shuts to ``1e-14 * delta``, and the full probe
+    must accept it.  The probe's own verdict flips back and forth within
+    a few ``1e-13 * delta`` above that radius, from the rounding of the
+    center distance and of the arc ends; a disk larger by one part in
+    1e9 is blocked at every angle.  Generation stops after ``n_max``
+    small disks or when even radius ``delta * 1e-3`` no longer fits
+    anywhere.
     """
     if not isinstance(cfg, SurroundedBallConfig):
         raise TypeError("cfg must be a SurroundedBallConfig")

@@ -2,8 +2,9 @@
 
 The ring example is checked against its closed-form layout, the greedy
 surrounded-ball packing against its exact-overlap and disjointness
-contracts plus an area-budget argument, and the reverse example against
-a direct measurement of its tiny inner boundary.
+contracts plus an area-budget argument and, at every shrinking
+placement, an independent test that no larger disk fits, and the
+reverse example against a direct measurement of its tiny inner boundary.
 """
 
 import hashlib
