@@ -175,8 +175,10 @@ class _PackingState:
 
     def __init__(self):
         # one column per placed disk: angle, center distance, its square
-        # and radius
-        self._disks = np.empty((4, 0))
+        # and radius; ``_disks`` views the filled columns of a buffer
+        # whose capacity doubles when full
+        self._buffer = np.empty((4, 16))
+        self._disks = self._buffer[:, :0]
 
     def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
         """The free arcs for a new disk of radius r at distance rho, empty
@@ -206,8 +208,13 @@ class _PackingState:
         )
 
     def add(self, rho: float, angle: float, r: float) -> None:
+        n = self._disks.shape[1]
+        if n == self._buffer.shape[1]:
+            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
         k = int(np.searchsorted(self._disks[0], angle))
-        self._disks = np.insert(self._disks, k, (angle, rho, rho * rho, r), axis=1)
+        self._buffer[:, k + 1 : n + 1] = self._buffer[:, k:n]
+        self._buffer[:, k] = (angle, rho, rho * rho, r)
+        self._disks = self._buffer[:, : n + 1]
 
 
 @dataclass(frozen=True)

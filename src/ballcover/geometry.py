@@ -569,7 +569,11 @@ def union_perimeter_mc(
     draw g lies outside ball j (boundary included) exactly when
     g.w <= k|g|, with w = c_j - c_i, rho = |w| and
     k = (rho^2 + r_i^2 - r_j^2) / (2 r_i), so one product per chunk
-    tests every neighbour.  Coincident balls are merged first; a sphere
+    gives g.w for every neighbour.  The test then runs one neighbour
+    column at a time into one mask: it compares the same floats as a
+    broadcast (samples x neighbours) comparison, without that temporary
+    and its reduction along the short axis.  Coincident balls are
+    merged first; a sphere
     no other ball meets is fully exposed and draws no samples, though
     ``sample_count`` still charges it.  The standard error combines
     per-ball binomial variances.
@@ -605,7 +609,11 @@ def union_perimeter_mc(
         for done in range(0, samples_per_ball, chunk):
             g = rng.standard_normal((min(chunk, samples_per_ball - done), d))
             norms = np.sqrt(_row_squares(g))
-            outside += int(np.count_nonzero((g @ w <= norms[:, None] * k).all(axis=1)))
+            proj = g @ w
+            ok = proj[:, 0] <= norms * k[0]
+            for j in range(1, k.size):
+                ok &= proj[:, j] <= norms * k[j]
+            outside += int(np.count_nonzero(ok))
         p = outside / samples_per_ball
         value += surf * p
         variance += surf * surf * p * (1.0 - p) / samples_per_ball
@@ -615,7 +623,19 @@ def union_perimeter_mc(
 
 def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> PerimeterEstimate:
     """Volume of a union of balls; exact interval sweep in d = 1, else
-    rejection sampling over the bounding box."""
+    rejection sampling over the bounding box.
+
+    Each chunk of uniform points is sorted once by its first coordinate
+    (the hit count does not depend on the order), and a ball tests only
+    the points of its slab c_x - r - pad <= x <= c_x + r + pad, with
+    pad = 1e-9 (|c_x| + r), by the same predicate as a test of every
+    point: ``_row_squares(p - c) <= r*r``.  The slab keeps every point
+    the predicate accepts.  ``_row_squares`` adds nonnegative terms, so
+    its float sum is at least its first term, and an accepted point has
+    fl((x - c_x)^2) <= fl(r*r): |x - c_x| <= r up to a few ulps of r
+    and the rounding of the subtraction, a few ulps of |x| + |c_x|.  The
+    pad covers that and the rounding of the slab ends many times over.
+    """
     samples = int(samples)
     if samples < 1000:
         raise ValueError("samples must be at least 1000")
@@ -630,14 +650,21 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     hi = (centers + radii[:, None]).max(axis=0)
     box = float(np.prod(hi - lo))
     rng = np.random.default_rng([seed])
+    pad = 1e-9 * (np.abs(centers[:, 0]) + radii)
+    slab_lo = centers[:, 0] - radii - pad
+    slab_hi = centers[:, 0] + radii + pad
     hits = 0
     chunk = max(1, MC_CHUNK_ELEMENTS // d)
     for done in range(0, samples, chunk):
         m = min(chunk, samples - done)
         pts = rng.uniform(lo, hi, size=(m, d))
-        for c, r in zip(centers, radii):
-            pts = pts[_row_squares(pts - c) > r * r]
-        hits += m - len(pts)
+        pts = pts[np.argsort(pts[:, 0])]
+        first = np.searchsorted(pts[:, 0], slab_lo)
+        last = np.searchsorted(pts[:, 0], slab_hi, side="right")
+        covered = np.zeros(m, dtype=bool)
+        for a, b, c, r in zip(first.tolist(), last.tolist(), centers, radii.tolist()):
+            covered[a:b] |= _row_squares(pts[a:b] - c) <= r * r
+        hits += int(np.count_nonzero(covered))
     p = hits / samples
     value = box * p
     se = box * math.sqrt(p * (1.0 - p) / samples)

@@ -147,6 +147,9 @@ def perimeter_besicovitch_select(balls: BallCollection) -> SelectionResult:
 # disjoint.  Overlap fractions below the lens fraction at this distance
 # guarantee that separation; equal radii are the tight case.
 _SEPARATION_FACTOR = 12.0 / 7.0
+# Neighbour pairs per block of the lens pass of perimeter_vitali_select,
+# which bounds its temporaries.
+_LENS_BLOCK = 2**16
 
 
 def overlap_eps_max(dim: int) -> float:
@@ -200,6 +203,18 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
     radii = balls.radii
     volumes = unit_ball_volume(d) * radii**d
     start, partner, dist = neighbor_lists(balls.centers, radii)
+    # Per directed pair (owner, partner): does the partner's lens against
+    # the owner reach the threshold, and may it join the owner's group?
+    # A ball's lens against itself is its whole volume, above the
+    # threshold, so every step adds s itself to both.
+    owner = np.repeat(np.arange(n), np.diff(start))
+    hits = np.empty(partner.size, dtype=bool)
+    for lo in range(0, partner.size, _LENS_BLOCK):
+        pair = slice(lo, lo + _LENS_BLOCK)
+        near = partner[pair]
+        lens = _lens_volumes(radii[near], radii[owner[pair]], dist[pair], d)
+        hits[pair] = lens >= threshold_factor * volumes[near]
+    joins = hits & (radii[partner] <= (8.0 / 7.0) * radii[owner])
     candidate = np.ones(n, dtype=bool)
     selected: list[int] = []
     groups: dict[int, list[int]] = {}
@@ -207,14 +222,11 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
         if not candidate[s]:
             continue
         selected.append(s)
-        # lenses against s of its neighbours and of s itself
-        near = np.append(partner[start[s] : start[s + 1]], s)
-        rho = np.append(dist[start[s] : start[s + 1]], 0.0)
-        lens = _lens_volumes(radii[near], radii[s], rho, d)
-        hit = np.sort(near[lens >= threshold_factor * volumes[near]])
-        members = hit[radii[hit] <= (8.0 / 7.0) * radii[s]]
+        near = slice(start[s], start[s + 1])
+        members = np.sort(np.append(partner[near][joins[near]], s))
         groups[s] = members.tolist()
-        candidate[hit] = False
+        candidate[partner[near][hits[near]]] = False
+        candidate[s] = False
     return SelectionResult(selected, groups, None, params)
 
 

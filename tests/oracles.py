@@ -18,8 +18,10 @@ from scipy import integrate, optimize
 from ballcover.geometry import (
     BallCollection,
     _coincidence_groups,
+    _lens_volumes,
     _surface,
     neighbor_lists,
+    unit_ball_volume,
 )
 from ballcover.maximal1d import StepFunction
 
@@ -414,6 +416,52 @@ def union_perimeter_mc_points(
         value += surf * p
         variance += surf * surf * p * (1.0 - p) / samples_per_ball
     return value, math.sqrt(variance)
+
+
+def union_volume_mc_all_balls(
+    balls: BallCollection, samples: int, seed: int
+) -> tuple[float, float, int]:
+    """Value, standard error and sample count of ``union_volume_mc`` in
+    d >= 2, counted the long way: the same box and draws, every point
+    tested against every ball in input order and dropped once one
+    contains it.  The draws come in one piece."""
+    centers, radii = balls.centers, balls.radii
+    lo = (centers - radii[:, None]).min(axis=0)
+    hi = (centers + radii[:, None]).max(axis=0)
+    box = float(np.prod(hi - lo))
+    pts = np.random.default_rng([seed]).uniform(lo, hi, size=(samples, balls.dimension))
+    for c, r in zip(centers, radii):
+        diff = pts - c
+        pts = pts[(diff * diff).sum(axis=1) > r * r]
+    p = (samples - len(pts)) / samples
+    return box * p, box * math.sqrt(p * (1.0 - p) / samples), samples
+
+
+def perimeter_vitali_select_per_step(
+    balls: BallCollection, eps: float
+) -> tuple[list[int], dict[int, list[int]]]:
+    """Selection and groups of ``perimeter_vitali_select``, with the
+    lenses of each chosen ball against its neighbours and itself
+    computed at its own step."""
+    d = balls.dimension
+    threshold_factor = (7.0 / 8.0) ** d * float(eps)
+    radii = balls.radii
+    volumes = unit_ball_volume(d) * radii**d
+    start, partner, dist = neighbor_lists(balls.centers, radii)
+    candidate = np.ones(len(balls), dtype=bool)
+    selected: list[int] = []
+    groups: dict[int, list[int]] = {}
+    for s in np.argsort(-radii, kind="stable").tolist():
+        if not candidate[s]:
+            continue
+        selected.append(s)
+        near = np.append(partner[start[s] : start[s + 1]], s)
+        rho = np.append(dist[start[s] : start[s + 1]], 0.0)
+        lens = _lens_volumes(radii[near], radii[s], rho, d)
+        hit = np.sort(near[lens >= threshold_factor * volumes[near]])
+        groups[s] = hit[radii[hit] <= (8.0 / 7.0) * radii[s]].tolist()
+        candidate[hit] = False
+    return selected, groups
 
 
 def random_step_function(rng: np.random.Generator, max_pieces: int = 12) -> StepFunction:

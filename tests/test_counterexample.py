@@ -315,6 +315,20 @@ class TestBuildSurroundedBall:
         _, records, probes = shrinking_packing
         assert probes / len(_shrinking(records)) <= 5.0
 
+    def test_packing_state_inserts_in_angle_order_past_its_capacity(self):
+        # The buffer doubles several times; its filled columns must equal
+        # an array grown by np.insert, including an angle placed twice.
+        rng = np.random.default_rng(11)
+        state, want = _PackingState(), np.empty((4, 0))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 150)
+        angles[7] = angles[3]
+        for angle in angles.tolist():
+            rho, r = 1.0 + rng.uniform(-0.1, 0.1), rng.uniform(0.01, 0.1)
+            state.add(rho, angle, r)
+            k = int(np.searchsorted(want[0], angle))
+            want = np.insert(want, k, (angle, rho, rho * rho, r), axis=1)
+            assert np.array_equal(state._disks, want)
+
     def test_largest_fit_matches_a_bisection_on_the_probe(self):
         # Random straddling disks, with the center distance of a new disk
         # growing with its radius; their arcs grow at unlike rates, so

@@ -698,6 +698,101 @@ def test_mc_halfspace_test_matches_point_count(dim, balls):
     )
 
 
+def _mc_cluster(dim, case):
+    """Ball 0 with one neighbour, or with 64: small balls centred on its
+    sphere, each covering a cap of it that few others reach."""
+    if case == "one-neighbour":
+        rows = [(0.0, 1.0), (1.5, 0.8), (6.0, 0.5)]
+        centers = [[x, 0.2 * x] + [0.0] * (dim - 2) for x, _ in rows]
+        return BallCollection.from_arrays(centers, [r for _, r in rows])
+    g = np.random.default_rng([dim, 64]).standard_normal((64, dim))
+    on_sphere = g / np.linalg.norm(g, axis=1)[:, None]
+    return BallCollection.from_arrays(
+        np.vstack([np.zeros(dim), on_sphere]), [1.0] + [0.04 * dim] * 64
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("case", ["one-neighbour", "dense"])
+def test_mc_column_test_matches_point_count(dim, case):
+    balls = _mc_cluster(dim, case)
+    counts = np.diff(neighbor_lists(balls.centers, balls.radii)[0])
+    if case == "one-neighbour":
+        assert counts.tolist() == [1, 1, 0]
+    else:
+        assert counts[0] == 64
+    est = union_perimeter_mc(balls, samples_per_ball=2_000, seed=3)
+    assert (est.value, est.std_error) == oracles.union_perimeter_mc_points(
+        balls, 2_000, 3
+    )
+
+
+def _volume_case(dim, case):
+    rng = np.random.default_rng([dim, len(case)])
+    if case == "offset-1e6":
+        return BallCollection.from_arrays(
+            rng.uniform(-2.0, 2.0, (30, dim)) + 1e6,
+            np.exp(rng.uniform(math.log(0.05), 0.0, 30)),
+        )
+    if case == "six-decades":
+        return BallCollection.from_arrays(
+            rng.uniform(-3.0, 3.0, (40, dim)), 10.0 ** rng.uniform(-6.0, 0.0, 40)
+        )
+    e = np.eye(dim)
+    if case == "tangent-coincident":
+        # a coincident pair, external and internal tangency, and a chain
+        # of tangent balls along the second axis
+        centers = [0 * e[0], 0 * e[0], 2.0 * e[0], 0.5 * e[0], 1.5 * e[1], 2.5 * e[1]]
+        return BallCollection.from_arrays(centers, [1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+    # a ball of radius 1e-12 between two unit balls catches no sample
+    return BallCollection.from_arrays([0 * e[0], 3.0 + 0 * e[0], 3.0 * e[0]], [1.0, 1.0, 1e-12])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize(
+    "case", ["offset-1e6", "six-decades", "tangent-coincident", "tiny-ball"]
+)
+def test_volume_slabs_match_all_balls_count(dim, case):
+    balls = _volume_case(dim, case)
+    est = union_volume_mc(balls, samples=20_000, seed=9)
+    assert (est.value, est.std_error, est.sample_count) == (
+        oracles.union_volume_mc_all_balls(balls, 20_000, 9)
+    )
+    if case == "tiny-ball":
+        assert est == union_volume_mc(balls.subset([0, 1]), samples=20_000, seed=9)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_volume_slab_keeps_an_accepted_draw_one_ulp_outside_its_ends(dim):
+    # Two frame balls fix the box at [0, 21.1] x [-11, 11]^(d-1), so a
+    # draw's first coordinate x = 21.1 U keeps all its low bits.  Take
+    # one of the first draws with x in [1/4, 1/2) one ulp below a
+    # multiple of 2^-52, and put a ball of radius 1.5 at c_1 = that
+    # multiple + 1.5, level with the draw in the other axes.  Then
+    # x - c_1 rounds to -1.5, so the draw passes the predicate, though
+    # it lies one ulp left of c_1 - r.
+    seed, samples, r = 5, 20_000, 1.5
+    frame = np.array([[1.0] + [-10.0] * (dim - 1), [20.0] + [10.0] * (dim - 1)])
+    frame_radii = np.array([1.0, 1.1])
+    lo = (frame - frame_radii[:, None]).min(axis=0)
+    hi = (frame + frame_radii[:, None]).max(axis=0)
+    pts = np.random.default_rng([seed]).uniform(lo, hi, size=(samples, dim))
+    step = 2.0**-52
+    draw = next(
+        p for p in pts
+        if 0.25 <= p[0] < 0.5 and p[0] % step == 0.75 * step and np.all(np.abs(p[1:]) < 8.0)
+    )
+    center = draw.copy()
+    center[0] = draw[0] - draw[0] % step + step + r
+    assert center[0] - r == np.nextafter(draw[0], 1.0)
+    assert geometry._row_squares((draw - center)[None, :])[0] <= r * r
+    balls = BallCollection.from_arrays(np.vstack([frame, center]), [*frame_radii, r])
+    est = union_volume_mc(balls, samples=samples, seed=seed)
+    assert (est.value, est.std_error, est.sample_count) == (
+        oracles.union_volume_mc_all_balls(balls, samples, seed)
+    )
+
+
 def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
     balls = _collection([(0, 0, 1.0), (1.2, 0.3, 0.7), (-0.5, 0.8, 0.4), (5, 5, 0.3)])
     perimeter = union_perimeter_mc(balls, samples_per_ball=3_000, seed=11)

@@ -34,6 +34,7 @@ from ballcover.selection import (
 from oracles import (
     interval_balls,
     lens_volume_quadrature,
+    perimeter_vitali_select_per_step,
     union_component_count_oracle,
     union_length_oracle,
     unit_ball_volume_gamma,
@@ -398,6 +399,28 @@ class TestPerimeterVitaliSelect:
     def test_property_random_seeds(self, seed, eps_frac):
         eps = eps_frac * overlap_eps_max(2)
         self._check_invariants(_random_balls(2, seed, n_max=12), eps)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_step_lenses(self, dim):
+        # Random families plus a coincident copy of ball 0, a ball
+        # externally tangent to ball 1 and one internally tangent to it.
+        cap = overlap_eps_max(dim)
+        for seed in range(12):
+            rng = np.random.default_rng([dim, seed])
+            n = int(rng.integers(2, 150))
+            centers = rng.uniform(-3.0, 3.0, (n, dim))
+            radii = np.exp(rng.uniform(math.log(0.05), 0.0, n))
+            step = radii[1] * np.eye(dim)[0]
+            centers = np.vstack(
+                [centers, centers[0], centers[1] + 1.5 * step, centers[1] + 0.5 * step]
+            )
+            radii = np.concatenate([radii, [radii[0], 0.5 * radii[1], 0.5 * radii[1]]])
+            balls = BallCollection.from_arrays(centers, radii)
+            eps = [cap, cap / 2.0, 1e-3, 1e-6][seed % 4]
+            result = perimeter_vitali_select(balls, eps)
+            assert (result.selected, result.groups) == perimeter_vitali_select_per_step(
+                balls, eps
+            )
 
 
 # ---------------------------------------------------------------------------
