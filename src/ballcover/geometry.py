@@ -573,10 +573,9 @@ def union_perimeter_mc(
     column at a time into one mask: it compares the same floats as a
     broadcast (samples x neighbours) comparison, without that temporary
     and its reduction along the short axis.  Coincident balls are
-    merged first; a sphere
-    no other ball meets is fully exposed and draws no samples, though
-    ``sample_count`` still charges it.  The standard error combines
-    per-ball binomial variances.
+    merged first; a sphere no other ball meets is fully exposed and
+    draws no samples, though ``sample_count`` still charges it.  The
+    standard error combines per-ball binomial variances.
     """
     samples_per_ball = int(samples_per_ball)
     if samples_per_ball < 100:

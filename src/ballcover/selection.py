@@ -206,7 +206,7 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
     # Per directed pair (owner, partner): does the partner's lens against
     # the owner reach the threshold, and may it join the owner's group?
     # A ball's lens against itself is its whole volume, above the
-    # threshold, so every step adds s itself to both.
+    # threshold, so each chosen ball joins its own group.
     owner = np.repeat(np.arange(n), np.diff(start))
     hits = np.empty(partner.size, dtype=bool)
     for lo in range(0, partner.size, _LENS_BLOCK):
@@ -226,7 +226,6 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
         members = np.sort(np.append(partner[near][joins[near]], s))
         groups[s] = members.tolist()
         candidate[partner[near][hits[near]]] = False
-        candidate[s] = False
     return SelectionResult(selected, groups, None, params)
 
 

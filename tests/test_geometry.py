@@ -744,8 +744,10 @@ def _volume_case(dim, case):
         # of tangent balls along the second axis
         centers = [0 * e[0], 0 * e[0], 2.0 * e[0], 0.5 * e[0], 1.5 * e[1], 2.5 * e[1]]
         return BallCollection.from_arrays(centers, [1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
-    # a ball of radius 1e-12 between two unit balls catches no sample
-    return BallCollection.from_arrays([0 * e[0], 3.0 + 0 * e[0], 3.0 * e[0]], [1.0, 1.0, 1e-12])
+    # a ball of radius 1e-12 inside the box of two unit balls, apart
+    # from both, catches no sample
+    centers = [np.zeros(dim), np.full(dim, 3.0), 3.0 * e[0]]
+    return BallCollection.from_arrays(centers, [1.0, 1.0, 1e-12])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
