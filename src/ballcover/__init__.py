@@ -8,7 +8,6 @@ from .geometry import (
     Interval,
     PerimeterEstimate,
     center_distance_for_overlap,
-    halfspace_cut_data,
     lens_volume,
     union_perimeter,
     union_perimeter_2d,
@@ -54,7 +53,6 @@ __all__ = [
     "build_reverse_example",
     "build_surrounded_ball",
     "center_distance_for_overlap",
-    "halfspace_cut_data",
     "interval_select_1d",
     "lens_volume",
     "level_report",

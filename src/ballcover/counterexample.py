@@ -30,6 +30,7 @@ import numpy as np
 from .geometry import (
     TWO_PI,
     BallCollection,
+    _arc_ends,
     _split_arcs,
     _uncovered_arcs,
     center_distance_for_overlap,
@@ -152,15 +153,13 @@ def _halfwidths(disks: np.ndarray, rho: float, r: float) -> np.ndarray | None:
 
 def _arc_bounds(disks: np.ndarray, rho: float, r: float):
     """Where the blocked arcs of the disks in ``disks`` start and end on
-    the circle, in the floats of ``_PackingState.gaps``: ``_split_arcs``
-    starts an arc at lo and ends it at lo + 2w, less 2*pi past 2*pi.
+    the circle, in the floats of ``_PackingState.gaps``: the ends of
+    ``_arc_ends`` that ``_split_arcs`` splits, less 2*pi past 2*pi.
     None when one of them blocks every angle."""
     halfwidths = _halfwidths(disks, rho, r)
     if halfwidths is None:
         return None
-    lo = disks[0] - halfwidths
-    lo = np.where(lo < 0.0, lo + TWO_PI, lo) + 0.0
-    hi = lo + 2.0 * halfwidths
+    lo, hi = _arc_ends(disks[0], halfwidths)
     return lo, np.where(hi > TWO_PI, hi - TWO_PI, hi)
 
 

@@ -397,10 +397,11 @@ def _coincidence_groups(
 # exact 2d boundary of a union of disks
 
 
-def _split_arcs(
+def _arc_ends(
     centers: np.ndarray, halfwidths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs of given centers and halfwidths as segments of [0, 2*pi].
+    """Start in [0, 2*pi) and end, up to 4*pi, of arcs of given centers
+    and halfwidths.
 
     Every arc must start in (-2*pi, 2*pi).  On that range the wrap below
     equals ``% TWO_PI`` bit for bit (-0.0 included) at a third of its
@@ -408,7 +409,15 @@ def _split_arcs(
     """
     lo = centers - halfwidths
     lo = np.where(lo < 0.0, lo + TWO_PI, lo) + 0.0
-    hi = lo + 2.0 * halfwidths
+    return lo, lo + 2.0 * halfwidths
+
+
+def _split_arcs(
+    centers: np.ndarray, halfwidths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs of given centers and halfwidths as segments of [0, 2*pi]: an
+    arc past 2*pi ends there and goes on from 0."""
+    lo, hi = _arc_ends(centers, halfwidths)
     over = hi > TWO_PI
     wrapped = hi[over] - TWO_PI
     starts = np.concatenate([lo, np.zeros(wrapped.size)])
@@ -683,17 +692,3 @@ def union_perimeter(
     if balls.dimension == 2:
         return union_perimeter_2d(balls)
     return union_perimeter_mc(balls, samples_per_ball, seed)
-
-
-def halfspace_cut_data(ball: Ball, offset: float):
-    """Volumes on both sides of the plane {x_1 = offset from center} and
-    the (d-1)-volume of the slice; requires |offset| < radius."""
-    d = ball.dimension
-    offset = float(offset)
-    r = ball.radius
-    if not abs(offset) < r:
-        raise ValueError("offset must satisfy |offset| < radius")
-    vol_in = _cap_volume(r, offset, d)
-    vol_out = unit_ball_volume(d) * r**d - vol_in
-    slice_area = unit_ball_volume(d - 1) * (r * r - offset * offset) ** ((d - 1) / 2.0)
-    return vol_in, vol_out, slice_area

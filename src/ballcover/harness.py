@@ -25,13 +25,11 @@ import numpy as np
 from .counterexample import SurroundedBallConfig, build_surrounded_ball
 from .formats import _fmt
 from .geometry import (
-    Ball,
     BallCollection,
     _cap_volumes,
     _lens_volumes,
     free_arc_length_halfplane,
     free_arc_lengths_2d,
-    halfspace_cut_data,
     meeting_pairs,
     unit_ball_volume,
     union_components,
@@ -301,7 +299,9 @@ def check_example14_rate(
     eps_list = [float(e) for e in eps_list]
     if any(not 0.0 < e <= 0.05 for e in eps_list):
         raise ValueError("every eps must lie in (0, 0.05]")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or len(eps_list) < 2:
+    if len(eps_list) < 2:
+        raise ValueError("eps_list needs at least two values")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     circle = 2.0 * math.pi
     ratios, uncovered, raw_ratios, disks = [], [], [], []
@@ -365,16 +365,16 @@ def check_isoperimetric(
     for d in d_list:
         d = int(d)
         best = 0.0
-        for r in radii:
+        for r in map(float, radii):
             # The supremum sits at the central cut; an even-length
             # linspace straddles zero, so include the offset 0 always.
             span = np.linspace(-r * (1.0 - 1e-6), r * (1.0 - 1e-6), grid)
-            offsets = np.unique(np.concatenate([span, [0.0]]))
-            ball = Ball((0.0,) * d, float(r))
-            for t in offsets:
-                vol_in, vol_out, slice_area = halfspace_cut_data(ball, float(t))
-                ratio = min(vol_in, vol_out) ** (d - 1) / slice_area**d
-                best = max(best, ratio)
+            t = np.unique(np.concatenate([span, [0.0]]))
+            vol_in = _cap_volumes(r, t, d)
+            vol_out = unit_ball_volume(d) * r**d - vol_in
+            slice_area = unit_ball_volume(d - 1) * (r * r - t * t) ** ((d - 1) / 2.0)
+            ratio = np.minimum(vol_in, vol_out) ** (d - 1) / slice_area**d
+            best = max(best, float(ratio.max()))
         per_dim_max[d] = best
         lhs = max(lhs, best / _iso_cap(d))
     params = {

@@ -1,10 +1,13 @@
 """Greedy covering selections for finite families of balls.
 
-Every selector scans the input by nonincreasing size (exact maximum,
-ties broken by input order), so later choices never exceed earlier
-ones in radius.  Selections return the chosen indices, a grouping that
-assigns every input ball to a chosen one, and where relevant a
-partition of the chosen balls into pairwise disjoint families.
+Every selector runs the one scan ``_largest_first``: it visits the
+balls by nonincreasing size (exact maximum, ties broken by input
+order), so later choices never exceed earlier ones in radius, and each
+choice removes some of the balls left after it.  The selectors differ
+only in what a choice removes.  Selections return the chosen indices,
+a grouping that assigns every input ball to a chosen one, and where
+relevant a partition of the chosen balls into pairwise disjoint
+families.
 """
 
 from __future__ import annotations
@@ -43,34 +46,60 @@ class SelectionResult:
             raise ValueError("selected indices must be pairwise distinct")
 
 
+def _largest_first(radii: np.ndarray, removed_by) -> tuple[list[int], np.ndarray]:
+    """The greedy scan of every selector: a ball s still left when
+    visited is chosen, and removes itself and every still-left ball
+    among ``removed_by(s)``.  Returns the chosen indices in selection
+    order and, per ball, the chosen ball that removed it."""
+    remover = np.full(len(radii), -1)
+    selected: list[int] = []
+    for s in np.argsort(-radii, kind="stable").tolist():
+        if remover[s] < 0:
+            selected.append(s)
+            near = removed_by(s)
+            remover[near[remover[near] < 0]] = s
+            remover[s] = s
+    return selected, remover
+
+
+def _removed_groups(selected: list[int], remover: np.ndarray) -> dict[int, list[int]]:
+    """Chosen index -> the inputs its choice removed, ascending."""
+    order = np.argsort(remover, kind="stable")
+    edges = np.searchsorted(remover[order], np.arange(len(remover) + 1)).tolist()
+    order = order.tolist()
+    return {s: order[edges[s] : edges[s + 1]] for s in selected}
+
+
+def _pair_lists(balls: BallCollection):
+    """``neighbor_lists`` of the balls as (start, owner, partner,
+    distance): entry k pairs ball owner[k] with its partner[k]."""
+    start, partner, dist = neighbor_lists(balls.centers, balls.radii)
+    owner = np.repeat(np.arange(len(balls)), np.diff(start))
+    return start, owner, partner, dist
+
+
+def _kept_partners(start: np.ndarray, partner: np.ndarray, keep: np.ndarray):
+    """The function s -> partners of s whose pair entry ``keep`` marks."""
+    kept = partner[keep]
+    bounds = np.concatenate([[0], np.cumsum(keep)])[start].tolist()
+    return lambda s: kept[bounds[s] : bounds[s + 1]]
+
+
+def _meets(radii, owner, partner, dist) -> np.ndarray:
+    """Per pair entry: do the balls overlap by more than DISJOINT_TOL?"""
+    return dist < radii[owner] + radii[partner] - DISJOINT_TOL
+
+
 def vitali_select(balls: BallCollection) -> SelectionResult:
     """Greedy disjoint subfamily: every input meets a chosen ball at
     least as large, so the five-times enlargements of the chosen balls
     cover the whole union."""
-    n = len(balls)
-    if n == 0:
-        return SelectionResult([], {}, None, {"enlargement": 5.0})
     radii = balls.radii
-    start, partner, dist = neighbor_lists(balls.centers, radii)
-    alive = np.ones(n, dtype=bool)
-    selected: list[int] = []
-    groups: dict[int, list[int]] = {}
-    for s in np.argsort(-radii, kind="stable").tolist():
-        if not alive[s]:
-            continue
-        near = partner[start[s] : start[s + 1]]
-        rho = dist[start[s] : start[s + 1]]
-        meets = near[alive[near] & (rho < radii[s] + radii[near] - DISJOINT_TOL)]
-        members = np.sort(np.append(meets, s))
-        groups[s] = members.tolist()
-        selected.append(s)
-        alive[members] = False
-    return SelectionResult(
-        selected,
-        groups,
-        None,
-        {"enlargement": 5.0, "disjoint_tol": DISJOINT_TOL},
-    )
+    start, owner, partner, dist = _pair_lists(balls)
+    meeting = _kept_partners(start, partner, _meets(radii, owner, partner, dist))
+    selected, remover = _largest_first(radii, meeting)
+    params = {"enlargement": 5.0, "disjoint_tol": DISJOINT_TOL}
+    return SelectionResult(selected, _removed_groups(selected, remover), None, params)
 
 
 def besicovitch_select(balls: BallCollection) -> SelectionResult:
@@ -83,41 +112,26 @@ def besicovitch_select(balls: BallCollection) -> SelectionResult:
     chosen balls are colored greedily by the least color unused among
     earlier chosen balls they meet, giving pairwise disjoint families.
     """
-    n = len(balls)
     params = {
         "radius_slack": 8.0 / 7.0,
         "coloring": "least-unused-among-earlier",
         "disjoint_tol": DISJOINT_TOL,
     }
-    if n == 0:
-        return SelectionResult([], {}, [], params)
     radii = balls.radii
-    start, partner, dist = neighbor_lists(balls.centers, radii)
-    uncovered = np.ones(n, dtype=bool)
-    covered_by = np.full(n, -1, dtype=int)
-    selected: list[int] = []
+    start, owner, partner, dist = _pair_lists(balls)
+    covered = _kept_partners(start, partner, dist <= radii[owner])
+    selected, remover = _largest_first(radii, covered)
+    meeting = _kept_partners(start, partner, _meets(radii, owner, partner, dist))
     colors: dict[int, int] = {}
-    for s in np.argsort(-radii, kind="stable").tolist():
-        if not uncovered[s]:
-            continue
-        selected.append(s)
-        near = partner[start[s] : start[s + 1]]
-        rho = dist[start[s] : start[s + 1]]
-        newly = np.append(near[uncovered[near] & (rho <= radii[s])], s)
-        covered_by[newly] = s
-        uncovered[newly] = False
-        meets = near[rho < radii[s] + radii[near] - DISJOINT_TOL]
-        used = {colors[t] for t in meets.tolist() if t in colors}
+    for s in selected:
+        used = {colors[t] for t in meeting(s).tolist() if t in colors}
         c = 1
         while c in used:
             c += 1
         colors[s] = c
-    count = max(colors.values())
+    count = max(colors.values(), default=0)
     families = [[s for s in selected if colors[s] == c] for c in range(1, count + 1)]
-    groups: dict[int, list[int]] = {s: [] for s in selected}
-    for j in range(n):
-        groups[int(covered_by[j])].append(j)
-    return SelectionResult(selected, groups, families, params)
+    return SelectionResult(selected, _removed_groups(selected, remover), families, params)
 
 
 def perimeter_besicovitch_select(balls: BallCollection) -> SelectionResult:
@@ -184,7 +198,6 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
             f"eps must lie in (0, {eps_cap:.6g}] for dimension {d} so that the "
             "6/7 shrinkings of chosen balls stay disjoint"
         )
-    n = len(balls)
     threshold_factor = (7.0 / 8.0) ** d * eps
     params = {
         "eps": eps,
@@ -198,16 +211,13 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
             "distance (6/7)(r1+r2); not a quoted constant"
         ),
     }
-    if n == 0:
-        return SelectionResult([], {}, None, params)
     radii = balls.radii
     volumes = unit_ball_volume(d) * radii**d
-    start, partner, dist = neighbor_lists(balls.centers, radii)
+    start, owner, partner, dist = _pair_lists(balls)
     # Per directed pair (owner, partner): does the partner's lens against
     # the owner reach the threshold, and may it join the owner's group?
     # A ball's lens against itself is its whole volume, above the
     # threshold, so each chosen ball joins its own group.
-    owner = np.repeat(np.arange(n), np.diff(start))
     hits = np.empty(partner.size, dtype=bool)
     for lo in range(0, partner.size, _LENS_BLOCK):
         pair = slice(lo, lo + _LENS_BLOCK)
@@ -215,17 +225,9 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
         lens = _lens_volumes(radii[near], radii[owner[pair]], dist[pair], d)
         hits[pair] = lens >= threshold_factor * volumes[near]
     joins = hits & (radii[partner] <= (8.0 / 7.0) * radii[owner])
-    candidate = np.ones(n, dtype=bool)
-    selected: list[int] = []
-    groups: dict[int, list[int]] = {}
-    for s in np.argsort(-radii, kind="stable").tolist():
-        if not candidate[s]:
-            continue
-        selected.append(s)
-        near = slice(start[s], start[s + 1])
-        members = np.sort(np.append(partner[near][joins[near]], s))
-        groups[s] = members.tolist()
-        candidate[partner[near][hits[near]]] = False
+    selected, _ = _largest_first(radii, _kept_partners(start, partner, hits))
+    joined = _kept_partners(start, partner, joins)
+    groups = {s: np.sort(np.append(joined(s), s)).tolist() for s in selected}
     return SelectionResult(selected, groups, None, params)
 
 
@@ -235,25 +237,15 @@ def interval_select_1d(balls: BallCollection) -> SelectionResult:
     Ball i is the interval [c_i - r_i, c_i + r_i].  The group of a chosen
     ball S collects the candidates surviving at its selection step whose
     closures meet the closure of S; each group union is an interval (up
-    to null sets) inside 5 S.
+    to null sets) inside 5 S.  The closure test stays dense: nested
+    intervals make the pairs that meet grow as n^2.
     """
     if balls.dimension != 1:
         raise ValueError("interval view requires dimension 1")
     params = {"enlargement": 5.0, "closure_rule": "touching closures meet"}
-    if len(balls) == 0:
-        return SelectionResult([], {}, None, params)
     radii = balls.radii
     lo, hi = balls.centers[:, 0] - radii, balls.centers[:, 0] + radii
-    alive = np.ones(len(balls), dtype=bool)
-    selected: list[int] = []
-    groups: dict[int, list[int]] = {}
-    for s in np.argsort(-radii, kind="stable").tolist():
-        if not alive[s]:
-            continue
-        meets = alive & (hi >= lo[s]) & (lo <= hi[s])
-        meets[s] = True
-        members = np.nonzero(meets)[0]
-        groups[s] = members.tolist()
-        selected.append(s)
-        alive[members] = False
-    return SelectionResult(selected, groups, None, params)
+    selected, remover = _largest_first(
+        radii, lambda s: np.flatnonzero((hi >= lo[s]) & (lo <= hi[s]))
+    )
+    return SelectionResult(selected, _removed_groups(selected, remover), None, params)

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from ballcover.geometry import (
+    DISJOINT_TOL,
     BallCollection,
     _coincidence_groups,
     _lens_volumes,
@@ -24,6 +25,7 @@ from ballcover.geometry import (
     unit_ball_volume,
 )
 from ballcover.maximal1d import StepFunction
+from ballcover.selection import SelectionResult
 
 
 def unit_ball_volume_gamma(dim: int) -> float:
@@ -435,6 +437,88 @@ def union_volume_mc_all_balls(
         pts = pts[(diff * diff).sum(axis=1) > r * r]
     p = (samples - len(pts)) / samples
     return box * p, box * math.sqrt(p * (1.0 - p) / samples), samples
+
+
+def vitali_select_per_step(balls: BallCollection) -> SelectionResult:
+    """``vitali_select`` with its own live mask, the meeting test of each
+    chosen ball made at its own step."""
+    radii = balls.radii
+    start, partner, dist = neighbor_lists(balls.centers, radii)
+    alive = np.ones(len(balls), dtype=bool)
+    selected: list[int] = []
+    groups: dict[int, list[int]] = {}
+    for s in np.argsort(-radii, kind="stable").tolist():
+        if not alive[s]:
+            continue
+        near = partner[start[s] : start[s + 1]]
+        rho = dist[start[s] : start[s + 1]]
+        meets = near[alive[near] & (rho < radii[s] + radii[near] - DISJOINT_TOL)]
+        members = np.sort(np.append(meets, s))
+        groups[s] = members.tolist()
+        selected.append(s)
+        alive[members] = False
+    params = {"enlargement": 5.0, "disjoint_tol": DISJOINT_TOL}
+    return SelectionResult(selected, groups, None, params)
+
+
+def besicovitch_select_per_step(balls: BallCollection) -> SelectionResult:
+    """``besicovitch_select`` with its own uncovered mask, each chosen
+    ball colored at its own step and the groups read from a per-ball
+    owner array."""
+    n = len(balls)
+    radii = balls.radii
+    start, partner, dist = neighbor_lists(balls.centers, radii)
+    uncovered = np.ones(n, dtype=bool)
+    covered_by = np.full(n, -1, dtype=int)
+    selected: list[int] = []
+    colors: dict[int, int] = {}
+    for s in np.argsort(-radii, kind="stable").tolist():
+        if not uncovered[s]:
+            continue
+        selected.append(s)
+        near = partner[start[s] : start[s + 1]]
+        rho = dist[start[s] : start[s + 1]]
+        newly = np.append(near[uncovered[near] & (rho <= radii[s])], s)
+        covered_by[newly] = s
+        uncovered[newly] = False
+        meets = near[rho < radii[s] + radii[near] - DISJOINT_TOL]
+        used = {colors[t] for t in meets.tolist() if t in colors}
+        c = 1
+        while c in used:
+            c += 1
+        colors[s] = c
+    count = max(colors.values(), default=0)
+    families = [[s for s in selected if colors[s] == c] for c in range(1, count + 1)]
+    groups: dict[int, list[int]] = {s: [] for s in selected}
+    for j in range(n):
+        groups[int(covered_by[j])].append(j)
+    params = {
+        "radius_slack": 8.0 / 7.0,
+        "coloring": "least-unused-among-earlier",
+        "disjoint_tol": DISJOINT_TOL,
+    }
+    return SelectionResult(selected, groups, families, params)
+
+
+def interval_select_1d_per_step(balls: BallCollection) -> SelectionResult:
+    """``interval_select_1d`` with its own live mask, the closure test
+    of each chosen interval made at its own step."""
+    radii = balls.radii
+    lo, hi = balls.centers[:, 0] - radii, balls.centers[:, 0] + radii
+    alive = np.ones(len(balls), dtype=bool)
+    selected: list[int] = []
+    groups: dict[int, list[int]] = {}
+    for s in np.argsort(-radii, kind="stable").tolist():
+        if not alive[s]:
+            continue
+        meets = alive & (hi >= lo[s]) & (lo <= hi[s])
+        meets[s] = True
+        members = np.nonzero(meets)[0]
+        groups[s] = members.tolist()
+        selected.append(s)
+        alive[members] = False
+    params = {"enlargement": 5.0, "closure_rule": "touching closures meet"}
+    return SelectionResult(selected, groups, None, params)
 
 
 def perimeter_vitali_select_per_step(

@@ -257,6 +257,16 @@ class TestExitStatuses:
         assert code == 1
         assert "eps" in capsys.readouterr().err
 
+    def test_single_eps_names_the_count(self, tmp_path, capsys):
+        # One value is not a decreasing list that went wrong: the fit
+        # needs two.
+        out = tmp_path / "rate.csv"
+        argv = ["rate", "--eps-list", "0.01", "--delta", "0.3", "--output", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "at least two values" in err
+        assert "decreasing" not in err
+
     def test_surrounding_disks_larger_than_unit_disk_is_1(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
         code = main(
@@ -390,6 +400,21 @@ class TestSelect:
         ]
         assert main(argv) == 0
         assert sorted(load_selection(out.read_text()).selected) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "algorithm", [["vitali"], ["besicovitch"], ["perimeter-vitali", "--eps", "0.01"]]
+    )
+    def test_empty_input_reports_the_params_of_any_other(self, tmp_path, algorithm):
+        # An empty collection runs the same scan as a single ball, so
+        # it reports the same constants (vitali's disjoint_tol included).
+        params = []
+        for name, text in (("empty", "2 0\n"), ("one", "2 1\n0 0 1\n")):
+            src, out = tmp_path / f"{name}.txt", tmp_path / f"{name}-sel.txt"
+            src.write_text(text)
+            argv = ["select", "--input", str(src), "--output", str(out), "--algorithm"]
+            assert main(argv + algorithm) == 0
+            params.append(load_selection(out.read_text()).params)
+        assert params[0] == params[1]
 
     def test_perimeter_vitali_needs_eps(self, tmp_path, balls_file):
         out = tmp_path / "pv.txt"

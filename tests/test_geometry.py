@@ -21,7 +21,6 @@ from ballcover.geometry import (
     free_arc_length_in_disk,
     free_arc_lengths_2d,
     free_arcs_2d,
-    halfspace_cut_data,
     lens_volume,
     meeting_pairs,
     neighbor_lists,
@@ -77,28 +76,30 @@ def test_surface_is_volume_derivative(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_cap_volume_against_quadrature(dim):
-    for a_frac in (-0.95, -0.4, 0.0, 0.3, 0.999999, 0.999999999999):
-        r = 1.3
-        vol_in, vol_out, _ = halfspace_cut_data(Ball((0.0,) * dim, r), a_frac * r)
-        want = oracles.cap_volume_quadrature(r, a_frac * r, dim)
-        assert vol_in == pytest.approx(want, rel=1e-10, abs=1e-300)
-        assert vol_in + vol_out == pytest.approx(
-            unit_ball_volume(dim) * r**dim, rel=1e-13
-        )
+    r = 1.3
+    offsets = r * np.array([-0.95, -0.4, 0.0, 0.3, 0.999999, 0.999999999999])
+    caps = geometry._cap_volumes(r, offsets, dim)
+    for a, cap in zip(offsets, caps):
+        want = oracles.cap_volume_quadrature(r, a, dim)
+        assert cap == pytest.approx(want, rel=1e-10, abs=1e-300)
+    # the caps on both sides of a cut fill the ball
+    assert caps + geometry._cap_volumes(r, -offsets, dim) == pytest.approx(
+        unit_ball_volume(dim) * r**dim, rel=1e-13
+    )
 
 
-def test_halfspace_cut_center_is_half():
+def test_cap_volumes_central_cut_is_half():
     for dim in (1, 2, 3, 4):
-        vol_in, vol_out, slice_area = halfspace_cut_data(Ball((0.0,) * dim, 2.0), 0.0)
-        assert vol_in == pytest.approx(vol_out, rel=1e-12)
-        assert slice_area == pytest.approx(
-            unit_ball_volume(dim - 1) * 2.0 ** (dim - 1), rel=1e-13
-        )
+        cap = geometry._cap_volumes(2.0, np.zeros(1), dim)[0]
+        assert cap == pytest.approx(0.5 * unit_ball_volume(dim) * 2.0**dim, rel=1e-12)
 
 
-def test_halfspace_cut_rejects_offset_outside():
-    with pytest.raises(ValueError):
-        halfspace_cut_data(Ball((0.0, 0.0), 1.0), 1.0)
+def test_cap_volumes_clamp_offsets_outside_the_ball():
+    # Past the radius the cap is the whole ball or nothing.
+    for dim in (1, 2, 3, 4):
+        caps = geometry._cap_volumes(1.0, np.array([-3.0, -1.0, 1.0, 3.0]), dim)
+        full = unit_ball_volume(dim)
+        assert caps.tolist() == pytest.approx([full, full, 0.0, 0.0], rel=1e-15, abs=0.0)
 
 
 # --------------------------------------------------------------------------

@@ -240,7 +240,7 @@ class TestCheckExample14Rate:
             check_example14_rate([0.1, 0.05], 0.3, 100)
         with pytest.raises(ValueError, match="strictly decreasing"):
             check_example14_rate([0.01, 0.02], 0.3, 100)
-        with pytest.raises(ValueError, match="strictly decreasing"):
+        with pytest.raises(ValueError, match="at least two values"):
             check_example14_rate([0.01], 0.3, 100)
 
     def test_truncated_sweep_structure(self):

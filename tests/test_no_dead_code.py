@@ -253,3 +253,8 @@ def test_import_leaves_kdtree_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_selection_orders_balls_once():
+    # Every selector runs the one largest-first scan of selection.py.
+    assert (PACKAGE / "selection.py").read_text().count("argsort(-radii") == 1

@@ -32,12 +32,15 @@ from ballcover.selection import (
 )
 
 from oracles import (
+    besicovitch_select_per_step,
     interval_balls,
+    interval_select_1d_per_step,
     lens_volume_quadrature,
     perimeter_vitali_select_per_step,
     union_component_count_oracle,
     union_length_oracle,
     unit_ball_volume_gamma,
+    vitali_select_per_step,
 )
 
 
@@ -547,3 +550,89 @@ class TestSelectionResult:
             assert result.selected
             assert set(result.selected) <= set(range(len(balls)))
             assert set(result.groups) <= set(range(len(balls)))
+
+
+# ---------------------------------------------------------------------------
+# the one largest-first scan against the per-step loops
+# ---------------------------------------------------------------------------
+
+
+def _scan_cases(dim: int) -> dict[str, BallCollection]:
+    """Collections on which the scan and the per-step loops could part:
+    the corpus law, pairs at the tangency tolerance, centres on a
+    larger sphere, coincident copies, radius ties, radii over six
+    decades and a single ball."""
+    axis = np.eye(dim)[0]
+    cases = {
+        f"corpus-{seed}": random_collection(dim, [dim, seed], count=60)
+        for seed in range(8)
+    }
+    # unit pairs exactly at, a hair inside and just outside the
+    # DISJOINT_TOL margin, and touching, each pair well away from the
+    # others; the first pair's distance is the margin to the last bit
+    gaps = [2.0 - DISJOINT_TOL, 2.0 - 2.0 * DISJOINT_TOL, 2.0 - 0.5 * DISJOINT_TOL, 2.0]
+    tangent = [(10.0 * k + g * side) * axis for k, g in enumerate(gaps) for side in (0, 1)]
+    cases["tangent"] = BallCollection.from_arrays(tangent, np.ones(len(tangent)))
+    # centres exactly on the sphere of a larger ball, which contains them
+    cases["on-sphere"] = BallCollection.from_arrays(
+        np.outer([0.0, 1.0, -1.0, 0.5], axis), [1.0, 0.5, 0.25, 0.5]
+    )
+    base = random_collection(dim, [dim, 99], count=12)
+    copies = [0, 0, 3, 0, 3]
+    cases["coincident"] = BallCollection.from_arrays(
+        np.vstack([base.centers, base.centers[copies]]),
+        np.append(base.radii, base.radii[copies]),
+    )
+    chain = np.outer(np.arange(15) * 1.5, axis)
+    cases["ties"] = BallCollection.from_arrays(chain[::-1], np.ones(15))
+    rng = np.random.default_rng([dim, 7])
+    cases["decades"] = BallCollection.from_arrays(
+        rng.uniform(-1.0, 1.0, (80, dim)), 10.0 ** rng.uniform(-6.0, 0.0, 80)
+    )
+    cases["single"] = BallCollection.from_arrays(np.zeros((1, dim)), [0.5])
+    return cases
+
+
+def _same_result(got: SelectionResult, want: SelectionResult):
+    assert got.selected == want.selected
+    assert list(got.groups.items()) == list(want.groups.items())
+    assert got.families == want.families
+    assert got.params == want.params
+
+
+class TestLargestFirstScan:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_vitali_matches_per_step(self, dim):
+        for balls in _scan_cases(dim).values():
+            _same_result(vitali_select(balls), vitali_select_per_step(balls))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_besicovitch_matches_per_step(self, dim):
+        for balls in _scan_cases(dim).values():
+            _same_result(besicovitch_select(balls), besicovitch_select_per_step(balls))
+
+    def test_interval_matches_per_step(self):
+        for balls in _scan_cases(1).values():
+            _same_result(interval_select_1d(balls), interval_select_1d_per_step(balls))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_perimeter_vitali_matches_per_step(self, dim):
+        eps = 0.5 * overlap_eps_max(dim)
+        for balls in _scan_cases(dim).values():
+            result = perimeter_vitali_select(balls, eps)
+            want = perimeter_vitali_select_per_step(balls, eps)
+            assert (result.selected, list(result.groups.items())) == (
+                want[0],
+                list(want[1].items()),
+            )
+
+    def test_cases_reach_every_edge(self):
+        # Only the pair overlapping by more than DISJOINT_TOL merges, the
+        # ties keep input order, and a coincident copy never beats its
+        # original.
+        cases = _scan_cases(2)
+        assert vitali_select(cases["tangent"]).selected == [0, 1, 2, 4, 5, 6, 7]
+        assert besicovitch_select(cases["on-sphere"]).selected == [0]
+        assert vitali_select(cases["ties"]).selected == list(range(0, 15, 2))
+        chosen = vitali_select(cases["coincident"]).selected
+        assert not set(chosen) & set(range(12, 17))
