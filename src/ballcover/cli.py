@@ -22,6 +22,7 @@ check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields
 
@@ -187,6 +188,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Built once per process: every default is SUPPRESS, so a parse leaves
+# nothing behind in the parser for the next one to read.
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     add = common.add_argument

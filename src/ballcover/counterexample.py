@@ -186,7 +186,7 @@ class _PackingState:
         halfwidths = _halfwidths(self._disks, rho, r)
         if halfwidths is None:
             return np.empty(0), np.empty(0)
-        return _uncovered_arcs(*_split_arcs(self._disks[0], halfwidths))
+        return _uncovered_arcs(*_split_arcs(*_arc_ends(self._disks[0], halfwidths)))
 
     def pockets(self, rho: float, r: float, gap_starts, gap_ends) -> _Pockets:
         """The pockets of the free arcs that ``gaps(rho, r)`` returned.

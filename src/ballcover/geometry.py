@@ -362,10 +362,11 @@ def meeting_pairs(
 
 def neighbor_lists(
     centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per ball, the balls whose open interiors meet it.
 
-    Returns (start, partner, distance): the partners of ball i are
+    Returns (start, owner, partner, distance): entry k pairs ball
+    owner[k] with partner[k], and the partners of ball i are
     ``partner[start[i]:start[i + 1]]`` in ascending order, at the
     ``meeting_pairs`` distances, each below the sum of the radii.
     """
@@ -374,17 +375,17 @@ def neighbor_lists(
     owner = np.concatenate([first[meet], second[meet]])
     partner = np.concatenate([second[meet], first[meet]])
     order = np.lexsort((partner, owner))
-    start = np.searchsorted(owner[order], np.arange(len(radii) + 1))
-    return start, partner[order], np.tile(dist[meet], 2)[order]
+    owner = owner[order]
+    start = np.searchsorted(owner, np.arange(len(radii) + 1))
+    return start, owner, partner[order], np.tile(dist[meet], 2)[order]
 
 
 def _coincidence_groups(
-    radii: np.ndarray, start: np.ndarray, partner: np.ndarray, dist: np.ndarray
+    radii: np.ndarray, owner: np.ndarray, partner: np.ndarray, dist: np.ndarray
 ) -> np.ndarray:
-    """Representative index per ball, from its ``neighbor_lists``;
-    coincident balls share the lowest one."""
+    """Representative index per ball, from its ``neighbor_lists``
+    entries; coincident balls share the lowest one."""
     rep = np.arange(len(radii))
-    owner = np.repeat(rep, np.diff(start))
     same = (owner < partner) & (dist <= COINCIDENCE_TOL)
     same &= np.abs(radii[partner] - radii[owner]) <= COINCIDENCE_TOL
     for i, j in zip(owner[same].tolist(), partner[same].tolist()):
@@ -412,12 +413,10 @@ def _arc_ends(
     return lo, lo + 2.0 * halfwidths
 
 
-def _split_arcs(
-    centers: np.ndarray, halfwidths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs of given centers and halfwidths as segments of [0, 2*pi]: an
-    arc past 2*pi ends there and goes on from 0."""
-    lo, hi = _arc_ends(centers, halfwidths)
+def _split_arcs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs with the ends of ``_arc_ends`` as segments of [0, 2*pi]: an
+    arc past 2*pi ends there, and its part past 2*pi is appended,
+    starting from 0."""
     over = hi > TWO_PI
     wrapped = hi[over] - TWO_PI
     starts = np.concatenate([lo, np.zeros(wrapped.size)])
@@ -449,10 +448,9 @@ def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise ValueError("free_arcs_2d needs dimension 2")
     n = len(balls)
     centers, radii = balls.centers, balls.radii
-    start, partner, rho = neighbor_lists(centers, radii)
-    rep = _coincidence_groups(radii, start, partner, rho)
+    _, owner, partner, rho = neighbor_lists(centers, radii)
+    rep = _coincidence_groups(radii, owner, partner, rho)
     free = rep == np.arange(n)
-    owner = np.repeat(np.arange(n), np.diff(start))
     pair = free[owner] & free[partner]
     owner, partner, rho = owner[pair], partner[pair], rho[pair]
     r, s = radii[owner], radii[partner]
@@ -465,9 +463,10 @@ def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndar
     arc = ~same & (cosphi < 1.0) & free[owner]
     circle, phi = owner[arc], np.arccos(cosphi[arc])
     toward = centers[partner[arc]] - centers[circle]
-    lo, hi = _split_arcs(np.arctan2(toward[:, 1], toward[:, 0]), phi)
-    # owners of the parts past 2pi that _split_arcs appends, by its own test
-    circle = np.concatenate([circle, circle[lo[: circle.size] + 2.0 * phi > TWO_PI]])
+    lo, hi = _arc_ends(np.arctan2(toward[:, 1], toward[:, 0]), phi)
+    # owners of the parts past 2pi that _split_arcs appends
+    circle = np.concatenate([circle, circle[hi > TWO_PI]])
+    lo, hi = _split_arcs(lo, hi)
     # Sweep every circle at once: 0 and 2pi bracket its arcs, which step
     # the cover count up at their starts and down at their ends; the
     # stable sort keeps starts before ends at a tie.  Each circle's steps
@@ -593,8 +592,8 @@ def union_perimeter_mc(
         raise ValueError("collection must be nonempty")
     d = balls.dimension
     centers, radii = balls.centers, balls.radii
-    start, partner, rho = neighbor_lists(centers, radii)
-    rep = _coincidence_groups(radii, start, partner, rho)
+    start, owner, partner, rho = neighbor_lists(centers, radii)
+    rep = _coincidence_groups(radii, owner, partner, rho)
     keep = np.nonzero(rep == np.arange(len(balls)))[0]
     radius_list = radii.tolist()
     value = 0.0

@@ -10,7 +10,9 @@ between critical levels, which gives var(Mf) exactly.
 Level sets follow F. Riesz's rising-sun picture.  With
 G(x) = F(x) - level x, the average over (a, b) is at least the level
 exactly when G(b) >= G(a), so one pass over G at the breakpoints, with
-its prefix minimum and suffix maximum, gives {Mf >= level}.  For a
+its prefix minimum and suffix maximum, gives {Mf >= level}.  The pass
+takes an array of levels, one row of G each, so the variation check
+counts all its levels in one call.  For a
 value c let a(c) be the first x with G(x) <= c and b(c) the last with
 G(x) >= c.  The inclusion-maximal intervals of average exactly the
 level are the [a(c), b(c)] with a(c) < b(c): G > c left of a(c) and
@@ -29,10 +31,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Interval, union_components
+from .geometry import Interval
 
 # Levels this close (relative) to a critical average are degenerate.
 _SKIP_TOL = 1e-9
+# Level rows times breakpoints per rising-sun pass of
+# maximal_variation_check: memory stays flat however many gaps it counts.
+_BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -121,66 +126,86 @@ def _positive(level) -> float:
     return level
 
 
-def _rising_sun(f: StepFunction, level: float):
-    """G = F - level x at the breakpoints x, the slope of its linear
-    interpolant on each piece, and the prefix minimum and suffix maximum
-    of the samples.
+def _rising_sun(f: StepFunction, levels: np.ndarray):
+    """G = F - level x at the breakpoints x, one row per level, the
+    slope of its linear interpolant on each piece, and the prefix
+    minimum and suffix maximum of each row's samples.
 
     The slopes are |f| - level up to rounding, taken from the samples
     so that G falls on a piece exactly when its samples fall.
     """
     xs, dx, _, prefix = f._arrays
-    g = prefix - level * xs
+    g = prefix - levels[:, None] * xs
     return (
         xs,
         g,
-        np.diff(g) / dx,
-        np.minimum.accumulate(g),
-        np.maximum.accumulate(g[::-1])[::-1],
+        np.diff(g, axis=1) / dx,
+        np.minimum.accumulate(g, axis=1),
+        np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1],
     )
 
 
-def _superlevel_components(f: StepFunction, level: float):
-    """Connected components (lo, hi) of {Mf >= level}, sorted, and the
-    ``_rising_sun`` arrays they come from.
+def _superlevel_components(f: StepFunction, levels: np.ndarray):
+    """Connected components of {Mf >= level} for each of an array of
+    positive levels, as flat arrays (row, lo, hi) sorted by row and then
+    by position, and the ``_rising_sun`` arrays they come from.
 
     A piece where G does not fall (|f| >= level) lies in the set whole.
     On piece i where G falls, a point t is in the set when G(t) > pm_i
     (an interval from some earlier a averages above the level) or
     G(t) < sm_(i+1) (one to some later b does); each holds from one end
-    of the piece up to a root.  The zero tails fall at slope -level, with nothing before the
-    left one and nothing after the right one.
+    of the piece up to a root.  The zero tails fall at slope -level,
+    with nothing before the left one and nothing after the right one.
+
+    Each row's segments sit in start order in a fixed layout: the head,
+    then per piece its whole or early segment and its late one, then the
+    tail; a running maximum of the ends along the row joins them into
+    components.  Callers bound the number of levels per call
+    (``_BLOCK_ELEMENTS``), since every array has a row per level.
     """
-    sun = xs, g, slope, pm, sm = _rising_sun(f, level)
+    sun = xs, g, slope, pm, sm = _rising_sun(f, levels)
     left, right = xs[:-1], xs[1:]
     falls = slope < 0
-    early = falls & (pm[:-1] < g[:-1])
-    late = falls & (sm[1:] > g[1:])
+    early = falls & (pm[:, :-1] < g[:, :-1])
+    late = falls & (sm[:, 1:] > g[:, 1:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        early_hi = np.minimum(left + (pm[:-1] - g[:-1]) / slope, right)
-        late_lo = np.maximum(right + (sm[1:] - g[1:]) / slope, left)
-    lo = [left[~falls], left[early], late_lo[late]]
-    hi = [right[~falls], early_hi[early], right[late]]
-    if sm[0] > g[0]:
-        lo.append([xs[0] - (sm[0] - g[0]) / level])
-        hi.append([xs[0]])
-    if g[-1] > pm[-1]:
-        lo.append([xs[-1]])
-        hi.append([xs[-1] + (g[-1] - pm[-1]) / level])
-    lo, hi = union_components(np.concatenate(lo), np.concatenate(hi))
+        early_hi = np.minimum(left + (pm[:, :-1] - g[:, :-1]) / slope, right)
+        late_lo = np.maximum(right + (sm[:, 1:] - g[:, 1:]) / slope, left)
+        head_lo = xs[0] - (sm[:, 0] - g[:, 0]) / levels
+        tail_hi = xs[-1] + (g[:, -1] - pm[:, -1]) / levels
+    rows, pieces = falls.shape
+    lo = np.empty((rows, 2 * pieces + 2))
+    hi = np.empty_like(lo)
+    use = np.empty(lo.shape, dtype=bool)
+    lo[:, 0], hi[:, 0], use[:, 0] = head_lo, xs[0], sm[:, 0] > g[:, 0]
+    lo[:, 1:-1:2], hi[:, 1:-1:2] = left, np.where(falls, early_hi, right)
+    use[:, 1:-1:2] = ~falls | early
+    lo[:, 2:-1:2], hi[:, 2:-1:2], use[:, 2:-1:2] = late_lo, right, late
+    lo[:, -1], hi[:, -1], use[:, -1] = xs[-1], tail_hi, g[:, -1] > pm[:, -1]
+    reach = np.maximum.accumulate(np.where(use, hi, -np.inf), axis=1)
+    # a used segment opens a component when it starts beyond the reach
+    # of the segments before it in its row
+    opens = use.copy()
+    opens[:, 1:] &= lo[:, 1:] > reach[:, :-1]
+    whole = np.zeros(use.shape, dtype=bool)
+    whole[:, 1:-1:2] = ~falls
+    row = np.nonzero(use)[0]
+    lo, reach, opens, whole = lo[use], reach[use], opens[use], whole[use]
+    first = np.flatnonzero(opens)
+    last = np.append(first[1:], opens.size) - 1
     # An interval of average >= level meets a piece with |f| >= level,
     # and Mf >= level on all of that piece, so every true component
     # holds a whole such piece.  The others are roundoff slivers, from
     # roots a rounding step past the end of a piece.
-    whole = np.zeros(lo.size, dtype=bool)
-    whole[np.searchsorted(lo, left[~falls], side="right") - 1] = True
-    return lo[whole], hi[whole], sun
+    keep = np.zeros(first.size, dtype=bool)
+    keep[np.cumsum(opens)[whole] - 1] = True
+    first, last = first[keep], last[keep]
+    return row[first], lo[first], reach[last], sun
 
 
 def maximal_superlevel(f: StepFunction, level: float) -> list[Interval]:
     """Connected components of {Mf >= level} for a positive level, exact."""
-    level = _positive(level)
-    lo, hi, _ = _superlevel_components(f, level)
+    _, lo, hi, _ = _superlevel_components(f, np.array([_positive(level)]))
     return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
@@ -201,11 +226,12 @@ def _critical_levels(f: StepFunction) -> np.ndarray:
     return np.unique(np.concatenate([vs, averages]))
 
 
-def _function_superlevel_count(f: StepFunction, level: float) -> int:
-    """Number of components of {|f| >= level}."""
-    xs, _, vs, _ = f._arrays
-    above = vs >= level
-    return len(union_components(xs[:-1][above], xs[1:][above])[0])
+def _function_superlevel_count(f: StepFunction, levels: np.ndarray) -> np.ndarray:
+    """Number of components of {|f| >= level} for each level: the runs
+    of pieces at or above it, since neighbouring pieces touch and others
+    lie apart."""
+    above = f._arrays[2] >= levels[:, None]
+    return above[:, 0] + np.count_nonzero(above[:, 1:] & ~above[:, :-1], axis=1)
 
 
 def variation(f: StepFunction) -> float:
@@ -229,7 +255,8 @@ def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
 def _maximal_chain(f: StepFunction, level: float) -> tuple[list[Interval], int]:
     """maximal_intervals at a positive level, and the number of
     components of {Mf >= level}, from one rising-sun pass."""
-    starts, _, (xs, g, slope, pm, sm) = _superlevel_components(f, level)
+    _, starts, _, (xs, g, slope, pm, sm) = _superlevel_components(f, np.array([level]))
+    g, slope, pm, sm = g[0], slope[0], pm[0], sm[0]
     out: list[Interval] = []
     for start in starts:
         c = sm[np.searchsorted(xs, start)]
@@ -258,8 +285,24 @@ def level_report(f: StepFunction, level: float) -> LevelSetReport:
     {|f| >= level} and {Mf >= level}."""
     level = _positive(level)
     ivals, components = _maximal_chain(f, level)
-    count_f = 2 * _function_superlevel_count(f, level)
+    count_f = 2 * int(_function_superlevel_count(f, np.array([level]))[0])
     return LevelSetReport(level, tuple(ivals), count_f, 2 * components)
+
+
+def _component_counts(
+    g: StepFunction, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Components of {Mf >= level} and of {|f| >= level} at each level,
+    in blocks of at most ``_BLOCK_ELEMENTS`` level rows times breakpoints."""
+    step = max(1, _BLOCK_ELEMENTS // len(g.breakpoints))
+    comp_m = np.empty(levels.size, dtype=int)
+    comp_f = np.empty(levels.size, dtype=int)
+    for i in range(0, levels.size, step):
+        block = levels[i : i + step]
+        row = _superlevel_components(g, block)[0]
+        comp_m[i : i + block.size] = np.bincount(row, minlength=block.size)
+        comp_f[i : i + block.size] = _function_superlevel_count(g, block)
+    return comp_m, comp_f
 
 
 def maximal_variation_check(
@@ -275,8 +318,9 @@ def maximal_variation_check(
     each gap's midpoint gives var(Mf) exactly, up to rounding, and
     serves every grid level inside the gap; a degenerate grid level,
     within rounding of a critical level, is counted where it lies.
-    var(Mf) must not exceed var(|f|) by more than
-    1e-9 * max(1, var(|f|)).
+    Every gap midpoint and every degenerate grid level go through one
+    batched rising-sun pass (see _component_counts).  var(Mf) must not
+    exceed var(|f|) by more than 1e-9 * max(1, var(|f|)).
     """
     level_grid_size = int(level_grid_size)
     if level_grid_size < 10:
@@ -287,18 +331,9 @@ def maximal_variation_check(
     if max_mf == 0.0:
         return VariationReport((), 0.0, 0.0, True)
 
-    def counts_at(level: float) -> tuple[int, int]:
-        comp_m = len(_superlevel_components(g, level)[0])
-        return comp_m, _function_superlevel_count(g, level)
-
     critical = _critical_levels(g)
     # max_mf is a piece value, so the cuts run from 0 up to it.
     cuts = np.union1d(0.0, critical[critical <= max_mf])
-    gap_counts = [counts_at(0.5 * (u + w)) for u, w in zip(cuts, cuts[1:])]
-    var_mf = sum(
-        2 * comp_m * (w - u) for (comp_m, _), u, w in zip(gap_counts, cuts, cuts[1:])
-    )
-
     grid = [
         max_mf * j / (level_grid_size + 1) for j in range(1, level_grid_size + 1)
     ]
@@ -311,23 +346,27 @@ def maximal_variation_check(
     below = levels - critical[np.maximum(at - 1, 0)]
     above = critical[np.minimum(at, critical.size - 1)] - levels
     near = ((at > 0) & (below <= skip_tol)) | ((at < critical.size) & (above <= skip_tol))
-    gap = np.searchsorted(cuts, levels) - 1
-    records = []
-    all_pass = True
-    for lam, skipped, k in zip(grid, near.tolist(), gap.tolist()):
-        if skipped:
-            comp_m, comp_f = counts_at(lam)
-        else:
-            comp_m, comp_f = gap_counts[k]
-        passed = skipped or comp_m <= comp_f
-        all_pass &= passed
-        records.append(LevelRecord(lam, 2 * comp_m, 2 * comp_f, skipped, passed))
-    if all(r.skipped for r in records):
+    if near.all():
         raise ValueError("degenerate level grid: every level is critical")
+
+    # every gap midpoint, then every skipped grid level
+    gaps = cuts.size - 1
+    comp_m, comp_f = _component_counts(
+        g, np.concatenate([0.5 * (cuts[:-1] + cuts[1:]), levels[near]])
+    )
+    # summed one gap after another, the order that fixes var(Mf)'s bits
+    var_mf = np.cumsum(2 * comp_m[:gaps] * np.diff(cuts))[-1]
+    # each grid level takes its own count when skipped, its gap's if not
+    source = np.where(near, gaps + np.cumsum(near) - 1, np.searchsorted(cuts, levels) - 1)
+    count_m, count_f = 2 * comp_m[source], 2 * comp_f[source]
+    passed = near | (count_m <= count_f)
+    records = tuple(
+        map(LevelRecord, grid, count_m.tolist(), count_f.tolist(), near.tolist(),
+            passed.tolist())
+    )
+    all_pass = bool(passed.all())
 
     # relative above 1: var(Mf) = var(|f|) for unimodal |f|, and at a
     # large scale rounding alone exceeds an absolute 1e-9
     bound_ok = var_mf <= var_f + 1e-9 * max(1.0, var_f)
-    return VariationReport(
-        tuple(records), var_f, float(var_mf), all_pass and bound_ok
-    )
+    return VariationReport(records, var_f, float(var_mf), all_pass and bound_ok)

@@ -70,14 +70,6 @@ def _removed_groups(selected: list[int], remover: np.ndarray) -> dict[int, list[
     return {s: order[edges[s] : edges[s + 1]] for s in selected}
 
 
-def _pair_lists(balls: BallCollection):
-    """``neighbor_lists`` of the balls as (start, owner, partner,
-    distance): entry k pairs ball owner[k] with its partner[k]."""
-    start, partner, dist = neighbor_lists(balls.centers, balls.radii)
-    owner = np.repeat(np.arange(len(balls)), np.diff(start))
-    return start, owner, partner, dist
-
-
 def _kept_partners(start: np.ndarray, partner: np.ndarray, keep: np.ndarray):
     """The function s -> partners of s whose pair entry ``keep`` marks."""
     kept = partner[keep]
@@ -95,7 +87,7 @@ def vitali_select(balls: BallCollection) -> SelectionResult:
     least as large, so the five-times enlargements of the chosen balls
     cover the whole union."""
     radii = balls.radii
-    start, owner, partner, dist = _pair_lists(balls)
+    start, owner, partner, dist = neighbor_lists(balls.centers, radii)
     meeting = _kept_partners(start, partner, _meets(radii, owner, partner, dist))
     selected, remover = _largest_first(radii, meeting)
     params = {"enlargement": 5.0, "disjoint_tol": DISJOINT_TOL}
@@ -118,7 +110,7 @@ def besicovitch_select(balls: BallCollection) -> SelectionResult:
         "disjoint_tol": DISJOINT_TOL,
     }
     radii = balls.radii
-    start, owner, partner, dist = _pair_lists(balls)
+    start, owner, partner, dist = neighbor_lists(balls.centers, radii)
     covered = _kept_partners(start, partner, dist <= radii[owner])
     selected, remover = _largest_first(radii, covered)
     meeting = _kept_partners(start, partner, _meets(radii, owner, partner, dist))
@@ -213,7 +205,7 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
     }
     radii = balls.radii
     volumes = unit_ball_volume(d) * radii**d
-    start, owner, partner, dist = _pair_lists(balls)
+    start, owner, partner, dist = neighbor_lists(balls.centers, radii)
     # Per directed pair (owner, partner): does the partner's lens against
     # the owner reach the threshold, and may it join the owner's group?
     # A ball's lens against itself is its whole volume, above the

@@ -22,6 +22,7 @@ from ballcover.geometry import (
     _lens_volumes,
     _surface,
     neighbor_lists,
+    union_components,
     unit_ball_volume,
 )
 from ballcover.maximal1d import StepFunction
@@ -184,6 +185,40 @@ def maximal_function_oracle_grid(f: StepFunction, xs: np.ndarray) -> np.ndarray:
             mask = (xs > bps[p]) & (xs < bps[q])
             np.maximum(best, np.where(mask, avg, -np.inf), out=best)
     return best
+
+
+def superlevel_components_per_level(
+    f: StepFunction, level: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Components (lo, hi) of {Mf >= level} from one rising-sun pass at
+    one level, its segments joined by ``union_components``: the
+    per-level form of ``maximal1d._superlevel_components``, with the
+    same arithmetic, so the two agree bit for bit."""
+    xs, dx, _, prefix = f._arrays
+    g = prefix - level * xs
+    slope = np.diff(g) / dx
+    pm = np.minimum.accumulate(g)
+    sm = np.maximum.accumulate(g[::-1])[::-1]
+    left, right = xs[:-1], xs[1:]
+    falls = slope < 0
+    early = falls & (pm[:-1] < g[:-1])
+    late = falls & (sm[1:] > g[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        early_hi = np.minimum(left + (pm[:-1] - g[:-1]) / slope, right)
+        late_lo = np.maximum(right + (sm[1:] - g[1:]) / slope, left)
+    lo = [left[~falls], left[early], late_lo[late]]
+    hi = [right[~falls], early_hi[early], right[late]]
+    if sm[0] > g[0]:
+        lo.append([xs[0] - (sm[0] - g[0]) / level])
+        hi.append([xs[0]])
+    if g[-1] > pm[-1]:
+        lo.append([xs[-1]])
+        hi.append([xs[-1] + (g[-1] - pm[-1]) / level])
+    lo, hi = union_components(np.concatenate(lo), np.concatenate(hi))
+    # only components holding a whole piece with |f| >= level are real
+    whole = np.zeros(lo.size, dtype=bool)
+    whole[np.searchsorted(lo, left[~falls], side="right") - 1] = True
+    return lo[whole], hi[whole]
 
 
 def exact_antiderivative(f: StepFunction):
@@ -398,8 +433,8 @@ def union_perimeter_mc_points(
     package, drawn in one piece."""
     d = balls.dimension
     centers, radii = balls.centers, balls.radii
-    start, partner, rho = neighbor_lists(centers, radii)
-    rep = _coincidence_groups(radii, start, partner, rho)
+    start, owner, partner, rho = neighbor_lists(centers, radii)
+    rep = _coincidence_groups(radii, owner, partner, rho)
     value = variance = 0.0
     for i, r in enumerate(radii.tolist()):
         if rep[i] != i:
@@ -443,7 +478,7 @@ def vitali_select_per_step(balls: BallCollection) -> SelectionResult:
     """``vitali_select`` with its own live mask, the meeting test of each
     chosen ball made at its own step."""
     radii = balls.radii
-    start, partner, dist = neighbor_lists(balls.centers, radii)
+    start, _, partner, dist = neighbor_lists(balls.centers, radii)
     alive = np.ones(len(balls), dtype=bool)
     selected: list[int] = []
     groups: dict[int, list[int]] = {}
@@ -467,7 +502,7 @@ def besicovitch_select_per_step(balls: BallCollection) -> SelectionResult:
     owner array."""
     n = len(balls)
     radii = balls.radii
-    start, partner, dist = neighbor_lists(balls.centers, radii)
+    start, _, partner, dist = neighbor_lists(balls.centers, radii)
     uncovered = np.ones(n, dtype=bool)
     covered_by = np.full(n, -1, dtype=int)
     selected: list[int] = []
@@ -531,7 +566,7 @@ def perimeter_vitali_select_per_step(
     threshold_factor = (7.0 / 8.0) ** d * float(eps)
     radii = balls.radii
     volumes = unit_ball_volume(d) * radii**d
-    start, partner, dist = neighbor_lists(balls.centers, radii)
+    start, _, partner, dist = neighbor_lists(balls.centers, radii)
     candidate = np.ones(len(balls), dtype=bool)
     selected: list[int] = []
     groups: dict[int, list[int]] = {}

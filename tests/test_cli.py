@@ -158,6 +158,19 @@ class TestResolveConfig:
         cfg = resolve_config(["check", "--config", str(conf)])
         assert cfg.lam == 0.25
 
+    def test_reused_parser_keeps_no_values(self, tmp_path):
+        # the parser is built once per process; a second resolve must see
+        # none of the first one's file values or flags
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed=9\neps=0.05\noutput=out.txt\n")
+        first = resolve_config(
+            ["generate", "--config", str(conf), "--kind", "reverse", "--levels", "40"]
+        )
+        assert (first.seed, first.eps, first.kind, first.levels) == (9, 0.05, "reverse", 40)
+        second = resolve_config(["generate"])
+        assert cli._build_parser() is cli._build_parser()
+        assert second == RunConfig(command="generate")
+
 
 # Config key -> (value text, RunConfig field, parsed value); each flag is
 # "--" plus the key with "_" written "-".

@@ -305,8 +305,9 @@ def test_meeting_pairs_against_brute_force(n, dim):
     assert np.array_equal(dist, dists[first, second])
     assert np.all(dist <= (1.0 + 1e-9) * reach[first, second])
     # open-interior partners per ball, in both directions
-    start, partner, near = neighbor_lists(centers, radii)
+    start, owner, partner, near = neighbor_lists(centers, radii)
     assert start.size == n + 1
+    assert np.array_equal(owner, np.repeat(np.arange(n), np.diff(start)))
     for a in range(n):
         want = np.nonzero(dists[a] < reach[a])[0]
         want = want[want != a]
@@ -350,7 +351,7 @@ def test_coincidence_groups_keep_lowest_index(dim):
         )
         idx = np.nonzero(same)[0] + a + 1
         want[idx[want[idx] == idx]] = a
-    got = geometry._coincidence_groups(radii, *neighbor_lists(centers, radii))
+    got = geometry._coincidence_groups(radii, *neighbor_lists(centers, radii)[1:])
     assert np.array_equal(got, want)
     assert got[50] == got[51] == got[52] == 40
 
@@ -397,7 +398,7 @@ _WRAP_EDGES = [
 )
 def test_split_arcs_wrap_is_modulo_bit_for_bit(xs):
     x = np.array(xs + _WRAP_EDGES)
-    starts, _ = geometry._split_arcs(x, np.zeros_like(x))
+    starts, _ = geometry._split_arcs(*geometry._arc_ends(x, np.zeros_like(x)))
     assert _bits(starts) == _bits(x % TWO_PI)
 
 
@@ -414,7 +415,7 @@ def test_split_arcs_wrap_is_modulo_bit_for_bit(xs):
 def test_split_arcs_matches_modulo_form(arcs):
     centers = np.array([c for c, _ in arcs], dtype=float)
     halfwidths = np.array([h for _, h in arcs], dtype=float)
-    got = geometry._split_arcs(centers, halfwidths)
+    got = geometry._split_arcs(*geometry._arc_ends(centers, halfwidths))
     want = _split_arcs_modulo(centers, halfwidths)
     assert [_bits(a) for a in got] == [_bits(a) for a in want]
 
@@ -449,10 +450,10 @@ _ARC_ENDS = st.sampled_from([0.0, 1.0, math.pi, 4.0, TWO_PI]) | st.floats(0.0, T
 )
 def test_leaves_gap_matches_gap_total_rule(segments, arcs):
     # the arcs go through _split_arcs, so those past 2*pi wrap to 0
-    wrap_starts, wrap_ends = geometry._split_arcs(
+    wrap_starts, wrap_ends = geometry._split_arcs(*geometry._arc_ends(
         np.array([c for c, _ in arcs], dtype=float),
         np.array([h for _, h in arcs], dtype=float),
-    )
+    ))
     starts = np.concatenate([[min(a, b) for a, b in segments], wrap_starts])
     ends = np.concatenate([[max(a, b) for a, b in segments], wrap_ends])
     assert _leaves_gap(starts, ends) == _gap_total_rule(starts, ends)

@@ -42,6 +42,7 @@ from oracles import (
     maximal_function_oracle_at,
     maximal_function_oracle_grid,
     random_step_function,
+    superlevel_components_per_level,
     union_component_count_oracle,
     variation_oracle,
 )
@@ -654,7 +655,7 @@ class TestExactVariation:
         for u, w in zip(_cuts(g), _cuts(g)[1:]):
             probes = [u + s * (w - u) for s in (1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6)]
             counts = {
-                len(_superlevel_components(g, level)[0])
+                len(_superlevel_components(g, np.array([level]))[0])
                 for level in probes
                 if u < level < w
             }
@@ -664,12 +665,13 @@ class TestExactVariation:
     def test_one_component_pass_per_gap_and_skipped_level(
         self, monkeypatch, size
     ):
+        # one kernel call, with a level row per gap and per skipped level
         calls = []
         inner = maximal1d._superlevel_components
 
-        def spy(g, level):
-            calls.append(level)
-            return inner(g, level)
+        def spy(g, levels):
+            calls.append(levels.size)
+            return inner(g, levels)
 
         monkeypatch.setattr(maximal1d, "_superlevel_components", spy)
         for f in (TENT, SPIKY, SIGNED, GOLDEN_STEP, INTEGER_STEP):
@@ -679,7 +681,8 @@ class TestExactVariation:
             crit = _critical_levels(f.abs_function())
             gaps = np.unique(crit[(crit > 0) & (crit <= top)]).size
             skipped = sum(rec.skipped for rec in rep.levels)
-            assert len(calls) == gaps + skipped
+            assert len(calls) == 1
+            assert sum(calls) == gaps + skipped
             if f is INTEGER_STEP and size == 11:
                 assert skipped == 3
 
@@ -702,3 +705,67 @@ class TestExactVariation:
             assert rec.passed
         assert skipped[-1].count_maximal == 4
         assert len(maximal_superlevel(g, 3.2)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the batched rising-sun kernel
+# ---------------------------------------------------------------------------
+
+
+def _probe_levels(g):
+    """Positive levels at gap midpoints, at critical levels, one ulp to
+    either side of them, and at piece values."""
+    crit = _critical_levels(g)
+    cuts = _cuts(g)
+    levels = np.concatenate([
+        0.5 * (cuts[:-1] + cuts[1:]),
+        crit,
+        np.nextafter(crit, np.inf),
+        np.nextafter(crit, -np.inf),
+        np.asarray(g.values),
+    ])
+    return levels[levels > 0.0]
+
+
+class TestBatchedKernel:
+    @given(
+        st.one_of(
+            dyadic_step_functions(max_pieces=8),
+            st.integers(0, 10_000).map(
+                lambda seed: random_step_function(np.random.default_rng(seed))
+            ),
+        )
+    )
+    @settings(max_examples=60)
+    def test_rows_match_per_level_passes(self, f):
+        g = f.abs_function()
+        levels = _probe_levels(g)
+        row, lo, hi, _ = _superlevel_components(g, levels)
+        assert np.all(np.diff(row) >= 0)
+        for k, level in enumerate(levels.tolist()):
+            want_lo, want_hi = superlevel_components_per_level(g, level)
+            assert lo[row == k].tolist() == want_lo.tolist(), level
+            assert hi[row == k].tolist() == want_hi.tolist(), level
+
+    @pytest.mark.parametrize("block", [1, 37])
+    def test_block_edges_leave_reports_unchanged(self, monkeypatch, block):
+        rng = np.random.default_rng([204, 16])
+        functions = [random_step_function(rng) for _ in range(20)]
+        functions += [random_step_function(rng, max_pieces=40) for _ in range(3)]
+        functions += [TENT, SPIKY, SIGNED, GOLDEN_STEP, INTEGER_STEP, SLIVER]
+        want = [repr(maximal_variation_check(f, 200)) for f in functions]
+        monkeypatch.setattr(maximal1d, "_BLOCK_ELEMENTS", block)
+        assert [repr(maximal_variation_check(f, 200)) for f in functions] == want
+
+    def test_criterion_4_reports_are_byte_identical(self):
+        # sha256 of the whole reports on the criterion-4 functions,
+        # recorded with one component pass per level: batching the
+        # levels had to leave every count, flag and var(Mf) bit as it was.
+        rng = np.random.default_rng(204)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            rep = maximal_variation_check(random_step_function(rng), 200)
+            digest.update(repr(rep).encode())
+        assert digest.hexdigest() == (
+            "33e3ff6d504b0245a4832d9c1d75513e9eaced12d93ba191924a91042f5dc3de"
+        )
