@@ -9,7 +9,6 @@ quadrature used where no closed form is available.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -327,6 +326,80 @@ def union_components(starts, ends) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # which balls meet
 
+# A kd-tree of the pair layer holds one radius class (radii within a
+# factor of two, from the binary exponent), or adjacent classes merged
+# while the tree keeps at most _GROUP_BALLS balls over at most
+# _GROUP_CLASSES classes.  Merging spares small collections a tree per
+# class; the class cap keeps a large ball from widening the query of
+# many small ones.
+_GROUP_BALLS = 256
+_GROUP_CLASSES = 4
+# Relative slack of the tree queries: it covers the filter's slack below
+# and the rounding of the trees' own distances.
+_TREE_SLACK = 1.0 + 1e-7
+# Relative slack of the filter that decides which closed balls meet.
+_PAIR_PAD = 1.0 + 1e-9
+
+
+def _candidate_pairs(
+    centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered ball pairs, each once, that include every pair i != j
+    with center distance at most _PAIR_PAD (r_i + r_j).
+
+    One kd-tree per radius group answers one array query inside the
+    group, at twice its largest radius, and one against each smaller
+    group, at the sum of the two largest radii.
+    """
+    if len(radii) < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    from scipy.spatial import cKDTree
+
+    # class k holds the radii in [2^(k + e - 1), 2^(k + e)), e the least
+    # binary exponent; frexp reads it without a logarithm's overflow
+    exponent = np.frexp(radii)[1]
+    of_class = exponent - exponent.min()
+    counts = np.bincount(of_class)
+    group_of_class = np.empty(counts.size, dtype=np.intp)
+    group, low, held = -1, 0, 0
+    for k in np.flatnonzero(counts).tolist():
+        if group < 0 or held + counts[k] > _GROUP_BALLS or k - low >= _GROUP_CLASSES:
+            group, low, held = group + 1, k, 0
+        held += int(counts[k])
+        group_of_class[k] = group
+    of_group = group_of_class[of_class]
+    order = np.argsort(of_group, kind="stable")
+    bounds = np.cumsum(np.bincount(of_group, minlength=group + 1)).tolist()
+    members = [order[a:b] for a, b in zip([0] + bounds, bounds)]
+    trees = [cKDTree(centers[idx]) for idx in members]
+    reach = [float(radii[idx].max()) for idx in members]
+    first, second = [], []
+    for g, (tree, idx) in enumerate(zip(trees, members)):
+        inside = tree.query_pairs(_TREE_SLACK * 2.0 * reach[g], output_type="ndarray")
+        first.append(idx[inside[:, 0]])
+        second.append(idx[inside[:, 1]])
+        for h in range(g):
+            across = tree.sparse_distance_matrix(
+                trees[h], _TREE_SLACK * (reach[g] + reach[h]), output_type="ndarray"
+            )
+            first.append(idx[across["i"]])
+            second.append(members[h][across["j"]])
+    return np.concatenate(first), np.concatenate(second)
+
+
+def _candidate_distances(
+    centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_candidate_pairs`` with the center distance every caller of the
+    pair layer reads: sqrt(_row_squares(c_first - c_second)), gathered a
+    coordinate at a time.  It does not depend on the order of a pair."""
+    first, second = _candidate_pairs(centers, radii)
+    squares = np.zeros(first.size)
+    for column in centers.T:
+        diff = column[first] - column[second]
+        squares += diff * diff
+    return first, second, np.sqrt(squares)
+
 
 def meeting_pairs(
     centers: np.ndarray, radii: np.ndarray
@@ -334,30 +407,20 @@ def meeting_pairs(
     """Every pair i < j of closed balls that meet, with its center distance.
 
     Returns ``first < second`` in lexicographic order and the distances
-    sqrt(sum((c_i - c_j)^2)).  One kd-tree query of radius 2 r_i per
-    ball keeps its partners no larger than it (equal radii go to the
-    lower index).  A relative slack of 1e-9 absorbs the tree's rounding;
-    the distances returned here then decide exactly, for this function
-    and for every caller (the arc layer takes them as they are).
+    sqrt(sum((c_i - c_j)^2)), coordinates summed in order.  The
+    candidates come from kd-trees over groups of similar radius
+    (``_candidate_pairs``); the distances returned here then decide,
+    with a relative slack of 1e-9 on r_i + r_j, for this function and
+    for every caller (the arc layer takes them as they are).  The
+    distance of a pair does not depend on its order, so a superset of
+    candidates gives the same output whatever its source.
     """
-    from scipy.spatial import cKDTree
-
-    n = len(radii)
-    pad = 1.0 + 1e-9
-    hits = cKDTree(centers).query_ball_point(
-        centers, 2.0 * pad * radii, return_sorted=False
-    )
-    counts = np.fromiter(map(len, hits), dtype=np.intp, count=n)
-    first = np.repeat(np.arange(n), counts)
-    second = np.fromiter(itertools.chain.from_iterable(hits), np.intp, counts.sum())
-    r1, r2 = radii[first], radii[second]
-    own = (r2 < r1) | ((r2 == r1) & (second > first))
-    first, second = np.minimum(first, second)[own], np.maximum(first, second)[own]
-    diff = centers[first] - centers[second]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    keep = dist <= pad * (radii[first] + radii[second])
-    order = np.lexsort((second[keep], first[keep]))
-    return first[keep][order], second[keep][order], dist[keep][order]
+    first, second, dist = _candidate_distances(centers, radii)
+    keep = dist <= _PAIR_PAD * (radii[first] + radii[second])
+    first, second, dist = first[keep], second[keep], dist[keep]
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    order = np.argsort(low * len(radii) + high)
+    return low[order], high[order], dist[order]
 
 
 def neighbor_lists(
@@ -368,13 +431,15 @@ def neighbor_lists(
     Returns (start, owner, partner, distance): entry k pairs ball
     owner[k] with partner[k], and the partners of ball i are
     ``partner[start[i]:start[i + 1]]`` in ascending order, at the
-    ``meeting_pairs`` distances, each below the sum of the radii.
+    ``meeting_pairs`` distances, each below the sum of the radii.  The
+    entries come straight from the candidates of ``meeting_pairs``, in
+    both directions, sorted once by owner and partner.
     """
-    first, second, dist = meeting_pairs(centers, radii)
+    first, second, dist = _candidate_distances(centers, radii)
     meet = dist < radii[first] + radii[second]
     owner = np.concatenate([first[meet], second[meet]])
     partner = np.concatenate([second[meet], first[meet]])
-    order = np.lexsort((partner, owner))
+    order = np.argsort(owner * len(radii) + partner)
     owner = owner[order]
     start = np.searchsorted(owner, np.arange(len(radii) + 1))
     return start, owner, partner[order], np.tile(dist[meet], 2)[order]

@@ -229,15 +229,25 @@ def interval_select_1d(balls: BallCollection) -> SelectionResult:
     Ball i is the interval [c_i - r_i, c_i + r_i].  The group of a chosen
     ball S collects the candidates surviving at its selection step whose
     closures meet the closure of S; each group union is an interval (up
-    to null sets) inside 5 S.  The closure test stays dense: nested
-    intervals make the pairs that meet grow as n^2.
+    to null sets) inside 5 S.  Each choice tests only a window of the
+    intervals sorted by left end: a candidate still left is no longer
+    than S, so if it meets S its left end lies in
+    [lo_S - 2 r_S - pad, hi_S], with pad = 1e-9 (|lo_S| + r_S) covering
+    the rounding of its ends (hi - lo need not equal 2 r in floats).
     """
     if balls.dimension != 1:
         raise ValueError("interval view requires dimension 1")
     params = {"enlargement": 5.0, "closure_rule": "touching closures meet"}
     radii = balls.radii
     lo, hi = balls.centers[:, 0] - radii, balls.centers[:, 0] + radii
-    selected, remover = _largest_first(
-        radii, lambda s: np.flatnonzero((hi >= lo[s]) & (lo <= hi[s]))
-    )
+    by_lo = np.argsort(lo, kind="stable")
+    pad = 1e-9 * (np.abs(lo) + radii)
+    first = np.searchsorted(lo[by_lo], lo - 2.0 * radii - pad).tolist()
+    last = np.searchsorted(lo[by_lo], hi, side="right").tolist()
+
+    def meeting(s):
+        window = by_lo[first[s] : last[s]]
+        return window[hi[window] >= lo[s]]
+
+    selected, remover = _largest_first(radii, meeting)
     return SelectionResult(selected, _removed_groups(selected, remover), None, params)

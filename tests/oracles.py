@@ -474,6 +474,45 @@ def union_volume_mc_all_balls(
     return box * p, box * math.sqrt(p * (1.0 - p) / samples), samples
 
 
+def meeting_pairs_oracle(
+    centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``meeting_pairs`` from one kd-tree query of radius 2 r_i per ball,
+    kept from the larger ball of each pair (equal radii go to the lower
+    index), with numpy's row sum for the distance and ``lexsort``."""
+    from scipy.spatial import cKDTree
+
+    n = len(radii)
+    pad = 1.0 + 1e-9
+    hits = cKDTree(centers).query_ball_point(centers, 2.0 * pad * radii, return_sorted=False)
+    counts = np.array([len(h) for h in hits], dtype=np.intp)
+    first = np.repeat(np.arange(n), counts)
+    second = np.array([j for h in hits for j in h], dtype=np.intp)
+    r1, r2 = radii[first], radii[second]
+    own = (r2 < r1) | ((r2 == r1) & (second > first))
+    first, second = np.minimum(first, second)[own], np.maximum(first, second)[own]
+    diff = centers[first] - centers[second]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    keep = dist <= pad * (radii[first] + radii[second])
+    order = np.lexsort((second[keep], first[keep]))
+    return first[keep][order], second[keep][order], dist[keep][order]
+
+
+def neighbor_lists_oracle(
+    centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``neighbor_lists`` read from the sorted ``meeting_pairs_oracle``,
+    both directions ordered by ``lexsort``."""
+    first, second, dist = meeting_pairs_oracle(centers, radii)
+    meet = dist < radii[first] + radii[second]
+    owner = np.concatenate([first[meet], second[meet]])
+    partner = np.concatenate([second[meet], first[meet]])
+    order = np.lexsort((partner, owner))
+    owner = owner[order]
+    start = np.searchsorted(owner, np.arange(len(radii) + 1))
+    return start, owner, partner[order], np.tile(dist[meet], 2)[order]
+
+
 def vitali_select_per_step(balls: BallCollection) -> SelectionResult:
     """``vitali_select`` with its own live mask, the meeting test of each
     chosen ball made at its own step."""

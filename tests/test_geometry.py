@@ -1,5 +1,6 @@
 """Geometry primitives against independent oracles and exact identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -287,6 +288,26 @@ def _brute_dists(centers):
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def _assert_pairs_exact(centers, radii):
+    """Both pair-layer outputs equal the enumeration of every pair by
+    ``_brute_dists``, whose row sums add the coordinates in the order the
+    pair layer does."""
+    n = len(radii)
+    dists = _brute_dists(centers)
+    reach = radii[:, None] + radii[None, :]
+    first, second = np.nonzero(np.triu(dists <= (1.0 + 1e-9) * reach, k=1))
+    got = meeting_pairs(centers, radii)
+    assert [a.dtype for a in got] == [np.intp, np.intp, np.float64]
+    assert np.array_equal(got[0], first) and np.array_equal(got[1], second)
+    assert np.array_equal(got[2], dists[first, second])
+    owner, partner = np.nonzero((dists < reach) & ~np.eye(n, dtype=bool))
+    start, *entries = neighbor_lists(centers, radii)
+    assert [a.dtype for a in [start, *entries]] == [np.intp, np.intp, np.intp, np.float64]
+    assert np.array_equal(start, np.searchsorted(owner, np.arange(n + 1)))
+    assert np.array_equal(entries[0], owner) and np.array_equal(entries[1], partner)
+    assert np.array_equal(entries[2], dists[owner, partner])
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 64, 65, 1000])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_meeting_pairs_against_brute_force(n, dim):
@@ -313,6 +334,7 @@ def test_meeting_pairs_against_brute_force(n, dim):
         want = want[want != a]
         assert np.array_equal(partner[start[a] : start[a + 1]], want)
         assert np.array_equal(near[start[a] : start[a + 1]], dists[a, want])
+    _assert_pairs_exact(centers, radii)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -332,6 +354,122 @@ def test_meeting_pairs_keep_equal_balls_at_tangency(dim):
     meets = np.sqrt((diff * diff).sum(axis=1)) <= 2.0 * radii[0::2]
     assert 0 < meets.sum() < count
     assert all((2 * k, 2 * k + 1) in found for k in np.nonzero(meets)[0].tolist())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_layer_at_radius_class_edges(dim):
+    # radii at exact powers of two of the largest and one ulp either
+    # side, where the binary exponent that names a class steps
+    rng = np.random.default_rng([dim, 11])
+    edges = 2.0 ** -np.arange(12.0)
+    radii = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+    radii = np.tile(radii, 8)[rng.permutation(8 * radii.size)]
+    centers = rng.uniform(0.0, 4.0, (radii.size, dim))
+    _assert_pairs_exact(centers, radii)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_layer_keeps_tangent_pairs_across_classes(dim):
+    # pairs of radii drawn over twelve decades, placed one ulp inside,
+    # exactly at or one ulp beyond tangency
+    rng = np.random.default_rng([dim, 12])
+    count = 300
+    radii = 10.0 ** rng.uniform(-12.0, 0.0, 2 * count)
+    centers = np.repeat(rng.uniform(-50.0, 50.0, (count, dim)), 2, axis=0)
+    direction = rng.normal(size=(count, dim))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    for k in range(count):
+        reach = radii[2 * k] + radii[2 * k + 1]
+        reach = (math.nextafter(reach, 0.0), reach, math.nextafter(reach, math.inf))[k % 3]
+        centers[2 * k + 1] += reach * direction[k]
+    _assert_pairs_exact(centers, radii)
+    # most pairs still meet after the rounding of their centres
+    assert meeting_pairs(centers, radii)[0].size > count // 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_layer_keeps_pairs_within_the_pad(dim):
+    # pairs at the largest radius of their class, and so of their tree,
+    # spaced from exact tangency to just beyond the 1e-9 slack; equal
+    # radii and radii of classes far apart
+    stretch = [0.0, 2e-10, 5e-10, 9e-10, 1.1e-9, 2e-9]
+    sizes = [(1.0, 1.0), (0.75, 0.75), (1.0, 2.0**-20), (2.0**-20, 1.0), (0.5, 0.25)]
+    centers, radii = [], []
+    axis = np.eye(dim)[0]
+    for k, (t, (r1, r2)) in enumerate(itertools.product(stretch, sizes)):
+        centers += [10.0 * k * axis, (10.0 * k + (r1 + r2) * (1.0 + t)) * axis]
+        radii += [r1, r2]
+    _assert_pairs_exact(np.array(centers), np.array(radii))
+    # every pair inside the slack is found
+    assert meeting_pairs(np.array(centers), np.array(radii))[0].size >= 4 * len(sizes)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_layer_of_one_large_ball_among_tiny_ones(dim):
+    # the packing's shape: a unit ball ringed by small balls near its
+    # sphere, radii over three decades
+    rng = np.random.default_rng([dim, 13])
+    count = 1500
+    small = 10.0 ** rng.uniform(-4.0, -1.0, count)
+    direction = rng.normal(size=(count, dim))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    shell = 1.0 + small * rng.uniform(-1.5, 1.5, count)
+    centers = np.vstack([np.zeros((1, dim)), shell[:, None] * direction])
+    _assert_pairs_exact(centers, np.append(1.0, small))
+
+
+@pytest.mark.parametrize("size", [255, 256, 257])
+def test_pair_layer_around_the_group_size(size):
+    # one class of 255 to 257 balls between a smaller and a larger class:
+    # the classes share a tree or not as the count crosses 256
+    rng = np.random.default_rng([size, 14])
+    radii = np.concatenate([[0.3], rng.uniform(0.5, 1.0, size), [1.2, 1.5]])
+    centers = rng.uniform(0.0, 10.0, (radii.size, 2))
+    _assert_pairs_exact(centers, radii)
+
+
+def test_pair_layer_over_six_hundred_decades():
+    # radii 1e300 and 1e-300 in one collection: the huge balls all meet
+    # and contain the tiny ones, which meet only their exact copies;
+    # every distance and square stays a normal float
+    rng = np.random.default_rng(15)
+    huge = rng.uniform(-1e150, 1e150, (6, 2))
+    tiny = np.repeat(rng.uniform(-1e100, 1e100, (10, 2)), 2, axis=0)
+    centers = np.vstack([huge, tiny])
+    radii = np.concatenate([np.full(6, 1e300), np.full(20, 1e-300)])
+    _assert_pairs_exact(centers, radii)
+    first, second, _ = meeting_pairs(centers, radii)
+    assert first.size == 6 * 5 // 2 + 6 * 20 + 10
+
+
+def _select_law(n, seed):
+    """Disks of the ``select`` benchmark law at its density."""
+    rng = np.random.default_rng([seed, 5])
+    centers = rng.uniform(0.0, 22.0 * math.sqrt(n / 3000.0), (n, 2))
+    return centers, np.exp(rng.uniform(math.log(0.005), 0.0, n))
+
+
+def _corpus_3d(n, seed):
+    balls = random_collection(3, seed, count=n)
+    return balls.centers, balls.radii
+
+
+_ORACLE_INPUTS = {
+    "select-3000": lambda: _select_law(3000, 7),
+    "select-100000": lambda: _select_law(100_000, 8),
+    "corpus-3d-1000": lambda: _corpus_3d(1000, [16, 3]),
+}
+
+
+@pytest.mark.parametrize("name", _ORACLE_INPUTS)
+def test_pair_layer_matches_one_query_per_ball(name):
+    centers, radii = _ORACLE_INPUTS[name]()
+    got = meeting_pairs(centers, radii) + neighbor_lists(centers, radii)
+    want = oracles.meeting_pairs_oracle(centers, radii) + oracles.neighbor_lists_oracle(
+        centers, radii
+    )
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -159,7 +159,8 @@ def _imported_modules(tree) -> set[str]:
 
 
 def test_only_geometry_looks_up_ball_pairs():
-    # Which balls meet is decided by geometry.meeting_pairs alone.
+    # Which balls meet is decided by the pair layer of geometry alone:
+    # its radius-class kd-trees are the only ones the package builds.
     users = [
         path.stem
         for path in sorted(PACKAGE.glob("*.py"))

@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts under ``scripts/``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,13 @@ def test_ring_ratio_sweep_prints_one_row_per_ring(capsys):
     assert all(0.0 < r <= THM12_EMPIRICAL_CAP for r in ratios)
     spread = float(summary.split()[2])
     assert spread == pytest.approx(max(ratios) / min(ratios), rel=1e-4)
+
+
+def test_pair_layer_timing_prints_one_json_line_per_size(capsys):
+    assert _load("pair_layer_timing").main(["--sizes", "200,300", "--repeats", "2"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["n"] for row in rows] == [200, 300]
+    for row in rows:
+        assert set(row) == {"n", "pairs", "best_s", "repeats", "nproc", "commit"}
+        assert row["pairs"] > 0 and row["best_s"] > 0.0
+        assert row["repeats"] == 2 and row["nproc"] >= 1

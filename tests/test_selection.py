@@ -600,6 +600,45 @@ def _same_result(got: SelectionResult, want: SelectionResult):
     assert got.params == want.params
 
 
+def _rounded_end_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (s, j) of equal radius far apart on the line, j after s and
+    touching it from the left, where rounding makes lo_j fall below
+    lo_s - 2 r_s, so a window without a pad would miss j."""
+    rng = np.random.default_rng(17)
+    centers, radii = [], []
+    while len(radii) < 2 * count:
+        r = float(rng.uniform(0.1, 1.0))
+        c = 1e4 * (len(radii) + 1) + float(rng.uniform(0.0, 1.0)) * 1e3
+        lo = c - r
+        near = lo - r
+        for step in range(-4, 5):
+            cj = near + step * math.ulp(near)
+            if cj + r >= lo and cj - r < lo - 2.0 * r:
+                centers += [c, cj]
+                radii += [r, r]
+                break
+    return np.array(centers)[:, None], np.array(radii)
+
+
+def _interval_window_cases() -> dict[str, BallCollection]:
+    """1D collections at the edges of the windowed closure test: closures
+    touching to the last bit or missing by one ulp, nested intervals,
+    and ends whose rounding makes hi - lo exceed 2 r."""
+    below = math.nextafter(-0.5, -math.inf)
+    touching = [(1.0, 1.0), (-0.5, 0.5), (below, 0.5), (2.25, 0.25),
+                (math.nextafter(2.25, math.inf), 0.25), (1e6 + 0.3, 0.7),
+                (1e6 + 0.3 - 1.4, 0.7), (1e6 + 0.3 + 1.4, 0.7)]
+    rng = np.random.default_rng(18)
+    nested = (rng.uniform(-20.0, 20.0, 300), 10.0 ** rng.uniform(-3.0, 0.5, 300))
+    cases = {
+        "touching": BallCollection.from_arrays([[c] for c, _ in touching],
+                                               [r for _, r in touching]),
+        "nested": BallCollection.from_arrays(nested[0][:, None], nested[1]),
+        "rounded-ends": BallCollection.from_arrays(*_rounded_end_pairs(40)),
+    }
+    return cases
+
+
 class TestLargestFirstScan:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_vitali_matches_per_step(self, dim):
@@ -614,6 +653,16 @@ class TestLargestFirstScan:
     def test_interval_matches_per_step(self):
         for balls in _scan_cases(1).values():
             _same_result(interval_select_1d(balls), interval_select_1d_per_step(balls))
+
+    def test_interval_window_edges_match_per_step(self):
+        cases = _interval_window_cases()
+        for balls in cases.values():
+            _same_result(interval_select_1d(balls), interval_select_1d_per_step(balls))
+        # the touching closures merge, those one ulp apart do not, and
+        # each rounded pair forms one group
+        assert interval_select_1d(cases["touching"]).groups[0] == [0, 1, 3]
+        groups = interval_select_1d(cases["rounded-ends"]).groups
+        assert all(groups[s] == [s, s + 1] for s in range(0, 80, 2))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_perimeter_vitali_matches_per_step(self, dim):
