@@ -630,13 +630,12 @@ def _interval_window_cases() -> dict[str, BallCollection]:
                 (1e6 + 0.3 - 1.4, 0.7), (1e6 + 0.3 + 1.4, 0.7)]
     rng = np.random.default_rng(18)
     nested = (rng.uniform(-20.0, 20.0, 300), 10.0 ** rng.uniform(-3.0, 0.5, 300))
-    cases = {
+    return {
         "touching": BallCollection.from_arrays([[c] for c, _ in touching],
                                                [r for _, r in touching]),
         "nested": BallCollection.from_arrays(nested[0][:, None], nested[1]),
         "rounded-ends": BallCollection.from_arrays(*_rounded_end_pairs(40)),
     }
-    return cases
 
 
 class TestLargestFirstScan:
