@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build time of the pair layer (``geometry.neighbor_lists``) on disks of
+"""Build time of the pair layer (``BallCollection.pairs``) on disks of
 the ``select`` benchmark law, one JSON line per size.
 
 The law: centres uniform in a square, radii log-uniform in
@@ -7,8 +7,9 @@ The law: centres uniform in a square, radii log-uniform in
 root of the count, so each disk keeps about five overlapping
 neighbours.  Each line gives the disk count ``n``, the pairs whose open
 interiors meet ``pairs``, the best of ``repeats`` build times
-``best_s`` in wall seconds, the processors this process may use
-``nproc`` and the ``commit`` of the ``ballcover`` sources measured.
+``best_s`` in wall seconds, each on a new collection made outside the
+timer, the processors this process may use ``nproc`` and the
+``commit`` of the ``ballcover`` sources measured.
 
     PYTHONPATH=src python3 scripts/pair_layer_timing.py --sizes 3000,100000
 """
@@ -67,8 +68,10 @@ def main(argv=None) -> int:
         centers, radii = select_law(n, args.seed)
         best = math.inf
         for _ in range(args.repeats):
+            # a collection keeps its layer, so each repeat needs a new one
+            balls = geometry.BallCollection.from_arrays(centers, radii)
             start = time.perf_counter()
-            owner = geometry.neighbor_lists(centers, radii)[1]
+            owner = balls.pairs[1]
             best = min(best, time.perf_counter() - start)
         row = {
             "n": n,

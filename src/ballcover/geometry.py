@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -73,7 +74,9 @@ class BallCollection:
     """Finite family of balls sharing one ambient dimension, held as a
     read-only (n, d) array ``centers`` and n ``radii``, checked as ``Ball``
     checks one ball.  Producers use ``from_arrays``; iteration and
-    indexing build ``Ball`` values on demand."""
+    indexing build ``Ball`` values on demand.  ``pairs``, the one pair
+    layer that says which balls meet, is built once per collection on
+    first use."""
 
     def __init__(self, dimension: int, balls):
         dimension = int(dimension)
@@ -123,6 +126,39 @@ class BallCollection:
     def subset(self, indices) -> "BallCollection":
         idx = np.asarray(indices, dtype=np.intp)
         return BallCollection.from_arrays(self.centers[idx], self.radii[idx])
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per ball, the balls whose open interiors meet it, read-only.
+
+        Returns (start, owner, partner, dist): entry k pairs ball
+        owner[k] with partner[k] at center distance dist[k], below the
+        sum of their radii, and the partners of ball i are
+        ``partner[start[i]:start[i + 1]]`` in ascending order.  The
+        distance of a candidate pair of ``_candidate_pairs`` is
+        sqrt(_row_squares(c_first - c_second)), gathered a coordinate at
+        a time; it decides the pair, and it does not depend on the
+        order of the pair, so a superset of candidates gives the same
+        arrays whatever its source.  Both directions are sorted once by
+        owner and partner.
+        """
+        centers, radii = self.centers, self.radii
+        first, second = _candidate_pairs(centers, radii)
+        squares = np.zeros(first.size)
+        for column in centers.T:
+            diff = column[first] - column[second]
+            squares += diff * diff
+        dist = np.sqrt(squares)
+        meet = dist < radii[first] + radii[second]
+        owner = np.concatenate([first[meet], second[meet]])
+        partner = np.concatenate([second[meet], first[meet]])
+        order = np.argsort(owner * len(radii) + partner)
+        owner = owner[order]
+        start = np.searchsorted(owner, np.arange(len(radii) + 1))
+        layer = start, owner, partner[order], np.tile(dist[meet], 2)[order]
+        for array in layer:
+            array.flags.writeable = False
+        return layer
 
 
 _EXACT_METHODS = ("exact1d", "exact2d")
@@ -334,18 +370,16 @@ def union_components(starts, ends) -> tuple[np.ndarray, np.ndarray]:
 # many small ones.
 _GROUP_BALLS = 256
 _GROUP_CLASSES = 4
-# Relative slack of the tree queries: it covers the filter's slack below
-# and the rounding of the trees' own distances.
+# Relative slack of the tree queries: it covers the rounding of the
+# trees' own distances, which need not equal those of the pair layer.
 _TREE_SLACK = 1.0 + 1e-7
-# Relative slack of the filter that decides which closed balls meet.
-_PAIR_PAD = 1.0 + 1e-9
 
 
 def _candidate_pairs(
     centers: np.ndarray, radii: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unordered ball pairs, each once, that include every pair i != j
-    with center distance at most _PAIR_PAD (r_i + r_j).
+    whose open balls meet by the distances of ``BallCollection.pairs``.
 
     One kd-tree per radius group answers one array query inside the
     group, at twice its largest radius, and one against each smaller
@@ -387,69 +421,12 @@ def _candidate_pairs(
     return np.concatenate(first), np.concatenate(second)
 
 
-def _candidate_distances(
-    centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_candidate_pairs`` with the center distance every caller of the
-    pair layer reads: sqrt(_row_squares(c_first - c_second)), gathered a
-    coordinate at a time.  It does not depend on the order of a pair."""
-    first, second = _candidate_pairs(centers, radii)
-    squares = np.zeros(first.size)
-    for column in centers.T:
-        diff = column[first] - column[second]
-        squares += diff * diff
-    return first, second, np.sqrt(squares)
-
-
-def meeting_pairs(
-    centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair i < j of closed balls that meet, with its center distance.
-
-    Returns ``first < second`` in lexicographic order and the distances
-    sqrt(sum((c_i - c_j)^2)), coordinates summed in order.  The
-    candidates come from kd-trees over groups of similar radius
-    (``_candidate_pairs``); the distances returned here then decide,
-    with a relative slack of 1e-9 on r_i + r_j, for this function and
-    for every caller (the arc layer takes them as they are).  The
-    distance of a pair does not depend on its order, so a superset of
-    candidates gives the same output whatever its source.
-    """
-    first, second, dist = _candidate_distances(centers, radii)
-    keep = dist <= _PAIR_PAD * (radii[first] + radii[second])
-    first, second, dist = first[keep], second[keep], dist[keep]
-    low, high = np.minimum(first, second), np.maximum(first, second)
-    order = np.argsort(low * len(radii) + high)
-    return low[order], high[order], dist[order]
-
-
-def neighbor_lists(
-    centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per ball, the balls whose open interiors meet it.
-
-    Returns (start, owner, partner, distance): entry k pairs ball
-    owner[k] with partner[k], and the partners of ball i are
-    ``partner[start[i]:start[i + 1]]`` in ascending order, at the
-    ``meeting_pairs`` distances, each below the sum of the radii.  The
-    entries come straight from the candidates of ``meeting_pairs``, in
-    both directions, sorted once by owner and partner.
-    """
-    first, second, dist = _candidate_distances(centers, radii)
-    meet = dist < radii[first] + radii[second]
-    owner = np.concatenate([first[meet], second[meet]])
-    partner = np.concatenate([second[meet], first[meet]])
-    order = np.argsort(owner * len(radii) + partner)
-    owner = owner[order]
-    start = np.searchsorted(owner, np.arange(len(radii) + 1))
-    return start, owner, partner[order], np.tile(dist[meet], 2)[order]
-
-
 def _coincidence_groups(
     radii: np.ndarray, owner: np.ndarray, partner: np.ndarray, dist: np.ndarray
 ) -> np.ndarray:
-    """Representative index per ball, from its ``neighbor_lists``
-    entries; coincident balls share the lowest one."""
+    """Representative index per ball, from the (owner, partner, dist)
+    entries of ``BallCollection.pairs``; coincident balls share the
+    lowest one."""
     rep = np.arange(len(radii))
     same = (owner < partner) & (dist <= COINCIDENCE_TOL)
     same &= np.abs(radii[partner] - radii[owner]) <= COINCIDENCE_TOL
@@ -507,13 +484,13 @@ def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndar
     angle: circle i's free arcs are the disjoint pieces (lo, hi) of
     [0, 2pi] at the entries equal to i.  Coincident duplicates and fully
     covered circles have none, and arcs below ARC_TOL are dropped.  The
-    partners and center distances come from ``neighbor_lists``.
+    partners and center distances come from ``balls.pairs``.
     """
     if balls.dimension != 2:
         raise ValueError("free_arcs_2d needs dimension 2")
     n = len(balls)
     centers, radii = balls.centers, balls.radii
-    _, owner, partner, rho = neighbor_lists(centers, radii)
+    _, owner, partner, rho = balls.pairs
     rep = _coincidence_groups(radii, owner, partner, rho)
     free = rep == np.arange(n)
     pair = free[owner] & free[partner]
@@ -657,7 +634,7 @@ def union_perimeter_mc(
         raise ValueError("collection must be nonempty")
     d = balls.dimension
     centers, radii = balls.centers, balls.radii
-    start, owner, partner, rho = neighbor_lists(centers, radii)
+    start, owner, partner, rho = balls.pairs
     rep = _coincidence_groups(radii, owner, partner, rho)
     keep = np.nonzero(rep == np.arange(len(balls)))[0]
     radius_list = radii.tolist()

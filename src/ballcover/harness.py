@@ -30,7 +30,6 @@ from .geometry import (
     _lens_volumes,
     free_arc_length_halfplane,
     free_arc_lengths_2d,
-    meeting_pairs,
     unit_ball_volume,
     union_components,
     union_perimeter,
@@ -230,7 +229,9 @@ def check_thm13(
     result = perimeter_vitali_select(balls, eps)
     chosen = balls.subset(result.selected)
     r = chosen.radii
-    first, second, rho = meeting_pairs(chosen.centers, r)
+    _, first, second, rho = chosen.pairs
+    once = first < second
+    first, second, rho = first[once], second[once], rho[once]
     lens = _lens_volumes(r[first], r[second], rho, d)
     volumes = unit_ball_volume(d) * r**d
     bound = eps * np.minimum(volumes[first], volumes[second])

@@ -21,7 +21,6 @@ from .geometry import (
     BallCollection,
     _lens_volumes,
     _surface,
-    neighbor_lists,
     unit_ball_volume,
 )
 
@@ -87,7 +86,7 @@ def vitali_select(balls: BallCollection) -> SelectionResult:
     least as large, so the five-times enlargements of the chosen balls
     cover the whole union."""
     radii = balls.radii
-    start, owner, partner, dist = neighbor_lists(balls.centers, radii)
+    start, owner, partner, dist = balls.pairs
     meeting = _kept_partners(start, partner, _meets(radii, owner, partner, dist))
     selected, remover = _largest_first(radii, meeting)
     params = {"enlargement": 5.0, "disjoint_tol": DISJOINT_TOL}
@@ -110,7 +109,7 @@ def besicovitch_select(balls: BallCollection) -> SelectionResult:
         "disjoint_tol": DISJOINT_TOL,
     }
     radii = balls.radii
-    start, owner, partner, dist = neighbor_lists(balls.centers, radii)
+    start, owner, partner, dist = balls.pairs
     covered = _kept_partners(start, partner, dist <= radii[owner])
     selected, remover = _largest_first(radii, covered)
     meeting = _kept_partners(start, partner, _meets(radii, owner, partner, dist))
@@ -205,7 +204,7 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
     }
     radii = balls.radii
     volumes = unit_ball_volume(d) * radii**d
-    start, owner, partner, dist = neighbor_lists(balls.centers, radii)
+    start, owner, partner, dist = balls.pairs
     # Per directed pair (owner, partner): does the partner's lens against
     # the owner reach the threshold, and may it join the owner's group?
     # A ball's lens against itself is its whole volume, above the

@@ -21,7 +21,6 @@ from ballcover.geometry import (
     _coincidence_groups,
     _lens_volumes,
     _surface,
-    neighbor_lists,
     union_components,
     unit_ball_volume,
 )
@@ -433,7 +432,7 @@ def union_perimeter_mc_points(
     package, drawn in one piece."""
     d = balls.dimension
     centers, radii = balls.centers, balls.radii
-    start, owner, partner, rho = neighbor_lists(centers, radii)
+    start, owner, partner, rho = balls.pairs
     rep = _coincidence_groups(radii, owner, partner, rho)
     value = variance = 0.0
     for i, r in enumerate(radii.tolist()):
@@ -474,12 +473,13 @@ def union_volume_mc_all_balls(
     return box * p, box * math.sqrt(p * (1.0 - p) / samples), samples
 
 
-def meeting_pairs_oracle(
+def neighbor_lists_oracle(
     centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``meeting_pairs`` from one kd-tree query of radius 2 r_i per ball,
-    kept from the larger ball of each pair (equal radii go to the lower
-    index), with numpy's row sum for the distance and ``lexsort``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``BallCollection.pairs`` from one kd-tree query of radius 2 r_i per
+    ball, kept from the larger ball of each pair (equal radii go to the
+    lower index), with numpy's row sum for the distance and both
+    directions ordered by ``lexsort``."""
     from scipy.spatial import cKDTree
 
     n = len(radii)
@@ -490,26 +490,15 @@ def meeting_pairs_oracle(
     second = np.array([j for h in hits for j in h], dtype=np.intp)
     r1, r2 = radii[first], radii[second]
     own = (r2 < r1) | ((r2 == r1) & (second > first))
-    first, second = np.minimum(first, second)[own], np.maximum(first, second)[own]
+    first, second = first[own], second[own]
     diff = centers[first] - centers[second]
     dist = np.sqrt((diff * diff).sum(axis=-1))
-    keep = dist <= pad * (radii[first] + radii[second])
-    order = np.lexsort((second[keep], first[keep]))
-    return first[keep][order], second[keep][order], dist[keep][order]
-
-
-def neighbor_lists_oracle(
-    centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``neighbor_lists`` read from the sorted ``meeting_pairs_oracle``,
-    both directions ordered by ``lexsort``."""
-    first, second, dist = meeting_pairs_oracle(centers, radii)
     meet = dist < radii[first] + radii[second]
     owner = np.concatenate([first[meet], second[meet]])
     partner = np.concatenate([second[meet], first[meet]])
     order = np.lexsort((partner, owner))
     owner = owner[order]
-    start = np.searchsorted(owner, np.arange(len(radii) + 1))
+    start = np.searchsorted(owner, np.arange(n + 1))
     return start, owner, partner[order], np.tile(dist[meet], 2)[order]
 
 
@@ -517,7 +506,7 @@ def vitali_select_per_step(balls: BallCollection) -> SelectionResult:
     """``vitali_select`` with its own live mask, the meeting test of each
     chosen ball made at its own step."""
     radii = balls.radii
-    start, _, partner, dist = neighbor_lists(balls.centers, radii)
+    start, _, partner, dist = balls.pairs
     alive = np.ones(len(balls), dtype=bool)
     selected: list[int] = []
     groups: dict[int, list[int]] = {}
@@ -541,7 +530,7 @@ def besicovitch_select_per_step(balls: BallCollection) -> SelectionResult:
     owner array."""
     n = len(balls)
     radii = balls.radii
-    start, _, partner, dist = neighbor_lists(balls.centers, radii)
+    start, _, partner, dist = balls.pairs
     uncovered = np.ones(n, dtype=bool)
     covered_by = np.full(n, -1, dtype=int)
     selected: list[int] = []
@@ -605,7 +594,7 @@ def perimeter_vitali_select_per_step(
     threshold_factor = (7.0 / 8.0) ** d * float(eps)
     radii = balls.radii
     volumes = unit_ball_volume(d) * radii**d
-    start, _, partner, dist = neighbor_lists(balls.centers, radii)
+    start, _, partner, dist = balls.pairs
     candidate = np.ones(len(balls), dtype=bool)
     selected: list[int] = []
     groups: dict[int, list[int]] = {}

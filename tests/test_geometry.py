@@ -1,6 +1,5 @@
 """Geometry primitives against independent oracles and exact identities."""
 
-import itertools
 import math
 
 import numpy as np
@@ -23,8 +22,6 @@ from ballcover.geometry import (
     free_arc_lengths_2d,
     free_arcs_2d,
     lens_volume,
-    meeting_pairs,
-    neighbor_lists,
     union_perimeter,
     union_perimeter_2d,
     union_perimeter_mc,
@@ -32,7 +29,8 @@ from ballcover.geometry import (
     unit_ball_volume,
 )
 
-from ballcover.harness import random_collection
+from ballcover.harness import check_thm12, check_thm13, random_collection
+from ballcover.selection import besicovitch_select, overlap_eps_max
 
 import oracles
 
@@ -288,20 +286,19 @@ def _brute_dists(centers):
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def _pairs(centers, radii):
+    return BallCollection.from_arrays(centers, radii).pairs
+
+
 def _assert_pairs_exact(centers, radii):
-    """Both pair-layer outputs equal the enumeration of every pair by
+    """The pair layer equals the enumeration of every pair by
     ``_brute_dists``, whose row sums add the coordinates in the order the
     pair layer does."""
     n = len(radii)
     dists = _brute_dists(centers)
     reach = radii[:, None] + radii[None, :]
-    first, second = np.nonzero(np.triu(dists <= (1.0 + 1e-9) * reach, k=1))
-    got = meeting_pairs(centers, radii)
-    assert [a.dtype for a in got] == [np.intp, np.intp, np.float64]
-    assert np.array_equal(got[0], first) and np.array_equal(got[1], second)
-    assert np.array_equal(got[2], dists[first, second])
     owner, partner = np.nonzero((dists < reach) & ~np.eye(n, dtype=bool))
-    start, *entries = neighbor_lists(centers, radii)
+    start, *entries = _pairs(centers, radii)
     assert [a.dtype for a in [start, *entries]] == [np.intp, np.intp, np.intp, np.float64]
     assert np.array_equal(start, np.searchsorted(owner, np.arange(n + 1)))
     assert np.array_equal(entries[0], owner) and np.array_equal(entries[1], partner)
@@ -311,30 +308,7 @@ def _assert_pairs_exact(centers, radii):
 @pytest.mark.parametrize("n", [0, 1, 2, 64, 65, 1000])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_meeting_pairs_against_brute_force(n, dim):
-    centers, radii = _pair_layer_input(n, dim, 1)
-    first, second, dist = meeting_pairs(centers, radii)
-    dists = _brute_dists(centers)
-    reach = radii[:, None] + radii[None, :]
-    i, j = np.triu_indices(n, k=1)
-    found = set(zip(first.tolist(), second.tolist()))
-    assert sorted(found) == list(zip(first.tolist(), second.tolist()))
-    # every pair that meets by any of the callers' distance formulas
-    for a, b in zip(i.tolist(), j.tolist()):
-        if dists[a, b] <= reach[a, b] or math.dist(centers[a], centers[b]) <= reach[a, b]:
-            assert (a, b) in found
-    # and no pair beyond the documented slack, with the selectors' distance
-    assert np.array_equal(dist, dists[first, second])
-    assert np.all(dist <= (1.0 + 1e-9) * reach[first, second])
-    # open-interior partners per ball, in both directions
-    start, owner, partner, near = neighbor_lists(centers, radii)
-    assert start.size == n + 1
-    assert np.array_equal(owner, np.repeat(np.arange(n), np.diff(start)))
-    for a in range(n):
-        want = np.nonzero(dists[a] < reach[a])[0]
-        want = want[want != a]
-        assert np.array_equal(partner[start[a] : start[a + 1]], want)
-        assert np.array_equal(near[start[a] : start[a + 1]], dists[a, want])
-    _assert_pairs_exact(centers, radii)
+    _assert_pairs_exact(*_pair_layer_input(n, dim, 1))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -348,12 +322,12 @@ def test_meeting_pairs_keep_equal_balls_at_tangency(dim):
     direction = rng.normal(size=(count, dim))
     direction /= np.linalg.norm(direction, axis=1)[:, None]
     centers[1::2] += 2.0 * radii[1::2, None] * direction
-    first, second, dist = meeting_pairs(centers, radii)
-    found = set(zip(first.tolist(), second.tolist()))
+    _, owner, partner, _ = _pairs(centers, radii)
+    found = set(zip(owner.tolist(), partner.tolist()))
     diff = centers[0::2] - centers[1::2]
-    meets = np.sqrt((diff * diff).sum(axis=1)) <= 2.0 * radii[0::2]
+    meets = np.sqrt((diff * diff).sum(axis=1)) < 2.0 * radii[0::2]
     assert 0 < meets.sum() < count
-    assert all((2 * k, 2 * k + 1) in found for k in np.nonzero(meets)[0].tolist())
+    assert [(2 * k, 2 * k + 1) in found for k in range(count)] == meets.tolist()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -383,25 +357,56 @@ def test_pair_layer_keeps_tangent_pairs_across_classes(dim):
         reach = (math.nextafter(reach, 0.0), reach, math.nextafter(reach, math.inf))[k % 3]
         centers[2 * k + 1] += reach * direction[k]
     _assert_pairs_exact(centers, radii)
-    # most pairs still meet after the rounding of their centres
-    assert meeting_pairs(centers, radii)[0].size > count // 2
+    # the rounding of the centres outweighs the ulp they were placed
+    # at, so about half the pairs meet whatever the side of tangency
+    assert count // 3 < _pairs(centers, radii)[1].size // 2 < 2 * count // 3
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_pair_layer_keeps_pairs_within_the_pad(dim):
-    # pairs at the largest radius of their class, and so of their tree,
-    # spaced from exact tangency to just beyond the 1e-9 slack; equal
-    # radii and radii of classes far apart
-    stretch = [0.0, 2e-10, 5e-10, 9e-10, 1.1e-9, 2e-9]
+    # pairs at the largest radius of their class, and so at the edge of
+    # their tree's query: 1e-9 and 2e-10 inside tangency, one ulp of the
+    # centre inside, exactly tangent and one ulp beyond; equal radii and
+    # radii of classes far apart.  Along one axis every distance is exact.
     sizes = [(1.0, 1.0), (0.75, 0.75), (1.0, 2.0**-20), (2.0**-20, 1.0), (0.5, 0.25)]
-    centers, radii = [], []
+    centers, radii, inside = [], [], []
     axis = np.eye(dim)[0]
-    for k, (t, (r1, r2)) in enumerate(itertools.product(stretch, sizes)):
-        centers += [10.0 * k * axis, (10.0 * k + (r1 + r2) * (1.0 + t)) * axis]
+    for k, (r1, r2) in enumerate(sizes * 5):
+        x, reach = 10.0 * k, r1 + r2
+        end = [
+            x + reach * (1.0 - 1e-9),
+            x + reach * (1.0 - 2e-10),
+            math.nextafter(x + reach, 0.0),
+            x + reach,
+            math.nextafter(x + reach, math.inf),
+        ][k // len(sizes)]
+        centers += [x * axis, end * axis]
         radii += [r1, r2]
-    _assert_pairs_exact(np.array(centers), np.array(radii))
-    # every pair inside the slack is found
-    assert meeting_pairs(np.array(centers), np.array(radii))[0].size >= 4 * len(sizes)
+        inside.append(end - x < reach)
+    centers, radii = np.array(centers), np.array(radii)
+    _assert_pairs_exact(centers, radii)
+    _, owner, partner, _ = _pairs(centers, radii)
+    assert inside == [True] * 15 + [False] * 10
+    assert (owner[owner < partner] // 2).tolist() == list(range(15))
+
+
+def test_pair_layer_keeps_pairs_the_tree_sums_apart():
+    # In eight dimensions the kd-tree adds the squares of a distance in
+    # another order than the pair layer.  For this offset of 2^-40 steps
+    # (so every centre below is exact) the tree's sum exceeds 4 while the
+    # layer's distance stays below 2: only the query pad _TREE_SLACK
+    # keeps such pairs of unit balls.
+    offset = np.array(
+        [-1437387511177, -277089772782, 1148185278647, -1004115272044,
+         -482920613833, 44220758721, -209408353408, 295372835740]
+    ) / 2.0**40
+    centers = np.zeros((8, 8))
+    centers[0::2, 0] = 16.0 * np.arange(4)
+    centers[1::2] = centers[0::2] + offset
+    squares = sum((centers[1::2, k] - centers[0::2, k]) ** 2 for k in range(8))
+    assert np.all(np.sqrt(squares) < 2.0)
+    _, owner, partner, _ = _pairs(centers, np.ones(8))
+    assert owner.tolist() == list(range(8)) and partner.tolist() == [1, 0, 3, 2, 5, 4, 7, 6]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -438,8 +443,7 @@ def test_pair_layer_over_six_hundred_decades():
     centers = np.vstack([huge, tiny])
     radii = np.concatenate([np.full(6, 1e300), np.full(20, 1e-300)])
     _assert_pairs_exact(centers, radii)
-    first, second, _ = meeting_pairs(centers, radii)
-    assert first.size == 6 * 5 // 2 + 6 * 20 + 10
+    assert _pairs(centers, radii)[1].size == 2 * (6 * 5 // 2 + 6 * 20 + 10)
 
 
 def _select_law(n, seed):
@@ -464,11 +468,9 @@ _ORACLE_INPUTS = {
 @pytest.mark.parametrize("name", _ORACLE_INPUTS)
 def test_pair_layer_matches_one_query_per_ball(name):
     centers, radii = _ORACLE_INPUTS[name]()
-    got = meeting_pairs(centers, radii) + neighbor_lists(centers, radii)
-    want = oracles.meeting_pairs_oracle(centers, radii) + oracles.neighbor_lists_oracle(
-        centers, radii
-    )
-    for a, b in zip(got, want):
+    got = _pairs(centers, radii)
+    want = oracles.neighbor_lists_oracle(centers, radii)
+    for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -489,9 +491,64 @@ def test_coincidence_groups_keep_lowest_index(dim):
         )
         idx = np.nonzero(same)[0] + a + 1
         want[idx[want[idx] == idx]] = a
-    got = geometry._coincidence_groups(radii, *neighbor_lists(centers, radii)[1:])
+    got = geometry._coincidence_groups(radii, *_pairs(centers, radii)[1:])
     assert np.array_equal(got, want)
     assert got[50] == got[51] == got[52] == 40
+
+
+def test_pair_layer_is_built_on_first_use():
+    balls = BallCollection.from_arrays(*_pair_layer_input(50, 2, 4))
+    copy = BallCollection(2, list(balls))
+    assert "pairs" not in vars(balls) and "pairs" not in vars(copy)
+    assert "pairs" not in vars(balls.subset([3, 1]))
+    layer = balls.pairs
+    assert "pairs" in vars(balls) and balls.pairs is layer
+    assert "pairs" not in vars(balls.subset([3, 1])) and "pairs" not in vars(copy)
+
+
+def test_pair_layer_is_read_only():
+    balls = BallCollection.from_arrays(*_pair_layer_input(50, 2, 4))
+    assert balls.pairs[1].size > 0
+    for array in balls.pairs:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_subset_pair_layer_equals_a_fresh_build(dim):
+    # the parent's layer is built first; the subsets, in selection order
+    # and at random, build their own from their own rows
+    centers, radii = _pair_layer_input(400, dim, 3)
+    balls = BallCollection.from_arrays(centers, radii)
+    balls.pairs
+    order = besicovitch_select(balls).selected
+    drawn = np.random.default_rng([dim, 17]).choice(len(radii), 150, replace=False)
+    for idx in (order, drawn):
+        fresh = BallCollection.from_arrays(centers[idx], radii[idx]).pairs
+        for a, b in zip(balls.subset(idx).pairs, fresh, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        _assert_pairs_exact(centers[idx], radii[idx])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_checks_build_one_pair_layer_per_collection(monkeypatch, dim):
+    built = []
+    search = geometry._candidate_pairs
+
+    def counted(centers, radii):
+        built.append(len(radii))
+        return search(centers, radii)
+
+    monkeypatch.setattr(geometry, "_candidate_pairs", counted)
+    eps = 0.5 * overlap_eps_max(dim)
+    checks = [
+        lambda b: check_thm12(b, samples_per_ball=200),
+        lambda b: check_thm13(b, eps, volume_samples=1000),
+    ]
+    for check in checks:
+        built.clear()
+        report = check(random_collection(dim, [3, dim], count=300))
+        assert built == [300, report.params["selected"]]
 
 
 # --------------------------------------------------------------------------
@@ -856,7 +913,7 @@ def _mc_cluster(dim, case):
 @pytest.mark.parametrize("case", ["one-neighbour", "dense"])
 def test_mc_column_test_matches_point_count(dim, case):
     balls = _mc_cluster(dim, case)
-    counts = np.diff(neighbor_lists(balls.centers, balls.radii)[0])
+    counts = np.diff(balls.pairs[0])
     if case == "one-neighbour":
         assert counts.tolist() == [1, 1, 0]
     else:

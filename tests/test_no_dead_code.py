@@ -1,6 +1,7 @@
 """Every top-level function and class of the package, and every
 non-dunder method of its classes, has a caller in the program, the
-ball-pair lookup stays in one module, only that module builds a
+ball-pair lookup stays in one module and is built only by
+``BallCollection.pairs``, only that module builds a
 collection from ``Ball`` values, only ``maximal1d`` builds ``Interval``
 values, and the selectors, checks and union measures read a collection
 through its arrays, never one ``Ball`` at a time.
@@ -169,12 +170,26 @@ def test_only_geometry_looks_up_ball_pairs():
     assert users == ["geometry"]
 
 
-def _calls(tree, name: str) -> bool:
-    return any(
+def _calls(tree, name: str) -> int:
+    return sum(
         isinstance(node, ast.Call)
         and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         for node in ast.walk(tree)
     )
+
+
+def test_only_the_pair_layer_runs_the_candidate_search():
+    # BallCollection.pairs is the one builder of the pair layer; another
+    # caller of its candidate search would be a second way to build one.
+    trees = _program_trees()
+    callers = [
+        (path.stem, f"{owner}.{node.name}" if owner else node.name)
+        for path, tree in trees.items()
+        for node, owner in _definitions(tree)
+        if not isinstance(node, ast.ClassDef) and _calls(node, "_candidate_pairs")
+    ]
+    total = sum(_calls(tree, "_candidate_pairs") for tree in trees.values())
+    assert callers == [("geometry", "BallCollection.pairs")] and total == 1
 
 
 def test_only_geometry_builds_collections_from_balls():
