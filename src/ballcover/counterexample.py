@@ -31,6 +31,8 @@ from .geometry import (
     TWO_PI,
     BallCollection,
     _arc_ends,
+    _interpolated_start,
+    _overlap_distance,
     _split_arcs,
     _uncovered_arcs,
     center_distance_for_overlap,
@@ -138,9 +140,10 @@ class PlacementRecord:
 
 def _halfwidths(disks: np.ndarray, rho: float, r: float) -> np.ndarray | None:
     """Half-widths of the angles where a new disk of radius r at distance
-    rho would meet the placed disks in the columns of ``disks`` (as in
-    ``_PackingState``); None when one of them blocks every angle."""
-    _, dist, dist2, radius = disks
+    rho would meet the placed disks whose center distance, its square and
+    radius are the rows of ``disks``; None when one of them blocks every
+    angle."""
+    dist, dist2, radius = disks
     # overlap with disk j iff the center distance is below r + r_j,
     # i.e. cos(angle difference) > q_j
     q = (rho * rho + dist2 - (r + radius) ** 2) / (2.0 * rho * dist)
@@ -149,18 +152,6 @@ def _halfwidths(disks: np.ndarray, rho: float, r: float) -> np.ndarray | None:
     # Every small disk straddles the unit circle, so
     # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip.
     return np.arccos(q)
-
-
-def _arc_bounds(disks: np.ndarray, rho: float, r: float):
-    """Where the blocked arcs of the disks in ``disks`` start and end on
-    the circle, in the floats of ``_PackingState.gaps``: the ends of
-    ``_arc_ends`` that ``_split_arcs`` splits, less 2*pi past 2*pi.
-    None when one of them blocks every angle."""
-    halfwidths = _halfwidths(disks, rho, r)
-    if halfwidths is None:
-        return None
-    lo, hi = _arc_ends(disks[0], halfwidths)
-    return lo, np.where(hi > TWO_PI, hi - TWO_PI, hi)
 
 
 class _PackingState:
@@ -183,7 +174,7 @@ class _PackingState:
         """The free arcs for a new disk of radius r at distance rho, empty
         when it fits nowhere: the full probe that accepts every
         placement."""
-        halfwidths = _halfwidths(self._disks, rho, r)
+        halfwidths = _halfwidths(self._disks[1:], rho, r)
         if halfwidths is None:
             return np.empty(0), np.empty(0)
         return _uncovered_arcs(*_split_arcs(*_arc_ends(self._disks[0], halfwidths)))
@@ -193,17 +184,23 @@ class _PackingState:
 
         A gap opens where the arc of its left disk ends and closes where
         the arc of its right disk starts.  Both are looked up cyclically,
-        the last end at or before the gap's start and the first start at
-        or after its end, so the two pieces of a gap across 0 = 2*pi name
-        the same pair."""
-        lo, end = _arc_bounds(self._disks, rho, r)
+        in the floats of ``gaps`` (arc ends past 2*pi less 2*pi), the last
+        end at or before the gap's start and the first start at or after
+        its end, so the two pieces of a gap across 0 = 2*pi name the same
+        pair.  Each pocket keeps its span, the angle from the left disk's
+        center to the right one's: its width at this probe plus the two
+        halfwidths of this probe."""
+        halfwidths = _halfwidths(self._disks[1:], rho, r)
+        lo, end = _arc_ends(self._disks[0], halfwidths)
+        end = np.where(end > TWO_PI, end - TWO_PI, end)
         by_end, by_lo = np.argsort(end), np.argsort(lo)
         left = by_end[np.searchsorted(end[by_end], gap_starts, side="right") - 1]
         right = by_lo[np.searchsorted(lo[by_lo], gap_ends) % lo.size]
         width = lo[right] - end[left]
+        width = np.where(width > 0.0, width, width + TWO_PI)
         return _Pockets(
-            self._disks[:, np.concatenate([left, right])],
-            np.where(width > 0.0, width, width + TWO_PI),
+            self._disks[1:, np.concatenate([left, right])],
+            width + halfwidths[left] + halfwidths[right],
         )
 
     def add(self, rho: float, angle: float, r: float) -> None:
@@ -218,27 +215,24 @@ class _PackingState:
 
 @dataclass(frozen=True)
 class _Pockets:
-    """Pockets of one probe: ``disks`` holds the columns of the left
-    bounding disks, then those of the right ones; ``width`` is each
-    pocket's width at that probe."""
+    """Pockets of one probe: ``disks`` holds the center distance, its
+    square and the radius of the left bounding disks, then those of the
+    right ones; ``span`` is the angle from each pocket's left center to
+    its right one."""
 
     disks: np.ndarray
-    width: np.ndarray
+    span: np.ndarray
 
     def opening(self, rho: float, r: float) -> float:
         """Width of the widest pocket for a new disk of radius r at
-        distance rho, at most 0 when all are shut: the start of each
-        right arc less the end of its left arc, in the floats of the
-        probe.  Taken modulo 2*pi into (w - 3*pi/2, w + pi/2] around the
-        pocket's width w at the probe, as the bounds jump by 2*pi where
-        a growing arc crosses 0 = 2*pi."""
-        bounds = _arc_bounds(self.disks, rho, r)
-        if bounds is None:
+        distance rho, at most 0 when all are shut: each span less the
+        halfwidths of its two disks.  The centers do not move, so this
+        needs no arc ends and no unwrap across 0 = 2*pi."""
+        halfwidths = _halfwidths(self.disks, rho, r)
+        if halfwidths is None:
             return -math.pi
-        k = self.width.size
-        d = bounds[0][k:] - bounds[1][:k]
-        d -= TWO_PI * np.ceil((d - self.width - 0.5 * math.pi) / TWO_PI)
-        return float(d.max())
+        k = self.span.size
+        return float((self.span - halfwidths[:k] - halfwidths[k:]).max())
 
 
 def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
@@ -254,6 +248,10 @@ def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
     the pockets stay open at the top, an arc they do not know grew into
     them, and the probe halves the bracket instead: at worst this is a
     bisection on the probe.
+
+    ``distance(r, a, rho_a, b, rho_b)`` is the center distance of radius
+    r, a trial inside a bracket whose ends a and b have the distances
+    rho_a and rho_b: the overlap solve starts near its root, between them.
     """
     while hi - lo > tol:
         pockets = state.pockets(lo_rho, lo, *lo_gaps)
@@ -265,7 +263,7 @@ def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
                 c = b - fb * (b - a) / (fb - fa)
                 # at least half the tolerance inside, so the bracket shrinks
                 c = min(max(c, a + 0.5 * tol), b - 0.5 * tol)
-                c_rho = distance(c)
+                c_rho = distance(c, a, a_rho, b, b_rho)
                 fc = pockets.opening(c_rho, c)
                 if fc > 0.0:
                     a, a_rho, fa = c, c_rho, fc
@@ -279,7 +277,7 @@ def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
                     side = -1
         else:
             a = 0.5 * (lo + hi)
-            a_rho = distance(a)
+            a_rho = distance(a, lo, lo_rho, hi, hi_rho)
         found = state.gaps(a_rho, a)
         if found[1].size:
             lo, lo_rho, lo_gaps = a, a_rho, found
@@ -317,13 +315,13 @@ def build_surrounded_ball_detailed(
     records: list[PlacementRecord] = []
     centers, radii = [(0.0, 0.0)], [1.0]
 
-    def distance(r: float) -> float:
-        return center_distance_for_overlap(r, 1.0, cfg.eps, 2)
+    def distance(r: float, *bracket: float) -> float:
+        return _overlap_distance(r, 1.0, cfg.eps, 2, _interpolated_start(r, *bracket))
 
     floor = cfg.delta * 1e-3
-    floor_rho = distance(floor)
+    floor_rho = center_distance_for_overlap(floor, 1.0, cfg.eps, 2)
     # the radius never grows, so each placement first tries the last one
-    r, rho = cfg.delta, distance(cfg.delta)
+    r, rho = cfg.delta, center_distance_for_overlap(cfg.delta, 1.0, cfg.eps, 2)
     for index in range(1, int(cfg.n_max) + 1):
         gap_starts, gap_ends = state.gaps(rho, r)
         if gap_ends.size == 0:

@@ -297,7 +297,9 @@ def center_distance_for_overlap(
     -omega_{d-1} h^(d-1) in the distance, h the half-chord of the radical
     hyperplane.  Newton steps on that slope, safeguarded by bisection of
     the bracket (r_big - r_small, r_big + r_small) and started at its
-    midpoint, converge to machine precision.
+    midpoint, converge to machine precision.  ``_overlap_distance`` runs
+    these steps; the packing search starts them near the root, between
+    the distances of two radii it has already solved.
     """
     r_small, r_big, eps = float(r_small), float(r_big), float(eps)
     if not 0.0 < eps < 0.5:
@@ -306,6 +308,20 @@ def center_distance_for_overlap(
         raise ValueError("need 0 < r_small <= r_big")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    return _overlap_distance(r_small, r_big, eps, dim, math.nan)
+
+
+def _overlap_distance(
+    r_small: float, r_big: float, eps: float, dim: int, start: float
+) -> float:
+    """The Newton loop of ``center_distance_for_overlap``, from ``start``.
+
+    A start outside the open bracket (r_big - r_small, r_big + r_small),
+    nan included, starts at its midpoint as a cold solve does.  Only the
+    first point moves: the bracket, its bisection safeguard and the
+    stopping rule stay, so a start near the root saves steps and lands
+    within a few ulps of the cold root.
+    """
     unit = unit_ball_volume(dim)
     target = eps * unit * r_small**dim
     full = unit * r_small**dim
@@ -313,7 +329,7 @@ def center_distance_for_overlap(
     power = (dim - 1) / 2.0
     inner, outer = r_big - r_small, r_big + r_small
     lo, hi = inner, outer
-    rho = 0.5 * (lo + hi)
+    rho = start if lo < start < hi else 0.5 * (lo + hi)
     for _ in range(100):
         # the lens of the two balls, sharing the offset a of the
         # radical hyperplane from the big center with the slope
@@ -337,6 +353,15 @@ def center_distance_for_overlap(
             return nxt
         rho = nxt
     return rho
+
+
+def _interpolated_start(r: float, a: float, rho_a: float, b: float, rho_b: float) -> float:
+    """Start of ``_overlap_distance`` at radius r from the distances
+    rho_a, rho_b solved at radii a, b: the linear interpolation between
+    them, nan (the midpoint start) when a == b."""
+    if a == b:
+        return math.nan
+    return rho_a + (r - a) * ((rho_b - rho_a) / (b - a))
 
 
 def union_components(starts, ends) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from ballcover import geometry
 from ballcover.counterexample import (
     PlacementRecord,
     SurroundedBallConfig,
@@ -279,7 +280,8 @@ class TestBuildSurroundedBall:
 
     def test_benchmark_size_packing_is_byte_identical(self):
         # The goldens stop at 275 disks; this pins the packing of the
-        # benchmark's first eps, recorded before the probe was sped up.
+        # benchmark's first eps, recorded when the search's trial radii
+        # took warm-started overlap solves and pocket openings from spans.
         balls = build_surrounded_ball(
             SurroundedBallConfig(eps=10.0**-1.5, delta=0.3, n_max=8000, seed=7)
         )
@@ -287,7 +289,7 @@ class TestBuildSurroundedBall:
         digest = hashlib.sha256(balls.centers.astype("<f8").tobytes())
         digest.update(balls.radii.astype("<f8").tobytes())
         assert digest.hexdigest() == (
-            "cd910846070b6e8e6907e40cacf846e3072f4913cfb1c6a5f0f3cef01f53a6ab"
+            "703bc3399f97e31e85340914a7e53b9b659beee586436caa2f521ef7a5694a37"
         )
 
     def test_each_placed_radius_is_the_largest_that_fits(self, shrinking_packing):
@@ -315,6 +317,23 @@ class TestBuildSurroundedBall:
         _, records, probes = shrinking_packing
         assert probes / len(_shrinking(records)) <= 5.0
 
+    def test_warm_overlap_solves_keep_the_cap_kernel_calls_few(self):
+        # Each trial radius of the search starts its overlap solve between
+        # the distances of its bracket's ends, which saves most Newton
+        # steps: started at the midpoint of the solver's bracket, the
+        # solves of this benchmark build made 95,074 cap kernel calls.
+        calls = []
+        cap_volume = geometry._cap_volume
+
+        def spy(*args):
+            calls.append(args)
+            return cap_volume(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_cap_volume", spy)
+            build_surrounded_ball(SurroundedBallConfig(eps=1e-2, delta=0.3, n_max=8000, seed=7))
+        assert len(calls) <= 30_000
+
     def test_packing_state_inserts_in_angle_order_past_its_capacity(self):
         # The buffer doubles several times; its filled columns must equal
         # an array grown by np.insert, including an angle placed twice.
@@ -334,7 +353,7 @@ class TestBuildSurroundedBall:
         # growing with its radius; their arcs grow at unlike rates, so
         # now and then one the pockets do not name closes a pocket
         # first and the search must retry from a probe.
-        def distance(r):
+        def distance(r, *bracket):
             return 1.0 + 0.3 * r
 
         def fits(state, r):

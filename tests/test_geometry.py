@@ -195,6 +195,41 @@ def test_array_lens_kernel_matches_scalar(dim):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+_SOLVE_EPS = [1e-3, 1e-2, 10.0**-1.5, 0.2, 0.45]
+
+
+@pytest.mark.parametrize("eps", _SOLVE_EPS)
+def test_warm_overlap_solve_matches_the_midpoint_start(eps):
+    # The packing search starts the solve at a trial radius between two
+    # radii it has solved, a wide bracket first and one near 1e-14 wide
+    # at the end; only the start moves, so the root may differ from the
+    # cold one in its last bits only.
+    worst = 0.0
+    for r in np.geomspace(3e-4, 1.0, 40).tolist():
+        cold = center_distance_for_overlap(r, 1.0, eps, 2)
+        for h in (0.5, 1e-3, 1e-8, 1e-14):
+            a, b = r * (1.0 - h), min(r * (1.0 + h), 1.0)
+            rho_a = center_distance_for_overlap(a, 1.0, eps, 2)
+            rho_b = center_distance_for_overlap(b, 1.0, eps, 2)
+            start = geometry._interpolated_start(r, a, rho_a, b, rho_b)
+            warm = geometry._overlap_distance(r, 1.0, eps, 2, start)
+            assert abs(warm - cold) <= 4.0 * np.spacing(cold), (r, h)
+            lens = geometry._lens_volumes(r, 1.0, warm, 2)
+            worst = max(worst, abs(lens / (eps * math.pi * r * r) - 1.0))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("eps", _SOLVE_EPS)
+def test_overlap_solve_without_a_usable_start_starts_at_the_midpoint(eps):
+    for r in (3e-4, 0.02, 0.3, 1.0):
+        cold = center_distance_for_overlap(r, 1.0, eps, 2)
+        rho_r = cold
+        degenerate = geometry._interpolated_start(r, r, rho_r, r, rho_r)
+        assert math.isnan(degenerate)
+        for start in (degenerate, 1.0 - r, 1.0 + r, 1.0 + 2.0 * r, -1.0, math.inf):
+            assert geometry._overlap_distance(r, 1.0, eps, 2, start) == cold, start
+
+
 def test_center_distance_for_overlap_validation():
     with pytest.raises(ValueError):
         center_distance_for_overlap(1.0, 2.0, 0.5, 2)

@@ -38,3 +38,20 @@ def test_pair_layer_timing_prints_one_json_line_per_size(capsys):
         assert set(row) == {"n", "pairs", "best_s", "repeats", "nproc", "commit"}
         assert row["pairs"] > 0 and row["best_s"] > 0.0
         assert row["repeats"] == 2 and row["nproc"] >= 1
+
+
+def test_packing_timing_prints_one_json_line_per_eps(capsys):
+    argv = ["--eps-list", "0.2,0.05", "--n-max", "60", "--repeats", "1"]
+    assert _load("packing_timing").main(argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["eps"] for row in rows] == [0.2, 0.05]
+    for row in rows:
+        assert set(row) == {
+            "eps", "disks", "stop", "shrinking", "rounds", "trials", "solves",
+            "cap_volumes", "probes", "best_s", "repeats", "nproc", "commit",
+        }
+        assert row["disks"] == 60 and row["stop"] == "n_max"
+        assert 0 < row["rounds"] <= row["trials"] <= row["solves"]
+        assert row["cap_volumes"] >= 2 * row["solves"]
+        assert row["probes"] >= row["disks"] and row["best_s"] > 0.0
+        assert row["repeats"] == 1 and row["nproc"] >= 1
