@@ -315,8 +315,9 @@ def build_surrounded_ball_detailed(
     records: list[PlacementRecord] = []
     centers, radii = [(0.0, 0.0)], [1.0]
 
-    def distance(r: float, *bracket: float) -> float:
-        return _overlap_distance(r, 1.0, cfg.eps, 2, _interpolated_start(r, *bracket))
+    def distance(r: float, a: float, rho_a: float, b: float, rho_b: float) -> float:
+        start = _interpolated_start(r, a, rho_a, b, rho_b)
+        return _overlap_distance(r, 1.0, cfg.eps, 2, start)
 
     floor = cfg.delta * 1e-3
     floor_rho = center_distance_for_overlap(floor, 1.0, cfg.eps, 2)
