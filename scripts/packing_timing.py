@@ -28,6 +28,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 from ballcover import counterexample, geometry
 from ballcover.counterexample import SurroundedBallConfig, build_surrounded_ball_detailed
@@ -51,38 +52,29 @@ def counted():
     makes while the block runs."""
     calls = Counter()
 
-    def spy(owner, name, key):
-        real = getattr(owner, name)
-
+    def counting(key, real):
         def wrapper(*args):
             calls[key] += 1
             return real(*args)
 
-        setattr(owner, name, wrapper)
-        return real
+        return wrapper
 
     largest_fit = counterexample._largest_fit
 
     def search(state, distance, *args):
-        def solve(*bracket):
-            calls["solves"] += 1
-            return distance(*bracket)
+        return largest_fit(state, counting("solves", distance), *args)
 
-        return largest_fit(state, solve, *args)
-
-    patched = [
-        (geometry, "_cap_volume", spy(geometry, "_cap_volume", "cap_volumes")),
-        (counterexample._PackingState, "gaps", spy(counterexample._PackingState, "gaps", "probes")),
-        (counterexample._PackingState, "pockets", spy(counterexample._PackingState, "pockets", "rounds")),
-        (counterexample._Pockets, "opening", spy(counterexample._Pockets, "opening", "openings")),
-        (counterexample, "_largest_fit", largest_fit),
-    ]
-    counterexample._largest_fit = search
-    try:
+    state, pockets = counterexample._PackingState, counterexample._Pockets
+    with contextlib.ExitStack() as patches:
+        for owner, name, key in [
+            (geometry, "_cap_volume", "cap_volumes"),
+            (state, "gaps", "probes"),
+            (state, "pockets", "rounds"),
+            (pockets, "opening", "openings"),
+        ]:
+            patches.enter_context(mock.patch.object(owner, name, counting(key, getattr(owner, name))))
+        patches.enter_context(mock.patch.object(counterexample, "_largest_fit", search))
         yield calls
-    finally:
-        for owner, name, real in patched:
-            setattr(owner, name, real)
     # each round opens with the two ends of its bracket, then one per trial
     calls["trials"] = calls.pop("openings", 0) - 2 * calls["rounds"]
 
