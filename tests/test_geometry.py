@@ -223,8 +223,7 @@ def test_warm_overlap_solve_matches_the_midpoint_start(eps):
 def test_overlap_solve_without_a_usable_start_starts_at_the_midpoint(eps):
     for r in (3e-4, 0.02, 0.3, 1.0):
         cold = center_distance_for_overlap(r, 1.0, eps, 2)
-        rho_r = cold
-        degenerate = geometry._interpolated_start(r, r, rho_r, r, rho_r)
+        degenerate = geometry._interpolated_start(r, r, cold, r, cold)
         assert math.isnan(degenerate)
         for start in (degenerate, 1.0 - r, 1.0 + r, 1.0 + 2.0 * r, -1.0, math.inf):
             assert geometry._overlap_distance(r, 1.0, eps, 2, start) == cold, start
