@@ -6,14 +6,17 @@ Each line gives the packing's ``eps``, its small ``disks`` and why it
 stopped, ``stop`` ("radius floor" or "n_max"); the placements whose
 radius shrank below the previous one, ``shrinking``; the calls the
 search made in the whole build: ``rounds`` (pocket sets taken from an
-accepted probe), ``trials`` (secant trial radii), ``solves`` (overlap
-solves, one per trial or bisection radius, the two cold solves before
-the first placement not counted) and ``cap_volumes`` (scalar cap
-kernel calls, all inside the overlap solves); ``probes``, the full
-probes of the build; the best of ``repeats`` build times ``best_s`` in
-wall seconds; the processors this process may use ``nproc`` and the
-``commit`` of the ``ballcover`` sources measured.  The calls are counted
-in one extra build, outside the timed ones.
+accepted probe), ``bisections`` (rounds that took the bisection
+fallback: the pocket opening did not change sign across the bracket, so
+the probe halved it with no secant trial), ``trials`` (secant trial
+radii), ``solves`` (overlap solves, one per trial or bisection radius,
+the two cold solves before the first placement not counted) and
+``cap_volumes`` (scalar cap kernel calls, all inside the overlap
+solves); ``probes``, the full probes of the build; the best of
+``repeats`` build times ``best_s`` in wall seconds; the processors this
+process may use ``nproc`` and the ``commit`` of the ``ballcover``
+sources measured.  The calls are counted in one extra build, outside
+the timed ones.
 
     PYTHONPATH=src python3 scripts/packing_timing.py --eps-list 0.0316,0.01
 """
@@ -51,6 +54,8 @@ def counted():
     """Count, under the names of the JSON line, the calls the packing
     makes while the block runs."""
     calls = Counter()
+    # pocket openings per round, in order
+    openings = []
 
     def counting(key, real):
         def wrapper(*args):
@@ -65,18 +70,31 @@ def counted():
         return largest_fit(state, counting("solves", distance), *args)
 
     state, pockets = counterexample._PackingState, counterexample._Pockets
+    take_pockets, opening = state.pockets, pockets.opening
+
+    def new_round(self, *args):
+        openings.append(0)
+        return take_pockets(self, *args)
+
+    def in_round(self, *args):
+        openings[-1] += 1
+        return opening(self, *args)
+
     with contextlib.ExitStack() as patches:
-        for owner, name, key in [
-            (geometry, "_cap_volume", "cap_volumes"),
-            (state, "gaps", "probes"),
-            (state, "pockets", "rounds"),
-            (pockets, "opening", "openings"),
+        for owner, name, wrapper in [
+            (geometry, "_cap_volume", counting("cap_volumes", geometry._cap_volume)),
+            (state, "gaps", counting("probes", state.gaps)),
+            (state, "pockets", new_round),
+            (pockets, "opening", in_round),
+            (counterexample, "_largest_fit", search),
         ]:
-            patches.enter_context(mock.patch.object(owner, name, counting(key, getattr(owner, name))))
-        patches.enter_context(mock.patch.object(counterexample, "_largest_fit", search))
+            patches.enter_context(mock.patch.object(owner, name, wrapper))
         yield calls
-    # each round opens with the two ends of its bracket, then one per trial
-    calls["trials"] = calls.pop("openings", 0) - 2 * calls["rounds"]
+    # each round opens with the two ends of its bracket, then one per
+    # secant trial; with none, it bisected
+    calls["rounds"] = len(openings)
+    calls["trials"] = sum(openings) - 2 * len(openings)
+    calls["bisections"] = openings.count(2)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -99,19 +117,20 @@ def main(argv=None) -> int:
     for eps in (float(v) for v in args.eps_list.split(",")):
         cfg = SurroundedBallConfig(eps=eps, delta=args.delta, n_max=args.n_max, seed=args.seed)
         with counted() as calls:
-            _, records = build_surrounded_ball_detailed(cfg)
+            packing, stop = build_surrounded_ball_detailed(cfg)
         best = math.inf
         for _ in range(args.repeats):
             start = time.perf_counter()
             build_surrounded_ball_detailed(cfg)
             best = min(best, time.perf_counter() - start)
-        radii = [rec.radius for rec in records]
+        radii = packing.radii[1:]
         row = {
             "eps": eps,
-            "disks": len(records),
-            "stop": "n_max" if len(records) == args.n_max else "radius floor",
-            "shrinking": sum(b < a for a, b in zip(radii, radii[1:])),
+            "disks": radii.size,
+            "stop": stop,
+            "shrinking": int((radii[1:] < radii[:-1]).sum()),
             "rounds": calls["rounds"],
+            "bisections": calls["bisections"],
             "trials": calls["trials"],
             "solves": calls["solves"],
             "cap_volumes": calls["cap_volumes"],

@@ -39,7 +39,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "PlacementRecord",
     "SurroundedBallConfig",
     "build_fig1",
     "build_reverse_example",
@@ -108,34 +107,21 @@ class SurroundedBallConfig:
         afterwards.
     n_max: cap on the number of small disks.
     seed: seed of the angle sampler.
-    dimension: ambient dimension; only the plane is implemented.
     """
 
     eps: float
     delta: float
     n_max: int
     seed: int = 0
-    dimension: int = 2
 
     def __post_init__(self):
         if not (0.0 < self.eps < 0.5):
             raise ValueError("eps must lie in (0, 1/2)")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if int(self.n_max) < 1 or self.n_max != int(self.n_max):
+        # inf % 1 is nan, so an infinite cap fails here, not in int()
+        if not (self.n_max >= 1 and self.n_max % 1 == 0):
             raise ValueError("n_max must be an integer >= 1")
-        if self.dimension != 2:
-            raise ValueError("only dimension 2 is implemented")
-
-
-@dataclass(frozen=True)
-class PlacementRecord:
-    """One line of the generation log of ``build_surrounded_ball``."""
-
-    index: int
-    radius: float
-    angle: float
-    distance: float
 
 
 def _halfwidths(disks: np.ndarray, rho: float, r: float) -> np.ndarray | None:
@@ -287,10 +273,10 @@ def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
     return lo, lo_rho, lo_gaps
 
 
-def build_surrounded_ball_detailed(
-    cfg: SurroundedBallConfig,
-) -> tuple[BallCollection, list[PlacementRecord]]:
-    """Greedy packing of small disks around the unit disk, with its log.
+def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallCollection, str]:
+    """Greedy packing of small disks around the unit disk, and why it
+    stopped: ``"n_max"`` after ``n_max`` small disks, ``"radius floor"``
+    when even radius ``delta * 1e-3`` no longer fits anywhere.
 
     Disk 0 is the closed unit disk at the origin.  Each further disk is
     placed at the largest admissible radius ``r`` (at most ``delta``,
@@ -304,15 +290,12 @@ def build_surrounded_ball_detailed(
     must accept it.  The probe's own verdict flips back and forth within
     a few ``1e-13 * delta`` above that radius, from the rounding of the
     center distance and of the arc ends; a disk larger by one part in
-    1e9 is blocked at every angle.  Generation stops after ``n_max``
-    small disks or when even radius ``delta * 1e-3`` no longer fits
-    anywhere.
+    1e9 is blocked at every angle.
     """
     if not isinstance(cfg, SurroundedBallConfig):
         raise TypeError("cfg must be a SurroundedBallConfig")
     rng = np.random.default_rng(cfg.seed % 2**63)
     state = _PackingState()
-    records: list[PlacementRecord] = []
     centers, radii = [(0.0, 0.0)], [1.0]
 
     def distance(r: float, a: float, rho_a: float, b: float, rho_b: float) -> float:
@@ -323,11 +306,13 @@ def build_surrounded_ball_detailed(
     floor_rho = center_distance_for_overlap(floor, 1.0, cfg.eps, 2)
     # the radius never grows, so each placement first tries the last one
     r, rho = cfg.delta, center_distance_for_overlap(cfg.delta, 1.0, cfg.eps, 2)
-    for index in range(1, int(cfg.n_max) + 1):
+    stop = "n_max"
+    for _ in range(int(cfg.n_max)):
         gap_starts, gap_ends = state.gaps(rho, r)
         if gap_ends.size == 0:
             floor_gaps = state.gaps(floor_rho, floor)
             if floor_gaps[1].size == 0:
+                stop = "radius floor"
                 break
             r, rho, (gap_starts, gap_ends) = _largest_fit(
                 state, distance, floor, floor_rho, floor_gaps, r, rho, 1e-14 * cfg.delta
@@ -342,12 +327,12 @@ def build_surrounded_ball_detailed(
         state.add(rho, angle, r)
         centers.append((rho * math.cos(angle), rho * math.sin(angle)))
         radii.append(r)
-        records.append(PlacementRecord(index, r, angle, rho))
-    return BallCollection.from_arrays(centers, radii), records
+    return BallCollection.from_arrays(centers, radii), stop
 
 
 def build_surrounded_ball(cfg: SurroundedBallConfig) -> BallCollection:
-    """The packing of ``build_surrounded_ball_detailed`` without its log."""
+    """The packing of ``build_surrounded_ball_detailed`` without its stop
+    reason."""
     return build_surrounded_ball_detailed(cfg)[0]
 
 

@@ -67,8 +67,9 @@ def dump_balls(balls: BallCollection, header_comments: list[str] | None = None) 
 def load_balls(text: str) -> BallCollection:
     """Parse a header ``d n`` and n lines of ``x_1 ... x_d r`` with
     ``float()``.  A malformed header, a dimension below 1, a wrong count
-    of lines or numbers, and a ball that ``Ball`` rejects raise
-    ``ValueError``."""
+    of lines or numbers, and the balls that ``BallCollection.from_arrays``
+    rejects (a center coordinate that is not finite, a radius that is not
+    finite and positive) raise ``ValueError``."""
     lines = _data_lines(text)
     if not lines:
         raise ValueError("empty ball collection file")

@@ -72,11 +72,10 @@ class Interval:
 
 class BallCollection:
     """Finite family of balls sharing one ambient dimension, held as a
-    read-only (n, d) array ``centers`` and n ``radii``, checked as ``Ball``
-    checks one ball.  Producers use ``from_arrays``; iteration and
-    indexing build ``Ball`` values on demand.  ``pairs``, the one pair
-    layer that says which balls meet, is built once per collection on
-    first use."""
+    read-only (n, d) array of finite ``centers`` and n finite positive
+    ``radii``, and read only through those arrays.  Producers use
+    ``from_arrays``.  ``pairs``, the one pair layer that says which balls
+    meet, is built once per collection on first use."""
 
     def __init__(self, dimension: int, balls):
         dimension = int(dimension)
@@ -115,13 +114,6 @@ class BallCollection:
 
     def __len__(self) -> int:
         return len(self.radii)
-
-    def __iter__(self):
-        for center, radius in zip(self.centers.tolist(), self.radii.tolist()):
-            yield Ball(tuple(center), radius)
-
-    def __getitem__(self, idx: int) -> Ball:
-        return Ball(tuple(self.centers[idx].tolist()), float(self.radii[idx]))
 
     def subset(self, indices) -> "BallCollection":
         idx = np.asarray(indices, dtype=np.intp)

@@ -30,7 +30,7 @@ from ballcover import (
     union_volume_mc,
 )
 from ballcover.formats import save_step_function
-from ballcover.geometry import free_arc_lengths_2d
+from ballcover.geometry import _lens_volumes, free_arc_lengths_2d
 from ballcover.harness import (
     check_example14_rate,
     check_isoperimetric,
@@ -88,20 +88,19 @@ def test_criterion_2_low_overlap_selection_exact_guarantees():
         balls = random_collection(2, [202, i])
         eps = float(eps_values[i % 20])
         result = perimeter_vitali_select(balls, eps)
-        chosen = [balls[s] for s in result.selected]
-        vols = [math.pi * b.radius**2 for b in chosen]
+        centers, radii = balls.centers, balls.radii
+        chosen = result.selected
+        vols = [math.pi * radii[s] ** 2 for s in chosen]
         for a in range(len(chosen)):
             for b in range(a + 1, len(chosen)):
                 cap = eps * min(vols[a], vols[b])
-                assert lens_volume(chosen[a], chosen[b]) <= cap * (1.0 + 1e-9)
+                s, t = chosen[a], chosen[b]
+                lens = _lens_volumes(radii[s], radii[t], math.dist(centers[s], centers[t]), 2)
+                assert lens <= cap * (1.0 + 1e-9)
         for s, members in result.groups.items():
-            cs = np.asarray(balls[s].center)
-            rs = balls[s].radius
             for m in members:
-                reach = float(
-                    np.linalg.norm(np.asarray(balls[m].center) - cs)
-                ) + balls[m].radius
-                assert reach <= factor * rs + 1e-12
+                reach = float(np.linalg.norm(centers[m] - centers[s])) + radii[m]
+                assert reach <= factor * radii[s] + 1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"runtime {elapsed:.1f} s exceeded the 60 s budget"
 

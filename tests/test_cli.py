@@ -363,7 +363,7 @@ class TestGenerate:
         ]
         assert main(argv) == 0
         balls = read_balls(str(out))
-        assert all(b.radius == 1.0 for b in balls)
+        assert (balls.radii == 1.0).all()
 
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "g.txt"
@@ -731,4 +731,4 @@ class TestPipelines:
             f"kind=surrounded\neps=0.2\ndelta=0.3\nn_max=20\noutput={out}\n"
         )
         assert main(["generate", "--config", str(conf)]) == 0
-        assert read_balls(str(out))[0].radius == 1.0
+        assert read_balls(str(out)).radii[0] == 1.0

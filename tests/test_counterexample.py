@@ -15,7 +15,6 @@ import pytest
 
 from ballcover import geometry
 from ballcover.counterexample import (
-    PlacementRecord,
     SurroundedBallConfig,
     _PackingState,
     _largest_fit,
@@ -25,10 +24,8 @@ from ballcover.counterexample import (
     build_surrounded_ball_detailed,
 )
 from ballcover.geometry import (
-    Ball,
-    BallCollection,
+    _lens_volumes,
     free_arc_length_in_disk,
-    lens_volume,
     union_perimeter,
     union_perimeter_2d,
     unit_ball_volume,
@@ -48,15 +45,14 @@ class TestBuildFig1:
         k, t = 12, 0.25
         balls = build_fig1(k, t)
         assert len(balls) == k + 1
-        center = balls[0]
-        assert center.center == (0.0, 0.0)
-        assert center.radius == 1.0
+        assert balls.centers[0].tolist() == [0.0, 0.0]
+        assert balls.radii[0] == 1.0
         ring_radius = 1.0 + 0.5 * t
-        for j, b in enumerate(list(balls)[1:]):
-            assert b.radius == t
-            dist = math.hypot(*b.center)
+        for j, ((x, y), r) in enumerate(zip(balls.centers[1:].tolist(), balls.radii[1:])):
+            assert r == t
+            dist = math.hypot(x, y)
             assert dist == pytest.approx(ring_radius, abs=1e-12)
-            angle = math.atan2(b.center[1], b.center[0]) % (2.0 * math.pi)
+            angle = math.atan2(y, x) % (2.0 * math.pi)
             assert angle == pytest.approx(2.0 * math.pi * j / k, abs=1e-12)
 
     def test_overlap_width_is_half_radius(self):
@@ -64,23 +60,23 @@ class TestBuildFig1:
         # the central disk by exactly half its radius.
         for k, t in [(8, 0.4), (40, 0.05)]:
             balls = build_fig1(k, t)
-            for b in list(balls)[1:]:
-                inner = math.hypot(*b.center) - b.radius
+            for center, r in zip(balls.centers[1:].tolist(), balls.radii[1:]):
+                inner = math.hypot(*center) - r
                 assert inner == pytest.approx(1.0 - 0.5 * t, abs=1e-12)
 
     def test_small_disks_pairwise_disjoint(self):
         for k, t in [(6, 0.5), (10, 0.2), (160, 0.0125)]:
             balls = build_fig1(k, t)
-            small = list(balls)[1:]
+            small = balls.centers[1:].tolist()
             for a in range(len(small)):
                 for b in range(a + 1, len(small)):
-                    dist = math.dist(small[a].center, small[b].center)
+                    dist = math.dist(small[a], small[b])
                     assert dist >= 2.0 * t - 1e-12
 
     def test_small_disks_inside_doubled_center(self):
         balls = build_fig1(20, 0.1)
-        for b in list(balls)[1:]:
-            assert math.hypot(*b.center) + b.radius <= 2.0 + 1e-12
+        for center, r in zip(balls.centers[1:].tolist(), balls.radii[1:]):
+            assert math.hypot(*center) + r <= 2.0 + 1e-12
 
     def test_perimeter_matches_closed_form(self):
         for k in (10, 20, 40, 80, 160):
@@ -130,7 +126,6 @@ class TestSurroundedBallConfig:
     def test_accepts_valid(self):
         cfg = SurroundedBallConfig(eps=0.1, delta=0.3, n_max=100)
         assert cfg.seed == 0
-        assert cfg.dimension == 2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -143,7 +138,7 @@ class TestSurroundedBallConfig:
             dict(eps=0.1, delta=1.5, n_max=10),
             dict(eps=0.1, delta=0.3, n_max=0),
             dict(eps=0.1, delta=0.3, n_max=2.5),
-            dict(eps=0.1, delta=0.3, n_max=10, dimension=3),
+            dict(eps=0.1, delta=0.3, n_max=float("inf")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -160,10 +155,6 @@ class TestSurroundedBallConfig:
 # ---------------------------------------------------------------------------
 
 
-def _small(balls: BallCollection):
-    return list(balls)[1:]
-
-
 _PACK_CFG = SurroundedBallConfig(eps=0.2, delta=0.3, n_max=2000, seed=3)
 
 
@@ -177,7 +168,7 @@ _SHRINK_CFG = SurroundedBallConfig(eps=0.05, delta=0.3, n_max=8000, seed=7)
 
 @pytest.fixture(scope="module")
 def shrinking_packing():
-    """The packing of _SHRINK_CFG, its log and the number of full probes
+    """The packing of _SHRINK_CFG and the number of full probes
     (``_PackingState.gaps`` calls) that built it."""
     calls = []
     probe = _PackingState.gaps
@@ -188,13 +179,15 @@ def shrinking_packing():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_PackingState, "gaps", spy)
-        balls, records = build_surrounded_ball_detailed(_SHRINK_CFG)
-    return balls, records, len(calls)
+        balls = build_surrounded_ball(_SHRINK_CFG)
+    return balls, len(calls)
 
 
-def _shrinking(records) -> list[int]:
-    """Indices of the placements whose radius is below the previous one."""
-    return [k for k in range(1, len(records)) if records[k].radius < records[k - 1].radius]
+def _shrinking(balls) -> list[int]:
+    """Indices among the small disks of the placements whose radius is
+    below the previous one."""
+    radii = balls.radii[1:].tolist()
+    return [k for k in range(1, len(radii)) if radii[k] < radii[k - 1]]
 
 
 class TestBuildSurroundedBall:
@@ -202,21 +195,20 @@ class TestBuildSurroundedBall:
 
     def test_central_ball(self, packing):
         balls, _ = packing
-        assert balls[0].center == (0.0, 0.0)
-        assert balls[0].radius == 1.0
+        assert balls.centers[0].tolist() == [0.0, 0.0]
+        assert balls.radii[0] == 1.0
         assert len(balls) > 10
 
     def test_exact_overlap_fraction(self, packing):
         balls, _ = packing
-        unit = balls[0]
-        for b in _small(balls):
-            frac = lens_volume(b, unit) / (unit_ball_volume(2) * b.radius**2)
+        radii = balls.radii[1:]
+        lens = _lens_volumes(radii, 1.0, np.hypot(*balls.centers[1:].T), 2)
+        for frac in (lens / (unit_ball_volume(2) * radii**2)).tolist():
             assert frac == pytest.approx(self.CFG.eps, rel=1e-9)
 
     def test_small_disks_pairwise_disjoint(self, packing):
         balls, _ = packing
-        centers = np.array([b.center for b in _small(balls)])
-        radii = np.array([b.radius for b in _small(balls)])
+        centers, radii = balls.centers[1:], balls.radii[1:]
         dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
         gaps = dists - (radii[:, None] + radii[None, :])
         np.fill_diagonal(gaps, np.inf)
@@ -224,7 +216,7 @@ class TestBuildSurroundedBall:
 
     def test_radii_nonincreasing_within_bounds(self, packing):
         balls, _ = packing
-        radii = [b.radius for b in _small(balls)]
+        radii = balls.radii[1:].tolist()
         floor = self.CFG.delta * 1e-3
         assert all(r <= self.CFG.delta + 1e-15 for r in radii)
         assert all(r >= floor - 1e-15 for r in radii)
@@ -233,38 +225,28 @@ class TestBuildSurroundedBall:
     def test_disks_stay_in_annulus(self, packing):
         balls, _ = packing
         delta = self.CFG.delta
-        for b in _small(balls):
-            dist = math.hypot(*b.center)
-            assert dist - b.radius >= 1.0 - 2.0 * delta - 1e-12
-            assert dist + b.radius <= 1.0 + 2.0 * delta + 1e-12
+        for center, r in zip(balls.centers[1:].tolist(), balls.radii[1:].tolist()):
+            dist = math.hypot(*center)
+            assert dist - r >= 1.0 - 2.0 * delta - 1e-12
+            assert dist + r <= 1.0 + 2.0 * delta + 1e-12
 
     def test_total_area_fits_annulus_budget(self, packing):
         # Pairwise disjoint disks inside the annulus of width 4*delta
         # around the unit circle can never exceed its area 8*pi*delta.
         balls, _ = packing
-        total = sum(math.pi * b.radius**2 for b in _small(balls))
+        total = sum(math.pi * r**2 for r in balls.radii[1:].tolist())
         assert total <= 8.0 * math.pi * self.CFG.delta
 
-    def test_generation_log(self, packing):
-        balls, records = packing
-        small = _small(balls)
-        assert len(records) == len(small)
-        assert [rec.index for rec in records] == list(range(1, len(small) + 1))
-        for rec, b in zip(records, small):
-            assert isinstance(rec, PlacementRecord)
-            assert rec.radius == b.radius
-            assert rec.distance == pytest.approx(math.hypot(*b.center), abs=1e-12)
-
     def test_deterministic(self, packing):
-        balls, records = packing
-        again, again_records = build_surrounded_ball_detailed(self.CFG)
-        assert [(b.center, b.radius) for b in balls] == [
-            (b.center, b.radius) for b in again
-        ]
-        assert records == again_records
+        balls, stop = packing
+        again, again_stop = build_surrounded_ball_detailed(self.CFG)
+        assert np.array_equal(balls.centers, again.centers)
+        assert np.array_equal(balls.radii, again.radii)
+        assert stop == again_stop
 
     def test_saturated_packing_ignores_n_max_doubling(self, packing):
-        balls, _ = packing
+        balls, stop = packing
+        assert stop == "radius floor"
         assert len(balls) - 1 < self.CFG.n_max, "packing must stop at the floor"
         doubled = build_surrounded_ball(
             SurroundedBallConfig(
@@ -274,9 +256,8 @@ class TestBuildSurroundedBall:
                 seed=self.CFG.seed,
             )
         )
-        assert [(b.center, b.radius) for b in balls] == [
-            (b.center, b.radius) for b in doubled
-        ]
+        assert np.array_equal(balls.centers, doubled.centers)
+        assert np.array_equal(balls.radii, doubled.radii)
 
     def test_benchmark_size_packing_is_byte_identical(self):
         # The goldens stop at 275 disks; this pins the packing of the
@@ -299,13 +280,13 @@ class TestBuildSurroundedBall:
         # by the disks placed before it, and one part in 1e9 smaller must
         # fit (the oracle's distance is not exact enough to decide the
         # placed radius itself).
-        balls, records, _ = shrinking_packing
+        balls, _ = shrinking_packing
         eps = _SHRINK_CFG.eps
         centers, radii = balls.centers[1:].tolist(), balls.radii[1:].tolist()
-        shrinking = _shrinking(records)
+        shrinking = _shrinking(balls)
         assert len(shrinking) > 300
         for k in shrinking:
-            r = records[k].radius
+            r = radii[k]
             assert surrounded_disk_fits(centers[:k], radii[:k], r * (1.0 - 1e-9), eps), k
             assert not surrounded_disk_fits(centers[:k], radii[:k], r * (1.0 + 1e-9), eps), k
 
@@ -314,8 +295,8 @@ class TestBuildSurroundedBall:
         # a shrinking placement costs the rejected probe at the last
         # radius, the one at the floor and the one accepting the root.
         # A bisection on the probe would make over forty.
-        _, records, probes = shrinking_packing
-        assert probes / len(_shrinking(records)) <= 5.0
+        balls, probes = shrinking_packing
+        assert probes / len(_shrinking(balls)) <= 5.0
 
     def test_warm_overlap_solves_keep_the_cap_kernel_calls_few(self):
         # Each trial radius of the search starts its overlap solve between
@@ -395,9 +376,9 @@ class TestBuildSurroundedBall:
         assert searched > 100 and retried > 0, (searched, retried)
 
     def test_n_max_truncates(self):
-        cfg = SurroundedBallConfig(eps=0.2, delta=0.3, n_max=5, seed=3)
-        balls = build_surrounded_ball(cfg)
-        assert len(balls) == 6
+        cfg = SurroundedBallConfig(eps=0.2, delta=0.3, n_max=60, seed=3)
+        balls, stop = build_surrounded_ball_detailed(cfg)
+        assert (len(balls), stop) == (61, "n_max")
 
     def test_seed_changes_angles_not_radii(self):
         a = build_surrounded_ball(
@@ -408,12 +389,8 @@ class TestBuildSurroundedBall:
         )
         # Early disks all take the cap radius delta at the same center
         # distance; only their angles move with the seed.
-        ra = [ball.radius for ball in _small(a)]
-        rb = [ball.radius for ball in _small(b)]
-        assert ra[:4] == rb[:4]
-        assert [ball.center for ball in _small(a)] != [
-            ball.center for ball in _small(b)
-        ]
+        assert a.radii[1:5].tolist() == b.radii[1:5].tolist()
+        assert a.centers[1:].tolist() != b.centers[1:].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +409,20 @@ class TestBuildReverseExample:
 
     def test_all_unit_radii(self):
         balls = build_reverse_example(0.05)
-        assert all(b.radius == 1.0 for b in balls)
+        assert (balls.radii == 1.0).all()
         assert len(balls) > 64
 
     def test_ring_layer_at_exact_distance(self):
         eps = 0.03
         balls = build_reverse_example(eps)
-        ring = list(balls)[:64]
-        for b in ring:
-            assert math.hypot(*b.center) == pytest.approx(1.0 + eps, abs=1e-12)
+        for center in balls.centers[:64].tolist():
+            assert math.hypot(*center) == pytest.approx(1.0 + eps, abs=1e-12)
 
     def test_origin_left_uncovered(self):
         eps = 0.05
         balls = build_reverse_example(eps)
-        for b in balls:
-            assert math.hypot(*b.center) > b.radius
+        for center, r in zip(balls.centers.tolist(), balls.radii.tolist()):
+            assert math.hypot(*center) > r
 
     def test_inner_boundary_length_close_to_circle(self):
         # The union boundary inside the disk of radius 2*eps is the
@@ -464,7 +440,7 @@ class TestBuildReverseExample:
         eps = 0.05
         w = 4.0
         balls = build_reverse_example(eps, box_half_width=w)
-        centers = np.array([b.center for b in balls])
+        centers = balls.centers
         rng = np.random.default_rng(11)
         pts = rng.uniform(-(w - 1.0), w - 1.0, size=(400, 2))
         dist_origin = np.linalg.norm(pts, axis=1)

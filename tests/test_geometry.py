@@ -531,8 +531,9 @@ def test_coincidence_groups_keep_lowest_index(dim):
 
 
 def test_pair_layer_is_built_on_first_use():
-    balls = BallCollection.from_arrays(*_pair_layer_input(50, 2, 4))
-    copy = BallCollection(2, list(balls))
+    centers, radii = _pair_layer_input(50, 2, 4)
+    balls = BallCollection.from_arrays(centers, radii)
+    copy = BallCollection(2, [Ball(tuple(c), r) for c, r in zip(centers.tolist(), radii.tolist())])
     assert "pairs" not in vars(balls) and "pairs" not in vars(copy)
     assert "pairs" not in vars(balls.subset([3, 1]))
     layer = balls.pairs
@@ -878,12 +879,9 @@ def test_union_perimeter_mc_deterministic_and_close():
 
 def test_union_volume_mc_two_disk_inclusion_exclusion():
     r1, r2, rho = 1.0, 0.8, 1.2
-    balls = _collection([(0, 0, r1), (rho, 0, r2)])
-    exact = (
-        math.pi * r1 * r1
-        + math.pi * r2 * r2
-        - lens_volume(balls[0], balls[1])
-    )
+    b1, b2 = Ball((0.0, 0.0), r1), Ball((rho, 0.0), r2)
+    balls = BallCollection(2, [b1, b2])
+    exact = math.pi * r1 * r1 + math.pi * r2 * r2 - lens_volume(b1, b2)
     est = union_volume_mc(balls, samples=600_000, seed=3)
     assert abs(est.value - exact) <= 4.0 * est.std_error
 
@@ -1173,13 +1171,13 @@ def test_collection_arrays_are_its_only_state():
     assert balls.centers.tolist() == [[0.5, -0.0], [2.0, 1e300]]
     with pytest.raises(ValueError):
         balls.radii[0] = 2.0  # and they are read-only
-    assert list(balls) == [Ball((0.5, -0.0), 1.0), Ball((2.0, 1e300), 5e-324)]
-    assert balls[-1] == Ball((2.0, 1e300), 5e-324)
-    same = BallCollection(2, list(balls))
+    same = BallCollection(2, [Ball((0.5, -0.0), 1.0), Ball((2.0, 1e300), 5e-324)])
     assert same.centers.tolist() == balls.centers.tolist()
     assert same.radii.tolist() == balls.radii.tolist()
     sub = balls.subset([1])
-    assert (sub.dimension, list(sub)) == (2, [Ball((2.0, 1e300), 5e-324)])
+    assert (sub.dimension, sub.centers.tolist(), sub.radii.tolist()) == (
+        2, [[2.0, 1e300]], [5e-324]
+    )
     assert balls.subset([]).centers.shape == (0, 2)
 
 

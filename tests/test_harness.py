@@ -124,34 +124,30 @@ class TestRandomCollection:
     def test_deterministic(self):
         a = random_collection(2, seed=42)
         b = random_collection(2, seed=42)
-        assert [(x.center, x.radius) for x in a] == [
-            (x.center, x.radius) for x in b
-        ]
+        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.radii, b.radii)
 
     def test_seed_variation(self):
         a = random_collection(2, seed=1)
         b = random_collection(2, seed=2)
-        assert [(x.center, x.radius) for x in a] != [
-            (x.center, x.radius) for x in b
-        ]
+        assert (a.centers.tolist(), a.radii.tolist()) != (b.centers.tolist(), b.radii.tolist())
 
     def test_law_bounds(self):
         for seed in range(30):
             balls = random_collection(2, seed=seed)
             assert 2 <= len(balls) <= 40
-            for b in balls:
-                assert all(-3.0 <= c <= 3.0 for c in b.center)
-                assert 0.05 - 1e-12 <= b.radius <= 1.0 + 1e-12
+            assert ((-3.0 <= balls.centers) & (balls.centers <= 3.0)).all()
+            assert ((0.05 - 1e-12 <= balls.radii) & (balls.radii <= 1.0 + 1e-12)).all()
 
     def test_dimension(self):
         assert random_collection(3, seed=0).dimension == 3
-        assert len(random_collection(1, seed=0)[0].center) == 1
+        assert random_collection(1, seed=0).centers.shape[1] == 1
 
     def test_fixed_count(self):
         balls = random_collection(2, seed=5, count=7)
         assert len(balls) == 7
         # the same centre and radius law as the drawn-count instances
-        assert all(0.05 - 1e-12 <= b.radius <= 1.0 + 1e-12 for b in balls)
+        assert ((0.05 - 1e-12 <= balls.radii) & (balls.radii <= 1.0 + 1e-12)).all()
         with pytest.raises(ValueError):
             random_collection(2, seed=5, count=0)
 
@@ -159,9 +155,8 @@ class TestRandomCollection:
         # Sequence seeds (master, index) are accepted and deterministic.
         a = random_collection(2, seed=[7, 3])
         b = random_collection(2, seed=[7, 3])
-        assert [(x.center, x.radius) for x in a] == [
-            (x.center, x.radius) for x in b
-        ]
+        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.radii, b.radii)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ ball-pair lookup stays in one module and is built only by
 ``BallCollection.pairs``, only that module builds a
 collection from ``Ball`` values, only ``maximal1d`` builds ``Interval``
 values, and the selectors, checks and union measures read a collection
-through its arrays, never one ``Ball`` at a time.
+only through its arrays: none of them builds a ``Ball`` value.
 
 A top-level function or class counts as used when its name is read
 bare, imported or taken as ``<its module>.<name>`` in ``src/`` outside
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballcover.geometry import BallCollection, union_perimeter, union_volume_mc
+from ballcover.geometry import Ball, BallCollection, union_perimeter, union_volume_mc
 from ballcover.harness import (
     check_prop16_ratio,
     check_thm12,
@@ -252,11 +252,10 @@ def test_collection_read_through_arrays(monkeypatch, name, d):
         np.vstack([base.centers, pair]), np.append(base.radii, [1.0, 1.0])
     )
 
-    def refuse(*args):
-        raise AssertionError("a collection was read as Ball values")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ball value was built")
 
-    monkeypatch.setattr(BallCollection, "__iter__", refuse)
-    monkeypatch.setattr(BallCollection, "__getitem__", refuse)
+    monkeypatch.setattr(Ball, "__init__", refuse)
     _ARRAY_PATHS[name](balls)
 
 

@@ -17,6 +17,7 @@ from ballcover.geometry import (
     DISJOINT_TOL,
     Ball,
     BallCollection,
+    _lens_volumes,
     lens_volume,
     unit_ball_volume,
 )
@@ -336,7 +337,8 @@ class TestPerimeterVitaliSelect:
         for a in range(len(sel)):
             for b in range(a + 1, len(sel)):
                 i, j = sel[a], sel[b]
-                lens = lens_volume(balls[i], balls[j])
+                dist = math.dist(balls.centers[i], balls.centers[j])
+                lens = _lens_volumes(radii[i], radii[j], dist, d)
                 bound = eps * min(volumes[i], volumes[j])
                 assert lens <= bound * (1.0 + 1e-9)
         # Every input lands in at least one group; each chosen ball
