@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
 """Cost of the surrounded-ball packing (``build_surrounded_ball``) and of
-its radius search (``counterexample._largest_fit``), one JSON line per eps.
+its radius search (``counterexample._PocketQueue``), one JSON line per eps.
 
 Each line gives the packing's ``eps``, its small ``disks`` and why it
 stopped, ``stop`` ("radius floor" or "n_max"); the placements whose
 radius shrank below the previous one, ``shrinking``; the calls the
-search made in the whole build: ``rounds`` (pocket sets taken from an
-accepted probe), ``bisections`` (rounds that took the bisection
-fallback: the pocket opening did not change sign across the bracket, so
-the probe halved it with no secant trial), ``trials`` (secant trial
-radii), ``solves`` (overlap solves, one per trial or bisection radius,
-the two cold solves before the first placement not counted) and
-``cap_volumes`` (scalar cap kernel calls, all inside the overlap
-solves); ``probes``, the full probes of the build; the best of
-``repeats`` build times ``best_s`` in wall seconds; the processors this
-process may use ``nproc`` and the ``commit`` of the ``ballcover``
-sources measured.  The calls are counted in one extra build, outside
-the timed ones.
+search made in the whole build: ``pocket_solves`` (pockets whose shut
+radius was bracketed by ``_shut_radius``), ``fallbacks`` (searches from
+the floor by ``_largest_fit``, after the probe rejected the top
+pocket's radius or found a gap no pocket held), ``trials`` (trial radii
+of the secant searches, on estimated and on solved distances),
+``solves`` (overlap solves, the two cold solves before the first
+placement not counted) and ``cap_volumes`` (scalar cap kernel calls,
+all inside the overlap solves); ``probes``, the full probes of the
+build; the best of ``repeats`` build times ``best_s`` in wall seconds;
+the processors this process may use ``nproc`` and the ``commit`` of the
+``ballcover`` sources measured.  The calls are counted in one extra
+build, outside the timed ones.
 
     PYTHONPATH=src python3 scripts/packing_timing.py --eps-list 0.0316,0.01
 """
@@ -54,8 +54,6 @@ def counted():
     """Count, under the names of the JSON line, the calls the packing
     makes while the block runs."""
     calls = Counter()
-    # pocket openings per round, in order
-    openings = []
 
     def counting(key, real):
         def wrapper(*args):
@@ -64,37 +62,22 @@ def counted():
 
         return wrapper
 
-    largest_fit = counterexample._largest_fit
+    secant = counterexample._secant
 
-    def search(state, distance, *args):
-        return largest_fit(state, counting("solves", distance), *args)
-
-    state, pockets = counterexample._PackingState, counterexample._Pockets
-    take_pockets, opening = state.pockets, pockets.opening
-
-    def new_round(self, *args):
-        openings.append(0)
-        return take_pockets(self, *args)
-
-    def in_round(self, *args):
-        openings[-1] += 1
-        return opening(self, *args)
+    def trials(opening, distance, *args):
+        return secant(opening, counting("trials", distance), *args)
 
     with contextlib.ExitStack() as patches:
         for owner, name, wrapper in [
             (geometry, "_cap_volume", counting("cap_volumes", geometry._cap_volume)),
-            (state, "gaps", counting("probes", state.gaps)),
-            (state, "pockets", new_round),
-            (pockets, "opening", in_round),
-            (counterexample, "_largest_fit", search),
+            (counterexample, "_overlap_distance", counting("solves", counterexample._overlap_distance)),
+            (counterexample._PackingState, "gaps", counting("probes", counterexample._PackingState.gaps)),
+            (counterexample, "_shut_radius", counting("pocket_solves", counterexample._shut_radius)),
+            (counterexample, "_largest_fit", counting("fallbacks", counterexample._largest_fit)),
+            (counterexample, "_secant", trials),
         ]:
             patches.enter_context(mock.patch.object(owner, name, wrapper))
         yield calls
-    # each round opens with the two ends of its bracket, then one per
-    # secant trial; with none, it bisected
-    calls["rounds"] = len(openings)
-    calls["trials"] = sum(openings) - 2 * len(openings)
-    calls["bisections"] = openings.count(2)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -129,8 +112,8 @@ def main(argv=None) -> int:
             "disks": radii.size,
             "stop": stop,
             "shrinking": int((radii[1:] < radii[:-1]).sum()),
-            "rounds": calls["rounds"],
-            "bisections": calls["bisections"],
+            "pocket_solves": calls["pocket_solves"],
+            "fallbacks": calls["fallbacks"],
             "trials": calls["trials"],
             "solves": calls["solves"],
             "cap_volumes": calls["cap_volumes"],

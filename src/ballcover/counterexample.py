@@ -22,6 +22,8 @@ Three families of examples live here:
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -221,49 +223,77 @@ class _Pockets:
         return float((self.span - halfwidths[:k] - halfwidths[k:]).max())
 
 
+def _secant(opening, distance, a, a_rho, fa, b, b_rho, fb, tol):
+    """Bracket to width tol the radius at which ``opening(rho, r)`` turns
+    from positive to at most 0, by a secant with the Illinois halving:
+    the radii a < b have center distances a_rho, b_rho and openings
+    fa > 0 >= fb.  Returns the two ends of the last bracket with their
+    distances; each trial radius takes one ``distance(r)`` call."""
+    side = 0
+    while b - a > tol:
+        c = b - fb * (b - a) / (fb - fa)
+        # at least half the tolerance inside, so the bracket shrinks
+        c = min(max(c, a + 0.5 * tol), b - 0.5 * tol)
+        c_rho = distance(c)
+        fc = opening(c_rho, c)
+        if fc > 0.0:
+            a, a_rho, fa = c, c_rho, fc
+            if side > 0:
+                fb *= 0.5
+            side = 1
+        else:
+            b, b_rho, fb = c, c_rho, fc
+            if side < 0:
+                fa *= 0.5
+            side = -1
+    return a, a_rho, b, b_rho
+
+
+def _shut_radius(opening, distances, a, a_rho, fa, b, b_rho, fb, tol):
+    """``_secant``'s lower end and its center distance, which
+    ``distances`` (a ``_Distances``) gives for every trial radius.
+
+    A first ``_secant`` runs on ``distances.estimate``, which costs no
+    overlap solve.  The ends of its bracket are solved exactly, the lower
+    first, and the exact ``_secant`` starts from them: often they still
+    bracket the root, and otherwise it lies a few trials away."""
+    for c in _secant(opening, distances.estimate, a, a_rho, fa, b, b_rho, fb, tol)[::2]:
+        c_rho = distances(c)
+        fc = opening(c_rho, c)
+        if fc <= 0.0:
+            b, b_rho, fb = c, c_rho, fc
+            break
+        a, a_rho, fa = c, c_rho, fc
+    return _secant(opening, distances, a, a_rho, fa, b, b_rho, fb, tol)[:2]
+
+
 def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
     """A radius in [lo, hi) that the full probe accepts, less than tol
     below the radius at which its pockets all shut, with its center
     distance and free arcs.  The probe accepts lo, with free arcs
     ``lo_gaps``, and rejects hi.
 
-    The pockets of the last accepted probe all shut at the root of
-    ``_Pockets.opening`` in the radius, found by a bracketed secant with
-    the Illinois halving, one overlap solve per trial radius.  The probe
-    must accept the root's lower end, or it becomes the new top.  When
-    the pockets stay open at the top, an arc they do not know grew into
-    them, and the probe halves the bracket instead: at worst this is a
-    bisection on the probe.
+    This is the search from scratch, kept as the fallback of
+    ``_PocketQueue``: each round takes every pocket of the last accepted
+    probe (``_PackingState.pockets``) and brackets the root of their
+    widest opening by ``_secant``.  The probe must accept the root's
+    lower end, or it becomes the new top.  When the pockets stay open at
+    the top, an arc they do not know grew into them, or the openings and
+    the probe disagree by rounding, and the probe halves the bracket
+    instead: at worst this is a bisection on the probe.
 
-    ``distance(r, a, rho_a, b, rho_b)`` is the center distance of radius
-    r, a trial inside a bracket whose ends a and b have the distances
-    rho_a and rho_b: the overlap solve starts near its root, between them.
+    ``distance(r)`` is the center distance of radius r.
     """
     while hi - lo > tol:
         pockets = state.pockets(lo_rho, lo, *lo_gaps)
-        a, a_rho, fa = lo, lo_rho, pockets.opening(lo_rho, lo)
-        b, b_rho, fb = hi, hi_rho, pockets.opening(hi_rho, hi)
+        fa, fb = pockets.opening(lo_rho, lo), pockets.opening(hi_rho, hi)
         if fa > 0.0 >= fb:
-            side = 0
-            while b - a > tol:
-                c = b - fb * (b - a) / (fb - fa)
-                # at least half the tolerance inside, so the bracket shrinks
-                c = min(max(c, a + 0.5 * tol), b - 0.5 * tol)
-                c_rho = distance(c, a, a_rho, b, b_rho)
-                fc = pockets.opening(c_rho, c)
-                if fc > 0.0:
-                    a, a_rho, fa = c, c_rho, fc
-                    if side > 0:
-                        fb *= 0.5
-                    side = 1
-                else:
-                    b, b_rho, fb = c, c_rho, fc
-                    if side < 0:
-                        fa *= 0.5
-                    side = -1
+            a, a_rho, b, b_rho = _secant(
+                pockets.opening, distance, lo, lo_rho, fa, hi, hi_rho, fb, tol
+            )
         else:
-            a = 0.5 * (lo + hi)
-            a_rho = distance(a, lo, lo_rho, hi, hi_rho)
+            a, b, b_rho = 0.5 * (lo + hi), hi, hi_rho
+            a_rho = distance(a)
         found = state.gaps(a_rho, a)
         if found[1].size:
             lo, lo_rho, lo_gaps = a, a_rho, found
@@ -271,6 +301,242 @@ def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
         else:
             hi, hi_rho = a, a_rho
     return lo, lo_rho, lo_gaps
+
+
+class _Distances:
+    """Center distances of the radii solved so far in one build, sorted
+    by radius.  The distance depends on the radius alone, so each new
+    overlap solve starts at the distance interpolated between the solved
+    radii on either side, and a radius solved before is not solved
+    again.  Call it with a radius between the least and the greatest
+    given at construction, which are solved from the midpoint start."""
+
+    def __init__(self, eps: float, *radii: float):
+        self._eps = eps
+        self._radii = sorted(radii)
+        self._rhos = [center_distance_for_overlap(r, 1.0, eps, 2) for r in self._radii]
+
+    def estimate(self, r: float) -> float:
+        """The distance of r if it was solved, else the start its solve
+        takes: the interpolation between the solved radii on either side."""
+        radii, rhos = self._radii, self._rhos
+        k = bisect.bisect_left(radii, r)
+        if radii[k] == r:
+            return rhos[k]
+        return _interpolated_start(r, radii[k - 1], rhos[k - 1], radii[k], rhos[k])
+
+    def __call__(self, r: float) -> float:
+        start = self.estimate(r)
+        k = bisect.bisect_left(self._radii, r)
+        if self._radii[k] == r:
+            return start
+        rho = _overlap_distance(r, 1.0, self._eps, 2, start)
+        self._radii.insert(k, r)
+        self._rhos.insert(k, rho)
+        return rho
+
+
+def _arc(disk, rho: float, r: float) -> tuple[float, float, float] | None:
+    """``_halfwidths`` and ``_arc_ends`` of one placed disk, given as its
+    column of ``_PackingState`` (angle, center distance, its square,
+    radius), in the same floats: the half-width, start and end of its
+    arc, None when it blocks every angle."""
+    angle, dist, dist2, radius = disk
+    q = (rho * rho + dist2 - (r + radius) * (r + radius)) / (2.0 * rho * dist)
+    if q <= -1.0:
+        return None
+    h = float(np.arccos(q))
+    lo = angle - h
+    lo = (lo + TWO_PI if lo < 0.0 else lo) + 0.0
+    return h, lo, lo + 2.0 * h
+
+
+class _Pocket:
+    """A gap at the radius floor between the arcs of two placed disks,
+    ``left`` and ``right`` (columns of ``_PackingState``; both None for
+    the whole circle before the first placement, solved from the start),
+    and ``key``, an upper bound on the radius it can take.  Radii never
+    grow, so until the pocket is ``solved`` the radius of the placement
+    that made it is one; then it is the radius at which the pocket
+    shuts, or the last radius while the pocket was still open there, at
+    center distance ``rho``.  A placement that cuts the gap retires the
+    pocket."""
+
+    __slots__ = ("left", "right", "key", "rho", "solved", "alive")
+
+    def __init__(self, left, right, key: float):
+        self.left, self.right, self.key = left, right, key
+        self.rho, self.solved, self.alive = math.nan, False, True
+
+    def opening(self, rho: float, r: float) -> float:
+        """Width of the gap between the two disks' arcs for a new disk of
+        radius r at distance rho, at most 0 when it is shut.
+
+        It is taken in the floats of the probe, from the end of the left
+        arc (less 2*pi past 2*pi) to the start of the right one, or as the
+        sum of the probe's two pieces when the gap runs across 0 = 2*pi.
+        So the probe finds the gap exactly when the opening is positive,
+        unless the arc of a third disk reaches into it.  The angle between
+        the two centers less both half-widths tells the cases apart."""
+        left, right = self.left, self.right
+        arc_left, arc_right = _arc(left, rho, r), _arc(right, rho, r)
+        if arc_left is None or arc_right is None:
+            return -math.pi
+        (h_left, _, end), (h_right, start, _) = arc_left, arc_right
+        span = right[0] - left[0]
+        approx = (span if span > 0.0 else span + TWO_PI) - h_left - h_right
+        if end > TWO_PI:
+            end -= TWO_PI
+        width = start - end
+        if width < approx - math.pi:
+            return (TWO_PI - end) + start
+        # the arcs overlap across 0 = 2*pi when width > approx + pi
+        return width if width <= approx + math.pi else approx
+
+
+class _PocketQueue:
+    """The pockets of a packing, in a heap by ``_Pocket.key``, and the
+    free arcs at the radius floor they come from.
+
+    The free arcs at the floor are kept as disjoint pieces of [0, 2*pi],
+    sorted, in the floats of ``_PackingState.gaps`` at the floor: each
+    placement takes its own arc out of them, and only the pieces it cuts
+    get new pockets.  Each piece knows the disks whose arcs bound it,
+    None at 0 and 2*pi; the piece ending at 2*pi and the one starting at
+    0 make one pocket.  ``distances`` is a ``_Distances`` of the build,
+    and the shut radii are bracketed to width ``tol``.
+    """
+
+    def __init__(self, floor: float, distances, tol: float):
+        self._floor, self._floor_rho = floor, distances(floor)
+        self._distances, self._tol = distances, tol
+        whole = _Pocket(None, None, math.inf)
+        whole.solved = True
+        # pieces: [start, end, left disk, right disk, pocket]
+        self._starts, self._pieces = [0.0], [[0.0, TWO_PI, None, None, whole]]
+        self._heap, self._pushed = [], 0
+        self._push(whole)
+
+    def _push(self, pocket: _Pocket) -> None:
+        # among equal keys a solved pocket comes first
+        self._pushed += 1
+        heapq.heappush(self._heap, (-pocket.key, not pocket.solved, self._pushed, pocket))
+
+    def _pocket(self, key: float, *pieces) -> None:
+        pocket = _Pocket(pieces[0][2], pieces[-1][3], key)
+        for piece in pieces:
+            piece[4] = pocket
+        self._push(pocket)
+
+    def add(self, disk, key: float) -> None:
+        """Take the floor arc of a new disk, a column of
+        ``_PackingState``, out of the pieces; the pockets of the pieces
+        it cuts get the upper bound ``key``."""
+        arc = _arc(disk, self._floor_rho, self._floor)
+        if arc is None:
+            segments = [(0.0, TWO_PI)]
+        else:
+            # the segments of _split_arcs
+            _, lo, hi = arc
+            segments = [(lo, TWO_PI), (0.0, hi - TWO_PI)] if hi > TWO_PI else [(lo, hi)]
+        starts, pieces, new = self._starts, self._pieces, []
+        for s, e in segments:
+            i = bisect.bisect_right(starts, s) - 1
+            if i < 0 or pieces[i][1] <= s:
+                i += 1
+            j, kept = i, []
+            while j < len(pieces) and pieces[j][0] < e:
+                piece = pieces[j]
+                g0, g1, left, right, pocket = piece
+                if pocket:
+                    pocket.alive = False
+                # a cut piece keeps no pocket; below, the new pieces that
+                # no segment cut again (pocket None) get one
+                piece[4] = False
+                if s > g0:
+                    kept.append([g0, s, left, disk, None])
+                if g1 > e:
+                    kept.append([e, g1, disk, right, None])
+                j += 1
+            pieces[i:j] = kept
+            starts[i:j] = [piece[0] for piece in kept]
+            new += kept
+        for piece in new:
+            if piece[4] is None and piece[2] is not None and piece[3] is not None:
+                self._pocket(key, piece)
+        if pieces:
+            last, first = pieces[-1], pieces[0]
+            if last[3] is None and first[2] is None and not (last[4] and last[4].alive):
+                self._pocket(key, last, first)
+            # A gap with an end at exactly 0 = 2*pi has no partner piece
+            # and no pocket; the floor probe of ``largest_fit`` finds it.
+
+    def _solve(self, pocket: _Pocket, r: float, rho: float) -> bool:
+        """Make ``pocket.key`` the radius at which the pocket shuts below
+        the last radius r, at distance rho, or r itself while the pocket
+        is open there; False, and the pocket retired, when it is shut at
+        the floor too, which only rounding across 0 = 2*pi can do."""
+        fb = pocket.opening(rho, r)
+        if fb > 0.0:
+            pocket.key, pocket.rho = r, rho
+        else:
+            floor, floor_rho = self._floor, self._floor_rho
+            fa = pocket.opening(floor_rho, floor)
+            if fa <= 0.0:
+                pocket.alive = False
+                return False
+            pocket.key, pocket.rho = _shut_radius(
+                pocket.opening, self._distances, floor, floor_rho, fa, r, rho, fb, self._tol
+            )
+        pocket.solved = True
+        return True
+
+    def _fallback(self, state, hi: float, hi_rho: float):
+        """``_largest_fit`` below a radius the probe rejects, None when
+        nothing fits at the floor."""
+        floor, floor_rho = self._floor, self._floor_rho
+        floor_gaps = state.gaps(floor_rho, floor)
+        if floor_gaps[1].size == 0:
+            return None
+        return _largest_fit(
+            state, self._distances, floor, floor_rho, floor_gaps, hi, hi_rho, self._tol
+        )
+
+    def largest_fit(self, state, r: float, rho: float):
+        """The largest radius at most r, up to the tolerance, that fits
+        in ``state``, with its center distance and free arcs; None when
+        nothing fits at the floor.  r is the last radius placed, at
+        distance rho.
+
+        Pockets come off the heap until the top one is solved; its key,
+        capped at r, is the radius, which the full probe must accept.
+        When the probe rejects it, ``_largest_fit`` searches below it
+        instead, and the pocket keeps the radius found as its key, so
+        the rejected root never comes back above it."""
+        heap = self._heap
+        while heap:
+            pocket = heap[0][3]
+            if not pocket.alive:
+                heapq.heappop(heap)
+                continue
+            if not pocket.solved:
+                heapq.heappop(heap)
+                if self._solve(pocket, r, rho):
+                    self._push(pocket)
+                continue
+            c, c_rho = (pocket.key, pocket.rho) if pocket.key < r else (r, rho)
+            found = state.gaps(c_rho, c)
+            if found[1].size:
+                return c, c_rho, found
+            fit = self._fallback(state, c, c_rho)
+            if fit is not None:
+                heapq.heappop(heap)
+                pocket.key, pocket.rho = fit[0], fit[1]
+                self._push(pocket)
+            return fit
+        # no pocket left: a gap at the floor that the pieces missed by
+        # rounding still gets its disk
+        return self._fallback(state, r, rho)
 
 
 def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallCollection, str]:
@@ -283,12 +549,18 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
     never above the previous radius): its center distance is tuned so
     the lens with the unit disk is exactly ``eps`` times its own area,
     and its angle is drawn uniformly from the set of angles where it
-    stays disjoint from all previously placed small disks.  When the
-    previous radius no longer fits, the radius is the largest one that
-    fits, up to rounding: ``_largest_fit`` brackets the radius at which
-    the last free pocket shuts to ``1e-14 * delta``, and the full probe
-    must accept it.  The probe's own verdict flips back and forth within
-    a few ``1e-13 * delta`` above that radius, from the rounding of the
+    stays disjoint from all previously placed small disks.
+
+    The radius comes from ``_PocketQueue``.  Each gap between two disks'
+    arcs at the radius floor is a pocket; a placement makes new pockets
+    only from the gaps it cuts.  The pocket with the largest bound is
+    solved when it reaches the top of the heap: ``_shut_radius``
+    brackets the radius at which its two disks shut it below the last
+    radius to ``1e-14 * delta``, unless it is still open there.  The full probe must
+    accept the top's radius and gives the free arcs for the angle; when
+    it rejects it, ``_largest_fit`` searches from the floor instead.
+    The probe's own verdict flips back and forth within a few
+    ``1e-13 * delta`` above the shut radius, from the rounding of the
     center distance and of the arc ends; a disk larger by one part in
     1e9 is blocked at every angle.
     """
@@ -297,26 +569,17 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
     rng = np.random.default_rng(cfg.seed % 2**63)
     state = _PackingState()
     centers, radii = [(0.0, 0.0)], [1.0]
-
-    def distance(r: float, a: float, rho_a: float, b: float, rho_b: float) -> float:
-        start = _interpolated_start(r, a, rho_a, b, rho_b)
-        return _overlap_distance(r, 1.0, cfg.eps, 2, start)
-
     floor = cfg.delta * 1e-3
-    floor_rho = center_distance_for_overlap(floor, 1.0, cfg.eps, 2)
-    # the radius never grows, so each placement first tries the last one
-    r, rho = cfg.delta, center_distance_for_overlap(cfg.delta, 1.0, cfg.eps, 2)
+    distances = _Distances(cfg.eps, floor, cfg.delta)
+    pockets = _PocketQueue(floor, distances, 1e-14 * cfg.delta)
+    r, rho = cfg.delta, distances(cfg.delta)
     stop = "n_max"
     for _ in range(int(cfg.n_max)):
-        gap_starts, gap_ends = state.gaps(rho, r)
-        if gap_ends.size == 0:
-            floor_gaps = state.gaps(floor_rho, floor)
-            if floor_gaps[1].size == 0:
-                stop = "radius floor"
-                break
-            r, rho, (gap_starts, gap_ends) = _largest_fit(
-                state, distance, floor, floor_rho, floor_gaps, r, rho, 1e-14 * cfg.delta
-            )
+        fit = pockets.largest_fit(state, r, rho)
+        if fit is None:
+            stop = "radius floor"
+            break
+        r, rho, (gap_starts, gap_ends) = fit
         widths = gap_ends - gap_starts
         total = float(widths.sum())
         offsets = np.concatenate(([0.0], np.cumsum(widths)))
@@ -325,6 +588,7 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
         slot = min(max(slot, 0), widths.size - 1)
         angle = float(gap_starts[slot] + (u - offsets[slot])) % TWO_PI
         state.add(rho, angle, r)
+        pockets.add((angle, rho, rho * rho, r), r)
         centers.append((rho * math.cos(angle), rho * math.sin(angle)))
         radii.append(r)
     return BallCollection.from_arrays(centers, radii), stop

@@ -13,10 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from ballcover import geometry
+from ballcover import counterexample, geometry
 from ballcover.counterexample import (
     SurroundedBallConfig,
     _PackingState,
+    _PocketQueue,
     _largest_fit,
     build_fig1,
     build_reverse_example,
@@ -190,6 +191,72 @@ def _shrinking(balls) -> list[int]:
     return [k for k in range(1, len(radii)) if radii[k] < radii[k - 1]]
 
 
+def _assert_largest_fits(balls, eps: float) -> None:
+    """At every shrinking placement of a packing, a disk one part in 1e9
+    smaller, at its own eps-overlap distance, fits among the disks placed
+    before it, and one part in 1e9 larger is blocked at every angle."""
+    centers, radii = balls.centers[1:].tolist(), balls.radii[1:].tolist()
+    for k in _shrinking(balls):
+        r = radii[k]
+        assert surrounded_disk_fits(centers[:k], radii[:k], r * (1.0 - 1e-9), eps), k
+        assert not surrounded_disk_fits(centers[:k], radii[:k], r * (1.0 + 1e-9), eps), k
+
+
+_THIRD_DISK_LO, _THIRD_DISK_HI = 1e-3, 0.3
+
+
+def _linear_distance(r: float) -> float:
+    """Center distance of a new disk of radius r in the states of
+    ``_third_disk_states``."""
+    return 1.0 + 0.3 * r
+
+
+class _LinearDistances:
+    """``_linear_distance`` in the shape of ``counterexample._Distances``:
+    exact, so its estimate is too."""
+
+    def __call__(self, r: float) -> float:
+        return _linear_distance(r)
+
+    def estimate(self, r: float) -> float:
+        return _linear_distance(r)
+
+
+def _fits(state, r: float) -> bool:
+    return state.gaps(_linear_distance(r), r)[1].size > 0
+
+
+def _third_disk_states():
+    """Packing states of 10 to 40 random straddling disks in which radius
+    ``_THIRD_DISK_LO`` fits and ``_THIRD_DISK_HI`` does not, each with the
+    largest radius that fits by a bisection on the probe.  The center
+    distance ``_linear_distance`` grows with the radius, so the disks'
+    arcs grow at unlike rates."""
+    rng = np.random.default_rng(5)
+    for _ in range(600):
+        state = _PackingState()
+        for _ in range(int(rng.integers(10, 40))):
+            r = rng.uniform(0.005, 0.3)
+            state.add(1.0 + rng.uniform(-0.5, 0.5) * r, rng.uniform(0.0, 2.0 * math.pi), r)
+        a, b = _THIRD_DISK_LO, _THIRD_DISK_HI
+        if _fits(state, b) or not _fits(state, a):
+            continue
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if _fits(state, mid) else (a, mid)
+        yield state, a
+
+
+def _assert_fit(state, found, want: float) -> None:
+    """A search's (radius, distance, free arcs) is the probe's own at its
+    radius, which lies within 1e-13 of the bisection's ``want``."""
+    r, rho, gaps = found
+    assert rho == _linear_distance(r)
+    assert [a.tolist() for a in gaps] == [a.tolist() for a in state.gaps(rho, r)]
+    assert gaps[1].size > 0
+    assert abs(r - want) <= 1e-13
+
+
 class TestBuildSurroundedBall:
     CFG = _PACK_CFG
 
@@ -261,8 +328,8 @@ class TestBuildSurroundedBall:
 
     def test_benchmark_size_packing_is_byte_identical(self):
         # The goldens stop at 275 disks; this pins the packing of the
-        # benchmark's first eps, recorded when the search's trial radii
-        # took warm-started overlap solves and pocket openings from spans.
+        # benchmark's first eps, recorded when each pocket's shut radius
+        # was solved once, on its own two disks, and taken from a heap.
         balls = build_surrounded_ball(
             SurroundedBallConfig(eps=10.0**-1.5, delta=0.3, n_max=8000, seed=7)
         )
@@ -270,7 +337,7 @@ class TestBuildSurroundedBall:
         digest = hashlib.sha256(balls.centers.astype("<f8").tobytes())
         digest.update(balls.radii.astype("<f8").tobytes())
         assert digest.hexdigest() == (
-            "703bc3399f97e31e85340914a7e53b9b659beee586436caa2f521ef7a5694a37"
+            "a426b04a6ce35d9b3dd98a3106127806707c3f63bd61055dd86dfff5ced6650c"
         )
 
     def test_each_placed_radius_is_the_largest_that_fits(self, shrinking_packing):
@@ -281,28 +348,25 @@ class TestBuildSurroundedBall:
         # fit (the oracle's distance is not exact enough to decide the
         # placed radius itself).
         balls, _ = shrinking_packing
-        eps = _SHRINK_CFG.eps
-        centers, radii = balls.centers[1:].tolist(), balls.radii[1:].tolist()
-        shrinking = _shrinking(balls)
-        assert len(shrinking) > 300
-        for k in shrinking:
-            r = radii[k]
-            assert surrounded_disk_fits(centers[:k], radii[:k], r * (1.0 - 1e-9), eps), k
-            assert not surrounded_disk_fits(centers[:k], radii[:k], r * (1.0 + 1e-9), eps), k
+        assert len(_shrinking(balls)) > 300
+        _assert_largest_fits(balls, _SHRINK_CFG.eps)
 
     def test_few_full_probes_per_shrinking_placement(self, shrinking_packing):
-        # The radius comes from the pockets of one probe at the floor, so
-        # a shrinking placement costs the rejected probe at the last
-        # radius, the one at the floor and the one accepting the root.
-        # A bisection on the probe would make over forty.
+        # The radius comes from the heap of pockets, so every placement
+        # costs the one probe that accepts its radius and gives its free
+        # arcs, plus a probe at the floor to stop; only a fallback to
+        # ``_largest_fit`` adds more.  A bisection on the probe would make
+        # over forty per shrinking placement.
         balls, probes = shrinking_packing
-        assert probes / len(_shrinking(balls)) <= 5.0
+        assert probes / len(_shrinking(balls)) <= 2.0
 
     def test_warm_overlap_solves_keep_the_cap_kernel_calls_few(self):
-        # Each trial radius of the search starts its overlap solve between
-        # the distances of its bracket's ends, which saves most Newton
-        # steps: started at the midpoint of the solver's bracket, the
-        # solves of this benchmark build made 95,074 cap kernel calls.
+        # Each pocket's secant runs first on interpolated distances, and
+        # each overlap solve starts between the solved radii on either
+        # side, which saves most Newton steps: started at the midpoint of
+        # the solver's bracket, the solves of this benchmark build made
+        # 95,074 cap kernel calls; started between the ends of the
+        # search's bracket, 19,512.
         calls = []
         cap_volume = geometry._cap_volume
 
@@ -330,16 +394,9 @@ class TestBuildSurroundedBall:
             assert np.array_equal(state._disks, want)
 
     def test_largest_fit_matches_a_bisection_on_the_probe(self):
-        # Random straddling disks, with the center distance of a new disk
-        # growing with its radius; their arcs grow at unlike rates, so
-        # now and then one the pockets do not name closes a pocket
-        # first and the search must retry from a probe.
-        def distance(r, *bracket):
-            return 1.0 + 0.3 * r
-
-        def fits(state, r):
-            return state.gaps(distance(r), r)[1].size > 0
-
+        # Its arcs grow at unlike rates, so now and then one the pockets
+        # do not name closes a pocket first and the search must retry
+        # from a probe.
         calls = []
         probe = _PackingState.gaps
 
@@ -347,33 +404,76 @@ class TestBuildSurroundedBall:
             calls.append(r)
             return probe(state, rho, r)
 
-        rng = np.random.default_rng(5)
-        lo, hi, searched, retried = 1e-3, 0.3, 0, 0
-        for _ in range(600):
-            state = _PackingState()
-            for _ in range(int(rng.integers(10, 40))):
-                r = rng.uniform(0.005, 0.3)
-                state.add(1.0 + rng.uniform(-0.5, 0.5) * r, rng.uniform(0.0, 2.0 * math.pi), r)
-            if fits(state, hi) or not fits(state, lo):
-                continue
+        lo, hi, searched, retried = _THIRD_DISK_LO, _THIRD_DISK_HI, 0, 0
+        for state, want in _third_disk_states():
             calls.clear()
-            floor_gaps = state.gaps(distance(lo), lo)
+            floor_gaps = state.gaps(_linear_distance(lo), lo)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(_PackingState, "gaps", spy)
-                r, rho, gaps = _largest_fit(
-                    state, distance, lo, distance(lo), floor_gaps, hi, distance(hi), 1e-14
+                found = _largest_fit(
+                    state,
+                    _linear_distance,
+                    lo,
+                    _linear_distance(lo),
+                    floor_gaps,
+                    hi,
+                    _linear_distance(hi),
+                    1e-14,
                 )
-            assert rho == distance(r)
-            assert [a.tolist() for a in gaps] == [a.tolist() for a in state.gaps(rho, r)]
-            assert gaps[1].size > 0
-            a, b = lo, hi
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                a, b = (mid, b) if fits(state, mid) else (a, mid)
-            assert abs(r - a) <= 1e-13
+            _assert_fit(state, found, want)
             searched += 1
             retried += len(calls) > 1
         assert searched > 100 and retried > 0, (searched, retried)
+
+    def test_pocket_queue_matches_a_bisection_on_the_probe(self):
+        # The same states, with pockets at the floor solved each on its
+        # own two disks: where the arc of a third disk shuts the top
+        # pocket first, the probe rejects its root and ``_largest_fit``
+        # takes over below it.  Twenty more placements, each in the
+        # middle of the first free arc, must never take a larger radius,
+        # although pockets a third arc shut keep their two-disk keys.
+        fallbacks = []
+
+        def spy(*args):
+            fallbacks.append(args)
+            return _largest_fit(*args)
+
+        lo, hi, searched, first = _THIRD_DISK_LO, _THIRD_DISK_HI, 0, 0
+        for state, want in _third_disk_states():
+            queue = _PocketQueue(lo, _LinearDistances(), 1e-14)
+            for disk in state._disks.T.tolist():
+                queue.add(disk, hi)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(counterexample, "_largest_fit", spy)
+                found = queue.largest_fit(state, hi, _linear_distance(hi))
+                _assert_fit(state, found, want)
+                first += len(fallbacks)
+                for _ in range(20):
+                    r, rho, (starts, ends) = found
+                    angle = 0.5 * (starts[0] + ends[0])
+                    state.add(rho, angle, r)
+                    queue.add((angle, rho, rho * rho, r), r)
+                    found = queue.largest_fit(state, r, rho)
+                    if found is None:
+                        break
+                    assert found[0] <= r and found[2][1].size > 0
+            searched += 1
+            fallbacks.clear()
+        assert searched > 100 and 0 < first < 0.1 * searched, (searched, first)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.05, 0.02])
+    def test_radii_never_grow_and_each_shrinking_radius_is_the_largest(self, eps):
+        # Pockets keep their keys across placements, and a root the probe
+        # rejected must not come back above the radius the fallback found.
+        # Eps 0.2 runs to the radius floor; the others stop at 200 disks,
+        # since the oracle takes about 2 ms per shrinking placement.
+        for seed in range(1, 6):
+            balls = build_surrounded_ball(
+                SurroundedBallConfig(eps=eps, delta=0.3, n_max=200, seed=seed)
+            )
+            radii = balls.radii[1:]
+            assert np.all(radii[1:] <= radii[:-1]), seed
+            _assert_largest_fits(balls, eps)
 
     def test_n_max_truncates(self):
         cfg = SurroundedBallConfig(eps=0.2, delta=0.3, n_max=60, seed=3)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ballcover.geometry import (
@@ -686,3 +686,40 @@ class TestLargestFirstScan:
         assert vitali_select(cases["ties"]).selected == list(range(0, 15, 2))
         chosen = vitali_select(cases["coincident"]).selected
         assert not set(chosen) & set(range(12, 17))
+
+
+# ---------------------------------------------------------------------------
+# exact symmetries
+# ---------------------------------------------------------------------------
+
+# Maps of a planar collection that floating point carries out exactly:
+# each takes the centers, the radii and a permutation of the inputs.
+_SYMMETRIES = {
+    "mirror": lambda centers, radii, order: (centers * [-1.0, 1.0], radii),
+    "swap": lambda centers, radii, order: (centers[:, ::-1], radii),
+    "scale-4": lambda centers, radii, order: (4.0 * centers, 4.0 * radii),
+    "permutation": lambda centers, radii, order: (centers[order], radii[order]),
+}
+
+
+@pytest.mark.parametrize("symmetry", sorted(_SYMMETRIES))
+@pytest.mark.parametrize(
+    "select",
+    [vitali_select, besicovitch_select, lambda balls: perimeter_vitali_select(balls, 0.01)],
+    ids=["vitali", "besicovitch", "perimeter-vitali"],
+)
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=25, deadline=None)
+def test_selection_commutes_with_exact_symmetries(select, symmetry, seed):
+    # A guard for refactors that needs no oracle: the selections depend
+    # only on distances and radii, which these maps keep or scale by a
+    # power of two, and on the order of the radii, which ties would tie
+    # to the input order; the permutation maps its choice back.
+    balls = random_collection(2, [2, seed])
+    assume(np.unique(balls.radii).size == len(balls))
+    order = np.random.default_rng(seed).permutation(len(balls))
+    if symmetry != "permutation":
+        order = np.arange(len(balls))
+    centers, radii = _SYMMETRIES[symmetry](balls.centers, balls.radii, order)
+    mapped = select(BallCollection.from_arrays(centers, radii)).selected
+    assert order[mapped].tolist() == select(balls).selected
