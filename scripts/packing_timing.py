@@ -62,7 +62,8 @@ def counted():
 
         return wrapper
 
-    secant = counterexample._secant
+    search, state = counterexample, counterexample._PackingState
+    secant = search._secant
 
     def trials(opening, distance, *args):
         return secant(opening, counting("trials", distance), *args)
@@ -70,11 +71,11 @@ def counted():
     with contextlib.ExitStack() as patches:
         for owner, name, wrapper in [
             (geometry, "_cap_volume", counting("cap_volumes", geometry._cap_volume)),
-            (counterexample, "_overlap_distance", counting("solves", counterexample._overlap_distance)),
-            (counterexample._PackingState, "gaps", counting("probes", counterexample._PackingState.gaps)),
-            (counterexample, "_shut_radius", counting("pocket_solves", counterexample._shut_radius)),
-            (counterexample, "_largest_fit", counting("fallbacks", counterexample._largest_fit)),
-            (counterexample, "_secant", trials),
+            (search, "_overlap_distance", counting("solves", search._overlap_distance)),
+            (state, "gaps", counting("probes", state.gaps)),
+            (search, "_shut_radius", counting("pocket_solves", search._shut_radius)),
+            (search, "_largest_fit", counting("fallbacks", search._largest_fit)),
+            (search, "_secant", trials),
         ]:
             patches.enter_context(mock.patch.object(owner, name, wrapper))
         yield calls

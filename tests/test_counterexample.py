@@ -394,9 +394,9 @@ class TestBuildSurroundedBall:
             assert np.array_equal(state._disks, want)
 
     def test_largest_fit_matches_a_bisection_on_the_probe(self):
-        # Its arcs grow at unlike rates, so now and then one the pockets
-        # do not name closes a pocket first and the search must retry
-        # from a probe.
+        # The disks' arcs grow at unlike rates, so now and then one the
+        # pockets do not name closes a pocket first and the search must
+        # retry from a probe.
         calls = []
         probe = _PackingState.gaps
 
