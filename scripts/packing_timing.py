@@ -6,9 +6,9 @@ Each line gives the packing's ``eps``, its small ``disks`` and why it
 stopped, ``stop`` ("radius floor" or "n_max"); the placements whose
 radius shrank below the previous one, ``shrinking``; the calls the
 search made in the whole build: ``pocket_solves`` (pockets whose shut
-radius was bracketed by ``_shut_radius``), ``fallbacks`` (searches from
-the floor by ``_largest_fit``, after the probe rejected the top
-pocket's radius or found a gap no pocket held), ``trials`` (trial radii
+radius was bracketed by ``_shut_radius``), ``rejections`` (top pockets'
+radii the full probe rejected, after which the pocket learns the disks
+that reached its gap and is solved again), ``trials`` (trial radii
 of the secant searches, on estimated and on solved distances),
 ``solves`` (overlap solves, the two cold solves before the first
 placement not counted) and ``cap_volumes`` (scalar cap kernel calls,
@@ -62,7 +62,8 @@ def counted():
 
         return wrapper
 
-    search, state = counterexample, counterexample._PackingState
+    search = counterexample
+    state, queue = search._PackingState, search._PocketQueue
     secant = search._secant
 
     def trials(opening, distance, *args):
@@ -74,7 +75,7 @@ def counted():
             (search, "_overlap_distance", counting("solves", search._overlap_distance)),
             (state, "gaps", counting("probes", state.gaps)),
             (search, "_shut_radius", counting("pocket_solves", search._shut_radius)),
-            (search, "_largest_fit", counting("fallbacks", search._largest_fit)),
+            (queue, "_learn", counting("rejections", queue._learn)),
             (search, "_secant", trials),
         ]:
             patches.enter_context(mock.patch.object(owner, name, wrapper))
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
             "stop": stop,
             "shrinking": int((radii[1:] < radii[:-1]).sum()),
             "pocket_solves": calls["pocket_solves"],
-            "fallbacks": calls["fallbacks"],
+            "rejections": calls["rejections"],
             "trials": calls["trials"],
             "solves": calls["solves"],
             "cap_volumes": calls["cap_volumes"],

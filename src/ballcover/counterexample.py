@@ -167,30 +167,6 @@ class _PackingState:
             return np.empty(0), np.empty(0)
         return _uncovered_arcs(*_split_arcs(*_arc_ends(self._disks[0], halfwidths)))
 
-    def pockets(self, rho: float, r: float, gap_starts, gap_ends) -> _Pockets:
-        """The pockets of the free arcs that ``gaps(rho, r)`` returned.
-
-        A gap opens where the arc of its left disk ends and closes where
-        the arc of its right disk starts.  Both are looked up cyclically,
-        in the floats of ``gaps`` (arc ends past 2*pi less 2*pi), the last
-        end at or before the gap's start and the first start at or after
-        its end, so the two pieces of a gap across 0 = 2*pi name the same
-        pair.  Each pocket keeps its span, the angle from the left disk's
-        center to the right one's: its width at this probe plus the two
-        halfwidths of this probe."""
-        halfwidths = _halfwidths(self._disks[1:], rho, r)
-        lo, end = _arc_ends(self._disks[0], halfwidths)
-        end = np.where(end > TWO_PI, end - TWO_PI, end)
-        by_end, by_lo = np.argsort(end), np.argsort(lo)
-        left = by_end[np.searchsorted(end[by_end], gap_starts, side="right") - 1]
-        right = by_lo[np.searchsorted(lo[by_lo], gap_ends) % lo.size]
-        width = lo[right] - end[left]
-        width = np.where(width > 0.0, width, width + TWO_PI)
-        return _Pockets(
-            self._disks[1:, np.concatenate([left, right])],
-            width + halfwidths[left] + halfwidths[right],
-        )
-
     def add(self, rho: float, angle: float, r: float) -> None:
         n = self._disks.shape[1]
         if n == self._buffer.shape[1]:
@@ -199,28 +175,6 @@ class _PackingState:
         self._buffer[:, k + 1 : n + 1] = self._buffer[:, k:n]
         self._buffer[:, k] = (angle, rho, rho * rho, r)
         self._disks = self._buffer[:, : n + 1]
-
-
-@dataclass(frozen=True)
-class _Pockets:
-    """Pockets of one probe: ``disks`` holds the center distance, its
-    square and the radius of the left bounding disks, then those of the
-    right ones; ``span`` is the angle from each pocket's left center to
-    its right one."""
-
-    disks: np.ndarray
-    span: np.ndarray
-
-    def opening(self, rho: float, r: float) -> float:
-        """Width of the widest pocket for a new disk of radius r at
-        distance rho, at most 0 when all are shut: each span less the
-        halfwidths of its two disks.  The centers do not move, so this
-        needs no arc ends and no unwrap across 0 = 2*pi."""
-        halfwidths = _halfwidths(self.disks, rho, r)
-        if halfwidths is None:
-            return -math.pi
-        k = self.span.size
-        return float((self.span - halfwidths[:k] - halfwidths[k:]).max())
 
 
 def _secant(opening, distance, a, a_rho, fa, b, b_rho, fb, tol):
@@ -265,42 +219,6 @@ def _shut_radius(opening, distances, a, a_rho, fa, b, b_rho, fb, tol):
             break
         a, a_rho, fa = c, c_rho, fc
     return _secant(opening, distances, a, a_rho, fa, b, b_rho, fb, tol)[:2]
-
-
-def _largest_fit(state, distance, lo, lo_rho, lo_gaps, hi, hi_rho, tol):
-    """A radius in [lo, hi) that the full probe accepts, less than tol
-    below the radius at which its pockets all shut, with its center
-    distance and free arcs.  The probe accepts lo, with free arcs
-    ``lo_gaps``, and rejects hi.
-
-    This is the search from scratch, kept as the fallback of
-    ``_PocketQueue``: each round takes every pocket of the last accepted
-    probe (``_PackingState.pockets``) and brackets the root of their
-    widest opening by ``_secant``.  The probe must accept the root's
-    lower end, or it becomes the new top.  When the pockets stay open at
-    the top, an arc they do not know grew into them, or the openings and
-    the probe disagree by rounding, and the probe halves the bracket
-    instead: at worst this is a bisection on the probe.
-
-    ``distance(r)`` is the center distance of radius r.
-    """
-    while hi - lo > tol:
-        pockets = state.pockets(lo_rho, lo, *lo_gaps)
-        fa, fb = pockets.opening(lo_rho, lo), pockets.opening(hi_rho, hi)
-        if fa > 0.0 >= fb:
-            a, a_rho, b, b_rho = _secant(
-                pockets.opening, distance, lo, lo_rho, fa, hi, hi_rho, fb, tol
-            )
-        else:
-            a, b, b_rho = 0.5 * (lo + hi), hi, hi_rho
-            a_rho = distance(a)
-        found = state.gaps(a_rho, a)
-        if found[1].size:
-            lo, lo_rho, lo_gaps = a, a_rho, found
-            hi, hi_rho = b, b_rho
-        else:
-            hi, hi_rho = a, a_rho
-    return lo, lo_rho, lo_gaps
 
 
 class _Distances:
@@ -352,51 +270,67 @@ def _arc(disk, rho: float, r: float) -> tuple[float, float, float] | None:
 
 
 class _Pocket:
-    """A gap at the radius floor between the arcs of two placed disks,
-    ``left`` and ``right`` (columns of ``_PackingState``; both None for
-    the whole circle before the first placement, solved from the start),
-    and ``key``, an upper bound on the radius it can take.  Radii never
-    grow, so until the pocket is ``solved`` the radius of the placement
-    that made it is one; then it is the radius at which the pocket
-    shuts, or the last radius while the pocket was still open there, at
-    center distance ``rho``.  A placement that cuts the gap retires the
-    pocket."""
+    """A gap at the radius floor and ``key``, an upper bound on the radius
+    it can take.
+
+    ``left`` lists the placed disks (columns of ``_PackingState``) whose
+    arcs close the gap from its start, ``right`` those that close it from
+    its end.  Each starts with the disk whose arc bounds the gap at the
+    floor on that side (None for the whole circle before the first
+    placement, solved from the start), and ``_PocketQueue`` adds the
+    disks whose arcs the probe finds in the gap at a radius it rejects.
+    Radii never grow, so until the pocket is ``solved`` the radius of the
+    placement that made it, or the rejected radius at center distance
+    ``rho``, is one; then it is the radius at which the pocket shuts, or
+    the last radius while the pocket was still open there, at distance
+    ``rho``.  A placement that cuts the gap retires the pocket."""
 
     __slots__ = ("left", "right", "key", "rho", "solved", "alive")
 
     def __init__(self, left, right, key: float):
-        self.left, self.right, self.key = left, right, key
+        self.left, self.right, self.key = [left], [right], key
         self.rho, self.solved, self.alive = math.nan, False, True
 
     def opening(self, rho: float, r: float) -> float:
-        """Width of the gap between the two disks' arcs for a new disk of
-        radius r at distance rho, at most 0 when it is shut.
+        """Width of the gap for a new disk of radius r at distance rho, at
+        most 0 when it is shut: the least over the (left, right) pairs of
+        disks of the width from the end of the left one's arc to the
+        start of the right one's.
 
-        It is taken in the floats of the probe, from the end of the left
-        arc (less 2*pi past 2*pi) to the start of the right one, or as the
-        sum of the probe's two pieces when the gap runs across 0 = 2*pi.
-        So the probe finds the gap exactly when the opening is positive,
-        unless the arc of a third disk reaches into it.  The angle between
-        the two centers less both half-widths tells the cases apart."""
-        left, right = self.left, self.right
-        arc_left, arc_right = _arc(left, rho, r), _arc(right, rho, r)
-        if arc_left is None or arc_right is None:
-            return -math.pi
-        (h_left, _, end), (h_right, start, _) = arc_left, arc_right
-        span = right[0] - left[0]
-        approx = (span if span > 0.0 else span + TWO_PI) - h_left - h_right
-        if end > TWO_PI:
-            end -= TWO_PI
-        width = start - end
-        if width < approx - math.pi:
-            return (TWO_PI - end) + start
-        # the arcs overlap across 0 = 2*pi when width > approx + pi
-        return width if width <= approx + math.pi else approx
+        Each width is taken in the floats of the probe, from the end of
+        the left arc (less 2*pi past 2*pi) to the start of the right one,
+        or as the sum of the probe's two pieces when the gap runs across
+        0 = 2*pi.  So the probe finds the gap exactly when the opening is
+        positive, unless the arc of a disk the pocket does not know
+        reaches into it.  The angle between the two centers less both
+        half-widths tells the cases apart."""
+        width = math.inf
+        for left in self.left:
+            arc_left = _arc(left, rho, r)
+            for right in self.right:
+                arc_right = _arc(right, rho, r)
+                if arc_left is None or arc_right is None:
+                    return -math.pi
+                (h_left, _, end), (h_right, start, _) = arc_left, arc_right
+                span = right[0] - left[0]
+                approx = (span if span > 0.0 else span + TWO_PI) - h_left - h_right
+                if end > TWO_PI:
+                    end -= TWO_PI
+                gap = start - end
+                if gap < approx - math.pi:
+                    gap = (TWO_PI - end) + start
+                elif gap > approx + math.pi:
+                    # the arcs overlap across 0 = 2*pi
+                    gap = approx
+                if gap < width:
+                    width = gap
+        return width
 
 
 class _PocketQueue:
     """The pockets of a packing, in a heap by ``_Pocket.key``, and the
-    free arcs at the radius floor they come from.
+    free arcs at the radius floor they come from: the packing's only
+    radius search, which ends when the heap is empty.
 
     The free arcs at the floor are kept as disjoint pieces of [0, 2*pi],
     sorted, in the floats of ``_PackingState.gaps`` at the floor: each
@@ -461,6 +395,17 @@ class _PocketQueue:
             pieces[i:j] = kept
             starts[i:j] = [piece[0] for piece in kept]
             new += kept
+        if pieces and arc is not None:
+            # an arc that ends at exactly 2*pi, or starts at exactly 0,
+            # also bounds the piece across 0 = 2*pi from the other side,
+            # which then has no partner piece
+            first, last = pieces[0], pieces[-1]
+            if hi == TWO_PI and first[2] is None:
+                first[2], first[4] = disk, None
+                new.append(first)
+            if lo == 0.0 and last[3] is None:
+                last[3], last[4] = disk, None
+                new.append(last)
         for piece in new:
             if piece[4] is None and piece[2] is not None and piece[3] is not None:
                 self._pocket(key, piece)
@@ -468,14 +413,41 @@ class _PocketQueue:
             last, first = pieces[-1], pieces[0]
             if last[3] is None and first[2] is None and not (last[4] and last[4].alive):
                 self._pocket(key, last, first)
-            # A gap with an end at exactly 0 = 2*pi has no partner piece
-            # and no pocket; the floor probe of ``largest_fit`` finds it.
+
+    def _learn(self, pocket: _Pocket, state, r: float, rho: float) -> bool:
+        """Add to the pocket the disks of ``state`` it does not know whose
+        arcs, for a new disk of radius r at distance rho, reach its gap at
+        the floor: to ``left`` when the disk's center lies before the
+        gap's midpoint, to ``right`` when after.  False when there is
+        none."""
+        floor, floor_rho = self._floor, self._floor_rho
+        start = _arc(pocket.left[0], floor_rho, floor)[2]
+        width = (_arc(pocket.right[0], floor_rho, floor)[1] - start) % TWO_PI
+        angle, dist, dist2, radius = state._disks
+        q = (rho * rho + dist2 - (r + radius) ** 2) / (2.0 * rho * dist)
+        # at q <= -1 the arc is the whole circle
+        h = np.arccos(np.maximum(q, -1.0))
+        # each arc's start, measured from the start of the gap
+        lo = (angle - h - start) % TWO_PI
+        reach = (lo < width) | (lo + 2.0 * h > TWO_PI)
+        known = {tuple(disk) for disk in pocket.left + pocket.right}
+        learned = False
+        for disk in map(tuple, state._disks[:, reach].T.tolist()):
+            if disk not in known:
+                after = (disk[0] - start - 0.5 * width) % TWO_PI < math.pi
+                (pocket.right if after else pocket.left).append(disk)
+                learned = True
+        return learned
 
     def _solve(self, pocket: _Pocket, r: float, rho: float) -> bool:
         """Make ``pocket.key`` the radius at which the pocket shuts below
-        the last radius r, at distance rho, or r itself while the pocket
-        is open there; False, and the pocket retired, when it is shut at
-        the floor too, which only rounding across 0 = 2*pi can do."""
+        an upper end, or that end itself while the pocket is open there.
+        The end is the last radius r, at distance rho, or the pocket's
+        key when smaller: a radius the probe rejected, at distance
+        ``pocket.rho``.  False, and the pocket retired, when it is shut
+        at the floor too, which only rounding across 0 = 2*pi can do."""
+        if pocket.key < r:
+            r, rho = pocket.key, pocket.rho
         fb = pocket.opening(rho, r)
         if fb > 0.0:
             pocket.key, pocket.rho = r, rho
@@ -491,28 +463,18 @@ class _PocketQueue:
         pocket.solved = True
         return True
 
-    def _fallback(self, state, hi: float, hi_rho: float):
-        """``_largest_fit`` below a radius the probe rejects, None when
-        nothing fits at the floor."""
-        floor, floor_rho = self._floor, self._floor_rho
-        floor_gaps = state.gaps(floor_rho, floor)
-        if floor_gaps[1].size == 0:
-            return None
-        return _largest_fit(
-            state, self._distances, floor, floor_rho, floor_gaps, hi, hi_rho, self._tol
-        )
-
     def largest_fit(self, state, r: float, rho: float):
         """The largest radius at most r, up to the tolerance, that fits
         in ``state``, with its center distance and free arcs; None when
-        nothing fits at the floor.  r is the last radius placed, at
-        distance rho.
+        no pocket is left.  r is the last radius placed, at distance rho.
 
         Pockets come off the heap until the top one is solved; its key,
         capped at r, is the radius, which the full probe must accept.
-        When the probe rejects it, ``_largest_fit`` searches below it
-        instead, and the pocket keeps the radius found as its key, so
-        the rejected root never comes back above it."""
+        When the probe rejects it, the arc of a disk the pocket does not
+        know has reached its gap first: the pocket learns those disks
+        and goes back unsolved under the rejected radius, to be solved
+        below it.  A pocket with nothing to learn is retired, so each
+        pocket is rejected at most once per placed disk."""
         heap = self._heap
         while heap:
             pocket = heap[0][3]
@@ -528,15 +490,11 @@ class _PocketQueue:
             found = state.gaps(c_rho, c)
             if found[1].size:
                 return c, c_rho, found
-            fit = self._fallback(state, c, c_rho)
-            if fit is not None:
-                heapq.heappop(heap)
-                pocket.key, pocket.rho = fit[0], fit[1]
-                self._push(pocket)
-            return fit
-        # no pocket left: a gap at the floor that the pieces missed by
-        # rounding still gets its disk
-        return self._fallback(state, r, rho)
+            heapq.heappop(heap)
+            pocket.alive = self._learn(pocket, state, c, c_rho)
+            pocket.key, pocket.rho, pocket.solved = c, c_rho, False
+            self._push(pocket)
+        return None
 
 
 def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallCollection, str]:
@@ -555,10 +513,12 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
     arcs at the radius floor is a pocket; a placement makes new pockets
     only from the gaps it cuts.  The pocket with the largest bound is
     solved when it reaches the top of the heap: ``_shut_radius``
-    brackets the radius at which its two disks shut it below the last
-    radius to ``1e-14 * delta``, unless it is still open there.  The full probe must
-    accept the top's radius and gives the free arcs for the angle; when
-    it rejects it, ``_largest_fit`` searches from the floor instead.
+    brackets the radius at which its disks shut it below the last
+    radius to ``1e-14 * delta``, unless it is still open there.  The
+    full probe must accept the top's radius and gives the free arcs for
+    the angle; when it rejects it, the pocket learns the disks whose
+    arcs reached its gap and is solved again below that radius.  The
+    build stops at the radius floor when no pocket is left.
     The probe's own verdict flips back and forth within a few
     ``1e-13 * delta`` above the shut radius, from the rounding of the
     center distance and of the arc ends; a disk larger by one part in

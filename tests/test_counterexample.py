@@ -13,12 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from ballcover import counterexample, geometry
+from ballcover import geometry
 from ballcover.counterexample import (
     SurroundedBallConfig,
+    _Distances,
     _PackingState,
     _PocketQueue,
-    _largest_fit,
     build_fig1,
     build_reverse_example,
     build_surrounded_ball,
@@ -222,8 +222,22 @@ class _LinearDistances:
         return _linear_distance(r)
 
 
-def _fits(state, r: float) -> bool:
-    return state.gaps(_linear_distance(r), r)[1].size > 0
+def _probe_bisection(state, distance, lo: float, hi: float) -> float | None:
+    """The largest radius in [lo, hi] that the probe of ``state`` accepts
+    at center distance ``distance(r)``, by halving [lo, hi] 50 times,
+    which leaves less than 3e-16 of [0, 0.3]; None when it rejects lo."""
+
+    def fits(r: float) -> bool:
+        return state.gaps(distance(r), r)[1].size > 0
+
+    if fits(hi):
+        return hi
+    if not fits(lo):
+        return None
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 def _third_disk_states():
@@ -238,20 +252,16 @@ def _third_disk_states():
         for _ in range(int(rng.integers(10, 40))):
             r = rng.uniform(0.005, 0.3)
             state.add(1.0 + rng.uniform(-0.5, 0.5) * r, rng.uniform(0.0, 2.0 * math.pi), r)
-        a, b = _THIRD_DISK_LO, _THIRD_DISK_HI
-        if _fits(state, b) or not _fits(state, a):
-            continue
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            a, b = (mid, b) if _fits(state, mid) else (a, mid)
-        yield state, a
+        want = _probe_bisection(state, _linear_distance, _THIRD_DISK_LO, _THIRD_DISK_HI)
+        if want is not None and want < _THIRD_DISK_HI:
+            yield state, want
 
 
-def _assert_fit(state, found, want: float) -> None:
+def _assert_fit(state, found, want: float, distance=_linear_distance) -> None:
     """A search's (radius, distance, free arcs) is the probe's own at its
     radius, which lies within 1e-13 of the bisection's ``want``."""
     r, rho, gaps = found
-    assert rho == _linear_distance(r)
+    assert rho == distance(r)
     assert [a.tolist() for a in gaps] == [a.tolist() for a in state.gaps(rho, r)]
     assert gaps[1].size > 0
     assert abs(r - want) <= 1e-13
@@ -354,9 +364,10 @@ class TestBuildSurroundedBall:
     def test_few_full_probes_per_shrinking_placement(self, shrinking_packing):
         # The radius comes from the heap of pockets, so every placement
         # costs the one probe that accepts its radius and gives its free
-        # arcs, plus a probe at the floor to stop; only a fallback to
-        # ``_largest_fit`` adds more.  A bisection on the probe would make
-        # over forty per shrinking placement.
+        # arcs; only a rejected root of a top pocket adds one more, and
+        # the build stops when no pocket is left, without a probe.  A
+        # bisection on the probe would make over forty per shrinking
+        # placement.
         balls, probes = shrinking_packing
         assert probes / len(_shrinking(balls)) <= 2.0
 
@@ -393,78 +404,68 @@ class TestBuildSurroundedBall:
             want = np.insert(want, k, (angle, rho, rho * rho, r), axis=1)
             assert np.array_equal(state._disks, want)
 
-    def test_largest_fit_matches_a_bisection_on_the_probe(self):
-        # The disks' arcs grow at unlike rates, so now and then one the
-        # pockets do not name closes a pocket first and the search must
-        # retry from a probe.
-        calls = []
+    def test_pocket_queue_matches_a_bisection_on_the_probe(self):
+        # Pockets at the floor are solved each on its own two disks, so
+        # where the arc of a third disk shuts the top pocket first, the
+        # probe rejects its root; the pocket then learns that disk and is
+        # solved again below the root.  The first radius and twenty more
+        # placements, each in the middle of the first free arc, must each
+        # be the largest radius that fits by a bisection on the probe.
+        accepted = []
         probe = _PackingState.gaps
 
         def spy(state, rho, r):
-            calls.append(r)
-            return probe(state, rho, r)
+            found = probe(state, rho, r)
+            accepted.append(found[1].size > 0)
+            return found
 
-        lo, hi, searched, retried = _THIRD_DISK_LO, _THIRD_DISK_HI, 0, 0
-        for state, want in _third_disk_states():
-            calls.clear()
-            floor_gaps = state.gaps(_linear_distance(lo), lo)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(_PackingState, "gaps", spy)
-                found = _largest_fit(
-                    state,
-                    _linear_distance,
-                    lo,
-                    _linear_distance(lo),
-                    floor_gaps,
-                    hi,
-                    _linear_distance(hi),
-                    1e-14,
-                )
-            _assert_fit(state, found, want)
-            searched += 1
-            retried += len(calls) > 1
-        assert searched > 100 and retried > 0, (searched, retried)
-
-    def test_pocket_queue_matches_a_bisection_on_the_probe(self):
-        # The same states, with pockets at the floor solved each on its
-        # own two disks: where the arc of a third disk shuts the top
-        # pocket first, the probe rejects its root and ``_largest_fit``
-        # takes over below it.  Twenty more placements, each in the
-        # middle of the first free arc, must never take a larger radius,
-        # although pockets a third arc shut keep their two-disk keys.
-        fallbacks = []
-
-        def spy(*args):
-            fallbacks.append(args)
-            return _largest_fit(*args)
-
-        lo, hi, searched, first = _THIRD_DISK_LO, _THIRD_DISK_HI, 0, 0
+        lo, hi, searched, placed = _THIRD_DISK_LO, _THIRD_DISK_HI, 0, 0
         for state, want in _third_disk_states():
             queue = _PocketQueue(lo, _LinearDistances(), 1e-14)
             for disk in state._disks.T.tolist():
                 queue.add(disk, hi)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(counterexample, "_largest_fit", spy)
-                found = queue.largest_fit(state, hi, _linear_distance(hi))
-                _assert_fit(state, found, want)
-                first += len(fallbacks)
-                for _ in range(20):
-                    r, rho, (starts, ends) = found
-                    angle = 0.5 * (starts[0] + ends[0])
-                    state.add(rho, angle, r)
-                    queue.add((angle, rho, rho * rho, r), r)
+            r, rho = hi, _linear_distance(hi)
+            for _ in range(21):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(_PackingState, "gaps", spy)
                     found = queue.largest_fit(state, r, rho)
-                    if found is None:
-                        break
-                    assert found[0] <= r and found[2][1].size > 0
+                if want is None:
+                    assert found is None
+                    break
+                _assert_fit(state, found, want)
+                r, rho, (starts, ends) = found
+                angle = 0.5 * (starts[0] + ends[0])
+                state.add(rho, angle, r)
+                queue.add((angle, rho, rho * rho, r), r)
+                want = _probe_bisection(state, _linear_distance, lo, r)
+                placed += 1
             searched += 1
-            fallbacks.clear()
-        assert searched > 100 and 0 < first < 0.1 * searched, (searched, first)
+        # each search ends with the one probe that accepts its radius;
+        # every other probe rejected the root of a top pocket
+        rejections = accepted.count(False)
+        assert searched > 100 and placed > 10 * searched, (searched, placed)
+        assert 0 < rejections < 0.05 * placed, rejections
+
+    @pytest.mark.parametrize("angle", [6.116559403584584, 0.16662590359500218])
+    def test_a_floor_arc_ending_at_0_leaves_a_pocket(self, angle):
+        # At eps 0.05 and delta 0.3, the floor arc of a first disk of
+        # radius delta at the first angle ends at exactly 2*pi, and at the
+        # second it starts at exactly 0.  The free piece on the other side
+        # of 0 = 2*pi is bounded by that disk too, so it gets a pocket.
+        floor = 0.3e-3
+        distances = _Distances(0.05, floor, 0.3)
+        rho = distances(0.3)
+        state, queue = _PackingState(), _PocketQueue(floor, distances, 0.3e-14)
+        state.add(rho, angle, 0.3)
+        queue.add((angle, rho, rho * rho, 0.3), 0.3)
+        assert any(pocket.alive for *_, pocket in queue._heap)
+        found = queue.largest_fit(state, 0.3, rho)
+        _assert_fit(state, found, _probe_bisection(state, distances, floor, 0.3), distances)
 
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.02])
     def test_radii_never_grow_and_each_shrinking_radius_is_the_largest(self, eps):
         # Pockets keep their keys across placements, and a root the probe
-        # rejected must not come back above the radius the fallback found.
+        # rejected must not come back above the radius solved below it.
         # Eps 0.2 runs to the radius floor; the others stop at 200 disks,
         # since the oracle takes about 2 ms per shrinking placement.
         for seed in range(1, 6):

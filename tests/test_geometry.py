@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ballcover import geometry
 from ballcover.geometry import (
@@ -862,6 +862,40 @@ def test_union_perimeter_dispatcher_dimensions():
     est3 = union_perimeter(b3, samples_per_ball=2000, seed=1)
     assert est3.method == "montecarlo"
     assert est3.value == pytest.approx(4 * math.pi, rel=0.05)
+
+
+# Maps of a planar collection that keep every distance and radius, each
+# on the centers and radii with a permutation of the inputs.  They change
+# only the order of the sums, so the length moves by rounding alone.
+_PERIMETER_ISOMETRIES = {
+    "mirror": lambda centers, radii, order: (centers * [-1.0, 1.0], radii),
+    "swap": lambda centers, radii, order: (centers[:, ::-1], radii),
+    "permutation": lambda centers, radii, order: (centers[order], radii[order]),
+}
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=25)
+def test_union_perimeter_2d_scales_exactly_by_4(seed):
+    # A factor 4 scales every center, radius and distance exactly and
+    # leaves every arc angle as it was, so each arc length is 4 times
+    # the old one and so is their sum, bit for bit.
+    balls = random_collection(2, [2, seed])
+    scaled = BallCollection.from_arrays(4.0 * balls.centers, 4.0 * balls.radii)
+    assert union_perimeter_2d(scaled).value == 4.0 * union_perimeter_2d(balls).value
+
+
+@pytest.mark.parametrize("isometry", sorted(_PERIMETER_ISOMETRIES))
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=25)
+def test_union_perimeter_2d_is_invariant_under_exact_isometries(isometry, seed):
+    # A guard for refactors that needs no oracle; 1e-14 relative leaves
+    # room for the summation order over up to 40 circles.
+    balls = random_collection(2, [2, seed])
+    order = np.random.default_rng(seed).permutation(len(balls))
+    centers, radii = _PERIMETER_ISOMETRIES[isometry](balls.centers, balls.radii, order)
+    mapped = union_perimeter_2d(BallCollection.from_arrays(centers, radii)).value
+    assert mapped == pytest.approx(union_perimeter_2d(balls).value, rel=1e-14, abs=0.0)
 
 
 # --------------------------------------------------------------------------

@@ -47,12 +47,13 @@ def test_packing_timing_prints_one_json_line_per_eps(capsys):
     assert [row["eps"] for row in rows] == [0.2, 0.05]
     for row in rows:
         assert set(row) == {
-            "eps", "disks", "stop", "shrinking", "pocket_solves", "fallbacks", "trials",
+            "eps", "disks", "stop", "shrinking", "pocket_solves", "rejections", "trials",
             "solves", "cap_volumes", "probes", "best_s", "repeats", "nproc", "commit",
         }
         assert row["disks"] == 60 and row["stop"] == "n_max"
         assert 0 < row["pocket_solves"] <= row["solves"] <= row["trials"]
-        assert 0 <= row["fallbacks"] < row["pocket_solves"]
+        assert 0 <= row["rejections"] < row["pocket_solves"]
         assert row["cap_volumes"] >= 2 * row["solves"]
-        assert row["probes"] >= row["disks"] and row["best_s"] > 0.0
+        # one probe accepts each placement; every other one is a rejection
+        assert row["probes"] == row["disks"] + row["rejections"] and row["best_s"] > 0.0
         assert row["repeats"] == 1 and row["nproc"] >= 1
