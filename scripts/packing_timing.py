@@ -8,8 +8,10 @@ radius shrank below the previous one, ``shrinking``; the calls the
 search made in the whole build: ``pocket_solves`` (pockets whose shut
 radius was bracketed by ``_shut_radius``), ``rejections`` (top pockets'
 radii the full probe rejected, after which the pocket learns the disks
-that reached its gap and is solved again), ``trials`` (trial radii
-of the secant searches, on estimated and on solved distances),
+that reached its gap and is solved again), ``retired`` (the rejections
+after which the pocket learned no disk and was retired), ``trials``
+(trial radii of the secant searches, on estimated and on solved
+distances),
 ``solves`` (overlap solves, the two cold solves before the first
 placement not counted) and ``cap_volumes`` (scalar cap kernel calls,
 all inside the overlap solves); ``probes``, the full probes of the
@@ -63,19 +65,25 @@ def counted():
         return wrapper
 
     search = counterexample
-    state, queue = search._PackingState, search._PocketQueue
-    secant = search._secant
+    queue, secant = search._PocketQueue, search._secant
+    learn = queue._learn
 
     def trials(opening, distance, *args):
         return secant(opening, counting("trials", distance), *args)
+
+    def rejections(*args):
+        learned = learn(*args)
+        calls["rejections"] += 1
+        calls["retired"] += not learned
+        return learned
 
     with contextlib.ExitStack() as patches:
         for owner, name, wrapper in [
             (geometry, "_cap_volume", counting("cap_volumes", geometry._cap_volume)),
             (search, "_overlap_distance", counting("solves", search._overlap_distance)),
-            (state, "gaps", counting("probes", state.gaps)),
+            (queue, "gaps", counting("probes", queue.gaps)),
             (search, "_shut_radius", counting("pocket_solves", search._shut_radius)),
-            (queue, "_learn", counting("rejections", queue._learn)),
+            (queue, "_learn", rejections),
             (search, "_secant", trials),
         ]:
             patches.enter_context(mock.patch.object(owner, name, wrapper))
@@ -116,6 +124,7 @@ def main(argv=None) -> int:
             "shrinking": int((radii[1:] < radii[:-1]).sum()),
             "pocket_solves": calls["pocket_solves"],
             "rejections": calls["rejections"],
+            "retired": calls["retired"],
             "trials": calls["trials"],
             "solves": calls["solves"],
             "cap_volumes": calls["cap_volumes"],

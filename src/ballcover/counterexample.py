@@ -33,7 +33,7 @@ from .geometry import (
     TWO_PI,
     BallCollection,
     _arc_ends,
-    _interpolated_start,
+    _cos_half_angle,
     _overlap_distance,
     _split_arcs,
     _uncovered_arcs,
@@ -126,57 +126,6 @@ class SurroundedBallConfig:
             raise ValueError("n_max must be an integer >= 1")
 
 
-def _halfwidths(disks: np.ndarray, rho: float, r: float) -> np.ndarray | None:
-    """Half-widths of the angles where a new disk of radius r at distance
-    rho would meet the placed disks whose center distance, its square and
-    radius are the rows of ``disks``; None when one of them blocks every
-    angle."""
-    dist, dist2, radius = disks
-    # overlap with disk j iff the center distance is below r + r_j,
-    # i.e. cos(angle difference) > q_j
-    q = (rho * rho + dist2 - (r + radius) ** 2) / (2.0 * rho * dist)
-    if q.size and q.min() <= -1.0:
-        return None
-    # Every small disk straddles the unit circle, so
-    # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip.
-    return np.arccos(q)
-
-
-class _PackingState:
-    """Mutable state of the greedy packing: the placed small disks in
-    polar form, kept sorted by angle.
-
-    In angle order the blocked arcs of a probe come out nearly sorted by
-    start, which the stable sort of ``union_components`` passes through
-    in about linear time; the union itself does not depend on the order.
-    """
-
-    def __init__(self):
-        # one column per placed disk: angle, center distance, its square
-        # and radius; ``_disks`` views the filled columns of a buffer
-        # whose capacity doubles when full
-        self._buffer = np.empty((4, 16))
-        self._disks = self._buffer[:, :0]
-
-    def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """The free arcs for a new disk of radius r at distance rho, empty
-        when it fits nowhere: the full probe that accepts every
-        placement."""
-        halfwidths = _halfwidths(self._disks[1:], rho, r)
-        if halfwidths is None:
-            return np.empty(0), np.empty(0)
-        return _uncovered_arcs(*_split_arcs(*_arc_ends(self._disks[0], halfwidths)))
-
-    def add(self, rho: float, angle: float, r: float) -> None:
-        n = self._disks.shape[1]
-        if n == self._buffer.shape[1]:
-            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
-        k = int(np.searchsorted(self._disks[0], angle))
-        self._buffer[:, k + 1 : n + 1] = self._buffer[:, k:n]
-        self._buffer[:, k] = (angle, rho, rho * rho, r)
-        self._disks = self._buffer[:, : n + 1]
-
-
 def _secant(opening, distance, a, a_rho, fa, b, b_rho, fb, tol):
     """Bracket to width tol the radius at which ``opening(rho, r)`` turns
     from positive to at most 0, by a secant with the Illinois halving:
@@ -241,7 +190,8 @@ class _Distances:
         k = bisect.bisect_left(radii, r)
         if radii[k] == r:
             return rhos[k]
-        return _interpolated_start(r, radii[k - 1], rhos[k - 1], radii[k], rhos[k])
+        a, b, rho_a, rho_b = radii[k - 1], radii[k], rhos[k - 1], rhos[k]
+        return rho_a + (r - a) * ((rho_b - rho_a) / (b - a))
 
     def __call__(self, r: float) -> float:
         start = self.estimate(r)
@@ -255,12 +205,12 @@ class _Distances:
 
 
 def _arc(disk, rho: float, r: float) -> tuple[float, float, float] | None:
-    """``_halfwidths`` and ``_arc_ends`` of one placed disk, given as its
-    column of ``_PackingState`` (angle, center distance, its square,
-    radius), in the same floats: the half-width, start and end of its
-    arc, None when it blocks every angle."""
-    angle, dist, dist2, radius = disk
-    q = (rho * rho + dist2 - (r + radius) * (r + radius)) / (2.0 * rho * dist)
+    """The arc that one placed disk, given as its column of
+    ``_PocketQueue`` (angle, center distance, radius), blocks for a new
+    disk of radius r at distance rho, in the floats of the full probe:
+    its half-width, start and end, None when it blocks every angle."""
+    angle, dist, radius = disk
+    q = _cos_half_angle(dist, rho, r + radius)
     if q <= -1.0:
         return None
     h = float(np.arccos(q))
@@ -273,7 +223,7 @@ class _Pocket:
     """A gap at the radius floor and ``key``, an upper bound on the radius
     it can take.
 
-    ``left`` lists the placed disks (columns of ``_PackingState``) whose
+    ``left`` lists the placed disks (columns of ``_PocketQueue``) whose
     arcs close the gap from its start, ``right`` those that close it from
     its end.  Each starts with the disk whose arc bounds the gap at the
     floor on that side (None for the whole circle before the first
@@ -328,20 +278,31 @@ class _Pocket:
 
 
 class _PocketQueue:
-    """The pockets of a packing, in a heap by ``_Pocket.key``, and the
-    free arcs at the radius floor they come from: the packing's only
-    radius search, which ends when the heap is empty.
+    """The state of a packing: its placed small disks, the free arcs at
+    the radius floor and the pockets they make, in a heap by
+    ``_Pocket.key``.  It is the packing's only radius search, which ends
+    when the heap is empty.
+
+    The disks are kept in polar form, sorted by angle: one column per
+    disk of angle, center distance and radius.  In angle order the
+    blocked arcs of a probe come out nearly sorted by start, which the
+    stable sort of ``union_components`` passes through in about linear
+    time; the union itself does not depend on the order.
 
     The free arcs at the floor are kept as disjoint pieces of [0, 2*pi],
-    sorted, in the floats of ``_PackingState.gaps`` at the floor: each
-    placement takes its own arc out of them, and only the pieces it cuts
-    get new pockets.  Each piece knows the disks whose arcs bound it,
-    None at 0 and 2*pi; the piece ending at 2*pi and the one starting at
-    0 make one pocket.  ``distances`` is a ``_Distances`` of the build,
-    and the shut radii are bracketed to width ``tol``.
+    sorted, in the floats of ``gaps`` at the floor: each placement takes
+    its own arc out of them, and only the pieces it cuts get new
+    pockets.  Each piece knows the disks whose arcs bound it, None at 0
+    and 2*pi; the piece ending at 2*pi and the one starting at 0 make
+    one pocket.  ``distances`` is a ``_Distances`` of the build, and the
+    shut radii are bracketed to width ``tol``.
     """
 
     def __init__(self, floor: float, distances, tol: float):
+        # ``_disks`` views the filled columns of a buffer whose capacity
+        # doubles when full
+        self._buffer = np.empty((3, 16))
+        self._disks = self._buffer[:, :0]
         self._floor, self._floor_rho = floor, distances(floor)
         self._distances, self._tol = distances, tol
         whole = _Pocket(None, None, math.inf)
@@ -362,10 +323,30 @@ class _PocketQueue:
             piece[4] = pocket
         self._push(pocket)
 
-    def add(self, disk, key: float) -> None:
-        """Take the floor arc of a new disk, a column of
-        ``_PackingState``, out of the pieces; the pockets of the pieces
-        it cuts get the upper bound ``key``."""
+    def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """The free arcs for a new disk of radius r at distance rho, empty
+        when it fits nowhere: the full probe that accepts every
+        placement."""
+        angle, dist, radius = self._disks
+        q = _cos_half_angle(dist, rho, r + radius)
+        if q.size and q.min() <= -1.0:
+            return np.empty(0), np.empty(0)
+        # Every small disk straddles the unit circle, so
+        # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip.
+        return _uncovered_arcs(*_split_arcs(*_arc_ends(angle, np.arccos(q))))
+
+    def add(self, rho: float, angle: float, r: float, key: float) -> None:
+        """Place a disk of radius r at distance rho and ``angle``: insert
+        its column, and take its floor arc out of the pieces; the pockets
+        of the pieces it cuts get the upper bound ``key``."""
+        n = self._disks.shape[1]
+        if n == self._buffer.shape[1]:
+            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
+        k = int(np.searchsorted(self._disks[0], angle))
+        self._buffer[:, k + 1 : n + 1] = self._buffer[:, k:n]
+        disk = (angle, rho, r)
+        self._buffer[:, k] = disk
+        self._disks = self._buffer[:, : n + 1]
         arc = _arc(disk, self._floor_rho, self._floor)
         if arc is None:
             segments = [(0.0, TWO_PI)]
@@ -414,8 +395,8 @@ class _PocketQueue:
             if last[3] is None and first[2] is None and not (last[4] and last[4].alive):
                 self._pocket(key, last, first)
 
-    def _learn(self, pocket: _Pocket, state, r: float, rho: float) -> bool:
-        """Add to the pocket the disks of ``state`` it does not know whose
+    def _learn(self, pocket: _Pocket, r: float, rho: float) -> bool:
+        """Add to the pocket the placed disks it does not know whose
         arcs, for a new disk of radius r at distance rho, reach its gap at
         the floor: to ``left`` when the disk's center lies before the
         gap's midpoint, to ``right`` when after.  False when there is
@@ -423,16 +404,15 @@ class _PocketQueue:
         floor, floor_rho = self._floor, self._floor_rho
         start = _arc(pocket.left[0], floor_rho, floor)[2]
         width = (_arc(pocket.right[0], floor_rho, floor)[1] - start) % TWO_PI
-        angle, dist, dist2, radius = state._disks
-        q = (rho * rho + dist2 - (r + radius) ** 2) / (2.0 * rho * dist)
+        angle, dist, radius = self._disks
         # at q <= -1 the arc is the whole circle
-        h = np.arccos(np.maximum(q, -1.0))
+        h = np.arccos(np.maximum(_cos_half_angle(dist, rho, r + radius), -1.0))
         # each arc's start, measured from the start of the gap
         lo = (angle - h - start) % TWO_PI
         reach = (lo < width) | (lo + 2.0 * h > TWO_PI)
-        known = {tuple(disk) for disk in pocket.left + pocket.right}
+        known = set(pocket.left + pocket.right)
         learned = False
-        for disk in map(tuple, state._disks[:, reach].T.tolist()):
+        for disk in map(tuple, self._disks[:, reach].T.tolist()):
             if disk not in known:
                 after = (disk[0] - start - 0.5 * width) % TWO_PI < math.pi
                 (pocket.right if after else pocket.left).append(disk)
@@ -463,10 +443,11 @@ class _PocketQueue:
         pocket.solved = True
         return True
 
-    def largest_fit(self, state, r: float, rho: float):
+    def largest_fit(self, r: float, rho: float):
         """The largest radius at most r, up to the tolerance, that fits
-        in ``state``, with its center distance and free arcs; None when
-        no pocket is left.  r is the last radius placed, at distance rho.
+        among the placed disks, with its center distance and free arcs;
+        None when no pocket is left.  r is the last radius placed, at
+        distance rho.
 
         Pockets come off the heap until the top one is solved; its key,
         capped at r, is the radius, which the full probe must accept.
@@ -487,11 +468,11 @@ class _PocketQueue:
                     self._push(pocket)
                 continue
             c, c_rho = (pocket.key, pocket.rho) if pocket.key < r else (r, rho)
-            found = state.gaps(c_rho, c)
+            found = self.gaps(c_rho, c)
             if found[1].size:
                 return c, c_rho, found
             heapq.heappop(heap)
-            pocket.alive = self._learn(pocket, state, c, c_rho)
+            pocket.alive = self._learn(pocket, c, c_rho)
             pocket.key, pocket.rho, pocket.solved = c, c_rho, False
             self._push(pocket)
         return None
@@ -527,7 +508,6 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
     if not isinstance(cfg, SurroundedBallConfig):
         raise TypeError("cfg must be a SurroundedBallConfig")
     rng = np.random.default_rng(cfg.seed % 2**63)
-    state = _PackingState()
     centers, radii = [(0.0, 0.0)], [1.0]
     floor = cfg.delta * 1e-3
     distances = _Distances(cfg.eps, floor, cfg.delta)
@@ -535,7 +515,7 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
     r, rho = cfg.delta, distances(cfg.delta)
     stop = "n_max"
     for _ in range(int(cfg.n_max)):
-        fit = pockets.largest_fit(state, r, rho)
+        fit = pockets.largest_fit(r, rho)
         if fit is None:
             stop = "radius floor"
             break
@@ -547,8 +527,7 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
         slot = int(np.searchsorted(offsets, u, side="right")) - 1
         slot = min(max(slot, 0), widths.size - 1)
         angle = float(gap_starts[slot] + (u - offsets[slot])) % TWO_PI
-        state.add(rho, angle, r)
-        pockets.add((angle, rho, rho * rho, r), r)
+        pockets.add(rho, angle, r, r)
         centers.append((rho * math.cos(angle), rho * math.sin(angle)))
         radii.append(r)
     return BallCollection.from_arrays(centers, radii), stop

@@ -290,8 +290,9 @@ def center_distance_for_overlap(
     hyperplane.  Newton steps on that slope, safeguarded by bisection of
     the bracket (r_big - r_small, r_big + r_small) and started at its
     midpoint, converge to machine precision.  ``_overlap_distance`` runs
-    these steps; the packing search starts them near the root, between
-    the distances of two radii it has already solved.
+    these steps from any start; the packing's ``_Distances`` starts them
+    near the root, interpolated between the distances of two radii it
+    has already solved.
     """
     r_small, r_big, eps = float(r_small), float(r_big), float(eps)
     if not 0.0 < eps < 0.5:
@@ -345,15 +346,6 @@ def _overlap_distance(
             return nxt
         rho = nxt
     return rho
-
-
-def _interpolated_start(r: float, a: float, rho_a: float, b: float, rho_b: float) -> float:
-    """Start of ``_overlap_distance`` at radius r from the distances
-    rho_a, rho_b solved at radii a, b: the linear interpolation between
-    them, nan (the midpoint start) when a == b."""
-    if a == b:
-        return math.nan
-    return rho_a + (r - a) * ((rho_b - rho_a) / (b - a))
 
 
 def union_components(starts, ends) -> tuple[np.ndarray, np.ndarray]:
@@ -457,6 +449,16 @@ def _coincidence_groups(
 # exact 2d boundary of a union of disks
 
 
+def _cos_half_angle(d, r, s):
+    """The law of cosines for the arc of a circle of radius r that an
+    open disk of radius s at center distance d covers: the disk covers
+    the angles from its direction whose cosine exceeds the result, so
+    every angle but at most one when it is at most -1 and none when it is
+    at least 1.  Written in operators only, it takes floats and arrays
+    alike."""
+    return (d * d + r * r - s * s) / (2.0 * d * r)
+
+
 def _arc_ends(
     centers: np.ndarray, halfwidths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -517,7 +519,7 @@ def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndar
     # a coincident center it covers all of a smaller circle or none
     same = rho <= COINCIDENCE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        cosphi = (rho * rho + r * r - s * s) / (2.0 * rho * r)
+        cosphi = _cos_half_angle(rho, r, s)
     free[owner[np.where(same, s > r, cosphi <= -1.0)]] = False
     arc = ~same & (cosphi < 1.0) & free[owner]
     circle, phi = owner[arc], np.arccos(cosphi[arc])
@@ -600,7 +602,7 @@ def free_arc_length_in_disk(
     r, radius = balls.radii, float(radius)
     dist = np.hypot(toward[:, 0], toward[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = (dist * dist + r * r - radius * radius) / (2.0 * dist * r)
+        c = _cos_half_angle(dist, r, radius)
     phi = np.arccos(np.clip(c, -1.0, 1.0))
     theta = np.arctan2(toward[:, 1], toward[:, 0])
     # a circle inside the probe counts whole; one outside it or at its

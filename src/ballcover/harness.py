@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -477,20 +478,21 @@ def run_corpus(
     count = int(count)
     if count < 1:
         raise ValueError("count must be at least 1")
-    args = [
-        (check_id, int(dimension), int(master_seed), index, eps_values, lam)
-        for index in range(count)
-    ]
+    # one iterable per parameter of _corpus_instance; the range ends them
+    args = (
+        repeat(check_id),
+        repeat(int(dimension)),
+        repeat(int(master_seed)),
+        range(count),
+        repeat(eps_values),
+        repeat(lam),
+    )
     if int(jobs) > 1:
         with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-            reports = list(pool.map(_corpus_worker, args, chunksize=8))
+            reports = list(pool.map(_corpus_instance, *args, chunksize=8))
     else:
-        reports = [_corpus_worker(a) for a in args]
+        reports = list(map(_corpus_instance, *args))
     return sorted(reports, key=lambda rep: rep.instance_id)
-
-
-def _corpus_worker(packed) -> CheckReport:
-    return _corpus_instance(*packed)
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import pytest
 from ballcover import geometry
 from ballcover.counterexample import (
     SurroundedBallConfig,
+    _arc,
     _Distances,
-    _PackingState,
     _PocketQueue,
     build_fig1,
     build_reverse_example,
@@ -25,6 +25,8 @@ from ballcover.counterexample import (
     build_surrounded_ball_detailed,
 )
 from ballcover.geometry import (
+    _arc_ends,
+    _cos_half_angle,
     _lens_volumes,
     free_arc_length_in_disk,
     union_perimeter,
@@ -170,16 +172,16 @@ _SHRINK_CFG = SurroundedBallConfig(eps=0.05, delta=0.3, n_max=8000, seed=7)
 @pytest.fixture(scope="module")
 def shrinking_packing():
     """The packing of _SHRINK_CFG and the number of full probes
-    (``_PackingState.gaps`` calls) that built it."""
+    (``_PocketQueue.gaps`` calls) that built it."""
     calls = []
-    probe = _PackingState.gaps
+    probe = _PocketQueue.gaps
 
     def spy(self, rho, r):
         calls.append(r)
         return probe(self, rho, r)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_PackingState, "gaps", spy)
+        patch.setattr(_PocketQueue, "gaps", spy)
         balls = build_surrounded_ball(_SHRINK_CFG)
     return balls, len(calls)
 
@@ -222,13 +224,13 @@ class _LinearDistances:
         return _linear_distance(r)
 
 
-def _probe_bisection(state, distance, lo: float, hi: float) -> float | None:
-    """The largest radius in [lo, hi] that the probe of ``state`` accepts
+def _probe_bisection(queue, distance, lo: float, hi: float) -> float | None:
+    """The largest radius in [lo, hi] that the probe of ``queue`` accepts
     at center distance ``distance(r)``, by halving [lo, hi] 50 times,
     which leaves less than 3e-16 of [0, 0.3]; None when it rejects lo."""
 
     def fits(r: float) -> bool:
-        return state.gaps(distance(r), r)[1].size > 0
+        return queue.gaps(distance(r), r)[1].size > 0
 
     if fits(hi):
         return hi
@@ -240,29 +242,38 @@ def _probe_bisection(state, distance, lo: float, hi: float) -> float | None:
     return lo
 
 
+def _straddling_disks(rng, count: int):
+    """``count`` random (center distance, angle, radius) of small disks
+    that straddle the unit circle, as the packing's do."""
+    for _ in range(count):
+        r = rng.uniform(0.005, 0.3)
+        yield 1.0 + rng.uniform(-0.5, 0.5) * r, rng.uniform(0.0, 2.0 * math.pi), r
+
+
 def _third_disk_states():
-    """Packing states of 10 to 40 random straddling disks in which radius
-    ``_THIRD_DISK_LO`` fits and ``_THIRD_DISK_HI`` does not, each with the
-    largest radius that fits by a bisection on the probe.  The center
-    distance ``_linear_distance`` grows with the radius, so the disks'
-    arcs grow at unlike rates."""
+    """Pocket queues at floor ``_THIRD_DISK_LO`` holding 10 to 40 random
+    straddling disks, added in no order of radius under the key
+    ``_THIRD_DISK_HI``, in which radius ``_THIRD_DISK_LO`` fits and
+    ``_THIRD_DISK_HI`` does not, each with the largest radius that fits
+    by a bisection on the probe.  The center distance
+    ``_linear_distance`` grows with the radius, so the disks' arcs grow
+    at unlike rates."""
     rng = np.random.default_rng(5)
     for _ in range(600):
-        state = _PackingState()
-        for _ in range(int(rng.integers(10, 40))):
-            r = rng.uniform(0.005, 0.3)
-            state.add(1.0 + rng.uniform(-0.5, 0.5) * r, rng.uniform(0.0, 2.0 * math.pi), r)
-        want = _probe_bisection(state, _linear_distance, _THIRD_DISK_LO, _THIRD_DISK_HI)
+        queue = _PocketQueue(_THIRD_DISK_LO, _LinearDistances(), 1e-14)
+        for rho, angle, r in _straddling_disks(rng, int(rng.integers(10, 40))):
+            queue.add(rho, angle, r, _THIRD_DISK_HI)
+        want = _probe_bisection(queue, _linear_distance, _THIRD_DISK_LO, _THIRD_DISK_HI)
         if want is not None and want < _THIRD_DISK_HI:
-            yield state, want
+            yield queue, want
 
 
-def _assert_fit(state, found, want: float, distance=_linear_distance) -> None:
+def _assert_fit(queue, found, want: float, distance=_linear_distance) -> None:
     """A search's (radius, distance, free arcs) is the probe's own at its
     radius, which lies within 1e-13 of the bisection's ``want``."""
     r, rho, gaps = found
     assert rho == distance(r)
-    assert [a.tolist() for a in gaps] == [a.tolist() for a in state.gaps(rho, r)]
+    assert [a.tolist() for a in gaps] == [a.tolist() for a in queue.gaps(rho, r)]
     assert gaps[1].size > 0
     assert abs(r - want) <= 1e-13
 
@@ -393,16 +404,44 @@ class TestBuildSurroundedBall:
     def test_packing_state_inserts_in_angle_order_past_its_capacity(self):
         # The buffer doubles several times; its filled columns must equal
         # an array grown by np.insert, including an angle placed twice.
+        # The disks straddle the unit circle, as the packing's do, so
+        # their floor arcs, which add also takes, are finite.
         rng = np.random.default_rng(11)
-        state, want = _PackingState(), np.empty((4, 0))
+        queue = _PocketQueue(_THIRD_DISK_LO, _LinearDistances(), 1e-14)
+        want = np.empty((3, 0))
         angles = rng.uniform(0.0, 2.0 * math.pi, 150)
         angles[7] = angles[3]
         for angle in angles.tolist():
-            rho, r = 1.0 + rng.uniform(-0.1, 0.1), rng.uniform(0.01, 0.1)
-            state.add(rho, angle, r)
+            r = rng.uniform(0.01, 0.1)
+            rho = 1.0 + rng.uniform(-0.5, 0.5) * r
+            queue.add(rho, angle, r, r)
             k = int(np.searchsorted(want[0], angle))
-            want = np.insert(want, k, (angle, rho, rho * rho, r), axis=1)
-            assert np.array_equal(state._disks, want)
+            want = np.insert(want, k, (angle, rho, r), axis=1)
+            assert np.array_equal(queue._disks, want)
+
+    @pytest.mark.parametrize("r", [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI])
+    def test_scalar_arc_matches_the_vector_kernel(self, r):
+        # _Pocket.opening reads each arc from _arc, and the probe takes
+        # the vector kernel and _arc_ends; the probe finds a gap exactly
+        # when the opening is positive only if both give the same floats.
+        # The last disk holds the whole circle of distance rho, so it
+        # blocks every angle.
+        rng = np.random.default_rng(13)
+        rho = _linear_distance(r)
+        for _ in range(20):
+            disks = [(angle, dist, s) for dist, angle, s in _straddling_disks(rng, 30)]
+            disks.append((rng.uniform(0.0, 2.0 * math.pi), 1.0, 2.0))
+            angle, dist, radius = np.array(disks).T
+            q = _cos_half_angle(dist, rho, r + radius)
+            h = np.arccos(np.maximum(q, -1.0))
+            lo, hi = _arc_ends(angle, h)
+            vector = zip(q.tolist(), h.tolist(), lo.tolist(), hi.tolist())
+            for disk, (qk, *arc) in zip(disks, vector):
+                if qk <= -1.0:
+                    assert _arc(disk, rho, r) is None and arc[0] == math.pi
+                else:
+                    assert _arc(disk, rho, r) == tuple(arc)
+            assert q[-1] <= -1.0
 
     def test_pocket_queue_matches_a_bisection_on_the_probe(self):
         # Pockets at the floor are solved each on its own two disks, so
@@ -412,32 +451,27 @@ class TestBuildSurroundedBall:
         # placements, each in the middle of the first free arc, must each
         # be the largest radius that fits by a bisection on the probe.
         accepted = []
-        probe = _PackingState.gaps
+        probe = _PocketQueue.gaps
 
-        def spy(state, rho, r):
-            found = probe(state, rho, r)
+        def spy(queue, rho, r):
+            found = probe(queue, rho, r)
             accepted.append(found[1].size > 0)
             return found
 
         lo, hi, searched, placed = _THIRD_DISK_LO, _THIRD_DISK_HI, 0, 0
-        for state, want in _third_disk_states():
-            queue = _PocketQueue(lo, _LinearDistances(), 1e-14)
-            for disk in state._disks.T.tolist():
-                queue.add(disk, hi)
+        for queue, want in _third_disk_states():
             r, rho = hi, _linear_distance(hi)
             for _ in range(21):
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(_PackingState, "gaps", spy)
-                    found = queue.largest_fit(state, r, rho)
+                    patch.setattr(_PocketQueue, "gaps", spy)
+                    found = queue.largest_fit(r, rho)
                 if want is None:
                     assert found is None
                     break
-                _assert_fit(state, found, want)
+                _assert_fit(queue, found, want)
                 r, rho, (starts, ends) = found
-                angle = 0.5 * (starts[0] + ends[0])
-                state.add(rho, angle, r)
-                queue.add((angle, rho, rho * rho, r), r)
-                want = _probe_bisection(state, _linear_distance, lo, r)
+                queue.add(rho, 0.5 * (starts[0] + ends[0]), r, r)
+                want = _probe_bisection(queue, _linear_distance, lo, r)
                 placed += 1
             searched += 1
         # each search ends with the one probe that accepts its radius;
@@ -455,12 +489,11 @@ class TestBuildSurroundedBall:
         floor = 0.3e-3
         distances = _Distances(0.05, floor, 0.3)
         rho = distances(0.3)
-        state, queue = _PackingState(), _PocketQueue(floor, distances, 0.3e-14)
-        state.add(rho, angle, 0.3)
-        queue.add((angle, rho, rho * rho, 0.3), 0.3)
+        queue = _PocketQueue(floor, distances, 0.3e-14)
+        queue.add(rho, angle, 0.3, 0.3)
         assert any(pocket.alive for *_, pocket in queue._heap)
-        found = queue.largest_fit(state, 0.3, rho)
-        _assert_fit(state, found, _probe_bisection(state, distances, floor, 0.3), distances)
+        found = queue.largest_fit(0.3, rho)
+        _assert_fit(queue, found, _probe_bisection(queue, distances, floor, 0.3), distances)
 
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.02])
     def test_radii_never_grow_and_each_shrinking_radius_is_the_largest(self, eps):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballcover import geometry
+from ballcover.counterexample import _Distances
 from ballcover.geometry import (
     ARC_TOL,
     COINCIDENCE_TOL,
@@ -209,9 +210,7 @@ def test_warm_overlap_solve_matches_the_midpoint_start(eps):
         cold = center_distance_for_overlap(r, 1.0, eps, 2)
         for h in (0.5, 1e-3, 1e-8, 1e-14):
             a, b = r * (1.0 - h), min(r * (1.0 + h), 1.0)
-            rho_a = center_distance_for_overlap(a, 1.0, eps, 2)
-            rho_b = center_distance_for_overlap(b, 1.0, eps, 2)
-            start = geometry._interpolated_start(r, a, rho_a, b, rho_b)
+            start = _Distances(eps, a, b).estimate(r)
             warm = geometry._overlap_distance(r, 1.0, eps, 2, start)
             assert abs(warm - cold) <= 4.0 * np.spacing(cold), (r, h)
             lens = geometry._lens_volumes(r, 1.0, warm, 2)
@@ -223,9 +222,7 @@ def test_warm_overlap_solve_matches_the_midpoint_start(eps):
 def test_overlap_solve_without_a_usable_start_starts_at_the_midpoint(eps):
     for r in (3e-4, 0.02, 0.3, 1.0):
         cold = center_distance_for_overlap(r, 1.0, eps, 2)
-        degenerate = geometry._interpolated_start(r, r, cold, r, cold)
-        assert math.isnan(degenerate)
-        for start in (degenerate, 1.0 - r, 1.0 + r, 1.0 + 2.0 * r, -1.0, math.inf):
+        for start in (math.nan, 1.0 - r, 1.0 + r, 1.0 + 2.0 * r, -1.0, math.inf):
             assert geometry._overlap_distance(r, 1.0, eps, 2, start) == cold, start
 
 

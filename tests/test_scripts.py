@@ -47,12 +47,14 @@ def test_packing_timing_prints_one_json_line_per_eps(capsys):
     assert [row["eps"] for row in rows] == [0.2, 0.05]
     for row in rows:
         assert set(row) == {
-            "eps", "disks", "stop", "shrinking", "pocket_solves", "rejections", "trials",
-            "solves", "cap_volumes", "probes", "best_s", "repeats", "nproc", "commit",
+            "eps", "disks", "stop", "shrinking", "pocket_solves", "rejections", "retired",
+            "trials", "solves", "cap_volumes", "probes", "best_s", "repeats", "nproc",
+            "commit",
         }
         assert row["disks"] == 60 and row["stop"] == "n_max"
         assert 0 < row["pocket_solves"] <= row["solves"] <= row["trials"]
         assert 0 <= row["rejections"] < row["pocket_solves"]
+        assert 0 <= row["retired"] <= row["rejections"]
         assert row["cap_volumes"] >= 2 * row["solves"]
         # one probe accepts each placement; every other one is a rejection
         assert row["probes"] == row["disks"] + row["rejections"] and row["best_s"] > 0.0
