@@ -15,7 +15,10 @@ distances),
 ``solves`` (overlap solves, the two cold solves before the first
 placement not counted) and ``cap_volumes`` (scalar cap kernel calls,
 all inside the overlap solves); ``probes``, the full probes of the
-build; the best of ``repeats`` build times ``best_s`` in wall seconds;
+build; ``probe_s`` and ``solve_s``, the wall seconds spent inside the
+full probes and inside the ``_shut_radius`` calls of that build, with
+the cost of counting the calls within them; the best of ``repeats``
+build times ``best_s`` in wall seconds;
 the processors this process may use ``nproc`` and the ``commit`` of the
 ``ballcover`` sources measured.  The calls are counted in one extra
 build, outside the timed ones.
@@ -57,10 +60,16 @@ def counted():
     makes while the block runs."""
     calls = Counter()
 
-    def counting(key, real):
+    def counting(key, real, seconds=None):
         def wrapper(*args):
             calls[key] += 1
-            return real(*args)
+            if seconds is None:
+                return real(*args)
+            start = time.perf_counter()
+            try:
+                return real(*args)
+            finally:
+                calls[seconds] += time.perf_counter() - start
 
         return wrapper
 
@@ -81,8 +90,8 @@ def counted():
         for owner, name, wrapper in [
             (geometry, "_cap_volume", counting("cap_volumes", geometry._cap_volume)),
             (search, "_overlap_distance", counting("solves", search._overlap_distance)),
-            (queue, "gaps", counting("probes", queue.gaps)),
-            (search, "_shut_radius", counting("pocket_solves", search._shut_radius)),
+            (queue, "gaps", counting("probes", queue.gaps, "probe_s")),
+            (search, "_shut_radius", counting("pocket_solves", search._shut_radius, "solve_s")),
             (queue, "_learn", rejections),
             (search, "_secant", trials),
         ]:
@@ -129,6 +138,8 @@ def main(argv=None) -> int:
             "solves": calls["solves"],
             "cap_volumes": calls["cap_volumes"],
             "probes": calls["probes"],
+            "probe_s": calls["probe_s"],
+            "solve_s": calls["solve_s"],
             "best_s": best,
             "repeats": args.repeats,
             "nproc": len(os.sched_getaffinity(0)),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,11 +33,8 @@ import numpy as np
 from .geometry import (
     TWO_PI,
     BallCollection,
-    _arc_ends,
     _cos_half_angle,
     _overlap_distance,
-    _split_arcs,
-    _uncovered_arcs,
     center_distance_for_overlap,
 )
 
@@ -183,22 +181,24 @@ class _Distances:
         self._radii = sorted(radii)
         self._rhos = [center_distance_for_overlap(r, 1.0, eps, 2) for r in self._radii]
 
-    def estimate(self, r: float) -> float:
-        """The distance of r if it was solved, else the start its solve
-        takes: the interpolation between the solved radii on either side."""
+    def _between(self, k: int, r: float) -> float:
+        """The distance interpolated at r between the solved radii k - 1
+        and k."""
         radii, rhos = self._radii, self._rhos
-        k = bisect.bisect_left(radii, r)
-        if radii[k] == r:
-            return rhos[k]
         a, b, rho_a, rho_b = radii[k - 1], radii[k], rhos[k - 1], rhos[k]
         return rho_a + (r - a) * ((rho_b - rho_a) / (b - a))
 
+    def estimate(self, r: float) -> float:
+        """The distance of r if it was solved, else the start its solve
+        takes: the interpolation between the solved radii on either side."""
+        k = bisect.bisect_left(self._radii, r)
+        return self._rhos[k] if self._radii[k] == r else self._between(k, r)
+
     def __call__(self, r: float) -> float:
-        start = self.estimate(r)
         k = bisect.bisect_left(self._radii, r)
         if self._radii[k] == r:
-            return start
-        rho = _overlap_distance(r, 1.0, self._eps, 2, start)
+            return self._rhos[k]
+        rho = _overlap_distance(r, 1.0, self._eps, 2, self._between(k, r))
         self._radii.insert(k, r)
         self._rhos.insert(k, rho)
         return rho
@@ -219,6 +219,57 @@ def _arc(disk, rho: float, r: float) -> tuple[float, float, float] | None:
     return h, lo, lo + 2.0 * h
 
 
+def _pair_opening(left, right):
+    """The opening of a gap between the arc of the placed disk ``left``
+    and that of ``right``, each its column of ``_PocketQueue`` (angle,
+    center distance, radius), as a function of a new disk's center
+    distance rho and radius r: the width from the end of the left arc to
+    the start of the right one, at most 0 when they shut the gap, and
+    -pi when either arc is the whole circle.
+
+    The width is taken in the floats of the full probe, from the end of
+    the left arc (less 2*pi past 2*pi) to the start of the right one, or
+    as the sum of the probe's two pieces when the gap runs across
+    0 = 2*pi.  So the probe finds the gap exactly when the opening is
+    positive, unless the arc of a disk the pocket does not know reaches
+    into it.  The angle between the two centers less both half-widths
+    tells the cases apart."""
+    left_angle, left_dist, left_radius = left
+    right_angle, right_dist, right_radius = right
+    span = right_angle - left_angle
+    if span <= 0.0:
+        span += TWO_PI
+
+    def opening(rho: float, r: float) -> float:
+        q = _cos_half_angle(left_dist, rho, r + left_radius)
+        if q <= -1.0:
+            return -math.pi
+        h_left = float(np.arccos(q))
+        q = _cos_half_angle(right_dist, rho, r + right_radius)
+        if q <= -1.0:
+            return -math.pi
+        h_right = float(np.arccos(q))
+        end = left_angle - h_left
+        if end < 0.0:
+            end += TWO_PI
+        end += 2.0 * h_left
+        if end > TWO_PI:
+            end -= TWO_PI
+        start = right_angle - h_right
+        if start < 0.0:
+            start += TWO_PI
+        approx = span - h_left - h_right
+        gap = start - end
+        if gap < approx - math.pi:
+            gap = (TWO_PI - end) + start
+        elif gap > approx + math.pi:
+            # the arcs overlap across 0 = 2*pi
+            gap = approx
+        return gap
+
+    return opening
+
+
 class _Pocket:
     """A gap at the radius floor and ``key``, an upper bound on the radius
     it can take.
@@ -231,9 +282,10 @@ class _Pocket:
     disks whose arcs the probe finds in the gap at a radius it rejects.
     Radii never grow, so until the pocket is ``solved`` the radius of the
     placement that made it, or the rejected radius at center distance
-    ``rho``, is one; then it is the radius at which the pocket shuts, or
-    the last radius while the pocket was still open there, at distance
-    ``rho``.  A placement that cuts the gap retires the pocket."""
+    ``rho``, is one; then it is the radius at which ``opening`` shuts the
+    pocket, or the last radius while the pocket was still open there, at
+    distance ``rho``.  A placement that cuts the gap retires the
+    pocket."""
 
     __slots__ = ("left", "right", "key", "rho", "solved", "alive")
 
@@ -241,40 +293,24 @@ class _Pocket:
         self.left, self.right, self.key = [left], [right], key
         self.rho, self.solved, self.alive = math.nan, False, True
 
-    def opening(self, rho: float, r: float) -> float:
-        """Width of the gap for a new disk of radius r at distance rho, at
-        most 0 when it is shut: the least over the (left, right) pairs of
-        disks of the width from the end of the left one's arc to the
-        start of the right one's.
+    def opening(self):
+        """The width of the gap as a function of a new disk's center
+        distance rho and radius r, at most 0 when it is shut: the least
+        over the (left, right) pairs of disks of ``_pair_opening``, and
+        -pi when any arc is the whole circle.  Its disks are bound once,
+        so take it anew after the pocket learns a disk."""
+        pairs = [_pair_opening(left, right) for left in self.left for right in self.right]
+        if len(pairs) == 1:
+            return pairs[0]
 
-        Each width is taken in the floats of the probe, from the end of
-        the left arc (less 2*pi past 2*pi) to the start of the right one,
-        or as the sum of the probe's two pieces when the gap runs across
-        0 = 2*pi.  So the probe finds the gap exactly when the opening is
-        positive, unless the arc of a disk the pocket does not know
-        reaches into it.  The angle between the two centers less both
-        half-widths tells the cases apart."""
-        width = math.inf
-        for left in self.left:
-            arc_left = _arc(left, rho, r)
-            for right in self.right:
-                arc_right = _arc(right, rho, r)
-                if arc_left is None or arc_right is None:
-                    return -math.pi
-                (h_left, _, end), (h_right, start, _) = arc_left, arc_right
-                span = right[0] - left[0]
-                approx = (span if span > 0.0 else span + TWO_PI) - h_left - h_right
-                if end > TWO_PI:
-                    end -= TWO_PI
-                gap = start - end
-                if gap < approx - math.pi:
-                    gap = (TWO_PI - end) + start
-                elif gap > approx + math.pi:
-                    # the arcs overlap across 0 = 2*pi
-                    gap = approx
-                if gap < width:
-                    width = gap
-        return width
+        def opening(rho: float, r: float) -> float:
+            widths = [pair(rho, r) for pair in pairs]
+            # -pi marks a pair with an arc of the whole circle (bar a
+            # width of exactly -pi, a tie of measure zero), and then the
+            # pocket gives -pi even where another pair is narrower
+            return -math.pi if -math.pi in widths else min(widths)
+
+        return opening
 
 
 class _PocketQueue:
@@ -284,10 +320,9 @@ class _PocketQueue:
     when the heap is empty.
 
     The disks are kept in polar form, sorted by angle: one column per
-    disk of angle, center distance and radius.  In angle order the
-    blocked arcs of a probe come out nearly sorted by start, which the
-    stable sort of ``union_components`` passes through in about linear
-    time; the union itself does not depend on the order.
+    disk of angle, center distance and radius.  Each blocked arc of a
+    probe holds its disk's angle, so in that order the probe finds the
+    gaps between the arcs with two running extremes and no sort.
 
     The free arcs at the floor are kept as disjoint pieces of [0, 2*pi],
     sorted, in the floats of ``gaps`` at the floor: each placement takes
@@ -326,14 +361,33 @@ class _PocketQueue:
     def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
         """The free arcs for a new disk of radius r at distance rho, empty
         when it fits nowhere: the full probe that accepts every
-        placement."""
+        placement.  Its gaps run from the greatest end of the arcs before
+        them to the least start of the arcs after, in the floats of
+        ``geometry._arc_ends`` and ``geometry._split_arcs`` (no arc
+        starts at -0.0, since every half-width is positive)."""
         angle, dist, radius = self._disks
         q = _cos_half_angle(dist, rho, r + radius)
         if q.size and q.min() <= -1.0:
             return np.empty(0), np.empty(0)
         # Every small disk straddles the unit circle, so
-        # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip.
-        return _uncovered_arcs(*_split_arcs(*_arc_ends(angle, np.arccos(q))))
+        # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip,
+        # and each half-width is at least arccos(1 - 2**-53) > 1.4e-8.
+        h = np.arccos(q)
+        lo = angle - h
+        lo[lo < 0.0] += TWO_PI
+        hi = lo + 2.0 * h
+        over = hi > TWO_PI
+        inside = ~over
+        # An arc inside [0, 2*pi] holds its center angle, so in the angle
+        # order of the store every arc before a gap ends before it and
+        # every arc after starts after it.  The arcs past 2*pi make one
+        # piece [0, max] of their parts past 2*pi and one [min, 2*pi].
+        starts = np.concatenate(([0.0], lo[inside], [lo[over].min(initial=TWO_PI)]))
+        ends = np.concatenate(([hi[over].max(initial=TWO_PI) - TWO_PI], hi[inside], [TWO_PI]))
+        reach = np.maximum.accumulate(ends)[:-1]
+        next_start = np.minimum.accumulate(starts[::-1])[-2::-1]
+        gap = reach < next_start
+        return reach[gap], next_start[gap]
 
     def add(self, rho: float, angle: float, r: float, key: float) -> None:
         """Place a disk of radius r at distance rho and ``angle``: insert
@@ -428,17 +482,18 @@ class _PocketQueue:
         at the floor too, which only rounding across 0 = 2*pi can do."""
         if pocket.key < r:
             r, rho = pocket.key, pocket.rho
-        fb = pocket.opening(rho, r)
+        opening = pocket.opening()
+        fb = opening(rho, r)
         if fb > 0.0:
             pocket.key, pocket.rho = r, rho
         else:
             floor, floor_rho = self._floor, self._floor_rho
-            fa = pocket.opening(floor_rho, floor)
+            fa = opening(floor_rho, floor)
             if fa <= 0.0:
                 pocket.alive = False
                 return False
             pocket.key, pocket.rho = _shut_radius(
-                pocket.opening, self._distances, floor, floor_rho, fa, r, rho, fb, self._tol
+                opening, self._distances, floor, floor_rho, fa, r, rho, fb, self._tol
             )
         pocket.solved = True
         return True
@@ -522,11 +577,11 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
         r, rho, (gap_starts, gap_ends) = fit
         widths = gap_ends - gap_starts
         total = float(widths.sum())
-        offsets = np.concatenate(([0.0], np.cumsum(widths)))
-        u = min(rng.uniform(0.0, total), np.nextafter(total, 0.0))
-        slot = int(np.searchsorted(offsets, u, side="right")) - 1
-        slot = min(max(slot, 0), widths.size - 1)
-        angle = float(gap_starts[slot] + (u - offsets[slot])) % TWO_PI
+        u = min(rng.uniform(0.0, total), math.nextafter(total, 0.0))
+        # the sums in order, as np.cumsum adds them
+        offsets = list(itertools.accumulate(widths.tolist(), initial=0.0))
+        slot = min(bisect.bisect_right(offsets, u), widths.size) - 1
+        angle = (float(gap_starts[slot]) + (u - offsets[slot])) % TWO_PI
         pockets.add(rho, angle, r, r)
         centers.append((rho * math.cos(angle), rho * math.sin(angle)))
         radii.append(r)

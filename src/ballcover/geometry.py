@@ -485,17 +485,6 @@ def _split_arcs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return starts, ends
 
 
-def _uncovered_arcs(
-    starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps of positive width in [0, 2*pi] outside a union of segments."""
-    lo, hi = union_components(starts, ends)
-    gap_lo = np.concatenate(([0.0], hi))
-    gap_hi = np.concatenate((lo, [TWO_PI]))
-    keep = gap_hi - gap_lo > 0.0
-    return gap_lo[keep], gap_hi[keep]
-
-
 def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uncovered angular arcs of every circle against all other open disks.
 

@@ -17,9 +17,13 @@ from scipy import integrate, optimize
 
 from ballcover.geometry import (
     DISJOINT_TOL,
+    TWO_PI,
     BallCollection,
+    _arc_ends,
     _coincidence_groups,
+    _cos_half_angle,
     _lens_volumes,
+    _split_arcs,
     _surface,
     union_components,
     unit_ball_volume,
@@ -378,6 +382,29 @@ def surrounded_disk_fits(centers, radii, r: float, eps: float) -> bool:
         half = math.atan2(math.sqrt(heron), (rho - reach) * (rho + reach) + d * d)
         arcs.append((math.atan2(y, x), half))
     return _covered_angle(arcs) < 2.0 * math.pi
+
+
+def uncovered_arcs(starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps of positive width in [0, 2*pi] outside a union of segments,
+    between the components of ``union_components``, which sorts them."""
+    lo, hi = union_components(starts, ends)
+    gap_lo = np.concatenate(([0.0], hi))
+    gap_hi = np.concatenate((lo, [TWO_PI]))
+    keep = gap_hi - gap_lo > 0.0
+    return gap_lo[keep], gap_hi[keep]
+
+
+def packing_probe_oracle(disks, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The free arcs of ``_PocketQueue.gaps`` among placed disks, given
+    as rows of angle, center distance and radius in any order of the
+    columns, for a new disk of radius r at distance rho: none when an
+    arc is the whole circle, else every arc cut at 2*pi by
+    ``_split_arcs`` and the gaps of their sorted union."""
+    angle, dist, radius = disks
+    q = _cos_half_angle(dist, rho, r + radius)
+    if (q <= -1.0).any():
+        return np.empty(0), np.empty(0)
+    return uncovered_arcs(*_split_arcs(*_arc_ends(angle, np.arccos(q))))
 
 
 def free_arc_lengths_oracle(balls: BallCollection) -> list[float]:

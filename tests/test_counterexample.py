@@ -18,6 +18,8 @@ from ballcover.counterexample import (
     SurroundedBallConfig,
     _arc,
     _Distances,
+    _Pocket,
+    _pair_opening,
     _PocketQueue,
     build_fig1,
     build_reverse_example,
@@ -25,6 +27,7 @@ from ballcover.counterexample import (
     build_surrounded_ball_detailed,
 )
 from ballcover.geometry import (
+    TWO_PI,
     _arc_ends,
     _cos_half_angle,
     _lens_volumes,
@@ -35,7 +38,7 @@ from ballcover.geometry import (
 )
 from ballcover.selection import vitali_select
 
-from oracles import ring_family_perimeter_oracle, surrounded_disk_fits
+from oracles import packing_probe_oracle, ring_family_perimeter_oracle, surrounded_disk_fits
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +281,34 @@ def _assert_fit(queue, found, want: float, distance=_linear_distance) -> None:
     assert abs(r - want) <= 1e-13
 
 
+def _bits(value) -> list[int]:
+    """The bit patterns of floats, so -0.0 and 0.0 differ."""
+    return np.asarray(value, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+def _opening_oracle(left, right, rho: float, r: float) -> float:
+    """The opening of the gap from the arc of ``left`` to that of
+    ``right``, from the two ``_arc`` results: -pi when either is the
+    whole circle, else the end of the left arc (less 2*pi past 2*pi) to
+    the start of the right one, or the sum of the two pieces across
+    0 = 2*pi, or the angle between the centers less both half-widths
+    when the arcs overlap across 0 = 2*pi."""
+    arc_left, arc_right = _arc(left, rho, r), _arc(right, rho, r)
+    if arc_left is None or arc_right is None:
+        return -math.pi
+    (h_left, _, end), (h_right, start, _) = arc_left, arc_right
+    span = right[0] - left[0]
+    approx = (span if span > 0.0 else span + TWO_PI) - h_left - h_right
+    if end > TWO_PI:
+        end -= TWO_PI
+    gap = start - end
+    if gap < approx - math.pi:
+        gap = (TWO_PI - end) + start
+    elif gap > approx + math.pi:
+        gap = approx
+    return gap
+
+
 class TestBuildSurroundedBall:
     CFG = _PACK_CFG
 
@@ -421,9 +452,10 @@ class TestBuildSurroundedBall:
 
     @pytest.mark.parametrize("r", [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI])
     def test_scalar_arc_matches_the_vector_kernel(self, r):
-        # _Pocket.opening reads each arc from _arc, and the probe takes
-        # the vector kernel and _arc_ends; the probe finds a gap exactly
-        # when the opening is positive only if both give the same floats.
+        # add and _learn read each arc from _arc, as the oracle of the
+        # pocket openings does, and the probe takes the vector kernel and
+        # _arc_ends; the probe finds a gap exactly when the opening is
+        # positive only if both give the same floats.
         # The last disk holds the whole circle of distance rho, so it
         # blocks every angle.
         rng = np.random.default_rng(13)
@@ -442,6 +474,100 @@ class TestBuildSurroundedBall:
                 else:
                     assert _arc(disk, rho, r) == tuple(arc)
             assert q[-1] <= -1.0
+
+    def test_pair_opening_matches_its_formula_on_two_arcs(self):
+        # The opening binds its two disks once and takes their arcs
+        # inline; it must give, float for float, the width from the end
+        # of the left _arc to the start of the right one, over gaps
+        # across 0 = 2*pi, left arcs that end past 2*pi, pairs whose arcs
+        # overlap across 0 = 2*pi and disks that hold the whole circle.
+        rng = np.random.default_rng(17)
+        pairs = []
+        for _ in range(60):
+            (rho_l, a_l, s_l), (rho_r, a_r, s_r) = _straddling_disks(rng, 2)
+            pairs.append(((a_l, rho_l, s_l), (a_r, rho_r, s_r)))
+            # a left disk just below 2*pi and a right one just above 0
+            a_l, a_r = TWO_PI - rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)
+            pairs.append(((a_l, rho_l, s_l), (a_r, rho_r, s_r)))
+        whole = (rng.uniform(0.0, TWO_PI), 1.0, 2.0)
+        pairs += [(whole, pairs[0][1]), (pairs[0][0], whole), (whole, whole)]
+        seen = {"across 0": 0, "end past 2*pi": 0, "overlap": 0, "shut": 0}
+        for r in [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI]:
+            for rho in [1.0 - 0.4 * r, 1.0, 1.0 + 0.4 * r]:
+                for left, right in pairs:
+                    want = _opening_oracle(left, right, rho, r)
+                    got = _pair_opening(left, right)(rho, r)
+                    assert _bits(got) == _bits(want), (left, right, rho, r)
+                    arcs = _arc(left, rho, r), _arc(right, rho, r)
+                    if None in arcs:
+                        seen["shut"] += 1
+                        continue
+                    seen["across 0"] += right[0] < left[0]
+                    seen["end past 2*pi"] += arcs[0][2] > TWO_PI
+                    seen["overlap"] += want <= 0.0
+        assert min(seen.values()) > 20, seen
+
+    def test_pocket_opening_is_the_least_over_its_pairs(self):
+        # A pocket with two disks on each side is as wide as its
+        # narrowest pair, and shut at -pi when any arc is the whole
+        # circle; with one disk on each side it is its pair's opening.
+        rng = np.random.default_rng(19)
+        whole = (1.0, 1.0, 2.0)
+        for trial in range(40):
+            disks = [(a, rho, s) for rho, a, s in _straddling_disks(rng, 4)]
+            if trial % 4 == 3:
+                disks[trial % 3] = whole
+            pocket = _Pocket(disks[0], disks[2], 0.3)
+            alone = pocket.opening()
+            pocket.left.append(disks[1])
+            pocket.right.append(disks[3])
+            both = pocket.opening()
+            for r in [_THIRD_DISK_LO, 0.01, 0.1]:
+                rho = _linear_distance(r)
+                pairs = [(left, right) for left in disks[:2] for right in disks[2:]]
+                widths = [_opening_oracle(left, right, rho, r) for left, right in pairs]
+                shut = any(_arc(disk, rho, r) is None for disk in disks)
+                assert _bits(both(rho, r)) == _bits(-math.pi if shut else min(widths))
+                assert _bits(alone(rho, r)) == _bits(widths[0])
+
+    @pytest.mark.parametrize("r", [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI])
+    def test_probe_matches_the_sorted_union_of_split_arcs(self, r):
+        # The probe finds its gaps in the angle order of the store, with
+        # no sort; its gap ends must be, float for float, those of the
+        # arcs cut at 2*pi and joined after a sort.  The states: random
+        # queues, one whose arcs wrap at both ends, one with a disk that
+        # blocks every angle and one with no disk.
+        rng = np.random.default_rng(23)
+        rho = _linear_distance(r)
+        states = [[]]
+        for count in range(1, 41):
+            states.append([(a, d, s) for d, a, s in _straddling_disks(rng, count)])
+        states.append([(0.01, 1.0, 0.05), (TWO_PI - 0.01, 1.0, 0.05), (3.0, 1.0, 0.1)])
+        states.append(states[10] + [(2.0, 1.0, 2.0)])
+        gapless = 0
+        for disks in states:
+            queue = _PocketQueue(_THIRD_DISK_LO, _LinearDistances(), 1e-14)
+            for angle, dist, radius in disks:
+                queue.add(dist, angle, radius, radius)
+            got, want = queue.gaps(rho, r), packing_probe_oracle(queue._disks, rho, r)
+            assert [_bits(a) for a in got] == [_bits(a) for a in want]
+            gapless += want[0].size == 0
+        assert 0 < gapless < len(states) // 2, gapless
+
+    @pytest.mark.parametrize("angle", [6.116559403584584, 0.16662590359500218])
+    def test_probe_matches_the_sorted_union_where_an_arc_ends_at_0(self, angle):
+        # At the floor, the arc of a first disk at these angles ends at
+        # exactly 2*pi or starts at exactly 0 (eps 0.05, delta 0.3).
+        floor = 0.3e-3
+        distances = _Distances(0.05, floor, 0.3)
+        queue = _PocketQueue(floor, distances, 0.3e-14)
+        queue.add(distances(0.3), angle, 0.3, 0.3)
+        _, lo, hi = _arc(tuple(queue._disks[:, 0]), distances(floor), floor)
+        assert hi == TWO_PI or lo == 0.0
+        for r in [floor, 0.01, 0.3]:
+            got = queue.gaps(distances(r), r)
+            want = packing_probe_oracle(queue._disks, distances(r), r)
+            assert [_bits(a) for a in got] == [_bits(a) for a in want]
 
     def test_pocket_queue_matches_a_bisection_on_the_probe(self):
         # Pockets at the floor are solved each on its own two disks, so

@@ -648,8 +648,9 @@ def test_split_arcs_matches_modulo_form(arcs):
 
 
 def _leaves_gap(starts, ends) -> bool:
-    """The packing probe's verdict: ``_uncovered_arcs`` finds a gap."""
-    return geometry._uncovered_arcs(starts, ends)[0].size > 0
+    """The verdict of the packing probe's oracle: ``uncovered_arcs``
+    finds a gap."""
+    return oracles.uncovered_arcs(starts, ends)[0].size > 0
 
 
 def _gap_total_rule(starts, ends) -> bool:

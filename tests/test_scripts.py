@@ -48,8 +48,8 @@ def test_packing_timing_prints_one_json_line_per_eps(capsys):
     for row in rows:
         assert set(row) == {
             "eps", "disks", "stop", "shrinking", "pocket_solves", "rejections", "retired",
-            "trials", "solves", "cap_volumes", "probes", "best_s", "repeats", "nproc",
-            "commit",
+            "trials", "solves", "cap_volumes", "probes", "probe_s", "solve_s", "best_s",
+            "repeats", "nproc", "commit",
         }
         assert row["disks"] == 60 and row["stop"] == "n_max"
         assert 0 < row["pocket_solves"] <= row["solves"] <= row["trials"]
@@ -58,4 +58,5 @@ def test_packing_timing_prints_one_json_line_per_eps(capsys):
         assert row["cap_volumes"] >= 2 * row["solves"]
         # one probe accepts each placement; every other one is a rejection
         assert row["probes"] == row["disks"] + row["rejections"] and row["best_s"] > 0.0
+        assert row["probe_s"] > 0.0 and row["solve_s"] > 0.0
         assert row["repeats"] == 1 and row["nproc"] >= 1
