@@ -554,21 +554,6 @@ class TestBuildSurroundedBall:
             gapless += want[0].size == 0
         assert 0 < gapless < len(states) // 2, gapless
 
-    @pytest.mark.parametrize("angle", [6.116559403584584, 0.16662590359500218])
-    def test_probe_matches_the_sorted_union_where_an_arc_ends_at_0(self, angle):
-        # At the floor, the arc of a first disk at these angles ends at
-        # exactly 2*pi or starts at exactly 0 (eps 0.05, delta 0.3).
-        floor = 0.3e-3
-        distances = _Distances(0.05, floor, 0.3)
-        queue = _PocketQueue(floor, distances, 0.3e-14)
-        queue.add(distances(0.3), angle, 0.3, 0.3)
-        _, lo, hi = _arc(tuple(queue._disks[:, 0]), distances(floor), floor)
-        assert hi == TWO_PI or lo == 0.0
-        for r in [floor, 0.01, 0.3]:
-            got = queue.gaps(distances(r), r)
-            want = packing_probe_oracle(queue._disks, distances(r), r)
-            assert [_bits(a) for a in got] == [_bits(a) for a in want]
-
     def test_pocket_queue_matches_a_bisection_on_the_probe(self):
         # Pockets at the floor are solved each on its own two disks, so
         # where the arc of a third disk shuts the top pocket first, the
@@ -612,11 +597,18 @@ class TestBuildSurroundedBall:
         # radius delta at the first angle ends at exactly 2*pi, and at the
         # second it starts at exactly 0.  The free piece on the other side
         # of 0 = 2*pi is bounded by that disk too, so it gets a pocket.
+        # The probe's gaps there must be those of the sorted union.
         floor = 0.3e-3
         distances = _Distances(0.05, floor, 0.3)
         rho = distances(0.3)
         queue = _PocketQueue(floor, distances, 0.3e-14)
         queue.add(rho, angle, 0.3, 0.3)
+        _, lo, hi = _arc(tuple(queue._disks[:, 0]), distances(floor), floor)
+        assert hi == TWO_PI or lo == 0.0
+        for r in [floor, 0.01, 0.3]:
+            got = queue.gaps(distances(r), r)
+            want = packing_probe_oracle(queue._disks, distances(r), r)
+            assert [_bits(a) for a in got] == [_bits(a) for a in want]
         assert any(pocket.alive for *_, pocket in queue._heap)
         found = queue.largest_fit(0.3, rho)
         _assert_fit(queue, found, _probe_bisection(queue, distances, floor, 0.3), distances)
