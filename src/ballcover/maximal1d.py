@@ -168,7 +168,7 @@ def _superlevel_components(f: StepFunction, levels: np.ndarray):
     falls = slope < 0
     early = falls & (pm[:, :-1] < g[:, :-1])
     late = falls & (sm[:, 1:] > g[:, 1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         early_hi = np.minimum(left + (pm[:, :-1] - g[:, :-1]) / slope, right)
         late_lo = np.maximum(right + (sm[:, 1:] - g[:, 1:]) / slope, left)
         head_lo = xs[0] - (sm[:, 0] - g[:, 0]) / levels

@@ -21,6 +21,7 @@ from ballcover.counterexample import (
     _Pocket,
     _pair_opening,
     _PocketQueue,
+    _secant,
     build_fig1,
     build_reverse_example,
     build_surrounded_ball,
@@ -253,17 +254,23 @@ def _straddling_disks(rng, count: int):
         yield 1.0 + rng.uniform(-0.5, 0.5) * r, rng.uniform(0.0, 2.0 * math.pi), r
 
 
+def _queue(first: float = _THIRD_DISK_HI) -> _PocketQueue:
+    """A pocket queue at floor ``_THIRD_DISK_LO`` on ``_LinearDistances``
+    whose first disk, at angle 0, has radius ``first``."""
+    return _PocketQueue(_THIRD_DISK_LO, _LinearDistances(), 1e-14, first)
+
+
 def _third_disk_states():
-    """Pocket queues at floor ``_THIRD_DISK_LO`` holding 10 to 40 random
-    straddling disks, added in no order of radius under the key
-    ``_THIRD_DISK_HI``, in which radius ``_THIRD_DISK_LO`` fits and
-    ``_THIRD_DISK_HI`` does not, each with the largest radius that fits
-    by a bisection on the probe.  The center distance
-    ``_linear_distance`` grows with the radius, so the disks' arcs grow
-    at unlike rates."""
+    """Pocket queues at floor ``_THIRD_DISK_LO`` holding, after their
+    first disk, 10 to 40 random straddling disks, added in no order of
+    radius under the key ``_THIRD_DISK_HI``, in which radius
+    ``_THIRD_DISK_LO`` fits and ``_THIRD_DISK_HI`` does not, each with
+    the largest radius that fits by a bisection on the probe.  The
+    center distance ``_linear_distance`` grows with the radius, so the
+    disks' arcs grow at unlike rates."""
     rng = np.random.default_rng(5)
     for _ in range(600):
-        queue = _PocketQueue(_THIRD_DISK_LO, _LinearDistances(), 1e-14)
+        queue = _queue()
         for rho, angle, r in _straddling_disks(rng, int(rng.integers(10, 40))):
             queue.add(rho, angle, r, _THIRD_DISK_HI)
         want = _probe_bisection(queue, _linear_distance, _THIRD_DISK_LO, _THIRD_DISK_HI)
@@ -290,9 +297,8 @@ def _opening_oracle(left, right, rho: float, r: float) -> float:
     """The opening of the gap from the arc of ``left`` to that of
     ``right``, from the two ``_arc`` results: -pi when either is the
     whole circle, else the end of the left arc (less 2*pi past 2*pi) to
-    the start of the right one, or the sum of the two pieces across
-    0 = 2*pi, or the angle between the centers less both half-widths
-    when the arcs overlap across 0 = 2*pi."""
+    the start of the right one, or the angle between the centers less
+    both half-widths when the arcs overlap across 0 = 2*pi."""
     arc_left, arc_right = _arc(left, rho, r), _arc(right, rho, r)
     if arc_left is None or arc_right is None:
         return -math.pi
@@ -302,11 +308,7 @@ def _opening_oracle(left, right, rho: float, r: float) -> float:
     if end > TWO_PI:
         end -= TWO_PI
     gap = start - end
-    if gap < approx - math.pi:
-        gap = (TWO_PI - end) + start
-    elif gap > approx + math.pi:
-        gap = approx
-    return gap
+    return approx if gap > approx + math.pi else gap
 
 
 class TestBuildSurroundedBall:
@@ -379,17 +381,17 @@ class TestBuildSurroundedBall:
         assert np.array_equal(balls.radii, doubled.radii)
 
     def test_benchmark_size_packing_is_byte_identical(self):
-        # The goldens stop at 275 disks; this pins the packing of the
-        # benchmark's first eps, recorded when each pocket's shut radius
-        # was solved once, on its own two disks, and taken from a heap.
+        # The goldens stop at 281 disks; this pins the packing of the
+        # benchmark's first eps, recorded when the first disk was placed
+        # at angle 0.
         balls = build_surrounded_ball(
             SurroundedBallConfig(eps=10.0**-1.5, delta=0.3, n_max=8000, seed=7)
         )
-        assert len(balls) == 719
+        assert len(balls) == 713
         digest = hashlib.sha256(balls.centers.astype("<f8").tobytes())
         digest.update(balls.radii.astype("<f8").tobytes())
         assert digest.hexdigest() == (
-            "a426b04a6ce35d9b3dd98a3106127806707c3f63bd61055dd86dfff5ced6650c"
+            "f5c41f8380ab1ab9b1857852a55bff853ee7fd2360881159c9f376098de087f1"
         )
 
     def test_each_placed_radius_is_the_largest_that_fits(self, shrinking_packing):
@@ -438,8 +440,8 @@ class TestBuildSurroundedBall:
         # The disks straddle the unit circle, as the packing's do, so
         # their floor arcs, which add also takes, are finite.
         rng = np.random.default_rng(11)
-        queue = _PocketQueue(_THIRD_DISK_LO, _LinearDistances(), 1e-14)
-        want = np.empty((3, 0))
+        queue = _queue(0.05)
+        want = queue._disks.copy()
         angles = rng.uniform(0.0, 2.0 * math.pi, 150)
         angles[7] = angles[3]
         for angle in angles.tolist():
@@ -478,20 +480,22 @@ class TestBuildSurroundedBall:
     def test_pair_opening_matches_its_formula_on_two_arcs(self):
         # The opening binds its two disks once and takes their arcs
         # inline; it must give, float for float, the width from the end
-        # of the left _arc to the start of the right one, over gaps
-        # across 0 = 2*pi, left arcs that end past 2*pi, pairs whose arcs
-        # overlap across 0 = 2*pi and disks that hold the whole circle.
+        # of the left _arc to the start of the right one, over gaps that
+        # run from or to the first disk at angle 0, left arcs that end
+        # past 2*pi, pairs whose arcs overlap, also across 0 = 2*pi, and
+        # disks that hold the whole circle.  No gap runs across 0 = 2*pi.
         rng = np.random.default_rng(17)
         pairs = []
         for _ in range(60):
             (rho_l, a_l, s_l), (rho_r, a_r, s_r) = _straddling_disks(rng, 2)
+            a_l, a_r = sorted((a_l, a_r))
             pairs.append(((a_l, rho_l, s_l), (a_r, rho_r, s_r)))
-            # a left disk just below 2*pi and a right one just above 0
-            a_l, a_r = TWO_PI - rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)
-            pairs.append(((a_l, rho_l, s_l), (a_r, rho_r, s_r)))
+            pairs.append(((0.0, rho_l, s_l), (a_r, rho_r, s_r)))
+            # a left disk just below 2*pi and the first disk
+            pairs.append(((TWO_PI - rng.uniform(0.0, 0.3), rho_l, s_l), (0.0, rho_r, s_r)))
         whole = (rng.uniform(0.0, TWO_PI), 1.0, 2.0)
         pairs += [(whole, pairs[0][1]), (pairs[0][0], whole), (whole, whole)]
-        seen = {"across 0": 0, "end past 2*pi": 0, "overlap": 0, "shut": 0}
+        seen = {"overlap across 0": 0, "end past 2*pi": 0, "overlap": 0, "shut": 0}
         for r in [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI]:
             for rho in [1.0 - 0.4 * r, 1.0, 1.0 + 0.4 * r]:
                 for left, right in pairs:
@@ -502,8 +506,12 @@ class TestBuildSurroundedBall:
                     if None in arcs:
                         seen["shut"] += 1
                         continue
-                    seen["across 0"] += right[0] < left[0]
-                    seen["end past 2*pi"] += arcs[0][2] > TWO_PI
+                    (_, _, end), (_, start, _) = arcs
+                    if end > TWO_PI:
+                        end -= TWO_PI
+                        seen["end past 2*pi"] += 1
+                    # shut, though the right arc starts after the left ends
+                    seen["overlap across 0"] += want <= 0.0 < start - end
                     seen["overlap"] += want <= 0.0
         assert min(seen.values()) > 20, seen
 
@@ -534,9 +542,10 @@ class TestBuildSurroundedBall:
     def test_probe_matches_the_sorted_union_of_split_arcs(self, r):
         # The probe finds its gaps in the angle order of the store, with
         # no sort; its gap ends must be, float for float, those of the
-        # arcs cut at 2*pi and joined after a sort.  The states: random
-        # queues, one whose arcs wrap at both ends, one with a disk that
-        # blocks every angle and one with no disk.
+        # arcs cut at 2*pi and joined after a sort.  The states, each
+        # after its first disk at angle 0: random queues, one whose arcs
+        # wrap at both ends, one with a disk that blocks every angle and
+        # one with no other disk.
         rng = np.random.default_rng(23)
         rho = _linear_distance(r)
         states = [[]]
@@ -546,7 +555,7 @@ class TestBuildSurroundedBall:
         states.append(states[10] + [(2.0, 1.0, 2.0)])
         gapless = 0
         for disks in states:
-            queue = _PocketQueue(_THIRD_DISK_LO, _LinearDistances(), 1e-14)
+            queue = _queue(0.05)
             for angle, dist, radius in disks:
                 queue.add(dist, angle, radius, radius)
             got, want = queue.gaps(rho, r), packing_probe_oracle(queue._disks, rho, r)
@@ -592,26 +601,73 @@ class TestBuildSurroundedBall:
         assert 0 < rejections < 0.05 * placed, rejections
 
     @pytest.mark.parametrize("angle", [6.116559403584584, 0.16662590359500218])
-    def test_a_floor_arc_ending_at_0_leaves_a_pocket(self, angle):
-        # At eps 0.05 and delta 0.3, the floor arc of a first disk of
-        # radius delta at the first angle ends at exactly 2*pi, and at the
-        # second it starts at exactly 0.  The free piece on the other side
-        # of 0 = 2*pi is bounded by that disk too, so it gets a pocket.
-        # The probe's gaps there must be those of the sorted union.
+    def test_probe_on_arc_ends_at_0(self, angle):
+        # At eps 0.05 and delta 0.3, the floor arc of a disk of radius
+        # delta at the first angle ends at exactly 2*pi, and at the second
+        # it starts at exactly 0.  The probe's gaps there must be those of
+        # the sorted union.
         floor = 0.3e-3
         distances = _Distances(0.05, floor, 0.3)
         rho = distances(0.3)
-        queue = _PocketQueue(floor, distances, 0.3e-14)
+        queue = _PocketQueue(floor, distances, 0.3e-14, 0.3)
         queue.add(rho, angle, 0.3, 0.3)
-        _, lo, hi = _arc(tuple(queue._disks[:, 0]), distances(floor), floor)
+        _, lo, hi = _arc((angle, rho, 0.3), distances(floor), floor)
         assert hi == TWO_PI or lo == 0.0
         for r in [floor, 0.01, 0.3]:
             got = queue.gaps(distances(r), r)
             want = packing_probe_oracle(queue._disks, distances(r), r)
             assert [_bits(a) for a in got] == [_bits(a) for a in want]
-        assert any(pocket.alive for *_, pocket in queue._heap)
         found = queue.largest_fit(0.3, rho)
         _assert_fit(queue, found, _probe_bisection(queue, distances, floor, 0.3), distances)
+
+    def test_no_gap_or_floor_piece_touches_0_or_2pi(self):
+        # The first disk sits at angle 0, so its arc holds 0 = 2*pi at
+        # every radius: no gap of the probe starts at 0 or ends at 2*pi,
+        # and every free piece at the floor lies inside (0, 2*pi).
+        probe, add = _PocketQueue.gaps, _PocketQueue.add
+        gaps, pieces = [], []
+
+        def probe_spy(queue, rho, r):
+            found = probe(queue, rho, r)
+            if found[1].size:
+                gaps.append((found[0].min(), found[1].max()))
+            return found
+
+        def add_spy(queue, *args):
+            add(queue, *args)
+            if queue._pieces:
+                pieces.append((queue._pieces[0][0], queue._pieces[-1][1]))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_PocketQueue, "gaps", probe_spy)
+            patch.setattr(_PocketQueue, "add", add_spy)
+            build_surrounded_ball(_PACK_CFG)
+            build_surrounded_ball(_SHRINK_CFG)
+            build_surrounded_ball(SurroundedBallConfig(eps=10.0**-1.5, delta=0.3, n_max=8000, seed=7))
+        assert len(gaps) > 1000 and len(pieces) > 1000
+        assert all(0.0 < first and last < TWO_PI for first, last in gaps + pieces)
+
+    def test_secant_bisects_where_the_opening_is_0_on_a_band(self):
+        # The opening is exactly 0 on [0.25, 1]: every secant step lands
+        # on b, where the clamp moves b down by half the tolerance and the
+        # Illinois rule halves fa, until fa is 0.0 too.  The bracket must
+        # still close around 0.25.
+        def opening(rho, r):
+            return 1.0 if r < 0.25 else 0.0
+
+        a, a_rho, b, b_rho = _secant(opening, lambda r: 2.0 * r, 0.0, 0.0, 1.0, 1.0, 2.0, 0.0, 1e-3)
+        assert a < 0.25 <= b and b - a <= 1e-3
+        assert (a_rho, b_rho) == (2.0 * a, 2.0 * b)
+
+    def test_a_pocket_open_by_exactly_0_on_a_band_is_solved(self):
+        # In this build a pocket's opening is exactly 0 on a band of
+        # radii far wider than the bracket tolerance, so its secant halves
+        # fa to 0.0 there, where a secant step would divide by zero.
+        balls, stop = build_surrounded_ball_detailed(
+            SurroundedBallConfig(eps=10.0**-1.5, delta=0.03, n_max=8000, seed=23)
+        )
+        radii = balls.radii[1:]
+        assert stop == "radius floor" and np.all(radii[1:] <= radii[:-1])
 
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.02])
     def test_radii_never_grow_and_each_shrinking_radius_is_the_largest(self, eps):

@@ -56,7 +56,8 @@ def test_packing_timing_prints_one_json_line_per_eps(capsys):
         assert 0 <= row["rejections"] < row["pocket_solves"]
         assert 0 <= row["retired"] <= row["rejections"]
         assert row["cap_volumes"] >= 2 * row["solves"]
-        # one probe accepts each placement; every other one is a rejection
-        assert row["probes"] == row["disks"] + row["rejections"] and row["best_s"] > 0.0
+        # one probe accepts each placement after the first, which sits at
+        # angle 0; every other one is a rejection
+        assert row["probes"] == row["disks"] - 1 + row["rejections"] and row["best_s"] > 0.0
         assert row["probe_s"] > 0.0 and row["solve_s"] > 0.0
         assert row["repeats"] == 1 and row["nproc"] >= 1
