@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 # Touching closures count as overlap only above this distance slack.
 DISJOINT_TOL = 1e-12
@@ -232,6 +231,9 @@ def _cap_volume(radius: float, offset: float, dim: int) -> float:
         return r * r * (_seg_series(x) if x < 0.1 else x - math.sin(x) * math.cos(x))
     # Regularized incomplete beta closed form; full relative accuracy
     # even for sliver caps where direct quadrature loses digits.
+    # scipy.special loads here, at the first cap for d >= 3, not at import.
+    from scipy import special
+
     if a < 0.0:
         return unit_ball_volume(dim) * r**dim - _cap_volume(r, -a, dim)
     x = (r - a) * (r + a) / (r * r)
@@ -247,6 +249,8 @@ def _cap_volumes(r: np.ndarray, a: np.ndarray, dim: int) -> np.ndarray:
     if dim == 2:
         x = np.arctan2(np.sqrt(np.maximum((r - a) * (r + a), 0.0)), a)
         return r * r * np.where(x < 0.1, _seg_series(x), x - np.sin(x) * np.cos(x))
+    from scipy import special
+
     full = unit_ball_volume(dim) * r**dim
     b = np.abs(a)
     cap = full * (0.5 * special.betainc((dim + 1) / 2.0, 0.5, (r - b) * (r + b) / (r * r)))

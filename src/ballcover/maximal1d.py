@@ -98,8 +98,13 @@ class LevelSetReport:
     maximal_boundary_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LevelRecord:
+    """One grid level of a VariationReport: a plain value record,
+    compared by value.  It is not frozen, since a frozen dataclass pays
+    an ``object.__setattr__`` per field and the check builds one record
+    per grid level."""
+
     level: float
     count_maximal: int
     count_function: int
@@ -221,8 +226,8 @@ def _critical_levels(f: StepFunction) -> np.ndarray:
     happens exactly when G(x_j) = G(x_k): at the average over (x_j, x_k).
     """
     xs, _, vs, prefix = f._arrays
-    i, j = np.triu_indices(len(xs), k=1)
-    averages = (prefix[j] - prefix[i]) / (xs[j] - xs[i])
+    upper = xs[:, None] < xs
+    averages = (prefix - prefix[:, None])[upper] / (xs - xs[:, None])[upper]
     return np.unique(np.concatenate([vs, averages]))
 
 
@@ -332,16 +337,15 @@ def maximal_variation_check(
         return VariationReport((), 0.0, 0.0, True)
 
     critical = _critical_levels(g)
-    # max_mf is a piece value, so the cuts run from 0 up to it.
-    cuts = np.union1d(0.0, critical[critical <= max_mf])
-    grid = [
-        max_mf * j / (level_grid_size + 1) for j in range(1, level_grid_size + 1)
-    ]
+    # max_mf is a piece value, so the cuts run from 0 up to it; critical
+    # comes sorted and unique from np.unique, and no average is negative
+    cuts = critical[critical <= max_mf]
+    if cuts[0] > 0.0:
+        cuts = np.concatenate([[0.0], cuts])
+    levels = max_mf * np.arange(1.0, level_grid_size + 1) / (level_grid_size + 1)
     skip_tol = _SKIP_TOL * max(1.0, max_mf)
-    # critical comes sorted from np.unique, so a level lies within
-    # skip_tol of some critical level exactly when it does of one of its
-    # two neighbours there
-    levels = np.array(grid)
+    # a level lies within skip_tol of some critical level exactly when it
+    # does of one of its two neighbours in the sorted critical levels
     at = np.searchsorted(critical, levels)
     below = levels - critical[np.maximum(at - 1, 0)]
     above = critical[np.minimum(at, critical.size - 1)] - levels
@@ -361,8 +365,8 @@ def maximal_variation_check(
     count_m, count_f = 2 * comp_m[source], 2 * comp_f[source]
     passed = near | (count_m <= count_f)
     records = tuple(
-        map(LevelRecord, grid, count_m.tolist(), count_f.tolist(), near.tolist(),
-            passed.tolist())
+        map(LevelRecord, levels.tolist(), count_m.tolist(), count_f.tolist(),
+            near.tolist(), passed.tolist())
     )
     all_pass = bool(passed.all())
 

@@ -206,22 +206,40 @@ def superlevel_components_per_level(
     falls = slope < 0
     early = falls & (pm[:-1] < g[:-1])
     late = falls & (sm[1:] > g[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         early_hi = np.minimum(left + (pm[:-1] - g[:-1]) / slope, right)
         late_lo = np.maximum(right + (sm[1:] - g[1:]) / slope, left)
+        head_lo = xs[0] - (sm[0] - g[0]) / level
+        tail_hi = xs[-1] + (g[-1] - pm[-1]) / level
     lo = [left[~falls], left[early], late_lo[late]]
     hi = [right[~falls], early_hi[early], right[late]]
     if sm[0] > g[0]:
-        lo.append([xs[0] - (sm[0] - g[0]) / level])
+        lo.append([head_lo])
         hi.append([xs[0]])
     if g[-1] > pm[-1]:
         lo.append([xs[-1]])
-        hi.append([xs[-1] + (g[-1] - pm[-1]) / level])
+        hi.append([tail_hi])
     lo, hi = union_components(np.concatenate(lo), np.concatenate(hi))
     # only components holding a whole piece with |f| >= level are real
     whole = np.zeros(lo.size, dtype=bool)
     whole[np.searchsorted(lo, left[~falls], side="right") - 1] = True
     return lo[whole], hi[whole]
+
+
+def variation_check_levels_oracle(g: StepFunction, n: int):
+    """The critical levels, gap cuts and level grid of
+    ``maximal1d.maximal_variation_check`` on g = |f| at grid size n, by
+    their first formulas: the average over every breakpoint pair from
+    ``np.triu_indices``, the cuts from ``np.union1d`` and the grid one
+    level at a time in Python floats."""
+    xs, _, vs, prefix = g._arrays
+    i, j = np.triu_indices(len(xs), k=1)
+    averages = (prefix[j] - prefix[i]) / (xs[j] - xs[i])
+    critical = np.unique(np.concatenate([vs, averages]))
+    max_mf = max(g.values)
+    cuts = np.union1d(0.0, critical[critical <= max_mf])
+    grid = [max_mf * k / (n + 1) for k in range(1, n + 1)]
+    return critical, cuts, grid
 
 
 def exact_antiderivative(f: StepFunction):

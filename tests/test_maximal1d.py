@@ -6,13 +6,15 @@ variation comparison against a summed-jumps oracle, on hand-built and
 randomly generated step functions.
 """
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ballcover import maximal1d
@@ -44,6 +46,7 @@ from oracles import (
     random_step_function,
     superlevel_components_per_level,
     union_component_count_oracle,
+    variation_check_levels_oracle,
     variation_oracle,
 )
 
@@ -465,6 +468,17 @@ def _near_critical(g, lam, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def scaled_step_functions(draw):
+    """A nonzero step function of the criterion-4 law with 1 to 40
+    pieces, its values scaled by 10^e for e in [-7, 9]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_step_function(rng, max_pieces=draw(st.integers(1, 40)))
+    assume(max(f.values) > 0.0)
+    scale = 10.0 ** draw(st.floats(-7.0, 9.0))
+    return StepFunction(f.breakpoints, tuple(scale * v for v in f.values))
+
+
 class TestMaximalVariationCheck:
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):
@@ -540,6 +554,54 @@ class TestMaximalVariationCheck:
         assert digest.hexdigest() == (
             "acaad736839c23591aa78c9db958b3d74e90c5bf47df38c764a0e43460338a4e"
         )
+
+    @given(scaled_step_functions())
+    @settings(max_examples=60)
+    def test_critical_levels_match_the_pair_oracle(self, f):
+        # the pair averages from a mask are the floats of every
+        # np.triu_indices pair, so np.unique leaves the same array
+        g = f.abs_function()
+        want = variation_check_levels_oracle(g, 10)[0]
+        assert _critical_levels(g).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [10, 57, 200])
+    @given(f=scaled_step_functions())
+    @settings(max_examples=20)
+    def test_grid_and_cuts_match_the_oracle(self, n, f):
+        # the grid is max_mf * j / (n + 1), float for float, and the
+        # counted levels are the midpoints of the np.union1d cuts, then
+        # the skipped grid levels
+        g = f.abs_function()
+        _, cuts, grid = variation_check_levels_oracle(g, n)
+        with mock.patch.object(
+            maximal1d, "_component_counts", wraps=maximal1d._component_counts
+        ) as spy:
+            rep = maximal_variation_check(f, n)
+        assert [rec.level for rec in rep.levels] == grid
+        skipped = np.array([rec.skipped for rec in rep.levels])
+        want = np.concatenate([0.5 * (cuts[:-1] + cuts[1:]), np.array(grid)[skipped]])
+        assert spy.call_args.args[1].tobytes() == want.tobytes()
+
+    def test_level_records_are_plain_values(self):
+        # the benchmark's corrupted-report check rebuilds records and
+        # reports with dataclasses.replace, and the digests hash reprs
+        rep = maximal_variation_check(TENT, level_grid_size=12)
+        rec = rep.levels[0]
+        assert repr(rec) == (
+            "LevelRecord(level=0.15384615384615385, count_maximal=2, "
+            "count_function=2, skipped=False, passed=True)"
+        )
+        crossed = dataclasses.replace(rec, count_maximal=4)
+        assert crossed == LevelRecord(0.15384615384615385, 4, 2, False, True)
+        assert crossed != rec
+        assert dataclasses.replace(crossed, count_maximal=2) == rec
+        new = dataclasses.replace(rep, levels=(crossed,) + rep.levels[1:])
+        assert new.levels == (crossed,) + rep.levels[1:]
+        assert (new.var_f, new.var_mf_lower_bound, new.passed) == (
+            rep.var_f, rep.var_mf_lower_bound, rep.passed
+        )
+        assert new != rep
+        assert dataclasses.replace(new, levels=rep.levels) == rep
 
 
 # The input of tests/golden/maxfn-*.txt.

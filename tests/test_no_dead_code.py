@@ -259,15 +259,19 @@ def test_collection_read_through_arrays(monkeypatch, name, d):
     _ARRAY_PATHS[name](balls)
 
 
-def test_import_leaves_kdtree_unloaded():
-    # scipy.spatial costs more to import than the whole package; only
-    # the first pair lookup should pay for it.
-    code = "import sys, ballcover, ballcover.cli; print('scipy.spatial' in sys.modules)"
+def test_import_leaves_scipy_unloaded():
+    # scipy costs more to import than the whole package; only the first
+    # pair lookup (scipy.spatial) and the first cap volume for d >= 3
+    # (scipy.special) should pay for it.
+    code = (
+        "import sys, ballcover, ballcover.cli; "
+        "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+    )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_selection_orders_balls_once():
