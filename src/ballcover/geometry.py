@@ -210,6 +210,17 @@ def _seg_series(x):
     )
 
 
+def _betainc(a, b, x):
+    """scipy.special.betainc, for the caps of d >= 3.  scipy.special
+    loads at the first call, not at import, and the call binds this
+    name to betainc itself, so later caps skip the import statement."""
+    global _betainc
+    from scipy.special import betainc
+
+    _betainc = betainc
+    return betainc(a, b, x)
+
+
 def _cap_volume(radius: float, offset: float, dim: int) -> float:
     """Volume of {x in B : x_1 >= offset} for a ball of given radius at 0.
 
@@ -231,13 +242,10 @@ def _cap_volume(radius: float, offset: float, dim: int) -> float:
         return r * r * (_seg_series(x) if x < 0.1 else x - math.sin(x) * math.cos(x))
     # Regularized incomplete beta closed form; full relative accuracy
     # even for sliver caps where direct quadrature loses digits.
-    # scipy.special loads here, at the first cap for d >= 3, not at import.
-    from scipy import special
-
     if a < 0.0:
         return unit_ball_volume(dim) * r**dim - _cap_volume(r, -a, dim)
     x = (r - a) * (r + a) / (r * r)
-    frac = 0.5 * special.betainc((dim + 1) / 2.0, 0.5, x)
+    frac = 0.5 * _betainc((dim + 1) / 2.0, 0.5, x)
     return unit_ball_volume(dim) * r**dim * frac
 
 
@@ -249,11 +257,9 @@ def _cap_volumes(r: np.ndarray, a: np.ndarray, dim: int) -> np.ndarray:
     if dim == 2:
         x = np.arctan2(np.sqrt(np.maximum((r - a) * (r + a), 0.0)), a)
         return r * r * np.where(x < 0.1, _seg_series(x), x - np.sin(x) * np.cos(x))
-    from scipy import special
-
     full = unit_ball_volume(dim) * r**dim
     b = np.abs(a)
-    cap = full * (0.5 * special.betainc((dim + 1) / 2.0, 0.5, (r - b) * (r + b) / (r * r)))
+    cap = full * (0.5 * _betainc((dim + 1) / 2.0, 0.5, (r - b) * (r + b) / (r * r)))
     return np.where(a < 0.0, full - cap, cap)
 
 

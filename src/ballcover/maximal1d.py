@@ -12,8 +12,26 @@ G(x) = F(x) - level x, the average over (a, b) is at least the level
 exactly when G(b) >= G(a), so one pass over G at the breakpoints, with
 its prefix minimum and suffix maximum, gives {Mf >= level}.  The pass
 takes an array of levels, one row of G each, so the variation check
-counts all its levels in one call.  For a
-value c let a(c) be the first x with G(x) <= c and b(c) the last with
+counts all its levels in one call.
+
+The variation check needs only the number of components, and at a
+level inside a gap between critical levels it reads that number off
+comparisons of the samples g_j = G(x_j), their prefix minima pm_j and
+suffix maxima sm_j, with no roots (the gap rule).  {Mf >= level} misses
+both zero tails and, on each piece i where G falls, the stretch where
+G lies between sm_(i+1) and pm_i: a miss exactly when
+sm_(i+1) < pm_i.  A miss on piece i makes pm_(i+1) = g_(i+1), so it
+reaches any miss on piece i + 1, which makes sm_(i+1) = g_(i+1); the
+tails likewise reach misses on the end pieces.  So misses on
+neighbouring pieces join, and the components are the runs of pieces
+with no miss.  Within rounding of a critical level the comparisons
+meet float ties that the roots of ``_superlevel_components`` resolve
+otherwise: for f = 4, 2, 4 on unit pieces, at the float 40/12 just
+above the critical 10/3, G(3) rounds to G(0) = 0.0, and the roots give
+the two components there but the rule one.  So a grid level within
+rounding of a critical level keeps the root count.
+
+For a value c let a(c) be the first x with G(x) <= c and b(c) the last with
 G(x) >= c.  The inclusion-maximal intervals of average exactly the
 level are the [a(c), b(c)] with a(c) < b(c): G > c left of a(c) and
 G < c right of b(c), so every proper superinterval averages below the
@@ -26,6 +44,7 @@ members whose closures chain across each component of {Mf >= level}.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -231,12 +250,25 @@ def _critical_levels(f: StepFunction) -> np.ndarray:
     return np.unique(np.concatenate([vs, averages]))
 
 
+def _runs(inside: np.ndarray) -> np.ndarray:
+    """Number of runs of True along each row of a boolean array."""
+    return inside[:, 0] + np.count_nonzero(inside[:, 1:] & ~inside[:, :-1], axis=1)
+
+
 def _function_superlevel_count(f: StepFunction, levels: np.ndarray) -> np.ndarray:
     """Number of components of {|f| >= level} for each level: the runs
     of pieces at or above it, since neighbouring pieces touch and others
     lie apart."""
-    above = f._arrays[2] >= levels[:, None]
-    return above[:, 0] + np.count_nonzero(above[:, 1:] & ~above[:, :-1], axis=1)
+    return _runs(f._arrays[2] >= levels[:, None])
+
+
+def _gap_counts(f: StepFunction, levels: np.ndarray) -> np.ndarray:
+    """Number of components of {Mf >= level} for each of an array of
+    levels inside gaps between critical levels, by the gap rule of the
+    module docstring: the runs of pieces that hold no miss.  G falls on
+    a piece exactly as ``_superlevel_components`` decides it."""
+    _, _, slope, pm, sm = _rising_sun(f, levels)
+    return _runs(~((slope < 0) & (sm[:, 1:] < pm[:, :-1])))
 
 
 def variation(f: StepFunction) -> float:
@@ -259,16 +291,20 @@ def maximal_intervals(f: StepFunction, level: float) -> list[Interval]:
 
 def _maximal_chain(f: StepFunction, level: float) -> tuple[list[Interval], int]:
     """maximal_intervals at a positive level, and the number of
-    components of {Mf >= level}, from one rising-sun pass."""
-    _, starts, _, (xs, g, slope, pm, sm) = _superlevel_components(f, np.array([level]))
-    g, slope, pm, sm = g[0], slope[0], pm[0], sm[0]
+    components of {Mf >= level}, from one rising-sun pass.  The walk
+    runs on Python floats, the same IEEE operations as on the arrays."""
+    _, starts, _, sun = _superlevel_components(f, np.array([level]))
+    xs = sun[0].tolist()
+    g, slope, pm, sm = (a[0].tolist() for a in sun[1:])
+    # pm and sm never rise along x, so their negations are sorted
+    neg_pm, neg_sm = [-v for v in pm], [-v for v in sm]
     out: list[Interval] = []
-    for start in starts:
-        c = sm[np.searchsorted(xs, start)]
+    for start in starts.tolist():
+        c = sm[bisect_left(xs, start)]
         while True:
             # first breakpoint with G <= c, and last with G >= c
-            ja = int(np.searchsorted(-pm, -c))
-            jb = int(np.searchsorted(-sm, -c, side="right")) - 1
+            ja = bisect_left(neg_pm, -c)
+            jb = bisect_right(neg_sm, -c) - 1
             if ja == 0:
                 a = xs[0] - (c - g[0]) / level
             else:
@@ -295,18 +331,25 @@ def level_report(f: StepFunction, level: float) -> LevelSetReport:
 
 
 def _component_counts(
-    g: StepFunction, levels: np.ndarray
+    g: StepFunction, levels: np.ndarray, gaps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Components of {Mf >= level} and of {|f| >= level} at each level,
-    in blocks of at most ``_BLOCK_ELEMENTS`` level rows times breakpoints."""
+    in blocks of at most ``_BLOCK_ELEMENTS`` level rows times breakpoints.
+    The first ``gaps`` levels lie inside gaps and go through the gap
+    rule (``_gap_counts``); the others, within rounding of a critical
+    level, through the roots of ``_superlevel_components``."""
     step = max(1, _BLOCK_ELEMENTS // len(g.breakpoints))
     comp_m = np.empty(levels.size, dtype=int)
     comp_f = np.empty(levels.size, dtype=int)
-    for i in range(0, levels.size, step):
-        block = levels[i : i + step]
-        row = _superlevel_components(g, block)[0]
-        comp_m[i : i + block.size] = np.bincount(row, minlength=block.size)
-        comp_f[i : i + block.size] = _function_superlevel_count(g, block)
+    for first, stop in ((0, gaps), (gaps, levels.size)):
+        for i in range(first, stop, step):
+            block = levels[i : min(i + step, stop)]
+            if i < gaps:
+                comp_m[i : i + block.size] = _gap_counts(g, block)
+            else:
+                row = _superlevel_components(g, block)[0]
+                comp_m[i : i + block.size] = np.bincount(row, minlength=block.size)
+            comp_f[i : i + block.size] = _function_superlevel_count(g, block)
     return comp_m, comp_f
 
 
@@ -323,9 +366,10 @@ def maximal_variation_check(
     each gap's midpoint gives var(Mf) exactly, up to rounding, and
     serves every grid level inside the gap; a degenerate grid level,
     within rounding of a critical level, is counted where it lies.
-    Every gap midpoint and every degenerate grid level go through one
-    batched rising-sun pass (see _component_counts).  var(Mf) must not
-    exceed var(|f|) by more than 1e-9 * max(1, var(|f|)).
+    Gap midpoints are counted by the gap rule and degenerate grid
+    levels by the roots, each kind in batched rising-sun passes (see
+    _component_counts).  var(Mf) must not exceed var(|f|) by more than
+    1e-9 * max(1, var(|f|)).
     """
     level_grid_size = int(level_grid_size)
     if level_grid_size < 10:
@@ -356,7 +400,7 @@ def maximal_variation_check(
     # every gap midpoint, then every skipped grid level
     gaps = cuts.size - 1
     comp_m, comp_f = _component_counts(
-        g, np.concatenate([0.5 * (cuts[:-1] + cuts[1:]), levels[near]])
+        g, np.concatenate([0.5 * (cuts[:-1] + cuts[1:]), levels[near]]), gaps
     )
     # summed one gap after another, the order that fixes var(Mf)'s bits
     var_mf = np.cumsum(2 * comp_m[:gaps] * np.diff(cuts))[-1]

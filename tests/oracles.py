@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from scipy import integrate, optimize
@@ -28,7 +29,7 @@ from ballcover.geometry import (
     union_components,
     unit_ball_volume,
 )
-from ballcover.maximal1d import StepFunction
+from ballcover.maximal1d import StepFunction, _superlevel_components
 from ballcover.selection import SelectionResult
 
 
@@ -240,6 +241,72 @@ def variation_check_levels_oracle(g: StepFunction, n: int):
     cuts = np.union1d(0.0, critical[critical <= max_mf])
     grid = [max_mf * k / (n + 1) for k in range(1, n + 1)]
     return critical, cuts, grid
+
+
+def maximal_chain_oracle(f: StepFunction, level: float):
+    """The members (lo, hi) of ``maximal1d._maximal_chain`` and its
+    component count, by its first walk: numpy searches on the negated
+    prefix-minimum and suffix-maximum arrays, and numpy scalar
+    arithmetic, at every step."""
+    _, starts, _, (xs, g, slope, pm, sm) = _superlevel_components(f, np.array([level]))
+    g, slope, pm, sm = g[0], slope[0], pm[0], sm[0]
+    out = []
+    for start in starts:
+        c = sm[np.searchsorted(xs, start)]
+        while True:
+            ja = int(np.searchsorted(-pm, -c))
+            jb = int(np.searchsorted(-sm, -c, side="right")) - 1
+            if ja == 0:
+                a = xs[0] - (c - g[0]) / level
+            else:
+                a = xs[ja] + (c - g[ja]) / slope[ja - 1]
+            if jb == len(g) - 1:
+                b = xs[-1] + (g[-1] - c) / level
+            else:
+                b = xs[jb] + (c - g[jb]) / slope[jb]
+            if a < b:
+                out.append((float(a), float(b)))
+            if pm[jb] >= c:
+                break
+            c = pm[jb]
+    return out, starts.size
+
+
+def exact_gap_rule_counts(f: StepFunction, levels) -> list[int]:
+    """Components of {Mf >= level} at each level by the gap rule of
+    ``maximal1d`` in rational arithmetic.  Floats convert exactly, so
+    each is the true count at that float level.
+
+    With G = F - level x at the breakpoints, its prefix minima pm and
+    suffix maxima sm, the set misses the two zero tails and, on each
+    piece i where G falls, the stretch where G lies between sm_(i+1)
+    and pm_i, when sm_(i+1) < pm_i.  Neighbouring misses join at x_j
+    when the left one reaches it (sm_j = G(x_j)) and the right one
+    starts there (pm_j = G(x_j)); the components lie between the joined
+    misses.
+    """
+    xs = [Fraction(x) for x in f.breakpoints]
+    prefix = [Fraction(0)]
+    for lo, hi, v in zip(xs, xs[1:], f.values):
+        prefix.append(prefix[-1] + abs(Fraction(v)) * (hi - lo))
+    counts = []
+    for level in levels:
+        level = Fraction(level)
+        g = [p - level * x for p, x in zip(prefix, xs)]
+        pm = list(accumulate(g, min))
+        sm = list(accumulate(reversed(g), max))[::-1]
+        # the left tail, reaching x_0 when no later G exceeds G(x_0)
+        misses, reach = 1, sm[0] == g[0]
+        for i in range(len(g) - 1):
+            if g[i + 1] < g[i] and sm[i + 1] < pm[i]:
+                misses += not (reach and pm[i] == g[i])
+                reach = sm[i + 1] == g[i + 1]
+            else:
+                reach = False
+        # the right tail, starting at x_k when no earlier G is below G(x_k)
+        misses += not (reach and pm[-1] == g[-1])
+        counts.append(misses - 1)
+    return counts
 
 
 def exact_antiderivative(f: StepFunction):

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ballcover import maximal1d
@@ -26,6 +26,7 @@ from ballcover.maximal1d import (
     StepFunction,
     VariationReport,
     _critical_levels,
+    _gap_counts,
     _superlevel_components,
     level_report,
     maximal_intervals,
@@ -39,8 +40,10 @@ from oracles import (
     average,
     exact_antiderivative,
     exact_average,
+    exact_gap_rule_counts,
     exact_maximal_function_at,
     exact_maximal_variation,
+    maximal_chain_oracle,
     maximal_function_oracle_at,
     maximal_function_oracle_grid,
     random_step_function,
@@ -376,6 +379,17 @@ def dyadic_levels(draw):
     return f, level
 
 
+@st.composite
+def scaled_step_functions(draw):
+    """A nonzero step function of the criterion-4 law with 1 to 40
+    pieces, its values scaled by 10^e for e in [-7, 9]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_step_function(rng, max_pieces=draw(st.integers(1, 40)))
+    assume(max(f.values) > 0.0)
+    scale = 10.0 ** draw(st.floats(-7.0, 9.0))
+    return StepFunction(f.breakpoints, tuple(scale * v for v in f.values))
+
+
 def _offset(f):
     return 1e-9 * max(1.0, max(abs(x) for x in f.breakpoints))
 
@@ -457,6 +471,22 @@ class TestLevelReport:
         assert sorted(calls) == ["_rising_sun", "_superlevel_components"]
         assert len(rep.maximal_intervals) == 2
 
+    @given(
+        f=scaled_step_functions(),
+        fracs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60)
+    def test_chain_matches_the_numpy_walk(self, f, fracs):
+        # the walk on Python floats and bisect takes the same steps, and
+        # rounds the same, as the numpy searches and scalars it replaced
+        top = max(f.abs_function().values)
+        for frac in fracs:
+            level = top * frac
+            ivals, count = maximal1d._maximal_chain(f, level)
+            want, want_count = maximal_chain_oracle(f, level)
+            assert [(iv.lo, iv.hi) for iv in ivals] == want, level
+            assert count == want_count
+
 
 def _near_critical(g, lam, tol=1e-6):
     crit = _critical_levels(g)
@@ -466,17 +496,6 @@ def _near_critical(g, lam, tol=1e-6):
 # ---------------------------------------------------------------------------
 # maximal_variation_check
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def scaled_step_functions(draw):
-    """A nonzero step function of the criterion-4 law with 1 to 40
-    pieces, its values scaled by 10^e for e in [-7, 9]."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    f = random_step_function(rng, max_pieces=draw(st.integers(1, 40)))
-    assume(max(f.values) > 0.0)
-    scale = 10.0 ** draw(st.floats(-7.0, 9.0))
-    return StepFunction(f.breakpoints, tuple(scale * v for v in f.values))
 
 
 class TestMaximalVariationCheck:
@@ -727,24 +746,27 @@ class TestExactVariation:
     def test_one_component_pass_per_gap_and_skipped_level(
         self, monkeypatch, size
     ):
-        # one kernel call, with a level row per gap and per skipped level
-        calls = []
-        inner = maximal1d._superlevel_components
+        # one gap-rule call with a level row per gap, and one root-kernel
+        # call with a row per skipped level, none when nothing is skipped
+        calls = {"_gap_counts": [], "_superlevel_components": []}
+        for name, rows in calls.items():
+            inner = getattr(maximal1d, name)
 
-        def spy(g, levels):
-            calls.append(levels.size)
-            return inner(g, levels)
+            def spy(g, levels, rows=rows, inner=inner):
+                rows.append(levels.size)
+                return inner(g, levels)
 
-        monkeypatch.setattr(maximal1d, "_superlevel_components", spy)
+            monkeypatch.setattr(maximal1d, name, spy)
         for f in (TENT, SPIKY, SIGNED, GOLDEN_STEP, INTEGER_STEP):
-            calls.clear()
+            for rows in calls.values():
+                rows.clear()
             rep = maximal_variation_check(f, size)
             top = max(f.abs_function().values)
             crit = _critical_levels(f.abs_function())
             gaps = np.unique(crit[(crit > 0) & (crit <= top)]).size
             skipped = sum(rec.skipped for rec in rep.levels)
-            assert len(calls) == 1
-            assert sum(calls) == gaps + skipped
+            assert calls["_gap_counts"] == [gaps]
+            assert calls["_superlevel_components"] == ([skipped] if skipped else [])
             if f is INTEGER_STEP and size == 11:
                 assert skipped == 3
 
@@ -808,6 +830,46 @@ class TestBatchedKernel:
             want_lo, want_hi = superlevel_components_per_level(g, level)
             assert lo[row == k].tolist() == want_lo.tolist(), level
             assert hi[row == k].tolist() == want_hi.tolist(), level
+
+    @given(scaled_step_functions())
+    @settings(max_examples=80)
+    def test_gap_rule_matches_the_roots_at_gap_midpoints(self, f):
+        g = f.abs_function()
+        cuts = variation_check_levels_oracle(g, 10)[1]
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        row = _superlevel_components(g, mids)[0]
+        assert _gap_counts(g, mids).tolist() == np.bincount(row, minlength=mids.size).tolist()
+
+    @given(dyadic_step_functions(max_pieces=8))
+    @example(StepFunction((0.0, 1.0, 3.0, 4.0), (1.0, 0.0, 1.0)))
+    @settings(max_examples=80)
+    def test_gap_rule_is_exact_on_dyadic_data(self, f):
+        # At a level of few bits the floats hold G exactly, so the rule
+        # must give the true count, at critical levels too, where two
+        # components touch at a point (for two unit bumps 2 apart, at 1/2)
+        top = max(f.values)
+        levels = np.concatenate([_critical_levels(f), top * np.arange(1, 65) / 64])
+        levels = [c for c in levels.tolist() if c > 0 and Fraction(c).denominator <= 2**12]
+        assert _gap_counts(f, np.array(levels)).tolist() == exact_gap_rule_counts(f, levels)
+
+    def test_gap_rule_matches_exact_arithmetic_off_narrow_gaps(self):
+        # The rule in Fractions gives the true count at a float level.
+        # The float rule agrees with it at every midpoint of the
+        # criterion-4 functions but in some of the 604 gaps narrower
+        # than 1e-12 max|f|: there the critical levels carry the
+        # rounding of their averages, and the roots give the float
+        # rule's count too.
+        rng = np.random.default_rng(204)
+        narrow = 0
+        for _ in range(200):
+            g = random_step_function(rng).abs_function()
+            cuts = variation_check_levels_oracle(g, 10)[1]
+            mids = 0.5 * (cuts[:-1] + cuts[1:])
+            off = _gap_counts(g, mids) != exact_gap_rule_counts(g, mids.tolist())
+            tiny = np.diff(cuts) < 1e-12 * max(g.values)
+            assert not np.any(off & ~tiny)
+            narrow += np.count_nonzero(tiny)
+        assert narrow == 604
 
     @pytest.mark.parametrize("block", [1, 37])
     def test_block_edges_leave_reports_unchanged(self, monkeypatch, block):
