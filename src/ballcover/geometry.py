@@ -24,8 +24,13 @@ COINCIDENCE_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
 # Elements of a Monte Carlo chunk: samples times the dimension, or times
-# the neighbour count where that is larger (32 MiB of float64).
-MC_CHUNK_ELEMENTS = 2**22
+# the neighbour count where that is larger.  At 2**16 (512 KiB of
+# float64) a chunk's draws, projections and mask stay in the core's
+# cache while the neighbour tests pass over them: at 2**22 (32 MiB) the
+# 2D perimeters of criterion 7, a million draws per ball, ran about a
+# quarter slower, and 2**17 and 2**18 were no faster than 2**16.  Each
+# substream is drawn in order, so the size moves no output bit.
+MC_CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -384,9 +389,11 @@ def union_components(starts, ends) -> tuple[np.ndarray, np.ndarray]:
 # A kd-tree of the pair layer holds one radius class (radii within a
 # factor of two, from the binary exponent), or adjacent classes merged
 # while the tree keeps at most _GROUP_BALLS balls over at most
-# _GROUP_CLASSES classes.  Merging spares small collections a tree per
-# class; the class cap keeps a large ball from widening the query of
-# many small ones.
+# _GROUP_CLASSES classes.  A collection of at most _GROUP_BALLS balls is
+# one group whatever its class span: one tree and one query cost less
+# than a tree per group and the queries across groups.  In larger
+# collections the class cap keeps a large ball from widening the query
+# of many small ones.
 _GROUP_BALLS = 256
 _GROUP_CLASSES = 4
 # Relative slack of the tree queries: it covers the rounding of the
@@ -413,10 +420,11 @@ def _candidate_pairs(
     exponent = np.frexp(radii)[1]
     of_class = exponent - exponent.min()
     counts = np.bincount(of_class)
+    span = counts.size if len(radii) <= _GROUP_BALLS else _GROUP_CLASSES
     group_of_class = np.empty(counts.size, dtype=np.intp)
     group, low, held = -1, 0, 0
     for k in np.flatnonzero(counts).tolist():
-        if group < 0 or held + counts[k] > _GROUP_BALLS or k - low >= _GROUP_CLASSES:
+        if group < 0 or held + counts[k] > _GROUP_BALLS or k - low >= span:
             group, low, held = group + 1, k, 0
         held += int(counts[k])
         group_of_class[k] = group
@@ -637,13 +645,24 @@ def union_perimeter_mc(
     draw g lies outside ball j (boundary included) exactly when
     g.w <= k|g|, with w = c_j - c_i, rho = |w| and
     k = (rho^2 + r_i^2 - r_j^2) / (2 r_i), so one product per chunk
-    gives g.w for every neighbour.  The test then runs one neighbour
-    column at a time into one mask: it compares the same floats as a
-    broadcast (samples x neighbours) comparison, without that temporary
-    and its reduction along the short axis.  Coincident balls are
-    merged first; a sphere no other ball meets is fully exposed and
-    draws no samples, though ``sample_count`` still charges it.  The
-    standard error combines per-ball binomial variances.
+    gives g.w for every neighbour, as (K, m) rows of K neighbours by m
+    draws.  The test then runs one contiguous neighbour row at a time
+    into one mask: it compares the same floats as a broadcast
+    comparison, without that temporary and its reduction along the
+    short axis.  Coincident balls are merged first; a sphere no other
+    ball meets is fully exposed, and one inside another ball fully
+    covered, and neither draws samples, though ``sample_count`` still
+    charges both.  The standard error combines per-ball binomial
+    variances.
+
+    Sphere i lies inside ball j when k < -rho: then g.w >= -rho|g| >
+    k|g| for every draw g.  The floats fl(g.w) and fl(|g|) k keep that
+    order while -k exceeds rho by more than a few ulps, hence the
+    relative margin of 1e-9, so the test would count no draw outside.
+    p = 0 adds exactly 0 to the value and the variance, and the skip
+    keeps every output float.  Only a draw of exactly the zero vector
+    (0 <= -0.0), at a chance of 2**-52 per coordinate, would have
+    counted.
     """
     samples_per_ball = int(samples_per_ball)
     if samples_per_ball < 100:
@@ -668,18 +687,21 @@ def union_perimeter_mc(
             # Nothing covers an isolated sphere: p = 1, zero variance.
             value += surf
             continue
-        w = (centers[others] - centers[i]).T
         k = (dist * dist + r * r - radii[others] ** 2) / (2.0 * r)
+        if (k < -(1.0 + 1e-9) * dist).any():
+            # Inside another ball: p = 0, zero variance.
+            continue
+        w = centers[others] - centers[i]
         rng = np.random.default_rng([seed, int(i)])
         chunk = max(1, MC_CHUNK_ELEMENTS // max(d, others.size))
         outside = 0
         for done in range(0, samples_per_ball, chunk):
             g = rng.standard_normal((min(chunk, samples_per_ball - done), d))
             norms = np.sqrt(_row_squares(g))
-            proj = g @ w
-            ok = proj[:, 0] <= norms * k[0]
+            proj = w @ g.T
+            ok = proj[0] <= norms * k[0]
             for j in range(1, k.size):
-                ok &= proj[:, j] <= norms * k[j]
+                ok &= proj[j] <= norms * k[j]
             outside += int(np.count_nonzero(ok))
         p = outside / samples_per_ball
         value += surf * p
@@ -692,8 +714,11 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     """Volume of a union of balls; exact interval sweep in d = 1, else
     rejection sampling over the bounding box.
 
-    Each chunk of uniform points is sorted once by its first coordinate
-    (the hit count does not depend on the order), and a ball tests only
+    Each chunk draws ``Generator.random`` floats u in place and scales
+    them to lo + (hi - lo) u, the floats ``Generator.uniform(lo, hi)``
+    returns for the same stream, without its broadcasting path.  The
+    chunk is gathered once in the order of its first coordinate (the
+    hit count does not depend on the order), and a ball tests only
     the points of its slab c_x - r - pad <= x <= c_x + r + pad, with
     pad = 1e-9 (|c_x| + r), by the same predicate as a test of every
     point: ``_row_squares(p - c) <= r*r``.  The slab keeps every point
@@ -715,7 +740,11 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
         return PerimeterEstimate(sum((hi - lo).tolist()), 0.0, "exact1d", 0)
     lo = (centers - radii[:, None]).min(axis=0)
     hi = (centers + radii[:, None]).max(axis=0)
-    box = float(np.prod(hi - lo))
+    span = hi - lo
+    if not np.isfinite(span).all():
+        # the error Generator.uniform raises on such bounds
+        raise OverflowError("Range exceeds valid bounds")
+    box = float(np.prod(span))
     rng = np.random.default_rng([seed])
     pad = 1e-9 * (np.abs(centers[:, 0]) + radii)
     slab_lo = centers[:, 0] - radii - pad
@@ -724,8 +753,10 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     chunk = max(1, MC_CHUNK_ELEMENTS // d)
     for done in range(0, samples, chunk):
         m = min(chunk, samples - done)
-        pts = rng.uniform(lo, hi, size=(m, d))
-        pts = pts[np.argsort(pts[:, 0])]
+        pts = rng.random((m, d))
+        pts *= span
+        pts += lo
+        pts = np.take(pts, np.argsort(pts[:, 0]), axis=0)
         first = np.searchsorted(pts[:, 0], slab_lo)
         last = np.searchsorted(pts[:, 0], slab_hi, side="right")
         covered = np.zeros(m, dtype=bool)

@@ -86,7 +86,14 @@ class StepFunction:
         return len(self.values)
 
     def abs_function(self) -> "StepFunction":
-        return StepFunction(self.breakpoints, tuple(abs(v) for v in self.values))
+        """|f| on the same breakpoints.  f passed the checks already and
+        its ``_arrays`` hold |values|, so |f| skips the checks and shares
+        them: they are built once per f, however often |f| is taken."""
+        g = object.__new__(StepFunction)
+        object.__setattr__(g, "breakpoints", self.breakpoints)
+        object.__setattr__(g, "values", tuple(abs(v) for v in self.values))
+        vars(g)["_arrays"] = self._arrays
+        return g
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """Geometry primitives against independent oracles and exact identities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -462,6 +463,53 @@ def test_pair_layer_around_the_group_size(size):
     radii = np.concatenate([[0.3], rng.uniform(0.5, 1.0, size), [1.2, 1.5]])
     centers = rng.uniform(0.0, 10.0, (radii.size, 2))
     _assert_pairs_exact(centers, radii)
+
+
+def _spy_trees(monkeypatch):
+    """Ball counts of the kd-trees the pair layer builds, and its number
+    of queries across trees, from a counting subclass of ``cKDTree``."""
+    import scipy.spatial
+
+    built, across = [], []
+
+    class Spy(scipy.spatial.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            built.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+        def sparse_distance_matrix(self, *args, **kwargs):
+            across.append(1)
+            return super().sparse_distance_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Spy)
+    return built, across
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_pair_layer_at_the_one_group_size(monkeypatch, extra):
+    # radii over seven binary classes: up to _GROUP_BALLS balls they share
+    # one tree, one ball more splits them by the class cap
+    size = geometry._GROUP_BALLS + extra
+    rng = np.random.default_rng([size, 18])
+    radii = 2.0 ** rng.uniform(-7.0, 0.0, size)
+    assert np.ptp(np.frexp(radii)[1]) >= 6
+    centers = rng.uniform(0.0, 6.0, (size, 2))
+    built, across = _spy_trees(monkeypatch)
+    _assert_pairs_exact(centers, radii)
+    if extra:
+        assert len(built) > 1 and across
+    else:
+        assert built == [size] and not across
+
+
+def test_small_corpus_collection_builds_one_tree(monkeypatch):
+    # 40 balls of the corpus law over five binary classes, more than the
+    # class cap of a larger collection's group
+    balls = random_collection(3, [40, 18], count=40)
+    assert np.ptp(np.frexp(balls.radii)[1]) >= geometry._GROUP_CLASSES
+    built, across = _spy_trees(monkeypatch)
+    assert balls.pairs[1].size > 0
+    assert built == [40] and not across
 
 
 def test_pair_layer_over_six_hundred_decades():
@@ -1066,6 +1114,32 @@ def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
     assert union_volume_mc(balls, samples=5_000, seed=3) == volume
 
 
+def _mc_digest_corpus():
+    """(collection, samples per ball, volume samples) of the corpus law
+    in d = 2, 3 and 4: 2 to 40 balls; 300 balls, which the pair layer
+    splits into several kd-tree groups; and a few balls drawn over
+    several chunks of 2**18 elements, in both estimates."""
+    for dim in (2, 3, 4):
+        for n in (2, 7, 19, 40):
+            yield random_collection(dim, [dim, n, 29], count=n), 2_000, 20_000
+        yield random_collection(dim, [dim, 300, 29], count=300), 200, 50_000
+        yield random_collection(dim, [dim, 4, 30], count=4), 300_000, 600_000
+
+
+def test_mc_estimates_match_recorded_digest():
+    # sha256 of the reprs of both estimates, recorded before the sphere
+    # test read (K, m) rows, spheres inside another ball drew nothing and
+    # the volume drew through Generator.random: each kept every float
+    digest = hashlib.sha256()
+    for k, (balls, per_ball, samples) in enumerate(_mc_digest_corpus()):
+        perimeter = union_perimeter_mc(balls, samples_per_ball=per_ball, seed=k)
+        volume = union_volume_mc(balls, samples=samples, seed=k)
+        digest.update(repr((perimeter, volume)).encode())
+    assert digest.hexdigest() == (
+        "288649c3366147afe6a510e6d647bb71b9bb73740fb71cd8384786d2ac45977b"
+    )
+
+
 @pytest.mark.parametrize("dim", range(1, 8))
 def test_row_squares_match_numpy_row_sum(dim):
     x = np.random.default_rng(dim).standard_normal((5000, dim)) * 10.0 ** np.arange(dim)
@@ -1094,12 +1168,39 @@ def test_mc_isolated_balls_draw_no_samples(monkeypatch):
     assert est.std_error == pair.std_error
 
 
+def test_mc_covered_balls_draw_no_samples(monkeypatch):
+    # ball 1 lies inside ball 0; ball 3 lies inside the union of balls 0
+    # and 2 but in neither, and ball 4 touches ball 0 from inside: those
+    # two draw, and the estimate is the count of every draw's point
+    balls = _collection(
+        [(0, 0, 1.0), (0.3, 0.2, 0.5), (1.5, 0, 1.0), (0.8, 0, 0.45), (0.5, 0, 0.5)]
+    )
+    drawn = []
+    real = np.random.default_rng
+
+    def spy(seed):
+        drawn.append(seed[1])
+        return real(seed)
+
+    monkeypatch.setattr(geometry.np.random, "default_rng", spy)
+    est = union_perimeter_mc(balls, samples_per_ball=4_000, seed=6)
+    assert drawn == [0, 2, 3, 4]
+    assert est.sample_count == 5 * 4_000
+    monkeypatch.undo()
+    assert (est.value, est.std_error) == oracles.union_perimeter_mc_points(balls, 4_000, 6)
+
+
 def test_mc_validation():
     balls = _collection([(0, 0, 1.0)])
     with pytest.raises(ValueError):
         union_perimeter_mc(balls, samples_per_ball=10, seed=0)
     with pytest.raises(ValueError):
         union_volume_mc(balls, samples=10, seed=0)
+    # a bounding box wider than the largest float, as Generator.uniform
+    # rejects it
+    huge = _collection([(-8e307, 0, 8e307), (8e307, 0, 8e307)])
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        union_volume_mc(huge, samples=1_000, seed=0)
 
 
 # --------------------------------------------------------------------------

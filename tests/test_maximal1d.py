@@ -86,6 +86,16 @@ class TestStepFunction:
         assert g.breakpoints == SIGNED.breakpoints
         assert g.values == (2.0, 1.0, 0.5)
 
+    def test_abs_function_shares_the_arrays(self):
+        # |f| skips the checks and takes f's arrays, which are those a
+        # checked |f| builds, bit for bit
+        for f in (SIGNED, TENT, StepFunction((0.0, 1.0, 3.0), (-0.0, -2.5))):
+            g = f.abs_function()
+            checked = StepFunction(f.breakpoints, tuple(abs(v) for v in f.values))
+            assert g == checked and g._arrays is f._arrays
+            for a, b in zip(g._arrays, checked._arrays, strict=True):
+                assert a.tobytes() == b.tobytes()
+
     def test_piece_count(self):
         assert TENT.piece_count == 3
 

@@ -61,3 +61,19 @@ def test_packing_timing_prints_one_json_line_per_eps(capsys):
         assert row["probes"] == row["disks"] - 1 + row["rejections"] and row["best_s"] > 0.0
         assert row["probe_s"] > 0.0 and row["solve_s"] > 0.0
         assert row["repeats"] == 1 and row["nproc"] >= 1
+
+
+def test_mc_timing_prints_one_json_line_per_dimension_and_size(capsys):
+    argv = ["--dims", "2,3", "--sizes", "2,30", "--samples", "500", "--repeats", "2"]
+    assert _load("mc_timing").main(argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["d"], row["n"]) for row in rows] == [(2, 2), (2, 30), (3, 2), (3, 30)]
+    for row in rows:
+        assert set(row) == {
+            "d", "n", "samples", "volume_samples", "pairs_s", "perimeter_s_per_ball",
+            "volume_s_per_ball", "repeats", "nproc", "commit",
+        }
+        assert row["samples"] == 500 and row["volume_samples"] == 20000
+        assert row["pairs_s"] > 0.0 and row["volume_s_per_ball"] > 0.0
+        assert row["perimeter_s_per_ball"] > 0.0
+        assert row["repeats"] == 2 and row["nproc"] >= 1
