@@ -136,14 +136,12 @@ def dump_estimate(label: str, est: PerimeterEstimate) -> str:
 
 def dump_selection(result: SelectionResult, header_comments=None) -> str:
     lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append("selected " + " ".join(str(i) for i in result.selected))
+    lines.append("selected " + " ".join(map(str, result.selected)))
     for key in sorted(result.groups):
-        lines.append(
-            f"group {key} " + " ".join(str(i) for i in result.groups[key])
-        )
+        lines.append(f"group {key} " + " ".join(map(str, result.groups[key])))
     if result.families is not None:
         for k, fam in enumerate(result.families):
-            lines.append(f"family {k} " + " ".join(str(i) for i in fam))
+            lines.append(f"family {k} " + " ".join(map(str, fam)))
     for key in sorted(result.params):
         lines.append(f"param {key}={result.params[key]}")
     return "\n".join(lines) + "\n"

@@ -386,15 +386,20 @@ def union_components(starts, ends) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # which balls meet
 
-# A kd-tree of the pair layer holds one radius class (radii within a
-# factor of two, from the binary exponent), or adjacent classes merged
-# while the tree keeps at most _GROUP_BALLS balls over at most
-# _GROUP_CLASSES classes.  A collection of at most _GROUP_BALLS balls is
-# one group whatever its class span: one tree and one query cost less
-# than a tree per group and the queries across groups.  In larger
-# collections the class cap keeps a large ball from widening the query
-# of many small ones.
+# A collection of at most _GROUP_BALLS balls is one kd-tree, queried
+# at twice its largest radius: one tree and one query cost less than a
+# tree per radius class and the queries across them.  In larger
+# collections a tree holds one radius class (radii within a factor of
+# two, from the binary exponent), or adjacent classes merged while it
+# keeps at most _GROUP_CAP balls over at most _GROUP_CLASSES classes.
+# The class cap keeps a large ball from widening the query of many
+# small ones.  The ball cap is larger than _GROUP_BALLS because it only
+# merges classes at most a factor of 16 apart, where a query's fixed
+# cost (60-100 us on a shared 2-vCPU machine, even when it finds
+# nothing) outweighs the extra candidates; a one-tree threshold as
+# large would query a 713-disk packing at twice the unit radius.
 _GROUP_BALLS = 256
+_GROUP_CAP = 1024
 _GROUP_CLASSES = 4
 # Relative slack of the tree queries: it covers the rounding of the
 # trees' own distances, which need not equal those of the pair layer.
@@ -415,16 +420,19 @@ def _candidate_pairs(
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     from scipy.spatial import cKDTree
 
+    if len(radii) <= _GROUP_BALLS:
+        reach = _TREE_SLACK * 2.0 * float(radii.max())
+        inside = cKDTree(centers).query_pairs(reach, output_type="ndarray")
+        return inside[:, 0], inside[:, 1]
     # class k holds the radii in [2^(k + e - 1), 2^(k + e)), e the least
     # binary exponent; frexp reads it without a logarithm's overflow
     exponent = np.frexp(radii)[1]
     of_class = exponent - exponent.min()
     counts = np.bincount(of_class)
-    span = counts.size if len(radii) <= _GROUP_BALLS else _GROUP_CLASSES
     group_of_class = np.empty(counts.size, dtype=np.intp)
     group, low, held = -1, 0, 0
     for k in np.flatnonzero(counts).tolist():
-        if group < 0 or held + counts[k] > _GROUP_BALLS or k - low >= span:
+        if group < 0 or held + counts[k] > _GROUP_CAP or k - low >= _GROUP_CLASSES:
             group, low, held = group + 1, k, 0
         held += int(counts[k])
         group_of_class[k] = group

@@ -48,17 +48,21 @@ class SelectionResult:
 def _largest_first(radii: np.ndarray, removed_by) -> tuple[list[int], np.ndarray]:
     """The greedy scan of every selector: a ball s still left when
     visited is chosen, and removes itself and every still-left ball
-    among ``removed_by(s)``.  Returns the chosen indices in selection
-    order and, per ball, the chosen ball that removed it."""
-    remover = np.full(len(radii), -1)
+    among ``removed_by(s)``, a list of indices.  Returns the chosen
+    indices in selection order and, per ball, the chosen ball that
+    removed it.  The scan runs on Python ints: a choice removes a few
+    balls, and list indexing costs less than numpy's per-call overhead
+    at that size."""
+    remover = [-1] * len(radii)
     selected: list[int] = []
     for s in np.argsort(-radii, kind="stable").tolist():
         if remover[s] < 0:
             selected.append(s)
-            near = removed_by(s)
-            remover[near[remover[near] < 0]] = s
             remover[s] = s
-    return selected, remover
+            for t in removed_by(s):
+                if remover[t] < 0:
+                    remover[t] = s
+    return selected, np.array(remover, dtype=np.intp)
 
 
 def _removed_groups(selected: list[int], remover: np.ndarray) -> dict[int, list[int]]:
@@ -70,10 +74,13 @@ def _removed_groups(selected: list[int], remover: np.ndarray) -> dict[int, list[
 
 
 def _kept_partners(start: np.ndarray, partner: np.ndarray, keep: np.ndarray):
-    """The function s -> partners of s whose pair entry ``keep`` marks."""
+    """The function s -> list of the partners of s whose pair entry
+    ``keep`` marks.  The kept entries stay one numpy array, and each
+    call turns one slice into a list: a list of every entry would cost
+    about 36 bytes an entry against numpy's 8, and is no faster."""
     kept = partner[keep]
     bounds = np.concatenate([[0], np.cumsum(keep)])[start].tolist()
-    return lambda s: kept[bounds[s] : bounds[s + 1]]
+    return lambda s: kept[bounds[s] : bounds[s + 1]].tolist()
 
 
 def _meets(radii, owner, partner, dist) -> np.ndarray:
@@ -115,7 +122,7 @@ def besicovitch_select(balls: BallCollection) -> SelectionResult:
     meeting = _kept_partners(start, partner, _meets(radii, owner, partner, dist))
     colors: dict[int, int] = {}
     for s in selected:
-        used = {colors[t] for t in meeting(s).tolist() if t in colors}
+        used = {colors[t] for t in meeting(s) if t in colors}
         c = 1
         while c in used:
             c += 1
@@ -218,7 +225,7 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
     joins = hits & (radii[partner] <= (8.0 / 7.0) * radii[owner])
     selected, _ = _largest_first(radii, _kept_partners(start, partner, hits))
     joined = _kept_partners(start, partner, joins)
-    groups = {s: np.sort(np.append(joined(s), s)).tolist() for s in selected}
+    groups = {s: sorted(joined(s) + [s]) for s in selected}
     return SelectionResult(selected, groups, None, params)
 
 
@@ -246,7 +253,7 @@ def interval_select_1d(balls: BallCollection) -> SelectionResult:
 
     def meeting(s):
         window = by_lo[first[s] : last[s]]
-        return window[hi[window] >= lo[s]]
+        return window[hi[window] >= lo[s]].tolist()
 
     selected, remover = _largest_first(radii, meeting)
     return SelectionResult(selected, _removed_groups(selected, remover), None, params)

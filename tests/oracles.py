@@ -614,6 +614,15 @@ def neighbor_lists_oracle(
     return start, owner, partner[order], np.tile(dist[meet], 2)[order]
 
 
+def select_law(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and radii of n disks of the ``select`` benchmark law at
+    its density: radii log-uniform in [0.005, 1], about five meeting
+    neighbours per disk."""
+    rng = np.random.default_rng([seed, 5])
+    centers = rng.uniform(0.0, 22.0 * math.sqrt(n / 3000.0), (n, 2))
+    return centers, np.exp(rng.uniform(math.log(0.005), 0.0, n))
+
+
 def vitali_select_per_step(balls: BallCollection) -> SelectionResult:
     """``vitali_select`` with its own live mask, the meeting test of each
     chosen ball made at its own step."""

@@ -457,8 +457,8 @@ def test_pair_layer_of_one_large_ball_among_tiny_ones(dim):
 
 @pytest.mark.parametrize("size", [255, 256, 257])
 def test_pair_layer_around_the_group_size(size):
-    # one class of 255 to 257 balls between a smaller and a larger class:
-    # the classes share a tree or not as the count crosses 256
+    # one class of 255 to 257 balls between a smaller and a larger class,
+    # just past the one-tree size: the three classes share one group
     rng = np.random.default_rng([size, 14])
     radii = np.concatenate([[0.3], rng.uniform(0.5, 1.0, size), [1.2, 1.5]])
     centers = rng.uniform(0.0, 10.0, (radii.size, 2))
@@ -502,6 +502,31 @@ def test_pair_layer_at_the_one_group_size(monkeypatch, extra):
         assert built == [size] and not across
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_pair_layer_around_the_group_cap(monkeypatch, offset):
+    # one class of _GROUP_CAP - 1 to _GROUP_CAP + 1 balls between a
+    # smaller and a larger class: the middle class shares the smaller
+    # one's tree only while the two hold at most _GROUP_CAP balls
+    size = geometry._GROUP_CAP + offset
+    rng = np.random.default_rng([size, 19])
+    radii = np.concatenate([[0.3], rng.uniform(0.5, 1.0, size), [1.2, 1.5]])
+    centers = rng.uniform(0.0, 20.0, (radii.size, 2))
+    built, across = _spy_trees(monkeypatch)
+    _assert_pairs_exact(centers, radii)
+    assert built == ([size + 1, 2] if offset < 0 else [1, size, 2])
+    assert len(across) == len(built) * (len(built) - 1) // 2
+
+
+def test_select_law_builds_four_trees(monkeypatch):
+    # the eight binary classes of 3000 disks of the select law hold 236
+    # to 418 disks each; merged up to _GROUP_CAP balls, they make four
+    # trees, each queried once against each smaller one
+    centers, radii = oracles.select_law(3000, 7)
+    built, across = _spy_trees(monkeypatch)
+    assert BallCollection.from_arrays(centers, radii).pairs[1].size > 0
+    assert built == [991, 828, 767, 414] and len(across) == 6
+
+
 def test_small_corpus_collection_builds_one_tree(monkeypatch):
     # 40 balls of the corpus law over five binary classes, more than the
     # class cap of a larger collection's group
@@ -525,21 +550,14 @@ def test_pair_layer_over_six_hundred_decades():
     assert _pairs(centers, radii)[1].size == 2 * (6 * 5 // 2 + 6 * 20 + 10)
 
 
-def _select_law(n, seed):
-    """Disks of the ``select`` benchmark law at its density."""
-    rng = np.random.default_rng([seed, 5])
-    centers = rng.uniform(0.0, 22.0 * math.sqrt(n / 3000.0), (n, 2))
-    return centers, np.exp(rng.uniform(math.log(0.005), 0.0, n))
-
-
 def _corpus_3d(n, seed):
     balls = random_collection(3, seed, count=n)
     return balls.centers, balls.radii
 
 
 _ORACLE_INPUTS = {
-    "select-3000": lambda: _select_law(3000, 7),
-    "select-100000": lambda: _select_law(100_000, 8),
+    "select-3000": lambda: oracles.select_law(3000, 7),
+    "select-100000": lambda: oracles.select_law(100_000, 8),
     "corpus-3d-1000": lambda: _corpus_3d(1000, [16, 3]),
 }
 

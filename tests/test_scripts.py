@@ -35,8 +35,12 @@ def test_pair_layer_timing_prints_one_json_line_per_size(capsys):
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["n"] for row in rows] == [200, 300]
     for row in rows:
-        assert set(row) == {"n", "pairs", "best_s", "repeats", "nproc", "commit"}
+        assert set(row) == {
+            "n", "pairs", "best_s", "vitali_s", "besicovitch_s", "perimeter_besicovitch_s",
+            "perimeter_vitali_s", "repeats", "nproc", "commit",
+        }
         assert row["pairs"] > 0 and row["best_s"] > 0.0
+        assert all(row[key] > 0.0 for key in row if key.endswith("_s"))
         assert row["repeats"] == 2 and row["nproc"] >= 1
 
 

@@ -6,6 +6,7 @@ returned indices; derived constants are compared against independent
 oracles built from quadrature or closed forms.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from ballcover.geometry import (
     lens_volume,
     unit_ball_volume,
 )
+from ballcover.formats import dump_selection
 from ballcover.harness import random_collection
 from ballcover.selection import (
     SelectionResult,
@@ -38,6 +40,7 @@ from oracles import (
     interval_select_1d_per_step,
     lens_volume_quadrature,
     perimeter_vitali_select_per_step,
+    select_law,
     union_component_count_oracle,
     union_length_oracle,
     unit_ball_volume_gamma,
@@ -563,7 +566,8 @@ def _scan_cases(dim: int) -> dict[str, BallCollection]:
     """Collections on which the scan and the per-step loops could part:
     the corpus law, pairs at the tangency tolerance, centres on a
     larger sphere, coincident copies, radius ties, radii over six
-    decades and a single ball."""
+    decades, a single ball and, in the plane, the ``select`` benchmark's
+    3000 disks."""
     axis = np.eye(dim)[0]
     cases = {
         f"corpus-{seed}": random_collection(dim, [dim, seed], count=60)
@@ -592,6 +596,9 @@ def _scan_cases(dim: int) -> dict[str, BallCollection]:
         rng.uniform(-1.0, 1.0, (80, dim)), 10.0 ** rng.uniform(-6.0, 0.0, 80)
     )
     cases["single"] = BallCollection.from_arrays(np.zeros((1, dim)), [0.5])
+    if dim == 2:
+        # the benchmark's collection, whose pair layer spans four trees
+        cases["select-3000"] = BallCollection.from_arrays(*select_law(3000, 7))
     return cases
 
 
@@ -686,6 +693,25 @@ class TestLargestFirstScan:
         assert vitali_select(cases["ties"]).selected == list(range(0, 15, 2))
         chosen = vitali_select(cases["coincident"]).selected
         assert not set(chosen) & set(range(12, 17))
+
+
+def test_selections_match_recorded_digest():
+    # sha256 of the selection text of the four planar selectors on the
+    # select benchmark's 3000 disks at two seeds, recorded before the
+    # scan moved to Python ints and the pair layer's trees grew
+    digest = hashlib.sha256()
+    for seed in (7, 11):
+        balls = BallCollection.from_arrays(*select_law(3000, seed))
+        for result in (
+            vitali_select(balls),
+            besicovitch_select(balls),
+            perimeter_besicovitch_select(balls),
+            perimeter_vitali_select(balls, 0.01),
+        ):
+            digest.update(dump_selection(result).encode())
+    assert digest.hexdigest() == (
+        "d9612b8c9f9e9468e48dbafb134ca2a11094b33ba27ca9f974a88a4f5ac2ea2a"
+    )
 
 
 # ---------------------------------------------------------------------------
