@@ -467,7 +467,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         validate(cfg)
         return _COMMANDS[cfg.command](cfg)
-    except (ValueError, OSError) as exc:  # ValidationError included
+    except (ValueError, OSError, OverflowError) as exc:  # ValidationError included
         print(f"ballcover: error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,33 +3,38 @@
 All averages are of |f|, taken over intervals whose closure contains
 the point.  For a step function the antiderivative F of |f| is
 piecewise linear, and the average over (a, b) is
-(F(b) - F(a)) / (b - a).  The variation comparison integrates
-superlevel boundary counts in the level variable, one count per gap
-between critical levels, which gives var(Mf) exactly.
+(F(b) - F(a)) / (b - a).
+
+var(Mf) has a closed form.  Let S_il be the average over the
+breakpoints (x_i, x_l), i < l.  An optimal interval for Mf(x) has its
+ends at breakpoints or at x, so Mf(x_j) = B_j, the largest S_il with
+i <= j <= l.  On piece j an average over (a, x) or (x, b), with a and b
+breakpoints, moves monotonically toward the piece value as x moves,
+and one over breakpoints around x is constant; so Mf falls and then
+rises, and its minimum D_j sits where a falling average over (x_i, t)
+meets a rising one over (t, x_l), both equal to S_il: D_j is the
+largest S_il with i <= j < l.  Off the support hull Mf falls to 0.  So
+Mf runs monotonically through the zigzag 0, B_0, D_0, B_1, ...,
+D_(k-1), B_k, 0, and var(Mf) = 2 (sum of B_j - sum of D_j).  Each D_j
+is a maximum over a subset of the pairs of B_j and of B_(j+1), so
+D_j <= B_j, B_(j+1) holds in floats too.
+
+The zigzag also counts the components of {Mf >= level}: one starts on
+each rising step that crosses the level, which makes
+#{B_j > level} - #{D_j > level} of them at a level equal to no B_j or
+D_j.  Components appear, vanish or merge only at piece values and
+pair averages, and at those the count depends on ties, so a grid level
+within rounding of one (relative to max|f|) is skipped: it takes its
+count from the roots of the rising-sun pass below, and the
+level-by-level comparison does not hold it to the bound.  Every other
+level lies clear of all B_j and D_j, so its zigzag count is exact.
 
 Level sets follow F. Riesz's rising-sun picture.  With
 G(x) = F(x) - level x, the average over (a, b) is at least the level
 exactly when G(b) >= G(a), so one pass over G at the breakpoints, with
 its prefix minimum and suffix maximum, gives {Mf >= level}.  The pass
 takes an array of levels, one row of G each, so the variation check
-counts all its levels in one call.
-
-The variation check needs only the number of components, and at a
-level inside a gap between critical levels it reads that number off
-comparisons of the samples g_j = G(x_j), their prefix minima pm_j and
-suffix maxima sm_j, with no roots (the gap rule).  {Mf >= level} misses
-both zero tails and, on each piece i where G falls, the stretch where
-G lies between sm_(i+1) and pm_i: a miss exactly when
-sm_(i+1) < pm_i.  A miss on piece i makes pm_(i+1) = g_(i+1), so it
-reaches any miss on piece i + 1, which makes sm_(i+1) = g_(i+1); the
-tails likewise reach misses on the end pieces.  So misses on
-neighbouring pieces join, and the components are the runs of pieces
-with no miss.  Within rounding of a critical level the comparisons
-meet float ties that the roots of ``_superlevel_components`` resolve
-otherwise: for f = 4, 2, 4 on unit pieces, at the float 40/12 just
-above the critical 10/3, G(3) rounds to G(0) = 0.0, and the roots give
-the two components there but the rule one.  So a grid level within
-rounding of a critical level keeps the root count.
+counts its skipped levels in batched calls.
 
 For a value c let a(c) be the first x with G(x) <= c and b(c) the last with
 G(x) >= c.  The inclusion-maximal intervals of average exactly the
@@ -52,10 +57,10 @@ import numpy as np
 
 from .geometry import Interval
 
-# Levels this close (relative) to a critical average are degenerate.
+# Levels this close, relative to max|f|, to a critical average are skipped.
 _SKIP_TOL = 1e-9
-# Level rows times breakpoints per rising-sun pass of
-# maximal_variation_check: memory stays flat however many gaps it counts.
+# Rows times breakpoints per block of pair averages or rising-sun rows
+# in maximal_variation_check: memory stays flat however long f is.
 _BLOCK_ELEMENTS = 1 << 12
 
 
@@ -240,23 +245,6 @@ def maximal_superlevel(f: StepFunction, level: float) -> list[Interval]:
     return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-def _critical_levels(f: StepFunction) -> np.ndarray:
-    """Piece values and breakpoint-pair averages: the levels at which
-    components of {Mf >= level} can appear, vanish or merge.
-
-    A component holds a whole piece with |f| >= level, and Mf on it is
-    at most the largest such value, so components appear and vanish at
-    piece values.  Two components merge where the gap between them
-    shrinks to a point, a root of G = prefix min meeting a root of
-    G = suffix max.  Both extrema sit at breakpoints x_j < x_k, so that
-    happens exactly when G(x_j) = G(x_k): at the average over (x_j, x_k).
-    """
-    xs, _, vs, prefix = f._arrays
-    upper = xs[:, None] < xs
-    averages = (prefix - prefix[:, None])[upper] / (xs - xs[:, None])[upper]
-    return np.unique(np.concatenate([vs, averages]))
-
-
 def _runs(inside: np.ndarray) -> np.ndarray:
     """Number of runs of True along each row of a boolean array."""
     return inside[:, 0] + np.count_nonzero(inside[:, 1:] & ~inside[:, :-1], axis=1)
@@ -267,15 +255,6 @@ def _function_superlevel_count(f: StepFunction, levels: np.ndarray) -> np.ndarra
     of pieces at or above it, since neighbouring pieces touch and others
     lie apart."""
     return _runs(f._arrays[2] >= levels[:, None])
-
-
-def _gap_counts(f: StepFunction, levels: np.ndarray) -> np.ndarray:
-    """Number of components of {Mf >= level} for each of an array of
-    levels inside gaps between critical levels, by the gap rule of the
-    module docstring: the runs of pieces that hold no miss.  G falls on
-    a piece exactly as ``_superlevel_components`` decides it."""
-    _, _, slope, pm, sm = _rising_sun(f, levels)
-    return _runs(~((slope < 0) & (sm[:, 1:] < pm[:, :-1])))
 
 
 def variation(f: StepFunction) -> float:
@@ -337,27 +316,49 @@ def level_report(f: StepFunction, level: float) -> LevelSetReport:
     return LevelSetReport(level, tuple(ivals), count_f, 2 * components)
 
 
-def _component_counts(
-    g: StepFunction, levels: np.ndarray, gaps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Components of {Mf >= level} and of {|f| >= level} at each level,
-    in blocks of at most ``_BLOCK_ELEMENTS`` level rows times breakpoints.
-    The first ``gaps`` levels lie inside gaps and go through the gap
-    rule (``_gap_counts``); the others, within rounding of a critical
-    level, through the roots of ``_superlevel_components``."""
-    step = max(1, _BLOCK_ELEMENTS // len(g.breakpoints))
-    comp_m = np.empty(levels.size, dtype=int)
-    comp_f = np.empty(levels.size, dtype=int)
-    for first, stop in ((0, gaps), (gaps, levels.size)):
-        for i in range(first, stop, step):
-            block = levels[i : min(i + step, stop)]
-            if i < gaps:
-                comp_m[i : i + block.size] = _gap_counts(g, block)
-            else:
-                row = _superlevel_components(g, block)[0]
-                comp_m[i : i + block.size] = np.bincount(row, minlength=block.size)
-            comp_f[i : i + block.size] = _function_superlevel_count(g, block)
-    return comp_m, comp_f
+def _near(levels: np.ndarray, values: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each level lies within tol of one of the sorted values:
+    of its neighbour below or of its neighbour above."""
+    at = np.searchsorted(values, levels)
+    below = levels - values[np.maximum(at - 1, 0)]
+    above = values[np.minimum(at, values.size - 1)] - levels
+    return ((at > 0) & (below <= tol)) | ((at < values.size) & (above <= tol))
+
+
+def _zigzag(g: StepFunction, levels: np.ndarray, tol: float):
+    """B_j and D_j of the module docstring, and whether each level lies
+    within tol of a piece value or of a pair average S_il.
+
+    The rows i of S go in blocks of at most ``_BLOCK_ELEMENTS``
+    averages, each row only over l > i.  The suffix maximum of row i at
+    column c is its largest S_il with l >= c: at c = i + 1 it is row
+    i's share of B_i, and at c > i its share of B_c and of D_(c-1),
+    which running column maxima collect.  A level's nearest averages
+    below and above are among the nearest of some block, and float
+    subtraction keeps their order, so the blocks decide the flags as the
+    sorted union of all averages would.
+    """
+    xs, _, vs, prefix = g._arrays
+    n = xs.size
+    near = _near(levels, np.sort(vs), tol)
+    row_max = np.full(n, -np.inf)
+    col_max = np.full(n, -np.inf)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n - 1)
+        # row i holds columns l = lo + 1, ..., k; those with l <= i go
+        with np.errstate(invalid="ignore"):
+            s = (prefix[lo + 1 :] - prefix[lo:hi, None]) / (
+                xs[lo + 1 :] - xs[lo:hi, None]
+            )
+        upper = np.arange(lo + 1, n) > np.arange(lo, hi)[:, None]
+        near |= _near(levels, np.sort(s[upper]), tol)
+        s[~upper] = -np.inf
+        s = np.maximum.accumulate(s[:, ::-1], axis=1)[:, ::-1]
+        row_max[lo:hi] = s[:, 0]
+        s[~upper] = -np.inf
+        np.maximum(col_max[lo + 1 :], s.max(axis=0), out=col_max[lo + 1 :])
+    return np.maximum(row_max, col_max), col_max[1:], near
 
 
 def maximal_variation_check(
@@ -365,18 +366,18 @@ def maximal_variation_check(
 ) -> VariationReport:
     """Level-by-level boundary comparison and the variation inequality.
 
-    At every non-degenerate grid level the boundary count of
-    {Mf >= level} must not exceed that of {|f| >= level}.  var(Mf) is
-    the integral of the maximal boundary count over levels (coarea).
-    Both counts are constant on each open gap between consecutive
-    critical levels (see _critical_levels), so one count of each at
-    each gap's midpoint gives var(Mf) exactly, up to rounding, and
-    serves every grid level inside the gap; a degenerate grid level,
-    within rounding of a critical level, is counted where it lies.
-    Gap midpoints are counted by the gap rule and degenerate grid
-    levels by the roots, each kind in batched rising-sun passes (see
-    _component_counts).  var(Mf) must not exceed var(|f|) by more than
-    1e-9 * max(1, var(|f|)).
+    var(Mf) is the length of the zigzag of the module docstring,
+    2 (sum of B_j - sum of D_j), summed exactly and rounded once by
+    ``math.fsum``.  At every grid level that is not skipped, the
+    boundary count of {Mf >= level}, twice the rising steps of the
+    zigzag across it, must not exceed that of {|f| >= level}.  A level
+    within ``_SKIP_TOL * max|f|`` of a piece value or of a pair average
+    is skipped: its count comes from the roots of
+    ``_superlevel_components``, in blocks of at most
+    ``_BLOCK_ELEMENTS`` level rows times breakpoints, and it passes.
+    var(Mf) must not exceed var(|f|) by more than 1e-9 * var(|f|).
+    Both tolerances are relative, so scaling f by a power of 2 scales
+    var(Mf) exactly and leaves every record as it is.
     """
     level_grid_size = int(level_grid_size)
     if level_grid_size < 10:
@@ -387,41 +388,35 @@ def maximal_variation_check(
     if max_mf == 0.0:
         return VariationReport((), 0.0, 0.0, True)
 
-    critical = _critical_levels(g)
-    # max_mf is a piece value, so the cuts run from 0 up to it; critical
-    # comes sorted and unique from np.unique, and no average is negative
-    cuts = critical[critical <= max_mf]
-    if cuts[0] > 0.0:
-        cuts = np.concatenate([[0.0], cuts])
     levels = max_mf * np.arange(1.0, level_grid_size + 1) / (level_grid_size + 1)
-    skip_tol = _SKIP_TOL * max(1.0, max_mf)
-    # a level lies within skip_tol of some critical level exactly when it
-    # does of one of its two neighbours in the sorted critical levels
-    at = np.searchsorted(critical, levels)
-    below = levels - critical[np.maximum(at - 1, 0)]
-    above = critical[np.minimum(at, critical.size - 1)] - levels
-    near = ((at > 0) & (below <= skip_tol)) | ((at < critical.size) & (above <= skip_tol))
+    peaks, dips, near = _zigzag(g, levels, _SKIP_TOL * max_mf)
     if near.all():
         raise ValueError("degenerate level grid: every level is critical")
+    var_mf = 2.0 * math.fsum(peaks.tolist() + (-dips).tolist())
 
-    # every gap midpoint, then every skipped grid level
-    gaps = cuts.size - 1
-    comp_m, comp_f = _component_counts(
-        g, np.concatenate([0.5 * (cuts[:-1] + cuts[1:]), levels[near]]), gaps
+    # #{B_j > level} - #{D_j > level}, with one more B_j than D_j
+    comp_m = 1 + (
+        np.searchsorted(np.sort(dips), levels, side="right")
+        - np.searchsorted(np.sort(peaks), levels, side="right")
     )
-    # summed one gap after another, the order that fixes var(Mf)'s bits
-    var_mf = np.cumsum(2 * comp_m[:gaps] * np.diff(cuts))[-1]
-    # each grid level takes its own count when skipped, its gap's if not
-    source = np.where(near, gaps + np.cumsum(near) - 1, np.searchsorted(cuts, levels) - 1)
-    count_m, count_f = 2 * comp_m[source], 2 * comp_f[source]
+    step = max(1, _BLOCK_ELEMENTS // len(g.breakpoints))
+    skipped = np.flatnonzero(near)
+    for i in range(0, skipped.size, step):
+        at = skipped[i : i + step]
+        comp_m[at] = np.bincount(
+            _superlevel_components(g, levels[at])[0], minlength=at.size
+        )
+    comp_f = np.concatenate([
+        _function_superlevel_count(g, levels[i : i + step])
+        for i in range(0, levels.size, step)
+    ])
+    count_m, count_f = 2 * comp_m, 2 * comp_f
     passed = near | (count_m <= count_f)
     records = tuple(
         map(LevelRecord, levels.tolist(), count_m.tolist(), count_f.tolist(),
             near.tolist(), passed.tolist())
     )
-    all_pass = bool(passed.all())
-
-    # relative above 1: var(Mf) = var(|f|) for unimodal |f|, and at a
-    # large scale rounding alone exceeds an absolute 1e-9
-    bound_ok = var_mf <= var_f + 1e-9 * max(1.0, var_f)
-    return VariationReport(records, var_f, float(var_mf), all_pass and bound_ok)
+    # var(Mf) = var(|f|) for unimodal |f|, so rounding alone can cross
+    # the bound by a few ulp
+    bound_ok = var_mf <= var_f + 1e-9 * var_f
+    return VariationReport(records, var_f, var_mf, bool(passed.all()) and bound_ok)

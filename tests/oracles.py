@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 from scipy import integrate, optimize
@@ -228,11 +227,12 @@ def superlevel_components_per_level(
 
 
 def variation_check_levels_oracle(g: StepFunction, n: int):
-    """The critical levels, gap cuts and level grid of
-    ``maximal1d.maximal_variation_check`` on g = |f| at grid size n, by
-    their first formulas: the average over every breakpoint pair from
-    ``np.triu_indices``, the cuts from ``np.union1d`` and the grid one
-    level at a time in Python floats."""
+    """The critical levels of g = |f|, the cuts between the gaps they
+    leave, and the level grid of ``maximal1d.maximal_variation_check``
+    at grid size n: the piece values and the average over every
+    breakpoint pair from ``np.triu_indices``, sorted and unique, the
+    cuts from ``np.union1d`` and the grid one level at a time in Python
+    floats."""
     xs, _, vs, prefix = g._arrays
     i, j = np.triu_indices(len(xs), k=1)
     averages = (prefix[j] - prefix[i]) / (xs[j] - xs[i])
@@ -270,43 +270,6 @@ def maximal_chain_oracle(f: StepFunction, level: float):
                 break
             c = pm[jb]
     return out, starts.size
-
-
-def exact_gap_rule_counts(f: StepFunction, levels) -> list[int]:
-    """Components of {Mf >= level} at each level by the gap rule of
-    ``maximal1d`` in rational arithmetic.  Floats convert exactly, so
-    each is the true count at that float level.
-
-    With G = F - level x at the breakpoints, its prefix minima pm and
-    suffix maxima sm, the set misses the two zero tails and, on each
-    piece i where G falls, the stretch where G lies between sm_(i+1)
-    and pm_i, when sm_(i+1) < pm_i.  Neighbouring misses join at x_j
-    when the left one reaches it (sm_j = G(x_j)) and the right one
-    starts there (pm_j = G(x_j)); the components lie between the joined
-    misses.
-    """
-    xs = [Fraction(x) for x in f.breakpoints]
-    prefix = [Fraction(0)]
-    for lo, hi, v in zip(xs, xs[1:], f.values):
-        prefix.append(prefix[-1] + abs(Fraction(v)) * (hi - lo))
-    counts = []
-    for level in levels:
-        level = Fraction(level)
-        g = [p - level * x for p, x in zip(prefix, xs)]
-        pm = list(accumulate(g, min))
-        sm = list(accumulate(reversed(g), max))[::-1]
-        # the left tail, reaching x_0 when no later G exceeds G(x_0)
-        misses, reach = 1, sm[0] == g[0]
-        for i in range(len(g) - 1):
-            if g[i + 1] < g[i] and sm[i + 1] < pm[i]:
-                misses += not (reach and pm[i] == g[i])
-                reach = sm[i + 1] == g[i + 1]
-            else:
-                reach = False
-        # the right tail, starting at x_k when no earlier G is below G(x_k)
-        misses += not (reach and pm[-1] == g[-1])
-        counts.append(misses - 1)
-    return counts
 
 
 def exact_antiderivative(f: StepFunction):
@@ -383,6 +346,29 @@ def exact_maximal_variation(f: StepFunction) -> Fraction:
                         points.add(t)
     mf = [exact_maximal_function_at(f, t) for t in sorted(points)]
     return mf[0] + mf[-1] + sum(abs(b - a) for a, b in zip(mf, mf[1:]))
+
+
+def exact_zigzag_variation(f: StepFunction) -> Fraction:
+    """var(Mf) in rational arithmetic by the closed form of ``maximal1d``:
+    2 (sum of B_j - sum of D_j), with B_j the largest average over
+    breakpoints x_i <= x_j <= x_l and D_j the largest over
+    x_i <= x_j < x_l.  It walks each left end's averages from the right
+    with a running maximum, O(k^2) averages in all."""
+    F = exact_antiderivative(f)
+    xs = [Fraction(x) for x in f.breakpoints]
+    mass = [F(x) for x in xs]
+    n = len(xs)
+    # spans[c]: the largest average over (x_i, x_l) with i < c <= l
+    spans: list[Fraction | None] = [None] * n
+    peaks = []
+    for i in range(n):
+        best = None
+        for l in range(n - 1, i, -1):
+            avg = (mass[l] - mass[i]) / (xs[l] - xs[i])
+            best = avg if best is None else max(best, avg)
+            spans[l] = best if spans[l] is None else max(spans[l], best)
+        peaks.append(max(v for v in (best, spans[i]) if v is not None))
+    return 2 * (sum(peaks) - sum(spans[1:]))
 
 
 def variation_oracle(f: StepFunction) -> float:
@@ -732,9 +718,11 @@ def perimeter_vitali_select_per_step(
     return selected, groups
 
 
-def random_step_function(rng: np.random.Generator, max_pieces: int = 12) -> StepFunction:
+def random_step_function(
+    rng: np.random.Generator, max_pieces: int = 12, min_pieces: int = 1
+) -> StepFunction:
     """Nonnegative step function with irrational-ish breakpoints."""
-    k = int(rng.integers(1, max_pieces + 1))
+    k = int(rng.integers(min_pieces, max_pieces + 1))
     xs = np.cumsum(np.concatenate([[rng.uniform(-2.0, 2.0)], rng.uniform(0.05, 2.0, k)]))
     vs = rng.uniform(0.0, 3.0, k) * (rng.uniform(0.0, 1.0, k) > 0.2)
     return StepFunction(tuple(float(x) for x in xs), tuple(float(v) for v in vs))

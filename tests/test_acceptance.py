@@ -159,6 +159,24 @@ def test_criterion_4_maximal_variation_constant_one():
     assert elapsed < 120.0, f"runtime {elapsed:.1f} s exceeded the 120 s budget"
 
 
+def test_criterion_4_maximal_variation_at_ten_thousand_pieces():
+    # var(Mf) in closed form costs O(k^2) averages, so the check runs
+    # at 10^4 pieces, where counting components per gap between the
+    # k^2 critical levels would take hours
+    start = time.monotonic()
+    rng = np.random.default_rng([204, 10_000])
+    f = random_step_function(rng, max_pieces=10_000, min_pieces=10_000)
+    report = maximal_variation_check(f, 200)
+    assert f.piece_count == 10_000
+    assert report.var_mf_lower_bound <= report.var_f
+    for rec in report.levels:
+        if not rec.skipped:
+            assert rec.count_maximal <= rec.count_function
+    assert report.passed
+    elapsed = time.monotonic() - start
+    assert elapsed < 30.0, f"runtime {elapsed:.1f} s exceeded the 30 s budget"
+
+
 def test_criterion_5_center_cover_bounded_families():
     start = time.monotonic()
     slack = 8.0 / 7.0

@@ -7,6 +7,10 @@ the produced artifacts.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +293,24 @@ class TestExitStatuses:
         assert code == 1
         assert "delta" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflow_is_1(self, tmp_path):
+        # Two disks of radius 1e308: the sampling box has no float size.
+        # The command runs in its own process, so that an uncaught error
+        # would show as a traceback; numpy's overflow warnings on the way
+        # are ignored there, since the input is at the float limit.
+        path = tmp_path / "big.txt"
+        path.write_text("2 2\n0 0 1e308\n1 0 1e308\n")
+        code = "import sys; from ballcover.cli import main; sys.exit(main())"
+        argv = ["measure", "--input", str(path), "--output", str(tmp_path / "m.txt")]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        out = subprocess.run(
+            [sys.executable, "-W", "ignore::RuntimeWarning", "-c", code, *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert out.stderr.startswith("ballcover: error:")
+        assert "Traceback" not in out.stderr
 
     def test_unreadable_input_is_1(self, tmp_path, capsys):
         code = main(
@@ -620,6 +642,17 @@ class TestMaxfn:
         argv = ["maxfn", "--input", step_file, "--output", str(out)]
         assert main(argv) == 2
         assert "passed False" in out.read_text()
+
+    def test_values_near_the_smallest_normal_float(self, tmp_path, capsys):
+        # every tolerance is relative to max|f|, so no level is critical
+        path = tmp_path / "tiny.txt"
+        save_step_function(
+            str(path), StepFunction((0.0, 1.0, 2.0, 3.0), (3e-300, 1e-300, 2e-300))
+        )
+        out = tmp_path / "t.txt"
+        assert main(["maxfn", "--input", str(path), "--output", str(out)]) == 0
+        assert out.read_text().rstrip().endswith("passed True")
+        assert "passed=True" in capsys.readouterr().out
 
     def test_rerun_byte_identical(self, tmp_path, step_file):
         out = tmp_path / "g.txt"

@@ -10,11 +10,10 @@ import dataclasses
 import hashlib
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ballcover import maximal1d
@@ -25,8 +24,6 @@ from ballcover.maximal1d import (
     LevelSetReport,
     StepFunction,
     VariationReport,
-    _critical_levels,
-    _gap_counts,
     _superlevel_components,
     level_report,
     maximal_intervals,
@@ -40,9 +37,9 @@ from oracles import (
     average,
     exact_antiderivative,
     exact_average,
-    exact_gap_rule_counts,
     exact_maximal_function_at,
     exact_maximal_variation,
+    exact_zigzag_variation,
     maximal_chain_oracle,
     maximal_function_oracle_at,
     maximal_function_oracle_grid,
@@ -392,11 +389,11 @@ def dyadic_levels(draw):
 @st.composite
 def scaled_step_functions(draw):
     """A nonzero step function of the criterion-4 law with 1 to 40
-    pieces, its values scaled by 10^e for e in [-7, 9]."""
+    pieces, its values scaled by 10^e for e in [-100, 100]."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = random_step_function(rng, max_pieces=draw(st.integers(1, 40)))
     assume(max(f.values) > 0.0)
-    scale = 10.0 ** draw(st.floats(-7.0, 9.0))
+    scale = 10.0 ** draw(st.floats(-100.0, 100.0))
     return StepFunction(f.breakpoints, tuple(scale * v for v in f.values))
 
 
@@ -498,9 +495,13 @@ class TestLevelReport:
             assert count == want_count
 
 
+def _critical(g):
+    """Piece values and breakpoint-pair averages of g = |f|."""
+    return variation_check_levels_oracle(g, 10)[0]
+
+
 def _near_critical(g, lam, tol=1e-6):
-    crit = _critical_levels(g)
-    return bool(np.any(np.abs(crit - lam) <= tol * max(1.0, lam)))
+    return bool(np.any(np.abs(_critical(g) - lam) <= tol * max(1.0, lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -584,32 +585,46 @@ class TestMaximalVariationCheck:
             "acaad736839c23591aa78c9db958b3d74e90c5bf47df38c764a0e43460338a4e"
         )
 
-    @given(scaled_step_functions())
-    @settings(max_examples=60)
-    def test_critical_levels_match_the_pair_oracle(self, f):
-        # the pair averages from a mask are the floats of every
-        # np.triu_indices pair, so np.unique leaves the same array
-        g = f.abs_function()
-        want = variation_check_levels_oracle(g, 10)[0]
-        assert _critical_levels(g).tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("n", [10, 57, 200])
     @given(f=scaled_step_functions())
     @settings(max_examples=20)
     def test_grid_and_cuts_match_the_oracle(self, n, f):
-        # the grid is max_mf * j / (n + 1), float for float, and the
-        # counted levels are the midpoints of the np.union1d cuts, then
-        # the skipped grid levels
+        # the grid is max_mf * j / (n + 1), float for float, and a level
+        # is skipped exactly when it lies within 1e-9 max_mf of a piece
+        # value or of an average over a breakpoint pair
         g = f.abs_function()
-        _, cuts, grid = variation_check_levels_oracle(g, n)
-        with mock.patch.object(
-            maximal1d, "_component_counts", wraps=maximal1d._component_counts
-        ) as spy:
-            rep = maximal_variation_check(f, n)
+        critical, _, grid = variation_check_levels_oracle(g, n)
+        rep = maximal_variation_check(f, n)
         assert [rec.level for rec in rep.levels] == grid
-        skipped = np.array([rec.skipped for rec in rep.levels])
-        want = np.concatenate([0.5 * (cuts[:-1] + cuts[1:]), np.array(grid)[skipped]])
-        assert spy.call_args.args[1].tobytes() == want.tobytes()
+        tol = 1e-9 * max(g.values)
+        near = np.abs(np.subtract.outer(np.array(grid), critical)) <= tol
+        assert [rec.skipped for rec in rep.levels] == near.any(axis=1).tolist()
+
+    def test_power_of_two_scaling_is_exact(self):
+        # floats scale by 2^k exactly, and every tolerance is relative,
+        # so the records keep their counts and flags and the levels and
+        # both variations scale bit for bit
+        rng = np.random.default_rng(204)
+        functions = [random_step_function(rng) for _ in range(40)]
+        for f in functions:
+            if max(f.values) == 0.0:
+                continue
+            rep = maximal_variation_check(f, 200)
+            flags = [(r.count_maximal, r.count_function, r.skipped, r.passed)
+                     for r in rep.levels]
+            for k in range(-60, 61, 8):
+                scaled = StepFunction(
+                    f.breakpoints, tuple(math.ldexp(v, k) for v in f.values)
+                )
+                got = maximal_variation_check(scaled, 200)
+                assert [(r.count_maximal, r.count_function, r.skipped, r.passed)
+                        for r in got.levels] == flags, k
+                assert [r.level for r in got.levels] == [
+                    math.ldexp(r.level, k) for r in rep.levels
+                ]
+                assert got.var_f == math.ldexp(rep.var_f, k)
+                assert got.var_mf_lower_bound == math.ldexp(rep.var_mf_lower_bound, k)
+                assert got.passed == rep.passed
 
     def test_level_records_are_plain_values(self):
         # the benchmark's corrupted-report check rebuilds records and
@@ -646,7 +661,7 @@ def _var_mf(f):
 
 def _cuts(g):
     """0 and the critical levels of g = |f|: the ends of every gap."""
-    return np.union1d(0.0, _critical_levels(g))
+    return np.union1d(0.0, _critical(g))
 
 
 class TestExactVariation:
@@ -712,6 +727,22 @@ class TestExactVariation:
             want = exact_maximal_variation(f)
             assert abs(Fraction(_var_mf(f)) - want) <= 1e-12 * want
 
+    @given(dyadic_step_functions(max_pieces=8))
+    @settings(max_examples=60)
+    def test_closed_form_oracle_matches_the_pointwise_oracle(self, f):
+        # the zigzag's length in Fractions is var(Mf) itself, with no
+        # rounding: Mf evaluated exactly at every point where it turns
+        assert exact_zigzag_variation(f) == exact_maximal_variation(f)
+
+    def test_matches_closed_form_oracle_at_hundreds_of_pieces(self):
+        # sizes where the pointwise oracle, O(k^3) points at O(k^2)
+        # each, cannot run
+        rng = np.random.default_rng([204, 31])
+        for _ in range(3):
+            f = random_step_function(rng, max_pieces=400, min_pieces=100)
+            want = exact_zigzag_variation(f)
+            assert abs(Fraction(_var_mf(f)) - want) <= 1e-12 * want
+
     def test_sampled_variation_is_a_close_lower_bound(self):
         # Mf is monotone on each zero tail, so its values at the hull
         # ends stand for the tails, and a grid on the hull can only
@@ -756,9 +787,9 @@ class TestExactVariation:
     def test_one_component_pass_per_gap_and_skipped_level(
         self, monkeypatch, size
     ):
-        # one gap-rule call with a level row per gap, and one root-kernel
-        # call with a row per skipped level, none when nothing is skipped
-        calls = {"_gap_counts": [], "_superlevel_components": []}
+        # no rising-sun pass at all when nothing is skipped, and one
+        # root-kernel call per block of skipped levels otherwise
+        calls = {"_rising_sun": [], "_superlevel_components": []}
         for name, rows in calls.items():
             inner = getattr(maximal1d, name)
 
@@ -767,18 +798,19 @@ class TestExactVariation:
                 return inner(g, levels)
 
             monkeypatch.setattr(maximal1d, name, spy)
-        for f in (TENT, SPIKY, SIGNED, GOLDEN_STEP, INTEGER_STEP):
-            for rows in calls.values():
-                rows.clear()
-            rep = maximal_variation_check(f, size)
-            top = max(f.abs_function().values)
-            crit = _critical_levels(f.abs_function())
-            gaps = np.unique(crit[(crit > 0) & (crit <= top)]).size
-            skipped = sum(rec.skipped for rec in rep.levels)
-            assert calls["_gap_counts"] == [gaps]
-            assert calls["_superlevel_components"] == ([skipped] if skipped else [])
-            if f is INTEGER_STEP and size == 11:
-                assert skipped == 3
+        for block in (maximal1d._BLOCK_ELEMENTS, 8):
+            monkeypatch.setattr(maximal1d, "_BLOCK_ELEMENTS", block)
+            for f in (TENT, SPIKY, SIGNED, GOLDEN_STEP, INTEGER_STEP):
+                for rows in calls.values():
+                    rows.clear()
+                rep = maximal_variation_check(f, size)
+                skipped = sum(rec.skipped for rec in rep.levels)
+                step = max(1, block // len(f.breakpoints))
+                blocks = [min(step, skipped - i) for i in range(0, skipped, step)]
+                assert calls["_superlevel_components"] == blocks
+                assert calls["_rising_sun"] == blocks
+                if f is INTEGER_STEP and size == 11:
+                    assert skipped == 3
 
     def test_skipped_levels_keep_their_direct_counts(self):
         # Grid levels j/3 of INTEGER_STEP land on its critical levels 2,
@@ -809,7 +841,7 @@ class TestExactVariation:
 def _probe_levels(g):
     """Positive levels at gap midpoints, at critical levels, one ulp to
     either side of them, and at piece values."""
-    crit = _critical_levels(g)
+    crit = _critical(g)
     cuts = _cuts(g)
     levels = np.concatenate([
         0.5 * (cuts[:-1] + cuts[1:]),
@@ -841,45 +873,18 @@ class TestBatchedKernel:
             assert lo[row == k].tolist() == want_lo.tolist(), level
             assert hi[row == k].tolist() == want_hi.tolist(), level
 
-    @given(scaled_step_functions())
+    @given(f=scaled_step_functions(), n=st.integers(10, 200))
     @settings(max_examples=80)
-    def test_gap_rule_matches_the_roots_at_gap_midpoints(self, f):
+    def test_zigzag_counts_match_the_roots(self, f, n):
+        # at a level clear of every critical level the rising steps of
+        # the zigzag across it count the components the roots find
         g = f.abs_function()
-        cuts = variation_check_levels_oracle(g, 10)[1]
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        row = _superlevel_components(g, mids)[0]
-        assert _gap_counts(g, mids).tolist() == np.bincount(row, minlength=mids.size).tolist()
-
-    @given(dyadic_step_functions(max_pieces=8))
-    @example(StepFunction((0.0, 1.0, 3.0, 4.0), (1.0, 0.0, 1.0)))
-    @settings(max_examples=80)
-    def test_gap_rule_is_exact_on_dyadic_data(self, f):
-        # At a level of few bits the floats hold G exactly, so the rule
-        # must give the true count, at critical levels too, where two
-        # components touch at a point (for two unit bumps 2 apart, at 1/2)
-        top = max(f.values)
-        levels = np.concatenate([_critical_levels(f), top * np.arange(1, 65) / 64])
-        levels = [c for c in levels.tolist() if c > 0 and Fraction(c).denominator <= 2**12]
-        assert _gap_counts(f, np.array(levels)).tolist() == exact_gap_rule_counts(f, levels)
-
-    def test_gap_rule_matches_exact_arithmetic_off_narrow_gaps(self):
-        # The rule in Fractions gives the true count at a float level.
-        # The float rule agrees with it at every midpoint of the
-        # criterion-4 functions but in some of the 604 gaps narrower
-        # than 1e-12 max|f|: there the critical levels carry the
-        # rounding of their averages, and the roots give the float
-        # rule's count too.
-        rng = np.random.default_rng(204)
-        narrow = 0
-        for _ in range(200):
-            g = random_step_function(rng).abs_function()
-            cuts = variation_check_levels_oracle(g, 10)[1]
-            mids = 0.5 * (cuts[:-1] + cuts[1:])
-            off = _gap_counts(g, mids) != exact_gap_rule_counts(g, mids.tolist())
-            tiny = np.diff(cuts) < 1e-12 * max(g.values)
-            assert not np.any(off & ~tiny)
-            narrow += np.count_nonzero(tiny)
-        assert narrow == 604
+        rep = maximal_variation_check(f, n)
+        levels = np.array([rec.level for rec in rep.levels])
+        roots = np.bincount(_superlevel_components(g, levels)[0], minlength=levels.size)
+        for rec, count in zip(rep.levels, roots.tolist(), strict=True):
+            if not rec.skipped:
+                assert rec.count_maximal == 2 * count, rec.level
 
     @pytest.mark.parametrize("block", [1, 37])
     def test_block_edges_leave_reports_unchanged(self, monkeypatch, block):
@@ -893,13 +898,14 @@ class TestBatchedKernel:
 
     def test_criterion_4_reports_are_byte_identical(self):
         # sha256 of the whole reports on the criterion-4 functions,
-        # recorded with one component pass per level: batching the
-        # levels had to leave every count, flag and var(Mf) bit as it was.
+        # var(Mf) bits included, recorded when var(Mf) became the length
+        # of the zigzag (test_reports_match_recorded_digest pins the
+        # levels, which that left as they were).
         rng = np.random.default_rng(204)
         digest = hashlib.sha256()
         for _ in range(200):
             rep = maximal_variation_check(random_step_function(rng), 200)
             digest.update(repr(rep).encode())
         assert digest.hexdigest() == (
-            "33e3ff6d504b0245a4832d9c1d75513e9eaced12d93ba191924a91042f5dc3de"
+            "0356570e6643d38a8184ca74930a46d1572f990ea8363bfabfac198c672f58c2"
         )
