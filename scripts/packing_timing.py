@@ -7,17 +7,20 @@ stopped, ``stop`` ("radius floor" or "n_max"); the placements whose
 radius shrank below the previous one, ``shrinking``; the calls the
 search made in the whole build: ``pocket_solves`` (pockets whose shut
 radius was bracketed by ``_shut_radius``), ``rejections`` (top pockets'
-radii the full probe rejected, after which the pocket learns the disks
+radii the probe rejected, after which the pocket learns the disks
 that reached its gap and is solved again), ``retired`` (the rejections
 after which the pocket learned no disk and was retired), ``trials``
 (trial radii of the secant searches, on estimated and on solved
 distances),
 ``solves`` (overlap solves, the two cold solves before the first
 placement not counted) and ``cap_volumes`` (scalar cap kernel calls,
-all inside the overlap solves); ``probes``, the full probes of the
-build; ``probe_s`` and ``solve_s``, the wall seconds spent inside the
-full probes and inside the ``_shut_radius`` calls of that build, with
-the cost of counting the calls within them; the best of ``repeats``
+all inside the overlap solves); ``probes``, the probes
+(``_PocketQueue.gaps`` calls) of the build, and ``probe_disks``, the
+disks whose arcs they evaluated, summed over the windows of the radius
+classes around their candidate pockets; ``probe_s`` and ``solve_s``,
+the wall seconds spent inside the probes and inside the
+``_shut_radius`` calls of that build, with the cost of counting the
+calls within them; the best of ``repeats``
 build times ``best_s`` in wall seconds;
 the processors this process may use ``nproc`` and the ``commit`` of the
 ``ballcover`` sources measured.  The calls are counted in one extra
@@ -75,10 +78,25 @@ def counted():
 
     search = counterexample
     queue, secant = search._PocketQueue, search._secant
-    learn = queue._learn
+    learn, window = queue._learn, queue._window
+    probe, probing = counting("probes", queue.gaps, "probe_s"), []
 
     def trials(opening, distance, *args):
         return secant(opening, counting("trials", distance), *args)
+
+    def probes(*args):
+        probing.append(True)
+        try:
+            return probe(*args)
+        finally:
+            probing.pop()
+
+    def windowed(*args):
+        rows = window(*args)
+        # _learn takes the same windows; only the probes' count
+        if probing:
+            calls["probe_disks"] += len(rows)
+        return rows
 
     def rejections(*args):
         learned = learn(*args)
@@ -90,7 +108,8 @@ def counted():
         for owner, name, wrapper in [
             (geometry, "_cap_volume", counting("cap_volumes", geometry._cap_volume)),
             (search, "_overlap_distance", counting("solves", search._overlap_distance)),
-            (queue, "gaps", counting("probes", queue.gaps, "probe_s")),
+            (queue, "gaps", probes),
+            (queue, "_window", staticmethod(windowed)),
             (search, "_shut_radius", counting("pocket_solves", search._shut_radius, "solve_s")),
             (queue, "_learn", rejections),
             (search, "_secant", trials),
@@ -138,6 +157,7 @@ def main(argv=None) -> int:
             "solves": calls["solves"],
             "cap_volumes": calls["cap_volumes"],
             "probes": calls["probes"],
+            "probe_disks": calls["probe_disks"],
             "probe_s": calls["probe_s"],
             "solve_s": calls["solve_s"],
             "best_s": best,

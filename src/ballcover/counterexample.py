@@ -33,7 +33,6 @@ import numpy as np
 from .geometry import (
     TWO_PI,
     BallCollection,
-    _arc_ends,
     _cos_half_angle,
     _overlap_distance,
     center_distance_for_overlap,
@@ -171,46 +170,49 @@ def _shut_radius(opening, distances, a, a_rho, fa, b, b_rho, fb, tol):
 
 
 class _Distances:
-    """Center distances of the radii solved so far in one build, sorted
-    by radius.  The distance depends on the radius alone, so each new
-    overlap solve starts at the distance interpolated between the solved
-    radii on either side, and a radius solved before is not solved
-    again.  Call it with a radius between the least and the greatest
-    given at construction, which are solved from the midpoint start."""
+    """Center distances of the radii solved so far in one build, in
+    descending order of radius: radii only shrink, so a new solve is
+    appended near the end of the lists.  The distance depends on the
+    radius alone, so each new overlap solve starts at the distance
+    interpolated between the solved radii on either side, and a radius
+    solved before is not solved again.  Call it with a radius between
+    the least and the greatest given at construction, which are solved
+    from the midpoint start."""
 
     def __init__(self, eps: float, *radii: float):
         self._eps = eps
-        self._radii = sorted(radii)
-        self._rhos = [center_distance_for_overlap(r, 1.0, eps, 2) for r in self._radii]
+        # the negated radii, ascending, so bisect finds a radius's place
+        self._keys = sorted(-r for r in radii)
+        self._rhos = [center_distance_for_overlap(-k, 1.0, eps, 2) for k in self._keys]
 
     def _between(self, k: int, r: float) -> float:
-        """The distance interpolated at r between the solved radii k - 1
-        and k."""
-        radii, rhos = self._radii, self._rhos
-        a, b, rho_a, rho_b = radii[k - 1], radii[k], rhos[k - 1], rhos[k]
+        """The distance interpolated at r between the solved radii k
+        (the smaller) and k - 1 (the larger)."""
+        keys, rhos = self._keys, self._rhos
+        a, b, rho_a, rho_b = -keys[k], -keys[k - 1], rhos[k], rhos[k - 1]
         return rho_a + (r - a) * ((rho_b - rho_a) / (b - a))
 
     def estimate(self, r: float) -> float:
         """The distance of r if it was solved, else the start its solve
         takes: the interpolation between the solved radii on either side."""
-        k = bisect.bisect_left(self._radii, r)
-        return self._rhos[k] if self._radii[k] == r else self._between(k, r)
+        k = bisect.bisect_left(self._keys, -r)
+        return self._rhos[k] if self._keys[k] == -r else self._between(k, r)
 
     def __call__(self, r: float) -> float:
-        k = bisect.bisect_left(self._radii, r)
-        if self._radii[k] == r:
+        k = bisect.bisect_left(self._keys, -r)
+        if self._keys[k] == -r:
             return self._rhos[k]
         rho = _overlap_distance(r, 1.0, self._eps, 2, self._between(k, r))
-        self._radii.insert(k, r)
+        self._keys.insert(k, -r)
         self._rhos.insert(k, rho)
         return rho
 
 
 def _arc(disk, rho: float, r: float) -> tuple[float, float, float] | None:
-    """The arc that one placed disk, given as its column of
-    ``_PocketQueue`` (angle, center distance, radius), blocks for a new
-    disk of radius r at distance rho, in the floats of the full probe:
-    its half-width, start and end, None when it blocks every angle."""
+    """The arc that one placed disk, given as (angle, center distance,
+    radius), blocks for a new disk of radius r at distance rho, in the
+    floats of the probe: its half-width, start and end, None when it
+    blocks every angle."""
     angle, dist, radius = disk
     q = _cos_half_angle(dist, rho, r + radius)
     if q <= -1.0:
@@ -223,13 +225,13 @@ def _arc(disk, rho: float, r: float) -> tuple[float, float, float] | None:
 
 def _pair_opening(left, right):
     """The opening of a gap between the arc of the placed disk ``left``
-    and that of ``right``, each its column of ``_PocketQueue`` (angle,
-    center distance, radius), as a function of a new disk's center
+    and that of ``right``, each given as (angle, center distance,
+    radius), as a function of a new disk's center
     distance rho and radius r: the width from the end of the left arc to
     the start of the right one, at most 0 when they shut the gap, and
     -pi when either arc is the whole circle.
 
-    The width is taken in the floats of the full probe, from the end of
+    The width is taken in the floats of the probe, from the end of
     the left arc (less 2*pi past 2*pi) to the start of the right one, or
     as the angle between the two centers less both half-widths when the
     arcs overlap across 0 = 2*pi.  So the probe finds the gap exactly
@@ -240,14 +242,20 @@ def _pair_opening(left, right):
     span = right_angle - left_angle
     if span <= 0.0:
         span += TWO_PI
+    # the terms of _cos_half_angle that hold the disk alone, bound once
+    left_square, left_double = left_dist * left_dist, 2.0 * left_dist
+    right_square, right_double = right_dist * right_dist, 2.0 * right_dist
 
     # each arc inline: through _arc the packing's build is 4-7% slower
     def opening(rho: float, r: float) -> float:
-        q = _cos_half_angle(left_dist, rho, r + left_radius)
+        rho_square = rho * rho
+        s = r + left_radius
+        q = (left_square + rho_square - s * s) / (left_double * rho)
         if q <= -1.0:
             return -math.pi
         h_left = float(np.arccos(q))
-        q = _cos_half_angle(right_dist, rho, r + right_radius)
+        s = r + right_radius
+        q = (right_square + rho_square - s * s) / (right_double * rho)
         if q <= -1.0:
             return -math.pi
         h_right = float(np.arccos(q))
@@ -270,15 +278,27 @@ def _pair_opening(left, right):
     return opening
 
 
-class _Pocket:
-    """A gap at the radius floor and ``key``, an upper bound on the radius
-    it can take.
+# A pocket is a candidate of the probe at radius c when its key is at
+# least c less _BAND times the packing's first radius: one part in 1e9
+# of delta, four orders above the few 1e-13 * delta within which the
+# probe's own verdict flips.
+_BAND = 1e-9
+# Pad, in radians, of each radius class's half-width bound in the
+# probe's windows: it covers the rounding of the bound and of the ends
+# of the floor pieces.
+_WINDOW_PAD = 1e-9
 
-    ``left`` lists the placed disks (columns of ``_PocketQueue``) whose
-    arcs close the gap from its start, ``right`` those that close it from
-    its end.  Each starts with the disk whose arc bounds the gap at the
-    floor on that side, and ``_PocketQueue`` adds the disks whose arcs
-    the probe finds in the gap at a radius it rejects.
+
+class _Pocket:
+    """A gap at the radius floor, the piece (``start``, ``end``) of
+    (0, 2*pi), and ``key``, an upper bound on the radius it can take.
+
+    ``left`` lists the placed disks (``(angle, center distance,
+    radius)``) whose arcs close the gap from its start, ``right`` those
+    that close it from its end.  Each starts with the disk whose arc
+    bounds the gap at the floor on that side, and ``_PocketQueue`` adds
+    the disks whose arcs the probe finds in the gap at a radius it
+    rejects.
     Radii never grow, so until the pocket is ``solved`` the radius of the
     placement that made it, or the rejected radius at center distance
     ``rho``, is one; then it is the radius at which ``opening`` shuts the
@@ -286,9 +306,10 @@ class _Pocket:
     distance ``rho``.  A placement that cuts the gap retires the
     pocket."""
 
-    __slots__ = ("left", "right", "key", "rho", "solved", "alive")
+    __slots__ = ("start", "end", "left", "right", "key", "rho", "solved", "alive")
 
-    def __init__(self, left, right, key: float):
+    def __init__(self, start: float, end: float, left, right, key: float):
+        self.start, self.end = start, end
         self.left, self.right, self.key = [left], [right], key
         self.rho, self.solved, self.alive = math.nan, False, True
 
@@ -312,87 +333,199 @@ class _Pocket:
         return opening
 
 
+class _RadiusClass:
+    """The placed disks of one binary radius class, radii in
+    [2^(e - 1), 2^e), sorted by angle, and the bounds of the probe's
+    windows over them: the largest radius, the least center distance and
+    the greatest square of one.  Each disk is a row (angle, d*d, 2*d,
+    radius, disk) with the terms of ``_cos_half_angle`` that hold it
+    alone, d its center distance."""
+
+    __slots__ = ("angles", "rows", "radius", "near", "far_square")
+
+    def __init__(self):
+        self.angles, self.rows = [], []
+        self.radius, self.near, self.far_square = 0.0, math.inf, 0.0
+
+    def insert(self, disk) -> None:
+        angle, dist, radius = disk
+        k = bisect.bisect_left(self.angles, angle)
+        self.angles.insert(k, angle)
+        self.rows.insert(k, (angle, dist * dist, 2.0 * dist, radius, disk))
+        self.radius = max(self.radius, radius)
+        self.near = min(self.near, dist)
+        self.far_square = max(self.far_square, dist * dist)
+
+
 class _PocketQueue:
     """The state of a packing: its placed small disks, the free arcs at
     the radius floor and the pockets they make, in a heap by
     ``_Pocket.key``.  It is the packing's only radius search, which ends
     when the heap is empty.
 
-    The disks are kept in polar form, sorted by angle: one column per
-    disk of angle, center distance and radius.  Each blocked arc of a
-    probe holds its disk's angle, so in that order the probe finds the
-    gaps between the arcs with two running extremes and no sort.
+    The disks are kept by binary radius class, the classes of the pair
+    layer, each sorted by angle.  Every gap at a radius lies in a free
+    piece at the floor, as arcs grow with the radius, and in the piece
+    of a pocket whose key reaches that radius less ``_BAND`` times the
+    first radius.  So the probe reads, around each such piece, only the
+    disks of each class whose angle lies within the class's half-width
+    bound of it.
 
     The first disk, of radius r, sits at angle 0, so its arc holds
     0 = 2*pi at every radius and no gap or pocket runs across it.  The
-    free arcs at the floor are kept as sorted disjoint pieces of
-    (0, 2*pi), in the floats of ``gaps`` at the floor: each placement
-    takes its own arc out of them, and only the pieces it cuts get new
-    pockets; each piece knows the disks whose arcs bound it.  Shut radii
-    are bracketed to width ``tol`` on ``distances``, a ``_Distances``.
+    pockets in angle order are the free pieces at the floor, kept as
+    sorted disjoint pieces of (0, 2*pi) in the floats of ``_arc``: each
+    placement takes its own arc out of them, and only the pieces it cuts
+    get new pockets; each knows the disks whose arcs bound it.  Shut
+    radii are bracketed to width ``tol`` on ``distances``, a
+    ``_Distances``.
     """
 
     def __init__(self, floor: float, distances, tol: float, r: float):
-        # ``_disks`` views the filled columns of a buffer whose capacity
-        # doubles when full
-        self._buffer = np.empty((3, 16))
+        self._classes = {}
+        self._band = _BAND * r
         disk = (0.0, distances(r), r)
-        self._buffer[:, 0] = disk
-        self._disks = self._buffer[:, :1]
+        self._insert(disk)
         self._floor, self._floor_rho = floor, distances(floor)
         self._distances, self._tol = distances, tol
         self._heap, self._pushed = [], 0
-        # pieces: [start, end, left disk, right disk, pocket]; with
-        # eps < 1/2 no disk blocks the whole circle at the floor
+        # with eps < 1/2 no disk blocks the whole circle at the floor
         _, lo, hi = _arc(disk, self._floor_rho, floor)
-        piece = [hi - TWO_PI, lo, disk, disk, _Pocket(disk, disk, r)]
-        self._starts, self._pieces = [piece[0]], [piece]
-        self._push(piece[4])
+        pocket = _Pocket(hi - TWO_PI, lo, disk, disk, r)
+        self._starts, self._pieces = [pocket.start], [pocket]
+        self._push(pocket)
+
+    def _insert(self, disk) -> None:
+        exponent = math.frexp(disk[2])[1]
+        if exponent not in self._classes:
+            self._classes[exponent] = _RadiusClass()
+        self._classes[exponent].insert(disk)
 
     def _push(self, pocket: _Pocket) -> None:
         # among equal keys a solved pocket comes first
         self._pushed += 1
         heapq.heappush(self._heap, (-pocket.key, not pocket.solved, self._pushed, pocket))
 
+    def _candidates(self, r: float) -> list[_Pocket]:
+        """The live pockets whose keys are at least r less the band, in
+        angle order, from a walk of the heap down from its root."""
+        heap, limit, found, stack = self._heap, self._band - r, [], [0]
+        while stack:
+            i = stack.pop()
+            if i < len(heap) and heap[i][0] <= limit:
+                if heap[i][3].alive:
+                    found.append(heap[i][3])
+                stack += (2 * i + 1, 2 * i + 2)
+        found.sort(key=lambda pocket: pocket.start)
+        return found
+
+    def _reaches(self, rho: float, r: float) -> list:
+        """Each radius class with a bound, padded by ``_WINDOW_PAD``, on
+        the half-width of the float arc of every disk of the class for a
+        new disk of radius r at distance rho; inf when a disk of the class
+        may block every angle or the bound reaches pi.
+
+        With s = r + r_j, 1 - cos h = (s^2 - (d - rho)^2) / (2 d rho),
+        at most s^2 / (2 d rho), so sin(h / 2) is at most the square root
+        of half that.  The float cosine is off by at most ``err`` / (2 d
+        rho), 1e-15 times (d^2 + rho^2 + s^2) / (2 d rho) + 1, which is
+        added.  A disk blocks every angle only when d + rho <= s."""
+        reaches, rho_square = [], rho * rho
+        for group in self._classes.values():
+            s = r + group.radius
+            square, scale = s * s, 2.0 * group.near * rho
+            err = 1e-15 * (group.far_square + rho_square + square + scale)
+            sine_square = 0.5 * (square + err) / scale
+            if (group.near + rho) * (1.0 - 1e-9) <= s or sine_square >= 1.0:
+                reaches.append((group, math.inf))
+            else:
+                half = 2.0 * math.asin(math.sqrt(sine_square))
+                reaches.append((group, half * (1.0 + 1e-9) + _WINDOW_PAD))
+        return reaches
+
+    @staticmethod
+    def _window(reaches, pocket: _Pocket) -> list:
+        """The rows of the disks whose arcs can reach the pocket's piece:
+        per class, those whose angles lie within its reach of the piece,
+        taken around 0 = 2*pi."""
+        start, end, rows = pocket.start, pocket.end, []
+        for group, h in reaches:
+            lo, hi = start - h, end + h
+            angles, group_rows = group.angles, group.rows
+            if hi - lo >= TWO_PI:
+                rows += group_rows
+            elif lo < 0.0:
+                rows += group_rows[: bisect.bisect_right(angles, hi)]
+                rows += group_rows[bisect.bisect_left(angles, lo + TWO_PI) :]
+            elif hi >= TWO_PI:
+                rows += group_rows[: bisect.bisect_right(angles, hi - TWO_PI)]
+                rows += group_rows[bisect.bisect_left(angles, lo) :]
+            else:
+                i = bisect.bisect_left(angles, lo)
+                rows += group_rows[i : bisect.bisect_right(angles, hi, i)]
+        return rows
+
     def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
         """The free arcs for a new disk of radius r at distance rho, empty
-        when it fits nowhere: the full probe that accepts every
-        placement.  Its gaps run from the greatest end of the arcs before
-        them to the least start of the arcs after, in the floats of
-        ``geometry._arc_ends`` and ``geometry._split_arcs``."""
-        angle, dist, radius = self._disks
-        q = _cos_half_angle(dist, rho, r + radius)
-        if q.min() <= -1.0:
-            return np.empty(0), np.empty(0)
+        when it fits nowhere: the probe that accepts every placement.
+
+        Its gaps are those of the sorted union of every arc cut at
+        2*pi, as ``geometry._arc_ends`` and ``geometry._split_arcs`` give
+        them, in the same floats: each runs from the greatest end of the
+        arcs before it to the least start of the arcs after.  A disk that
+        blocks every angle is sought only in the classes whose bounds
+        allow one; then each candidate pocket's piece is swept over the
+        arcs of its window."""
+        rho_square = rho * rho
+        reaches = self._reaches(rho, r)
+        for group, h in reaches:
+            if h == math.inf:
+                for _, square, double, radius, _ in group.rows:
+                    s = r + radius
+                    if (square + rho_square - s * s) / (double * rho) <= -1.0:
+                        return np.empty(0), np.empty(0)
+        pockets = self._candidates(r)
+        windows = [self._window(reaches, pocket) for pocket in pockets]
+        cosines = []
+        for rows in windows:
+            for _, square, double, radius, _ in rows:
+                s = r + radius
+                cosines.append((square + rho_square - s * s) / (double * rho))
         # Every small disk straddles the unit circle, so
         # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip,
         # and each half-width is at least arccos(1 - 2**-53) > 1.4e-8.
-        lo, hi = _arc_ends(angle, np.arccos(q))
-        over = hi > TWO_PI
-        inside = ~over
-        # An arc inside [0, 2*pi] holds its center angle, so in the angle
-        # order of the store every arc before a gap ends before it and
-        # every arc after starts after it.  The arcs past 2*pi, the first
-        # disk's always, make [0, max] of their parts past 2*pi and [min, 2*pi].
-        starts = np.concatenate(([0.0], lo[inside], [lo[over].min()]))
-        ends = np.concatenate(([hi[over].max() - TWO_PI], hi[inside], [TWO_PI]))
-        reach = np.maximum.accumulate(ends)[:-1]
-        next_start = np.minimum.accumulate(starts[::-1])[-2::-1]
-        gap = reach < next_start
-        return reach[gap], next_start[gap]
+        halves = iter(np.arccos(cosines).tolist())
+        starts, ends = [], []
+        for pocket, rows in zip(pockets, windows):
+            segments = []
+            for row in rows:
+                h = next(halves)
+                lo = row[0] - h
+                lo = (lo + TWO_PI if lo < 0.0 else lo) + 0.0
+                hi = lo + 2.0 * h
+                if hi > TWO_PI:
+                    segments += ((lo, TWO_PI), (0.0, hi - TWO_PI))
+                else:
+                    segments.append((lo, hi))
+            segments.sort()
+            reach = segments[0][1]
+            for lo, hi in segments:
+                if lo > reach:
+                    if pocket.start < lo and reach < pocket.end:
+                        starts.append(reach)
+                        ends.append(lo)
+                    reach = hi
+                elif hi > reach:
+                    reach = hi
+        return np.array(starts), np.array(ends)
 
     def add(self, rho: float, angle: float, r: float, key: float) -> None:
         """Place a disk of radius r at distance rho and ``angle``: insert
-        its column, and take its floor arc out of the pieces; the pockets
-        of the pieces it cuts get the upper bound ``key``."""
-        n = self._disks.shape[1]
-        if n == self._buffer.shape[1]:
-            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)], axis=1)
-        k = int(np.searchsorted(self._disks[0], angle))
-        self._buffer[:, k + 1 : n + 1] = self._buffer[:, k:n]
+        it into its radius class, and take its floor arc out of the
+        pieces; the pockets of the pieces it cuts get the upper bound
+        ``key``."""
         disk = (angle, rho, r)
-        self._buffer[:, k] = disk
-        self._disks = self._buffer[:, : n + 1]
+        self._insert(disk)
         arc = _arc(disk, self._floor_rho, self._floor)
         if arc is None:
             segments = [(0.0, TWO_PI)]
@@ -403,48 +536,46 @@ class _PocketQueue:
         starts, pieces, new = self._starts, self._pieces, []
         for s, e in segments:
             i = bisect.bisect_right(starts, s) - 1
-            if i < 0 or pieces[i][1] <= s:
+            if i < 0 or pieces[i].end <= s:
                 i += 1
             j, kept = i, []
-            while j < len(pieces) and pieces[j][0] < e:
+            while j < len(pieces) and pieces[j].start < e:
                 piece = pieces[j]
-                g0, g1, left, right, pocket = piece
-                if pocket:
-                    pocket.alive = False
-                # a cut piece keeps no pocket; below, the new pieces that
-                # no segment cut again (pocket None) get one
-                piece[4] = False
-                if s > g0:
-                    kept.append([g0, s, left, disk, None])
-                if g1 > e:
-                    kept.append([e, g1, disk, right, None])
+                # a cut piece's pocket retires, and so does a new one
+                # that a second segment cuts again
+                piece.alive = False
+                if s > piece.start:
+                    kept.append(_Pocket(piece.start, s, piece.left[0], disk, key))
+                if piece.end > e:
+                    kept.append(_Pocket(e, piece.end, disk, piece.right[0], key))
                 j += 1
             pieces[i:j] = kept
-            starts[i:j] = [piece[0] for piece in kept]
+            starts[i:j] = [pocket.start for pocket in kept]
             new += kept
-        for piece in new:
-            if piece[4] is None:
-                piece[4] = _Pocket(piece[2], piece[3], key)
-                self._push(piece[4])
+        for pocket in new:
+            if pocket.alive:
+                self._push(pocket)
 
     def _learn(self, pocket: _Pocket, r: float, rho: float) -> bool:
         """Add to the pocket the placed disks it does not know whose
         arcs, for a new disk of radius r at distance rho, reach its gap at
         the floor: to ``left`` when the disk's center lies before the
         gap's midpoint, to ``right`` when after.  False when there is
-        none."""
+        none.  The disks come from the probe's window of the pocket."""
         floor, floor_rho = self._floor, self._floor_rho
         start = _arc(pocket.left[0], floor_rho, floor)[2]
         width = (_arc(pocket.right[0], floor_rho, floor)[1] - start) % TWO_PI
-        angle, dist, radius = self._disks
+        rows = self._window(self._reaches(rho, r), pocket)
+        angle, square, double, radius, disks = (np.array(v) for v in zip(*rows))
+        s = r + radius
         # at q <= -1 the arc is the whole circle
-        h = np.arccos(np.maximum(_cos_half_angle(dist, rho, r + radius), -1.0))
+        h = np.arccos(np.maximum((square + rho * rho - s * s) / (double * rho), -1.0))
         # each arc's start, measured from the start of the gap
         lo = (angle - h - start) % TWO_PI
         reach = (lo < width) | (lo + 2.0 * h > TWO_PI)
         known = set(pocket.left + pocket.right)
         learned = False
-        for disk in map(tuple, self._disks[:, reach].T.tolist()):
+        for disk in map(tuple, disks[reach].tolist()):
             if disk not in known:
                 after = (disk[0] - start - 0.5 * width) % TWO_PI < math.pi
                 (pocket.right if after else pocket.left).append(disk)
@@ -483,12 +614,17 @@ class _PocketQueue:
         distance rho.
 
         Pockets come off the heap until the top one is solved; its key,
-        capped at r, is the radius, which the full probe must accept.
-        When the probe rejects it, the arc of a disk the pocket does not
-        know has reached its gap first: the pocket learns those disks
-        and goes back unsolved under the rejected radius, to be solved
-        below it.  A pocket with nothing to learn is retired, so each
-        pocket is rejected at most once per placed disk."""
+        capped at r, is the radius c, which the probe must accept.  The
+        probe reads only the pieces of the pockets whose keys are at
+        least c less the band, and around each only the disks of each
+        radius class whose arcs can reach it; its gaps are, float for
+        float, those of every placed disk's arc.  When the probe
+        rejects c, the arc of a disk the pocket does not know has
+        reached its gap first: the pocket learns those disks, from the
+        same windows, and goes back unsolved under the rejected radius,
+        to be solved below it.  A pocket with nothing to learn is
+        retired, so each pocket is rejected at most once per placed
+        disk."""
         heap = self._heap
         while heap:
             pocket = heap[0][3]
@@ -531,14 +667,19 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
     solved when it reaches the top of the heap: ``_shut_radius``
     brackets the radius at which its disks shut it below the last
     radius to ``1e-14 * delta``, unless it is still open there.  The
-    full probe must accept the top's radius and gives the free arcs for
-    the angle; when it rejects it, the pocket learns the disks whose
-    arcs reached its gap and is solved again below that radius.  The
-    build stops at the radius floor when no pocket is left.
+    probe must accept the top's radius and gives the free arcs for the
+    angle; when it rejects it, the pocket learns the disks whose arcs
+    reached its gap and is solved again below that radius.  The build
+    stops at the radius floor when no pocket is left.
     The probe's own verdict flips back and forth within a few
     ``1e-13 * delta`` above the shut radius, from the rounding of the
     center distance and of the arc ends; a disk larger by one part in
-    1e9 is blocked at every angle.
+    1e9 is blocked at every angle.  So the probe at radius c reads
+    only the pockets whose keys are at least c - 1e-9 * delta, and in
+    each radius class only the disks within a bound on the class's
+    half-width of their pieces; its gaps, and so the packing, are those
+    of a probe that reads every placed disk.  The cost of a placement
+    then hardly grows with the number of disks placed.
     """
     if not isinstance(cfg, SurroundedBallConfig):
         raise TypeError("cfg must be a SurroundedBallConfig")

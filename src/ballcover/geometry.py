@@ -137,8 +137,21 @@ class BallCollection:
         order of the pair, so a superset of candidates gives the same
         arrays whatever its source.  Both directions are sorted once by
         owner and partner.
+
+        Raises OverflowError, before any other arithmetic, when twice
+        the largest radius or the squared extent of the centers is not a
+        float: every radius sum and squared center distance it takes is
+        then finite.
         """
         centers, radii = self.centers, self.radii
+        if radii.size:
+            # Python floats overflow to inf without a warning
+            reach = 2.0 * float(radii.max())
+            for column in centers.T:
+                extent = float(column.max()) - float(column.min())
+                reach += extent * extent
+            if not math.isfinite(reach):
+                raise OverflowError("ball radii or extents exceed the float range")
         first, second = _candidate_pairs(centers, radii)
         squares = np.zeros(first.size)
         for column in centers.T:

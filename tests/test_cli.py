@@ -295,22 +295,23 @@ class TestExitStatuses:
         assert not out.exists()
 
     def test_overflow_is_1(self, tmp_path):
-        # Two disks of radius 1e308: the sampling box has no float size.
-        # The command runs in its own process, so that an uncaught error
-        # would show as a traceback; numpy's overflow warnings on the way
-        # are ignored there, since the input is at the float limit.
+        # Two disks of radius 1e308: their radius sum has no float size.
+        # Each command runs in its own process, with every RuntimeWarning
+        # an error, so that an overflow on the way or an uncaught error
+        # would show as a traceback; the pair layer rejects the input
+        # before any arithmetic overflows.
         path = tmp_path / "big.txt"
         path.write_text("2 2\n0 0 1e308\n1 0 1e308\n")
         code = "import sys; from ballcover.cli import main; sys.exit(main())"
-        argv = ["measure", "--input", str(path), "--output", str(tmp_path / "m.txt")]
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
-        out = subprocess.run(
-            [sys.executable, "-W", "ignore::RuntimeWarning", "-c", code, *argv],
-            env=env, capture_output=True, text=True,
-        )
-        assert out.returncode == 1
-        assert out.stderr.startswith("ballcover: error:")
-        assert "Traceback" not in out.stderr
+        for command in (["measure"], ["select", "--algorithm", "vitali"]):
+            argv = [*command, "--input", str(path), "--output", str(tmp_path / "out.txt")]
+            out = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *argv],
+                env=env, capture_output=True, text=True,
+            )
+            assert out.returncode == 1, command
+            assert out.stderr == "ballcover: error: ball radii or extents exceed the float range\n"
 
     def test_unreadable_input_is_1(self, tmp_path, capsys):
         code = main(

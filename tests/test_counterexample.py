@@ -15,6 +15,7 @@ import pytest
 
 from ballcover import geometry
 from ballcover.counterexample import (
+    _WINDOW_PAD,
     SurroundedBallConfig,
     _arc,
     _Distances,
@@ -288,6 +289,12 @@ def _assert_fit(queue, found, want: float, distance=_linear_distance) -> None:
     assert abs(r - want) <= 1e-13
 
 
+def _store(queue) -> np.ndarray:
+    """The placed disks of ``queue``, one column each of angle, center
+    distance and radius, class by class."""
+    return np.array([row[4] for group in queue._classes.values() for row in group.rows]).T
+
+
 def _bits(value) -> list[int]:
     """The bit patterns of floats, so -0.0 and 0.0 differ."""
     return np.asarray(value, dtype=float).reshape(-1).view(np.int64).tolist()
@@ -309,6 +316,17 @@ def _opening_oracle(left, right, rho: float, r: float) -> float:
         end -= TWO_PI
     gap = start - end
     return approx if gap > approx + math.pi else gap
+
+
+# sha256 of the packings of test_windowed_probe_matches_the_oracle_at_every_placement
+# per eps, recorded from the full probe, which read every placed disk
+_ORACLE_DIGESTS = {
+    10.0**-1.5: "8c6e039c77d0046c134e5af2a561097fa69b7320d4e76719e79ff22e589990ee",
+    1e-2: "2d1ef9ae7f7134bd980cddcd9ddaabb0e8121f411b3a543cffc37deaa30e2937",
+    1e-3: "7cca15da28026438295408c574c940687bf93a2bd4d956fa4a71a617a1e1fe6a",
+    0.05: "327d0bfed94c553b3c9cd2e1def3e208215b7de242b6a678120c15baada6497c",
+    0.2: "d2f8ef9da7528068adecd9f972543682dbcad148b0da87cdff9401348cc4974f",
+}
 
 
 class TestBuildSurroundedBall:
@@ -435,22 +453,31 @@ class TestBuildSurroundedBall:
         assert len(calls) <= 30_000
 
     def test_packing_state_inserts_in_angle_order_past_its_capacity(self):
-        # The buffer doubles several times; its filled columns must equal
-        # an array grown by np.insert, including an angle placed twice.
-        # The disks straddle the unit circle, as the packing's do, so
-        # their floor arcs, which add also takes, are finite.
+        # Each disk goes into the class of its binary exponent, whose
+        # rows must equal an array grown by np.insert, including an angle
+        # placed twice, with the squared and doubled center distance of
+        # each disk.  The disks straddle the unit circle, as the
+        # packing's do, so their floor arcs, which add also takes, are
+        # finite.
         rng = np.random.default_rng(11)
         queue = _queue(0.05)
-        want = queue._disks.copy()
+        want = {math.frexp(0.05)[1]: _store(queue)}
         angles = rng.uniform(0.0, 2.0 * math.pi, 150)
         angles[7] = angles[3]
         for angle in angles.tolist():
             r = rng.uniform(0.01, 0.1)
             rho = 1.0 + rng.uniform(-0.5, 0.5) * r
             queue.add(rho, angle, r, r)
-            k = int(np.searchsorted(want[0], angle))
-            want = np.insert(want, k, (angle, rho, r), axis=1)
-            assert np.array_equal(queue._disks, want)
+            exponent = math.frexp(r)[1]
+            rows = want.get(exponent, np.empty((3, 0)))
+            k = int(np.searchsorted(rows[0], angle))
+            want[exponent] = np.insert(rows, k, (angle, rho, r), axis=1)
+            assert sorted(queue._classes) == sorted(want)
+            for exponent, group in queue._classes.items():
+                disks = want[exponent].T.tolist()
+                assert group.angles == [a for a, _, _ in disks]
+                assert group.rows == [(a, d * d, 2.0 * d, s, (a, d, s)) for a, d, s in disks]
+        assert len(queue._classes) == 4
 
     @pytest.mark.parametrize("r", [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI])
     def test_scalar_arc_matches_the_vector_kernel(self, r):
@@ -525,7 +552,7 @@ class TestBuildSurroundedBall:
             disks = [(a, rho, s) for rho, a, s in _straddling_disks(rng, 4)]
             if trial % 4 == 3:
                 disks[trial % 3] = whole
-            pocket = _Pocket(disks[0], disks[2], 0.3)
+            pocket = _Pocket(0.0, 1.0, disks[0], disks[2], 0.3)
             alone = pocket.opening()
             pocket.left.append(disks[1])
             pocket.right.append(disks[3])
@@ -540,12 +567,14 @@ class TestBuildSurroundedBall:
 
     @pytest.mark.parametrize("r", [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI])
     def test_probe_matches_the_sorted_union_of_split_arcs(self, r):
-        # The probe finds its gaps in the angle order of the store, with
-        # no sort; its gap ends must be, float for float, those of the
-        # arcs cut at 2*pi and joined after a sort.  The states, each
-        # after its first disk at angle 0: random queues, one whose arcs
-        # wrap at both ends, one with a disk that blocks every angle and
-        # one with no other disk.
+        # The probe sweeps each pocket's window of the radius classes; its
+        # gap ends must be, float for float, those of all the arcs cut at
+        # 2*pi and joined after a sort.  The states, each after its first
+        # disk at angle 0: random queues, one whose arcs wrap at both
+        # ends, one with a disk that blocks every angle and one with no
+        # other disk.  The first disk and the keys of the disks added are
+        # _THIRD_DISK_HI, an upper bound on every radius probed, as the
+        # first radius of a packing is, so every pocket is a candidate.
         rng = np.random.default_rng(23)
         rho = _linear_distance(r)
         states = [[]]
@@ -555,10 +584,10 @@ class TestBuildSurroundedBall:
         states.append(states[10] + [(2.0, 1.0, 2.0)])
         gapless = 0
         for disks in states:
-            queue = _queue(0.05)
+            queue = _queue()
             for angle, dist, radius in disks:
-                queue.add(dist, angle, radius, radius)
-            got, want = queue.gaps(rho, r), packing_probe_oracle(queue._disks, rho, r)
+                queue.add(dist, angle, radius, _THIRD_DISK_HI)
+            got, want = queue.gaps(rho, r), packing_probe_oracle(_store(queue), rho, r)
             assert [_bits(a) for a in got] == [_bits(a) for a in want]
             gapless += want[0].size == 0
         assert 0 < gapless < len(states) // 2, gapless
@@ -600,6 +629,69 @@ class TestBuildSurroundedBall:
         assert searched > 100 and placed > 10 * searched, (searched, placed)
         assert 0 < rejections < 0.05 * placed, rejections
 
+    @pytest.mark.parametrize("r", [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI])
+    def test_class_reach_exceeds_every_arc_by_the_pad(self, r):
+        # A window holds every disk whose arc comes within _WINDOW_PAD of
+        # the piece only if each class's reach is at least each of its
+        # float half-widths plus the pad.  Random straddling disks, disks
+        # at their own center distance of _linear_distance, and a disk of
+        # radius r at distance rho, alone in its class, where the bound is
+        # tightest; a class with a disk that blocks every angle reaches the
+        # whole circle.
+        rng = np.random.default_rng(29)
+        rho = _linear_distance(r)
+        tight = 0
+        for trial in range(30):
+            queue = _queue()
+            disks = [(a, d, s) for d, a, s in _straddling_disks(rng, 40)]
+            for s in rng.uniform(_THIRD_DISK_LO, _THIRD_DISK_HI, 10).tolist():
+                disks.append((rng.uniform(0.0, TWO_PI), _linear_distance(s), s))
+            disks = [disk for disk in disks if math.frexp(disk[2])[1] != math.frexp(r)[1]]
+            disks.append((rng.uniform(0.0, TWO_PI), rho, r))
+            if trial % 10 == 9:
+                disks.append((rng.uniform(0.0, TWO_PI), 1.0, 2.0))
+            for disk in disks:
+                queue.add(disk[1], disk[0], disk[2], _THIRD_DISK_HI)
+            for group, reach in queue._reaches(rho, r):
+                arcs = [_arc(row[4], rho, r) for row in group.rows]
+                if None in arcs:
+                    assert reach == math.inf
+                    continue
+                widest = max(arc[0] for arc in arcs)
+                assert widest + _WINDOW_PAD <= reach
+                tight += reach < math.pi and reach - widest < 2.0 * _WINDOW_PAD
+        assert tight > 0
+
+    @pytest.mark.parametrize("eps", list(_ORACLE_DIGESTS))
+    def test_windowed_probe_matches_the_oracle_at_every_placement(self, eps):
+        # At every probe of nine builds (delta 0.3, 0.1 and 0.03, seeds
+        # 1 to 3, 1000 disks at most), the gaps of the windowed probe
+        # must be, float for float, those of all the placed disks' arcs
+        # joined after a sort; and the packings must be those of the
+        # full probe that read every disk, whose sha256 was recorded
+        # before the probe was windowed.
+        probe, calls = _PocketQueue.gaps, []
+
+        def spy(queue, rho, r):
+            found = probe(queue, rho, r)
+            want = packing_probe_oracle(_store(queue), rho, r)
+            assert [_bits(a) for a in found] == [_bits(a) for a in want], (rho, r)
+            calls.append(found[0].size)
+            return found
+
+        digest = hashlib.sha256()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_PocketQueue, "gaps", spy)
+            for delta in (0.3, 0.1, 0.03):
+                for seed in (1, 2, 3):
+                    balls = build_surrounded_ball(
+                        SurroundedBallConfig(eps=eps, delta=delta, n_max=1000, seed=seed)
+                    )
+                    digest.update(balls.centers.astype("<f8").tobytes())
+                    digest.update(balls.radii.astype("<f8").tobytes())
+        assert digest.hexdigest() == _ORACLE_DIGESTS[eps]
+        assert len(calls) > 2000 and max(calls) > 1
+
     @pytest.mark.parametrize("angle", [6.116559403584584, 0.16662590359500218])
     def test_probe_on_arc_ends_at_0(self, angle):
         # At eps 0.05 and delta 0.3, the floor arc of a disk of radius
@@ -615,7 +707,7 @@ class TestBuildSurroundedBall:
         assert hi == TWO_PI or lo == 0.0
         for r in [floor, 0.01, 0.3]:
             got = queue.gaps(distances(r), r)
-            want = packing_probe_oracle(queue._disks, distances(r), r)
+            want = packing_probe_oracle(_store(queue), distances(r), r)
             assert [_bits(a) for a in got] == [_bits(a) for a in want]
         found = queue.largest_fit(0.3, rho)
         _assert_fit(queue, found, _probe_bisection(queue, distances, floor, 0.3), distances)
@@ -636,7 +728,7 @@ class TestBuildSurroundedBall:
         def add_spy(queue, *args):
             add(queue, *args)
             if queue._pieces:
-                pieces.append((queue._pieces[0][0], queue._pieces[-1][1]))
+                pieces.append((queue._pieces[0].start, queue._pieces[-1].end))
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_PocketQueue, "gaps", probe_spy)

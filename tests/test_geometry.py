@@ -455,16 +455,6 @@ def test_pair_layer_of_one_large_ball_among_tiny_ones(dim):
     _assert_pairs_exact(centers, np.append(1.0, small))
 
 
-@pytest.mark.parametrize("size", [255, 256, 257])
-def test_pair_layer_around_the_group_size(size):
-    # one class of 255 to 257 balls between a smaller and a larger class,
-    # just past the one-tree size: the three classes share one group
-    rng = np.random.default_rng([size, 14])
-    radii = np.concatenate([[0.3], rng.uniform(0.5, 1.0, size), [1.2, 1.5]])
-    centers = rng.uniform(0.0, 10.0, (radii.size, 2))
-    _assert_pairs_exact(centers, radii)
-
-
 def _spy_trees(monkeypatch):
     """Ball counts of the kd-trees the pair layer builds, and its number
     of queries across trees, from a counting subclass of ``cKDTree``."""
@@ -483,6 +473,25 @@ def _spy_trees(monkeypatch):
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", Spy)
     return built, across
+
+
+@pytest.mark.parametrize("classes", [geometry._GROUP_CLASSES, geometry._GROUP_CLASSES + 1])
+def test_pair_layer_around_the_group_size(monkeypatch, classes):
+    # 300 balls, past the one-tree size and under the ball cap, spread
+    # evenly over 4 or 5 binary classes: 4 classes share one tree, and a
+    # fifth starts a second group, queried once against the first
+    size = 300
+    rng = np.random.default_rng([classes, 14])
+    exponent = np.arange(size) % classes
+    radii = np.ldexp(rng.uniform(0.5, 1.0, size), -exponent)
+    assert np.ptp(np.frexp(radii)[1]) == classes - 1
+    centers = rng.uniform(0.0, 12.0, (size, 2))
+    built, across = _spy_trees(monkeypatch)
+    _assert_pairs_exact(centers, radii)
+    if classes > geometry._GROUP_CLASSES:
+        assert built == [size - size // classes, size // classes] and len(across) == 1
+    else:
+        assert built == [size] and not across
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -548,6 +557,22 @@ def test_pair_layer_over_six_hundred_decades():
     radii = np.concatenate([np.full(6, 1e300), np.full(20, 1e-300)])
     _assert_pairs_exact(centers, radii)
     assert _pairs(centers, radii)[1].size == 2 * (6 * 5 // 2 + 6 * 20 + 10)
+
+
+@pytest.mark.parametrize(
+    "centers, radii",
+    [
+        ([[0.0, 0.0], [1.0, 0.0]], [1e308, 1e308]),
+        ([[-1e154, 0.0], [1e154, 0.0]], [1.0, 1.0]),
+        ([[0.0, -1e154, 0.0], [0.0, 1e154, 1e154]], [1.0, 1.0]),
+    ],
+)
+def test_pair_layer_rejects_sums_and_extents_past_the_float_range(centers, radii):
+    # a radius sum or a squared center distance would overflow: one
+    # OverflowError, before any arithmetic warns (warnings are errors)
+    balls = BallCollection.from_arrays(centers, radii)
+    with pytest.raises(OverflowError, match="exceed the float range"):
+        balls.pairs
 
 
 def _corpus_3d(n, seed):

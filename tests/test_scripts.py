@@ -52,8 +52,8 @@ def test_packing_timing_prints_one_json_line_per_eps(capsys):
     for row in rows:
         assert set(row) == {
             "eps", "disks", "stop", "shrinking", "pocket_solves", "rejections", "retired",
-            "trials", "solves", "cap_volumes", "probes", "probe_s", "solve_s", "best_s",
-            "repeats", "nproc", "commit",
+            "trials", "solves", "cap_volumes", "probes", "probe_disks", "probe_s", "solve_s",
+            "best_s", "repeats", "nproc", "commit",
         }
         assert row["disks"] == 60 and row["stop"] == "n_max"
         assert 0 < row["pocket_solves"] <= row["solves"] <= row["trials"]
@@ -63,6 +63,8 @@ def test_packing_timing_prints_one_json_line_per_eps(capsys):
         # one probe accepts each placement after the first, which sits at
         # angle 0; every other one is a rejection
         assert row["probes"] == row["disks"] - 1 + row["rejections"] and row["best_s"] > 0.0
+        # each probe reads at least the disk that bounds its top pocket
+        assert row["probe_disks"] >= row["probes"]
         assert row["probe_s"] > 0.0 and row["solve_s"] > 0.0
         assert row["repeats"] == 1 and row["nproc"] >= 1
 
