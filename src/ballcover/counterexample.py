@@ -22,10 +22,10 @@ Three families of examples live here:
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +130,17 @@ def _secant(opening, distance, a, a_rho, fa, b, b_rho, fb, tol):
     the radii a < b have center distances a_rho, b_rho and openings
     fa > 0 >= fb.  Returns the two ends of the last bracket with their
     distances; each trial radius takes one ``distance(r)`` call."""
-    side = 0
+    side, half = 0, 0.5 * tol
     while b - a > tol:
         # fa halves to 0.0 on a band where the opening is exactly 0
         c = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
-        # at least half the tolerance inside, so the bracket shrinks
-        c = min(max(c, a + 0.5 * tol), b - 0.5 * tol)
+        # at least half the tolerance inside, so the bracket shrinks; the
+        # float of min(max(c, lo), hi), nan included
+        lo, hi = a + half, b - half
+        if lo > c:
+            c = lo
+        if hi < c:
+            c = hi
         c_rho = distance(c)
         fc = opening(c_rho, c)
         if fc > 0.0:
@@ -185,26 +190,30 @@ class _Distances:
         self._keys = sorted(-r for r in radii)
         self._rhos = [center_distance_for_overlap(-k, 1.0, eps, 2) for k in self._keys]
 
-    def _between(self, k: int, r: float) -> float:
-        """The distance interpolated at r between the solved radii k
-        (the smaller) and k - 1 (the larger)."""
-        keys, rhos = self._keys, self._rhos
-        a, b, rho_a, rho_b = -keys[k], -keys[k - 1], rhos[k], rhos[k - 1]
-        return rho_a + (r - a) * ((rho_b - rho_a) / (b - a))
-
     def estimate(self, r: float) -> float:
         """The distance of r if it was solved, else the start its solve
-        takes: the interpolation between the solved radii on either side."""
-        k = bisect.bisect_left(self._keys, -r)
-        return self._rhos[k] if self._keys[k] == -r else self._between(k, r)
+        takes: the interpolation at r between the solved radii k (the
+        smaller) and k - 1 (the larger) on either side, with
+        r - (-keys[k]) taken as r + keys[k], the same float."""
+        keys, rhos = self._keys, self._rhos
+        k = bisect_left(keys, -r)
+        key = keys[k]
+        if key == -r:
+            return rhos[k]
+        rho = rhos[k]
+        return rho + (r + key) * ((rhos[k - 1] - rho) / (key - keys[k - 1]))
 
     def __call__(self, r: float) -> float:
-        k = bisect.bisect_left(self._keys, -r)
-        if self._keys[k] == -r:
-            return self._rhos[k]
-        rho = _overlap_distance(r, 1.0, self._eps, 2, self._between(k, r))
-        self._keys.insert(k, -r)
-        self._rhos.insert(k, rho)
+        keys, rhos = self._keys, self._rhos
+        k = bisect_left(keys, -r)
+        key = keys[k]
+        if key == -r:
+            return rhos[k]
+        rho = rhos[k]
+        start = rho + (r + key) * ((rhos[k - 1] - rho) / (key - keys[k - 1]))
+        rho = _overlap_distance(r, 1.0, self._eps, 2, start)
+        keys.insert(k, -r)
+        rhos.insert(k, rho)
         return rho
 
 
@@ -242,9 +251,11 @@ def _pair_opening(left, right):
     span = right_angle - left_angle
     if span <= 0.0:
         span += TWO_PI
-    # the terms of _cos_half_angle that hold the disk alone, bound once
+    # the terms of _cos_half_angle that hold the disk alone, bound once,
+    # and the globals the trials read, bound as locals of the closure
     left_square, left_double = left_dist * left_dist, 2.0 * left_dist
     right_square, right_double = right_dist * right_dist, 2.0 * right_dist
+    arccos, pi, two_pi = np.arccos, math.pi, TWO_PI
 
     # each arc inline: through _arc the packing's build is 4-7% slower
     def opening(rho: float, r: float) -> float:
@@ -252,25 +263,25 @@ def _pair_opening(left, right):
         s = r + left_radius
         q = (left_square + rho_square - s * s) / (left_double * rho)
         if q <= -1.0:
-            return -math.pi
-        h_left = float(np.arccos(q))
+            return -pi
+        h_left = float(arccos(q))
         s = r + right_radius
         q = (right_square + rho_square - s * s) / (right_double * rho)
         if q <= -1.0:
-            return -math.pi
-        h_right = float(np.arccos(q))
+            return -pi
+        h_right = float(arccos(q))
         end = left_angle - h_left
         if end < 0.0:
-            end += TWO_PI
+            end += two_pi
         end += 2.0 * h_left
-        if end > TWO_PI:
-            end -= TWO_PI
+        if end > two_pi:
+            end -= two_pi
         start = right_angle - h_right
         if start < 0.0:
-            start += TWO_PI
+            start += two_pi
         approx = span - h_left - h_right
         gap = start - end
-        if gap > approx + math.pi:
+        if gap > approx + pi:
             # the arcs overlap across 0 = 2*pi
             gap = approx
         return gap
@@ -349,12 +360,15 @@ class _RadiusClass:
 
     def insert(self, disk) -> None:
         angle, dist, radius = disk
-        k = bisect.bisect_left(self.angles, angle)
+        k = bisect_left(self.angles, angle)
         self.angles.insert(k, angle)
         self.rows.insert(k, (angle, dist * dist, 2.0 * dist, radius, disk))
-        self.radius = max(self.radius, radius)
-        self.near = min(self.near, dist)
-        self.far_square = max(self.far_square, dist * dist)
+        if radius > self.radius:
+            self.radius = radius
+        if dist < self.near:
+            self.near = dist
+        if dist * dist > self.far_square:
+            self.far_square = dist * dist
 
 
 class _PocketQueue:
@@ -410,12 +424,15 @@ class _PocketQueue:
         """The live pockets whose keys are at least r less the band, in
         angle order, from a walk of the heap down from its root."""
         heap, limit, found, stack = self._heap, self._band - r, [], [0]
+        size = len(heap)
         while stack:
             i = stack.pop()
-            if i < len(heap) and heap[i][0] <= limit:
-                if heap[i][3].alive:
-                    found.append(heap[i][3])
-                stack += (2 * i + 1, 2 * i + 2)
+            if i < size:
+                entry = heap[i]
+                if entry[0] <= limit:
+                    if entry[3].alive:
+                        found.append(entry[3])
+                    stack += (2 * i + 1, 2 * i + 2)
         found.sort(key=lambda pocket: pocket.start)
         return found
 
@@ -431,16 +448,16 @@ class _PocketQueue:
         rho), 1e-15 times (d^2 + rho^2 + s^2) / (2 d rho) + 1, which is
         added.  A disk blocks every angle only when d + rho <= s."""
         reaches, rho_square = [], rho * rho
+        asin, sqrt, pad = math.asin, math.sqrt, _WINDOW_PAD
         for group in self._classes.values():
-            s = r + group.radius
-            square, scale = s * s, 2.0 * group.near * rho
+            near, s = group.near, r + group.radius
+            square, scale = s * s, 2.0 * near * rho
             err = 1e-15 * (group.far_square + rho_square + square + scale)
             sine_square = 0.5 * (square + err) / scale
-            if (group.near + rho) * (1.0 - 1e-9) <= s or sine_square >= 1.0:
+            if (near + rho) * (1.0 - 1e-9) <= s or sine_square >= 1.0:
                 reaches.append((group, math.inf))
             else:
-                half = 2.0 * math.asin(math.sqrt(sine_square))
-                reaches.append((group, half * (1.0 + 1e-9) + _WINDOW_PAD))
+                reaches.append((group, 2.0 * asin(sqrt(sine_square)) * (1.0 + 1e-9) + pad))
         return reaches
 
     @staticmethod
@@ -448,21 +465,23 @@ class _PocketQueue:
         """The rows of the disks whose arcs can reach the pocket's piece:
         per class, those whose angles lie within its reach of the piece,
         taken around 0 = 2*pi."""
-        start, end, rows = pocket.start, pocket.end, []
+        start, end, rows, two_pi = pocket.start, pocket.end, [], TWO_PI
         for group, h in reaches:
             lo, hi = start - h, end + h
-            angles, group_rows = group.angles, group.rows
-            if hi - lo >= TWO_PI:
-                rows += group_rows
+            angles = group.angles
+            if 0.0 <= lo and hi < two_pi:
+                # most windows miss most classes: one bisection for those
+                i = bisect_left(angles, lo)
+                if i < len(angles) and angles[i] <= hi:
+                    rows += group.rows[i : bisect_right(angles, hi, i)]
+            elif hi - lo >= two_pi:
+                rows += group.rows
             elif lo < 0.0:
-                rows += group_rows[: bisect.bisect_right(angles, hi)]
-                rows += group_rows[bisect.bisect_left(angles, lo + TWO_PI) :]
-            elif hi >= TWO_PI:
-                rows += group_rows[: bisect.bisect_right(angles, hi - TWO_PI)]
-                rows += group_rows[bisect.bisect_left(angles, lo) :]
+                rows += group.rows[: bisect_right(angles, hi)]
+                rows += group.rows[bisect_left(angles, lo + two_pi) :]
             else:
-                i = bisect.bisect_left(angles, lo)
-                rows += group_rows[i : bisect.bisect_right(angles, hi, i)]
+                rows += group.rows[: bisect_right(angles, hi - two_pi)]
+                rows += group.rows[bisect_left(angles, lo) :]
         return rows
 
     def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -476,37 +495,37 @@ class _PocketQueue:
         blocks every angle is sought only in the classes whose bounds
         allow one; then each candidate pocket's piece is swept over the
         arcs of its window."""
-        rho_square = rho * rho
+        rho_square, inf = rho * rho, math.inf
         reaches = self._reaches(rho, r)
         for group, h in reaches:
-            if h == math.inf:
+            if h == inf:
                 for _, square, double, radius, _ in group.rows:
                     s = r + radius
                     if (square + rho_square - s * s) / (double * rho) <= -1.0:
                         return np.empty(0), np.empty(0)
         pockets = self._candidates(r)
         windows = [self._window(reaches, pocket) for pocket in pockets]
-        cosines = []
-        for rows in windows:
-            for _, square, double, radius, _ in rows:
-                s = r + radius
-                cosines.append((square + rho_square - s * s) / (double * rho))
+        cosines = [
+            (square + rho_square - (r + radius) * (r + radius)) / (double * rho)
+            for rows in windows
+            for _, square, double, radius, _ in rows
+        ]
         # Every small disk straddles the unit circle, so
         # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip,
         # and each half-width is at least arccos(1 - 2**-53) > 1.4e-8.
-        halves = iter(np.arccos(cosines).tolist())
-        starts, ends = [], []
+        halves, two_pi = np.arccos(cosines).tolist(), TWO_PI
+        starts, ends, first = [], [], 0
         for pocket, rows in zip(pockets, windows):
-            segments = []
-            for row in rows:
-                h = next(halves)
+            segments, last = [], first + len(rows)
+            for row, h in zip(rows, halves[first:last]):
                 lo = row[0] - h
-                lo = (lo + TWO_PI if lo < 0.0 else lo) + 0.0
+                lo = (lo + two_pi if lo < 0.0 else lo) + 0.0
                 hi = lo + 2.0 * h
-                if hi > TWO_PI:
-                    segments += ((lo, TWO_PI), (0.0, hi - TWO_PI))
+                if hi > two_pi:
+                    segments += ((lo, two_pi), (0.0, hi - two_pi))
                 else:
                     segments.append((lo, hi))
+            first = last
             segments.sort()
             reach = segments[0][1]
             for lo, hi in segments:
@@ -535,7 +554,7 @@ class _PocketQueue:
             segments = [(lo, TWO_PI), (0.0, hi - TWO_PI)] if hi > TWO_PI else [(lo, hi)]
         starts, pieces, new = self._starts, self._pieces, []
         for s, e in segments:
-            i = bisect.bisect_right(starts, s) - 1
+            i = bisect_right(starts, s) - 1
             if i < 0 or pieces[i].end <= s:
                 i += 1
             j, kept = i, []
@@ -697,11 +716,14 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
             break
         r, rho, (gap_starts, gap_ends) = fit
         widths = gap_ends - gap_starts
-        total = float(widths.sum())
-        u = min(rng.uniform(0.0, total), math.nextafter(total, 0.0))
+        # widths.sum() without its Python wrapper: the same reduction
+        total = float(np.add.reduce(widths))
+        # total * u of Generator.random is the float Generator.uniform(0,
+        # total) returns for the same stream, without its argument checks
+        u = min(total * rng.random(), math.nextafter(total, 0.0))
         # the sums in order, as np.cumsum adds them
         offsets = list(itertools.accumulate(widths.tolist(), initial=0.0))
-        slot = min(bisect.bisect_right(offsets, u), widths.size) - 1
+        slot = min(bisect_right(offsets, u), widths.size) - 1
         angle = (float(gap_starts[slot]) + (u - offsets[slot])) % TWO_PI
         pockets.add(rho, angle, r, r)
         centers.append((rho * math.cos(angle), rho * math.sin(angle)))

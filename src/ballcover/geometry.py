@@ -79,7 +79,7 @@ class BallCollection:
     read-only (n, d) array of finite ``centers`` and n finite positive
     ``radii``, and read only through those arrays.  Producers use
     ``from_arrays``.  ``pairs``, the one pair layer that says which balls
-    meet, is built once per collection on first use."""
+    meet, and ``bounds`` are built once per collection on first use."""
 
     def __init__(self, dimension: int, balls):
         dimension = int(dimension)
@@ -124,6 +124,16 @@ class BallCollection:
         return BallCollection.from_arrays(self.centers[idx], self.radii[idx])
 
     @cached_property
+    def bounds(self) -> tuple[float, list[float], list[float]]:
+        """The largest radius and each coordinate's least and greatest
+        center, in Python floats, taken once per collection for
+        ``_check_float_range``."""
+        if not self.radii.size:
+            return 0.0, [], []
+        lows, highs = self.centers.min(axis=0).tolist(), self.centers.max(axis=0).tolist()
+        return float(self.radii.max()), lows, highs
+
+    @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per ball, the balls whose open interiors meet it, read-only.
 
@@ -138,20 +148,12 @@ class BallCollection:
         arrays whatever its source.  Both directions are sorted once by
         owner and partner.
 
-        Raises OverflowError, before any other arithmetic, when twice
-        the largest radius or the squared extent of the centers is not a
-        float: every radius sum and squared center distance it takes is
-        then finite.
+        Raises ``_check_float_range``'s OverflowError before any other
+        arithmetic: every radius sum and squared center distance it takes
+        is then finite.
         """
+        _check_float_range(self)
         centers, radii = self.centers, self.radii
-        if radii.size:
-            # Python floats overflow to inf without a warning
-            reach = 2.0 * float(radii.max())
-            for column in centers.T:
-                extent = float(column.max()) - float(column.min())
-                reach += extent * extent
-            if not math.isfinite(reach):
-                raise OverflowError("ball radii or extents exceed the float range")
         first, second = _candidate_pairs(centers, radii)
         squares = np.zeros(first.size)
         for column in centers.T:
@@ -168,6 +170,34 @@ class BallCollection:
         for array in layer:
             array.flags.writeable = False
         return layer
+
+
+def _check_float_range(balls: BallCollection, degree: int = 0) -> None:
+    """The one range check of the collections' arithmetic: raise
+    OverflowError, before any array arithmetic, when twice the largest
+    radius r or the squared extent of the centers is not a float, which
+    bounds every radius sum and squared center distance of the pair
+    layer.  With degree k >= 1, also when four times the largest
+    coordinate of a ball's point, or 4 n d (s + 2r)^k, is not: s is the
+    largest extent of the centers in one coordinate, n the ball count
+    and d the dimension.  That bounds the coordinates a few radii past
+    a ball, and the sums over the balls and coordinates of products of
+    k sides of their bounding box that a measure of degree k takes.
+
+    The floats are Python's, which overflow to inf without a warning;
+    after the collection's ``bounds``, the check costs O(d)."""
+    radius, lows, highs = balls.bounds
+    reach, far, side = 2.0 * radius, 0.0, 0.0
+    for lo, hi in zip(lows, highs):
+        reach += (hi - lo) * (hi - lo)
+        far, side = max(far, -lo, hi), max(side, hi - lo)
+    if degree:
+        bound = float(4 * len(balls) * balls.dimension)
+        for _ in range(degree):
+            bound *= side + 2.0 * radius
+        reach += 4.0 * (far + radius) + bound
+    if not math.isfinite(reach):
+        raise OverflowError("ball radii or extents exceed the float range")
 
 
 _EXACT_METHODS = ("exact1d", "exact2d")
@@ -256,7 +286,8 @@ def _cap_volume(radius: float, offset: float, dim: int) -> float:
     if dim == 2:
         # x - sin(x) cos(x) of the half angle x, through the series for
         # x < 0.1 so tiny segments keep full relative accuracy
-        x = math.atan2(math.sqrt(max(0.0, (r - a) * (r + a))), a)
+        square = (r - a) * (r + a)
+        x = math.atan2(math.sqrt(square if square > 0.0 else 0.0), a)
         return r * r * (_seg_series(x) if x < 0.1 else x - math.sin(x) * math.cos(x))
     # Regularized incomplete beta closed form; full relative accuracy
     # even for sliver caps where direct quadrature loses digits.
@@ -366,7 +397,9 @@ def _overlap_distance(
             lo = rho
         else:
             hi = rho
-        slope = omega * max(0.0, (r_big - a) * (r_big + a)) ** power
+        # the half-chord's square, negative ones (and nan) taken as 0
+        square = (r_big - a) * (r_big + a)
+        slope = omega * (square if square > 0.0 else 0.0) ** power
         nxt = rho + g / slope if slope > 0.0 else math.nan
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
@@ -535,6 +568,8 @@ def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     if balls.dimension != 2:
         raise ValueError("free_arcs_2d needs dimension 2")
+    # the law of cosines squares radius sums
+    _check_float_range(balls, 2)
     n = len(balls)
     centers, radii = balls.centers, balls.radii
     _, owner, partner, rho = balls.pairs
@@ -691,6 +726,9 @@ def union_perimeter_mc(
     if len(balls) == 0:
         raise ValueError("collection must be nonempty")
     d = balls.dimension
+    # the variance sums squared surfaces, each at most 10 s^(2d - 2)
+    # for a sphere in a box of side s >= 1 (d omega_d / 2^(d - 1) < 3.2)
+    _check_float_range(balls, 2 * d - 1)
     centers, radii = balls.centers, balls.radii
     start, owner, partner, rho = balls.pairs
     rep = _coincidence_groups(radii, owner, partner, rho)
@@ -755,6 +793,7 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     if len(balls) == 0:
         raise ValueError("collection must be nonempty")
     d = balls.dimension
+    _check_float_range(balls, d)
     centers, radii = balls.centers, balls.radii
     if d == 1:
         lo, hi = union_components(centers[:, 0] - radii, centers[:, 0] + radii)
@@ -762,9 +801,6 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     lo = (centers - radii[:, None]).min(axis=0)
     hi = (centers + radii[:, None]).max(axis=0)
     span = hi - lo
-    if not np.isfinite(span).all():
-        # the error Generator.uniform raises on such bounds
-        raise OverflowError("Range exceeds valid bounds")
     box = float(np.prod(span))
     rng = np.random.default_rng([seed])
     pad = 1e-9 * (np.abs(centers[:, 0]) + radii)
@@ -797,6 +833,7 @@ def union_perimeter(
     if len(balls) == 0:
         raise ValueError("collection must be nonempty")
     if balls.dimension == 1:
+        _check_float_range(balls, 1)
         x, r = balls.centers[:, 0], balls.radii
         lo, _ = union_components(x - r, x + r)
         return PerimeterEstimate(2.0 * lo.size, 0.0, "exact1d", 0)

@@ -19,6 +19,7 @@ import numpy as np
 from .geometry import (
     DISJOINT_TOL,
     BallCollection,
+    _check_float_range,
     _lens_volumes,
     _surface,
     unit_ball_volume,
@@ -139,6 +140,7 @@ def perimeter_besicovitch_select(balls: BallCollection) -> SelectionResult:
     if not base.selected:
         return base
     d, radii = balls.dimension, balls.radii.tolist()
+    _check_float_range(balls, d - 1)
     surfaces = [sum(_surface(radii[i], d) for i in fam) for fam in base.families]
     winner = int(np.argmax(surfaces))
     params = dict(base.params)
@@ -209,6 +211,7 @@ def perimeter_vitali_select(balls: BallCollection, eps: float) -> SelectionResul
             "distance (6/7)(r1+r2); not a quoted constant"
         ),
     }
+    _check_float_range(balls, d)
     radii = balls.radii
     volumes = unit_ball_volume(d) * radii**d
     start, owner, partner, dist = balls.pairs
@@ -243,6 +246,7 @@ def interval_select_1d(balls: BallCollection) -> SelectionResult:
     """
     if balls.dimension != 1:
         raise ValueError("interval view requires dimension 1")
+    _check_float_range(balls, 1)
     params = {"enlargement": 5.0, "closure_rule": "touching closures meet"}
     radii = balls.radii
     lo, hi = balls.centers[:, 0] - radii, balls.centers[:, 0] + radii

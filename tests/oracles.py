@@ -417,6 +417,36 @@ def _covered_angle(arcs) -> float:
     return total if run is None else total + run[1] - run[0]
 
 
+# ``counterexample._secant`` word for word as it was while each trial
+# clamped through min and max: the reference that the cheaper trials of
+# the program must match float for float.
+def secant_oracle(opening, distance, a, a_rho, fa, b, b_rho, fb, tol):
+    """Bracket to width tol the radius at which ``opening(rho, r)`` turns
+    from positive to at most 0, by a secant with the Illinois halving:
+    the radii a < b have center distances a_rho, b_rho and openings
+    fa > 0 >= fb.  Returns the two ends of the last bracket with their
+    distances; each trial radius takes one ``distance(r)`` call."""
+    side = 0
+    while b - a > tol:
+        # fa halves to 0.0 on a band where the opening is exactly 0
+        c = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
+        # at least half the tolerance inside, so the bracket shrinks
+        c = min(max(c, a + 0.5 * tol), b - 0.5 * tol)
+        c_rho = distance(c)
+        fc = opening(c_rho, c)
+        if fc > 0.0:
+            a, a_rho, fa = c, c_rho, fc
+            if side > 0:
+                fb *= 0.5
+            side = 1
+        else:
+            b, b_rho, fb = c, c_rho, fc
+            if side < 0:
+                fa *= 0.5
+            side = -1
+    return a, a_rho, b, b_rho
+
+
 def overlap_distance_oracle(r: float, eps: float) -> float:
     """Center distance at which a disk of radius r meets the unit disk in
     a lens of eps times its own area: Brent's method on the quadrature

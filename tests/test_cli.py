@@ -295,23 +295,33 @@ class TestExitStatuses:
         assert not out.exists()
 
     def test_overflow_is_1(self, tmp_path):
-        # Two disks of radius 1e308: their radius sum has no float size.
-        # Each command runs in its own process, with every RuntimeWarning
-        # an error, so that an overflow on the way or an uncaught error
-        # would show as a traceback; the pair layer rejects the input
-        # before any arithmetic overflows.
-        path = tmp_path / "big.txt"
-        path.write_text("2 2\n0 0 1e308\n1 0 1e308\n")
+        # Two disks of radius 1e308, whose radius sum has no float size;
+        # two 3D balls of radius 1e120, whose bounding box has no float
+        # volume; two 1D balls of radius 1e308, whose ends and lengths
+        # overflow.  Each command runs in its own process, with every
+        # RuntimeWarning an error, so that an overflow on the way or an
+        # uncaught error would show as a traceback; the one range check
+        # rejects the input before any arithmetic overflows.
+        cases = [
+            ("2 2\n0 0 1e308\n1 0 1e308\n", [["measure"], ["select", "--algorithm", "vitali"]]),
+            ("3 2\n0 0 0 1e120\n1 0 0 1e120\n", [["measure"]]),
+            ("1 2\n0 1e308\n1 1e308\n", [["measure"], ["select", "--algorithm", "interval-1d"]]),
+        ]
         code = "import sys; from ballcover.cli import main; sys.exit(main())"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
-        for command in (["measure"], ["select", "--algorithm", "vitali"]):
-            argv = [*command, "--input", str(path), "--output", str(tmp_path / "out.txt")]
-            out = subprocess.run(
-                [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *argv],
-                env=env, capture_output=True, text=True,
-            )
-            assert out.returncode == 1, command
-            assert out.stderr == "ballcover: error: ball radii or extents exceed the float range\n"
+        path = tmp_path / "big.txt"
+        for text, commands in cases:
+            path.write_text(text)
+            for command in commands:
+                argv = [*command, "--input", str(path), "--output", str(tmp_path / "out.txt")]
+                out = subprocess.run(
+                    [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *argv],
+                    env=env, capture_output=True, text=True,
+                )
+                assert out.returncode == 1, (text, command)
+                assert out.stderr == (
+                    "ballcover: error: ball radii or extents exceed the float range\n"
+                ), (text, command)
 
     def test_unreadable_input_is_1(self, tmp_path, capsys):
         code = main(

@@ -40,7 +40,12 @@ from ballcover.geometry import (
 )
 from ballcover.selection import vitali_select
 
-from oracles import packing_probe_oracle, ring_family_perimeter_oracle, surrounded_disk_fits
+from oracles import (
+    packing_probe_oracle,
+    ring_family_perimeter_oracle,
+    secant_oracle,
+    surrounded_disk_fits,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +417,26 @@ class TestBuildSurroundedBall:
             "f5c41f8380ab1ab9b1857852a55bff853ee7fd2360881159c9f376098de087f1"
         )
 
+    @pytest.mark.parametrize(
+        "eps, count, expected",
+        [
+            # the benchmark's second packing
+            (1e-2, 1353, "8863607255acfd6071dca2b7816ab648d6d82a572ff45107354bb24f258aa06b"),
+            # criterion 3's deepest packing
+            (1e-3, 2429, "ed5f690d97d002e73419fd03ec3513b5dfb3ef5e0974bf5db4c34d0ca410c5db"),
+        ],
+    )
+    def test_deeper_packings_are_byte_identical(self, eps, count, expected):
+        # recorded before the secant trials and the probe sweeps were
+        # made cheaper, which must move no float
+        balls = build_surrounded_ball(
+            SurroundedBallConfig(eps=eps, delta=0.3, n_max=8000, seed=7)
+        )
+        assert len(balls) == count
+        digest = hashlib.sha256(balls.centers.astype("<f8").tobytes())
+        digest.update(balls.radii.astype("<f8").tobytes())
+        assert digest.hexdigest() == expected
+
     def test_each_placed_radius_is_the_largest_that_fits(self, shrinking_packing):
         # Wherever the radius shrinks, the generator has searched for the
         # largest radius that still fits; a disk one part in 1e9 larger,
@@ -750,6 +775,73 @@ class TestBuildSurroundedBall:
         a, a_rho, b, b_rho = _secant(opening, lambda r: 2.0 * r, 0.0, 0.0, 1.0, 1.0, 2.0, 0.0, 1e-3)
         assert a < 0.25 <= b and b - a <= 1e-3
         assert (a_rho, b_rho) == (2.0 * a, 2.0 * b)
+
+    def test_secant_matches_its_min_max_reference_float_for_float(self):
+        # Seeded monotone openings and distance maps, with first steps
+        # that land below the lower clamp end, above the upper one and
+        # exactly on either, and openings that give nan on a small band
+        # of radii: the trials and the returned bracket must be those of
+        # the clamp through min and max, bit for bit.
+        rng = np.random.default_rng(33)
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        def case(opening, alpha, beta, gamma, a, fa, b, fb, tol):
+            runs = []
+            for secant in (_secant, secant_oracle):
+                trials = []
+
+                def distance(r):
+                    trials.append(r)
+                    return alpha + r * (beta + gamma * r)
+
+                ends = secant(opening, distance, a, distance(a), fa, b, distance(b), fb, tol)
+                runs.append((bits(trials), bits(ends)))
+            assert runs[0] == runs[1]
+            return runs[0]
+
+        def shape(kind, root, scale, weight):
+            def opening(rho, r):
+                x = root - r
+                if kind == 0:
+                    f = x
+                elif kind == 1:
+                    f = x * x * x + 1e-3 * scale * x
+                elif kind == 2:
+                    f = math.tanh(scale * x)
+                elif kind == 3:
+                    f = 1.0 if x > 0.0 else 0.0
+                else:
+                    f = math.nan if abs(x - 0.05) < 0.02 else math.tanh(scale * x)
+                return f * (1.0 + weight * rho)
+
+            return opening
+
+        landed, nans = {"below": 0, "above": 0, "on": 0}, 0
+        for k in range(400):
+            kind = k % 5
+            a = float(rng.uniform(0.0, 0.5))
+            b = a + float(rng.uniform(0.1, 1.0))
+            root = float(rng.uniform(a, b))
+            fa = float(10.0 ** rng.uniform(-4, 4))
+            fb = 0.0 if k % 7 == 0 else -float(10.0 ** rng.uniform(-4, 4))
+            tol = (b - a) * float(10.0 ** rng.uniform(-13, -1))
+            opening = shape(kind, root, float(10.0 ** rng.uniform(0, 3)), float(rng.uniform(0, 2)))
+            alpha, beta, gamma = (float(v) for v in rng.uniform(0.0, 2.0, 3))
+            trials, ends = case(opening, alpha, beta, gamma, a, fa, b, fb, tol)
+            nans += "nan" in trials + ends
+            step = b - fb * (b - a) / (fb - fa)
+            landed["below"] += step < a + 0.5 * tol
+            landed["above"] += step > b - 0.5 * tol
+        # first steps exactly on the ends: 1 - 3 / 4 = 0.25 = 0 + 0.5 * 0.5
+        # and 1 - 1 / 4 = 0.75 = 1 - 0.5 * 0.5, both exact in floats
+        for fa, fb in ((1.0, -3.0), (3.0, -1.0)):
+            assert 1.0 - fb / (fb - fa) in (0.25, 0.75)
+            case(shape(2, 0.4, 10.0, 0.5), 0.5, 1.0, 0.0, 0.0, fa, 1.0, fb, 0.5)
+            landed["on"] += 1
+        assert landed["below"] >= 10 and landed["above"] >= 10 and landed["on"] == 2
+        assert nans > 10
 
     def test_a_pocket_open_by_exactly_0_on_a_band_is_solved(self):
         # In this build a pocket's opening is exactly 0 on a band of

@@ -32,7 +32,13 @@ from ballcover.geometry import (
 )
 
 from ballcover.harness import check_thm12, check_thm13, random_collection
-from ballcover.selection import besicovitch_select, overlap_eps_max
+from ballcover.selection import (
+    besicovitch_select,
+    interval_select_1d,
+    overlap_eps_max,
+    perimeter_besicovitch_select,
+    perimeter_vitali_select,
+)
 
 import oracles
 
@@ -573,6 +579,41 @@ def test_pair_layer_rejects_sums_and_extents_past_the_float_range(centers, radii
     balls = BallCollection.from_arrays(centers, radii)
     with pytest.raises(OverflowError, match="exceed the float range"):
         balls.pairs
+
+
+@pytest.mark.parametrize(
+    "measure, centers, radii",
+    [
+        # the 1D ends and lengths, and the 3D box's volume, overflow
+        (lambda b: union_volume_mc(b, 1000, 0), [[0.0], [1.0]], [1e308, 1e308]),
+        (union_perimeter, [[0.0], [1.0]], [1e308, 1e308]),
+        (interval_select_1d, [[0.0], [1.0]], [1e308, 1e308]),
+        (lambda b: union_volume_mc(b, 1000, 0), [[0.0, 0, 0], [1.0, 0, 0]], [1e120, 1e120]),
+        # the variance of the sphere sampling squares each surface, and
+        # the law of cosines of the free arcs squares radius sums
+        (lambda b: union_perimeter_mc(b, 100, 0), [[0.0, 0, 0], [1.0, 0, 0]], [1e80, 1e80]),
+        (union_perimeter, [[0.0, 0.0], [1.0, 0.0]], [1e160, 1e160]),
+        (perimeter_besicovitch_select, [[0.0, 0, 0], [1.0, 0, 0]], [1e200, 1e200]),
+        (lambda b: perimeter_vitali_select(b, 0.01), [[0.0, 0.0], [1.0, 0.0]], [1e160, 1e160]),
+    ],
+    ids=[
+        "volume-1d",
+        "perimeter-1d",
+        "interval-select",
+        "volume-3d",
+        "perimeter-mc-3d",
+        "perimeter-2d",
+        "perimeter-besicovitch-3d",
+        "perimeter-vitali-2d",
+    ],
+)
+def test_measures_reject_powers_past_the_float_range(measure, centers, radii):
+    # each input passes the pair layer's check, but a measure of it
+    # would overflow (or, in Python floats, give inf silently): the one
+    # range check rejects it first, at the measure's degree
+    balls = BallCollection.from_arrays(centers, radii)
+    with pytest.raises(OverflowError, match="exceed the float range"):
+        measure(balls)
 
 
 def _corpus_3d(n, seed):
