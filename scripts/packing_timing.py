@@ -6,25 +6,18 @@ Each line gives the packing's ``eps``, its small ``disks`` and why it
 stopped, ``stop`` ("radius floor" or "n_max"); the placements whose
 radius shrank below the previous one, ``shrinking``; the calls the
 search made in the whole build: ``pocket_solves`` (pockets whose shut
-radius was bracketed by ``_shut_radius``), ``rejections`` (top pockets'
-radii the probe rejected, after which the pocket learns the disks
-that reached its gap and is solved again), ``retired`` (the rejections
-after which the pocket learned no disk and was retired), ``trials``
-(trial radii of the secant searches, on estimated and on solved
-distances),
-``solves`` (overlap solves, the two cold solves before the first
-placement not counted) and ``cap_volumes`` (scalar cap kernel calls,
-all inside the overlap solves); ``probes``, the probes
-(``_PocketQueue.gaps`` calls) of the build, and ``probe_disks``, the
-disks whose arcs they evaluated, summed over the windows of the radius
-classes around their candidate pockets; ``probe_s`` and ``solve_s``,
-the wall seconds spent inside the probes and inside the
-``_shut_radius`` calls of that build, with the cost of counting the
-calls within them; the best of ``repeats``
-build times ``best_s`` in wall seconds;
-the processors this process may use ``nproc`` and the ``commit`` of the
-``ballcover`` sources measured.  The calls are counted in one extra
-build, outside the timed ones.
+radius was bracketed by ``_shut_radius``), ``trials`` (trial radii of
+the secant searches, on estimated and on solved distances), ``solves``
+(overlap solves, the two cold solves before the first placement not
+counted) and ``cap_volumes`` (scalar cap kernel calls, all inside the
+overlap solves); ``probes``, the probes (``_PocketQueue.gaps`` calls)
+of the build; ``probe_s`` and ``solve_s``, the wall seconds spent
+inside the probes and inside the ``_shut_radius`` calls of that build,
+with the cost of counting the calls within them; the best of
+``repeats`` build times ``best_s`` in wall seconds; the processors this
+process may use ``nproc`` and the ``commit`` of the ``ballcover``
+sources measured.  The calls are counted in one extra build, outside
+the timed ones.
 
     PYTHONPATH=src python3 scripts/packing_timing.py --eps-list 0.0316,0.01
 """
@@ -78,40 +71,16 @@ def counted():
 
     search = counterexample
     queue, secant = search._PocketQueue, search._secant
-    learn, window = queue._learn, queue._window
-    probe, probing = counting("probes", queue.gaps, "probe_s"), []
 
     def trials(opening, distance, *args):
         return secant(opening, counting("trials", distance), *args)
-
-    def probes(*args):
-        probing.append(True)
-        try:
-            return probe(*args)
-        finally:
-            probing.pop()
-
-    def windowed(*args):
-        rows = window(*args)
-        # _learn takes the same windows; only the probes' count
-        if probing:
-            calls["probe_disks"] += len(rows)
-        return rows
-
-    def rejections(*args):
-        learned = learn(*args)
-        calls["rejections"] += 1
-        calls["retired"] += not learned
-        return learned
 
     with contextlib.ExitStack() as patches:
         for owner, name, wrapper in [
             (geometry, "_cap_volume", counting("cap_volumes", geometry._cap_volume)),
             (search, "_overlap_distance", counting("solves", search._overlap_distance)),
-            (queue, "gaps", probes),
-            (queue, "_window", staticmethod(windowed)),
+            (queue, "gaps", counting("probes", queue.gaps, "probe_s")),
             (search, "_shut_radius", counting("pocket_solves", search._shut_radius, "solve_s")),
-            (queue, "_learn", rejections),
             (search, "_secant", trials),
         ]:
             patches.enter_context(mock.patch.object(owner, name, wrapper))
@@ -151,13 +120,10 @@ def main(argv=None) -> int:
             "stop": stop,
             "shrinking": int((radii[1:] < radii[:-1]).sum()),
             "pocket_solves": calls["pocket_solves"],
-            "rejections": calls["rejections"],
-            "retired": calls["retired"],
             "trials": calls["trials"],
             "solves": calls["solves"],
             "cap_volumes": calls["cap_volumes"],
             "probes": calls["probes"],
-            "probe_disks": calls["probe_disks"],
             "probe_s": calls["probe_s"],
             "solve_s": calls["solve_s"],
             "best_s": best,

@@ -244,8 +244,7 @@ def _pair_opening(left, right):
     the left arc (less 2*pi past 2*pi) to the start of the right one, or
     as the angle between the two centers less both half-widths when the
     arcs overlap across 0 = 2*pi.  So the probe finds the gap exactly
-    when the opening is positive, unless the arc of a disk the pocket
-    does not know reaches into it."""
+    when the opening is positive."""
     left_angle, left_dist, left_radius = left
     right_angle, right_dist, right_radius = right
     span = right_angle - left_angle
@@ -294,126 +293,84 @@ def _pair_opening(left, right):
 # of delta, four orders above the few 1e-13 * delta within which the
 # probe's own verdict flips.
 _BAND = 1e-9
-# Pad, in radians, of each radius class's half-width bound in the
-# probe's windows: it covers the rounding of the bound and of the ends
-# of the floor pieces.
-_WINDOW_PAD = 1e-9
 
 
 class _Pocket:
     """A gap at the radius floor, the piece (``start``, ``end``) of
-    (0, 2*pi), and ``key``, an upper bound on the radius it can take.
-
-    ``left`` lists the placed disks (``(angle, center distance,
-    radius)``) whose arcs close the gap from its start, ``right`` those
-    that close it from its end.  Each starts with the disk whose arc
-    bounds the gap at the floor on that side, and ``_PocketQueue`` adds
-    the disks whose arcs the probe finds in the gap at a radius it
-    rejects.
+    (0, 2*pi) from the end of the arc of the placed disk ``left`` to the
+    start of the arc of ``right``, each given as (angle, center distance,
+    radius), and ``key``, an upper bound on the radius it can take.
     Radii never grow, so until the pocket is ``solved`` the radius of the
-    placement that made it, or the rejected radius at center distance
-    ``rho``, is one; then it is the radius at which ``opening`` shuts the
-    pocket, or the last radius while the pocket was still open there, at
-    distance ``rho``.  A placement that cuts the gap retires the
-    pocket."""
+    placement that made it is one; then it is the radius at which
+    ``_pair_opening(left, right)`` shuts the pocket, or the last radius
+    while the pocket was still open there, at distance ``rho``.  A
+    placement that cuts the gap retires the pocket."""
 
     __slots__ = ("start", "end", "left", "right", "key", "rho", "solved", "alive")
 
     def __init__(self, start: float, end: float, left, right, key: float):
         self.start, self.end = start, end
-        self.left, self.right, self.key = [left], [right], key
+        self.left, self.right, self.key = left, right, key
         self.rho, self.solved, self.alive = math.nan, False, True
-
-    def opening(self):
-        """The width of the gap as a function of a new disk's center
-        distance rho and radius r, at most 0 when it is shut: the least
-        over the (left, right) pairs of disks of ``_pair_opening``, and
-        -pi when any arc is the whole circle.  Its disks are bound once,
-        so take it anew after the pocket learns a disk."""
-        pairs = [_pair_opening(left, right) for left in self.left for right in self.right]
-        if len(pairs) == 1:
-            return pairs[0]
-
-        def opening(rho: float, r: float) -> float:
-            widths = [pair(rho, r) for pair in pairs]
-            # -pi marks a pair with an arc of the whole circle (bar a
-            # width of exactly -pi, a tie of measure zero), and then the
-            # pocket gives -pi even where another pair is narrower
-            return -math.pi if -math.pi in widths else min(widths)
-
-        return opening
-
-
-class _RadiusClass:
-    """The placed disks of one binary radius class, radii in
-    [2^(e - 1), 2^e), sorted by angle, and the bounds of the probe's
-    windows over them: the largest radius, the least center distance and
-    the greatest square of one.  Each disk is a row (angle, d*d, 2*d,
-    radius, disk) with the terms of ``_cos_half_angle`` that hold it
-    alone, d its center distance."""
-
-    __slots__ = ("angles", "rows", "radius", "near", "far_square")
-
-    def __init__(self):
-        self.angles, self.rows = [], []
-        self.radius, self.near, self.far_square = 0.0, math.inf, 0.0
-
-    def insert(self, disk) -> None:
-        angle, dist, radius = disk
-        k = bisect_left(self.angles, angle)
-        self.angles.insert(k, angle)
-        self.rows.insert(k, (angle, dist * dist, 2.0 * dist, radius, disk))
-        if radius > self.radius:
-            self.radius = radius
-        if dist < self.near:
-            self.near = dist
-        if dist * dist > self.far_square:
-            self.far_square = dist * dist
 
 
 class _PocketQueue:
-    """The state of a packing: its placed small disks, the free arcs at
-    the radius floor and the pockets they make, in a heap by
-    ``_Pocket.key``.  It is the packing's only radius search, which ends
-    when the heap is empty.
-
-    The disks are kept by binary radius class, the classes of the pair
-    layer, each sorted by angle.  Every gap at a radius lies in a free
-    piece at the floor, as arcs grow with the radius, and in the piece
-    of a pocket whose key reaches that radius less ``_BAND`` times the
-    first radius.  So the probe reads, around each such piece, only the
-    disks of each class whose angle lies within the class's half-width
-    bound of it.
+    """The state of a packing: the free pieces at the radius floor and
+    the pockets they make, in a heap by ``_Pocket.key``.  It is the
+    packing's only radius search, which ends when the heap is empty.
 
     The first disk, of radius r, sits at angle 0, so its arc holds
     0 = 2*pi at every radius and no gap or pocket runs across it.  The
     pockets in angle order are the free pieces at the floor, kept as
     sorted disjoint pieces of (0, 2*pi) in the floats of ``_arc``: each
     placement takes its own arc out of them, and only the pieces it cuts
-    get new pockets; each knows the disks whose arcs bound it.  Shut
-    radii are bracketed to width ``tol`` on ``distances``, a
-    ``_Distances``.
+    get new pockets, each bounded by the two disks whose arcs end and
+    start it.  Shut radii are bracketed to width ``tol`` on
+    ``distances``, a ``_Distances``.
+
+    Lemma: the gap of a floor piece at a radius c is bounded by the
+    piece's own two disks.  Every placed disk j sits at the center
+    distance rho(r_j) of the one eps-overlap law (``_Distances``).
+    Placed disks are pairwise disjoint.  Radii never grow, so every
+    radius c that a probe or a secant trial evaluates is at most every
+    placed radius.  Let H(a, b) = arccos((rho(a)^2 + rho(b)^2 - (a + b)^2)
+    / (2 rho(a) rho(b))), the half-width of the arc that a placed disk of
+    radius a blocks for a new disk of radius b.  H is symmetric, and it
+    does not decrease in b (a test checks this on a grid of eps and
+    radii): arcs grow with the radius.  Take two placed
+    disks M and L.  As they are disjoint, the angle between their
+    centers is at least H(r_M, r_L), which is at least H(r_M, c).  So at
+    radius c, M's arc ends at or before L's center angle, which lies
+    inside L's own arc, and no third disk's arc reaches past a piece's
+    disk into its gap.  In floats the margin is H(r_L, c) >= H(r_L,
+    floor), against a rounding error of a few ulps.  The same argument
+    shows that no placed disk blocks every angle at c once there are
+    two.  A placed disk whose floor arc rounds to zero width would cut no
+    piece, so the queue refuses it with ``ValueError``.
     """
 
     def __init__(self, floor: float, distances, tol: float, r: float):
-        self._classes = {}
         self._band = _BAND * r
         disk = (0.0, distances(r), r)
-        self._insert(disk)
         self._floor, self._floor_rho = floor, distances(floor)
         self._distances, self._tol = distances, tol
         self._heap, self._pushed = [], 0
         # with eps < 1/2 no disk blocks the whole circle at the floor
-        _, lo, hi = _arc(disk, self._floor_rho, floor)
+        _, lo, hi = self._floor_arc(disk)
         pocket = _Pocket(hi - TWO_PI, lo, disk, disk, r)
         self._starts, self._pieces = [pocket.start], [pocket]
         self._push(pocket)
 
-    def _insert(self, disk) -> None:
-        exponent = math.frexp(disk[2])[1]
-        if exponent not in self._classes:
-            self._classes[exponent] = _RadiusClass()
-        self._classes[exponent].insert(disk)
+    def _floor_arc(self, disk):
+        """``_arc`` of a placed disk at the floor; ValueError when its
+        half-width rounds to 0.0."""
+        arc = _arc(disk, self._floor_rho, self._floor)
+        if arc is not None and arc[0] == 0.0:
+            raise ValueError(
+                f"radius floor {self._floor!r} too small: a disk's arc there "
+                "rounds to zero width, so no gap could be cut; take a larger delta"
+            )
+        return arc
 
     def _push(self, pocket: _Pocket) -> None:
         # among equal keys a solved pocket comes first
@@ -436,96 +393,40 @@ class _PocketQueue:
         found.sort(key=lambda pocket: pocket.start)
         return found
 
-    def _reaches(self, rho: float, r: float) -> list:
-        """Each radius class with a bound, padded by ``_WINDOW_PAD``, on
-        the half-width of the float arc of every disk of the class for a
-        new disk of radius r at distance rho; inf when a disk of the class
-        may block every angle or the bound reaches pi.
-
-        With s = r + r_j, 1 - cos h = (s^2 - (d - rho)^2) / (2 d rho),
-        at most s^2 / (2 d rho), so sin(h / 2) is at most the square root
-        of half that.  The float cosine is off by at most ``err`` / (2 d
-        rho), 1e-15 times (d^2 + rho^2 + s^2) / (2 d rho) + 1, which is
-        added.  A disk blocks every angle only when d + rho <= s."""
-        reaches, rho_square = [], rho * rho
-        asin, sqrt, pad = math.asin, math.sqrt, _WINDOW_PAD
-        for group in self._classes.values():
-            near, s = group.near, r + group.radius
-            square, scale = s * s, 2.0 * near * rho
-            err = 1e-15 * (group.far_square + rho_square + square + scale)
-            sine_square = 0.5 * (square + err) / scale
-            if (near + rho) * (1.0 - 1e-9) <= s or sine_square >= 1.0:
-                reaches.append((group, math.inf))
-            else:
-                reaches.append((group, 2.0 * asin(sqrt(sine_square)) * (1.0 + 1e-9) + pad))
-        return reaches
-
-    @staticmethod
-    def _window(reaches, pocket: _Pocket) -> list:
-        """The rows of the disks whose arcs can reach the pocket's piece:
-        per class, those whose angles lie within its reach of the piece,
-        taken around 0 = 2*pi."""
-        start, end, rows, two_pi = pocket.start, pocket.end, [], TWO_PI
-        for group, h in reaches:
-            lo, hi = start - h, end + h
-            angles = group.angles
-            if 0.0 <= lo and hi < two_pi:
-                # most windows miss most classes: one bisection for those
-                i = bisect_left(angles, lo)
-                if i < len(angles) and angles[i] <= hi:
-                    rows += group.rows[i : bisect_right(angles, hi, i)]
-            elif hi - lo >= two_pi:
-                rows += group.rows
-            elif lo < 0.0:
-                rows += group.rows[: bisect_right(angles, hi)]
-                rows += group.rows[bisect_left(angles, lo + two_pi) :]
-            else:
-                rows += group.rows[: bisect_right(angles, hi - two_pi)]
-                rows += group.rows[bisect_left(angles, lo) :]
-        return rows
-
     def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
         """The free arcs for a new disk of radius r at distance rho, empty
         when it fits nowhere: the probe that accepts every placement.
 
-        Its gaps are those of the sorted union of every arc cut at
-        2*pi, as ``geometry._arc_ends`` and ``geometry._split_arcs`` give
-        them, in the same floats: each runs from the greatest end of the
-        arcs before it to the least start of the arcs after.  A disk that
-        blocks every angle is sought only in the classes whose bounds
-        allow one; then each candidate pocket's piece is swept over the
-        arcs of its window."""
-        rho_square, inf = rho * rho, math.inf
-        reaches = self._reaches(rho, r)
-        for group, h in reaches:
-            if h == inf:
-                for _, square, double, radius, _ in group.rows:
-                    s = r + radius
-                    if (square + rho_square - s * s) / (double * rho) <= -1.0:
-                        return np.empty(0), np.empty(0)
+        Every gap at r lies in a free piece at the floor, as arcs grow
+        with the radius, and in the piece of a pocket whose key reaches r
+        less ``_BAND`` times the first radius; by the lemma only the
+        pocket's two disks bound it there.  So each candidate pocket's
+        piece is swept over the arcs of its two disks, cut at 2*pi, in
+        the floats of ``geometry._arc_ends`` and ``geometry._split_arcs``:
+        its gaps are, float for float, those of the sorted union of
+        every placed disk's arc."""
         pockets = self._candidates(r)
-        windows = [self._window(reaches, pocket) for pocket in pockets]
-        cosines = [
-            (square + rho_square - (r + radius) * (r + radius)) / (double * rho)
-            for rows in windows
-            for _, square, double, radius, _ in rows
-        ]
+        rho_square, cosines = rho * rho, []
+        for pocket in pockets:
+            for _, dist, radius in (pocket.left, pocket.right):
+                s = r + radius
+                cosines.append((dist * dist + rho_square - s * s) / (2.0 * dist * rho))
         # Every small disk straddles the unit circle, so
-        # |rho - dist_j| < r + r_j, which is q < 1: arccos needs no clip,
+        # |rho - dist_j| < r + r_j, which is q < 1, and by the lemma no
+        # disk blocks every angle, which is q > -1: arccos needs no clip,
         # and each half-width is at least arccos(1 - 2**-53) > 1.4e-8.
         halves, two_pi = np.arccos(cosines).tolist(), TWO_PI
-        starts, ends, first = [], [], 0
-        for pocket, rows in zip(pockets, windows):
-            segments, last = [], first + len(rows)
-            for row, h in zip(rows, halves[first:last]):
-                lo = row[0] - h
+        starts, ends = [], []
+        for k, pocket in enumerate(pockets):
+            segments = []
+            for (angle, _, _), h in zip((pocket.left, pocket.right), halves[2 * k : 2 * k + 2]):
+                lo = angle - h
                 lo = (lo + two_pi if lo < 0.0 else lo) + 0.0
                 hi = lo + 2.0 * h
                 if hi > two_pi:
                     segments += ((lo, two_pi), (0.0, hi - two_pi))
                 else:
                     segments.append((lo, hi))
-            first = last
             segments.sort()
             reach = segments[0][1]
             for lo, hi in segments:
@@ -539,13 +440,11 @@ class _PocketQueue:
         return np.array(starts), np.array(ends)
 
     def add(self, rho: float, angle: float, r: float, key: float) -> None:
-        """Place a disk of radius r at distance rho and ``angle``: insert
-        it into its radius class, and take its floor arc out of the
-        pieces; the pockets of the pieces it cuts get the upper bound
-        ``key``."""
+        """Place a disk of radius r at distance rho and ``angle``: take
+        its floor arc out of the pieces; the pockets of the pieces it
+        cuts get the upper bound ``key``."""
         disk = (angle, rho, r)
-        self._insert(disk)
-        arc = _arc(disk, self._floor_rho, self._floor)
+        arc = self._floor_arc(disk)
         if arc is None:
             segments = [(0.0, TWO_PI)]
         else:
@@ -564,9 +463,9 @@ class _PocketQueue:
                 # that a second segment cuts again
                 piece.alive = False
                 if s > piece.start:
-                    kept.append(_Pocket(piece.start, s, piece.left[0], disk, key))
+                    kept.append(_Pocket(piece.start, s, piece.left, disk, key))
                 if piece.end > e:
-                    kept.append(_Pocket(e, piece.end, disk, piece.right[0], key))
+                    kept.append(_Pocket(e, piece.end, disk, piece.right, key))
                 j += 1
             pieces[i:j] = kept
             starts[i:j] = [pocket.start for pocket in kept]
@@ -575,56 +474,21 @@ class _PocketQueue:
             if pocket.alive:
                 self._push(pocket)
 
-    def _learn(self, pocket: _Pocket, r: float, rho: float) -> bool:
-        """Add to the pocket the placed disks it does not know whose
-        arcs, for a new disk of radius r at distance rho, reach its gap at
-        the floor: to ``left`` when the disk's center lies before the
-        gap's midpoint, to ``right`` when after.  False when there is
-        none.  The disks come from the probe's window of the pocket."""
-        floor, floor_rho = self._floor, self._floor_rho
-        start = _arc(pocket.left[0], floor_rho, floor)[2]
-        width = (_arc(pocket.right[0], floor_rho, floor)[1] - start) % TWO_PI
-        rows = self._window(self._reaches(rho, r), pocket)
-        angle, square, double, radius, disks = (np.array(v) for v in zip(*rows))
-        s = r + radius
-        # at q <= -1 the arc is the whole circle
-        h = np.arccos(np.maximum((square + rho * rho - s * s) / (double * rho), -1.0))
-        # each arc's start, measured from the start of the gap
-        lo = (angle - h - start) % TWO_PI
-        reach = (lo < width) | (lo + 2.0 * h > TWO_PI)
-        known = set(pocket.left + pocket.right)
-        learned = False
-        for disk in map(tuple, disks[reach].tolist()):
-            if disk not in known:
-                after = (disk[0] - start - 0.5 * width) % TWO_PI < math.pi
-                (pocket.right if after else pocket.left).append(disk)
-                learned = True
-        return learned
-
-    def _solve(self, pocket: _Pocket, r: float, rho: float) -> bool:
-        """Make ``pocket.key`` the radius at which the pocket shuts below
-        an upper end, or that end itself while the pocket is open there.
-        The end is the last radius r, at distance rho, or the pocket's
-        key when smaller: a radius the probe rejected, at distance
-        ``pocket.rho``.  False, and the pocket retired, when it is shut
-        at the floor too, which only a disk learned on the wrong side can do."""
-        if pocket.key < r:
-            r, rho = pocket.key, pocket.rho
-        opening = pocket.opening()
+    def _solve(self, pocket: _Pocket, r: float, rho: float) -> None:
+        """Make ``pocket.key`` the radius at which its two disks shut it
+        below the last radius r, at distance rho, or r itself while the
+        pocket is open there.  At the floor it is open: its piece."""
+        opening = _pair_opening(pocket.left, pocket.right)
         fb = opening(rho, r)
         if fb > 0.0:
             pocket.key, pocket.rho = r, rho
         else:
             floor, floor_rho = self._floor, self._floor_rho
             fa = opening(floor_rho, floor)
-            if fa <= 0.0:
-                pocket.alive = False
-                return False
             pocket.key, pocket.rho = _shut_radius(
                 opening, self._distances, floor, floor_rho, fa, r, rho, fb, self._tol
             )
         pocket.solved = True
-        return True
 
     def largest_fit(self, r: float, rho: float):
         """The largest radius at most r, up to the tolerance, that fits
@@ -633,36 +497,19 @@ class _PocketQueue:
         distance rho.
 
         Pockets come off the heap until the top one is solved; its key,
-        capped at r, is the radius c, which the probe must accept.  The
-        probe reads only the pieces of the pockets whose keys are at
-        least c less the band, and around each only the disks of each
-        radius class whose arcs can reach it; its gaps are, float for
-        float, those of every placed disk's arc.  When the probe
-        rejects c, the arc of a disk the pocket does not know has
-        reached its gap first: the pocket learns those disks, from the
-        same windows, and goes back unsolved under the rejected radius,
-        to be solved below it.  A pocket with nothing to learn is
-        retired, so each pocket is rejected at most once per placed
-        disk."""
+        capped at r, is the radius c.  Its own two disks leave its gap
+        open at c, and by the lemma no other disk's arc reaches into it,
+        so the probe accepts c."""
         heap = self._heap
         while heap:
             pocket = heap[0][3]
-            if not pocket.alive:
-                heapq.heappop(heap)
-                continue
-            if not pocket.solved:
-                heapq.heappop(heap)
-                if self._solve(pocket, r, rho):
-                    self._push(pocket)
-                continue
-            c, c_rho = (pocket.key, pocket.rho) if pocket.key < r else (r, rho)
-            found = self.gaps(c_rho, c)
-            if found[1].size:
-                return c, c_rho, found
+            if pocket.alive and pocket.solved:
+                c, c_rho = (pocket.key, pocket.rho) if pocket.key < r else (r, rho)
+                return c, c_rho, self.gaps(c_rho, c)
             heapq.heappop(heap)
-            pocket.alive = self._learn(pocket, c, c_rho)
-            pocket.key, pocket.rho, pocket.solved = c, c_rho, False
-            self._push(pocket)
+            if pocket.alive:
+                self._solve(pocket, r, rho)
+                self._push(pocket)
         return None
 
 
@@ -684,21 +531,21 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
     arcs at the radius floor is a pocket; a placement makes new pockets
     only from the gaps it cuts.  The pocket with the largest bound is
     solved when it reaches the top of the heap: ``_shut_radius``
-    brackets the radius at which its disks shut it below the last
-    radius to ``1e-14 * delta``, unless it is still open there.  The
-    probe must accept the top's radius and gives the free arcs for the
-    angle; when it rejects it, the pocket learns the disks whose arcs
-    reached its gap and is solved again below that radius.  The build
-    stops at the radius floor when no pocket is left.
+    brackets the radius at which its two disks shut it below the last
+    radius to ``1e-14 * delta``, unless it is still open there; no other
+    disk can shut it first.  The probe accepts the top's radius and gives
+    the free arcs for the angle.  The build stops at the radius floor
+    when no pocket is left.
     The probe's own verdict flips back and forth within a few
     ``1e-13 * delta`` above the shut radius, from the rounding of the
     center distance and of the arc ends; a disk larger by one part in
     1e9 is blocked at every angle.  So the probe at radius c reads
     only the pockets whose keys are at least c - 1e-9 * delta, and in
-    each radius class only the disks within a bound on the class's
-    half-width of their pieces; its gaps, and so the packing, are those
-    of a probe that reads every placed disk.  The cost of a placement
-    then hardly grows with the number of disks placed.
+    each only the arcs of its two disks; its gaps, and so the packing,
+    are those of a probe that reads every placed disk.  The cost of a
+    placement then hardly grows with the number of disks placed.
+    ValueError when delta is so small that a disk's arc at the floor
+    rounds to zero width.
     """
     if not isinstance(cfg, SurroundedBallConfig):
         raise TypeError("cfg must be a SurroundedBallConfig")

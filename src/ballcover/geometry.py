@@ -657,26 +657,6 @@ def free_arc_length_halfplane(
     return _free_length_in_windows(balls, -t, t)
 
 
-def free_arc_length_in_disk(
-    balls: BallCollection, center: tuple[float, float], radius: float
-) -> float:
-    """Length of the union boundary inside one probe disk."""
-    toward = np.array(center, dtype=float) - balls.centers
-    r, radius = balls.radii, float(radius)
-    dist = np.hypot(toward[:, 0], toward[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = _cos_half_angle(dist, r, radius)
-    phi = np.arccos(np.clip(c, -1.0, 1.0))
-    theta = np.arctan2(toward[:, 1], toward[:, 0])
-    # a circle inside the probe counts whole; one outside it or at its
-    # center gets an empty window
-    whole = dist + r <= radius
-    none = ~whole & ((dist >= r + radius) | (dist <= COINCIDENCE_TOL))
-    start = np.where(whole | none, 0.0, theta - phi)
-    end = np.where(whole, TWO_PI, np.where(none, 0.0, theta + phi))
-    return _free_length_in_windows(balls, start, end)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimates
 

@@ -294,6 +294,21 @@ class TestExitStatuses:
         assert "delta" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_delta_too_small_for_the_floor_arcs_is_1(self, tmp_path, capsys):
+        # At eps 0.05 and delta 3e-8 the first disk's arc at the radius
+        # floor rounds to zero width, which would leave no free piece:
+        # the build must fail, not stop at the floor after one disk.  At
+        # delta 1e-7 it still places its 5 disks.
+        out = tmp_path / "x.txt"
+        argv = ["generate", "--kind", "surrounded", "--eps", "0.05", "--n-max", "5",
+                "--output", str(out), "--delta"]
+        assert main(argv + ["3e-8"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "zero width" in err
+        assert not out.exists()
+        assert main(argv + ["1e-7"]) == 0
+        assert len(read_balls(str(out))) == 6
+
     def test_overflow_is_1(self, tmp_path):
         # Two disks of radius 1e308, whose radius sum has no float size;
         # two 3D balls of radius 1e120, whose bounding box has no float

@@ -7,6 +7,7 @@ placement, an independent test that no larger disk fits, and the
 reverse example against a direct measurement of its tiny inner boundary.
 """
 
+import contextlib
 import hashlib
 import math
 
@@ -15,11 +16,9 @@ import pytest
 
 from ballcover import geometry
 from ballcover.counterexample import (
-    _WINDOW_PAD,
     SurroundedBallConfig,
     _arc,
     _Distances,
-    _Pocket,
     _pair_opening,
     _PocketQueue,
     _secant,
@@ -33,7 +32,8 @@ from ballcover.geometry import (
     _arc_ends,
     _cos_half_angle,
     _lens_volumes,
-    free_arc_length_in_disk,
+    center_distance_for_overlap,
+    free_arc_lengths_2d,
     union_perimeter,
     union_perimeter_2d,
     unit_ball_volume,
@@ -214,33 +214,24 @@ def _assert_largest_fits(balls, eps: float) -> None:
         assert not surrounded_disk_fits(centers[:k], radii[:k], r * (1.0 + 1e-9), eps), k
 
 
-_THIRD_DISK_LO, _THIRD_DISK_HI = 1e-3, 0.3
+# the least and greatest new radius at which the arc tests probe
+_RADIUS_LO, _RADIUS_HI = 1e-3, 0.3
 
 
 def _linear_distance(r: float) -> float:
-    """Center distance of a new disk of radius r in the states of
-    ``_third_disk_states``."""
+    """A center distance that grows with the radius, for the random disks
+    of the arc and opening kernel tests."""
     return 1.0 + 0.3 * r
 
 
-class _LinearDistances:
-    """``_linear_distance`` in the shape of ``counterexample._Distances``:
-    exact, so its estimate is too."""
-
-    def __call__(self, r: float) -> float:
-        return _linear_distance(r)
-
-    def estimate(self, r: float) -> float:
-        return _linear_distance(r)
-
-
-def _probe_bisection(queue, distance, lo: float, hi: float) -> float | None:
-    """The largest radius in [lo, hi] that the probe of ``queue`` accepts
-    at center distance ``distance(r)``, by halving [lo, hi] 50 times,
-    which leaves less than 3e-16 of [0, 0.3]; None when it rejects lo."""
+def _oracle_bisection(disks, distance, lo: float, hi: float) -> float | None:
+    """The largest radius in [lo, hi] at which ``packing_probe_oracle``
+    finds a gap among ``disks`` at center distance ``distance(r)``, by
+    halving [lo, hi] 50 times, which leaves less than 3e-16 of [0, 0.3];
+    None when it finds none at lo."""
 
     def fits(r: float) -> bool:
-        return queue.gaps(distance(r), r)[1].size > 0
+        return packing_probe_oracle(disks, distance(r), r)[1].size > 0
 
     if fits(hi):
         return hi
@@ -260,31 +251,7 @@ def _straddling_disks(rng, count: int):
         yield 1.0 + rng.uniform(-0.5, 0.5) * r, rng.uniform(0.0, 2.0 * math.pi), r
 
 
-def _queue(first: float = _THIRD_DISK_HI) -> _PocketQueue:
-    """A pocket queue at floor ``_THIRD_DISK_LO`` on ``_LinearDistances``
-    whose first disk, at angle 0, has radius ``first``."""
-    return _PocketQueue(_THIRD_DISK_LO, _LinearDistances(), 1e-14, first)
-
-
-def _third_disk_states():
-    """Pocket queues at floor ``_THIRD_DISK_LO`` holding, after their
-    first disk, 10 to 40 random straddling disks, added in no order of
-    radius under the key ``_THIRD_DISK_HI``, in which radius
-    ``_THIRD_DISK_LO`` fits and ``_THIRD_DISK_HI`` does not, each with
-    the largest radius that fits by a bisection on the probe.  The
-    center distance ``_linear_distance`` grows with the radius, so the
-    disks' arcs grow at unlike rates."""
-    rng = np.random.default_rng(5)
-    for _ in range(600):
-        queue = _queue()
-        for rho, angle, r in _straddling_disks(rng, int(rng.integers(10, 40))):
-            queue.add(rho, angle, r, _THIRD_DISK_HI)
-        want = _probe_bisection(queue, _linear_distance, _THIRD_DISK_LO, _THIRD_DISK_HI)
-        if want is not None and want < _THIRD_DISK_HI:
-            yield queue, want
-
-
-def _assert_fit(queue, found, want: float, distance=_linear_distance) -> None:
+def _assert_fit(queue, found, want: float, distance) -> None:
     """A search's (radius, distance, free arcs) is the probe's own at its
     radius, which lies within 1e-13 of the bisection's ``want``."""
     r, rho, gaps = found
@@ -294,10 +261,36 @@ def _assert_fit(queue, found, want: float, distance=_linear_distance) -> None:
     assert abs(r - want) <= 1e-13
 
 
+@contextlib.contextmanager
+def _placed_disks(then=None):
+    """Patch ``_PocketQueue`` so that each queue keeps its placed disks,
+    as (angle, center distance, radius), in ``placed``, and ``then(queue)``
+    runs after its first disk and after each placement."""
+    init, add = _PocketQueue.__init__, _PocketQueue.add
+
+    def init_spy(queue, *args):
+        init(queue, *args)
+        # the first pocket lies between the first disk and itself
+        queue.placed = [queue._pieces[0].left]
+        if then is not None:
+            then(queue)
+
+    def add_spy(queue, rho, angle, r, key):
+        add(queue, rho, angle, r, key)
+        queue.placed.append((angle, rho, r))
+        if then is not None:
+            then(queue)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_PocketQueue, "__init__", init_spy)
+        patch.setattr(_PocketQueue, "add", add_spy)
+        yield
+
+
 def _store(queue) -> np.ndarray:
-    """The placed disks of ``queue``, one column each of angle, center
-    distance and radius, class by class."""
-    return np.array([row[4] for group in queue._classes.values() for row in group.rows]).T
+    """The placed disks of a queue made under ``_placed_disks``, one
+    column each of angle, center distance and radius."""
+    return np.array(queue.placed).T
 
 
 def _bits(value) -> list[int]:
@@ -323,7 +316,7 @@ def _opening_oracle(left, right, rho: float, r: float) -> float:
     return approx if gap > approx + math.pi else gap
 
 
-# sha256 of the packings of test_windowed_probe_matches_the_oracle_at_every_placement
+# sha256 of the packings of test_pocket_probe_matches_the_oracle_at_every_placement
 # per eps, recorded from the full probe, which read every placed disk
 _ORACLE_DIGESTS = {
     10.0**-1.5: "8c6e039c77d0046c134e5af2a561097fa69b7320d4e76719e79ff22e589990ee",
@@ -451,10 +444,9 @@ class TestBuildSurroundedBall:
     def test_few_full_probes_per_shrinking_placement(self, shrinking_packing):
         # The radius comes from the heap of pockets, so every placement
         # costs the one probe that accepts its radius and gives its free
-        # arcs; only a rejected root of a top pocket adds one more, and
-        # the build stops when no pocket is left, without a probe.  A
-        # bisection on the probe would make over forty per shrinking
-        # placement.
+        # arcs, and the build stops when no pocket is left, without a
+        # probe.  A bisection on the probe would make over forty per
+        # shrinking placement.
         balls, probes = shrinking_packing
         assert probes / len(_shrinking(balls)) <= 2.0
 
@@ -477,37 +469,10 @@ class TestBuildSurroundedBall:
             build_surrounded_ball(SurroundedBallConfig(eps=1e-2, delta=0.3, n_max=8000, seed=7))
         assert len(calls) <= 30_000
 
-    def test_packing_state_inserts_in_angle_order_past_its_capacity(self):
-        # Each disk goes into the class of its binary exponent, whose
-        # rows must equal an array grown by np.insert, including an angle
-        # placed twice, with the squared and doubled center distance of
-        # each disk.  The disks straddle the unit circle, as the
-        # packing's do, so their floor arcs, which add also takes, are
-        # finite.
-        rng = np.random.default_rng(11)
-        queue = _queue(0.05)
-        want = {math.frexp(0.05)[1]: _store(queue)}
-        angles = rng.uniform(0.0, 2.0 * math.pi, 150)
-        angles[7] = angles[3]
-        for angle in angles.tolist():
-            r = rng.uniform(0.01, 0.1)
-            rho = 1.0 + rng.uniform(-0.5, 0.5) * r
-            queue.add(rho, angle, r, r)
-            exponent = math.frexp(r)[1]
-            rows = want.get(exponent, np.empty((3, 0)))
-            k = int(np.searchsorted(rows[0], angle))
-            want[exponent] = np.insert(rows, k, (angle, rho, r), axis=1)
-            assert sorted(queue._classes) == sorted(want)
-            for exponent, group in queue._classes.items():
-                disks = want[exponent].T.tolist()
-                assert group.angles == [a for a, _, _ in disks]
-                assert group.rows == [(a, d * d, 2.0 * d, s, (a, d, s)) for a, d, s in disks]
-        assert len(queue._classes) == 4
-
-    @pytest.mark.parametrize("r", [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI])
+    @pytest.mark.parametrize("r", [_RADIUS_LO, 0.01, 0.1, _RADIUS_HI])
     def test_scalar_arc_matches_the_vector_kernel(self, r):
-        # add and _learn read each arc from _arc, as the oracle of the
-        # pocket openings does, and the probe takes the vector kernel and
+        # add reads each arc from _arc, as the oracle of the pocket
+        # openings does, and the probe takes the vector kernel and
         # _arc_ends; the probe finds a gap exactly when the opening is
         # positive only if both give the same floats.
         # The last disk holds the whole circle of distance rho, so it
@@ -548,7 +513,7 @@ class TestBuildSurroundedBall:
         whole = (rng.uniform(0.0, TWO_PI), 1.0, 2.0)
         pairs += [(whole, pairs[0][1]), (pairs[0][0], whole), (whole, whole)]
         seen = {"overlap across 0": 0, "end past 2*pi": 0, "overlap": 0, "shut": 0}
-        for r in [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI]:
+        for r in [_RADIUS_LO, 0.01, 0.1, _RADIUS_HI]:
             for rho in [1.0 - 0.4 * r, 1.0, 1.0 + 0.4 * r]:
                 for left, right in pairs:
                     want = _opening_oracle(left, right, rho, r)
@@ -567,134 +532,90 @@ class TestBuildSurroundedBall:
                     seen["overlap"] += want <= 0.0
         assert min(seen.values()) > 20, seen
 
-    def test_pocket_opening_is_the_least_over_its_pairs(self):
-        # A pocket with two disks on each side is as wide as its
-        # narrowest pair, and shut at -pi when any arc is the whole
-        # circle; with one disk on each side it is its pair's opening.
-        rng = np.random.default_rng(19)
-        whole = (1.0, 1.0, 2.0)
-        for trial in range(40):
-            disks = [(a, rho, s) for rho, a, s in _straddling_disks(rng, 4)]
-            if trial % 4 == 3:
-                disks[trial % 3] = whole
-            pocket = _Pocket(0.0, 1.0, disks[0], disks[2], 0.3)
-            alone = pocket.opening()
-            pocket.left.append(disks[1])
-            pocket.right.append(disks[3])
-            both = pocket.opening()
-            for r in [_THIRD_DISK_LO, 0.01, 0.1]:
-                rho = _linear_distance(r)
-                pairs = [(left, right) for left in disks[:2] for right in disks[2:]]
-                widths = [_opening_oracle(left, right, rho, r) for left, right in pairs]
-                shut = any(_arc(disk, rho, r) is None for disk in disks)
-                assert _bits(both(rho, r)) == _bits(-math.pi if shut else min(widths))
-                assert _bits(alone(rho, r)) == _bits(widths[0])
+    def test_blocked_half_width_does_not_decrease_in_the_new_radius(self):
+        # The lemma of _PocketQueue rests on H(a, b), the half-width of
+        # the arc that a disk of radius a at its own law distance blocks
+        # for a new disk of radius b at its own, not decreasing in b:
+        # checked on 13 eps from 1e-6 to 0.4999, 60 radii a and 600
+        # radii b from 1e-6 to 1.  Where a disk blocks every angle, H is
+        # pi.
+        b = np.geomspace(1e-6, 1.0, 600)
+        a = b[::10]
+        for eps in np.geomspace(1e-6, 0.4999, 13).tolist():
+            rho = np.array([center_distance_for_overlap(s, 1.0, eps, 2) for s in b.tolist()])
+            q = _cos_half_angle(rho[::10, None], rho[None, :], a[:, None] + b[None, :])
+            h = np.arccos(np.clip(q, -1.0, 1.0))
+            assert (np.diff(h, axis=1) >= 0.0).all(), eps
 
-    @pytest.mark.parametrize("r", [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI])
+    @pytest.mark.parametrize("r", [_RADIUS_LO, 0.01, 0.1, _RADIUS_HI])
     def test_probe_matches_the_sorted_union_of_split_arcs(self, r):
-        # The probe sweeps each pocket's window of the radius classes; its
-        # gap ends must be, float for float, those of all the arcs cut at
-        # 2*pi and joined after a sort.  The states, each after its first
-        # disk at angle 0: random queues, one whose arcs wrap at both
-        # ends, one with a disk that blocks every angle and one with no
-        # other disk.  The first disk and the keys of the disks added are
-        # _THIRD_DISK_HI, an upper bound on every radius probed, as the
-        # first radius of a packing is, so every pocket is a candidate.
-        rng = np.random.default_rng(23)
-        rho = _linear_distance(r)
-        states = [[]]
-        for count in range(1, 41):
-            states.append([(a, d, s) for d, a, s in _straddling_disks(rng, count)])
-        states.append([(0.01, 1.0, 0.05), (TWO_PI - 0.01, 1.0, 0.05), (3.0, 1.0, 0.1)])
-        states.append(states[10] + [(2.0, 1.0, 2.0)])
-        gapless = 0
-        for disks in states:
-            queue = _queue()
-            for angle, dist, radius in disks:
-                queue.add(dist, angle, radius, _THIRD_DISK_HI)
-            got, want = queue.gaps(rho, r), packing_probe_oracle(_store(queue), rho, r)
-            assert [_bits(a) for a in got] == [_bits(a) for a in want]
-            gapless += want[0].size == 0
-        assert 0 < gapless < len(states) // 2, gapless
+        # The probe sweeps each candidate pocket over the arcs of its own
+        # two disks; on the states of a packing, where the lemma of
+        # _PocketQueue holds, its gap ends must be, float for float,
+        # those of all the placed arcs cut at 2*pi and joined after a
+        # sort.  The states: the first disk alone, at angle 0, and each
+        # placement of eighteen builds (delta 0.3) while every placed
+        # radius is at least r, probed at radius r and its own distance.
+        # The last such state of a build that goes below r has no gap.
+        probes, gapless = 0, 0
+
+        def check(queue):
+            nonlocal probes, gapless
+            if queue.placed[-1][2] >= r:
+                got, want = queue.gaps(rho, r), packing_probe_oracle(_store(queue), rho, r)
+                assert [_bits(a) for a in got] == [_bits(a) for a in want]
+                probes += 1
+                gapless += want[0].size == 0
+
+        for eps in (0.2, 0.05, 1e-2):
+            rho = center_distance_for_overlap(r, 1.0, eps, 2)
+            with _placed_disks(check):
+                for seed in range(1, 7):
+                    build_surrounded_ball(
+                        SurroundedBallConfig(eps=eps, delta=0.3, n_max=8000, seed=seed)
+                    )
+        assert 18 <= gapless < probes // 4, (gapless, probes)
 
     def test_pocket_queue_matches_a_bisection_on_the_probe(self):
-        # Pockets at the floor are solved each on its own two disks, so
-        # where the arc of a third disk shuts the top pocket first, the
-        # probe rejects its root; the pocket then learns that disk and is
-        # solved again below the root.  The first radius and twenty more
-        # placements, each in the middle of the first free arc, must each
-        # be the largest radius that fits by a bisection on the probe.
-        accepted = []
-        probe = _PocketQueue.gaps
-
-        def spy(queue, rho, r):
-            found = probe(queue, rho, r)
-            accepted.append(found[1].size > 0)
-            return found
-
-        lo, hi, searched, placed = _THIRD_DISK_LO, _THIRD_DISK_HI, 0, 0
-        for queue, want in _third_disk_states():
-            r, rho = hi, _linear_distance(hi)
-            for _ in range(21):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(_PocketQueue, "gaps", spy)
+        # Each radius that the search gives must be the largest that fits
+        # by a bisection on packing_probe_oracle, which reads every
+        # placed disk, and its free arcs the probe's own there.  The
+        # queues run on the center distances of one _Distances each and
+        # place each disk at a random angle of its free arcs, 150 disks
+        # at most per eps and seed (delta 0.3).
+        shrinking = 0
+        for eps in (0.2, 0.05, 1e-2):
+            for seed in (1, 2):
+                rng = np.random.default_rng(seed)
+                floor = 0.3e-3
+                distances = _Distances(eps, floor, 0.3)
+                queue = _PocketQueue(floor, distances, 0.3e-14, 0.3)
+                r, rho = 0.3, distances(0.3)
+                disks = [(0.0, rho, r)]
+                for _ in range(150):
                     found = queue.largest_fit(r, rho)
-                if want is None:
-                    assert found is None
-                    break
-                _assert_fit(queue, found, want)
-                r, rho, (starts, ends) = found
-                queue.add(rho, 0.5 * (starts[0] + ends[0]), r, r)
-                want = _probe_bisection(queue, _linear_distance, lo, r)
-                placed += 1
-            searched += 1
-        # each search ends with the one probe that accepts its radius;
-        # every other probe rejected the root of a top pocket
-        rejections = accepted.count(False)
-        assert searched > 100 and placed > 10 * searched, (searched, placed)
-        assert 0 < rejections < 0.05 * placed, rejections
-
-    @pytest.mark.parametrize("r", [_THIRD_DISK_LO, 0.01, 0.1, _THIRD_DISK_HI])
-    def test_class_reach_exceeds_every_arc_by_the_pad(self, r):
-        # A window holds every disk whose arc comes within _WINDOW_PAD of
-        # the piece only if each class's reach is at least each of its
-        # float half-widths plus the pad.  Random straddling disks, disks
-        # at their own center distance of _linear_distance, and a disk of
-        # radius r at distance rho, alone in its class, where the bound is
-        # tightest; a class with a disk that blocks every angle reaches the
-        # whole circle.
-        rng = np.random.default_rng(29)
-        rho = _linear_distance(r)
-        tight = 0
-        for trial in range(30):
-            queue = _queue()
-            disks = [(a, d, s) for d, a, s in _straddling_disks(rng, 40)]
-            for s in rng.uniform(_THIRD_DISK_LO, _THIRD_DISK_HI, 10).tolist():
-                disks.append((rng.uniform(0.0, TWO_PI), _linear_distance(s), s))
-            disks = [disk for disk in disks if math.frexp(disk[2])[1] != math.frexp(r)[1]]
-            disks.append((rng.uniform(0.0, TWO_PI), rho, r))
-            if trial % 10 == 9:
-                disks.append((rng.uniform(0.0, TWO_PI), 1.0, 2.0))
-            for disk in disks:
-                queue.add(disk[1], disk[0], disk[2], _THIRD_DISK_HI)
-            for group, reach in queue._reaches(rho, r):
-                arcs = [_arc(row[4], rho, r) for row in group.rows]
-                if None in arcs:
-                    assert reach == math.inf
-                    continue
-                widest = max(arc[0] for arc in arcs)
-                assert widest + _WINDOW_PAD <= reach
-                tight += reach < math.pi and reach - widest < 2.0 * _WINDOW_PAD
-        assert tight > 0
+                    want = _oracle_bisection(np.array(disks).T, distances, floor, r)
+                    if want is None:
+                        assert found is None
+                        break
+                    _assert_fit(queue, found, want, distances)
+                    shrinking += found[0] < r
+                    r, rho, (starts, ends) = found
+                    k = int(rng.integers(starts.size))
+                    angle = float(rng.uniform(starts[k], ends[k]))
+                    queue.add(rho, angle, r, r)
+                    disks.append((angle, rho, r))
+        assert shrinking > 300, shrinking
 
     @pytest.mark.parametrize("eps", list(_ORACLE_DIGESTS))
-    def test_windowed_probe_matches_the_oracle_at_every_placement(self, eps):
+    def test_pocket_probe_matches_the_oracle_at_every_placement(self, eps):
         # At every probe of nine builds (delta 0.3, 0.1 and 0.03, seeds
-        # 1 to 3, 1000 disks at most), the gaps of the windowed probe
-        # must be, float for float, those of all the placed disks' arcs
-        # joined after a sort; and the packings must be those of the
-        # full probe that read every disk, whose sha256 was recorded
-        # before the probe was windowed.
+        # 1 to 3, 1000 disks at most), the gaps of the probe, which reads
+        # only the candidate pockets' own disks, must be, float for
+        # float, those of all the placed disks' arcs joined after a sort;
+        # and the packings must be those of the full probe that read
+        # every disk, whose sha256 was recorded before the probe read
+        # fewer.
         probe, calls = _PocketQueue.gaps, []
 
         def spy(queue, rho, r):
@@ -705,7 +626,7 @@ class TestBuildSurroundedBall:
             return found
 
         digest = hashlib.sha256()
-        with pytest.MonkeyPatch.context() as patch:
+        with _placed_disks(), pytest.MonkeyPatch.context() as patch:
             patch.setattr(_PocketQueue, "gaps", spy)
             for delta in (0.3, 0.1, 0.03):
                 for seed in (1, 2, 3):
@@ -730,12 +651,13 @@ class TestBuildSurroundedBall:
         queue.add(rho, angle, 0.3, 0.3)
         _, lo, hi = _arc((angle, rho, 0.3), distances(floor), floor)
         assert hi == TWO_PI or lo == 0.0
+        disks = np.array([(0.0, rho, 0.3), (angle, rho, 0.3)]).T
         for r in [floor, 0.01, 0.3]:
             got = queue.gaps(distances(r), r)
-            want = packing_probe_oracle(_store(queue), distances(r), r)
+            want = packing_probe_oracle(disks, distances(r), r)
             assert [_bits(a) for a in got] == [_bits(a) for a in want]
         found = queue.largest_fit(0.3, rho)
-        _assert_fit(queue, found, _probe_bisection(queue, distances, floor, 0.3), distances)
+        _assert_fit(queue, found, _oracle_bisection(disks, distances, floor, 0.3), distances)
 
     def test_no_gap_or_floor_piece_touches_0_or_2pi(self):
         # The first disk sits at angle 0, so its arc holds 0 = 2*pi at
@@ -855,8 +777,8 @@ class TestBuildSurroundedBall:
 
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.02])
     def test_radii_never_grow_and_each_shrinking_radius_is_the_largest(self, eps):
-        # Pockets keep their keys across placements, and a root the probe
-        # rejected must not come back above the radius solved below it.
+        # Pockets keep their keys across placements, and a key solved
+        # at an earlier radius must not come back above the last one.
         # Eps 0.2 runs to the radius floor; the others stop at 200 disks,
         # since the oracle takes about 2 ms per shrinking placement.
         for seed in range(1, 6):
@@ -917,12 +839,13 @@ class TestBuildReverseExample:
             assert math.hypot(*center) > r
 
     def test_inner_boundary_length_close_to_circle(self):
-        # The union boundary inside the disk of radius 2*eps is the
-        # petal curve, whose length approaches 2*pi*eps as the ring
-        # gets dense; 64 petals put it within one percent.
+        # The free arcs of the 64 ring disks are their inner arcs, the
+        # petal curve around the origin, whose length approaches
+        # 2*pi*eps as the ring gets dense; 64 petals put it within one
+        # percent.
         for eps in (0.02, 0.05, 0.1):
             balls = build_reverse_example(eps)
-            inner = free_arc_length_in_disk(balls, (0.0, 0.0), 2.0 * eps)
+            inner = sum(free_arc_lengths_2d(balls)[:64])
             assert inner == pytest.approx(2.0 * math.pi * eps, rel=0.01)
 
     def test_box_covered_away_from_hole(self):

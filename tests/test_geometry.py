@@ -20,7 +20,6 @@ from ballcover.geometry import (
     PerimeterEstimate,
     center_distance_for_overlap,
     free_arc_length_halfplane,
-    free_arc_length_in_disk,
     free_arc_lengths_2d,
     free_arcs_2d,
     lens_volume,
@@ -1314,19 +1313,6 @@ def test_halfplane_boundary_splits_total():
         le = free_arc_length_halfplane(balls, thr, side="le")
         ge = free_arc_length_halfplane(balls, thr, side="ge")
         assert le + ge == pytest.approx(union_perimeter_2d(balls).value, rel=1e-10)
-
-
-def test_disk_window_boundary():
-    balls = _collection([(0, 0, 1.0)])
-    assert free_arc_length_in_disk(balls, (0.0, 0.0), 2.0) == pytest.approx(
-        TWO_PI, rel=1e-12
-    )
-    assert free_arc_length_in_disk(balls, (5.0, 0.0), 1.0) == 0.0
-    # Probe disk centered on the boundary point (1, 0) with small radius
-    # captures an arc of length ~ 2 * probe radius.
-    probe = 1e-3
-    got = free_arc_length_in_disk(balls, (1.0, 0.0), probe)
-    assert got == pytest.approx(2.0 * probe, rel=1e-4)
 
 
 # --------------------------------------------------------------------------

@@ -46,9 +46,7 @@ PACKAGE = ROOT / "src" / "ballcover"
 PROGRAM = ("src", "scripts", "perfbench")
 
 # Definitions kept without a caller in the program, each with its reason.
-ALLOWED_UNUSED = {
-    "free_arc_length_in_disk": "per(E; B) of the planned 2D maximal-function check",
-}
+ALLOWED_UNUSED = {}
 
 
 def _names(node) -> tuple[Counter, Counter]:
