@@ -10,6 +10,9 @@ dimension ``d`` and ball count ``n``; the pair layer's build time
 ``union_volume_mc`` at ``volume_samples`` draws, ``volume_s_per_ball``;
 each the best of ``repeats`` runs in wall seconds on a new collection
 made outside the timer, whose pair layer the estimates then share.
+``drawing_balls`` counts the spheres that draw samples, those with a
+neighbour that blocks some direction, and ``one_neighbour_balls`` those
+of them with exactly one such neighbour.
 ``nproc`` is the processors this process may use and ``commit`` the
 commit of the ``ballcover`` sources measured.
 
@@ -24,6 +27,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from ballcover import geometry
 from ballcover.harness import random_collection
@@ -62,6 +67,8 @@ def main(argv=None) -> int:
     for d in (int(v) for v in args.dims.split(",")):
         for n in (int(v) for v in args.sizes.split(",")):
             balls = random_collection(d, [args.seed, d, n], count=n)
+            _, spheres, start, *_ = geometry._mc_blockers(balls)
+            blockers = np.diff(start)[spheres]
             best = {"pairs": math.inf, "perimeter": math.inf, "volume": math.inf}
             for _ in range(args.repeats):
                 # a collection keeps its layer, so each repeat needs a new one
@@ -87,6 +94,8 @@ def main(argv=None) -> int:
                 "pairs_s": best["pairs"],
                 "perimeter_s_per_ball": best["perimeter"] / n,
                 "volume_s_per_ball": best["volume"] / n,
+                "drawing_balls": int(np.count_nonzero(blockers)),
+                "one_neighbour_balls": int(np.count_nonzero(blockers == 1)),
                 "repeats": args.repeats,
                 "nproc": len(os.sched_getaffinity(0)),
                 "commit": head,

@@ -670,35 +670,179 @@ def _row_squares(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mc_blockers(balls: BallCollection):
+    """The spheres ``union_perimeter_mc`` samples and the neighbours that
+    block some of their directions.
+
+    Returns (kept, spheres, start, partner, dist, k).  ``kept`` counts
+    the balls left after coincident ones are merged into the lowest
+    index; ``spheres`` are those of them, ascending, that lie inside no
+    other ball: k < -(1 + 1e-9) rho for none of their neighbours.  The
+    blockers of ball i are the entries start[i]:start[i + 1] of the
+    other arrays, ascending: merged neighbours j at center distance
+    ``dist`` = rho with k < rho, where
+    k = (rho^2 + r_i^2 - r_j^2) / (2 r_i) is the bound that u.w may not
+    exceed for the point c_i + r_i u to lie outside ball j, u a unit
+    vector and w = c_j - c_i.  A neighbour with k >= rho, or
+    (rho - r_i)^2 >= r_j^2, blocks no direction, as a smaller concentric
+    ball does: its open ball misses the sphere.
+    """
+    n = len(balls)
+    radii = balls.radii
+    _, owner, partner, rho = balls.pairs
+    if not owner.size:
+        # no ball meets another
+        return n, np.arange(n), np.zeros(n + 1, dtype=np.intp), partner, rho, rho
+    rep = _coincidence_groups(radii, owner, partner, rho)
+    own = radii[owner]
+    k = (rho * rho + own * own - radii[partner] ** 2) / (2.0 * own)
+    live = rep[partner] == partner
+    block = live & (k < rho)
+    start = np.searchsorted(owner[block], np.arange(n + 1))
+    spheres = rep == np.arange(n)
+    kept = int(np.count_nonzero(spheres))
+    spheres[owner[live & (k < -(1.0 + 1e-9) * rho)]] = False
+    return kept, np.flatnonzero(spheres), start, partner[block], rho[block], k[block]
+
+
+def _chunk_sizes(m: int, width: int) -> list[int]:
+    """Draws per chunk of m draws whose work takes ``width`` floats each."""
+    chunk = max(1, MC_CHUNK_ELEMENTS // width)
+    return [min(chunk, m - done) for done in range(0, m, chunk)]
+
+
+def _outside_turns(rng, m, r, w, dist, k, s) -> int:
+    """Of m uniform turns t in [0, 1), the angles 2 pi t on a circle of
+    radius r, those outside every blocked arc (lo, hi) of neighbours at
+    offsets w, distances ``dist`` and radii s.  An arc past 1 wraps to
+    0."""
+    # Heron's half-chord, as two square roots of degree-2 factors.  The
+    # second is negative only for a circle inside the disk or within
+    # rounding of an inner tangency: the arc is then all or none of it
+    chord = np.sqrt((r + s + dist) * (r + s - dist))
+    chord *= np.sqrt(np.maximum((dist + r - s) * (dist - r + s), 0.0))
+    half = np.arctan2(chord, dist * dist + r * r - s * s)
+    lo, hi = _arc_ends(np.arctan2(w[:, 1], w[:, 0]), half)
+    arcs = list(zip((lo / TWO_PI).tolist(), (hi / TWO_PI).tolist()))
+    outside = 0
+    for size in _chunk_sizes(m, max(2, len(arcs))):
+        t = rng.random(size)
+        ok = np.ones(size, dtype=bool)
+        for a, b in arcs:
+            ok &= (t <= a) | (t >= b) if b <= 1.0 else (t <= a) & (t >= b - 1.0)
+        outside += int(np.count_nonzero(ok))
+    return outside
+
+
+def _sphere_frame(axis) -> np.ndarray:
+    """Orthonormal rows (e0, e1, e2) of R^3 with e0 the unit vector
+    ``axis``: the branch-free basis of Duff et al., "Building an
+    orthonormal basis, revisited" (JCGT 6, 2017), whose denominator
+    sign + z is at least 1 in size."""
+    x, y, z = (float(v) for v in axis)
+    sign = math.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return np.array(
+        [[x, y, z], [1.0 + sign * x * x * a, sign * b, -sign * x], [b, sign + y * y * a, -y]]
+    )
+
+
+def _outside_heights(rng, m, r, w, dist, k, s) -> int:
+    """Of m uniform (height, azimuth) pairs, read as the unit vectors
+    z e0 + sqrt(1 - z^2)(cos phi e1 + sin phi e2) of the frame of the
+    first neighbour, those u with u.w <= k for every neighbour."""
+    frame = _sphere_frame(w[0] / dist[0])
+    top = float(k[0] / dist[0])
+    # the other neighbours' offsets in the frame's coordinates
+    rest, bound = w[1:] @ frame.T, k[1:]
+    outside = 0
+    for size in _chunk_sizes(m, max(3, k.size)):
+        u = rng.random((size, 2))
+        z = 2.0 * u[:, 0] - 1.0
+        ok = z <= top
+        if bound.size:
+            ring = 1.0 - z
+            ring *= 1.0 + z
+            np.sqrt(ring, out=ring)
+            phi = u[:, 1] - 0.5
+            phi *= TWO_PI
+            unit = np.empty((3, size))
+            unit[0] = z
+            np.cos(phi, out=unit[1])
+            np.sin(phi, out=unit[2])
+            unit[1:] *= ring
+            proj = rest @ unit
+            for j in range(bound.size):
+                ok &= proj[j] <= bound[j]
+        outside += int(np.count_nonzero(ok))
+    return outside
+
+
+def _outside_gaussian(rng, m, r, w, dist, k, s) -> int:
+    """Of m standard Gaussian draws g, the directions g/|g|, those with
+    g.w <= k|g| for every neighbour: one (K, m) product per chunk, then
+    one contiguous neighbour row at a time into one mask."""
+    d = w.shape[1]
+    outside = 0
+    for size in _chunk_sizes(m, max(d, k.size)):
+        g = rng.standard_normal((size, d))
+        norms = np.sqrt(_row_squares(g))
+        proj = w @ g.T
+        ok = proj[0] <= norms * k[0]
+        for j in range(1, k.size):
+            ok &= proj[j] <= norms * k[j]
+        outside += int(np.count_nonzero(ok))
+    return outside
+
+
 def union_perimeter_mc(
     balls: BallCollection, samples_per_ball: int, seed: int
 ) -> PerimeterEstimate:
     """Monte Carlo boundary measure of a union of balls in any dimension.
 
-    Each sphere is sampled uniformly via normalized Gaussian directions
-    from a substream seeded by (seed, ball index), so results do not
-    depend on evaluation order.  The point c_i + r_i g/|g| of a raw
-    draw g lies outside ball j (boundary included) exactly when
-    g.w <= k|g|, with w = c_j - c_i, rho = |w| and
-    k = (rho^2 + r_i^2 - r_j^2) / (2 r_i), so one product per chunk
-    gives g.w for every neighbour, as (K, m) rows of K neighbours by m
-    draws.  The test then runs one contiguous neighbour row at a time
-    into one mask: it compares the same floats as a broadcast
-    comparison, without that temporary and its reduction along the
-    short axis.  Coincident balls are merged first; a sphere no other
-    ball meets is fully exposed, and one inside another ball fully
-    covered, and neither draws samples, though ``sample_count`` still
-    charges both.  The standard error combines per-ball binomial
+    Sphere i draws from a substream seeded by (seed, i), so results do
+    not depend on evaluation order, and counts the fraction p of its
+    draws whose point c_i + r_i u, u a unit vector, lies outside every
+    ball j that blocks some direction (boundary included): u.w <= k,
+    with w, rho and k of ``_mc_blockers``.  The law of u:
+
+    - d = 2: one uniform t in [0, 1), the angle in turns.  Neighbour j
+      blocks the open arc centred on atan2(w) with half-width
+      atan2(sqrt((r+s+rho)(r+s-rho)) sqrt((rho+r-s)(rho-r+s)),
+      rho^2 + r^2 - s^2), r = r_i and s = r_j: Heron's half-chord, not
+      the law of cosines of ``free_arcs_2d``, so the exact perimeter
+      and this estimate take their half-widths two ways.  Each factor
+      is of degree 2, within ``_check_float_range``'s degree.
+    - d = 3: a uniform pair (height z in [-1, 1), azimuth phi), and
+      u = z e0 + sqrt(1 - z^2)(cos phi e1 + sin phi e2) is uniform on
+      the sphere by Archimedes' hat-box theorem.  The frame is
+      ``_sphere_frame`` of e0 = w_a / rho_a, a the first blocker, so
+      the test against a is z <= k_a / rho_a and takes no cos or sin.
+      A sphere with more blockers tests the others with one (K, m)
+      product of their frame coordinates by the unit rows.
+    - d >= 4: u = g/|g| of a standard Gaussian draw g, tested as
+      g.w <= k|g| without a division.
+
+    A chunk's draws come from one call, pairs interleaved in 3D, so the
+    chunk size moves no bit.  Coincident balls are merged first.  A
+    sphere with no blocker is fully exposed and one inside another
+    ball fully covered; neither draws samples, though ``sample_count``
+    still charges both.  The standard error combines per-ball binomial
     variances.
 
-    Sphere i lies inside ball j when k < -rho: then g.w >= -rho|g| >
-    k|g| for every draw g.  The floats fl(g.w) and fl(|g|) k keep that
-    order while -k exceeds rho by more than a few ulps, hence the
-    relative margin of 1e-9, so the test would count no draw outside.
-    p = 0 adds exactly 0 to the value and the variance, and the skip
-    keeps every output float.  Only a draw of exactly the zero vector
-    (0 <= -0.0), at a chance of 2**-52 per coordinate, would have
-    counted.
+    Sphere i lies inside ball j when k < -rho: every unit u has
+    u.w >= -rho > k.  With a relative margin of 1e-9 the floats keep
+    that order, so the test would count no draw outside and p = 0,
+    which adds exactly 0 to the value and the variance.  In 3D,
+    z >= -1 > k_a / rho_a, and a unit row's product with the frame
+    coordinates of w_j, of length rho_j up to a few ulps, is at least
+    -rho_j less a few ulps.  In 2D the factor rho + r - s is negative,
+    the half-width is exactly pi and the arc a whole turn: only a draw
+    at its end, at a chance of about 2**-52, would count.  Likewise a
+    neighbour with k >= rho has u.w <= rho <= k for every u, so
+    dropping it moves no float but for a draw within rounding of the
+    direction of w.
     """
     samples_per_ball = int(samples_per_ball)
     if samples_per_ball < 100:
@@ -710,42 +854,33 @@ def union_perimeter_mc(
     # for a sphere in a box of side s >= 1 (d omega_d / 2^(d - 1) < 3.2)
     _check_float_range(balls, 2 * d - 1)
     centers, radii = balls.centers, balls.radii
-    start, owner, partner, rho = balls.pairs
-    rep = _coincidence_groups(radii, owner, partner, rho)
-    keep = np.nonzero(rep == np.arange(len(balls)))[0]
-    radius_list = radii.tolist()
+    kept, spheres, start, partner, dist, k = _mc_blockers(balls)
+    outside_count = {2: _outside_turns, 3: _outside_heights}.get(d, _outside_gaussian)
+    radius_list, start = radii.tolist(), start.tolist()
     value = 0.0
     variance = 0.0
-    for i in keep:
-        near = slice(start[i], start[i + 1])
-        live = rep[partner[near]] == partner[near]
-        others, dist = partner[near][live], rho[near][live]
+    for i in spheres.tolist():
         r = radius_list[i]
         surf = _surface(r, d)
-        if not others.size:
-            # Nothing covers an isolated sphere: p = 1, zero variance.
+        near = slice(start[i], start[i + 1])
+        if near.start == near.stop:
+            # Nothing blocks an exposed sphere: p = 1, zero variance.
             value += surf
             continue
-        k = (dist * dist + r * r - radii[others] ** 2) / (2.0 * r)
-        if (k < -(1.0 + 1e-9) * dist).any():
-            # Inside another ball: p = 0, zero variance.
-            continue
-        w = centers[others] - centers[i]
-        rng = np.random.default_rng([seed, int(i)])
-        chunk = max(1, MC_CHUNK_ELEMENTS // max(d, others.size))
-        outside = 0
-        for done in range(0, samples_per_ball, chunk):
-            g = rng.standard_normal((min(chunk, samples_per_ball - done), d))
-            norms = np.sqrt(_row_squares(g))
-            proj = w @ g.T
-            ok = proj[0] <= norms * k[0]
-            for j in range(1, k.size):
-                ok &= proj[j] <= norms * k[j]
-            outside += int(np.count_nonzero(ok))
+        others = partner[near]
+        outside = outside_count(
+            np.random.default_rng([seed, i]),
+            samples_per_ball,
+            r,
+            centers[others] - centers[i],
+            dist[near],
+            k[near],
+            radii[others],
+        )
         p = outside / samples_per_ball
         value += surf * p
         variance += surf * surf * p * (1.0 - p) / samples_per_ball
-    total_samples = samples_per_ball * len(keep)
+    total_samples = samples_per_ball * kept
     return PerimeterEstimate(value, math.sqrt(variance), "montecarlo", total_samples)
 
 
@@ -787,9 +922,7 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     slab_lo = centers[:, 0] - radii - pad
     slab_hi = centers[:, 0] + radii + pad
     hits = 0
-    chunk = max(1, MC_CHUNK_ELEMENTS // d)
-    for done in range(0, samples, chunk):
-        m = min(chunk, samples - done)
+    for m in _chunk_sizes(samples, d):
         pts = rng.random((m, d))
         pts *= span
         pts += lo

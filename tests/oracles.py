@@ -23,6 +23,7 @@ from ballcover.geometry import (
     _coincidence_groups,
     _cos_half_angle,
     _lens_volumes,
+    _sphere_frame,
     _split_arcs,
     _surface,
     union_components,
@@ -554,10 +555,21 @@ def union_perimeter_mc_points(
     balls: BallCollection, samples_per_ball: int, seed: int
 ) -> tuple[float, float]:
     """Value and standard error of ``union_perimeter_mc``, counted the
-    long way: every draw g of ball i's substream becomes the point
-    c_i + r_i g/|g|, kept while |p - c_j| >= r_j for each neighbour j in
-    turn.  Same neighbours, coincident merge and substreams as the
-    package, drawn in one piece."""
+    long way: ball i's substream, drawn in one piece, gives its points
+    p, kept while |p - c_j| >= r_j for each neighbour j in turn.  Same
+    neighbours, coincident merge and substreams as the package.
+
+    - d = 2: a uniform t per draw, p = c_i + r_i (cos 2 pi t, sin 2 pi t);
+    - d = 3: uniform pairs (u, v) per draw, z = 2u - 1 and
+      phi = 2 pi (v - 1/2),
+      p = c_i + r_i (z e0 + sqrt(1 - z^2)(cos phi e1 + sin phi e2)) in
+      ``_sphere_frame`` of e0 = w/rho, w = c_j - c_i for the first
+      neighbour j with 0 < rho and (rho^2 + r_i^2 - r_j^2) / (2 r_i) <
+      rho, in the package's floats: the first that blocks a direction
+      (the first axis if none: then no neighbour blocks one, or the
+      sphere lies inside a concentric ball);
+    - d >= 4: a standard Gaussian g per draw, p = c_i + r_i g/|g|.
+    """
     d = balls.dimension
     centers, radii = balls.centers, balls.radii
     start, owner, partner, rho = balls.pairs
@@ -566,20 +578,78 @@ def union_perimeter_mc_points(
     for i, r in enumerate(radii.tolist()):
         if rep[i] != i:
             continue
-        others = [j for j in partner[start[i] : start[i + 1]].tolist() if rep[j] == j]
+        entries = slice(start[i], start[i + 1])
+        near = [
+            (j, dist)
+            for j, dist in zip(partner[entries].tolist(), rho[entries].tolist())
+            if rep[j] == j
+        ]
         surf = _surface(r, d)
-        if not others:
+        if not near:
             value += surf
             continue
-        g = np.random.default_rng([seed, i]).standard_normal((samples_per_ball, d))
-        pts = centers[i] + r * (g / np.sqrt((g * g).sum(axis=1))[:, None])
-        for j in others:
+        rng = np.random.default_rng([seed, i])
+        if d == 2:
+            angle = TWO_PI * rng.random(samples_per_ball)
+            dirs = np.column_stack([np.cos(angle), np.sin(angle)])
+        elif d == 3:
+            u = rng.random((samples_per_ball, 2))
+            z, phi = 2.0 * u[:, 0] - 1.0, TWO_PI * (u[:, 1] - 0.5)
+            axis = next(
+                (
+                    (centers[j] - centers[i]) / dist
+                    for j, dist in near
+                    if 0.0 < dist and (dist * dist + r * r - radii[j] ** 2) / (2.0 * r) < dist
+                ),
+                np.eye(3)[0],
+            )
+            e0, e1, e2 = _sphere_frame(axis)
+            ring = np.sqrt(1.0 - z * z)
+            dirs = np.outer(z, e0) + np.outer(ring * np.cos(phi), e1)
+            dirs += np.outer(ring * np.sin(phi), e2)
+        else:
+            g = rng.standard_normal((samples_per_ball, d))
+            dirs = g / np.sqrt((g * g).sum(axis=1))[:, None]
+        pts = centers[i] + r * dirs
+        for j, _ in near:
             diff = pts - centers[j]
             pts = pts[(diff * diff).sum(axis=1) >= radii[j] ** 2]
         p = len(pts) / samples_per_ball
         value += surf * p
         variance += surf * surf * p * (1.0 - p) / samples_per_ball
     return value, math.sqrt(variance)
+
+
+def disjoint_cap_free_area(balls: BallCollection) -> float | None:
+    """Boundary area of a union of balls in R^3 in closed form, or None
+    when it has none here: when one ball holds another, or when two of
+    the caps that the other balls cut from one sphere meet.
+
+    Ball j cuts from sphere i the cap of directions within angle a_ij
+    of c_j - c_i, cos a_ij = (rho^2 + r_i^2 - r_j^2) / (2 r_i rho), of
+    area 2 pi r_i^2 (1 - cos a_ij) (Archimedes).  Caps whose axes lie
+    at least a_ij + a_ik apart are disjoint, and the sphere keeps
+    4 pi r_i^2 less their areas.  Pairs are found by brute force."""
+    centers, radii = balls.centers, balls.radii
+    total = 0.0
+    for i, (ci, ri) in enumerate(zip(centers, radii.tolist())):
+        caps = []
+        for j, (cj, rj) in enumerate(zip(centers, radii.tolist())):
+            w = cj - ci
+            rho = math.sqrt(float(w @ w))
+            if j == i or rho >= ri + rj:
+                continue
+            if rho <= abs(ri - rj):
+                return None
+            cos_a = (rho * rho + ri * ri - rj * rj) / (2.0 * ri * rho)
+            caps.append((w / rho, math.acos(cos_a), cos_a))
+        for a, (axis_a, angle_a, _) in enumerate(caps):
+            for axis_b, angle_b, _ in caps[a + 1 :]:
+                between = math.acos(min(1.0, float(axis_a @ axis_b)))
+                if between < angle_a + angle_b:
+                    return None
+        total += 2.0 * math.pi * ri * ri * (2.0 - sum(1.0 - cos_a for *_, cos_a in caps))
+    return total
 
 
 def union_volume_mc_all_balls(

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1075,6 +1076,7 @@ def test_union_volume_mc_1d_exact():
         ),
         pytest.param(2, 11, id="2d-corpus"),
         pytest.param(3, 12, id="3d-corpus"),
+        pytest.param(4, 13, id="4d-corpus"),
     ],
 )
 def test_mc_halfspace_test_matches_point_count(dim, balls):
@@ -1188,39 +1190,62 @@ def test_volume_slab_keeps_an_accepted_draw_one_ulp_outside_its_ends(dim):
 
 
 def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
-    balls = _collection([(0, 0, 1.0), (1.2, 0.3, 0.7), (-0.5, 0.8, 0.4), (5, 5, 0.3)])
-    perimeter = union_perimeter_mc(balls, samples_per_ball=3_000, seed=11)
-    volume = union_volume_mc(balls, samples=5_000, seed=3)
+    # ball 0 has two neighbours: in 3D it takes cos and sin of its
+    # (height, azimuth) pairs, which a chunk must not split
+    rows = [(0, 0, 1.0), (1.2, 0.3, 0.7), (-0.5, 0.8, 0.4), (5, 5, 0.3)]
+    lift = [0.0, 0.2, -0.3, 0.0]
+    cases = [
+        BallCollection.from_arrays(
+            [[x, y] + [z] * (dim - 2) for (x, y, _), z in zip(rows, lift)],
+            [r for *_, r in rows],
+        )
+        for dim in (2, 3, 4)
+    ]
+
+    def estimates():
+        return [
+            (
+                union_perimeter_mc(balls, samples_per_ball=3_000, seed=11),
+                union_volume_mc(balls, samples=5_000, seed=3),
+            )
+            for balls in cases
+        ]
+
+    expected = estimates()
     # a few points per chunk, with a shorter last chunk
     monkeypatch.setattr(geometry, "MC_CHUNK_ELEMENTS", 37)
-    assert union_perimeter_mc(balls, samples_per_ball=3_000, seed=11) == perimeter
-    assert union_volume_mc(balls, samples=5_000, seed=3) == volume
+    assert estimates() == expected
 
 
-def _mc_digest_corpus():
+def _mc_digest_corpus(dim):
     """(collection, samples per ball, volume samples) of the corpus law
-    in d = 2, 3 and 4: 2 to 40 balls; 300 balls, which the pair layer
+    in dimension ``dim``: 2 to 40 balls; 300 balls, which the pair layer
     splits into several kd-tree groups; and a few balls drawn over
     several chunks of 2**18 elements, in both estimates."""
-    for dim in (2, 3, 4):
-        for n in (2, 7, 19, 40):
-            yield random_collection(dim, [dim, n, 29], count=n), 2_000, 20_000
-        yield random_collection(dim, [dim, 300, 29], count=300), 200, 50_000
-        yield random_collection(dim, [dim, 4, 30], count=4), 300_000, 600_000
+    for n in (2, 7, 19, 40):
+        yield random_collection(dim, [dim, n, 29], count=n), 2_000, 20_000
+    yield random_collection(dim, [dim, 300, 29], count=300), 200, 50_000
+    yield random_collection(dim, [dim, 4, 30], count=4), 300_000, 600_000
 
 
 def test_mc_estimates_match_recorded_digest():
-    # sha256 of the reprs of both estimates, recorded before the sphere
-    # test read (K, m) rows, spheres inside another ball drew nothing and
-    # the volume drew through Generator.random: each kept every float
-    digest = hashlib.sha256()
-    for k, (balls, per_ball, samples) in enumerate(_mc_digest_corpus()):
-        perimeter = union_perimeter_mc(balls, samples_per_ball=per_ball, seed=k)
-        volume = union_volume_mc(balls, samples=samples, seed=k)
-        digest.update(repr((perimeter, volume)).encode())
-    assert digest.hexdigest() == (
-        "288649c3366147afe6a510e6d647bb71b9bb73740fb71cd8384786d2ac45977b"
-    )
+    # sha256 per dimension of the reprs of both estimates.  The 2D and
+    # 3D digests were recorded when the spheres drew uniform turns and
+    # (height, azimuth) pairs; the 4D one, which still draws Gaussian
+    # directions, is the one recorded before that change
+    digests = {}
+    for dim in (2, 3, 4):
+        digest = hashlib.sha256()
+        for k, (balls, per_ball, samples) in enumerate(_mc_digest_corpus(dim)):
+            perimeter = union_perimeter_mc(balls, samples_per_ball=per_ball, seed=k)
+            volume = union_volume_mc(balls, samples=samples, seed=k)
+            digest.update(repr((perimeter, volume)).encode())
+        digests[dim] = digest.hexdigest()
+    assert digests == {
+        2: "51eb520625a6e2f4f5c7074484bb7433293674347ec368974af21759e982ab98",
+        3: "dde9d3e2e99bce46e665d380d89e14b504256eeb5cb500796d18cdead1c3c6a6",
+        4: "b4f65002a010d1757a32b67976e09ae83646f5a14a50ec766f5bf9c76515b60e",
+    }
 
 
 @pytest.mark.parametrize("dim", range(1, 8))
@@ -1229,10 +1254,9 @@ def test_row_squares_match_numpy_row_sum(dim):
     assert np.array_equal(geometry._row_squares(x), (x * x).sum(axis=1))
 
 
-def test_mc_isolated_balls_draw_no_samples(monkeypatch):
-    balls = _collection(
-        [(0, 0, 1.0), (1.2, 0.3, 0.7), (5, 5, 0.3), (5, 5, 0.3), (-4, 0, 0.5), (-3, 0, 0.5)]
-    )
+def _spy_on_substreams(monkeypatch) -> list[int]:
+    """The ball indices of the substreams ``union_perimeter_mc`` opens,
+    in order."""
     drawn = []
     real = np.random.default_rng
 
@@ -1241,36 +1265,117 @@ def test_mc_isolated_balls_draw_no_samples(monkeypatch):
         return real(seed)
 
     monkeypatch.setattr(geometry.np.random, "default_rng", spy)
-    est = union_perimeter_mc(balls, samples_per_ball=2_000, seed=5)
-    # balls 4 and 5 are tangent, so their open disks do not meet
-    assert drawn == [0, 1]
-    assert est.sample_count == 5 * 2_000
-    pair = union_perimeter_mc(balls.subset([0, 1]), samples_per_ball=2_000, seed=5)
-    lone = 2.0 * math.pi * (0.3 + 0.5 + 0.5)
-    assert est.value == pytest.approx(pair.value + lone, rel=1e-15)
-    assert est.std_error == pair.std_error
+    return drawn
+
+
+def _lifted(rows, dim):
+    """Balls (x, y, r) of the plane at height 0 in dimension ``dim``."""
+    return BallCollection.from_arrays(
+        [[x, y] + [0.0] * (dim - 2) for x, y, _ in rows], [r for *_, r in rows]
+    )
+
+
+def test_mc_isolated_balls_draw_no_samples(monkeypatch):
+    # balls 4 and 5 are tangent, so their open balls do not meet; the
+    # only neighbour of ball 6, the smaller concentric ball 7, blocks no
+    # direction of it, and ball 7 lies inside ball 6
+    rows = [(0, 0, 1.0), (1.2, 0.3, 0.7), (5, 5, 0.3), (5, 5, 0.3), (-4, 0, 0.5),
+            (-3, 0, 0.5), (8, 0, 1.0), (8, 0, 0.5)]
+    drawn = _spy_on_substreams(monkeypatch)
+    for dim in (2, 3):
+        balls = _lifted(rows, dim)
+        drawn.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = union_perimeter_mc(balls, samples_per_ball=2_000, seed=5)
+        assert drawn == [0, 1]
+        assert est.sample_count == 7 * 2_000
+        pair = union_perimeter_mc(balls.subset([0, 1]), samples_per_ball=2_000, seed=5)
+        lone = math.fsum(geometry._surface(r, dim) for r in (0.3, 0.5, 0.5, 1.0))
+        assert est.value == pytest.approx(pair.value + lone, rel=1e-15)
+        assert est.std_error == pair.std_error
 
 
 def test_mc_covered_balls_draw_no_samples(monkeypatch):
-    # ball 1 lies inside ball 0; ball 3 lies inside the union of balls 0
-    # and 2 but in neither, and ball 4 touches ball 0 from inside: those
-    # two draw, and the estimate is the count of every draw's point
-    balls = _collection(
-        [(0, 0, 1.0), (0.3, 0.2, 0.5), (1.5, 0, 1.0), (0.8, 0, 0.45), (0.5, 0, 0.5)]
-    )
-    drawn = []
-    real = np.random.default_rng
-
-    def spy(seed):
-        drawn.append(seed[1])
-        return real(seed)
-
-    monkeypatch.setattr(geometry.np.random, "default_rng", spy)
-    est = union_perimeter_mc(balls, samples_per_ball=4_000, seed=6)
-    assert drawn == [0, 2, 3, 4]
-    assert est.sample_count == 5 * 4_000
+    # ball 1 lies inside ball 0 and blocks no direction of it; ball 3
+    # lies inside the union of balls 0 and 2 but in neither, and ball 4
+    # touches ball 0 from inside: those two draw, and the estimate is
+    # the count of every draw's point
+    rows = [(0, 0, 1.0), (0.3, 0.2, 0.5), (1.5, 0, 1.0), (0.8, 0, 0.45), (0.5, 0, 0.5)]
+    cases = [_lifted(rows, dim) for dim in (2, 3)]
+    drawn = _spy_on_substreams(monkeypatch)
+    estimates = []
+    for balls in cases:
+        drawn.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates.append(union_perimeter_mc(balls, samples_per_ball=4_000, seed=6))
+        assert drawn == [0, 2, 3, 4]
+        assert estimates[-1].sample_count == 5 * 4_000
     monkeypatch.undo()
-    assert (est.value, est.std_error) == oracles.union_perimeter_mc_points(balls, 4_000, 6)
+    for balls, est in zip(cases, estimates):
+        assert (est.value, est.std_error) == oracles.union_perimeter_mc_points(balls, 4_000, 6)
+
+
+@pytest.mark.parametrize(
+    "dim, k",
+    [(dim, k) for dim in (2, 3, 4) for k in (-30, -20, 20, 60)]
+    + [
+        pytest.param(
+            2,
+            -40,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: the absolute COINCIDENCE_TOL merges distinct "
+                "balls once their centers lie within 1e-12",
+            ),
+        )
+    ],
+)
+def test_union_perimeter_mc_scales_exactly_by_powers_of_two(dim, k):
+    # 2^k X keeps every ratio the estimate reads, so the same draws fall
+    # outside and the surfaces scale by 2^(k(d - 1)), bit for bit
+    factor = 2.0 ** (k * (dim - 1))
+    for seed in range(6):
+        balls = random_collection(dim, [dim, seed, 17])
+        scaled = BallCollection.from_arrays(balls.centers * 2.0**k, balls.radii * 2.0**k)
+        est = union_perimeter_mc(balls, samples_per_ball=2_000, seed=seed)
+        big = union_perimeter_mc(scaled, samples_per_ball=2_000, seed=seed)
+        assert (big.value, big.std_error) == (est.value * factor, est.std_error * factor)
+
+
+def test_mc_3d_agrees_with_disjoint_caps_in_closed_form():
+    # collections with at least one meeting pair whose caps on every
+    # sphere are pairwise disjoint, drawn in turn from one stream
+    rng = np.random.default_rng(2029)
+    cases = []
+    while len(cases) < 50:
+        n = int(rng.integers(4, 9))
+        balls = BallCollection.from_arrays(
+            rng.uniform(-1.2, 1.2, (n, 3)), rng.uniform(0.4, 0.8, n)
+        )
+        exact = oracles.disjoint_cap_free_area(balls)
+        if exact is not None and balls.pairs[1].size:
+            cases.append((balls, exact))
+    hits = 0
+    for seed, (balls, exact) in enumerate(cases):
+        est = union_perimeter_mc(balls, samples_per_ball=20_000, seed=seed)
+        hits += abs(est.value - exact) <= 4.0 * est.std_error
+    assert hits >= 48, f"only {hits}/50 collections agreed within 4 sigma"
+
+
+def test_sphere_frame_is_orthonormal():
+    e = np.eye(3)
+    axes = [s * e[i] for i in range(3) for s in (1.0, -1.0)]
+    axes += [np.array([1.0, 0.0, -0.0]), np.array([0.0, -1.0, -0.0])]
+    # offsets as the estimate reads them, w / |w| at many scales
+    rng = np.random.default_rng(8)
+    for w in rng.standard_normal((2_000, 3)) * 10.0 ** rng.uniform(-8, 8, (2_000, 1)):
+        axes.append(w / math.sqrt(float(w @ w)))
+    for axis in axes:
+        frame = geometry._sphere_frame(axis)
+        assert np.array_equal(frame[0], axis)
+        assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-15
 
 
 def test_mc_validation():
