@@ -33,7 +33,7 @@ import numpy as np
 from .geometry import (
     TWO_PI,
     BallCollection,
-    _cos_half_angle,
+    _haversine,
     _overlap_distance,
     center_distance_for_overlap,
 )
@@ -221,12 +221,13 @@ def _arc(disk, rho: float, r: float) -> tuple[float, float, float] | None:
     """The arc that one placed disk, given as (angle, center distance,
     radius), blocks for a new disk of radius r at distance rho, in the
     floats of the probe: its half-width, start and end, None when it
-    blocks every angle."""
+    blocks every angle.  Every small disk straddles the unit circle, so
+    the haversine is positive."""
     angle, dist, radius = disk
-    q = _cos_half_angle(dist, rho, r + radius)
-    if q <= -1.0:
+    x = _haversine(dist, rho, r + radius)
+    if x >= 1.0:
         return None
-    h = float(np.arccos(q))
+    h = 2.0 * math.asin(math.sqrt(x))
     lo = angle - h
     lo = (lo + TWO_PI if lo < 0.0 else lo) + 0.0
     return h, lo, lo + 2.0 * h
@@ -235,55 +236,31 @@ def _arc(disk, rho: float, r: float) -> tuple[float, float, float] | None:
 def _pair_opening(left, right):
     """The opening of a gap between the arc of the placed disk ``left``
     and that of ``right``, each given as (angle, center distance,
-    radius), as a function of a new disk's center
-    distance rho and radius r: the width from the end of the left arc to
-    the start of the right one, at most 0 when they shut the gap, and
-    -pi when either arc is the whole circle.
+    radius), as a function of a new disk's center distance rho and
+    radius r: the width from the end of the left ``_arc`` (less 2*pi
+    past 2*pi) to the start of the right one, at most 0 when they shut
+    the gap, and -pi when either arc is the whole circle.  The probe
+    takes the same floats, so it finds the gap exactly when the opening
+    is positive.
 
-    The width is taken in the floats of the probe, from the end of
-    the left arc (less 2*pi past 2*pi) to the start of the right one, or
-    as the angle between the two centers less both half-widths when the
-    arcs overlap across 0 = 2*pi.  So the probe finds the gap exactly
-    when the opening is positive."""
-    left_angle, left_dist, left_radius = left
-    right_angle, right_dist, right_radius = right
-    span = right_angle - left_angle
+    When the arcs overlap across 0 = 2*pi, the opening is the angle
+    between the two centers less both half-widths.  No build has been
+    seen to do so, but the lemma of ``_PocketQueue`` does not rule it
+    out: a disk of radius delta drawn at the very end of a free arc is
+    tangent to the first disk, and at radius delta its arc's float end
+    can pass 2*pi by an ulp."""
+    span = right[0] - left[0]
     if span <= 0.0:
         span += TWO_PI
-    # the terms of _cos_half_angle that hold the disk alone, bound once,
-    # and the globals the trials read, bound as locals of the closure
-    left_square, left_double = left_dist * left_dist, 2.0 * left_dist
-    right_square, right_double = right_dist * right_dist, 2.0 * right_dist
-    arccos, pi, two_pi = np.arccos, math.pi, TWO_PI
 
-    # each arc inline: through _arc the packing's build is 4-7% slower
     def opening(rho: float, r: float) -> float:
-        rho_square = rho * rho
-        s = r + left_radius
-        q = (left_square + rho_square - s * s) / (left_double * rho)
-        if q <= -1.0:
-            return -pi
-        h_left = float(arccos(q))
-        s = r + right_radius
-        q = (right_square + rho_square - s * s) / (right_double * rho)
-        if q <= -1.0:
-            return -pi
-        h_right = float(arccos(q))
-        end = left_angle - h_left
-        if end < 0.0:
-            end += two_pi
-        end += 2.0 * h_left
-        if end > two_pi:
-            end -= two_pi
-        start = right_angle - h_right
-        if start < 0.0:
-            start += two_pi
+        arc_left, arc_right = _arc(left, rho, r), _arc(right, rho, r)
+        if arc_left is None or arc_right is None:
+            return -math.pi
+        (h_left, _, end), (h_right, start, _) = arc_left, arc_right
+        gap = start - (end - TWO_PI if end > TWO_PI else end)
         approx = span - h_left - h_right
-        gap = start - end
-        if gap > approx + pi:
-            # the arcs overlap across 0 = 2*pi
-            gap = approx
-        return gap
+        return approx if gap > approx + math.pi else gap
 
     return opening
 
@@ -333,10 +310,11 @@ class _PocketQueue:
     distance rho(r_j) of the one eps-overlap law (``_Distances``).
     Placed disks are pairwise disjoint.  Radii never grow, so every
     radius c that a probe or a secant trial evaluates is at most every
-    placed radius.  Let H(a, b) = arccos((rho(a)^2 + rho(b)^2 - (a + b)^2)
-    / (2 rho(a) rho(b))), the half-width of the arc that a placed disk of
-    radius a blocks for a new disk of radius b.  H is symmetric, and it
-    does not decrease in b (a test checks this on a grid of eps and
+    placed radius.  Let H(a, b) = 2 asin(sqrt(x)), with x the
+    ``_haversine`` (a + b - D)(a + b + D) / (4 rho(a) rho(b)) and
+    D = rho(a) - rho(b), be the half-width of the arc that a placed disk
+    of radius a blocks for a new disk of radius b.  H is symmetric, and
+    it does not decrease in b (a test checks this on a grid of eps and
     radii): arcs grow with the radius.  Take two placed
     disks M and L.  As they are disjoint, the angle between their
     centers is at least H(r_M, r_L), which is at least H(r_M, c).  So at
@@ -345,8 +323,9 @@ class _PocketQueue:
     disk into its gap.  In floats the margin is H(r_L, c) >= H(r_L,
     floor), against a rounding error of a few ulps.  The same argument
     shows that no placed disk blocks every angle at c once there are
-    two.  A placed disk whose floor arc rounds to zero width would cut no
-    piece, so the queue refuses it with ``ValueError``.
+    two.  That needs each disk's center inside its own arc in floats
+    too, so the queue refuses with ``ValueError`` a placed disk whose
+    floor arc's float ends do not hold its center angle.
     """
 
     def __init__(self, floor: float, distances, tol: float, r: float):
@@ -362,14 +341,20 @@ class _PocketQueue:
         self._push(pocket)
 
     def _floor_arc(self, disk):
-        """``_arc`` of a placed disk at the floor; ValueError when its
-        half-width rounds to 0.0."""
+        """``_arc`` of a placed disk at the floor; ValueError unless its
+        float ends hold the disk's center angle strictly inside, which
+        the lemma needs."""
         arc = _arc(disk, self._floor_rho, self._floor)
-        if arc is not None and arc[0] == 0.0:
-            raise ValueError(
-                f"radius floor {self._floor!r} too small: a disk's arc there "
-                "rounds to zero width, so no gap could be cut; take a larger delta"
-            )
+        if arc is not None:
+            angle, (_, lo, hi) = disk[0], arc
+            if angle < lo:
+                angle += TWO_PI
+            if not lo < angle < hi:
+                raise ValueError(
+                    f"radius floor {self._floor!r} too small: a disk's arc there "
+                    "does not hold its center in floats, so its gaps could not "
+                    "be bounded; take a larger delta"
+                )
         return arc
 
     def _push(self, pocket: _Pocket) -> None:
@@ -401,42 +386,21 @@ class _PocketQueue:
         with the radius, and in the piece of a pocket whose key reaches r
         less ``_BAND`` times the first radius; by the lemma only the
         pocket's two disks bound it there.  So each candidate pocket's
-        piece is swept over the arcs of its two disks, cut at 2*pi, in
-        the floats of ``geometry._arc_ends`` and ``geometry._split_arcs``:
-        its gaps are, float for float, those of the sorted union of
-        every placed disk's arc."""
-        pockets = self._candidates(r)
-        rho_square, cosines = rho * rho, []
-        for pocket in pockets:
-            for _, dist, radius in (pocket.left, pocket.right):
-                s = r + radius
-                cosines.append((dist * dist + rho_square - s * s) / (2.0 * dist * rho))
-        # Every small disk straddles the unit circle, so
-        # |rho - dist_j| < r + r_j, which is q < 1, and by the lemma no
-        # disk blocks every angle, which is q > -1: arccos needs no clip,
-        # and each half-width is at least arccos(1 - 2**-53) > 1.4e-8.
-        halves, two_pi = np.arccos(cosines).tolist(), TWO_PI
+        gap runs from the end of its left disk's arc (less 2*pi past
+        2*pi) to the start of its right disk's arc, the floats of
+        ``_pair_opening``, and is kept when positive and when it meets
+        the pocket's piece, which a gap across 0 = 2*pi does not: the
+        gaps are, float for float, those of the sorted union of every
+        placed disk's arc cut at 2*pi."""
         starts, ends = [], []
-        for k, pocket in enumerate(pockets):
-            segments = []
-            for (angle, _, _), h in zip((pocket.left, pocket.right), halves[2 * k : 2 * k + 2]):
-                lo = angle - h
-                lo = (lo + two_pi if lo < 0.0 else lo) + 0.0
-                hi = lo + 2.0 * h
-                if hi > two_pi:
-                    segments += ((lo, two_pi), (0.0, hi - two_pi))
-                else:
-                    segments.append((lo, hi))
-            segments.sort()
-            reach = segments[0][1]
-            for lo, hi in segments:
-                if lo > reach:
-                    if pocket.start < lo and reach < pocket.end:
-                        starts.append(reach)
-                        ends.append(lo)
-                    reach = hi
-                elif hi > reach:
-                    reach = hi
+        for pocket in self._candidates(r):
+            # by the lemma no arc is the whole circle
+            end, start = _arc(pocket.left, rho, r)[2], _arc(pocket.right, rho, r)[1]
+            if end > TWO_PI:
+                end -= TWO_PI
+            if end < start and pocket.start < start and end < pocket.end:
+                starts.append(end)
+                ends.append(start)
         return np.array(starts), np.array(ends)
 
     def add(self, rho: float, angle: float, r: float, key: float) -> None:
@@ -545,7 +509,7 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
     are those of a probe that reads every placed disk.  The cost of a
     placement then hardly grows with the number of disks placed.
     ValueError when delta is so small that a disk's arc at the floor
-    rounds to zero width.
+    does not hold its center angle in floats.
     """
     if not isinstance(cfg, SurroundedBallConfig):
         raise TypeError("cfg must be a SurroundedBallConfig")

@@ -521,14 +521,18 @@ def _coincidence_groups(
 # exact 2d boundary of a union of disks
 
 
-def _cos_half_angle(d, r, s):
-    """The law of cosines for the arc of a circle of radius r that an
-    open disk of radius s at center distance d covers: the disk covers
-    the angles from its direction whose cosine exceeds the result, so
-    every angle but at most one when it is at most -1 and none when it is
-    at least 1.  Written in operators only, it takes floats and arrays
-    alike."""
-    return (d * d + r * r - s * s) / (2.0 * d * r)
+def _haversine(d, r, s):
+    """sin^2(h / 2) for the half-width h of the arc of a circle of radius
+    r that an open disk of radius s at center distance d covers: the law
+    of cosines cos h = (d^2 + r^2 - s^2) / (2 d r) solved for
+    (1 - cos h) / 2 as (s - D)(s + D) / (4 d r), with D = d - r.  The disk
+    covers no angle when it is at most 0 and every angle but at most one
+    when it is at least 1; between, h = 2 asin(sqrt(x)).  D is exact for d
+    and r within a factor 2 of each other and each factor rounds once, so
+    x keeps its digits where the cosine rounds to near 1.  Written in
+    operators only, it takes floats and arrays alike."""
+    gap = d - r
+    return (s - gap) * (s + gap) / (4.0 * d * r)
 
 
 def _arc_ends(
@@ -568,7 +572,7 @@ def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     if balls.dimension != 2:
         raise ValueError("free_arcs_2d needs dimension 2")
-    # the law of cosines squares radius sums
+    # the half-width kernel multiplies sums of radii and distances in pairs
     _check_float_range(balls, 2)
     n = len(balls)
     centers, radii = balls.centers, balls.radii
@@ -582,10 +586,10 @@ def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndar
     # a coincident center it covers all of a smaller circle or none
     same = rho <= COINCIDENCE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        cosphi = _cos_half_angle(rho, r, s)
-    free[owner[np.where(same, s > r, cosphi <= -1.0)]] = False
-    arc = ~same & (cosphi < 1.0) & free[owner]
-    circle, phi = owner[arc], np.arccos(cosphi[arc])
+        x = _haversine(rho, r, s)
+    free[owner[np.where(same, s > r, x >= 1.0)]] = False
+    arc = ~same & (x > 0.0) & free[owner]
+    circle, phi = owner[arc], 2.0 * np.arcsin(np.sqrt(x[arc]))
     toward = centers[partner[arc]] - centers[circle]
     lo, hi = _arc_ends(np.arctan2(toward[:, 1], toward[:, 0]), phi)
     # owners of the parts past 2pi that _split_arcs appends
@@ -811,7 +815,7 @@ def union_perimeter_mc(
       blocks the open arc centred on atan2(w) with half-width
       atan2(sqrt((r+s+rho)(r+s-rho)) sqrt((rho+r-s)(rho-r+s)),
       rho^2 + r^2 - s^2), r = r_i and s = r_j: Heron's half-chord, not
-      the law of cosines of ``free_arcs_2d``, so the exact perimeter
+      the haversine kernel of ``free_arcs_2d``, so the exact perimeter
       and this estimate take their half-widths two ways.  Each factor
       is of degree 2, within ``_check_float_range``'s degree.
     - d = 3: a uniform pair (height z in [-1, 1), azimuth phi), and

@@ -21,7 +21,7 @@ from ballcover.geometry import (
     BallCollection,
     _arc_ends,
     _coincidence_groups,
-    _cos_half_angle,
+    _haversine,
     _lens_volumes,
     _sphere_frame,
     _split_arcs,
@@ -500,13 +500,15 @@ def packing_probe_oracle(disks, rho: float, r: float) -> tuple[np.ndarray, np.nd
     """The free arcs of ``_PocketQueue.gaps`` among placed disks, given
     as rows of angle, center distance and radius in any order of the
     columns, for a new disk of radius r at distance rho: none when an
-    arc is the whole circle, else every arc cut at 2*pi by
+    arc is the whole circle, else every arc, its half-width from
+    ``_haversine`` and the scalar asin of the probe, cut at 2*pi by
     ``_split_arcs`` and the gaps of their sorted union."""
     angle, dist, radius = disks
-    q = _cos_half_angle(dist, rho, r + radius)
-    if (q <= -1.0).any():
+    x = _haversine(dist, rho, r + radius)
+    if (x >= 1.0).any():
         return np.empty(0), np.empty(0)
-    return uncovered_arcs(*_split_arcs(*_arc_ends(angle, np.arccos(q))))
+    h = np.array([2.0 * math.asin(math.sqrt(v)) for v in x.tolist()])
+    return uncovered_arcs(*_split_arcs(*_arc_ends(angle, h)))
 
 
 def free_arc_lengths_oracle(balls: BallCollection) -> list[float]:

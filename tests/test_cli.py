@@ -295,18 +295,19 @@ class TestExitStatuses:
         assert not out.exists()
 
     def test_delta_too_small_for_the_floor_arcs_is_1(self, tmp_path, capsys):
-        # At eps 0.05 and delta 3e-8 the first disk's arc at the radius
-        # floor rounds to zero width, which would leave no free piece:
-        # the build must fail, not stop at the floor after one disk.  At
-        # delta 1e-7 it still places its 5 disks.
+        # At eps 0.05 and delta 3e-16 the first disk's arc at the radius
+        # floor starts at 2*pi in floats, so it does not hold the disk's
+        # center angle 0 = 2*pi: the build must fail rather than bound
+        # its gaps by the wrong disks.  At delta 1e-15 it still places
+        # its 5 disks.
         out = tmp_path / "x.txt"
         argv = ["generate", "--kind", "surrounded", "--eps", "0.05", "--n-max", "5",
                 "--output", str(out), "--delta"]
-        assert main(argv + ["3e-8"]) == 1
+        assert main(argv + ["3e-16"]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "zero width" in err
+        assert err.count("\n") == 1 and "does not hold its center" in err
         assert not out.exists()
-        assert main(argv + ["1e-7"]) == 0
+        assert main(argv + ["1e-15"]) == 0
         assert len(read_balls(str(out))) == 6
 
     def test_overflow_is_1(self, tmp_path):

@@ -30,7 +30,7 @@ from ballcover.counterexample import (
 from ballcover.geometry import (
     TWO_PI,
     _arc_ends,
-    _cos_half_angle,
+    _haversine,
     _lens_volumes,
     center_distance_for_overlap,
     free_arc_lengths_2d,
@@ -317,13 +317,13 @@ def _opening_oracle(left, right, rho: float, r: float) -> float:
 
 
 # sha256 of the packings of test_pocket_probe_matches_the_oracle_at_every_placement
-# per eps, recorded from the full probe, which read every placed disk
+# per eps, recorded when the arcs' half-widths came from the haversine kernel
 _ORACLE_DIGESTS = {
-    10.0**-1.5: "8c6e039c77d0046c134e5af2a561097fa69b7320d4e76719e79ff22e589990ee",
-    1e-2: "2d1ef9ae7f7134bd980cddcd9ddaabb0e8121f411b3a543cffc37deaa30e2937",
-    1e-3: "7cca15da28026438295408c574c940687bf93a2bd4d956fa4a71a617a1e1fe6a",
-    0.05: "327d0bfed94c553b3c9cd2e1def3e208215b7de242b6a678120c15baada6497c",
-    0.2: "d2f8ef9da7528068adecd9f972543682dbcad148b0da87cdff9401348cc4974f",
+    10.0**-1.5: "0c543256ff38d6dc51198d29056da4e96e56b751f8a0f856ad0117f8e1c7481b",
+    1e-2: "c3a0ec64ed81231ee4d6612eb1a8d3f2dc64a4beaafdabe1435c1415580b158f",
+    1e-3: "c715b4752c34247605c4c3086171217a5b4d3bef2497965768d49b8ce4aa04c3",
+    0.05: "cbdd4a34748506662617e6f59085b206d4b7f7fc5d0a706c6f98c269c2884017",
+    0.2: "96ffd65886cae57c8d8b6c8d8b6c185f5a41938612f37452aa5f8e8583fdd5be",
 }
 
 
@@ -398,8 +398,8 @@ class TestBuildSurroundedBall:
 
     def test_benchmark_size_packing_is_byte_identical(self):
         # The goldens stop at 281 disks; this pins the packing of the
-        # benchmark's first eps, recorded when the first disk was placed
-        # at angle 0.
+        # benchmark's first eps, recorded when the arcs' half-widths came
+        # from the haversine kernel.
         balls = build_surrounded_ball(
             SurroundedBallConfig(eps=10.0**-1.5, delta=0.3, n_max=8000, seed=7)
         )
@@ -407,21 +407,21 @@ class TestBuildSurroundedBall:
         digest = hashlib.sha256(balls.centers.astype("<f8").tobytes())
         digest.update(balls.radii.astype("<f8").tobytes())
         assert digest.hexdigest() == (
-            "f5c41f8380ab1ab9b1857852a55bff853ee7fd2360881159c9f376098de087f1"
+            "7f1c3751573c7cab2ed042f64ea283d515b987a9f2932c43f95dcd014118df74"
         )
 
     @pytest.mark.parametrize(
         "eps, count, expected",
         [
             # the benchmark's second packing
-            (1e-2, 1353, "8863607255acfd6071dca2b7816ab648d6d82a572ff45107354bb24f258aa06b"),
+            (1e-2, 1353, "31d60ef22d80312b3a40a5703635a21f9799cce47920bf922de4cd2e8c8f90e3"),
             # criterion 3's deepest packing
-            (1e-3, 2429, "ed5f690d97d002e73419fd03ec3513b5dfb3ef5e0974bf5db4c34d0ca410c5db"),
+            (1e-3, 2429, "7c05361b544b6e7c292682ca537fc32fe074dd9c5a04ae2876117a4211be9e11"),
         ],
     )
     def test_deeper_packings_are_byte_identical(self, eps, count, expected):
-        # recorded before the secant trials and the probe sweeps were
-        # made cheaper, which must move no float
+        # recorded when the arcs' half-widths came from the haversine
+        # kernel
         balls = build_surrounded_ball(
             SurroundedBallConfig(eps=eps, delta=0.3, n_max=8000, seed=7)
         )
@@ -440,6 +440,12 @@ class TestBuildSurroundedBall:
         balls, _ = shrinking_packing
         assert len(_shrinking(balls)) > 300
         _assert_largest_fits(balls, _SHRINK_CFG.eps)
+        # At delta 0.1 four of these radii missed by more than one part in
+        # 1e9 while the half-widths were arccos of cosines near 1.
+        cfg = SurroundedBallConfig(eps=0.15, delta=0.1, n_max=400, seed=3)
+        balls = build_surrounded_ball(cfg)
+        assert len(_shrinking(balls)) > 150
+        _assert_largest_fits(balls, cfg.eps)
 
     def test_few_full_probes_per_shrinking_placement(self, shrinking_packing):
         # The radius comes from the heap of pockets, so every placement
@@ -471,10 +477,10 @@ class TestBuildSurroundedBall:
 
     @pytest.mark.parametrize("r", [_RADIUS_LO, 0.01, 0.1, _RADIUS_HI])
     def test_scalar_arc_matches_the_vector_kernel(self, r):
-        # add reads each arc from _arc, as the oracle of the pocket
-        # openings does, and the probe takes the vector kernel and
-        # _arc_ends; the probe finds a gap exactly when the opening is
-        # positive only if both give the same floats.
+        # The probe, the pocket openings and add read each arc from _arc,
+        # and the probe's oracle takes the kernel over arrays, the scalar
+        # asin and _arc_ends; they agree on the gaps float for float only
+        # if both give the same floats.
         # The last disk holds the whole circle of distance rho, so it
         # blocks every angle.
         rng = np.random.default_rng(13)
@@ -483,20 +489,20 @@ class TestBuildSurroundedBall:
             disks = [(angle, dist, s) for dist, angle, s in _straddling_disks(rng, 30)]
             disks.append((rng.uniform(0.0, 2.0 * math.pi), 1.0, 2.0))
             angle, dist, radius = np.array(disks).T
-            q = _cos_half_angle(dist, rho, r + radius)
-            h = np.arccos(np.maximum(q, -1.0))
+            x = _haversine(dist, rho, r + radius)
+            h = np.array([2.0 * math.asin(math.sqrt(min(v, 1.0))) for v in x.tolist()])
             lo, hi = _arc_ends(angle, h)
-            vector = zip(q.tolist(), h.tolist(), lo.tolist(), hi.tolist())
-            for disk, (qk, *arc) in zip(disks, vector):
-                if qk <= -1.0:
+            vector = zip(x.tolist(), h.tolist(), lo.tolist(), hi.tolist())
+            for disk, (xk, *arc) in zip(disks, vector):
+                if xk >= 1.0:
                     assert _arc(disk, rho, r) is None and arc[0] == math.pi
                 else:
                     assert _arc(disk, rho, r) == tuple(arc)
-            assert q[-1] <= -1.0
+            assert x[-1] >= 1.0
 
     def test_pair_opening_matches_its_formula_on_two_arcs(self):
-        # The opening binds its two disks once and takes their arcs
-        # inline; it must give, float for float, the width from the end
+        # The opening binds its two disks once and reads their arcs
+        # from _arc; it must give, float for float, the width from the end
         # of the left _arc to the start of the right one, over gaps that
         # run from or to the first disk at angle 0, left arcs that end
         # past 2*pi, pairs whose arcs overlap, also across 0 = 2*pi, and
@@ -543,8 +549,8 @@ class TestBuildSurroundedBall:
         a = b[::10]
         for eps in np.geomspace(1e-6, 0.4999, 13).tolist():
             rho = np.array([center_distance_for_overlap(s, 1.0, eps, 2) for s in b.tolist()])
-            q = _cos_half_angle(rho[::10, None], rho[None, :], a[:, None] + b[None, :])
-            h = np.arccos(np.clip(q, -1.0, 1.0))
+            x = _haversine(rho[::10, None], rho[None, :], a[:, None] + b[None, :])
+            h = 2.0 * np.arcsin(np.sqrt(np.clip(x, 0.0, 1.0)))
             assert (np.diff(h, axis=1) >= 0.0).all(), eps
 
     @pytest.mark.parametrize("r", [_RADIUS_LO, 0.01, 0.1, _RADIUS_HI])
@@ -613,9 +619,7 @@ class TestBuildSurroundedBall:
         # 1 to 3, 1000 disks at most), the gaps of the probe, which reads
         # only the candidate pockets' own disks, must be, float for
         # float, those of all the placed disks' arcs joined after a sort;
-        # and the packings must be those of the full probe that read
-        # every disk, whose sha256 was recorded before the probe read
-        # fewer.
+        # and the packings must keep their recorded sha256.
         probe, calls = _PocketQueue.gaps, []
 
         def spy(queue, rho, r):
@@ -638,7 +642,7 @@ class TestBuildSurroundedBall:
         assert digest.hexdigest() == _ORACLE_DIGESTS[eps]
         assert len(calls) > 2000 and max(calls) > 1
 
-    @pytest.mark.parametrize("angle", [6.116559403584584, 0.16662590359500218])
+    @pytest.mark.parametrize("angle", [6.116559403584584, 0.16662590359500207])
     def test_probe_on_arc_ends_at_0(self, angle):
         # At eps 0.05 and delta 0.3, the floor arc of a disk of radius
         # delta at the first angle ends at exactly 2*pi, and at the second
@@ -652,6 +656,30 @@ class TestBuildSurroundedBall:
         _, lo, hi = _arc((angle, rho, 0.3), distances(floor), floor)
         assert hi == TWO_PI or lo == 0.0
         disks = np.array([(0.0, rho, 0.3), (angle, rho, 0.3)]).T
+        for r in [floor, 0.01, 0.3]:
+            got = queue.gaps(distances(r), r)
+            want = packing_probe_oracle(disks, distances(r), r)
+            assert [_bits(a) for a in got] == [_bits(a) for a in want]
+        found = queue.largest_fit(0.3, rho)
+        _assert_fit(queue, found, _oracle_bisection(disks, distances, floor, 0.3), distances)
+
+    def test_a_disk_tangent_to_the_first_one_shuts_their_gap(self):
+        # At eps 0.2 a disk of radius delta = 0.3 drawn at the very start
+        # of the first disk's arc is tangent to it, and at radius delta
+        # its own arc's float end passes 2*pi by an ulp: the arcs overlap
+        # across 0 = 2*pi.  The opening of their gap must be at most 0,
+        # the probe must find no gap there, and the search must give
+        # the largest fit of the sorted union.
+        floor = 0.3e-3
+        distances = _Distances(0.2, floor, 0.3)
+        rho = distances(0.3)
+        first = (0.0, rho, 0.3)
+        tangent = (_arc(first, rho, 0.3)[1], rho, 0.3)
+        assert _arc(tangent, rho, 0.3)[2] > TWO_PI
+        assert _pair_opening(tangent, first)(rho, 0.3) <= 0.0
+        queue = _PocketQueue(floor, distances, 0.3e-14, 0.3)
+        queue.add(rho, tangent[0], 0.3, 0.3)
+        disks = np.array([first, tangent]).T
         for r in [floor, 0.01, 0.3]:
             got = queue.gaps(distances(r), r)
             want = packing_probe_oracle(disks, distances(r), r)

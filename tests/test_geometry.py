@@ -4,12 +4,13 @@ import hashlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballcover import geometry
-from ballcover.counterexample import _Distances
+from ballcover.counterexample import _arc, _Distances
 from ballcover.geometry import (
     ARC_TOL,
     COINCIDENCE_TOL,
@@ -914,6 +915,48 @@ def test_free_arcs_cover_angles_exactly():
                 assert dists.min() > -1e-9 if is_free else dists.min() < 1e-9
                 probed[is_free] += 1
     assert probed[True] == circle.size and probed[False] > 0
+
+
+@pytest.mark.parametrize("scale", [0.3, 3e-2, 3e-3, 3e-4, 3e-5])
+def test_half_width_is_within_a_few_ulps_of_50_digits(scale):
+    # 2000 near-tangent arcs per scale: a circle of radius r and a disk of
+    # radius s at center distance d, with d and r in 1 +- scale/2 and
+    # s = |d - r| + U(0.01, 2) * scale, the small angles of the packing.
+    # The half-width of free_arcs_2d (the kernel over arrays and numpy's
+    # arcsin) and of the packing's _arc (one float and math.asin, here
+    # with s split into two exact halves) must be within four units of
+    # 2**-52, relative, of the arccos of the law of cosines taken in 50
+    # digits from the float inputs.  An arccos of the cosine in floats
+    # is off by up to 8e-7 at scale 3e-4.
+    rng = np.random.default_rng(41)
+    d = 1.0 + scale * rng.uniform(-0.5, 0.5, 2000)
+    r = 1.0 + scale * rng.uniform(-0.5, 0.5, 2000)
+    s = np.abs(d - r) + scale * rng.uniform(0.01, 2.0, 2000)
+    vector = 2.0 * np.arcsin(np.sqrt(geometry._haversine(d, r, s)))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for dk, rk, sk, hk in zip(d.tolist(), r.tolist(), s.tolist(), vector.tolist()):
+            D, R, S = mpmath.mpf(dk), mpmath.mpf(rk), mpmath.mpf(sk)
+            want = mpmath.acos((D * D + R * R - S * S) / (2 * D * R))
+            scalar = _arc((0.0, dk, 0.5 * sk), rk, 0.5 * sk)[0]
+            worst = max(worst, float(abs(hk - want) / want), float(abs(scalar - want) / want))
+    assert worst <= 4 * 2.0**-52, worst
+
+
+@pytest.mark.parametrize(
+    "d, r, s, x",
+    [
+        (1.5, 0.5, 1.0, 0.0),  # outer tangency: the disk covers no angle
+        (0.25, 0.5, 0.25, 0.0),  # the disk inside the circle, touching it
+        (1.5, 0.5, 2.0, 1.0),  # the circle inside the disk, touching it
+        (0.25, 0.5, 0.75, 1.0),  # likewise, with the disk's center inside it
+    ],
+)
+def test_half_width_kernel_at_tangency(d, r, s, x):
+    # At tangency the kernel is exactly 0 (no angle covered) or 1 (every
+    # angle but one), for floats and arrays alike.
+    assert geometry._haversine(d, r, s) == x
+    assert geometry._haversine(np.array([d]), np.array([r]), np.array([s])).tolist() == [x]
 
 
 def _lengths_against_oracle(balls, closed_forms=()):
