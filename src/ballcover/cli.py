@@ -60,17 +60,6 @@ from .selection import (
     vitali_select,
 )
 
-COMMANDS = ("generate", "select", "measure", "check", "rate", "maxfn")
-ALGORITHMS = (
-    "vitali",
-    "besicovitch",
-    "perimeter-besicovitch",
-    "perimeter-vitali",
-    "interval-1d",
-)
-GENERATOR_KINDS = ("random", "fig1", "surrounded", "reverse")
-CHECKS = ("thm12", "thm13", "prop16", "isoperimetric")
-
 
 class ValidationError(ValueError):
     """A malformed configuration (exit status 1)."""
@@ -104,18 +93,18 @@ class RunConfig:
     d_list: tuple[int, ...] = (2, 3, 4)
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+def _list_parser(convert, noun):
+    """A parser of comma-separated lists of convert's values; argparse
+    names it in its error text as ``_parse_<type>_list``."""
 
+    def parse(text: str) -> tuple:
+        parts = [p for p in text.split(",") if p.strip()]
+        if not parts:
+            raise ValueError(f"expected a comma-separated list of {noun}")
+        return tuple(convert(p) for p in parts)
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(int(p) for p in parts)
+    parse.__name__ = f"_parse_{convert.__name__}_list"
+    return parse
 
 
 # Config-file key -> (RunConfig field, parser).  Each key is also a flag:
@@ -126,7 +115,7 @@ _KEY_SPECS: dict[str, tuple[str, object]] = {
     "seed": ("seed", int),
     "dim": ("dimension", int),
     "eps": ("eps", float),
-    "eps_list": ("eps_list", _parse_float_list),
+    "eps_list": ("eps_list", _list_parser(float, "numbers")),
     "delta": ("delta", float),
     "lambda": ("lam", float),
     "level": ("level", float),
@@ -141,10 +130,8 @@ _KEY_SPECS: dict[str, tuple[str, object]] = {
     "box_half_width": ("box_half_width", float),
     "check": ("check", str),
     "grid": ("grid", int),
-    "d_list": ("d_list", _parse_int_list),
+    "d_list": ("d_list", _list_parser(int, "integers")),
 }
-
-_CHOICE_KEYS = {"algorithm": ALGORITHMS, "kind": GENERATOR_KINDS, "check": CHECKS}
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -212,15 +199,10 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name, desc in (
-        ("generate", "build a ball collection and write it to a file"),
-        ("select", "run a selection algorithm over a stored collection"),
-        ("measure", "boundary and volume measures of a stored collection"),
-        ("check", "run a check corpus and write a structured report"),
-        ("rate", "perimeter-growth sweep over overlap fractions (CSV)"),
-        ("maxfn", "level-by-level maximal-function report"),
-    ):
-        sub.add_parser(name, parents=[common], help=desc, description=desc)
+    for name, command in _COMMANDS.items():
+        sub.add_parser(
+            name, parents=[common], help=command.help, description=command.help
+        )
     return parser
 
 
@@ -237,44 +219,23 @@ def resolve_config(argv) -> RunConfig:
     return RunConfig(command=command, **values)
 
 
-# The RunConfig fields each command reads, and for generate, select,
-# check and maxfn those its choice of work reads; "!" marks a field the
-# command requires.  Only these fields reach the provenance header.
-_READS = {
-    "generate": "kind! output_path!",
-    "generate random": "dimension seed count",
-    "generate fig1": "count! tiny_radius!",
-    "generate surrounded": "eps! delta! n_max seed",
-    "generate reverse": "eps! box_half_width",
-    "select": "input_path! output_path! algorithm!",
-    "select perimeter-vitali": "eps!",
-    "measure": "input_path! output_path! samples seed",
-    "check": "check! output_path!",
-    "check thm12": "count dimension seed",
-    "check thm13": "count dimension seed eps_list",
-    "check prop16": "count dimension seed lam",
-    "check isoperimetric": "d_list grid",
-    "rate": "eps_list! delta! output_path! n_max seed",
-    "maxfn": "input_path! output_path!",
-    "maxfn level": "level",
-    "maxfn levels": "levels",
-}
+def _chosen(cfg: RunConfig) -> tuple[str, object]:
+    """The (reads, call) of cfg's choice of work; ("", None) for a command
+    that has no choice, or while none is made."""
+    work = _COMMANDS[cfg.command].work
+    return (work and work(cfg)) or ("", None)
 
 
 def _reads(cfg: RunConfig) -> list[str]:
-    """The ``_READS`` entries of cfg's command and of its choice of work."""
-    choice = {
-        "generate": cfg.kind,
-        "select": cfg.algorithm,
-        "check": cfg.check,
-        "maxfn": "levels" if cfg.level is None else "level",
-    }.get(cfg.command)
-    return f"{_READS[cfg.command]} {_READS.get(f'{cfg.command} {choice}', '')}".split()
+    """The RunConfig fields that cfg's command and its choice of work
+    read; "!" marks a field the command requires.  Only these fields
+    reach the provenance header."""
+    return f"{_COMMANDS[cfg.command].reads} {_chosen(cfg)[0]}".split()
 
 
 def validate(cfg: RunConfig) -> None:
     """Per-command required-field checks before any work happens."""
-    if cfg.command not in COMMANDS:
+    if cfg.command not in _COMMANDS:
         raise ValidationError(f"unknown command {cfg.command!r}")
     for name in _reads(cfg):
         if name.endswith("!") and getattr(cfg, name[:-1]) is None:
@@ -282,10 +243,10 @@ def validate(cfg: RunConfig) -> None:
             raise ValidationError(f"{cfg.command} requires --{flag}")
 
 
-def _config_header(cfg: RunConfig) -> list[str]:
-    """Provenance lines for output files: the command and each field it
-    reads that is set.  ``jobs`` is never among them; worker count must
-    not influence output bytes.
+def _config_header(cfg: RunConfig) -> str:
+    """Provenance comment lines for output files: the command and each
+    field it reads that is set.  ``jobs`` is never among them; worker
+    count must not influence output bytes.
     """
     read = {"command", *(name.rstrip("!") for name in _reads(cfg))}
     pairs = []
@@ -295,51 +256,28 @@ def _config_header(cfg: RunConfig) -> list[str]:
             # str of a float is its shortest round-trip repr
             text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             pairs.append(f"{f.name}={text}")
-    return [f"ballcover {__version__}", "config " + " ".join(pairs)]
+    return f"# ballcover {__version__}\n# config {' '.join(pairs)}\n"
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    if cfg.kind == "random":
-        balls = random_collection(cfg.dimension, cfg.seed, cfg.count)
-    elif cfg.kind == "fig1":
-        balls = build_fig1(cfg.count, cfg.tiny_radius)
-    elif cfg.kind == "surrounded":
-        balls = build_surrounded_ball(
-            SurroundedBallConfig(
-                eps=cfg.eps, delta=cfg.delta, n_max=cfg.n_max, seed=cfg.seed
-            )
-        )
-    else:
-        balls = build_reverse_example(cfg.eps, cfg.box_half_width)
-    atomic_write_text(cfg.output_path, dump_balls(balls, _config_header(cfg)))
-    print(
-        f"generate: kind={cfg.kind} wrote {len(balls)} balls "
-        f"(dim {balls.dimension}) to {cfg.output_path}"
-    )
-    return 0
+# Each handler takes cfg and the call of its choice of work and returns
+# the output body, a one-line summary and the exit status; ``main``
+# writes the header and the body and prints the summary.
 
 
-def _cmd_select(cfg: RunConfig) -> int:
+def _cmd_generate(cfg: RunConfig, make) -> tuple[str, str, int]:
+    balls = make(cfg)
+    summary = f"kind={cfg.kind} wrote {len(balls)} balls (dim {balls.dimension})"
+    return dump_balls(balls), summary, 0
+
+
+def _cmd_select(cfg: RunConfig, select) -> tuple[str, str, int]:
     balls = read_balls(cfg.input_path)
-    if cfg.algorithm == "vitali":
-        result = vitali_select(balls)
-    elif cfg.algorithm == "besicovitch":
-        result = besicovitch_select(balls)
-    elif cfg.algorithm == "perimeter-besicovitch":
-        result = perimeter_besicovitch_select(balls)
-    elif cfg.algorithm == "perimeter-vitali":
-        result = perimeter_vitali_select(balls, cfg.eps)
-    else:
-        result = interval_select_1d(balls)
-    atomic_write_text(cfg.output_path, dump_selection(result, _config_header(cfg)))
-    print(
-        f"select: algorithm={cfg.algorithm} kept {len(result.selected)}/"
-        f"{len(balls)} balls to {cfg.output_path}"
-    )
-    return 0
+    result = select(cfg, balls)
+    summary = f"algorithm={cfg.algorithm} kept {len(result.selected)}/{len(balls)} balls"
+    return dump_selection(result), summary, 0
 
 
-def _cmd_measure(cfg: RunConfig) -> int:
+def _cmd_measure(cfg: RunConfig, _) -> tuple[str, str, int]:
     balls = read_balls(cfg.input_path)
     perimeter = union_perimeter(
         balls, samples_per_ball=cfg.samples, seed=cfg.seed
@@ -348,93 +286,84 @@ def _cmd_measure(cfg: RunConfig) -> int:
     volume = union_volume_mc(
         balls, samples=max(1000, cfg.samples * len(balls)), seed=cfg.seed
     )
-    text = "".join(
-        [
-            "".join(f"# {line}\n" for line in _config_header(cfg)),
-            dump_estimate("perimeter", perimeter),
-            dump_estimate("volume", volume),
-        ]
+    body = dump_estimate("perimeter", perimeter) + dump_estimate("volume", volume)
+    summary = (
+        f"perimeter={_fmt(perimeter.value)} ({perimeter.method}) "
+        f"volume={_fmt(volume.value)} ({volume.method})"
     )
-    atomic_write_text(cfg.output_path, text)
-    print(
-        f"measure: perimeter={_fmt(perimeter.value)} ({perimeter.method}) "
-        f"volume={_fmt(volume.value)} ({volume.method}) to {cfg.output_path}"
-    )
-    return 0
+    return body, summary, 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    if cfg.check == "isoperimetric":
-        reports = [check_isoperimetric(cfg.d_list, cfg.grid)]
-    else:
-        count = 50 if cfg.count is None else cfg.count
-        reports = run_corpus(
-            cfg.check,
-            count,
-            cfg.dimension,
-            master_seed=cfg.seed,
-            jobs=cfg.jobs,
-            eps_values=cfg.eps_list,
-            lam=0.2 if cfg.lam is None else cfg.lam,
-        )
-    header = "".join(f"# {line}\n" for line in _config_header(cfg))
+def _corpus(cfg: RunConfig):
+    count = 50 if cfg.count is None else cfg.count
+    return run_corpus(
+        cfg.check,
+        count,
+        cfg.dimension,
+        master_seed=cfg.seed,
+        jobs=cfg.jobs,
+        eps_values=cfg.eps_list,
+        lam=0.2 if cfg.lam is None else cfg.lam,
+    )
+
+
+def _cmd_check(cfg: RunConfig, run) -> tuple[str, str, int]:
+    reports = run(cfg)
     body = [format_report(r) for r in reports]
     body.append(format_summary(reports))
-    atomic_write_text(cfg.output_path, header + "\n".join(body) + "\n")
     passed = sum(r.passed for r in reports)
-    print(
-        f"check: {cfg.check} passed {passed}/{len(reports)} to {cfg.output_path}"
-    )
-    return 0 if passed == len(reports) else 2
+    summary = f"{cfg.check} passed {passed}/{len(reports)}"
+    return "\n".join(body) + "\n", summary, 0 if passed == len(reports) else 2
 
 
-def _cmd_rate(cfg: RunConfig) -> int:
+def _cmd_rate(cfg: RunConfig, _) -> tuple[str, str, int]:
     fit = check_example14_rate(
         cfg.eps_list, delta=cfg.delta, n_max=cfg.n_max, seed=cfg.seed
     )
-    lines = [f"# {line}\n" for line in _config_header(cfg)]
-    lines.append(
+    lines = [
         f"# slope={_fmt(fit.slope)} intercept={_fmt(fit.intercept)} "
         f"r_squared={_fmt(fit.r_squared)}\n"
-    )
+    ]
     lines.extend(
         f"# uncovered={_fmt(u)} raw_ratio={_fmt(raw)} eps={_fmt(x)}\n"
         for x, u, raw in zip(fit.xs, fit.uncovered, fit.raw_ratios)
     )
     lines.append("eps,ratio\n")
     lines.extend(f"{_fmt(x)},{_fmt(y)}\n" for x, y in zip(fit.xs, fit.ys))
-    atomic_write_text(cfg.output_path, "".join(lines))
-    print(
-        f"rate: slope={_fmt(fit.slope)} r_squared={_fmt(fit.r_squared)} "
-        f"over {len(fit.xs)} points to {cfg.output_path}"
+    summary = (
+        f"slope={_fmt(fit.slope)} r_squared={_fmt(fit.r_squared)} "
+        f"over {len(fit.xs)} points"
     )
-    return 0
+    return "".join(lines), summary, 0
 
 
-def _cmd_maxfn(cfg: RunConfig) -> int:
-    f = read_step_function(cfg.input_path)
-    lines = [f"# {line}\n" for line in _config_header(cfg)]
-    if cfg.level is not None:
-        report = level_report(f, cfg.level)
-        lines.append(
-            f"level {_fmt(report.level)} "
-            f"count_maximal={report.maximal_boundary_count} "
-            f"count_function={report.superlevel_boundary_count} "
-            f"intervals={len(report.maximal_intervals)}\n"
-        )
-        atomic_write_text(cfg.output_path, "".join(lines))
-        ok = report.maximal_boundary_count <= report.superlevel_boundary_count
-        print(
-            f"maxfn: level={_fmt(report.level)} counts "
-            f"{report.maximal_boundary_count}<={report.superlevel_boundary_count}"
-            f" passed={ok} to {cfg.output_path}"
-        )
-        return 0 if ok else 2
+def _cmd_maxfn(cfg: RunConfig, report) -> tuple[str, str, int]:
+    return report(cfg, read_step_function(cfg.input_path))
+
+
+def _maxfn_level(cfg: RunConfig, f) -> tuple[str, str, int]:
+    report = level_report(f, cfg.level)
+    body = (
+        f"level {_fmt(report.level)} "
+        f"count_maximal={report.maximal_boundary_count} "
+        f"count_function={report.superlevel_boundary_count} "
+        f"intervals={len(report.maximal_intervals)}\n"
+    )
+    ok = report.maximal_boundary_count <= report.superlevel_boundary_count
+    summary = (
+        f"level={_fmt(report.level)} counts "
+        f"{report.maximal_boundary_count}<={report.superlevel_boundary_count}"
+        f" passed={ok}"
+    )
+    return body, summary, 0 if ok else 2
+
+
+def _maxfn_levels(cfg: RunConfig, f) -> tuple[str, str, int]:
     report = maximal_variation_check(f, cfg.levels)
-    lines.append(
+    lines = [
         f"var_function {_fmt(report.var_f)}\n"
         f"var_maximal_lower_bound {_fmt(report.var_mf_lower_bound)}\n"
-    )
+    ]
     for rec in report.levels:
         lines.append(
             f"level {_fmt(rec.level)} count_maximal={rec.count_maximal} "
@@ -442,22 +371,91 @@ def _cmd_maxfn(cfg: RunConfig) -> int:
             f"passed={rec.passed}\n"
         )
     lines.append(f"passed {report.passed}\n")
-    atomic_write_text(cfg.output_path, "".join(lines))
-    print(
-        f"maxfn: var_mf={_fmt(report.var_mf_lower_bound)} "
+    summary = (
+        f"var_mf={_fmt(report.var_mf_lower_bound)} "
         f"var_f={_fmt(report.var_f)} levels={len(report.levels)} "
-        f"passed={report.passed} to {cfg.output_path}"
+        f"passed={report.passed}"
     )
-    return 0 if report.passed else 2
+    return "".join(lines), summary, 0 if report.passed else 2
+
+
+# Each choice of work: its name -> (the RunConfig fields it reads, the
+# call it makes).  These tables hold only this module's own functions;
+# program functions are looked up in the module's globals when a call
+# runs, so one rebound there (by a tracer or a test) is the one called.
+_KINDS = {
+    "random": (
+        "dimension seed count",
+        lambda c: random_collection(c.dimension, c.seed, c.count),
+    ),
+    "fig1": ("count! tiny_radius!", lambda c: build_fig1(c.count, c.tiny_radius)),
+    "surrounded": (
+        "eps! delta! n_max seed",
+        lambda c: build_surrounded_ball(
+            SurroundedBallConfig(eps=c.eps, delta=c.delta, n_max=c.n_max, seed=c.seed)
+        ),
+    ),
+    "reverse": (
+        "eps! box_half_width",
+        lambda c: build_reverse_example(c.eps, c.box_half_width),
+    ),
+}
+_ALGORITHMS = {
+    "vitali": ("", lambda c, balls: vitali_select(balls)),
+    "besicovitch": ("", lambda c, balls: besicovitch_select(balls)),
+    "perimeter-besicovitch": ("", lambda c, balls: perimeter_besicovitch_select(balls)),
+    "perimeter-vitali": ("eps!", lambda c, balls: perimeter_vitali_select(balls, c.eps)),
+    "interval-1d": ("", lambda c, balls: interval_select_1d(balls)),
+}
+_CHECKS = {
+    "thm12": ("count dimension seed", _corpus),
+    "thm13": ("count dimension seed eps_list", _corpus),
+    "prop16": ("count dimension seed lam", _corpus),
+    "isoperimetric": ("d_list grid", lambda c: [check_isoperimetric(c.d_list, c.grid)]),
+}
+# The config keys whose value names a choice of work.
+_CHOICE_KEYS = {"kind": _KINDS, "algorithm": _ALGORITHMS, "check": _CHECKS}
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its handler, its help line, the RunConfig fields it
+    reads ("!" marks a required one) and, for a command with a choice of
+    work, cfg -> that choice's (reads, call), or None while none is made."""
+
+    run: object
+    help: str
+    reads: str
+    work: object = None
 
 
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "select": _cmd_select,
-    "measure": _cmd_measure,
-    "check": _cmd_check,
-    "rate": _cmd_rate,
-    "maxfn": _cmd_maxfn,
+    "generate": _Command(
+        _cmd_generate, "build a ball collection and write it to a file",
+        "kind! output_path!", lambda c: _KINDS.get(c.kind),
+    ),
+    "select": _Command(
+        _cmd_select, "run a selection algorithm over a stored collection",
+        "input_path! output_path! algorithm!", lambda c: _ALGORITHMS.get(c.algorithm),
+    ),
+    "measure": _Command(
+        _cmd_measure, "boundary and volume measures of a stored collection",
+        "input_path! output_path! samples seed",
+    ),
+    "check": _Command(
+        _cmd_check, "run a check corpus and write a structured report",
+        "check! output_path!", lambda c: _CHECKS.get(c.check),
+    ),
+    "rate": _Command(
+        _cmd_rate, "perimeter-growth sweep over overlap fractions (CSV)",
+        "eps_list! delta! output_path! n_max seed",
+    ),
+    "maxfn": _Command(
+        _cmd_maxfn, "level-by-level maximal-function report",
+        "input_path! output_path!",
+        lambda c: ("levels", _maxfn_levels) if c.level is None
+        else ("level", _maxfn_level),
+    ),
 }
 
 
@@ -466,7 +464,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         validate(cfg)
-        return _COMMANDS[cfg.command](cfg)
+        body, summary, status = _COMMANDS[cfg.command].run(cfg, _chosen(cfg)[1])
+        atomic_write_text(cfg.output_path, _config_header(cfg) + body)
+        print(f"{cfg.command}: {summary} to {cfg.output_path}")
+        return status
     except (ValueError, OSError, OverflowError) as exc:  # ValidationError included
         print(f"ballcover: error: {exc}", file=sys.stderr)
         return 1

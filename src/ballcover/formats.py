@@ -56,9 +56,8 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
-def dump_balls(balls: BallCollection, header_comments: list[str] | None = None) -> str:
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(f"{balls.dimension} {len(balls)}")
+def dump_balls(balls: BallCollection) -> str:
+    lines = [f"{balls.dimension} {len(balls)}"]
     rows = np.column_stack((balls.centers, balls.radii)).tolist()
     lines.extend(" ".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
@@ -91,8 +90,8 @@ def load_balls(text: str) -> BallCollection:
     return BallCollection.from_arrays(values[:, :d], values[:, d])
 
 
-def save_balls(path: str, balls: BallCollection, header_comments=None) -> None:
-    atomic_write_text(path, dump_balls(balls, header_comments))
+def save_balls(path: str, balls: BallCollection) -> None:
+    atomic_write_text(path, dump_balls(balls))
 
 
 def read_balls(path: str) -> BallCollection:
@@ -100,11 +99,9 @@ def read_balls(path: str) -> BallCollection:
         return load_balls(fh.read())
 
 
-def dump_step_function(f: StepFunction, header_comments=None) -> str:
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(" ".join(_fmt(x) for x in f.breakpoints))
-    lines.append(" ".join(_fmt(v) for v in f.values))
-    return "\n".join(lines) + "\n"
+def dump_step_function(f: StepFunction) -> str:
+    rows = (f.breakpoints, f.values)
+    return "".join(" ".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def load_step_function(text: str) -> StepFunction:
@@ -118,8 +115,8 @@ def load_step_function(text: str) -> StepFunction:
     return StepFunction(tuple(xs), tuple(vs))
 
 
-def save_step_function(path: str, f: StepFunction, header_comments=None) -> None:
-    atomic_write_text(path, dump_step_function(f, header_comments))
+def save_step_function(path: str, f: StepFunction) -> None:
+    atomic_write_text(path, dump_step_function(f))
 
 
 def read_step_function(path: str) -> StepFunction:
@@ -134,9 +131,8 @@ def dump_estimate(label: str, est: PerimeterEstimate) -> str:
     )
 
 
-def dump_selection(result: SelectionResult, header_comments=None) -> str:
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append("selected " + " ".join(map(str, result.selected)))
+def dump_selection(result: SelectionResult) -> str:
+    lines = ["selected " + " ".join(map(str, result.selected))]
     for key in sorted(result.groups):
         lines.append(f"group {key} " + " ".join(map(str, result.groups[key])))
     if result.families is not None:

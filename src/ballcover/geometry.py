@@ -3,8 +3,9 @@
 Exact routines cover dimension 1 (interval sweeps) and dimension 2
 (angular arc clipping); higher dimensions fall back to seeded Monte
 Carlo estimates.  Pairwise quantities (lens volumes, cap volumes,
-half-space cuts) are exact in every dimension, with one-dimensional
-quadrature used where no closed form is available.
+half-space cuts) are closed forms in every dimension, exact up to
+rounding: ``atan2`` with a series for thin segments in 2D and the
+regularized incomplete beta function from 3D on.
 """
 
 from __future__ import annotations

@@ -356,8 +356,8 @@ def check_isoperimetric(
     For each dimension and radius the ratio min(vol_in, vol_out)^(d-1)
     / slice_area^d is scanned over an offset grid; lhs is the worst
     per-dimension maximum normalized by the central-cut value, which is
-    the true supremum, so lhs stays at most 1 up to cut-volume
-    quadrature error.
+    the true supremum, so lhs stays at most 1 up to the rounding of the
+    closed-form cut volumes.
     """
     grid = int(grid)
     if grid < 10:

@@ -6,8 +6,10 @@ determinism of outputs (including across worker counts) are checked on
 the produced artifacts.
 """
 
+import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +218,28 @@ def test_flag_and_config_line_give_the_same_config(tmp_path, key):
     from_flag = resolve_config(["generate", "--" + key.replace("_", "-"), text])
     assert from_flag == from_file
     assert getattr(from_flag, field) == value
+
+
+def _flag_choices(command: str, flag: str) -> list[str]:
+    parser = cli._build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return list(commands.choices[command]._option_string_actions[flag].choices)
+
+
+@pytest.mark.parametrize(
+    "label, command, flag",
+    [
+        ("Selection algorithms", "select", "--algorithm"),
+        ("Check corpora", "check", "--check"),
+    ],
+)
+def test_readme_lists_exactly_the_accepted_choices(label, command, flag):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(rf"{label}:(.*?)\.", readme, re.S).group(1)
+    names = re.findall(r"`([^`]+)`", listed)
+    assert sorted(names) == sorted(_flag_choices(command, flag))
 
 
 # ---------------------------------------------------------------------------

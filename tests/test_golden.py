@@ -60,8 +60,9 @@ RUNS = [
     ("rate.csv", ["rate", "--eps-list", "0.05,0.02", "--delta", "0.9", "--seed", "7"]),
     ("maxfn-grid.txt", ["maxfn", "--input", "step.txt", "--levels", "40"]),
     ("maxfn-level.txt", ["maxfn", "--input", "step.txt", "--level", "1.1"]),
-    # Collections above 64 balls, so that every pair lookup goes through
-    # the kd-tree rather than a small-input shortcut.
+    # Larger collections, for both pair-lookup paths: random2d-300 has
+    # more than geometry._GROUP_BALLS = 256 balls and takes the grouped
+    # kd-trees, random3d-100 the one tree.
     ("random2d-300.txt", ["generate", "--kind", "random", "--dim", "2", "--count", "300", "--seed", "6"]),
     *(
         (f"select2d-300-{alg}.txt", ["select", "--algorithm", alg, "--input", "random2d-300.txt", *extra])
