@@ -281,7 +281,7 @@ class _Pocket:
     placement that made it is one; then it is the radius at which
     ``_pair_opening(left, right)`` shuts the pocket, or the last radius
     while the pocket was still open there, at distance ``rho``.  A
-    placement that cuts the gap retires the pocket."""
+    placement drawn in the pocket's gap retires it."""
 
     __slots__ = ("start", "end", "left", "right", "key", "rho", "solved", "alive")
 
@@ -292,18 +292,19 @@ class _Pocket:
 
 
 class _PocketQueue:
-    """The state of a packing: the free pieces at the radius floor and
-    the pockets they make, in a heap by ``_Pocket.key``.  It is the
+    """The state of a packing: its pockets, in a heap by ``_Pocket.key``;
+    the live ones are the free pieces at the radius floor.  It is the
     packing's only radius search, which ends when the heap is empty.
 
     The first disk, of radius r, sits at angle 0, so its arc holds
-    0 = 2*pi at every radius and no gap or pocket runs across it.  The
-    pockets in angle order are the free pieces at the floor, kept as
-    sorted disjoint pieces of (0, 2*pi) in the floats of ``_arc``: each
-    placement takes its own arc out of them, and only the pieces it cuts
-    get new pockets, each bounded by the two disks whose arcs end and
-    start it.  Shut radii are bracketed to width ``tol`` on
-    ``distances``, a ``_Distances``.
+    0 = 2*pi at every radius and no gap or pocket runs across it.  A
+    placement is drawn in the gap of one pocket and splits only that
+    pocket: by the corollary below, its floor arc lies between the
+    centers of the pocket's two disks, so it meets no other piece.  The
+    parts of the piece left on either side become new pockets, each
+    bounded by the new disk and one of the old pocket's disks.  Shut
+    radii are bracketed to width ``tol`` on ``distances``, a
+    ``_Distances``.
 
     Lemma: the gap of a floor piece at a radius c is bounded by the
     piece's own two disks.  Every placed disk j sits at the center
@@ -326,6 +327,12 @@ class _PocketQueue:
     two.  That needs each disk's center inside its own arc in floats
     too, so the queue refuses with ``ValueError`` a placed disk whose
     floor arc's float ends do not hold its center angle.
+
+    Corollary: a disk M drawn in the gap between disks L and R keeps its
+    floor arc between their centers, as the angle between M's center and
+    L's (or R's) is at least H(r_M, r_L) >= H(r_M, floor).  ``add``
+    checks this before it changes anything and refuses a placement that
+    breaks it with ``ValueError``.
     """
 
     def __init__(self, floor: float, distances, tol: float, r: float):
@@ -336,9 +343,7 @@ class _PocketQueue:
         self._heap, self._pushed = [], 0
         # with eps < 1/2 no disk blocks the whole circle at the floor
         _, lo, hi = self._floor_arc(disk)
-        pocket = _Pocket(hi - TWO_PI, lo, disk, disk, r)
-        self._starts, self._pieces = [pocket.start], [pocket]
-        self._push(pocket)
+        self._push(_Pocket(hi - TWO_PI, lo, disk, disk, r))
 
     def _floor_arc(self, disk):
         """``_arc`` of a placed disk at the floor; ValueError unless its
@@ -378,9 +383,10 @@ class _PocketQueue:
         found.sort(key=lambda pocket: pocket.start)
         return found
 
-    def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+    def gaps(self, rho: float, r: float) -> tuple[np.ndarray, np.ndarray, list[_Pocket]]:
         """The free arcs for a new disk of radius r at distance rho, empty
-        when it fits nowhere: the probe that accepts every placement.
+        when it fits nowhere, and the pocket of each: the probe that
+        accepts every placement.
 
         Every gap at r lies in a free piece at the floor, as arcs grow
         with the radius, and in the piece of a pocket whose key reaches r
@@ -392,7 +398,7 @@ class _PocketQueue:
         the pocket's piece, which a gap across 0 = 2*pi does not: the
         gaps are, float for float, those of the sorted union of every
         placed disk's arc cut at 2*pi."""
-        starts, ends = [], []
+        starts, ends, pockets = [], [], []
         for pocket in self._candidates(r):
             # by the lemma no arc is the whole circle
             end, start = _arc(pocket.left, rho, r)[2], _arc(pocket.right, rho, r)[1]
@@ -401,42 +407,31 @@ class _PocketQueue:
             if end < start and pocket.start < start and end < pocket.end:
                 starts.append(end)
                 ends.append(start)
-        return np.array(starts), np.array(ends)
+                pockets.append(pocket)
+        return np.array(starts), np.array(ends), pockets
 
-    def add(self, rho: float, angle: float, r: float, key: float) -> None:
-        """Place a disk of radius r at distance rho and ``angle``: take
-        its floor arc out of the pieces; the pockets of the pieces it
-        cuts get the upper bound ``key``."""
+    def add(self, pocket: _Pocket, rho: float, angle: float, r: float) -> None:
+        """Place a disk of radius r at distance rho and ``angle``, drawn
+        from the gap of ``pocket``: the pocket retires, and the parts of
+        its piece left on either side of the new disk's floor arc become
+        pockets with the upper bound r.  By the corollary of the lemma
+        that arc lies between the centers of the pocket's two disks, so
+        it meets no other piece; ValueError, before any change, when it
+        does not."""
         disk = (angle, rho, r)
-        arc = self._floor_arc(disk)
-        if arc is None:
-            segments = [(0.0, TWO_PI)]
-        else:
-            # the segments of _split_arcs
-            _, lo, hi = arc
-            segments = [(lo, TWO_PI), (0.0, hi - TWO_PI)] if hi > TWO_PI else [(lo, hi)]
-        starts, pieces, new = self._starts, self._pieces, []
-        for s, e in segments:
-            i = bisect_right(starts, s) - 1
-            if i < 0 or pieces[i].end <= s:
-                i += 1
-            j, kept = i, []
-            while j < len(pieces) and pieces[j].start < e:
-                piece = pieces[j]
-                # a cut piece's pocket retires, and so does a new one
-                # that a second segment cuts again
-                piece.alive = False
-                if s > piece.start:
-                    kept.append(_Pocket(piece.start, s, piece.left, disk, key))
-                if piece.end > e:
-                    kept.append(_Pocket(e, piece.end, disk, piece.right, key))
-                j += 1
-            pieces[i:j] = kept
-            starts[i:j] = [pocket.start for pocket in kept]
-            new += kept
-        for pocket in new:
-            if pocket.alive:
-                self._push(pocket)
+        # by the lemma no placed disk blocks every angle at the floor
+        _, lo, hi = self._floor_arc(disk)
+        # the first disk's center is 0 on the left and 2*pi on the right
+        if not (pocket.left[0] <= lo and hi <= (pocket.right[0] or TWO_PI)):
+            raise ValueError(
+                "a placed disk's floor arc leaves the span between the "
+                "centers of the two disks of the pocket it was drawn in"
+            )
+        pocket.alive = False
+        if lo > pocket.start:
+            self._push(_Pocket(pocket.start, lo, pocket.left, disk, r))
+        if pocket.end > hi:
+            self._push(_Pocket(hi, pocket.end, disk, pocket.right, r))
 
     def _solve(self, pocket: _Pocket, r: float, rho: float) -> None:
         """Make ``pocket.key`` the radius at which its two disks shut it
@@ -456,8 +451,8 @@ class _PocketQueue:
 
     def largest_fit(self, r: float, rho: float):
         """The largest radius at most r, up to the tolerance, that fits
-        among the placed disks, with its center distance and free arcs;
-        None when no pocket is left.  r is the last radius placed, at
+        among the placed disks, with its center distance and the
+        ``gaps`` there; None when no pocket is left.  r is the last radius placed, at
         distance rho.
 
         Pockets come off the heap until the top one is solved; its key,
@@ -492,14 +487,15 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
     disk stays disjoint from all previously placed small disks.
 
     The radius comes from ``_PocketQueue``.  Each gap between two disks'
-    arcs at the radius floor is a pocket; a placement makes new pockets
-    only from the gaps it cuts.  The pocket with the largest bound is
-    solved when it reaches the top of the heap: ``_shut_radius``
-    brackets the radius at which its two disks shut it below the last
-    radius to ``1e-14 * delta``, unless it is still open there; no other
-    disk can shut it first.  The probe accepts the top's radius and gives
-    the free arcs for the angle.  The build stops at the radius floor
-    when no pocket is left.
+    arcs at the radius floor is a pocket; a placement splits only the
+    pocket whose gap its angle was drawn from, since its floor arc lies
+    between the centers of that pocket's two disks.  The pocket with the
+    largest bound is solved when it reaches the top of the heap:
+    ``_shut_radius`` brackets the radius at which its two disks shut it
+    below the last radius to ``1e-14 * delta``, unless it is still open
+    there; no other disk can shut it first.  The probe accepts the top's
+    radius and gives the free arcs for the angle, each with its pocket.
+    The build stops at the radius floor when no pocket is left.
     The probe's own verdict flips back and forth within a few
     ``1e-13 * delta`` above the shut radius, from the rounding of the
     center distance and of the arc ends; a disk larger by one part in
@@ -525,7 +521,7 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
         if fit is None:
             stop = "radius floor"
             break
-        r, rho, (gap_starts, gap_ends) = fit
+        r, rho, (gap_starts, gap_ends, drawn) = fit
         widths = gap_ends - gap_starts
         # widths.sum() without its Python wrapper: the same reduction
         total = float(np.add.reduce(widths))
@@ -536,7 +532,7 @@ def build_surrounded_ball_detailed(cfg: SurroundedBallConfig) -> tuple[BallColle
         offsets = list(itertools.accumulate(widths.tolist(), initial=0.0))
         slot = min(bisect_right(offsets, u), widths.size) - 1
         angle = (float(gap_starts[slot]) + (u - offsets[slot])) % TWO_PI
-        pockets.add(rho, angle, r, r)
+        pockets.add(drawn[slot], rho, angle, r)
         centers.append((rho * math.cos(angle), rho * math.sin(angle)))
         radii.append(r)
     return BallCollection.from_arrays(centers, radii), stop

@@ -256,7 +256,9 @@ def _assert_fit(queue, found, want: float, distance) -> None:
     radius, which lies within 1e-13 of the bisection's ``want``."""
     r, rho, gaps = found
     assert rho == distance(r)
-    assert [a.tolist() for a in gaps] == [a.tolist() for a in queue.gaps(rho, r)]
+    probe = queue.gaps(rho, r)
+    assert [a.tolist() for a in gaps[:2]] == [a.tolist() for a in probe[:2]]
+    assert gaps[2] == probe[2]
     assert gaps[1].size > 0
     assert abs(r - want) <= 1e-13
 
@@ -270,13 +272,13 @@ def _placed_disks(then=None):
 
     def init_spy(queue, *args):
         init(queue, *args)
-        # the first pocket lies between the first disk and itself
-        queue.placed = [queue._pieces[0].left]
+        # the one pocket lies between the first disk and itself
+        queue.placed = [queue._heap[0][3].left]
         if then is not None:
             then(queue)
 
-    def add_spy(queue, rho, angle, r, key):
-        add(queue, rho, angle, r, key)
+    def add_spy(queue, pocket, rho, angle, r):
+        add(queue, pocket, rho, angle, r)
         queue.placed.append((angle, rho, r))
         if then is not None:
             then(queue)
@@ -568,7 +570,7 @@ class TestBuildSurroundedBall:
         def check(queue):
             nonlocal probes, gapless
             if queue.placed[-1][2] >= r:
-                got, want = queue.gaps(rho, r), packing_probe_oracle(_store(queue), rho, r)
+                got, want = queue.gaps(rho, r)[:2], packing_probe_oracle(_store(queue), rho, r)
                 assert [_bits(a) for a in got] == [_bits(a) for a in want]
                 probes += 1
                 gapless += want[0].size == 0
@@ -606,10 +608,10 @@ class TestBuildSurroundedBall:
                         break
                     _assert_fit(queue, found, want, distances)
                     shrinking += found[0] < r
-                    r, rho, (starts, ends) = found
+                    r, rho, (starts, ends, drawn) = found
                     k = int(rng.integers(starts.size))
                     angle = float(rng.uniform(starts[k], ends[k]))
-                    queue.add(rho, angle, r, r)
+                    queue.add(drawn[k], rho, angle, r)
                     disks.append((angle, rho, r))
         assert shrinking > 300, shrinking
 
@@ -618,14 +620,16 @@ class TestBuildSurroundedBall:
         # At every probe of nine builds (delta 0.3, 0.1 and 0.03, seeds
         # 1 to 3, 1000 disks at most), the gaps of the probe, which reads
         # only the candidate pockets' own disks, must be, float for
-        # float, those of all the placed disks' arcs joined after a sort;
-        # and the packings must keep their recorded sha256.
+        # float, those of all the placed disks' arcs joined after a sort,
+        # each inside the floor piece of the pocket it comes with; and the
+        # packings must keep their recorded sha256.
         probe, calls = _PocketQueue.gaps, []
 
         def spy(queue, rho, r):
             found = probe(queue, rho, r)
             want = packing_probe_oracle(_store(queue), rho, r)
-            assert [_bits(a) for a in found] == [_bits(a) for a in want], (rho, r)
+            assert [_bits(a) for a in found[:2]] == [_bits(a) for a in want], (rho, r)
+            assert all(p.start <= s and e <= p.end for s, e, p in zip(*found)), (rho, r)
             calls.append(found[0].size)
             return found
 
@@ -652,12 +656,13 @@ class TestBuildSurroundedBall:
         distances = _Distances(0.05, floor, 0.3)
         rho = distances(0.3)
         queue = _PocketQueue(floor, distances, 0.3e-14, 0.3)
-        queue.add(rho, angle, 0.3, 0.3)
+        (pocket,) = queue.gaps(rho, 0.3)[2]
+        queue.add(pocket, rho, angle, 0.3)
         _, lo, hi = _arc((angle, rho, 0.3), distances(floor), floor)
         assert hi == TWO_PI or lo == 0.0
         disks = np.array([(0.0, rho, 0.3), (angle, rho, 0.3)]).T
         for r in [floor, 0.01, 0.3]:
-            got = queue.gaps(distances(r), r)
+            got = queue.gaps(distances(r), r)[:2]
             want = packing_probe_oracle(disks, distances(r), r)
             assert [_bits(a) for a in got] == [_bits(a) for a in want]
         found = queue.largest_fit(0.3, rho)
@@ -678,20 +683,40 @@ class TestBuildSurroundedBall:
         assert _arc(tangent, rho, 0.3)[2] > TWO_PI
         assert _pair_opening(tangent, first)(rho, 0.3) <= 0.0
         queue = _PocketQueue(floor, distances, 0.3e-14, 0.3)
-        queue.add(rho, tangent[0], 0.3, 0.3)
+        (pocket,) = queue.gaps(rho, 0.3)[2]
+        queue.add(pocket, rho, tangent[0], 0.3)
         disks = np.array([first, tangent]).T
         for r in [floor, 0.01, 0.3]:
-            got = queue.gaps(distances(r), r)
+            got = queue.gaps(distances(r), r)[:2]
             want = packing_probe_oracle(disks, distances(r), r)
             assert [_bits(a) for a in got] == [_bits(a) for a in want]
         found = queue.largest_fit(0.3, rho)
         _assert_fit(queue, found, _oracle_bisection(disks, distances, floor, 0.3), distances)
 
+    def test_add_refuses_a_floor_arc_past_its_pocket_before_any_change(self):
+        # At eps 0.2 a disk of radius delta = 0.3 at half the first disk's
+        # floor half-width lies inside the first disk's floor arc, so its
+        # own floor arc runs past 2*pi, the first disk's center seen from
+        # the left of the first pocket.  The queue must refuse it and be
+        # left as it was.
+        floor = 0.3e-3
+        distances = _Distances(0.2, floor, 0.3)
+        rho = distances(0.3)
+        queue = _PocketQueue(floor, distances, 0.3e-14, 0.3)
+        (pocket,) = queue.gaps(rho, 0.3)[2]
+        half_width = _arc((0.0, rho, 0.3), distances(floor), floor)[0]
+        heap = list(queue._heap)
+        with pytest.raises(ValueError, match="pocket it was drawn in"):
+            queue.add(pocket, rho, 0.5 * half_width, 0.3)
+        assert queue._heap == heap
+        assert pocket.alive
+
     def test_no_gap_or_floor_piece_touches_0_or_2pi(self):
         # The first disk sits at angle 0, so its arc holds 0 = 2*pi at
         # every radius: no gap of the probe starts at 0 or ends at 2*pi,
-        # and every free piece at the floor lies inside (0, 2*pi).
-        probe, add = _PocketQueue.gaps, _PocketQueue.add
+        # and every free piece at the floor, a pocket's piece when it is
+        # pushed, lies inside (0, 2*pi).
+        probe, push = _PocketQueue.gaps, _PocketQueue._push
         gaps, pieces = [], []
 
         def probe_spy(queue, rho, r):
@@ -700,14 +725,13 @@ class TestBuildSurroundedBall:
                 gaps.append((found[0].min(), found[1].max()))
             return found
 
-        def add_spy(queue, *args):
-            add(queue, *args)
-            if queue._pieces:
-                pieces.append((queue._pieces[0].start, queue._pieces[-1].end))
+        def push_spy(queue, pocket):
+            push(queue, pocket)
+            pieces.append((pocket.start, pocket.end))
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_PocketQueue, "gaps", probe_spy)
-            patch.setattr(_PocketQueue, "add", add_spy)
+            patch.setattr(_PocketQueue, "_push", push_spy)
             build_surrounded_ball(_PACK_CFG)
             build_surrounded_ball(_SHRINK_CFG)
             build_surrounded_ball(SurroundedBallConfig(eps=10.0**-1.5, delta=0.3, n_max=8000, seed=7))
