@@ -10,6 +10,9 @@ dimension ``d`` and ball count ``n``; the pair layer's build time
 ``union_volume_mc`` at ``volume_samples`` draws, ``volume_s_per_ball``;
 each the best of ``repeats`` runs in wall seconds on a new collection
 made outside the timer, whose pair layer the estimates then share.
+``volume_std_error`` is that volume's standard error, so that the
+error per draw, ``volume_std_error`` times the square root of
+``volume_samples``, stands beside its time.
 ``drawing_balls`` counts the spheres that draw samples, those with a
 neighbour that blocks some direction, and ``one_neighbour_balls`` those
 of them with exactly one such neighbour.
@@ -70,6 +73,7 @@ def main(argv=None) -> int:
             _, spheres, start, *_ = geometry._mc_blockers(balls)
             blockers = np.diff(start)[spheres]
             best = {"pairs": math.inf, "perimeter": math.inf, "volume": math.inf}
+            results = {}
             for _ in range(args.repeats):
                 # a collection keeps its layer, so each repeat needs a new one
                 fresh = geometry.BallCollection.from_arrays(balls.centers, balls.radii)
@@ -84,7 +88,7 @@ def main(argv=None) -> int:
                 }
                 for name, run in runs.items():
                     start = time.perf_counter()
-                    run()
+                    results[name] = run()
                     best[name] = min(best[name], time.perf_counter() - start)
             row = {
                 "d": d,
@@ -94,6 +98,7 @@ def main(argv=None) -> int:
                 "pairs_s": best["pairs"],
                 "perimeter_s_per_ball": best["perimeter"] / n,
                 "volume_s_per_ball": best["volume"] / n,
+                "volume_std_error": results["volume"].std_error,
                 "drawing_balls": int(np.count_nonzero(blockers)),
                 "one_neighbour_balls": int(np.count_nonzero(blockers == 1)),
                 "repeats": args.repeats,

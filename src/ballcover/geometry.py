@@ -20,7 +20,8 @@ import numpy as np
 DISJOINT_TOL = 1e-12
 # Angular arcs shorter than this are dropped as numerical noise.
 ARC_TOL = 1e-12
-# Coincident balls are merged when centers and radii agree to this.
+# Coincident balls are merged when centers and radii agree to this
+# fraction of the larger radius.
 COINCIDENCE_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
@@ -508,10 +509,12 @@ def _coincidence_groups(
 ) -> np.ndarray:
     """Representative index per ball, from the (owner, partner, dist)
     entries of ``BallCollection.pairs``; coincident balls share the
-    lowest one."""
+    lowest one: those whose center distance and radius difference are at
+    most COINCIDENCE_TOL times the larger radius."""
     rep = np.arange(len(radii))
-    same = (owner < partner) & (dist <= COINCIDENCE_TOL)
-    same &= np.abs(radii[partner] - radii[owner]) <= COINCIDENCE_TOL
+    tol = COINCIDENCE_TOL * np.maximum(radii[owner], radii[partner])
+    same = (owner < partner) & (dist <= tol)
+    same &= np.abs(radii[partner] - radii[owner]) <= tol
     for i, j in zip(owner[same].tolist(), partner[same].tolist()):
         if rep[i] == i and rep[j] == j:
             rep[j] = i
@@ -585,7 +588,7 @@ def free_arcs_2d(balls: BallCollection) -> tuple[np.ndarray, np.ndarray, np.ndar
     r, s = radii[owner], radii[partner]
     # the partner covers the angles within phi of its direction theta; at
     # a coincident center it covers all of a smaller circle or none
-    same = rho <= COINCIDENCE_TOL
+    same = rho <= COINCIDENCE_TOL * np.maximum(r, s)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = _haversine(rho, r, s)
     free[owner[np.where(same, s > r, x >= 1.0)]] = False
@@ -716,24 +719,33 @@ def _chunk_sizes(m: int, width: int) -> list[int]:
     return [min(chunk, m - done) for done in range(0, m, chunk)]
 
 
-def _outside_turns(rng, m, r, w, dist, k, s) -> int:
-    """Of m uniform turns t in [0, 1), the angles 2 pi t on a circle of
-    radius r, those outside every blocked arc (lo, hi) of neighbours at
-    offsets w, distances ``dist`` and radii s.  An arc past 1 wraps to
-    0."""
+def _turn_arcs(balls: BallCollection, start, partner, dist) -> tuple[list, list]:
+    """Start and end, in turns, of the open arc that each blocker of
+    ``_mc_blockers`` covers on the circle of its sphere, in one pass over
+    all of them: the entries of ``partner`` and ``dist``, ball i's at
+    start[i]:start[i + 1].  An arc starts in [0, 1) and may end past 1."""
+    centers, radii = balls.centers, balls.radii
+    owner = np.repeat(np.arange(len(balls)), np.diff(start))
+    r, s = radii[owner], radii[partner]
     # Heron's half-chord, as two square roots of degree-2 factors.  The
     # second is negative only for a circle inside the disk or within
     # rounding of an inner tangency: the arc is then all or none of it
     chord = np.sqrt((r + s + dist) * (r + s - dist))
     chord *= np.sqrt(np.maximum((dist + r - s) * (dist - r + s), 0.0))
     half = np.arctan2(chord, dist * dist + r * r - s * s)
+    w = centers[partner] - centers[owner]
     lo, hi = _arc_ends(np.arctan2(w[:, 1], w[:, 0]), half)
-    arcs = list(zip((lo / TWO_PI).tolist(), (hi / TWO_PI).tolist()))
+    return (lo / TWO_PI).tolist(), (hi / TWO_PI).tolist()
+
+
+def _outside_turns(rng, m, lo, hi) -> int:
+    """Of m uniform turns t in [0, 1), those outside every blocked arc
+    (lo, hi) of ``_turn_arcs``.  An arc past 1 wraps to 0."""
     outside = 0
-    for size in _chunk_sizes(m, max(2, len(arcs))):
+    for size in _chunk_sizes(m, max(2, len(lo))):
         t = rng.random(size)
         ok = np.ones(size, dtype=bool)
-        for a, b in arcs:
+        for a, b in zip(lo, hi):
             ok &= (t <= a) | (t >= b) if b <= 1.0 else (t <= a) & (t >= b - 1.0)
         outside += int(np.count_nonzero(ok))
     return outside
@@ -753,7 +765,7 @@ def _sphere_frame(axis) -> np.ndarray:
     )
 
 
-def _outside_heights(rng, m, r, w, dist, k, s) -> int:
+def _outside_heights(rng, m, w, dist, k) -> int:
     """Of m uniform (height, azimuth) pairs, read as the unit vectors
     z e0 + sqrt(1 - z^2)(cos phi e1 + sin phi e2) of the frame of the
     first neighbour, those u with u.w <= k for every neighbour."""
@@ -784,7 +796,7 @@ def _outside_heights(rng, m, r, w, dist, k, s) -> int:
     return outside
 
 
-def _outside_gaussian(rng, m, r, w, dist, k, s) -> int:
+def _outside_gaussian(rng, m, w, dist, k) -> int:
     """Of m standard Gaussian draws g, the directions g/|g|, those with
     g.w <= k|g| for every neighbour: one (K, m) product per chunk, then
     one contiguous neighbour row at a time into one mask."""
@@ -819,6 +831,7 @@ def union_perimeter_mc(
       the haversine kernel of ``free_arcs_2d``, so the exact perimeter
       and this estimate take their half-widths two ways.  Each factor
       is of degree 2, within ``_check_float_range``'s degree.
+      ``_turn_arcs`` takes every sphere's arcs in one array pass.
     - d = 3: a uniform pair (height z in [-1, 1), azimuth phi), and
       u = z e0 + sqrt(1 - z^2)(cos phi e1 + sin phi e2) is uniform on
       the sphere by Archimedes' hat-box theorem.  The frame is
@@ -860,7 +873,9 @@ def union_perimeter_mc(
     _check_float_range(balls, 2 * d - 1)
     centers, radii = balls.centers, balls.radii
     kept, spheres, start, partner, dist, k = _mc_blockers(balls)
-    outside_count = {2: _outside_turns, 3: _outside_heights}.get(d, _outside_gaussian)
+    if d == 2:
+        lo, hi = _turn_arcs(balls, start, partner, dist)
+    outside_count = _outside_heights if d == 3 else _outside_gaussian
     radius_list, start = radii.tolist(), start.tolist()
     value = 0.0
     variance = 0.0
@@ -872,16 +887,12 @@ def union_perimeter_mc(
             # Nothing blocks an exposed sphere: p = 1, zero variance.
             value += surf
             continue
-        others = partner[near]
-        outside = outside_count(
-            np.random.default_rng([seed, i]),
-            samples_per_ball,
-            r,
-            centers[others] - centers[i],
-            dist[near],
-            k[near],
-            radii[others],
-        )
+        rng = np.random.default_rng([seed, i])
+        if d == 2:
+            outside = _outside_turns(rng, samples_per_ball, lo[near], hi[near])
+        else:
+            w = centers[partner[near]] - centers[i]
+            outside = outside_count(rng, samples_per_ball, w, dist[near], k[near])
         p = outside / samples_per_ball
         value += surf * p
         variance += surf * surf * p * (1.0 - p) / samples_per_ball
@@ -889,23 +900,81 @@ def union_perimeter_mc(
     return PerimeterEstimate(value, math.sqrt(variance), "montecarlo", total_samples)
 
 
-def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> PerimeterEstimate:
-    """Volume of a union of balls; exact interval sweep in d = 1, else
-    rejection sampling over the bounding box.
+def _ball_points(rng, size: int, d: int) -> np.ndarray:
+    """``size`` points uniform in the unit ball of R^d, each from its own
+    run of one call of ``rng``, so that the draws of a chunk follow the
+    substream in order.  In 2D and 3D the radius is u^(1/d), the law of
+    |x| for x uniform in the ball, u uniform in [0, 1):
 
-    Each chunk draws ``Generator.random`` floats u in place and scales
-    them to lo + (hi - lo) u, the floats ``Generator.uniform(lo, hi)``
-    returns for the same stream, without its broadcasting path.  The
-    chunk is gathered once in the order of its first coordinate (the
-    hit count does not depend on the order), and a ball tests only
-    the points of its slab c_x - r - pad <= x <= c_x + r + pad, with
-    pad = 1e-9 (|c_x| + r), by the same predicate as a test of every
-    point: ``_row_squares(p - c) <= r*r``.  The slab keeps every point
-    the predicate accepts.  ``_row_squares`` adds nonnegative terms, so
-    its float sum is at least its first term, and an accepted point has
-    fl((x - c_x)^2) <= fl(r*r): |x - c_x| <= r up to a few ulps of r
-    and the rounding of the subtraction, a few ulps of |x| + |c_x|.  The
-    pad covers that and the rounding of the slab ends many times over.
+    - d = 2: a uniform pair (u, t), the point sqrt(u) (cos 2 pi t,
+      sin 2 pi t);
+    - d = 3: a uniform triple (u, v, w), the point cbrt(u) times the
+      unit vector (z, sqrt(1 - z^2) cos phi, sqrt(1 - z^2) sin phi),
+      z = 2v - 1 and phi = 2 pi (w - 1/2), uniform on the sphere by
+      Archimedes' hat-box theorem;
+    - d >= 4: the first d coordinates of g/|g|, g a standard Gaussian in
+      R^(d + 2): a uniform point of the sphere in R^(d + 2) projects to a
+      uniform point of the ball in R^d.
+    """
+    if d >= 4:
+        g = rng.standard_normal((size, d + 2))
+        return g[:, :d] / np.sqrt(_row_squares(g))[:, None]
+    u = rng.random((size, d))
+    if d == 2:
+        phi = TWO_PI * u[:, 1]
+        points = np.column_stack([np.cos(phi), np.sin(phi)])
+        points *= np.sqrt(u[:, :1])
+        return points
+    z = 2.0 * u[:, 1] - 1.0
+    phi = TWO_PI * (u[:, 2] - 0.5)
+    ring = np.sqrt((1.0 - z) * (1.0 + z))
+    points = np.column_stack([z, ring * np.cos(phi), ring * np.sin(phi)])
+    points *= np.cbrt(u[:, :1])
+    return points
+
+
+def _holding_counts(rng, m, c, r, others, squares) -> np.ndarray:
+    """Entry n: of m points x uniform in the ball of center c and radius
+    r, how many lie in n balls, that ball and those of centers ``others``
+    with ``_row_squares(x - c_j) <= squares[j]``.  The counts are
+    integers, so the chunk size moves none of them."""
+    hits = np.zeros(len(squares) + 2, dtype=np.intp)
+    for size in _chunk_sizes(m, max(c.size + 2, len(squares))):
+        x = _ball_points(rng, size, c.size)
+        x *= r
+        x += c
+        held = np.ones(size, dtype=np.intp)
+        for other, square in zip(others, squares):
+            held += _row_squares(x - other) <= square
+        hits += np.bincount(held, minlength=hits.size)
+    return hits
+
+
+def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> PerimeterEstimate:
+    """Volume of a union of balls: an exact interval sweep in d = 1, and
+    from d = 2 on the Karp-Luby-Madras estimator (R. M. Karp, M. Luby
+    and N. Madras, "Monte-Carlo approximation algorithms for enumeration
+    problems", J. Algorithms 10, 1989)
+
+        |U B| = sum_i |B_i| E[1 / N(x)],
+
+    x uniform in B_i and N(x) the number of balls that hold x.
+
+    The ``samples`` draws are split over the balls in proportion to
+    |B_i|, by largest remainder with ties to the lower index.  Ball i
+    draws its m_i points by ``_ball_points`` from the substream seeded by
+    (seed, i), so the estimate does not depend on evaluation order, and
+    N(x) is 1 plus the number of its partners j in ``balls.pairs`` with
+    ``_row_squares(x - c_j) <= r_j^2``: only they meet its open interior.
+    A ball without partners adds |B_i| exactly and draws nothing; it
+    still takes its share of ``sample_count``, which is ``samples``.  So
+    does a ball whose share is 0: its volume is then below 1/samples of
+    the sum of the volumes, and |B_i| exceeds its term by less than
+    that.  A drawing ball adds |B_i|^2 s_i^2 / m_i to the variance, s_i^2
+    the plug-in variance of 1/N over its draws (0 when they all agree),
+    summed relative to the sum of the volumes so that it stays a float
+    wherever they do.  Every step scales exactly with a power-of-two
+    scaling of the input.
     """
     samples = int(samples)
     if samples < 1000:
@@ -918,30 +987,40 @@ def union_volume_mc(balls: BallCollection, samples: int, seed: int) -> Perimeter
     if d == 1:
         lo, hi = union_components(centers[:, 0] - radii, centers[:, 0] + radii)
         return PerimeterEstimate(sum((hi - lo).tolist()), 0.0, "exact1d", 0)
-    lo = (centers - radii[:, None]).min(axis=0)
-    hi = (centers + radii[:, None]).max(axis=0)
-    span = hi - lo
-    box = float(np.prod(span))
-    rng = np.random.default_rng([seed])
-    pad = 1e-9 * (np.abs(centers[:, 0]) + radii)
-    slab_lo = centers[:, 0] - radii - pad
-    slab_hi = centers[:, 0] + radii + pad
-    hits = 0
-    for m in _chunk_sizes(samples, d):
-        pts = rng.random((m, d))
-        pts *= span
-        pts += lo
-        pts = np.take(pts, np.argsort(pts[:, 0]), axis=0)
-        first = np.searchsorted(pts[:, 0], slab_lo)
-        last = np.searchsorted(pts[:, 0], slab_hi, side="right")
-        covered = np.zeros(m, dtype=bool)
-        for a, b, c, r in zip(first.tolist(), last.tolist(), centers, radii.tolist()):
-            covered[a:b] |= _row_squares(pts[a:b] - c) <= r * r
-        hits += int(np.count_nonzero(covered))
-    p = hits / samples
-    value = box * p
-    se = box * math.sqrt(p * (1.0 - p) / samples)
-    return PerimeterEstimate(value, se, "montecarlo", samples)
+    # r^d by products, which a power-of-two scaling keeps exact
+    volumes = radii.copy()
+    for _ in range(d - 1):
+        volumes *= radii
+    volumes *= unit_ball_volume(d)
+    total = math.fsum(volumes.tolist())
+    quota = volumes * (samples / total)
+    share = np.floor(quota)
+    # the largest remainders first, ties to the lower index
+    share[np.argsort(share - quota, kind="stable")[: samples - int(share.sum())]] += 1.0
+    start, _, partner, _ = balls.pairs
+    start = start.tolist()
+    value = 0.0
+    variance = 0.0
+    for i, (volume, m) in enumerate(zip(volumes.tolist(), share.astype(int).tolist())):
+        near = partner[start[i] : start[i + 1]]
+        if not (near.size and m):
+            value += volume
+            continue
+        hits = _holding_counts(
+            np.random.default_rng([seed, i]),
+            m,
+            centers[i],
+            radii[i],
+            centers[near],
+            (radii[near] * radii[near]).tolist(),
+        )
+        # the share of the draws held by n balls, and 1/n, for n >= 1
+        part, inverse = hits[1:] / m, 1.0 / np.arange(1, hits.size)
+        mean = math.fsum((part * inverse).tolist())
+        spread = math.fsum((part * (inverse - mean) ** 2).tolist())
+        value += volume * mean
+        variance += (volume / total) ** 2 * spread / m
+    return PerimeterEstimate(value, total * math.sqrt(variance), "montecarlo", samples)
 
 
 def union_perimeter(

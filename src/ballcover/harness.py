@@ -217,8 +217,10 @@ def check_thm13(
     ball volume (1e-9 relative slack) and b) group containment
     distances against (23/7) times the chosen radius (1e-12 absolute
     slack); rhs is 1.  The volume ratio and the perimeter ratio
-    normalized by eps^(-(d-1)/(d+1)) ride along in the report.  An
-    empty collection raises ``ValueError``.
+    normalized by eps^(-(d-1)/(d+1)) ride along in the report.  The
+    volumes are ``union_volume_mc``'s at ``volume_samples`` draws each:
+    exact in 1D, and from 2D on Karp-Luby-Madras estimates, which
+    sample inside the balls.  An empty collection raises ``ValueError``.
     """
     if len(balls) == 0:
         raise ValueError("empty input")

@@ -673,6 +673,63 @@ def union_volume_mc_all_balls(
     return box * p, box * math.sqrt(p * (1.0 - p) / samples), samples
 
 
+def union_volume_mc_points(
+    balls: BallCollection, samples: int, seed: int
+) -> tuple[float, float, int]:
+    """Value, standard error and sample count of ``union_volume_mc`` in
+    d >= 2, counted the long way: the same shares of the draws (volumes
+    r^d as a product of d radii, and the same largest-remainder rule,
+    ties by sorting on the index) and ball i's substream, drawn in one
+    piece, gives its points x, and N(x) counts every ball, pair layer or
+    not, whose closure holds x, ball i itself counted once.  The mean and
+    variance of 1/N are taken from the draws directly, so the value and
+    error agree with the package's to rounding, not bit for bit.
+
+    - d = 2: a uniform (u, t), x = c_i + r_i sqrt(u) (cos 2 pi t, sin 2 pi t);
+    - d = 3: a uniform (u, v, w), z = 2v - 1, phi = 2 pi (w - 1/2),
+      x = c_i + r_i cbrt(u) (z, sqrt(1 - z^2) cos phi, sqrt(1 - z^2) sin phi);
+    - d >= 4: a standard Gaussian g in R^(d + 2), x = c_i + r_i g_(1..d)/|g|.
+    """
+    d = balls.dimension
+    centers, radii = balls.centers, balls.radii
+    volumes = [unit_ball_volume(d) * math.prod([r] * d) for r in radii.tolist()]
+    total = math.fsum(volumes)
+    quota = [v * (samples / total) for v in volumes]
+    share = [math.floor(q) for q in quota]
+    order = sorted(range(len(quota)), key=lambda i: (share[i] - quota[i], i))
+    for i in order[: samples - sum(share)]:
+        share[i] += 1
+    value = variance = 0.0
+    for i, (volume, m) in enumerate(zip(volumes, share)):
+        if m == 0:
+            value += volume
+            continue
+        rng = np.random.default_rng([seed, i])
+        if d == 2:
+            u = rng.random((m, 2))
+            angle = TWO_PI * u[:, 1]
+            y = np.sqrt(u[:, :1]) * np.column_stack([np.cos(angle), np.sin(angle)])
+        elif d == 3:
+            u = rng.random((m, 3))
+            z, phi = 2.0 * u[:, 1] - 1.0, TWO_PI * (u[:, 2] - 0.5)
+            ring = np.sqrt(1.0 - z * z)
+            y = np.cbrt(u[:, :1]) * np.column_stack([z, ring * np.cos(phi), ring * np.sin(phi)])
+        else:
+            g = rng.standard_normal((m, d + 2))
+            y = g[:, :d] / np.sqrt((g * g).sum(axis=1))[:, None]
+        x = centers[i] + radii[i] * y
+        held = np.ones(m)
+        for j in range(len(radii)):
+            if j != i:
+                diff = x - centers[j]
+                held += (diff * diff).sum(axis=1) <= radii[j] ** 2
+        weight = 1.0 / held
+        mean = math.fsum(weight.tolist()) / m
+        value += volume * mean
+        variance += volume * volume * math.fsum(((weight - mean) ** 2).tolist()) / m / m
+    return value, math.sqrt(variance), samples
+
+
 def neighbor_lists_oracle(
     centers: np.ndarray, radii: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

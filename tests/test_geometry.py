@@ -643,16 +643,15 @@ def test_coincidence_groups_keep_lowest_index(dim):
     centers, radii = _pair_layer_input(200, dim, 2)
     # a triple of copies and a near copy of the copy only
     centers[50:53], radii[50:53] = centers[40], radii[40]
-    centers[53] = centers[52] + 0.8 * COINCIDENCE_TOL
+    centers[53] = centers[52] + 0.8 * COINCIDENCE_TOL * radii[52]
     radii[53] = radii[52]
     dists = _brute_dists(centers)
     want = np.arange(len(radii))
     for a in range(len(radii)):
         if want[a] != a:
             continue
-        same = (dists[a, a + 1 :] <= COINCIDENCE_TOL) & (
-            np.abs(radii[a + 1 :] - radii[a]) <= COINCIDENCE_TOL
-        )
+        tol = COINCIDENCE_TOL * np.maximum(radii[a + 1 :], radii[a])
+        same = (dists[a, a + 1 :] <= tol) & (np.abs(radii[a + 1 :] - radii[a]) <= tol)
         idx = np.nonzero(same)[0] + a + 1
         want[idx[want[idx] == idx]] = a
     got = geometry._coincidence_groups(radii, *_pairs(centers, radii)[1:])
@@ -1182,54 +1181,112 @@ def _volume_case(dim, case):
         centers = [0 * e[0], 0 * e[0], 2.0 * e[0], 0.5 * e[0], 1.5 * e[1], 2.5 * e[1]]
         return BallCollection.from_arrays(centers, [1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
     # a ball of radius 1e-12 inside the box of two unit balls, apart
-    # from both, catches no sample
+    # from both
     centers = [np.zeros(dim), np.full(dim, 3.0), 3.0 * e[0]]
     return BallCollection.from_arrays(centers, [1.0, 1.0, 1e-12])
+
+
+def _ball_volumes(balls):
+    return [unit_ball_volume(balls.dimension) * r**balls.dimension for r in balls.radii.tolist()]
+
+
+def _agree(est, value, sigma=0.0):
+    """Whether an estimate lies within 4 standard errors of a value that
+    has its own standard error ``sigma``."""
+    return abs(est.value - value) <= 4.0 * math.hypot(est.std_error, sigma)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_union_volume_mc_of_balls_that_do_not_meet_is_exact(monkeypatch, dim):
+    # three isolated balls, and a chain of three tangent ones whose open
+    # balls do not meet
+    e = np.eye(dim)
+    centers = [0.0 * e[0], 5.0 * e[1], -4.0 * e[1], 4.0 * e[0], 6.0 * e[0], 7.5 * e[0]]
+    balls = BallCollection.from_arrays(centers, [1.0, 0.5, 2.0, 1.0, 1.0, 0.5])
+    assert not balls.pairs[1].size
+    drawn = _spy_on_substreams(monkeypatch)
+    est = union_volume_mc(balls, samples=5_000, seed=2)
+    assert drawn == []
+    assert est.value == pytest.approx(math.fsum(_ball_volumes(balls)), rel=1e-15)
+    assert (est.std_error, est.method, est.sample_count) == (0.0, "montecarlo", 5_000)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_union_volume_mc_of_two_balls_matches_inclusion_exclusion(dim):
+    r1, r2, rho = 1.0, 0.7, 1.1
+    balls = BallCollection.from_arrays([np.zeros(dim), rho * np.eye(dim)[0]], [r1, r2])
+    exact = math.fsum(_ball_volumes(balls)) - float(geometry._lens_volumes(r1, r2, rho, dim))
+    est = union_volume_mc(balls, samples=200_000, seed=dim)
+    assert est.std_error > 0.0 and _agree(est, exact)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_union_volume_mc_of_nested_and_coincident_balls(dim):
+    e = np.eye(dim)
+    # a ball inside another, touching it from inside: every draw of the
+    # small one lies in two balls
+    nested = BallCollection.from_arrays([0.0 * e[0], 0.5 * e[0]], [1.0, 0.5])
+    est = union_volume_mc(nested, samples=100_000, seed=4)
+    assert _agree(est, unit_ball_volume(dim))
+    # two and three copies of one ball: each draw lies in all of them
+    for copies in (2, 3):
+        balls = BallCollection.from_arrays([0.3 * e[0] + 0.1] * copies, [0.8] * copies)
+        est = union_volume_mc(balls, samples=6_000, seed=5)
+        assert est.value == pytest.approx(_ball_volumes(balls)[0], rel=1e-15)
+        assert est.std_error == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize(
     "case", ["offset-1e6", "six-decades", "tangent-coincident", "tiny-ball"]
 )
-def test_volume_slabs_match_all_balls_count(dim, case):
+def test_union_volume_mc_agrees_with_the_box_estimator(dim, case):
     balls = _volume_case(dim, case)
     est = union_volume_mc(balls, samples=20_000, seed=9)
-    assert (est.value, est.std_error, est.sample_count) == (
-        oracles.union_volume_mc_all_balls(balls, 20_000, 9)
-    )
-    if case == "tiny-ball":
-        assert est == union_volume_mc(balls.subset([0, 1]), samples=20_000, seed=9)
+    value, sigma, _ = oracles.union_volume_mc_all_balls(balls, 20_000, 9)
+    assert _agree(est, value, sigma)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_volume_slab_keeps_an_accepted_draw_one_ulp_outside_its_ends(dim):
-    # Two frame balls fix the box at [0, 21.1] x [-11, 11]^(d-1), so a
-    # draw's first coordinate x = 21.1 U keeps all its low bits.  Take
-    # one of the first draws with x in [1/4, 1/2) one ulp below a
-    # multiple of 2^-52, and put a ball of radius 1.5 at c_1 = that
-    # multiple + 1.5, level with the draw in the other axes.  Then
-    # x - c_1 rounds to -1.5, so the draw passes the predicate, though
-    # it lies one ulp left of c_1 - r.
-    seed, samples, r = 5, 20_000, 1.5
-    frame = np.array([[1.0] + [-10.0] * (dim - 1), [20.0] + [10.0] * (dim - 1)])
-    frame_radii = np.array([1.0, 1.1])
-    lo = (frame - frame_radii[:, None]).min(axis=0)
-    hi = (frame + frame_radii[:, None]).max(axis=0)
-    pts = np.random.default_rng([seed]).uniform(lo, hi, size=(samples, dim))
-    step = 2.0**-52
-    draw = next(
-        p for p in pts
-        if 0.25 <= p[0] < 0.5 and p[0] % step == 0.75 * step and np.all(np.abs(p[1:]) < 8.0)
-    )
-    center = draw.copy()
-    center[0] = draw[0] - draw[0] % step + step + r
-    assert center[0] - r == np.nextafter(draw[0], 1.0)
-    assert geometry._row_squares((draw - center)[None, :])[0] <= r * r
-    balls = BallCollection.from_arrays(np.vstack([frame, center]), [*frame_radii, r])
-    est = union_volume_mc(balls, samples=samples, seed=seed)
-    assert (est.value, est.std_error, est.sample_count) == (
-        oracles.union_volume_mc_all_balls(balls, samples, seed)
-    )
+@pytest.mark.parametrize(
+    "case", ["offset-1e6", "six-decades", "tangent-coincident", "tiny-ball", "corpus"]
+)
+def test_union_volume_mc_matches_point_count(dim, case):
+    if case == "corpus":
+        balls = random_collection(dim, [dim, 40, 5], 40)
+    else:
+        balls = _volume_case(dim, case)
+    est = union_volume_mc(balls, samples=20_000, seed=9)
+    value, sigma, count = oracles.union_volume_mc_points(balls, 20_000, 9)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.std_error == pytest.approx(sigma, rel=1e-9)
+    assert est.sample_count == count
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_union_volume_mc_agrees_with_the_box_estimator_on_the_corpus(dim):
+    # and its standard error is no larger than the box estimator's
+    for seed in range(20):
+        balls = random_collection(dim, [seed, 3], 40)
+        est = union_volume_mc(balls, samples=20_000, seed=seed)
+        value, sigma, _ = oracles.union_volume_mc_all_balls(balls, 20_000, seed)
+        assert _agree(est, value, sigma), seed
+        assert est.std_error <= sigma, seed
+
+
+@pytest.mark.parametrize(
+    "dim, k", [(dim, k) for dim in (2, 3, 4) for k in (-60, -40, -20, 20, 60)]
+)
+def test_union_volume_mc_scales_exactly_by_powers_of_two(dim, k):
+    # 2^k X keeps every ratio the estimate reads, so the shares and the
+    # counts stay, and the volumes scale by 2^(kd), bit for bit
+    factor = 2.0 ** (k * dim)
+    for seed in range(6):
+        balls = random_collection(dim, [dim, seed, 17])
+        scaled = BallCollection.from_arrays(balls.centers * 2.0**k, balls.radii * 2.0**k)
+        est = union_volume_mc(balls, samples=5_000, seed=seed)
+        big = union_volume_mc(scaled, samples=5_000, seed=seed)
+        assert (big.value, big.std_error) == (est.value * factor, est.std_error * factor)
 
 
 def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
@@ -1271,23 +1328,38 @@ def _mc_digest_corpus(dim):
     yield random_collection(dim, [dim, 4, 30], count=4), 300_000, 600_000
 
 
-def test_mc_estimates_match_recorded_digest():
-    # sha256 per dimension of the reprs of both estimates.  The 2D and
-    # 3D digests were recorded when the spheres drew uniform turns and
-    # (height, azimuth) pairs; the 4D one, which still draws Gaussian
-    # directions, is the one recorded before that change
+def _mc_digests(estimate) -> dict[int, str]:
+    """sha256 per dimension of the reprs of ``estimate(balls, per_ball,
+    samples, seed)`` over ``_mc_digest_corpus``."""
     digests = {}
     for dim in (2, 3, 4):
         digest = hashlib.sha256()
         for k, (balls, per_ball, samples) in enumerate(_mc_digest_corpus(dim)):
-            perimeter = union_perimeter_mc(balls, samples_per_ball=per_ball, seed=k)
-            volume = union_volume_mc(balls, samples=samples, seed=k)
-            digest.update(repr((perimeter, volume)).encode())
+            digest.update(repr(estimate(balls, per_ball, samples, k)).encode())
         digests[dim] = digest.hexdigest()
-    assert digests == {
-        2: "51eb520625a6e2f4f5c7074484bb7433293674347ec368974af21759e982ab98",
-        3: "dde9d3e2e99bce46e665d380d89e14b504256eeb5cb500796d18cdead1c3c6a6",
-        4: "b4f65002a010d1757a32b67976e09ae83646f5a14a50ec766f5bf9c76515b60e",
+    return digests
+
+
+def test_mc_perimeters_match_recorded_digest():
+    # recorded when the 2D and 3D spheres drew uniform turns and
+    # (height, azimuth) pairs; the 4D spheres draw Gaussian directions
+    assert _mc_digests(
+        lambda balls, per_ball, _, seed: union_perimeter_mc(balls, per_ball, seed)
+    ) == {
+        2: "eda455789f2aaa605322a045130da7750e6d796eaef4b81d228fd6092c135e3d",
+        3: "010add3b0447f0e8b46b534e8d0ea97b96d4d005b5d6a5ffc0c59bec6b984a48",
+        4: "de5ff7173411ca7d28fe384eaab110480ced8347dab001ed56dc82d81eafc006",
+    }
+
+
+def test_mc_volumes_match_recorded_digest():
+    # recorded when the volume became the Karp-Luby-Madras estimator
+    assert _mc_digests(
+        lambda balls, _, samples, seed: union_volume_mc(balls, samples, seed)
+    ) == {
+        2: "716cb7bf2fdc1cebe0e17f4915ab1a00806cbf00a022419ac174c32d9dac160b",
+        3: "dc9282ff63296d90467e3764e9089d16cfaa9fdce0fcaf98edf69d72795d884e",
+        4: "858a39d96ffce8bcb5906f039f48208c4f630767b9be24d2c5881487809f09fc",
     }
 
 
@@ -1298,8 +1370,8 @@ def test_row_squares_match_numpy_row_sum(dim):
 
 
 def _spy_on_substreams(monkeypatch) -> list[int]:
-    """The ball indices of the substreams ``union_perimeter_mc`` opens,
-    in order."""
+    """The ball indices of the substreams ``union_perimeter_mc`` or
+    ``union_volume_mc`` opens, in order."""
     drawn = []
     real = np.random.default_rng
 
@@ -1361,19 +1433,7 @@ def test_mc_covered_balls_draw_no_samples(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "dim, k",
-    [(dim, k) for dim in (2, 3, 4) for k in (-30, -20, 20, 60)]
-    + [
-        pytest.param(
-            2,
-            -40,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 1: the absolute COINCIDENCE_TOL merges distinct "
-                "balls once their centers lie within 1e-12",
-            ),
-        )
-    ],
+    "dim, k", [(dim, k) for dim in (2, 3, 4) for k in (-30, -20, 20, 60)] + [(2, -40)]
 )
 def test_union_perimeter_mc_scales_exactly_by_powers_of_two(dim, k):
     # 2^k X keeps every ratio the estimate reads, so the same draws fall
@@ -1427,8 +1487,7 @@ def test_mc_validation():
         union_perimeter_mc(balls, samples_per_ball=10, seed=0)
     with pytest.raises(ValueError):
         union_volume_mc(balls, samples=10, seed=0)
-    # a bounding box wider than the largest float, as Generator.uniform
-    # rejects it
+    # squared center distances past the largest float
     huge = _collection([(-8e307, 0, 8e307), (8e307, 0, 8e307)])
     with np.errstate(over="ignore"), pytest.raises(OverflowError):
         union_volume_mc(huge, samples=1_000, seed=0)

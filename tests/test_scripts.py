@@ -73,11 +73,12 @@ def test_mc_timing_prints_one_json_line_per_dimension_and_size(capsys):
     for row in rows:
         assert set(row) == {
             "d", "n", "samples", "volume_samples", "pairs_s", "perimeter_s_per_ball",
-            "volume_s_per_ball", "drawing_balls", "one_neighbour_balls", "repeats", "nproc",
-            "commit",
+            "volume_s_per_ball", "volume_std_error", "drawing_balls", "one_neighbour_balls",
+            "repeats", "nproc", "commit",
         }
         assert row["samples"] == 500 and row["volume_samples"] == 20000
         assert row["pairs_s"] > 0.0 and row["volume_s_per_ball"] > 0.0
+        assert row["volume_std_error"] >= 0.0
         assert row["perimeter_s_per_ball"] > 0.0
         assert 0 <= row["one_neighbour_balls"] <= row["drawing_balls"] <= row["n"]
         assert row["repeats"] == 2 and row["nproc"] >= 1
